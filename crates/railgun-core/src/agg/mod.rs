@@ -5,10 +5,15 @@
 //! leaving the window — never recomputing from scratch (the failure mode of
 //! the Flink custom solution \[21\], reproduced in `railgun-baseline`).
 //!
-//! State is serialized to bytes and stored per `(plan leaf, entity)` key in
-//! the task processor's state store, matching the paper's description:
-//! "each key holds the aggregation current value for the specific window
-//! and the specific entity", with auxiliary data per type:
+//! State is serialized to bytes and stored in the task processor's state
+//! store. The paper describes one key per metric and entity ("each key
+//! holds the aggregation current value for the specific window and the
+//! specific entity"); all leaves under one group-by node are updated by
+//! the same events for the same entity, so here they share **one row per
+//! (group-by node, entity)**: a sequence of slots, each a leaf id followed
+//! by that leaf's state ([`encode_slot`] / [`decode_row`]). Auxiliary data
+//! stays per leaf, keyed by the row key with the group prefix replaced by
+//! the leaf prefix:
 //!
 //! * `avg` carries a count; `stdDev` the Welford triple \[50\];
 //! * `max`/`min` a monotonic deque \[30\] ([`deque`]);
@@ -136,9 +141,9 @@ impl AggScratch {
         Ok(())
     }
 
-    /// Drop cached sketches whose state key starts with `prefix`
-    /// (query unregistration; the store-side blobs are deleted by the
-    /// caller's aux-CF scan).
+    /// Drop cached sketches whose (leaf) state key starts with `prefix`
+    /// (query unregistration; the store-side blobs fall out of the aux
+    /// CF's filtered compaction).
     pub fn drop_prefix(&self, prefix: &[u8]) {
         self.cache
             .borrow_mut()
@@ -153,7 +158,8 @@ pub struct AggContext<'a> {
     /// Column family for `countDistinct` per-value counts and sketch
     /// blobs.
     pub aux_cf: ColumnFamilyId,
-    /// The state key of this (leaf, entity) — aux keys are derived from it.
+    /// The state key of this (leaf, entity) — the group's row key under
+    /// the leaf prefix; aux keys are derived from it.
     pub state_key: &'a [u8],
     /// Timestamp (ms) of the event being inserted/evicted.
     pub event_ts_ms: i64,
@@ -608,66 +614,70 @@ impl AggState {
 
     /// Deserialize from bytes written by [`AggState::encode`].
     pub fn decode(mut buf: &[u8]) -> Result<Self> {
+        Self::decode_from(&mut buf)
+    }
+
+    /// [`AggState::decode`] off the front of `buf`, leaving the cursor
+    /// after the state (the slots of a group row follow one another).
+    fn decode_from(buf: &mut &[u8]) -> Result<Self> {
         if buf.is_empty() {
             return Err(RailgunError::Corruption("empty aggregator state".into()));
         }
         let tag = buf.get_u8();
         Ok(match tag {
             TAG_COUNT => AggState::Count {
-                count: get_ivarint(&mut buf)?,
+                count: get_ivarint(buf)?,
             },
-            TAG_SUM => AggState::Sum {
-                sum: get_f64(&mut buf)?,
-            },
+            TAG_SUM => AggState::Sum { sum: get_f64(buf)? },
             TAG_AVG => AggState::Avg {
-                sum: get_f64(&mut buf)?,
-                count: get_ivarint(&mut buf)?,
+                sum: get_f64(buf)?,
+                count: get_ivarint(buf)?,
             },
             TAG_STDDEV => AggState::StdDev {
-                count: get_ivarint(&mut buf)?,
-                mean: get_f64(&mut buf)?,
-                m2: get_f64(&mut buf)?,
+                count: get_ivarint(buf)?,
+                mean: get_f64(buf)?,
+                m2: get_f64(buf)?,
             },
             TAG_MAX => AggState::Max {
-                deque: MinMaxDeque::decode(&mut buf)?,
+                deque: MinMaxDeque::decode(buf)?,
             },
             TAG_MIN => AggState::Min {
-                deque: MinMaxDeque::decode(&mut buf)?,
+                deque: MinMaxDeque::decode(buf)?,
             },
             TAG_LAST => AggState::Last {
-                count: get_ivarint(&mut buf)?,
-                last: get_opt_value(&mut buf)?,
+                count: get_ivarint(buf)?,
+                last: get_opt_value(buf)?,
             },
             TAG_PREV => AggState::Prev {
-                count: get_ivarint(&mut buf)?,
-                last: get_opt_value(&mut buf)?,
-                prev: get_opt_value(&mut buf)?,
+                count: get_ivarint(buf)?,
+                last: get_opt_value(buf)?,
+                prev: get_opt_value(buf)?,
             },
             TAG_DISTINCT => AggState::CountDistinct {
-                distinct: get_ivarint(&mut buf)?,
+                distinct: get_ivarint(buf)?,
             },
             TAG_APPROX_DISTINCT => AggState::ApproxDistinct {
-                estimate: get_ivarint(&mut buf)?,
-                err_bp: get_uvarint(&mut buf)? as u32,
+                estimate: get_ivarint(buf)?,
+                err_bp: get_uvarint(buf)? as u32,
             },
             TAG_TOPK => {
-                let k = get_uvarint(&mut buf)? as u32;
-                let n = get_uvarint(&mut buf)? as usize;
+                let k = get_uvarint(buf)? as u32;
+                let n = get_uvarint(buf)? as usize;
                 if n > k as usize {
                     return Err(RailgunError::Corruption("topK snapshot too long".into()));
                 }
                 let mut top = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let v = get_value(&mut buf)?;
-                    let count = get_ivarint(&mut buf)?;
+                    let v = get_value(buf)?;
+                    let count = get_ivarint(buf)?;
                     top.push((v, count));
                 }
                 AggState::TopK { top, k }
             }
             TAG_PERCENTILE => {
-                let rank_bp = get_uvarint(&mut buf)? as u32;
-                let estimate = match get_opt_value_tag(&mut buf)? {
-                    true => Some(get_f64(&mut buf)?),
+                let rank_bp = get_uvarint(buf)? as u32;
+                let estimate = match get_opt_value_tag(buf)? {
+                    true => Some(get_f64(buf)?),
                     false => None,
                 };
                 AggState::Percentile { estimate, rank_bp }
@@ -679,6 +689,24 @@ impl AggState {
             }
         })
     }
+}
+
+/// Append one slot of a group row: the leaf id, then that leaf's state.
+pub fn encode_slot(row: &mut Vec<u8>, leaf: u32, state: &AggState) {
+    put_uvarint(row, u64::from(leaf));
+    state.encode(row);
+}
+
+/// Decode a group row (a run of [`encode_slot`] slots) into `slots`,
+/// replacing its previous content.
+pub fn decode_row(mut row: &[u8], slots: &mut Vec<(u32, AggState)>) -> Result<()> {
+    slots.clear();
+    while !row.is_empty() {
+        let leaf = u32::try_from(get_uvarint(&mut row)?)
+            .map_err(|_| RailgunError::Corruption("leaf id out of range in group row".into()))?;
+        slots.push((leaf, AggState::decode_from(&mut row)?));
+    }
+    Ok(())
 }
 
 fn put_opt_value(buf: &mut Vec<u8>, v: &Option<Value>) {

@@ -210,20 +210,33 @@ fn check_version(buf: &mut &[u8], what: &str) -> Result<()> {
 /// Encode a [`Reply`].
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    encode_reply_into(&mut buf, reply);
+    encode_reply_into(
+        &mut buf,
+        reply.request_id,
+        &reply.source_topic,
+        reply.duplicate,
+        &reply.results,
+    );
     buf
 }
 
-/// Encode a [`Reply`] by appending to `buf` — processor units stage the
-/// replies of one pump into a shared frame per reply topic and publish
-/// them as one batch.
-pub fn encode_reply_into(buf: &mut Vec<u8>, reply: &Reply) {
+/// Encode a reply from its borrowed parts by appending to `buf` —
+/// processor units stage the replies of one pump into a shared frame per
+/// reply topic and publish them as one batch, without building an owned
+/// [`Reply`] per event.
+pub fn encode_reply_into(
+    buf: &mut Vec<u8>,
+    request_id: u64,
+    source_topic: &str,
+    duplicate: bool,
+    results: &[AggregationResult],
+) {
     buf.put_u8(WIRE_VERSION);
-    put_uvarint(buf, reply.request_id);
-    put_bytes(buf, reply.source_topic.as_bytes());
-    buf.put_u8(u8::from(reply.duplicate));
-    put_uvarint(buf, reply.results.len() as u64);
-    for r in &reply.results {
+    put_uvarint(buf, request_id);
+    put_bytes(buf, source_topic.as_bytes());
+    buf.put_u8(u8::from(duplicate));
+    put_uvarint(buf, results.len() as u64);
+    for r in results {
         put_uvarint(buf, r.query.0);
         put_uvarint(buf, u64::from(r.index));
         put_bytes(buf, r.name.as_bytes());

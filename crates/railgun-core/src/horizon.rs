@@ -15,20 +15,26 @@
 //!   retention pass in lockstep with the reservoir truncation bound. A
 //!   state key whose tumbling-bucket timestamp lies strictly below it
 //!   can never be read again (results are only collected for current
-//!   buckets), so [`StateKeyFilter`] discards it.
-//! * **dead leaves** — the 4-byte leaf prefixes of unregistered
-//!   aggregators. [`StateKeyFilter`] matches them directly;
-//!   [`AuxKeyFilter`] decodes the state key embedded in aux/sketch keys
-//!   and applies the same verdicts.
+//!   buckets), so both filters discard it.
+//! * **dead plan nodes** — the default CF is keyed by **group prefix**
+//!   (one row per group-by node and entity), so [`StateKeyFilter`] drops
+//!   the rows of groups whose last aggregator was unregistered; the aux
+//!   CF is keyed per leaf, so [`AuxKeyFilter`] decodes the state key
+//!   embedded in aux/sketch keys and drops those under a dead **leaf
+//!   prefix**. A leaf that died inside a still-live group additionally
+//!   leaves a slot in that group's rows, which no key-only filter can
+//!   remove: the task strips those by rewriting the rows
+//!   ([`StateHorizon::pending_strips`]) as part of the same reclaim.
 //!
 //! Both honour the [`CompactionFilter`] contract (see
 //! `railgun_store::options`): verdicts depend only on the key bytes and
-//! the current horizon values, `expire_before_ms` only advances, and a
-//! dead prefix is only *cleared* after the state it covers has been
-//! reclaimed (flush + compaction of every filtered CF) — within an
-//! incarnation ids are never reused, and across restarts pending
-//! prefixes are persisted and reclaimed before the plan registers new
-//! leaves. Unparseable keys are kept: the filter must never guess.
+//! the current horizon values, `expire_before_ms` only advances, and the
+//! dead set is only *cleared* after the state it covers has been
+//! reclaimed (slots stripped, flush + compaction of every filtered CF) —
+//! within an incarnation ids are never reused, and across restarts the
+//! pending set is persisted ([`StateHorizon::marker`]) and reclaimed
+//! before the plan registers new nodes. Unparseable keys are kept: the
+//! filter must never guess.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -44,15 +50,38 @@ pub struct StateHorizon {
     /// Tumbling buckets strictly below this (ms since epoch) are dead.
     /// Starts at `i64::MIN` — nothing expires until the first advance.
     expire_before_ms: AtomicI64,
-    /// Sorted 4-byte leaf prefixes of unregistered aggregators.
-    dead: Mutex<Vec<[u8; 4]>>,
+    dead: Mutex<Dead>,
 }
+
+/// Plan nodes whose state awaits reclamation.
+#[derive(Debug, Default)]
+struct Dead {
+    /// Sorted ids of group-by nodes with no live leaf left.
+    groups: Vec<u32>,
+    /// `(leaf, group)` of unregistered aggregators, sorted by leaf id.
+    leaves: Vec<(u32, u32)>,
+}
+
+impl Dead {
+    fn has_group(&self, group: u32) -> bool {
+        self.groups.binary_search(&group).is_ok()
+    }
+
+    fn has_leaf(&self, leaf: u32) -> bool {
+        self.leaves.binary_search_by_key(&leaf, |&(l, _)| l).is_ok()
+    }
+}
+
+/// Marker record: group id then leaf id, big-endian; [`WHOLE_GROUP`] in
+/// the leaf position marks the group itself dead.
+const MARKER_RECORD: usize = 8;
+const WHOLE_GROUP: u32 = u32::MAX;
 
 impl StateHorizon {
     pub fn new() -> Arc<Self> {
         Arc::new(StateHorizon {
             expire_before_ms: AtomicI64::new(i64::MIN),
-            dead: Mutex::new(Vec::new()),
+            dead: Mutex::new(Dead::default()),
         })
     }
 
@@ -67,42 +96,95 @@ impl StateHorizon {
         self.expire_before_ms.load(Ordering::Relaxed)
     }
 
-    /// Mark a leaf prefix dead — its keys become compaction fodder.
-    pub fn add_dead_prefix(&self, prefix: [u8; 4]) {
+    /// Mark a leaf of `group` dead — its aux keys become compaction
+    /// fodder, and its slot in the group's rows is due for stripping.
+    pub fn add_dead_leaf(&self, group: u32, leaf: u32) {
         let mut dead = self.dead.lock();
-        if let Err(ix) = dead.binary_search(&prefix) {
-            dead.insert(ix, prefix);
+        if let Err(ix) = dead.leaves.binary_search_by_key(&leaf, |&(l, _)| l) {
+            dead.leaves.insert(ix, (leaf, group));
         }
     }
 
-    /// Currently pending dead prefixes.
-    pub fn dead_prefixes(&self) -> Vec<[u8; 4]> {
-        self.dead.lock().clone()
+    /// Mark a whole group-by node dead — its rows become compaction
+    /// fodder (its leaves are marked separately, for the aux CF).
+    pub fn add_dead_group(&self, group: u32) {
+        let mut dead = self.dead.lock();
+        if let Err(ix) = dead.groups.binary_search(&group) {
+            dead.groups.insert(ix, group);
+        }
     }
 
-    /// Whether any dead prefix is pending reclamation.
+    /// Whether any dead node is pending reclamation.
     pub fn has_dead(&self) -> bool {
-        !self.dead.lock().is_empty()
-    }
-
-    /// Forget all dead prefixes — call only after the state they cover
-    /// has been reclaimed (flush + compaction of every filtered CF).
-    pub fn clear_dead_prefixes(&self) {
-        self.dead.lock().clear();
-    }
-
-    fn is_dead(&self, prefix: &[u8]) -> bool {
         let dead = self.dead.lock();
-        !dead.is_empty() && dead.binary_search_by(|d| d.as_slice().cmp(prefix)).is_ok()
+        !dead.groups.is_empty() || !dead.leaves.is_empty()
+    }
+
+    /// Dead leaves of groups that are still live, as `(group, leaves)`
+    /// sorted by group: the rows under each group prefix still carry
+    /// those leaves' slots and must be rewritten without them.
+    pub fn pending_strips(&self) -> Vec<(u32, Vec<u32>)> {
+        let dead = self.dead.lock();
+        let mut strips: Vec<(u32, Vec<u32>)> = Vec::new();
+        for &(leaf, group) in &dead.leaves {
+            if dead.has_group(group) {
+                continue; // the whole row goes in the compaction
+            }
+            match strips.binary_search_by_key(&group, |s| s.0) {
+                Ok(ix) => strips[ix].1.push(leaf),
+                Err(ix) => strips.insert(ix, (group, vec![leaf])),
+            }
+        }
+        strips
+    }
+
+    /// The pending dead set in its persisted form. The task writes this
+    /// before it starts reclaiming and deletes it when done, so a restart
+    /// in between resumes the reclaim ([`StateHorizon::load_marker`]).
+    pub fn marker(&self) -> Vec<u8> {
+        let dead = self.dead.lock();
+        let mut out = Vec::with_capacity(MARKER_RECORD * (dead.groups.len() + dead.leaves.len()));
+        let pairs = dead
+            .groups
+            .iter()
+            .map(|&g| (g, WHOLE_GROUP))
+            .chain(dead.leaves.iter().map(|&(l, g)| (g, l)));
+        for (group, leaf) in pairs {
+            out.extend_from_slice(&group.to_be_bytes());
+            out.extend_from_slice(&leaf.to_be_bytes());
+        }
+        out
+    }
+
+    /// Re-add the dead set a previous incarnation persisted.
+    pub fn load_marker(&self, raw: &[u8]) {
+        for rec in raw.chunks_exact(MARKER_RECORD) {
+            let group = u32::from_be_bytes(rec[..4].try_into().expect("4b"));
+            match u32::from_be_bytes(rec[4..].try_into().expect("4b")) {
+                WHOLE_GROUP => self.add_dead_group(group),
+                leaf => self.add_dead_leaf(group, leaf),
+            }
+        }
+    }
+
+    /// Forget the dead set — call only after the state it covers has
+    /// been reclaimed (slots stripped, flush + compaction of every
+    /// filtered CF).
+    pub fn clear_dead(&self) {
+        let mut dead = self.dead.lock();
+        dead.groups.clear();
+        dead.leaves.clear();
     }
 
     /// Verdict for one state key (see `crate::keys::state_key` for the
-    /// layout: 4-byte leaf prefix, bucket tag, entity values).
-    fn state_key_verdict(&self, key: &[u8]) -> FilterDecision {
+    /// layout: 4-byte id prefix, bucket tag, entity values); `is_dead`
+    /// judges the id.
+    fn state_key_verdict(&self, key: &[u8], is_dead: fn(&Dead, u32) -> bool) -> FilterDecision {
         if key.len() < 5 {
             return FilterDecision::Keep;
         }
-        if self.is_dead(&key[..4]) {
+        let id = u32::from_be_bytes(key[..4].try_into().expect("4b"));
+        if is_dead(&self.dead.lock(), id) {
             return FilterDecision::Discard;
         }
         if key[4] == 1 {
@@ -118,7 +200,7 @@ impl StateHorizon {
 }
 
 /// Compaction filter for the default (aggregation-state) CF: keys are
-/// raw state keys.
+/// raw state keys under a group prefix.
 #[derive(Debug)]
 pub struct StateKeyFilter(pub Arc<StateHorizon>);
 
@@ -127,13 +209,13 @@ impl CompactionFilter for StateKeyFilter {
         "state-horizon"
     }
     fn filter(&self, key: &[u8], _value: &[u8]) -> FilterDecision {
-        self.0.state_key_verdict(key)
+        self.0.state_key_verdict(key, Dead::has_group)
     }
 }
 
 /// Compaction filter for the aux/sketch CF: keys embed a
-/// uvarint-length-prefixed state key (see `crate::agg`), which gets the
-/// same verdict as in the default CF.
+/// uvarint-length-prefixed state key under a leaf prefix (see
+/// `crate::agg`), judged like a default-CF key but against dead leaves.
 #[derive(Debug)]
 pub struct AuxKeyFilter(pub Arc<StateHorizon>);
 
@@ -150,7 +232,7 @@ impl CompactionFilter for AuxKeyFilter {
         if cur.len() < len {
             return FilterDecision::Keep;
         }
-        self.0.state_key_verdict(&cur[..len])
+        self.0.state_key_verdict(&cur[..len], Dead::has_leaf)
     }
 }
 
@@ -184,31 +266,62 @@ mod tests {
     }
 
     #[test]
-    fn dead_prefixes_kill_state_and_aux_keys() {
+    fn dead_groups_kill_rows_and_dead_leaves_kill_aux_keys() {
         let h = StateHorizon::new();
         let state = StateKeyFilter(Arc::clone(&h));
         let aux = AuxKeyFilter(Arc::clone(&h));
-        let dead_key = state_key(7, None, &entity());
-        let live_key = state_key(8, None, &entity());
-        let dead_aux = blob_key_for_tests(&dead_key);
-        let live_aux = blob_key_for_tests(&live_key);
-        assert_eq!(state.filter(&dead_key, b""), FilterDecision::Keep);
-        h.add_dead_prefix(crate::keys::leaf_prefix(7));
-        assert_eq!(state.filter(&dead_key, b""), FilterDecision::Discard);
-        assert_eq!(state.filter(&live_key, b""), FilterDecision::Keep);
+        // Group 7 holds leaves 20 and 21; group 8 holds leaf 22.
+        let dead_row = state_key(7, None, &entity());
+        let live_row = state_key(8, None, &entity());
+        let dead_aux = blob_key_for_tests(&state_key(20, None, &entity()));
+        let live_aux = blob_key_for_tests(&state_key(22, None, &entity()));
+        assert_eq!(state.filter(&dead_row, b""), FilterDecision::Keep);
+        h.add_dead_leaf(7, 20);
         assert_eq!(aux.filter(&dead_aux, b""), FilterDecision::Discard);
         assert_eq!(aux.filter(&live_aux, b""), FilterDecision::Keep);
+        // One dead leaf does not kill its group's rows: the slot is
+        // stripped by a rewrite instead.
+        assert_eq!(state.filter(&dead_row, b""), FilterDecision::Keep);
+        assert_eq!(h.pending_strips(), vec![(7, vec![20])]);
+        h.add_dead_leaf(7, 21);
+        h.add_dead_group(7);
+        assert_eq!(state.filter(&dead_row, b""), FilterDecision::Discard);
+        assert_eq!(state.filter(&live_row, b""), FilterDecision::Keep);
+        assert!(h.pending_strips().is_empty(), "dead groups need no strip");
+        // Ids are per kind: a dead *leaf* 8 says nothing about group 8.
+        h.add_dead_leaf(9, 8);
+        assert_eq!(state.filter(&live_row, b""), FilterDecision::Keep);
         assert!(h.has_dead());
-        h.clear_dead_prefixes();
+        h.clear_dead();
         assert!(!h.has_dead());
-        assert_eq!(state.filter(&dead_key, b""), FilterDecision::Keep);
+        assert_eq!(state.filter(&dead_row, b""), FilterDecision::Keep);
+        assert_eq!(aux.filter(&dead_aux, b""), FilterDecision::Keep);
+    }
+
+    #[test]
+    fn marker_roundtrips_the_dead_set() {
+        let h = StateHorizon::new();
+        h.add_dead_leaf(3, 11);
+        h.add_dead_leaf(4, 12);
+        h.add_dead_leaf(4, 13);
+        h.add_dead_group(4);
+        let restored = StateHorizon::new();
+        restored.load_marker(&h.marker());
+        assert_eq!(restored.marker(), h.marker());
+        assert_eq!(restored.pending_strips(), vec![(3, vec![11])]);
+        let state = StateKeyFilter(Arc::clone(&restored));
+        assert_eq!(
+            state.filter(&state_key(4, None, &entity()), b""),
+            FilterDecision::Discard
+        );
     }
 
     #[test]
     fn malformed_keys_are_kept() {
         let h = StateHorizon::new();
         h.advance_bucket_expiry(i64::MAX);
-        h.add_dead_prefix([0, 0, 0, 1]);
+        h.add_dead_group(1);
+        h.add_dead_leaf(1, 1);
         let state = StateKeyFilter(Arc::clone(&h));
         let aux = AuxKeyFilter(Arc::clone(&h));
         assert_eq!(state.filter(b"", b""), FilterDecision::Keep);

@@ -17,10 +17,11 @@ use crate::lang::{AggFunc, Query, WindowSpec};
 pub type WindowId = usize;
 /// Index of a filter node in [`Plan::filters`].
 pub type FilterId = usize;
-/// Index of a group-by node in [`Plan::groups`].
+/// Index of a group-by node in [`Plan::groups`] — also the prefix of the
+/// group's state rows.
 pub type GroupId = usize;
-/// Index of an aggregator leaf in [`Plan::leaves`] — also the state-key
-/// leaf id.
+/// Index of an aggregator leaf in [`Plan::leaves`] — also the tag of its
+/// slot in its group's state rows and the prefix of its aux keys.
 pub type LeafId = usize;
 
 /// Root of the DAG: one per distinct window spec.
@@ -62,7 +63,7 @@ pub struct MetricRef {
 /// Aggregator leaf. `refs` lists every registered metric sharing this
 /// leaf (identical aggregations are computed once); a leaf with no refs
 /// is **dead** — detached from the DAG walk, its state torn down, kept in
-/// the vec only so leaf ids (state-key prefixes) stay stable.
+/// the vec only so leaf ids (slot tags, aux-key prefixes) stay stable.
 #[derive(Debug)]
 pub struct LeafNode {
     pub group: GroupId,
@@ -174,11 +175,12 @@ impl Plan {
     /// Detach every metric of `id` from the plan and report what died.
     ///
     /// Leaves that lose their last ref are detached from their group's
-    /// walk list (their ids — and therefore everyone else's state keys —
-    /// stay stable) and reported so the task can delete their aggregator
-    /// state. Groups, filters and windows whose subtrees empty out are
-    /// pruned the same way; windows that end up with no filters are
-    /// reported so their reservoir cursors can be dropped.
+    /// walk list (their ids — and therefore everyone else's state — stay
+    /// stable) and reported so the task can delete their aggregator
+    /// state; a group left with no leaf is dead as a whole. Groups,
+    /// filters and windows whose subtrees empty out are pruned the same
+    /// way; windows that end up with no filters are reported so their
+    /// reservoir cursors can be dropped.
     pub fn remove_query(&mut self, id: QueryId) -> PlanDiff {
         let mut diff = PlanDiff::default();
         for (leaf_id, leaf) in self.leaves.iter_mut().enumerate() {
@@ -323,9 +325,10 @@ impl Plan {
         id
     }
 
-    /// Number of **live** state-store keys touched per event — the
-    /// paper's "amount of keys accessed per event match the number of
-    /// DAG's leaves". Dead (unregistered) leaves don't count.
+    /// Number of **live** aggregator leaves — in the paper, where each
+    /// has a key of its own, the "amount of keys accessed per event"
+    /// (here the leaves of a group-by node share one row). Dead
+    /// (unregistered) leaves don't count.
     pub fn leaf_count(&self) -> usize {
         self.leaves.iter().filter(|l| l.is_live()).count()
     }

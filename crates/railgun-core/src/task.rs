@@ -35,13 +35,13 @@ use railgun_types::{
     Counter, Event, RailgunError, Result, Schema, TimeDelta, Timestamp, Value,
 };
 
-use crate::agg::{AggContext, AggScratch, AggState};
+use crate::agg::{decode_row, encode_slot, AggContext, AggScratch, AggState};
 use crate::api::{AggregationResult, QueryId};
 use crate::horizon::{AuxKeyFilter, StateHorizon, StateKeyFilter};
-use crate::keys::{leaf_prefix, state_key};
-use crate::lang::{Query, WindowKind};
+use crate::keys::{id_prefix, set_prefix, state_key_into};
+use crate::lang::{Query, WindowKind, WindowSpec};
 use crate::metrics::{SharedTaskStats, TaskStatsRegistry};
-use crate::plan::{LeafId, MetricHandle, Plan, WindowId};
+use crate::plan::{GroupId, GroupNode, LeafId, MetricHandle, Plan, WindowId};
 
 /// Tuning for a task processor.
 #[derive(Debug, Clone)]
@@ -115,6 +115,39 @@ struct WindowRuntime {
     tail_bound: Timestamp,
 }
 
+/// The most recent row read or written under one group-by node: its key
+/// and decoded slots. The read-modify-write of an event decodes into and
+/// encodes out of it (so the buffers are reused), and `collect_results`
+/// answers from it when the row the event just wrote is the row it
+/// reports — which it is for the arriving event's own entity on every
+/// window without a delay. Every default-CF write of the event path goes
+/// through here, so a valid entry always equals the stored row, except
+/// that it may still carry the slot of a leaf unregistered since; slots
+/// are only ever looked up by live leaf id.
+#[derive(Default)]
+struct GroupRow {
+    key: Vec<u8>,
+    slots: Vec<(u32, AggState)>,
+    /// False until `key`/`slots` hold a complete row (and again while an
+    /// update is in flight, so an error cannot leave a torn entry).
+    valid: bool,
+}
+
+impl GroupRow {
+    /// Replace `slots` with the stored row under `key` (none = no slots).
+    fn load(&mut self, db: &Db, stats: &SharedTaskStats) -> Result<()> {
+        stats.state_reads.fetch_add(1, Ordering::Relaxed);
+        let slots = &mut self.slots;
+        match db.get_in(Db::DEFAULT_CF, &self.key, |raw| decode_row(raw, slots))? {
+            Some(decoded) => decoded,
+            None => {
+                slots.clear();
+                Ok(())
+            }
+        }
+    }
+}
+
 /// Computes all metrics of one (topic, partition).
 pub struct TaskProcessor {
     topic: String,
@@ -137,7 +170,12 @@ pub struct TaskProcessor {
     expired_bufs: Vec<Vec<Event>>,
     entering_buf: Vec<Event>,
     encode_buf: Vec<u8>,
-    entity_buf: Vec<Value>,
+    /// Scratch key: the current row key under a leaf prefix while a row
+    /// is updated (aux-CF key derivation), the key asked for while the
+    /// reply is collected.
+    key_buf: Vec<u8>,
+    /// One entry per plan group node, index-aligned with `plan.groups`.
+    rows: Vec<GroupRow>,
     /// Per-task scratch for aggregator aux keys plus the in-memory sketch
     /// cache (flushed to the aux CF at checkpoints — see [`AggScratch`]).
     agg_scratch: AggScratch,
@@ -155,11 +193,12 @@ const AUX_CF_NAME: &str = "distinct-aux";
 /// Name of the metadata column family (reclamation markers, tiny).
 const META_CF_NAME: &str = "task-meta";
 
-/// Meta-CF key holding the pending dead leaf prefixes as concatenated
-/// 4-byte chunks. Present iff an unregistration's state reclaim has not
-/// yet completed — leaf ids restart per incarnation, so a restart must
-/// finish the reclaim *before* the plan can hand those ids out again.
-const DEAD_PREFIXES_KEY: &[u8] = b"dead-prefixes";
+/// Meta-CF key holding the pending dead groups and leaves
+/// ([`StateHorizon::marker`]). Present iff an unregistration's state
+/// reclaim has not yet completed — group and leaf ids restart per
+/// incarnation, so a restart must finish the reclaim *before* the plan
+/// can hand those ids out again.
+const DEAD_NODES_KEY: &[u8] = b"dead-nodes";
 
 /// Install the watermark compaction filters and derived per-CF tuning on
 /// a task's store options. Tuning derives from the global knobs (so a
@@ -234,13 +273,11 @@ impl TaskProcessor {
             None => db.create_cf(META_CF_NAME)?,
         };
         // A persisted marker means a reclaim was cut short (crash between
-        // the unregistration and its compactions): reload the prefixes
+        // the unregistration and its compactions): reload the dead set
         // and finish the job below, before any query registers new
-        // leaves under the same ids.
-        if let Some(raw) = db.get(meta_cf, DEAD_PREFIXES_KEY)? {
-            for chunk in raw.chunks_exact(4) {
-                horizon.add_dead_prefix([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
+        // groups or leaves under the same ids.
+        if let Some(raw) = db.get(meta_cf, DEAD_NODES_KEY)? {
+            horizon.load_marker(&raw);
         }
         let stats = Arc::new(SharedTaskStats::default());
         config.stats_registry.register(&stats);
@@ -259,7 +296,8 @@ impl TaskProcessor {
             expired_bufs: Vec::new(),
             entering_buf: Vec::new(),
             encode_buf: Vec::with_capacity(64),
-            entity_buf: Vec::with_capacity(4),
+            key_buf: Vec::with_capacity(32),
+            rows: Vec::new(),
             agg_scratch: AggScratch::default(),
             horizon,
             meta_cf,
@@ -270,18 +308,35 @@ impl TaskProcessor {
         Ok(tp)
     }
 
-    /// Reclaim the state behind every pending dead prefix: flush the
+    /// Reclaim the state behind the pending dead set: rewrite the rows
+    /// of live groups without their dead leaves' slots, flush the
     /// memtables (filters only see SSTables), compact the filtered CFs
-    /// so their keys vanish, then clear the marker. Idempotent — a crash
-    /// anywhere before the final delete re-runs the whole reclaim at the
-    /// next open, which is safe because the filters only ever drop keys
-    /// under prefixes nothing live can use until the marker is gone.
+    /// so dead groups' rows and dead leaves' aux keys vanish, then clear
+    /// the marker. Idempotent — a crash anywhere before the final delete
+    /// re-runs the whole reclaim at the next open, which is safe because
+    /// nothing live can use a dead id until the marker is gone.
     fn reclaim_dead_state(&self) -> Result<()> {
+        let mut slots = Vec::new();
+        let mut row = Vec::new();
+        for (group, dead_leaves) in self.horizon.pending_strips() {
+            for (key, raw) in self.db.scan_prefix(Db::DEFAULT_CF, &id_prefix(group))? {
+                decode_row(&raw, &mut slots)?;
+                row.clear();
+                for (leaf, state) in &slots {
+                    if !dead_leaves.contains(leaf) {
+                        encode_slot(&mut row, *leaf, state);
+                    }
+                }
+                if row.len() != raw.len() {
+                    self.db.put(Db::DEFAULT_CF, &key, &row)?;
+                }
+            }
+        }
         self.db.flush()?;
         self.db.compact_cf(Db::DEFAULT_CF)?;
         self.db.compact_cf(self.aux_cf)?;
-        self.horizon.clear_dead_prefixes();
-        self.db.delete(self.meta_cf, DEAD_PREFIXES_KEY)?;
+        self.horizon.clear_dead();
+        self.db.delete(self.meta_cf, DEAD_NODES_KEY)?;
         Ok(())
     }
 
@@ -393,41 +448,40 @@ impl TaskProcessor {
                 tail_bound: Timestamp::MIN,
             }));
         }
-        // A brand-new leaf attached to a *pre-existing* window gets no
-        // events from that window's (already advanced) head cursor, so it
-        // must backfill the window's current content directly — otherwise
-        // a metric re-registered onto a shared window (or a new
-        // aggregation added to one) would silently start from zero. On
+        self.rows.resize_with(self.plan.groups.len(), GroupRow::default);
+        // Brand-new leaves attached to a *pre-existing* window get no
+        // events from that window's (already advanced) head cursor, so
+        // they must backfill the window's current content directly —
+        // otherwise a metric re-registered onto a shared window (or a new
+        // aggregation added to one) would silently start from zero. A
+        // query's leaves all hang off one group node; the ones it shares
+        // with earlier queries (`< pre_leaf_count`) are already live. On
         // re-attach the leaf state arrived with the image; nothing to do.
-        if backfill {
-            let mut seen = Vec::new();
-            for h in &handles {
-                if h.leaf < pre_leaf_count || seen.contains(&h.leaf) {
-                    continue; // shared leaf: its state is already live
-                }
-                seen.push(h.leaf);
-                if self.plan.leaves[h.leaf].window < pre_window_count {
-                    self.backfill_leaf(h.leaf)?;
-                }
+        if let Some(first) = handles.first().filter(|_| backfill) {
+            let leaf = &self.plan.leaves[first.leaf];
+            let (gid, wid) = (leaf.group, leaf.window);
+            if wid < pre_window_count && handles.iter().any(|h| h.leaf >= pre_leaf_count) {
+                self.backfill_group(gid, pre_leaf_count)?;
             }
         }
         Ok(handles)
     }
 
-    /// Replay the current content of an existing window into one fresh
-    /// leaf (filter applied, inserts only). The window's in-content range
-    /// is derived from its runtime bounds: events already inserted
-    /// (`ts < head_bound`) and not yet evicted.
-    fn backfill_leaf(&mut self, leaf: LeafId) -> Result<()> {
-        let leaf_node = &self.plan.leaves[leaf];
-        let (wid, fid, gid) = (leaf_node.window, leaf_node.filter, leaf_node.group);
+    /// Replay the current content of an existing window into the fresh
+    /// leaves (`>= first_new`) of one of its groups — filter applied,
+    /// inserts only, the group's other slots untouched. The window's
+    /// in-content range is derived from its runtime bounds: events
+    /// already inserted (`ts < head_bound`) and not yet evicted.
+    fn backfill_group(&mut self, gid: GroupId, first_new: LeafId) -> Result<()> {
+        let fid = self.plan.groups[gid].filter;
+        let wid = self.plan.filters[fid].window;
         let Some(wr) = self.windows[wid].as_ref() else {
             return Ok(());
         };
         let upper = wr.head_bound;
         if upper == Timestamp::MIN {
             // Nothing has flowed through the window yet: the head cursor
-            // still covers everything the leaf needs to see.
+            // still covers everything the leaves need to see.
             return Ok(());
         }
         let spec = self.plan.windows[wid].spec;
@@ -447,7 +501,7 @@ impl TaskProcessor {
                 None => true,
             };
             if passes {
-                self.update_leaf(leaf, gid, event, true)?;
+                self.update_group(gid, event, true, first_new)?;
             }
         }
         Ok(())
@@ -463,27 +517,28 @@ impl TaskProcessor {
         if diff.removed_refs == 0 {
             return Ok(false);
         }
-        // Dead-leaf state is reclaimed through the compaction filters
-        // rather than per-key point deletes: mark the prefixes dead,
-        // persist the marker (a crash before the compactions finish must
-        // resume the reclaim at the next open — leaf ids restart per
-        // incarnation), then flush + compact the filtered CFs. The aux
-        // CF needs no scan at all: its filter decodes the embedded state
-        // key, so counters and sketch blobs of dead leaves fall out of
-        // the same merge.
+        // Dead state is reclaimed through the compaction filters rather
+        // than per-key point deletes: mark the nodes dead, persist the
+        // marker (a crash before the reclaim finishes must resume it at
+        // the next open — ids restart per incarnation), then reclaim. A
+        // group whose last leaf died loses its rows in the default CF's
+        // merge; a leaf that died inside a live group has its slot
+        // stripped from that group's rows. The aux CF needs no scan at
+        // all: its filter decodes the embedded state key, so counters and
+        // sketch blobs of dead leaves fall out of the same merge.
         if !diff.dead_leaves.is_empty() {
             for &leaf in &diff.dead_leaves {
-                let prefix = leaf_prefix(leaf as u32);
+                let gid = self.plan.leaves[leaf].group;
                 // Drop cached sketches first so a later scratch flush
                 // cannot resurrect blobs the compaction drops.
-                self.agg_scratch.drop_prefix(&prefix);
-                self.horizon.add_dead_prefix(prefix);
+                self.agg_scratch.drop_prefix(&id_prefix(leaf as u32));
+                self.horizon.add_dead_leaf(gid as u32, leaf as u32);
+                if self.plan.groups[gid].leaves.is_empty() {
+                    self.horizon.add_dead_group(gid as u32);
+                }
             }
-            let mut marker = Vec::with_capacity(4 * diff.dead_leaves.len());
-            for p in self.horizon.dead_prefixes() {
-                marker.extend_from_slice(&p);
-            }
-            self.db.put(self.meta_cf, DEAD_PREFIXES_KEY, &marker)?;
+            self.db
+                .put(self.meta_cf, DEAD_NODES_KEY, &self.horizon.marker())?;
             self.reclaim_dead_state()?;
         }
         for &wid in &diff.dead_windows {
@@ -609,13 +664,14 @@ impl TaskProcessor {
     /// Process a run of events in arrival order, handing each event's
     /// `(index, results, duplicate)` to `sink` as it completes.
     ///
-    /// Window semantics are inherently per-event — every event's reply
-    /// reflects the window state *at that event* (tail advance, append,
-    /// head advance, DAG, collect), so batching here cannot reorder or
-    /// fuse those phases without changing results. What a batch amortizes
-    /// is everything around the task: the caller decodes a whole run into
-    /// reused scratch, updates offsets once, and publishes all replies as
-    /// one bus batch.
+    /// Window semantics are per-event — every event's reply reflects the
+    /// window state *at that event* (tail advance, append, head advance,
+    /// DAG, collect) — so a run is processed one event after the other and
+    /// what a batch amortizes today is the work around the task: the
+    /// caller decodes a whole run into reused scratch, updates offsets
+    /// once, and publishes all replies as one bus batch. Within an event
+    /// the leaves of a group-by node already share one state row
+    /// (`update_group`).
     pub fn process_batch<'a, I, F>(&mut self, events: I, mut sink: F) -> Result<()>
     where
         I: IntoIterator<Item = &'a Event>,
@@ -644,123 +700,150 @@ impl TaskProcessor {
             let ngroups = self.plan.filters[fid].groups.len();
             for gi in 0..ngroups {
                 let gid = self.plan.filters[fid].groups[gi];
-                let nleaves = self.plan.groups[gid].leaves.len();
-                for li in 0..nleaves {
-                    let leaf = self.plan.groups[gid].leaves[li];
-                    self.update_leaf(leaf, gid, event, insert)?;
-                }
+                self.update_group(gid, event, insert, 0)?;
             }
         }
         Ok(())
     }
 
-    fn update_leaf(
+    /// One read-modify-write of the row of (`gid`, the event's entity):
+    /// decode it once, apply the insert/evict to every live leaf of the
+    /// group with id `>= first_leaf` (0 = all; a backfill passes its
+    /// first new leaf), write it back once. Slots of leaves no longer in
+    /// the group are dropped on the way; a live leaf the row does not
+    /// know yet starts from its empty state.
+    fn update_group(
         &mut self,
-        leaf: LeafId,
-        gid: usize,
+        gid: GroupId,
         event: &Event,
         insert: bool,
+        first_leaf: LeafId,
     ) -> Result<()> {
         let group = &self.plan.groups[gid];
-        let leaf_node = &self.plan.leaves[leaf];
-        let spec = self.plan.windows[leaf_node.window].spec;
+        let wid = self.plan.filters[group.filter].window;
+        let spec = self.plan.windows[wid].spec;
         let bucket = match spec.kind {
             WindowKind::Tumbling(ws) => Some(event.ts.align_down(ws)),
             _ => None,
         };
-        // Reused scratch: one entity tuple per (event, leaf) on the hot
-        // path would otherwise allocate per state update.
-        let mut entity = std::mem::take(&mut self.entity_buf);
-        entity.clear();
-        for &i in &group.field_indexes {
-            entity.push(event.value(i).cloned().unwrap_or(Value::Null));
+        let row = &mut self.rows[gid];
+        row.valid = false;
+        group_key_into(&mut row.key, gid, group, bucket, event);
+        row.load(&self.db, &self.stats)?;
+        let slots = &mut row.slots;
+        // Line the slots up with the group's walk list.
+        for (i, &leaf) in group.leaves.iter().enumerate() {
+            match slots[i..].iter().position(|s| s.0 == leaf as u32) {
+                Some(at) => slots.swap(i, i + at),
+                None => {
+                    slots.push((leaf as u32, AggState::new(self.plan.leaves[leaf].func)));
+                    let last = slots.len() - 1;
+                    slots.swap(i, last);
+                }
+            }
         }
-        let key = state_key(leaf as u32, bucket, &entity);
-        entity.clear();
-        self.entity_buf = entity;
-        let field_value = leaf_node.field_index.map(|i| &event.values()[i]);
+        slots.truncate(group.leaves.len());
 
-        self.stats.state_reads.fetch_add(1, Ordering::Relaxed);
-        let mut state = match self.db.get_in(Db::DEFAULT_CF, &key, AggState::decode)? {
-            Some(decoded) => decoded?,
-            None => AggState::new(leaf_node.func),
+        // Sketch-backed leaves route inserts into time panes and expire
+        // whole panes once the tail bound passes them.
+        let sliding = match spec.kind {
+            WindowKind::Sliding(ws) => Some((
+                ws.as_millis(),
+                match &self.windows[wid] {
+                    Some(wr) => wr.tail_bound.as_millis(),
+                    None => i64::MIN,
+                },
+            )),
+            _ => None,
         };
-        let mut ctx = AggContext::new(&self.db, self.aux_cf, &key, &self.agg_scratch);
-        if let WindowKind::Sliding(ws) = spec.kind {
-            // Sketch-backed leaves route inserts into time panes and
-            // expire whole panes once the tail bound passes them.
-            let lower = match &self.windows[leaf_node.window] {
-                Some(wr) => wr.tail_bound.as_millis(),
-                None => i64::MIN,
-            };
-            ctx = ctx.windowed(event.ts.as_millis(), lower, ws.as_millis());
-        }
-        if insert {
-            state.insert(field_value, &ctx)?;
-        } else {
-            state.evict(field_value, &ctx)?;
-        }
+        self.key_buf.clear();
+        self.key_buf.extend_from_slice(&row.key);
         self.encode_buf.clear();
-        state.encode(&mut self.encode_buf);
+        for (leaf, state) in slots.iter_mut() {
+            if *leaf as usize >= first_leaf {
+                let leaf_node = &self.plan.leaves[*leaf as usize];
+                set_prefix(&mut self.key_buf, *leaf);
+                let mut ctx =
+                    AggContext::new(&self.db, self.aux_cf, &self.key_buf, &self.agg_scratch);
+                if let Some((ws, lower)) = sliding {
+                    ctx = ctx.windowed(event.ts.as_millis(), lower, ws);
+                }
+                let field_value = leaf_node.field_index.map(|i| &event.values()[i]);
+                if insert {
+                    state.insert(field_value, &ctx)?;
+                } else {
+                    state.evict(field_value, &ctx)?;
+                }
+            }
+            encode_slot(&mut self.encode_buf, *leaf, state);
+        }
         self.stats.state_writes.fetch_add(1, Ordering::Relaxed);
-        self.db.put(Db::DEFAULT_CF, &key, &self.encode_buf)
+        self.db.put(Db::DEFAULT_CF, &row.key, &self.encode_buf)?;
+        row.valid = true;
+        Ok(())
     }
 
-    /// Read the current value of every live leaf for the event's
+    /// Report the current value of every live leaf for the event's
     /// entities, emitting one keyed result per registered metric — a leaf
-    /// shared by several queries is read once and reported under each
-    /// `(query, index)` key.
+    /// shared by several queries is reported under each `(query, index)`
+    /// key. A group's row is answered from what this event just wrote
+    /// when that is the row being reported, and read once otherwise (the
+    /// filter rejected the event, the window is delayed, the event was
+    /// late or a duplicate).
     fn collect_results(
         &mut self,
         event: &Event,
         t_eval: Timestamp,
     ) -> Result<Vec<AggregationResult>> {
+        for (gid, group) in self.plan.groups.iter().enumerate() {
+            if group.leaves.is_empty() {
+                continue; // unregistered
+            }
+            let spec = self.plan.windows[self.plan.filters[group.filter].window].spec;
+            let key = &mut self.key_buf;
+            group_key_into(key, gid, group, collect_bucket(spec, t_eval), event);
+            let row = &mut self.rows[gid];
+            if row.valid && row.key == *key {
+                continue;
+            }
+            row.valid = false;
+            std::mem::swap(&mut row.key, key);
+            row.load(&self.db, &self.stats)?;
+            row.valid = true;
+        }
         let mut out = Vec::with_capacity(self.plan.leaves.len());
         for (leaf_idx, leaf) in self.plan.leaves.iter().enumerate() {
             if !leaf.is_live() {
                 continue; // unregistered
             }
             let group = &self.plan.groups[leaf.group];
-            let spec = self.plan.windows[leaf.window].spec;
-            let bucket = match spec.kind {
-                WindowKind::Tumbling(ws) => {
-                    // The bucket containing the (delay-shifted) eval point.
-                    Some((t_eval - spec.delay - TimeDelta::from_millis(1)).align_down(ws))
-                }
-                _ => None,
-            };
-            let mut entity = Vec::with_capacity(group.field_indexes.len());
-            for &i in &group.field_indexes {
-                entity.push(event.value(i).cloned().unwrap_or(Value::Null));
-            }
-            let key = state_key(leaf_idx as u32, bucket, &entity);
-            self.stats.state_reads.fetch_add(1, Ordering::Relaxed);
-            let value = match self
-                .db
-                .get_in(Db::DEFAULT_CF, &key, |raw| AggState::decode(raw).map(|s| s.value()))?
+            let value = match self.rows[leaf.group]
+                .slots
+                .iter()
+                .find(|s| s.0 == leaf_idx as u32)
             {
-                Some(v) => v?,
+                Some((_, state)) => state.value(),
                 None => AggState::new(leaf.func).value(),
             };
-            // Move entity/value into the last ref; clone only for the
-            // extra refs of a shared leaf (refs.len() == 1 is the common
-            // case — no per-event clone on the hot path).
+            // Move the value into the last ref; clone only for the extra
+            // refs of a shared leaf (refs.len() == 1 is the common case).
             let last = leaf.refs.len() - 1;
             let mut value = value;
             for (i, r) in leaf.refs.iter().enumerate() {
-                let (e, v) = if i == last {
-                    (
-                        std::mem::take(&mut entity),
-                        std::mem::replace(&mut value, Value::Null),
-                    )
+                let v = if i == last {
+                    std::mem::replace(&mut value, Value::Null)
                 } else {
-                    (entity.clone(), value.clone())
+                    value.clone()
                 };
                 out.push(AggregationResult {
                     query: r.query,
                     index: r.index,
                     name: r.name.clone(),
-                    entity: e,
+                    entity: group
+                        .field_indexes
+                        .iter()
+                        .map(|&i| event.value(i).cloned().unwrap_or(Value::Null))
+                        .collect(),
                     value: v,
                 });
             }
@@ -928,7 +1011,7 @@ impl TaskProcessor {
         self.db.stats()
     }
 
-    /// Number of plan leaves (state keys touched per event).
+    /// Number of live plan leaves.
     pub fn leaf_count(&self) -> usize {
         self.plan.leaf_count()
     }
@@ -936,6 +1019,32 @@ impl TaskProcessor {
     /// Number of live reservoir cursors (the paper's "iterators", §5.2(b)).
     pub fn iterator_count(&self) -> usize {
         self.reservoir.stats().cursors
+    }
+}
+
+/// The row key of (`gid`, the event's entity) in `bucket`, into `key`.
+fn group_key_into(
+    key: &mut Vec<u8>,
+    gid: GroupId,
+    group: &GroupNode,
+    bucket: Option<Timestamp>,
+    event: &Event,
+) {
+    let entity = group
+        .field_indexes
+        .iter()
+        .map(|&i| event.value(i).unwrap_or(&Value::Null));
+    state_key_into(key, gid as u32, bucket, entity);
+}
+
+/// The tumbling bucket a window reports at `t_eval`: the one containing
+/// the (delay-shifted) eval point.
+fn collect_bucket(spec: WindowSpec, t_eval: Timestamp) -> Option<Timestamp> {
+    match spec.kind {
+        WindowKind::Tumbling(ws) => {
+            Some((t_eval - spec.delay - TimeDelta::from_millis(1)).align_down(ws))
+        }
+        _ => None,
     }
 }
 
@@ -1286,7 +1395,8 @@ mod tests {
 
     #[test]
     fn stats_track_state_access_pattern() {
-        // Paper §4.1.3: keys accessed per event == number of DAG leaves.
+        // Paper §4.1.3: keys accessed per event == number of DAG leaves;
+        // here the leaves of a group-by node share one row.
         let mut tp = proc("statskeys");
         tp.register_query(
             &parse_query(
@@ -1305,8 +1415,40 @@ mod tests {
         let before = tp.stats();
         tp.process_event(&ev(1, 1_000, "A", "m", 5.0)).unwrap();
         let after = tp.stats();
-        // 3 leaves → 3 insert writes (no expiry yet).
-        assert_eq!(after.state_writes - before.state_writes, 3);
+        // 3 leaves under 2 group nodes → 2 row writes (no expiry yet),
+        // each after one read; the reply is answered from those rows.
+        assert_eq!(after.state_writes - before.state_writes, 2);
+        assert_eq!(after.state_reads - before.state_reads, 2);
+    }
+
+    #[test]
+    fn hot_plan_costs_two_reads_and_two_writes_per_event() {
+        // The benchmark's `hot_saturate` plan: one group of three leaves
+        // per card on one sliding window. In steady state every arrival
+        // expires one older event: one row read-modify-write each, and
+        // the reply comes from the row just written.
+        let mut tp = proc("hot-plan-counts");
+        for q in [
+            "SELECT sum(amount), count(*) FROM payments GROUP BY cardId OVER sliding 5 min",
+            "SELECT avg(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+        ] {
+            tp.register_query(&parse_query(q).unwrap()).unwrap();
+        }
+        // One event per second: the window holds 300.
+        let mk = |i: u64| ev(i, 1_000 * i as i64, &format!("card-{}", i % 7), "m", 1.0);
+        for i in 0..400 {
+            tp.process_event(&mk(i)).unwrap();
+        }
+        let before = tp.stats();
+        for i in 400..500 {
+            let (r, _) = tp.process_event(&mk(i)).unwrap();
+            assert_eq!(r.len(), 3);
+        }
+        let after = tp.stats();
+        assert_eq!(after.inserts - before.inserts, 100);
+        assert_eq!(after.evictions - before.evictions, 100);
+        assert_eq!(after.state_reads - before.state_reads, 200);
+        assert_eq!(after.state_writes - before.state_writes, 200);
     }
 
     #[test]
@@ -1336,7 +1478,7 @@ mod tests {
         assert_eq!(tp.leaf_count(), 3);
 
         // Tear q1 down: its sliding window (head+tail cursors) dies, its
-        // two leaves' state is deleted, q2 keeps serving.
+        // group's rows (both leaves' state) are deleted, q2 keeps serving.
         assert!(tp.unregister_query(qid1).unwrap());
         assert_eq!(tp.leaf_count(), 1, "only countDistinct remains");
         assert!(
@@ -1345,15 +1487,16 @@ mod tests {
             cursors_before,
             tp.iterator_count()
         );
-        // Default-CF state of the dead leaves (prefix 0 and 1) is gone.
+        // Default-CF rows of the dead group (prefix 0) are gone; the
+        // surviving group's (prefix 1) are not.
         assert!(tp
             .db
-            .scan_prefix(Db::DEFAULT_CF, &leaf_prefix(0))
+            .scan_prefix(Db::DEFAULT_CF, &id_prefix(0))
             .unwrap()
             .is_empty());
-        assert!(tp
+        assert!(!tp
             .db
-            .scan_prefix(Db::DEFAULT_CF, &leaf_prefix(1))
+            .scan_prefix(Db::DEFAULT_CF, &id_prefix(1))
             .unwrap()
             .is_empty());
 
@@ -1388,56 +1531,130 @@ mod tests {
             "unregister must reclaim via filtered compaction"
         );
         assert!(
-            tp.db.get(tp.meta_cf, DEAD_PREFIXES_KEY).unwrap().is_none(),
+            tp.db.get(tp.meta_cf, DEAD_NODES_KEY).unwrap().is_none(),
             "reclaim marker cleared once the compactions committed"
         );
+    }
+
+    /// The leaf ids found in the slots of every row under group `gid`.
+    fn slot_leaves(tp: &TaskProcessor, gid: u32) -> Vec<Vec<u32>> {
+        let mut slots = Vec::new();
+        tp.db
+            .scan_prefix(Db::DEFAULT_CF, &id_prefix(gid))
+            .unwrap()
+            .iter()
+            .map(|(_, raw)| {
+                decode_row(raw, &mut slots).unwrap();
+                slots.iter().map(|s| s.0).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unregister_out_of_live_group_strips_the_slot() {
+        let mut tp = proc("unregister-slot");
+        let q_sum = parse_query(
+            "SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+        )
+        .unwrap();
+        let q_cd = parse_query(
+            "SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 5 min",
+        )
+        .unwrap();
+        tp.register_query(&q_sum).unwrap();
+        let h_cd = tp.register_query(&q_cd).unwrap();
+        for i in 0..6 {
+            let card = if i % 2 == 0 { "A" } else { "B" };
+            tp.process_event(&ev(i, 1_000 * i as i64, card, &format!("m{i}"), 2.0))
+                .unwrap();
+        }
+        assert_eq!(slot_leaves(&tp, 0), vec![vec![0, 1], vec![0, 1]]);
+        assert!(!tp.db.scan_prefix(tp.aux_cf, &[]).unwrap().is_empty());
+
+        // The group lives on through `sum`: its rows stay, minus slot 1.
+        assert!(tp.unregister_query(h_cd[0].query).unwrap());
+        assert_eq!(slot_leaves(&tp, 0), vec![vec![0], vec![0]]);
+        assert!(
+            tp.db.scan_prefix(tp.aux_cf, &[]).unwrap().is_empty(),
+            "the dead leaf's counters fall out of the aux compaction"
+        );
+        assert!(tp.store_stats().filter_dropped > 0);
+        assert!(tp.db.get(tp.meta_cf, DEAD_NODES_KEY).unwrap().is_none());
+        assert!(!tp.horizon.has_dead());
+
+        // A later aggregation on the same group gets a fresh leaf id and
+        // backfills only its own slot.
+        let q_max = parse_query(
+            "SELECT max(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+        )
+        .unwrap();
+        let writes_before = tp.stats().state_writes;
+        tp.register_query(&q_max).unwrap();
+        assert_eq!(
+            tp.stats().state_writes - writes_before,
+            6,
+            "one row write per backfilled event"
+        );
+        assert_eq!(slot_leaves(&tp, 0), vec![vec![0, 2], vec![0, 2]]);
+        let (r, _) = tp.process_event(&ev(100, 7_000, "A", "m", 5.0)).unwrap();
+        assert_eq!(result_value(&r, "sum(amount)"), Value::Float(11.0));
+        assert_eq!(result_value(&r, "max(amount)"), Value::Float(5.0));
+        assert_eq!(r.len(), 2, "{r:?}");
     }
 
     #[test]
     fn interrupted_unregister_reclaim_resumes_at_open() {
         let dir = temp_task_dir("reclaim-resume");
+        let open = || {
+            TaskProcessor::open(&dir, "payments--cardId", 0, schema(), TaskConfig::default())
+                .unwrap()
+        };
+        let q_sum = parse_query(
+            "SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+        )
+        .unwrap();
         {
-            let mut tp = TaskProcessor::open(
-                &dir,
-                "payments--cardId",
-                0,
-                schema(),
-                TaskConfig::default(),
-            )
-            .unwrap();
-            let q = parse_query(
+            let mut tp = open();
+            // Group 0 = {sum (leaf 0), countDistinct (leaf 1)} on the
+            // sliding window, group 1 = {countDistinct (leaf 2)} on the
+            // infinite one.
+            tp.register_query(&q_sum).unwrap();
+            for q in [
+                "SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 5 min",
                 "SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER infinite",
-            )
-            .unwrap();
-            tp.register_query(&q).unwrap();
+            ] {
+                tp.register_query(&parse_query(q).unwrap()).unwrap();
+            }
             for i in 0..6 {
                 tp.process_event(&ev(i, 1_000 * i as i64, "A", &format!("m{i}"), 1.0))
                     .unwrap();
             }
+            assert_eq!(slot_leaves(&tp, 0), vec![vec![0, 1]]);
+            assert_eq!(slot_leaves(&tp, 1), vec![vec![2]]);
             assert!(!tp.db.scan_prefix(tp.aux_cf, &[]).unwrap().is_empty());
-            // Crash exactly between an unregistration persisting its
-            // marker and running the reclaim compactions: write the
-            // marker by hand and drop the task without reclaiming.
+            // Crash exactly between an unregistration of both
+            // countDistincts persisting its marker and running the
+            // reclaim: write the marker by hand and drop the task without
+            // reclaiming.
+            let dead = StateHorizon::new();
+            dead.add_dead_leaf(0, 1);
+            dead.add_dead_leaf(1, 2);
+            dead.add_dead_group(1);
             tp.db
-                .put(tp.meta_cf, DEAD_PREFIXES_KEY, &leaf_prefix(0))
+                .put(tp.meta_cf, DEAD_NODES_KEY, &dead.marker())
                 .unwrap();
         }
-        let tp = TaskProcessor::open(
-            &dir,
-            "payments--cardId",
-            0,
-            schema(),
-            TaskConfig::default(),
-        )
-        .unwrap();
+        let mut tp = open();
         // Open must finish the reclaim before any registration can reuse
-        // leaf id 0 (ids restart per incarnation).
+        // group id 1 or leaf ids 1 and 2 (ids restart per incarnation).
+        assert_eq!(
+            slot_leaves(&tp, 0),
+            vec![vec![0]],
+            "dead leaf's slot stripped from the live group's rows at open"
+        );
         assert!(
-            tp.db
-                .scan_prefix(Db::DEFAULT_CF, &leaf_prefix(0))
-                .unwrap()
-                .is_empty(),
-            "dead leaf state reclaimed at open"
+            slot_leaves(&tp, 1).is_empty(),
+            "dead group's rows reclaimed at open"
         );
         assert!(
             tp.db.scan_prefix(tp.aux_cf, &[]).unwrap().is_empty(),
@@ -1445,9 +1662,21 @@ mod tests {
         );
         assert!(!tp.horizon.has_dead());
         assert!(
-            tp.db.get(tp.meta_cf, DEAD_PREFIXES_KEY).unwrap().is_none(),
+            tp.db.get(tp.meta_cf, DEAD_NODES_KEY).unwrap().is_none(),
             "marker cleared after the resumed reclaim"
         );
+        // This incarnation hands leaf id 1 of group 0 to a different
+        // aggregator: it must start empty, not decode the old slot.
+        tp.reattach_query_as(QueryId(1), &q_sum).unwrap();
+        tp.reattach_query_as(
+            QueryId(2),
+            &parse_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min")
+                .unwrap(),
+        )
+        .unwrap();
+        let (r, _) = tp.process_event(&ev(100, 7_000, "A", "m", 1.0)).unwrap();
+        assert_eq!(result_value(&r, "sum(amount)"), Value::Float(7.0));
+        assert_eq!(result_value(&r, "count(*)"), Value::Int(1));
     }
 
     #[test]
@@ -1510,7 +1739,7 @@ mod tests {
             let rt = only_t(twin.process_event(&e).unwrap().0);
             assert_eq!(rp, rt, "pre-unregister divergence at event {i}");
         }
-        // Tear down the side query: its leaves die and are reclaimed by
+        // Tear down the side query: its group dies and is reclaimed by
         // the compaction filters (eager flush + compact).
         assert!(primary.unregister_query(xid).unwrap());
         assert!(

@@ -18,7 +18,7 @@
 //! bus's wakeup path when idle (the paper's one-logical-thread-per-unit
 //! discipline, §3.2).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,8 +30,8 @@ use railgun_types::{RailgunError, Result, Schema};
 
 use crate::api::{
     decode_checkpoint, decode_event_request, decode_op, encode_checkpoint, encode_reply_into,
-    parse_topic_name, CheckpointRecord, EventRequest, OpRequest, QueryId, Reply,
-    CHECKPOINT_TOPIC, OPS_TOPIC,
+    parse_topic_name, CheckpointRecord, EventRequest, OpRequest, QueryId, CHECKPOINT_TOPIC,
+    OPS_TOPIC,
 };
 use crate::lang::{parse_query, Query};
 use crate::rebalance::{ProcessorIdentity, RailgunStrategy};
@@ -113,6 +113,9 @@ pub struct ProcessorUnit {
     /// Events processed per task since its last checkpoint.
     since_checkpoint: HashMap<TopicPartition, u64>,
     checkpoint_seq: u64,
+    /// Image directories this unit wrote per task, oldest first; all but
+    /// the newest [`CHECKPOINTS_KEPT`] are deleted once superseded.
+    checkpoint_dirs: HashMap<TopicPartition, VecDeque<PathBuf>>,
     /// Latest checkpoint record seen per task (poll order is offset
     /// order, so the last record read wins). Consulted when a rebalance
     /// gains a task: restore from here, replay only the tail.
@@ -133,6 +136,13 @@ pub struct ProcessorUnit {
 
 /// Consumer group shared by every active consumer (§3.3).
 pub const ACTIVE_GROUP: &str = "railgun-active";
+
+/// Checkpoint images kept per task. One would do for a peer that reads
+/// the newest record; the second covers a peer that cached the record
+/// before and restores while the next image is being published. A peer
+/// with an older record still finds its image gone and degrades to a full
+/// replay ([`TaskProcessor::restore_or_replay`]).
+const CHECKPOINTS_KEPT: usize = 2;
 
 impl ProcessorUnit {
     /// Create a unit and join the active consumer group for all event
@@ -164,6 +174,7 @@ impl ProcessorUnit {
             replica_assignment: Vec::new(),
             since_checkpoint: HashMap::new(),
             checkpoint_seq: 0,
+            checkpoint_dirs: HashMap::new(),
             checkpoints: HashMap::new(),
             scratch: Vec::new(),
             decoded: Vec::new(),
@@ -312,9 +323,10 @@ impl ProcessorUnit {
     }
 
     /// Checkpoint one task now: write the image, publish its (task,
-    /// offset, path) record, and commit the image-backed offset to the
-    /// group coordinator (introspection only — rebalances always seek
-    /// explicitly). Returns `false` for an unknown task.
+    /// offset, path) record, commit the image-backed offset to the group
+    /// coordinator (introspection only — rebalances always seek
+    /// explicitly), and delete the task's images the new one supersedes.
+    /// Returns `false` for an unknown task.
     fn checkpoint_task(&mut self, tp: &TopicPartition) -> Result<bool> {
         let Some(task) = self.tasks.get(tp) else {
             return Ok(false);
@@ -334,11 +346,29 @@ impl ProcessorUnit {
             next_offset,
             path: dir.to_string_lossy().into_owned(),
         };
-        self.producer
-            .send(CHECKPOINT_TOPIC, tp.to_string().as_bytes(), encode_checkpoint(&record))
-            .ok(); // checkpoint topic may not exist in minimal setups
-        self.active.commit(tp, next_offset).ok();
+        match self.producer.send(
+            CHECKPOINT_TOPIC,
+            tp.to_string().as_bytes(),
+            encode_checkpoint(&record),
+        ) {
+            Ok(_) => {}
+            // Minimal setups (a unit on a bus no front-end has set up)
+            // have no checkpoint topic: the image is still written, there
+            // is just nobody to tell.
+            Err(RailgunError::NotFound(_)) => {}
+            Err(e) => return Err(e),
+        }
+        self.active.commit(tp, next_offset)?;
         self.since_checkpoint.insert(tp.clone(), 0);
+        let dirs = self.checkpoint_dirs.entry(tp.clone()).or_default();
+        dirs.push_back(dir);
+        while dirs.len() > CHECKPOINTS_KEPT {
+            let old = dirs.pop_front().expect("len checked");
+            match std::fs::remove_dir_all(old) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+        }
         Ok(true)
     }
 
@@ -663,12 +693,6 @@ impl ProcessorUnit {
                     return;
                 }
                 let req = &decoded[idx];
-                let reply = Reply {
-                    request_id: req.request_id,
-                    source_topic: tp.topic.clone(),
-                    duplicate,
-                    results,
-                };
                 let slot = match stage.iter().position(|(t, _)| *t == req.reply_topic) {
                     Some(s) => s,
                     None => {
@@ -676,7 +700,9 @@ impl ProcessorUnit {
                         stage.len() - 1
                     }
                 };
-                stage[slot].1.push_with(|buf| encode_reply_into(buf, &reply));
+                stage[slot].1.push_with(|buf| {
+                    encode_reply_into(buf, req.request_id, &tp.topic, duplicate, &results)
+                });
                 staged += 1;
             },
         );
@@ -740,5 +766,120 @@ impl ProcessorUnit {
     pub fn shutdown(&mut self) {
         self.active.unsubscribe();
         self.replica.assign(Vec::new());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frontend::{BatchPolicy, FrontEnd};
+    use crate::metrics::EngineTelemetry;
+    use crate::task::temp_task_dir;
+    use railgun_types::{FieldType, Timestamp, Value};
+
+    /// One front-end and one unit on a fresh bus, a one-partition stream
+    /// with a query on it, and `events` events processed.
+    fn pumped_unit(tag: &str, events: i64) -> (MessageBus, FrontEnd, ProcessorUnit) {
+        let bus = MessageBus::with_defaults();
+        let hub = Arc::new(EngineTelemetry::new(false));
+        let mut frontend =
+            FrontEnd::new(&bus, 0, 1024, BatchPolicy::default(), Arc::clone(&hub)).unwrap();
+        let mut unit = ProcessorUnit::new(
+            &bus,
+            UnitConfig {
+                node: 0,
+                unit: 0,
+                data_dir: temp_task_dir(tag),
+                task: TaskConfig::default(),
+                max_poll: 256,
+                checkpoint_every: 0,
+                poll_recorder: hub.unit_poll_recorder(),
+                process_recorder: hub.unit_process_recorder(),
+                batch_size: hub.batch_size_recorder(),
+                batched_events: hub.unit_batched_counter(),
+                handovers: hub.handover_counter(),
+                tail_replayed: hub.tail_replayed_counter(),
+                handover_fallbacks: hub.handover_fallback_counter(),
+            },
+            Arc::new(RailgunStrategy::new(1)),
+        )
+        .unwrap();
+        let schema =
+            Schema::from_pairs(&[("cardId", FieldType::Str), ("amount", FieldType::Float)])
+                .unwrap();
+        frontend
+            .create_stream(&bus, "payments", schema, &["cardId"], 1, 1)
+            .unwrap();
+        frontend
+            .register_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min")
+            .unwrap();
+        while unit.active_tasks().is_empty() {
+            unit.pump().unwrap();
+        }
+        for i in 0..events {
+            frontend
+                .send_event(
+                    "payments",
+                    Timestamp::from_millis(i * 1_000),
+                    vec![Value::from("card-1"), Value::from(1.0)],
+                )
+                .unwrap();
+        }
+        frontend.pump().unwrap();
+        assert_eq!(unit.pump().unwrap().active_events, events as usize);
+        (bus, frontend, unit)
+    }
+
+    #[test]
+    fn checkpoint_without_a_checkpoint_topic_still_writes_the_image() {
+        // The documented minimal setup: nobody consumes checkpoint
+        // records, the topic is gone — the only error a checkpoint
+        // publish may swallow.
+        let (bus, _frontend, mut unit) = pumped_unit("unit-ckpt-no-topic", 3);
+        bus.delete_topic(CHECKPOINT_TOPIC).unwrap();
+        unit.cfg.checkpoint_every = 1;
+        assert_eq!(unit.pump().unwrap().checkpoints, 1);
+        let dir = &unit.checkpoint_dirs.values().next().unwrap()[0];
+        assert!(railgun_store::checkpoint::is_complete(
+            &railgun_store::RealFs,
+            &dir.join("store")
+        ));
+    }
+
+    #[test]
+    fn failed_checkpoint_bookkeeping_surfaces_from_pump() {
+        // The in-memory bus cannot fail a publish other than with the
+        // tolerated `NotFound`, so the failure is injected one line
+        // further down: a unit that lost its group subscription cannot
+        // commit the image-backed offset. That used to be `.ok()`ed away.
+        let (_bus, _frontend, mut unit) = pumped_unit("unit-ckpt-commit-fails", 3);
+        unit.active.unsubscribe();
+        unit.cfg.checkpoint_every = 1;
+        match unit.pump() {
+            Err(RailgunError::Messaging(msg)) => assert!(msg.contains("commit"), "{msg}"),
+            other => panic!("checkpoint failure must surface, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn superseded_checkpoint_images_are_deleted() {
+        let (_bus, mut frontend, mut unit) = pumped_unit("unit-ckpt-prune", 1);
+        unit.cfg.checkpoint_every = 1;
+        let mut written = Vec::new();
+        for i in 1..=4 {
+            assert_eq!(unit.pump().unwrap().checkpoints, 1);
+            let dirs = unit.checkpoint_dirs.values().next().unwrap();
+            written.push(dirs.back().unwrap().clone());
+            frontend
+                .send_event(
+                    "payments",
+                    Timestamp::from_millis(i * 1_000),
+                    vec![Value::from("card-1"), Value::from(1.0)],
+                )
+                .unwrap();
+            frontend.pump().unwrap();
+        }
+        let exists: Vec<bool> = written.iter().map(|d| d.exists()).collect();
+        assert_eq!(exists, [false, false, true, true], "newest two images stay");
     }
 }

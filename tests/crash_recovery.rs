@@ -304,3 +304,63 @@ fn cluster_published_checkpoints_pass_restore_validation() {
     assert_eq!(recovery.orphaned_sstables_quarantined, 0);
     assert_eq!(recovery.checkpoint_fallbacks, 0);
 }
+
+/// A unit keeps only its newest two images per task. A peer still holding
+/// an older record finds the image gone and degrades to the full-replay
+/// arm — slow, never wrong.
+#[test]
+fn record_of_a_pruned_image_degrades_to_full_replay() {
+    let mut cfg = ClusterConfig::single_node();
+    cfg.data_root = tmp("pruned-data");
+    cfg.checkpoint_every = 5;
+    let mut cluster = Cluster::new(cfg).unwrap();
+    cluster.create_stream("payments", schema(), &["cardId"]).unwrap();
+    let query = "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 minutes";
+    cluster.register_query(query).unwrap();
+    let total = 22;
+    for i in 0..total {
+        cluster
+            .send("payments", event(i).ts, event(i).values().to_vec())
+            .unwrap();
+    }
+    cluster.settle().unwrap();
+    let mut consumer = Consumer::new(cluster.bus().clone());
+    consumer.assign(vec![TopicPartition::new(CHECKPOINT_TOPIC, 0)]);
+    let records: Vec<_> = consumer
+        .poll(100)
+        .unwrap()
+        .messages
+        .iter()
+        .map(|m| decode_checkpoint(m.payload.as_ref()).unwrap())
+        .collect();
+    // One card, one task: every record is an image of the same task.
+    assert!(records.len() >= 4, "{} checkpoints", records.len());
+    let (stale, kept) = records.split_at(records.len() - 2);
+    assert!(stale.iter().all(|r| !std::path::Path::new(&r.path).exists()));
+    assert!(kept.iter().all(|r| std::path::Path::new(&r.path).exists()));
+
+    let restore = |rec: &railgun::engine::api::CheckpointRecord, tag: &str| {
+        let (config, fallbacks) = config_with_counter();
+        let (tp, outcome) = TaskProcessor::restore_or_replay(
+            std::path::Path::new(&rec.path),
+            &tmp(tag),
+            &rec.topic,
+            rec.partition,
+            schema(),
+            config,
+        )
+        .unwrap();
+        (tp, outcome, fallbacks.get())
+    };
+    let (_, outcome, fallbacks) = restore(&kept[1], "pruned-restore-new");
+    assert_eq!((outcome, fallbacks), (RestoreOutcome::FromCheckpoint, 0));
+    let (mut tp, outcome, fallbacks) = restore(&stale[0], "pruned-restore-old");
+    assert_eq!((outcome, fallbacks), (RestoreOutcome::FullReplay, 1));
+    // The degraded arm is an empty task the caller replays from offset 0.
+    tp.register_query(&parse_query(query).unwrap()).unwrap();
+    let mut last = Vec::new();
+    for i in 0..total {
+        last = tp.process_event(&event(i)).unwrap().0;
+    }
+    assert_eq!(last[0].value, Value::Int(total as i64));
+}
