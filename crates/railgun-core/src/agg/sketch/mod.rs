@@ -351,13 +351,6 @@ impl SketchState {
         }
     }
 
-    /// Serialized size in bytes (state accounting for the bench).
-    pub fn encoded_len(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
-
     pub fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             SketchState::Hll(s) => {

@@ -129,6 +129,25 @@ pub fn topic_name(stream: &str, partitioner: &str) -> String {
     format!("{stream}--{partitioner}")
 }
 
+/// The event topic a query's metrics are computed on: that of the first
+/// stream partitioner contained in the query's GROUP BY (§4 — metrics
+/// only need events hashed by a *subset* of their group-by keys). The
+/// front-end validates a registration with it and every unit routes the
+/// query to its tasks with it, so the two can never disagree.
+pub fn query_topic(query: &crate::lang::Query, partitioners: &[String]) -> Result<String> {
+    partitioners
+        .iter()
+        .find(|p| query.group_by.contains(p))
+        .map(|p| topic_name(&query.stream, p))
+        .ok_or_else(|| {
+            RailgunError::InvalidArgument(format!(
+                "query on `{}` groups by {:?}, which contains no stream partitioner {:?} \
+                 — accurate distributed metrics need a partitioner in the GROUP BY",
+                query.stream, query.group_by, partitioners
+            ))
+        })
+}
+
 /// Split a topic name back into (stream, partitioner).
 pub fn parse_topic_name(topic: &str) -> Option<(&str, &str)> {
     topic.split_once("--")

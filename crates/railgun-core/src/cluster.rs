@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use railgun_messaging::{BusClock, BusConfig, MessageBus};
 use railgun_types::{RailgunError, Result, Schema, TimeDelta, Timestamp, Value};
 
-use crate::api::{find_keyed, AggregationResult, QueryId};
+use crate::api::QueryId;
 use crate::elastic::{Autoscaler, AutoscalerConfig, ScaleDecision};
 use crate::frontend::{BatchPolicy, ClientResponse, FrontEnd, RegisteredQuery};
 use crate::lang::Query;
@@ -120,43 +120,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Result of a synchronous send. Aggregations are keyed by
-/// `(QueryId, index)` — address them with the typed accessors instead of
-/// matching on display names.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SendOutcome {
-    pub request_id: u64,
-    pub aggregations: Vec<AggregationResult>,
-    pub duplicate: bool,
-}
-
-impl SendOutcome {
-    /// The aggregation keyed `(query, index)`, if present.
-    pub fn get(&self, query: QueryId, index: usize) -> Option<&AggregationResult> {
-        find_keyed(&self.aggregations, query, index)
-    }
-
-    /// The value keyed `(query, index)` as an `f64` (ints widen).
-    pub fn get_f64(&self, query: QueryId, index: usize) -> Option<f64> {
-        self.get(query, index).and_then(|a| a.value.as_f64())
-    }
-
-    /// The value keyed `(query, index)` as an `i64`.
-    pub fn get_i64(&self, query: QueryId, index: usize) -> Option<i64> {
-        self.get(query, index).and_then(|a| a.value.as_i64())
-    }
-
-    /// The value keyed `(query, index)` as a string slice.
-    pub fn get_str(&self, query: QueryId, index: usize) -> Option<&str> {
-        self.get(query, index).and_then(|a| a.value.as_str())
-    }
-
-    /// The value keyed `(query, index)` as a bool.
-    pub fn get_bool(&self, query: QueryId, index: usize) -> Option<bool> {
-        self.get(query, index).and_then(|a| a.value.as_bool())
-    }
-}
-
 /// Correlation handle for an asynchronous send: which node's front-end
 /// owns the request (by stable node **id**, so tickets survive other
 /// nodes being killed or decommissioned), and its id there. Request ids
@@ -202,7 +165,6 @@ impl Cluster {
         config.task.stats_registry = telemetry.task_registry();
         config.task.reservoir.append_recorder = telemetry.reservoir_append_recorder();
         config.task.reservoir.chunk_miss_counter = telemetry.chunk_miss_counter();
-        config.task.reservoir.batch_events_counter = telemetry.reservoir_batched_counter();
         config.task.store.wal_recorder = telemetry.store_wal_recorder();
         config.task.store.flush_recorder = telemetry.store_flush_recorder();
         config.task.store.wal_truncated_counter = telemetry.store_wal_truncated_counter();
@@ -214,13 +176,8 @@ impl Cluster {
             nodes.push(Node::new(
                 &bus,
                 id,
-                config.units_per_node,
-                &config.data_root,
-                config.task.clone(),
+                &config,
                 Arc::clone(&strategy),
-                config.checkpoint_every,
-                config.max_in_flight,
-                config.batch,
                 Arc::clone(&telemetry),
             )?);
         }
@@ -275,7 +232,14 @@ impl Cluster {
     ) -> Result<()> {
         let partitions = self.config.partitions;
         let replication = self.config.replication as u32;
-        self.nodes[0].create_stream(stream, schema, partitioners, partitions, replication)?;
+        self.nodes[0].frontend_mut().create_stream(
+            &self.bus,
+            stream,
+            schema,
+            partitioners,
+            partitions,
+            replication,
+        )?;
         self.settle()
     }
 
@@ -283,7 +247,7 @@ impl Cluster {
     /// the query's stable id — the key its aggregations carry in replies
     /// and the handle for [`Cluster::unregister_query`].
     pub fn register_query(&mut self, query_text: &str) -> Result<QueryId> {
-        let id = self.nodes[0].register_query(query_text)?;
+        let id = self.nodes[0].frontend_mut().register_query(query_text)?;
         self.settle()?;
         Ok(id)
     }
@@ -291,7 +255,7 @@ impl Cluster {
     /// Register a builder-constructed query (see
     /// [`crate::lang::QueryBuilder`]) and propagate it to every unit.
     pub fn register(&mut self, query: &Query) -> Result<QueryId> {
-        let id = self.nodes[0].register_query_ast(query)?;
+        let id = self.nodes[0].frontend_mut().register_query_ast(query)?;
         self.settle()?;
         Ok(id)
     }
@@ -300,24 +264,24 @@ impl Cluster {
     /// replies and every task tears down its aggregator state and any
     /// window cursors nothing else shares.
     pub fn unregister_query(&mut self, id: QueryId) -> Result<()> {
-        self.nodes[0].unregister_query(id)?;
+        self.nodes[0].frontend_mut().unregister_query(id)?;
         self.settle()
     }
 
     /// Live query registrations, in id order.
     pub fn queries(&self) -> Vec<RegisteredQuery> {
-        self.nodes[0].queries()
+        self.nodes[0].frontend().queries()
     }
 
     /// Schema of a registered stream, if known.
     pub fn stream_schema(&self, stream: &str) -> Option<Schema> {
-        self.nodes[0].stream_schema(stream)
+        self.nodes[0].frontend().stream_schema(stream)
     }
 
     /// Remove a stream: broadcasts the deletion (units drop its task
     /// processors) and deletes its event topics.
     pub fn delete_stream(&mut self, stream: &str) -> Result<()> {
-        self.nodes[0].delete_stream(stream)?;
+        self.nodes[0].frontend_mut().delete_stream(&self.bus, stream)?;
         self.settle()
     }
 
@@ -369,7 +333,7 @@ impl Cluster {
         stream: &str,
         ts: Timestamp,
         values: Vec<Value>,
-    ) -> Result<SendOutcome> {
+    ) -> Result<ClientResponse> {
         let ticket = self.send_async(stream, ts, values)?;
         self.collect(ticket)
     }
@@ -381,7 +345,7 @@ impl Cluster {
         stream: &str,
         ts: Timestamp,
         values: Vec<Value>,
-    ) -> Result<SendOutcome> {
+    ) -> Result<ClientResponse> {
         let ticket = self.send_async_via(node_idx, stream, ts, values)?;
         self.collect(ticket)
     }
@@ -413,7 +377,9 @@ impl Cluster {
         if node_idx >= self.nodes.len() {
             return Err(RailgunError::InvalidArgument(format!("no node {node_idx}")));
         }
-        let request_id = self.nodes[node_idx].send_event(stream, ts, values)?;
+        let request_id = self.nodes[node_idx]
+            .frontend_mut()
+            .send_event(stream, ts, values)?;
         Ok(Ticket {
             node: self.nodes[node_idx].id,
             request_id,
@@ -448,7 +414,7 @@ impl Cluster {
 
     /// Non-blocking collect: pump once and claim the response for `ticket`
     /// if it has arrived.
-    pub fn try_collect(&mut self, ticket: Ticket) -> Result<Option<SendOutcome>> {
+    pub fn try_collect(&mut self, ticket: Ticket) -> Result<Option<ClientResponse>> {
         let idx = self.ticket_node(ticket)?;
         if self.is_running() {
             // Workers drive the units; only the owning front-end needs a
@@ -459,9 +425,7 @@ impl Cluster {
                 node.pump()?;
             }
         }
-        Ok(self.nodes[idx]
-            .try_take_response(ticket.request_id)
-            .map(outcome))
+        Ok(self.nodes[idx].frontend_mut().try_take(ticket.request_id))
     }
 
     /// Abandon an outstanding request: frees its in-flight slot (and any
@@ -470,7 +434,7 @@ impl Cluster {
     /// backpressure. Returns true if anything was dropped.
     pub fn cancel(&mut self, ticket: Ticket) -> bool {
         self.ticket_node(ticket)
-            .map(|idx| self.nodes[idx].abandon_request(ticket.request_id))
+            .map(|idx| self.nodes[idx].frontend_mut().abandon(ticket.request_id))
             .unwrap_or(false)
     }
 
@@ -478,40 +442,34 @@ impl Cluster {
     /// pump exactly as the original synchronous `send` did (bounded by
     /// `max_pump_iterations`); in threaded mode it parks on the bus wakeup
     /// path until the reply arrives or `collect_timeout_ms` elapses.
-    pub fn collect(&mut self, ticket: Ticket) -> Result<SendOutcome> {
+    pub fn collect(&mut self, ticket: Ticket) -> Result<ClientResponse> {
+        let timeout = Duration::from_millis(self.config.collect_timeout_ms);
+        let mut reply = None;
         if self.is_running() {
-            let deadline =
-                Instant::now() + Duration::from_millis(self.config.collect_timeout_ms);
-            loop {
-                let seen = self.bus.version();
-                if let Some(out) = self.try_collect(ticket)? {
-                    return Ok(out);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    // Free the in-flight slot: a reply that never came
-                    // must not count against the backpressure cap forever.
-                    self.cancel(ticket);
-                    return Err(RailgunError::Engine(format!(
-                        "no reply for request {} on node {} within {} ms",
-                        ticket.request_id, ticket.node, self.config.collect_timeout_ms
-                    )));
-                }
-                self.bus
-                    .wait_for_activity(seen, (deadline - now).min(Duration::from_millis(50)));
-            }
+            let bus = self.bus.clone();
+            reply = wait_reply(&bus, timeout, || self.try_collect(ticket))?;
         } else {
             for _ in 0..self.config.max_pump_iterations {
-                if let Some(out) = self.try_collect(ticket)? {
-                    return Ok(out);
+                reply = self.try_collect(ticket)?;
+                if reply.is_some() {
+                    break;
                 }
             }
-            self.cancel(ticket);
-            Err(RailgunError::Engine(format!(
-                "no reply for request {} after {} pump iterations",
-                ticket.request_id, self.config.max_pump_iterations
-            )))
         }
+        reply.ok_or_else(|| {
+            // Free the in-flight slot: a reply that never came must not
+            // count against the backpressure cap forever.
+            self.cancel(ticket);
+            let waited = if self.is_running() {
+                format!("within {timeout:?}")
+            } else {
+                format!("after {} pump iterations", self.config.max_pump_iterations)
+            };
+            RailgunError::Engine(format!(
+                "no reply for request {} on node {} {waited}",
+                ticket.request_id, ticket.node
+            ))
+        })
     }
 
     /// Create an independent client handle with its own front-end and
@@ -544,7 +502,7 @@ impl Cluster {
         let mut out = Vec::new();
         for node in &mut self.nodes {
             node.pump()?;
-            out.extend(node.take_responses());
+            out.extend(node.frontend_mut().take_completed());
         }
         Ok(out)
     }
@@ -557,13 +515,18 @@ impl Cluster {
     /// Gracefully decommission a node (leaves consumer groups, triggers a
     /// rebalance).
     pub fn decommission_node(&mut self, idx: usize) -> Result<()> {
+        self.remove_node(idx)?.shutdown();
+        self.settle()
+    }
+
+    /// Take node `idx` out of the cluster, remembering its id as departed.
+    fn remove_node(&mut self, idx: usize) -> Result<Node> {
         if idx >= self.nodes.len() {
             return Err(RailgunError::InvalidArgument(format!("no node {idx}")));
         }
-        let mut node = self.nodes.remove(idx);
+        let node = self.nodes.remove(idx);
         self.departed.push(node.id);
-        node.shutdown();
-        self.settle()
+        Ok(node)
     }
 
     /// Kill a node abruptly (no goodbye): its consumers simply stop
@@ -574,13 +537,7 @@ impl Cluster {
     /// killed front-end fail on their next collect with
     /// [`RailgunError::NodeLost`].
     pub fn kill_node(&mut self, idx: usize) -> Result<()> {
-        if idx >= self.nodes.len() {
-            return Err(RailgunError::InvalidArgument(format!("no node {idx}")));
-        }
-        let mut node = self.nodes.remove(idx);
-        self.departed.push(node.id);
-        let _ = node.stop();
-        drop(node);
+        let _ = self.remove_node(idx)?.stop();
         Ok(())
     }
 
@@ -624,10 +581,7 @@ impl Cluster {
                 return Err(e);
             }
         };
-        let mut node = self.nodes.remove(idx);
-        self.departed.push(node_id);
-        node.shutdown();
-        drop(node);
+        self.remove_node(idx)?.shutdown();
         self.strategy.clear_draining(node_id);
         self.settle()?;
         self.telemetry.drain_counter().incr();
@@ -668,13 +622,8 @@ impl Cluster {
         let mut node = Node::new(
             &self.bus,
             id,
-            self.config.units_per_node,
-            &self.config.data_root,
-            self.config.task.clone(),
+            &self.config,
             Arc::clone(&self.strategy),
-            self.config.checkpoint_every,
-            self.config.max_in_flight,
-            self.config.batch,
             Arc::clone(&self.telemetry),
         )?;
         if self.is_running() {
@@ -689,18 +638,30 @@ impl Cluster {
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
     }
-
-    /// Mutable node access (benches probing task state).
-    pub fn nodes_mut(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
 }
 
-fn outcome(r: ClientResponse) -> SendOutcome {
-    SendOutcome {
-        request_id: r.request_id,
-        aggregations: r.aggregations,
-        duplicate: r.duplicate,
+/// Poll for a reply until it arrives or `timeout` elapses, parked on the
+/// bus wakeup path in between — the one blocking wait behind
+/// [`Cluster::collect`] (threaded mode) and [`ClusterClient::collect`].
+/// The bus version is sampled *before* each poll, so a reply published
+/// mid-poll re-polls at once instead of being slept through. `None` =
+/// timed out.
+fn wait_reply(
+    bus: &MessageBus,
+    timeout: Duration,
+    mut poll: impl FnMut() -> Result<Option<ClientResponse>>,
+) -> Result<Option<ClientResponse>> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let seen = bus.version();
+        if let Some(reply) = poll()? {
+            return Ok(Some(reply));
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            return Ok(None);
+        }
+        bus.wait_for_activity(seen, (deadline - now).min(Duration::from_millis(50)));
     }
 }
 
@@ -731,31 +692,26 @@ impl ClusterClient {
     }
 
     /// Non-blocking collect: drain replies and claim `request_id` if done.
-    pub fn try_collect(&mut self, request_id: u64) -> Result<Option<SendOutcome>> {
+    pub fn try_collect(&mut self, request_id: u64) -> Result<Option<ClientResponse>> {
         self.frontend.pump()?;
-        Ok(self.frontend.try_take(request_id).map(outcome))
+        Ok(self.frontend.try_take(request_id))
     }
 
     /// Blocking collect: park on the bus wakeup path until the response
     /// arrives or the client's collect timeout elapses.
-    pub fn collect(&mut self, request_id: u64) -> Result<SendOutcome> {
-        let deadline = Instant::now() + self.collect_timeout;
-        loop {
-            let seen = self.bus.version();
-            if let Some(out) = self.try_collect(request_id)? {
-                return Ok(out);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.cancel(request_id);
-                return Err(RailgunError::Engine(format!(
-                    "client: no reply for request {request_id} within {:?}",
-                    self.collect_timeout
-                )));
-            }
-            self.bus
-                .wait_for_activity(seen, (deadline - now).min(Duration::from_millis(50)));
-        }
+    pub fn collect(&mut self, request_id: u64) -> Result<ClientResponse> {
+        let frontend = &mut self.frontend;
+        let reply = wait_reply(&self.bus, self.collect_timeout, || {
+            frontend.pump()?;
+            Ok(frontend.try_take(request_id))
+        })?;
+        reply.ok_or_else(|| {
+            self.cancel(request_id);
+            RailgunError::Engine(format!(
+                "client: no reply for request {request_id} within {:?}",
+                self.collect_timeout
+            ))
+        })
     }
 
     /// Synchronous convenience: [`ClusterClient::send_async`] +
@@ -765,7 +721,7 @@ impl ClusterClient {
         stream: &str,
         ts: Timestamp,
         values: Vec<Value>,
-    ) -> Result<SendOutcome> {
+    ) -> Result<ClientResponse> {
         let id = self.send_async(stream, ts, values)?;
         self.collect(id)
     }
@@ -807,15 +763,5 @@ impl ClusterClient {
     /// its front-end pumps the ops topic).
     pub fn queries(&self) -> Vec<RegisteredQuery> {
         self.frontend.queries()
-    }
-
-    /// Requests still awaiting replies.
-    pub fn pending_count(&self) -> usize {
-        self.frontend.pending_count()
-    }
-
-    /// The client's in-flight cap.
-    pub fn max_in_flight(&self) -> usize {
-        self.frontend.max_in_flight()
     }
 }

@@ -4,7 +4,7 @@
 //! Railgun's elasticity rests on three layers. The first two live where
 //! the state is: **checkpoint-based handover** (a rebalance-gained task
 //! restores the newest checkpoint image and replays only the tail —
-//! `ProcessorUnit::acquire_task`) and **scheduled drain** (a departing
+//! `ProcessorUnit::open_task`) and **scheduled drain** (a departing
 //! node flushes final checkpoints before its tasks move —
 //! [`Cluster::drain_node`](crate::cluster::Cluster::drain_node)). This
 //! module is the third: a **controller loop** that closes the gap from

@@ -26,14 +26,19 @@ use railgun_types::encode::{put_value, BatchFrameBuilder};
 use railgun_types::{Event, EventId, RailgunError, Result, Schema, Timestamp, Value};
 
 use crate::api::{
-    decode_op, decode_reply, encode_event_request_into, encode_op, find_keyed,
+    decode_op, decode_reply, encode_event_request_into, encode_op, find_keyed, query_topic,
     reply_topic_name, topic_name, validate_topic_component, AggregationResult, EventRequest,
     OpRequest, QueryId, CHECKPOINT_TOPIC, OPS_TOPIC,
 };
 use crate::lang::{parse_query, Query};
 use crate::metrics::{EngineTelemetry, QueryTelemetry, SLO_OVERLOAD_MULTIPLIER};
 
-/// A completed client response: every routed topic has replied.
+/// A completed client reply: every routed topic has answered. This is the
+/// one reply type — what [`FrontEnd::try_take`], the cluster's `send` /
+/// `collect` calls and [`Session::send`](crate::session::Session::send)
+/// all hand back. Aggregations are keyed by `(query, SELECT index)`;
+/// address them with the typed accessors, passing a [`QueryId`] or a
+/// `&QueryHandle`, instead of matching on display names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientResponse {
     pub request_id: u64,
@@ -46,27 +51,27 @@ pub struct ClientResponse {
 
 impl ClientResponse {
     /// The aggregation keyed `(query, index)`, if the reply carries it.
-    pub fn get(&self, query: QueryId, index: usize) -> Option<&AggregationResult> {
-        find_keyed(&self.aggregations, query, index)
+    pub fn get(&self, query: impl Into<QueryId>, index: usize) -> Option<&AggregationResult> {
+        find_keyed(&self.aggregations, query.into(), index)
     }
 
     /// The value keyed `(query, index)` as an `f64` (ints widen).
-    pub fn get_f64(&self, query: QueryId, index: usize) -> Option<f64> {
+    pub fn get_f64(&self, query: impl Into<QueryId>, index: usize) -> Option<f64> {
         self.get(query, index).and_then(|a| a.value.as_f64())
     }
 
     /// The value keyed `(query, index)` as an `i64`.
-    pub fn get_i64(&self, query: QueryId, index: usize) -> Option<i64> {
+    pub fn get_i64(&self, query: impl Into<QueryId>, index: usize) -> Option<i64> {
         self.get(query, index).and_then(|a| a.value.as_i64())
     }
 
     /// The value keyed `(query, index)` as a string slice.
-    pub fn get_str(&self, query: QueryId, index: usize) -> Option<&str> {
+    pub fn get_str(&self, query: impl Into<QueryId>, index: usize) -> Option<&str> {
         self.get(query, index).and_then(|a| a.value.as_str())
     }
 
     /// The value keyed `(query, index)` as a bool.
-    pub fn get_bool(&self, query: QueryId, index: usize) -> Option<bool> {
+    pub fn get_bool(&self, query: impl Into<QueryId>, index: usize) -> Option<bool> {
         self.get(query, index).and_then(|a| a.value.as_bool())
     }
 }
@@ -114,6 +119,28 @@ struct StreamMeta {
     topics: Vec<String>,
     /// Partition count of every partitioner topic of the stream.
     partitions: u32,
+}
+
+impl StreamMeta {
+    /// Resolve a stream's partitioners against its schema.
+    fn new(
+        stream: &str,
+        schema: Schema,
+        partitioners: Vec<String>,
+        partitions: u32,
+    ) -> Result<Self> {
+        let mut partitioner_indexes = Vec::with_capacity(partitioners.len());
+        for p in &partitioners {
+            partitioner_indexes.push(schema.require(p)?);
+        }
+        Ok(StreamMeta {
+            topics: partitioners.iter().map(|p| topic_name(stream, p)).collect(),
+            schema,
+            partitioners,
+            partitioner_indexes,
+            partitions,
+        })
+    }
 }
 
 /// Per-topic staging of one ingest batch: which frame records go to
@@ -268,31 +295,20 @@ impl FrontEnd {
         for p in partitioners {
             validate_topic_component("partitioner", p)?;
         }
-        let mut indexes = Vec::with_capacity(partitioners.len());
-        for p in partitioners {
-            indexes.push(schema.require(p)?);
-        }
-        for p in partitioners {
-            bus.create_topic(&topic_name(stream, p), partitions, replication)?;
+        let partitioners: Vec<String> = partitioners.iter().map(|s| (*s).to_owned()).collect();
+        let meta = StreamMeta::new(stream, schema.clone(), partitioners.clone(), partitions)?;
+        for topic in &meta.topics {
+            bus.create_topic(topic, partitions, replication)?;
         }
         let op = OpRequest::CreateStream {
             stream: stream.to_owned(),
-            schema: schema.clone(),
-            partitioners: partitioners.iter().map(|s| (*s).to_owned()).collect(),
+            schema,
+            partitioners,
             partitions,
         };
         self.producer
             .send_to_partition(OPS_TOPIC, 0, &[], encode_op(&op))?;
-        self.streams.insert(
-            stream.to_owned(),
-            StreamMeta {
-                schema,
-                partitioners: partitioners.iter().map(|s| (*s).to_owned()).collect(),
-                partitioner_indexes: indexes,
-                topics: partitioners.iter().map(|p| topic_name(stream, p)).collect(),
-                partitions,
-            },
-        );
+        self.streams.insert(stream.to_owned(), meta);
         Ok(())
     }
 
@@ -330,16 +346,7 @@ impl FrontEnd {
         for f in &query.group_by {
             meta.schema.require(f)?;
         }
-        if !meta
-            .partitioners
-            .iter()
-            .any(|p| query.group_by.contains(p))
-        {
-            return Err(RailgunError::InvalidArgument(format!(
-                "GROUP BY {:?} contains no partitioner of `{}` {:?}",
-                query.group_by, query.stream, meta.partitioners
-            )));
-        }
+        query_topic(&query, &meta.partitioners)?;
         let id = QueryId((u64::from(self.node) << 32) | u64::from(self.next_query_seq));
         self.next_query_seq += 1;
         let op = OpRequest::RegisterQuery {
@@ -395,7 +402,11 @@ impl FrontEnd {
         self.producer
             .send_to_partition(OPS_TOPIC, 0, &[], encode_op(&op))?;
         for p in &meta.partitioners {
-            bus.delete_topic(&topic_name(stream, p)).ok();
+            match bus.delete_topic(&topic_name(stream, p)) {
+                // Already gone (another front-end deleted the stream too).
+                Ok(()) | Err(RailgunError::NotFound(_)) => {}
+                Err(e) => return Err(e),
+            }
         }
         self.queries.retain(|_, q| q.query.stream != stream);
         Ok(())
@@ -667,24 +678,11 @@ impl FrontEnd {
                     partitioners,
                     partitions,
                 }) => {
-                    let topics = partitioners
-                        .iter()
-                        .map(|p| topic_name(&stream, p))
-                        .collect();
                     if let std::collections::hash_map::Entry::Vacant(slot) =
                         self.streams.entry(stream)
                     {
-                        let mut indexes = Vec::new();
-                        for p in &partitioners {
-                            indexes.push(schema.require(p)?);
-                        }
-                        slot.insert(StreamMeta {
-                            schema,
-                            partitioners,
-                            partitioner_indexes: indexes,
-                            topics,
-                            partitions,
-                        });
+                        let meta = StreamMeta::new(slot.key(), schema, partitioners, partitions)?;
+                        slot.insert(meta);
                     }
                 }
                 Ok(OpRequest::DeleteStream { stream }) => {
@@ -756,30 +754,8 @@ impl FrontEnd {
         out
     }
 
-    /// Number of requests still waiting for replies.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Number of completed responses not yet claimed.
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
-    }
-
-    /// The in-flight cap.
-    pub fn max_in_flight(&self) -> usize {
-        self.max_in_flight
-    }
-
     /// Schema of a known stream.
     pub fn stream_schema(&self, stream: &str) -> Option<Schema> {
         self.streams.get(stream).map(|m| m.schema.clone())
-    }
-
-    /// Known streams.
-    pub fn streams(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.streams.keys().cloned().collect();
-        names.sort();
-        names
     }
 }

@@ -53,9 +53,9 @@ pub mod task;
 pub mod unit;
 
 pub use api::{find_keyed, AggregationResult, EventRequest, OpRequest, QueryId, Reply};
-pub use cluster::{Cluster, ClusterClient, ClusterConfig, SendOutcome, Ticket};
+pub use cluster::{Cluster, ClusterClient, ClusterConfig, Ticket};
 pub use elastic::{Autoscaler, AutoscalerConfig, ScaleDecision};
-pub use frontend::BatchPolicy;
+pub use frontend::{BatchPolicy, ClientResponse};
 pub use metrics::{
     BatchingMetrics, ElasticCounters, EngineCounters, EngineTelemetry, MetricsSnapshot,
     QueryMetrics, RecoveryCounters, SharedTaskStats, StageLatencies, TaskStatsRegistry,
@@ -66,7 +66,5 @@ pub use lang::{
 };
 pub use plan::{MetricHandle, MetricRef, Plan, PlanDiff};
 pub use rebalance::RailgunStrategy;
-pub use session::{
-    EventBuilder, QueryHandle, Session, StreamEvent, StreamHandle, TypedReply,
-};
+pub use session::{EventBuilder, QueryHandle, Session, StreamEvent, StreamHandle};
 pub use task::{RestoreOutcome, TaskConfig, TaskProcessor, TaskStats};

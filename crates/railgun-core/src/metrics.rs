@@ -227,8 +227,6 @@ pub struct EngineTelemetry {
     frontend_batched: Counter,
     /// Events processed by units in same-task runs of ≥ 2 per poll.
     unit_batched: Counter,
-    /// Events appended via `Reservoir::append_batch` in batches of ≥ 2.
-    reservoir_batched: Counter,
     /// Bytes of torn WAL tail truncated at store open. Always on:
     /// recovery runs once per open, off the hot path, and a silent
     /// repair is exactly what an operator must not get.
@@ -289,7 +287,6 @@ impl EngineTelemetry {
             batch_size: Recorder::enabled(),
             frontend_batched: Counter::enabled(),
             unit_batched: Counter::enabled(),
-            reservoir_batched: Counter::enabled(),
             store_wal_truncated: Counter::enabled(),
             store_orphans: Counter::enabled(),
             checkpoint_fallbacks: Counter::enabled(),
@@ -361,12 +358,6 @@ impl EngineTelemetry {
     /// unit configs).
     pub fn unit_batched_counter(&self) -> Counter {
         self.unit_batched.clone()
-    }
-
-    /// Counter of events appended in reservoir batches of ≥ 2 (for
-    /// `ReservoirConfig`).
-    pub fn reservoir_batched_counter(&self) -> Counter {
-        self.reservoir_batched.clone()
     }
 
     /// Counter of torn WAL-tail bytes truncated at store open (for
@@ -540,7 +531,6 @@ impl EngineTelemetry {
                 batch_size: self.batch_size.snapshot().unwrap_or_default(),
                 frontend_batched_events: self.frontend_batched.get(),
                 unit_batched_events: self.unit_batched.get(),
-                reservoir_batched_events: self.reservoir_batched.get(),
             },
             recovery: RecoveryCounters {
                 wal_truncated_bytes: self.store_wal_truncated.get(),
@@ -572,8 +562,6 @@ pub struct BatchingMetrics {
     pub frontend_batched_events: u64,
     /// Events processor units handled in same-task runs of ≥ 2.
     pub unit_batched_events: u64,
-    /// Events the reservoirs appended via batches of ≥ 2.
-    pub reservoir_batched_events: u64,
 }
 
 /// Per-stage latency histograms (µs). Disabled stages are present but

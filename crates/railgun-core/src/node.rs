@@ -15,18 +15,16 @@
 //!   [`Node::stop`] joins the threads and hands the units back, so the
 //!   node can return to pump mode with all task state intact.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use railgun_messaging::MessageBus;
-use railgun_types::{Result, Schema, Timestamp, Value};
+use railgun_types::Result;
 
-use crate::api::QueryId;
-use crate::frontend::{BatchPolicy, ClientResponse, FrontEnd};
+use crate::cluster::ClusterConfig;
+use crate::frontend::FrontEnd;
 use crate::metrics::EngineTelemetry;
 use crate::rebalance::RailgunStrategy;
 use crate::runtime::Runtime;
-use crate::task::TaskConfig;
 use crate::unit::{ProcessorUnit, PumpReport, UnitConfig};
 
 /// The node's back-end units, in whichever execution mode is active.
@@ -46,33 +44,34 @@ pub struct Node {
 }
 
 impl Node {
-    /// Assemble a node with `units` processor units (pump mode; call
+    /// Assemble node `id` of a cluster configured by `config`, with
+    /// `config.units_per_node` processor units (pump mode; call
     /// [`Node::start`] to go threaded).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         bus: &MessageBus,
         id: u32,
-        units: u32,
-        data_dir: &Path,
-        task: TaskConfig,
+        config: &ClusterConfig,
         strategy: Arc<RailgunStrategy>,
-        checkpoint_every: u64,
-        max_in_flight: usize,
-        batch: BatchPolicy,
         telemetry: Arc<EngineTelemetry>,
     ) -> Result<Self> {
-        let frontend = FrontEnd::new(bus, id, max_in_flight, batch, Arc::clone(&telemetry))?;
-        let mut unit_vec = Vec::with_capacity(units as usize);
-        for u in 0..units {
+        let frontend = FrontEnd::new(
+            bus,
+            id,
+            config.max_in_flight,
+            config.batch,
+            Arc::clone(&telemetry),
+        )?;
+        let mut unit_vec = Vec::with_capacity(config.units_per_node as usize);
+        for u in 0..config.units_per_node {
             unit_vec.push(ProcessorUnit::new(
                 bus,
                 UnitConfig {
                     node: id,
                     unit: u,
-                    data_dir: data_dir.to_path_buf(),
-                    task: task.clone(),
+                    data_dir: config.data_root.clone(),
+                    task: config.task.clone(),
                     max_poll: 256,
-                    checkpoint_every,
+                    checkpoint_every: config.checkpoint_every,
                     poll_recorder: telemetry.unit_poll_recorder(),
                     process_recorder: telemetry.unit_process_recorder(),
                     batch_size: telemetry.batch_size_recorder(),
@@ -138,59 +137,15 @@ impl Node {
         }
     }
 
-    /// Client entry: register a stream through this node.
-    pub fn create_stream(
-        &mut self,
-        stream: &str,
-        schema: Schema,
-        partitioners: &[&str],
-        partitions: u32,
-        replication: u32,
-    ) -> Result<()> {
-        self.frontend
-            .create_stream(&self.bus, stream, schema, partitioners, partitions, replication)
+    /// This node's front-end: the client entry point for stream and query
+    /// registration, sends and replies (see [`FrontEnd`]).
+    pub fn frontend(&self) -> &FrontEnd {
+        &self.frontend
     }
 
-    /// Client entry: register a textual query through this node; returns
-    /// its stable id.
-    pub fn register_query(&mut self, query_text: &str) -> Result<QueryId> {
-        self.frontend.register_query(query_text)
-    }
-
-    /// Client entry: register a builder-constructed query through this
-    /// node; returns its stable id.
-    pub fn register_query_ast(&mut self, query: &crate::lang::Query) -> Result<QueryId> {
-        self.frontend.register_query_ast(query)
-    }
-
-    /// Client entry: unregister a query by id.
-    pub fn unregister_query(&mut self, id: QueryId) -> Result<()> {
-        self.frontend.unregister_query(id)
-    }
-
-    /// Live query registrations known to this node's front-end.
-    pub fn queries(&self) -> Vec<crate::frontend::RegisteredQuery> {
-        self.frontend.queries()
-    }
-
-    /// Schema of a stream this node's front-end knows.
-    pub fn stream_schema(&self, stream: &str) -> Option<Schema> {
-        self.frontend.stream_schema(stream)
-    }
-
-    /// Client entry: delete a stream through this node.
-    pub fn delete_stream(&mut self, stream: &str) -> Result<()> {
-        self.frontend.delete_stream(&self.bus, stream)
-    }
-
-    /// Client entry: send one event; returns its request id.
-    pub fn send_event(
-        &mut self,
-        stream: &str,
-        ts: Timestamp,
-        values: Vec<Value>,
-    ) -> Result<u64> {
-        self.frontend.send_event(stream, ts, values)
+    /// Mutable access to this node's front-end.
+    pub fn frontend_mut(&mut self) -> &mut FrontEnd {
+        &mut self.frontend
     }
 
     /// Pump the front-end (reply collection) and — in pump mode — every
@@ -199,8 +154,8 @@ impl Node {
     /// check, so a dead worker surfaces here instead of as a timeout).
     ///
     /// Completed responses accumulate in the front-end's correlation table;
-    /// claim them by id with [`Node::try_take_response`] or drain them all
-    /// with [`Node::take_responses`].
+    /// claim them by id with [`FrontEnd::try_take`] or drain them all
+    /// with [`FrontEnd::take_completed`].
     pub fn pump(&mut self) -> Result<Vec<PumpReport>> {
         let reports = match &mut self.backend {
             Backend::Pump(units) => {
@@ -219,41 +174,12 @@ impl Node {
         Ok(reports)
     }
 
-    /// Claim the completed response for `request_id`, if it has arrived.
-    pub fn try_take_response(&mut self, request_id: u64) -> Option<ClientResponse> {
-        self.frontend.try_take(request_id)
-    }
-
-    /// Abandon an outstanding request (frees its in-flight slot).
-    pub fn abandon_request(&mut self, request_id: u64) -> bool {
-        self.frontend.abandon(request_id)
-    }
-
-    /// Drain every completed response (legacy pump-harness consumption).
-    pub fn take_responses(&mut self) -> Vec<ClientResponse> {
-        self.frontend.take_completed()
-    }
-
-    /// Requests awaiting replies on this node's front-end.
-    pub fn pending_requests(&self) -> usize {
-        self.frontend.pending_count()
-    }
-
     /// This node's processor units (diagnostics). Empty while threaded —
     /// the units are owned by their worker threads.
     pub fn units(&self) -> &[ProcessorUnit] {
         match &self.backend {
             Backend::Pump(units) => units,
             Backend::Threaded(_) => &[],
-        }
-    }
-
-    /// Mutable access to units (benches probing task processors). Empty
-    /// while threaded.
-    pub fn units_mut(&mut self) -> &mut [ProcessorUnit] {
-        match &mut self.backend {
-            Backend::Pump(units) => units,
-            Backend::Threaded(_) => &mut [],
         }
     }
 

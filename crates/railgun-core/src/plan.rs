@@ -229,6 +229,31 @@ impl Plan {
         ids
     }
 
+    /// The live plan numbering: one line per live leaf in id order with
+    /// everything its stored state depends on — leaf id (slot tag, aux
+    /// prefix), group id (row prefix), window spec, filter, group-by
+    /// fields, function and field. Two plans with equal fingerprints read
+    /// and write the same state under the same keys. Metric refs are left
+    /// out on purpose: queries sharing a leaf share its state.
+    pub fn fingerprint(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (id, leaf) in self.leaves.iter().enumerate().filter(|(_, l)| l.is_live()) {
+            writeln!(
+                out,
+                "{id} {} {:?} {} {:?} {:?} {:?}",
+                leaf.group,
+                self.windows[leaf.window].spec,
+                self.filters[leaf.filter].canon,
+                self.groups[leaf.group].field_names,
+                leaf.func,
+                leaf.field_name,
+            )
+            .expect("writing to a String cannot fail");
+        }
+        out
+    }
+
     fn window_node(&mut self, spec: WindowSpec) -> WindowId {
         // Dead windows (no filters after pruning) are never revived: a
         // revived window would need fresh backfill cursors, so re-use of

@@ -128,11 +128,6 @@ impl Runtime {
         })
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Cheap liveness probe: errors once any worker has panicked or bailed
     /// with an engine error (callers waiting on replies use this to fail
     /// fast instead of waiting out their timeout).

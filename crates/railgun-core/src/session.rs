@@ -10,8 +10,9 @@
 //!   AST; addresses its aggregations in replies by `(id, index)` and
 //!   drives the unregister lifecycle.
 //!
-//! Replies come back as [`TypedReply`]s with typed keyed accessors, so
-//! client code never string-matches on display names:
+//! Replies are [`ClientResponse`]s whose typed accessors take the handle
+//! (`reply.get_f64(&per_card, 0)`), so client code never string-matches
+//! on display names:
 //!
 //! ```
 //! use railgun_core::lang::{mins, Agg, Query, Window};
@@ -68,8 +69,9 @@ use railgun_types::{
     FieldType, RailgunError, Result, Schema, TimeDelta, Timestamp, Value,
 };
 
-use crate::api::{AggregationResult, QueryId};
-use crate::cluster::{Cluster, ClusterConfig, SendOutcome};
+use crate::api::QueryId;
+use crate::cluster::{Cluster, ClusterConfig};
+use crate::frontend::ClientResponse;
 use crate::lang::{Query, QueryBuilder};
 use crate::metrics::MetricsSnapshot;
 
@@ -84,11 +86,6 @@ impl Session {
         Ok(Session {
             cluster: Cluster::new(config)?,
         })
-    }
-
-    /// Open a session over an already-built cluster.
-    pub fn from_cluster(cluster: Cluster) -> Self {
-        Session { cluster }
     }
 
     /// The underlying cluster (diagnostics).
@@ -188,22 +185,8 @@ impl Session {
     }
 
     /// Send a built event and wait for its aggregations.
-    pub fn send(&mut self, event: StreamEvent) -> Result<TypedReply> {
-        let outcome = self
-            .cluster
-            .send(&event.stream, event.ts, event.values)?;
-        Ok(TypedReply { outcome })
-    }
-
-    /// Positional send (the thin shim over the old calling convention).
-    pub fn send_values(
-        &mut self,
-        stream: &str,
-        ts: Timestamp,
-        values: Vec<Value>,
-    ) -> Result<TypedReply> {
-        let outcome = self.cluster.send(stream, ts, values)?;
-        Ok(TypedReply { outcome })
+    pub fn send(&mut self, event: StreamEvent) -> Result<ClientResponse> {
+        self.cluster.send(&event.stream, event.ts, event.values)
     }
 
     /// Snapshot the engine's telemetry: per-stage latency histograms,
@@ -361,6 +344,13 @@ impl QueryHandle {
     }
 }
 
+impl From<&QueryHandle> for QueryId {
+    /// Lets reply accessors take the handle: `reply.get(&handle, 0)`.
+    fn from(handle: &QueryHandle) -> QueryId {
+        handle.id
+    }
+}
+
 /// A named-field event builder validated against the stream schema.
 ///
 /// `set` records the first error it hits (unknown field, type mismatch,
@@ -439,54 +429,6 @@ pub struct StreamEvent {
     pub stream: String,
     pub ts: Timestamp,
     pub values: Vec<Value>,
-}
-
-/// A completed reply with typed, keyed accessors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TypedReply {
-    outcome: SendOutcome,
-}
-
-impl TypedReply {
-    /// The aggregation at `(query handle, SELECT index)`, if present.
-    pub fn get(&self, query: &QueryHandle, index: usize) -> Option<&AggregationResult> {
-        self.outcome.get(query.id, index)
-    }
-
-    /// Typed accessor: `f64` (ints widen).
-    pub fn get_f64(&self, query: &QueryHandle, index: usize) -> Option<f64> {
-        self.outcome.get_f64(query.id, index)
-    }
-
-    /// Typed accessor: `i64`.
-    pub fn get_i64(&self, query: &QueryHandle, index: usize) -> Option<i64> {
-        self.outcome.get_i64(query.id, index)
-    }
-
-    /// Typed accessor: string slice.
-    pub fn get_str(&self, query: &QueryHandle, index: usize) -> Option<&str> {
-        self.outcome.get_str(query.id, index)
-    }
-
-    /// Typed accessor: bool.
-    pub fn get_bool(&self, query: &QueryHandle, index: usize) -> Option<bool> {
-        self.outcome.get_bool(query.id, index)
-    }
-
-    /// True iff any task reported the event as a duplicate.
-    pub fn duplicate(&self) -> bool {
-        self.outcome.duplicate
-    }
-
-    /// The request id the cluster assigned this send.
-    pub fn request_id(&self) -> u64 {
-        self.outcome.request_id
-    }
-
-    /// The raw outcome (every keyed aggregation, entities included).
-    pub fn raw(&self) -> &SendOutcome {
-        &self.outcome
-    }
 }
 
 #[cfg(test)]
@@ -581,7 +523,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(reply.get_i64(&q, 0), Some(1));
-        assert!(!reply.duplicate());
+        assert!(!reply.duplicate);
 
         session.unregister(&q).unwrap();
         assert!(session.queries().is_empty());

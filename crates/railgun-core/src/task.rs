@@ -150,8 +150,6 @@ impl GroupRow {
 
 /// Computes all metrics of one (topic, partition).
 pub struct TaskProcessor {
-    topic: String,
-    partition: u32,
     schema: Schema,
     plan: Plan,
     reservoir: Reservoir,
@@ -200,6 +198,12 @@ const META_CF_NAME: &str = "task-meta";
 /// can hand those ids out again.
 const DEAD_NODES_KEY: &[u8] = b"dead-nodes";
 
+/// Meta-CF key holding [`Plan::fingerprint`] as of the last checkpoint.
+/// State rows are keyed by positional plan ids, so an image is only
+/// usable under a plan that numbers its live leaves the same way
+/// ([`TaskProcessor::plan_matches_image`]).
+const PLAN_KEY: &[u8] = b"plan";
+
 /// Install the watermark compaction filters and derived per-CF tuning on
 /// a task's store options. Tuning derives from the global knobs (so a
 /// config that sets `memtable_budget_bytes` keeps governing the default
@@ -246,11 +250,14 @@ fn install_horizon_filters(opts: &mut DbOptions, horizon: &Arc<StateHorizon>) {
 }
 
 impl TaskProcessor {
-    /// Open (or recover) a task processor rooted at `dir`.
+    /// Open (or recover) a task processor rooted at `dir`. The (topic,
+    /// partition) it serves is the caller's bookkeeping — the processor
+    /// has no use for it (the parameters stay because the benchmark
+    /// package calls this signature).
     pub fn open(
         dir: &Path,
-        topic: &str,
-        partition: u32,
+        _topic: &str,
+        _partition: u32,
         schema: Schema,
         config: TaskConfig,
     ) -> Result<Self> {
@@ -282,8 +289,6 @@ impl TaskProcessor {
         let stats = Arc::new(SharedTaskStats::default());
         config.stats_registry.register(&stats);
         let tp = TaskProcessor {
-            topic: topic.to_owned(),
-            partition,
             schema,
             plan: Plan::new(),
             reservoir,
@@ -340,11 +345,6 @@ impl TaskProcessor {
         Ok(())
     }
 
-    /// The (topic, partition) this task serves.
-    pub fn task_id(&self) -> (&str, u32) {
-        (&self.topic, self.partition)
-    }
-
     /// The stream schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -352,46 +352,28 @@ impl TaskProcessor {
 
     /// Register a query's metrics on this task under an anonymous id
     /// derived from the query text (convenience for single-process and
-    /// test use; the cluster path assigns front-end ids — see
-    /// [`TaskProcessor::register_query_as`]).
+    /// test use; the cluster path assigns front-end ids and calls
+    /// [`TaskProcessor::attach_query`]).
     pub fn register_query(&mut self, query: &Query) -> Result<Vec<MetricHandle>> {
-        self.register_query_as(derived_query_id(query), query)
+        self.attach_query(derived_query_id(query), query, true)
     }
 
-    /// Register a query's metrics on this task under `id`. New windows
-    /// create head and tail cursors; the head starts far enough back to
-    /// **backfill** the new metric from events already in the reservoir
-    /// (§6's future work, supported here via the reservoir's random
-    /// reads). Re-registering the same id is idempotent.
-    pub fn register_query_as(
-        &mut self,
-        id: QueryId,
-        query: &Query,
-    ) -> Result<Vec<MetricHandle>> {
-        self.attach_query(id, query, true)
-    }
-
-    /// Re-attach a query to a processor restored from a checkpoint image
-    /// (see [`TaskProcessor::restore_or_replay`]). The restored state
-    /// store already carries this query's aggregate state through the
-    /// checkpointed offset, so — unlike [`register_query_as`], which
-    /// backfills new windows from the reservoir — the new window runtime
-    /// starts *at the end* of the restored reservoir: only events
-    /// appended after the restore (the replayed tail) flow into the
-    /// leaves. Backfilling here would double-count every restored event
-    /// that is both reflected in the leaf state and present in the
-    /// image's reservoir segments.
+    /// Attach a query's metrics to this task under `id` — the one way a
+    /// query reaches a task plan. New windows create head and tail
+    /// cursors. Re-attaching the same id is idempotent.
     ///
-    /// [`register_query_as`]: TaskProcessor::register_query_as
-    pub fn reattach_query_as(
-        &mut self,
-        id: QueryId,
-        query: &Query,
-    ) -> Result<Vec<MetricHandle>> {
-        self.attach_query(id, query, false)
-    }
-
-    fn attach_query(
+    /// With `backfill` the head starts far enough back to fill the new
+    /// metric from events already in the reservoir (§6's future work,
+    /// supported here via the reservoir's random reads). Without it the
+    /// task was just restored from a checkpoint image (see
+    /// [`TaskProcessor::restore_or_replay`]) whose state store already
+    /// carries this query's aggregate state through the checkpointed
+    /// offset, so the new window runtime starts *at the end* of the
+    /// restored reservoir: only events appended after the restore (the
+    /// replayed tail) flow into the leaves. Backfilling there would
+    /// double-count every restored event that is both reflected in the
+    /// leaf state and present in the image's reservoir segments.
+    pub fn attach_query(
         &mut self,
         id: QueryId,
         query: &Query,
@@ -406,23 +388,15 @@ impl TaskProcessor {
             let spec = self.plan.windows[wid].spec;
             let max_seen = self.reservoir.max_seen_ts();
             let from = match spec.kind {
-                WindowKind::Sliding(ws) => {
-                    // Only events that could still be in the window matter.
-                    if max_seen == Timestamp::MIN {
-                        Timestamp::MIN
-                    } else {
-                        max_seen.saturating_sub(ws + spec.delay)
-                    }
+                // Only events that could still be in the window matter.
+                WindowKind::Sliding(ws) | WindowKind::Tumbling(ws)
+                    if max_seen != Timestamp::MIN =>
+                {
+                    max_seen.saturating_sub(ws + spec.delay)
                 }
-                WindowKind::Tumbling(ws) => {
-                    if max_seen == Timestamp::MIN {
-                        Timestamp::MIN
-                    } else {
-                        max_seen.saturating_sub(ws + spec.delay)
-                    }
-                }
-                // Infinite windows backfill the full history.
-                WindowKind::Infinite => Timestamp::MIN,
+                // Infinite windows backfill the full history (and an
+                // empty reservoir has none to skip).
+                _ => Timestamp::MIN,
             };
             // Re-attach: the leaf state already covers everything up to
             // `max_seen`, so the head skips the stored history (and the
@@ -604,10 +578,6 @@ impl TaskProcessor {
             }
             let spec = self.plan.windows[wid].spec;
             let upper = t_eval - spec.delay;
-            let lower = match spec.kind {
-                WindowKind::Sliding(ws) => upper - ws,
-                WindowKind::Tumbling(_) | WindowKind::Infinite => Timestamp::MIN,
-            };
             let wr = self.windows[wid].as_mut().expect("checked above");
             let head_bound_pre = wr.head_bound;
             let mut entering = std::mem::take(&mut self.entering_buf);
@@ -620,7 +590,6 @@ impl TaskProcessor {
             // above it will be yielded for eviction exactly once, so
             // inserting it here keeps the streams paired; anything below it
             // was skipped by the tail too and must not enter.
-            let _ = lower;
             let tail_gate = wr.tail_bound;
             if let Some(ts) = effective_ts {
                 if ts < head_bound_pre && ts >= tail_gate {
@@ -906,9 +875,24 @@ impl TaskProcessor {
         // Sketch blobs live in an in-memory cache between checkpoints;
         // flush them so the store image carries the current estimates.
         self.agg_scratch.flush(&self.db, self.aux_cf)?;
+        self.db
+            .put(self.meta_cf, PLAN_KEY, self.plan.fingerprint().as_bytes())?;
         self.reservoir.checkpoint(&dir.join("reservoir"))?;
         self.db.checkpoint(&dir.join("store"))?;
         Ok(())
+    }
+
+    /// True iff the plan numbers its live leaves exactly as the plan that
+    /// wrote the checkpoint image this task was restored from. Asked after
+    /// re-attaching the live queries to a restored task: a query
+    /// unregistered before the image (its ids are skipped there, handed
+    /// out again here) or registered after it (no state in the image, and
+    /// a re-attach does not backfill) makes the answer `false`, and the
+    /// image must not be used. An image without a recorded fingerprint
+    /// only matches an empty plan.
+    pub fn plan_matches_image(&self) -> Result<bool> {
+        let recorded = self.db.get(self.meta_cf, PLAN_KEY)?.unwrap_or_default();
+        Ok(recorded == self.plan.fingerprint().as_bytes())
     }
 
     /// Restore a task processor from a checkpoint directory (as written by
@@ -943,7 +927,7 @@ impl TaskProcessor {
     /// entry point: a processor unit that gains a task in a rebalance
     /// restores the newest checkpoint-topic image through here and
     /// replays only the tail past the record's offset
-    /// (`ProcessorUnit::acquire_task`), with the full replay below as
+    /// (`ProcessorUnit::open_task`), with the full replay below as
     /// the degraded arm.
     ///
     /// A checkpoint is accepted only if all of:
@@ -1667,11 +1651,12 @@ mod tests {
         );
         // This incarnation hands leaf id 1 of group 0 to a different
         // aggregator: it must start empty, not decode the old slot.
-        tp.reattach_query_as(QueryId(1), &q_sum).unwrap();
-        tp.reattach_query_as(
+        tp.attach_query(QueryId(1), &q_sum, false).unwrap();
+        tp.attach_query(
             QueryId(2),
             &parse_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min")
                 .unwrap(),
+            false,
         )
         .unwrap();
         let (r, _) = tp.process_event(&ev(100, 7_000, "A", "m", 1.0)).unwrap();
@@ -1682,8 +1667,9 @@ mod tests {
     #[test]
     fn elastic_handover_matches_lockstep_twin_under_expiry() {
         // The elastic-membership handover path (checkpoint →
-        // restore_or_replay → reattach_query_as) on a task whose store
-        // has been through watermark expiry *and* dead-leaf filtering:
+        // restore_or_replay → attach_query without backfill) on a task
+        // whose store has been through watermark expiry *and* dead-leaf
+        // filtering:
         // the restored processor's per-event results must stay
         // byte-identical to a lockstep twin that only ever ran the
         // surviving query.
@@ -1709,8 +1695,8 @@ mod tests {
             cfg(),
         )
         .unwrap();
-        primary.register_query_as(tid, &qt).unwrap();
-        primary.register_query_as(xid, &qx).unwrap();
+        primary.attach_query(tid, &qt, true).unwrap();
+        primary.attach_query(xid, &qx, true).unwrap();
         let mut twin = TaskProcessor::open(
             &temp_task_dir("elastic-expiry-twin"),
             "payments--cardId",
@@ -1719,7 +1705,7 @@ mod tests {
             cfg(),
         )
         .unwrap();
-        twin.register_query_as(tid, &qt).unwrap();
+        twin.attach_query(tid, &qt, true).unwrap();
 
         let mk = |i: u64| {
             ev(
@@ -1776,7 +1762,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
-        restored.reattach_query_as(tid, &qt).unwrap();
+        restored.attach_query(tid, &qt, false).unwrap();
+        // The unregistered query was the last one registered, so the
+        // survivor keeps the ids a fresh plan gives it: the image is usable.
+        assert!(restored.plan_matches_image().unwrap());
         for i in 60..90 {
             let e = mk(i);
             let rr = only_t(restored.process_event(&e).unwrap().0);

@@ -19,7 +19,7 @@
 //! discipline, §3.2).
 
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -191,11 +191,6 @@ impl ProcessorUnit {
         }
     }
 
-    /// The member id of the active consumer (for strategy queries).
-    pub fn member_id(&self) -> railgun_messaging::MemberId {
-        self.active.member_id()
-    }
-
     /// (Re)subscribe the active consumer to all known event topics.
     fn resubscribe(&mut self) -> Result<()> {
         let topics: Vec<String> = self
@@ -275,7 +270,7 @@ impl ProcessorUnit {
 
         // 4. Periodic synchronized checkpoints (§4.1.3).
         if self.cfg.checkpoint_every > 0 {
-            report.checkpoints += self.maybe_checkpoint()?;
+            report.checkpoints += self.checkpoint_due(self.cfg.checkpoint_every)?;
         }
         Ok(report)
     }
@@ -304,13 +299,14 @@ impl ProcessorUnit {
         Ok(())
     }
 
-    /// Checkpoint every task whose event count passed the threshold and
-    /// publish its (task, offset) record to the checkpoint topic.
-    fn maybe_checkpoint(&mut self) -> Result<usize> {
+    /// Checkpoint every task with at least `min_events` processed since
+    /// its last image and publish the (task, offset) records to the
+    /// checkpoint topic. Returns the number of images written.
+    fn checkpoint_due(&mut self, min_events: u64) -> Result<usize> {
         let due: Vec<TopicPartition> = self
             .since_checkpoint
             .iter()
-            .filter(|(_, n)| **n >= self.cfg.checkpoint_every)
+            .filter(|(_, n)| **n >= min_events)
             .map(|(tp, _)| tp.clone())
             .collect();
         let mut done = 0;
@@ -363,11 +359,7 @@ impl ProcessorUnit {
         let dirs = self.checkpoint_dirs.entry(tp.clone()).or_default();
         dirs.push_back(dir);
         while dirs.len() > CHECKPOINTS_KEPT {
-            let old = dirs.pop_front().expect("len checked");
-            match std::fs::remove_dir_all(old) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-                _ => {}
-            }
+            remove_dir_if_present(&dirs.pop_front().expect("len checked"))?;
         }
         Ok(true)
     }
@@ -382,19 +374,7 @@ impl ProcessorUnit {
     /// a departure triggers never hands a survivor a stale image.
     /// Returns the number of images flushed.
     pub fn drain(&mut self) -> Result<usize> {
-        let dirty: Vec<TopicPartition> = self
-            .since_checkpoint
-            .iter()
-            .filter(|(_, n)| **n > 0)
-            .map(|(tp, _)| tp.clone())
-            .collect();
-        let mut flushed = 0;
-        for tp in dirty {
-            if self.checkpoint_task(&tp)? {
-                flushed += 1;
-            }
-        }
-        Ok(flushed)
+        self.checkpoint_due(1)
     }
 
     /// Drain the checkpoint topic into the per-task record cache (the
@@ -459,7 +439,7 @@ impl ProcessorUnit {
                 let topic = self.query_topic(&query)?;
                 for (tp, task) in self.tasks.iter_mut() {
                     if tp.topic == topic {
-                        task.register_query_as(id, &query)?;
+                        task.attach_query(id, &query, true)?;
                     }
                 }
                 self.queries.push((id, query));
@@ -475,24 +455,13 @@ impl ProcessorUnit {
         Ok(())
     }
 
-    /// The event topic a query's metrics are computed on: the first stream
-    /// partitioner contained in the query's GROUP BY (§4 — metrics only
-    /// need events hashed by a *subset* of their group-by keys).
+    /// The event topic a query's metrics are computed on
+    /// ([`crate::api::query_topic`] over the query's stream).
     fn query_topic(&self, query: &Query) -> Result<String> {
         let meta = self.streams.get(&query.stream).ok_or_else(|| {
             RailgunError::NotFound(format!("stream `{}`", query.stream))
         })?;
-        meta.partitioners
-            .iter()
-            .find(|p| query.group_by.contains(p))
-            .map(|p| crate::api::topic_name(&query.stream, p))
-            .ok_or_else(|| {
-                RailgunError::InvalidArgument(format!(
-                    "query on `{}` groups by {:?}, which contains no stream partitioner {:?} \
-                     — accurate distributed metrics need a partitioner in the GROUP BY",
-                    query.stream, query.group_by, meta.partitioners
-                ))
-            })
+        crate::api::query_topic(query, &meta.partitioners)
     }
 
     fn on_rebalance(&mut self, assignment: Vec<TopicPartition>) -> Result<()> {
@@ -509,12 +478,10 @@ impl ProcessorUnit {
             .chain(self.replica_assignment.iter())
             .cloned()
             .collect();
-        // Create processors for newly gained tasks. With a checkpoint
-        // record the task restores the image and replays only the tail
-        // from the recorded offset; without one it replays from 0.
+        // Create processors for newly gained tasks.
         for tp in &all {
             if !self.tasks.contains_key(tp) {
-                let (task, start) = self.acquire_task(tp)?;
+                let (task, start) = self.open_task(tp)?;
                 self.tasks.insert(tp.clone(), task);
                 self.task_offsets.insert(tp.clone(), start);
             }
@@ -557,88 +524,63 @@ impl ProcessorUnit {
             .ok_or_else(|| RailgunError::NotFound(format!("stream `{stream}`")))
     }
 
-    /// Re-register this unit's queries that compute on `tp`'s topic.
-    fn register_task_queries(&self, task: &mut TaskProcessor, tp: &TopicPartition) -> Result<()> {
-        for (id, q) in &self.queries {
-            if self.query_topic(q)? == tp.topic {
-                task.register_query_as(*id, q)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-attach this unit's queries to a task restored from a checkpoint
-    /// image. Unlike [`ProcessorUnit::register_task_queries`] this must
-    /// not backfill: the image's leaf state already covers the restored
-    /// history, and the image's reservoir holds (part of) the same events
-    /// — backfilling would count them twice
-    /// ([`TaskProcessor::reattach_query_as`]).
-    fn reattach_task_queries(&self, task: &mut TaskProcessor, tp: &TopicPartition) -> Result<()> {
-        for (id, q) in &self.queries {
-            if self.query_topic(q)? == tp.topic {
-                task.reattach_query_as(*id, q)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn create_task(&self, tp: &TopicPartition) -> Result<TaskProcessor> {
+    /// Build the processor for a task gained in a rebalance and say which
+    /// offset to consume it from — the one way a task comes to life in a
+    /// unit. The task's directory is wiped first: leftovers of an earlier
+    /// tenancy are never recovered, the topic is.
+    ///
+    /// With a cached checkpoint record the image is restored through the
+    /// validating [`TaskProcessor::restore_or_replay`], this unit's
+    /// queries on the task's topic are re-attached without backfill, and
+    /// the record's `next_offset` is returned, so only the tail is
+    /// replayed. If the image fails validation, or was written under a
+    /// different plan numbering than the re-attached one (a query was
+    /// unregistered before it or registered after it —
+    /// [`TaskProcessor::plan_matches_image`]), it is discarded and counted
+    /// as a handover fallback. That arm, like a cold boot with no record
+    /// at all (the normal first start, counted as neither), opens an empty
+    /// task, attaches the queries with backfill and replays from 0.
+    fn open_task(&self, tp: &TopicPartition) -> Result<(TaskProcessor, u64)> {
         let schema = self.task_schema(tp)?;
         let dir = self.task_dir(tp);
-        // Fresh replay from offset 0 is the recovery mechanism in the
-        // in-process pipeline (checkpoint-based recovery is exercised at
-        // the TaskProcessor level); wipe leftovers.
-        std::fs::remove_dir_all(&dir).ok();
-        let mut task = TaskProcessor::open(
-            &dir,
-            &tp.topic,
-            tp.partition,
-            schema,
-            self.cfg.task.clone(),
-        )?;
-        self.register_task_queries(&mut task, tp)?;
-        Ok(task)
-    }
-
-    /// Build the processor for a task gained in a rebalance. With a cached
-    /// checkpoint record the state image is restored through the
-    /// validating [`TaskProcessor::restore_or_replay`] path and the
-    /// record's `next_offset` is returned, so the caller replays only the
-    /// tail; a record whose image fails validation degrades to a full
-    /// replay from 0 (counted as a handover fallback — distinct from a
-    /// cold boot with no record at all, which is the normal first-start
-    /// path and counts as neither).
-    fn acquire_task(&self, tp: &TopicPartition) -> Result<(TaskProcessor, u64)> {
-        let Some(rec) = self.checkpoints.get(tp) else {
-            return Ok((self.create_task(tp)?, 0));
-        };
-        let schema = self.task_schema(tp)?;
-        let dir = self.task_dir(tp);
-        std::fs::remove_dir_all(&dir).ok();
-        let (mut task, outcome) = TaskProcessor::restore_or_replay(
-            std::path::Path::new(&rec.path),
-            &dir,
-            &tp.topic,
-            tp.partition,
-            schema,
-            self.cfg.task.clone(),
-        )?;
-        match outcome {
-            RestoreOutcome::FromCheckpoint => {
-                self.reattach_task_queries(&mut task, tp)?;
-                self.cfg.handovers.incr();
-                let end = self.bus.end_offset(tp).unwrap_or(rec.next_offset);
-                self.cfg
-                    .tail_replayed
-                    .add(end.saturating_sub(rec.next_offset));
-                Ok((task, rec.next_offset))
-            }
-            RestoreOutcome::FullReplay => {
-                self.register_task_queries(&mut task, tp)?;
-                self.cfg.handover_fallbacks.incr();
-                Ok((task, 0))
+        let mut queries = Vec::new();
+        for (id, q) in &self.queries {
+            if self.query_topic(q)? == tp.topic {
+                queries.push((*id, q));
             }
         }
+        if let Some(rec) = self.checkpoints.get(tp) {
+            remove_dir_if_present(&dir)?;
+            let (mut task, outcome) = TaskProcessor::restore_or_replay(
+                Path::new(&rec.path),
+                &dir,
+                &tp.topic,
+                tp.partition,
+                schema.clone(),
+                self.cfg.task.clone(),
+            )?;
+            if outcome == RestoreOutcome::FromCheckpoint {
+                for (id, q) in &queries {
+                    task.attach_query(*id, q, false)?;
+                }
+                if task.plan_matches_image()? {
+                    self.cfg.handovers.incr();
+                    let end = self.bus.end_offset(tp).unwrap_or(rec.next_offset);
+                    self.cfg
+                        .tail_replayed
+                        .add(end.saturating_sub(rec.next_offset));
+                    return Ok((task, rec.next_offset));
+                }
+            }
+            self.cfg.handover_fallbacks.incr();
+        }
+        remove_dir_if_present(&dir)?;
+        let mut task =
+            TaskProcessor::open(&dir, &tp.topic, tp.partition, schema, self.cfg.task.clone())?;
+        for (id, q) in queries {
+            task.attach_query(id, q, true)?;
+        }
+        Ok((task, 0))
     }
 
     /// Group one poll's messages into runs of consecutive same-task
@@ -752,11 +694,6 @@ impl ProcessorUnit {
         &self.active_assignment
     }
 
-    /// Current replica tasks.
-    pub fn replica_tasks(&self) -> &[TopicPartition] {
-        &self.replica_assignment
-    }
-
     /// Access a task processor (diagnostics/benches).
     pub fn task(&self, tp: &TopicPartition) -> Option<&TaskProcessor> {
         self.tasks.get(tp)
@@ -766,6 +703,15 @@ impl ProcessorUnit {
     pub fn shutdown(&mut self) {
         self.active.unsubscribe();
         self.replica.assign(Vec::new());
+    }
+}
+
+/// `remove_dir_all` that tolerates the directory not being there — the
+/// only failure a wipe may swallow.
+fn remove_dir_if_present(dir: &Path) -> Result<()> {
+    match std::fs::remove_dir_all(dir) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
     }
 }
 
@@ -844,6 +790,16 @@ mod tests {
             &railgun_store::RealFs,
             &dir.join("store")
         ));
+    }
+
+    #[test]
+    fn delete_stream_tolerates_an_already_deleted_topic() {
+        // `NotFound` is the one topic-deletion error a stream delete may
+        // swallow: the topic is gone either way.
+        let (bus, mut frontend, _unit) = pumped_unit("unit-delete-stream", 0);
+        bus.delete_topic("payments--cardId").unwrap();
+        frontend.delete_stream(&bus, "payments").unwrap();
+        assert!(frontend.stream_schema("payments").is_none());
     }
 
     #[test]

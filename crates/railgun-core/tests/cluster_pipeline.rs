@@ -29,7 +29,7 @@ fn fresh_config(tag: &str, nodes: u32, units: u32, partitions: u32) -> ClusterCo
 }
 
 fn find<'a>(
-    out: &'a railgun_core::SendOutcome,
+    out: &'a railgun_core::ClientResponse,
     prefix: &str,
 ) -> &'a railgun_core::AggregationResult {
     out.aggregations

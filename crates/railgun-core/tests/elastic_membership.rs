@@ -11,7 +11,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use railgun_core::{
-    AutoscalerConfig, Cluster, ClusterConfig, ScaleDecision, SendOutcome, Ticket,
+    AutoscalerConfig, ClientResponse, Cluster, ClusterConfig, ScaleDecision, Ticket,
 };
 use railgun_types::{FieldType, RailgunError, Schema, TimeDelta, Timestamp, Value};
 
@@ -53,7 +53,7 @@ fn booted(cfg: ClusterConfig) -> Cluster {
     cluster
 }
 
-fn send_card(cluster: &mut Cluster, via: usize, card: u64, ts: i64) -> SendOutcome {
+fn send_card(cluster: &mut Cluster, via: usize, card: u64, ts: i64) -> ClientResponse {
     cluster
         .send_via(
             via,
@@ -175,6 +175,78 @@ fn corrupt_checkpoint_image_falls_back_to_full_replay() {
             "card {card} after full-replay fallback"
         );
     }
+}
+
+const Q_SHORT: &str = "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 30 min";
+const Q_LONG: &str =
+    "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 1 hours";
+
+/// A one-node cluster, checkpointing every 2 events per task, whose plan
+/// changed while it ingested. Either `Q_SHORT` and `Q_LONG` are both
+/// registered up front and `Q_SHORT` is unregistered midway (the newest
+/// images are then written under a plan that skips its ids), or
+/// `Q_LONG` is registered only after the newest image of every task.
+fn plan_changed(tag: &str, late_register: bool) -> Cluster {
+    let mut cfg = fresh_config(tag, 1, 1, 4);
+    cfg.checkpoint_every = 2;
+    let mut cluster = Cluster::new(cfg).unwrap();
+    cluster
+        .create_stream("payments", payments_schema(), &["cardId"])
+        .unwrap();
+    let short = cluster.register_query(Q_SHORT).unwrap();
+    if !late_register {
+        cluster.register_query(Q_LONG).unwrap();
+    }
+    for round in 0..2 {
+        for card in 0..8 {
+            send_card(&mut cluster, 0, card, round * 10_000 + card as i64 * 100);
+        }
+    }
+    if late_register {
+        cluster.register_query(Q_LONG).unwrap();
+    } else {
+        cluster.unregister_query(short).unwrap();
+        for round in 2..4 {
+            for card in 0..8 {
+                send_card(&mut cluster, 0, card, round * 10_000 + card as i64 * 100);
+            }
+        }
+    }
+    cluster
+}
+
+/// Scale a plan-changed cluster out and require it to keep answering
+/// exactly like a twin that went through the same plan change but no
+/// membership change. State rows are keyed by positional plan ids, so
+/// the published images are unusable under the plan the new node builds
+/// from the live queries: the handover must notice and replay instead.
+fn handover_after_plan_change(tag: &str, late_register: bool) {
+    let mut cluster = plan_changed(tag, late_register);
+    let mut twin = plan_changed(&format!("{tag}-twin"), late_register);
+    cluster.add_node().unwrap();
+    cluster.settle().unwrap();
+    for round in 0..2 {
+        for card in 0..8 {
+            let ts = 100_000 + round * 10_000 + card as i64 * 100;
+            lockstep(&mut cluster, &mut twin, card, ts, "after scale-out");
+        }
+    }
+    let elastic = cluster.metrics_snapshot().elastic;
+    assert!(
+        elastic.handover_fallbacks >= 1,
+        "images written under another plan numbering must be rejected, got {elastic:?}"
+    );
+    assert_eq!(elastic.handovers_completed, 0, "{elastic:?}");
+}
+
+#[test]
+fn handover_after_unregister_matches_undisturbed_twin() {
+    handover_after_plan_change("unregister", false);
+}
+
+#[test]
+fn handover_after_late_register_matches_undisturbed_twin() {
+    handover_after_plan_change("late-register", true);
 }
 
 #[test]

@@ -88,9 +88,6 @@ pub struct ReservoirConfig {
     /// engine's metrics plane can read without reaching into the
     /// reservoir (off by default).
     pub chunk_miss_counter: Counter,
-    /// Telemetry: events that landed via a multi-event
-    /// [`Reservoir::append_batch`] (off by default).
-    pub batch_events_counter: Counter,
 }
 
 impl Default for ReservoirConfig {
@@ -106,7 +103,6 @@ impl Default for ReservoirConfig {
             prefetch: true,
             append_recorder: Recorder::disabled(),
             chunk_miss_counter: Counter::disabled(),
-            batch_events_counter: Counter::disabled(),
         }
     }
 }
@@ -408,12 +404,6 @@ impl Reservoir {
                 }
             }
             Self::flush_meta_defer(inner, &mut defer);
-            if outcomes.len() >= 2 {
-                self.shared
-                    .cfg
-                    .batch_events_counter
-                    .add(outcomes.len() as u64);
-            }
             res.map(|()| outcomes)
         };
         self.shared.cfg.append_recorder.finish(timer);

@@ -7,9 +7,6 @@
 //! parts a laptop cannot — sustained wall-clock load, a broker fleet, a
 //! garbage collector — as calibrated models:
 //!
-//! * [`histogram`] — compatibility re-export of the HDR-style latency
-//!   histogram, which moved to [`railgun_types::histogram`] so the real
-//!   engine's telemetry plane shares it;
 //! * [`queueing`] — FIFO servers modeling single-threaded processor units;
 //! * [`latency`] — messaging-hop, GC-pause and disk-miss models calibrated
 //!   against the published curves (constants documented in
@@ -21,14 +18,11 @@
 //!   nodes.
 
 pub mod cluster;
-pub mod histogram;
 pub mod injector;
 pub mod latency;
 pub mod queueing;
 
 pub use cluster::{max_sustainable_rate, run_cluster, ClusterRunSummary, ClusterSimConfig};
-// Non-deprecated compatibility path: `railgun_sim::Histogram` stays valid
-// (same type); the deprecated alias lives at `railgun_sim::histogram`.
 pub use railgun_types::Histogram;
 pub use injector::{run_open_loop, InjectorConfig, RunSummary};
 pub use latency::{DiskModel, GcModel, KafkaHopModel, LogNormal};

@@ -33,8 +33,6 @@ pub type ColumnFamilyId = u32;
 pub struct DbOptions {
     /// Flush a memtable once its approximate size exceeds this.
     pub memtable_budget_bytes: usize,
-    /// Target uncompressed data-block size inside SSTables.
-    pub block_size: usize,
     /// Bloom filter density; 0 disables blooms (ablation knob).
     pub bloom_bits_per_key: usize,
     /// Compact a column family once it accumulates this many SSTables.
@@ -75,7 +73,6 @@ impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
             memtable_budget_bytes: 4 << 20,
-            block_size: crate::sstable::DEFAULT_BLOCK_SIZE,
             bloom_bits_per_key: 10,
             compaction_trigger: 4,
             sync_wal: false,
@@ -629,7 +626,7 @@ impl Db {
             let mut w = SstWriter::create(
                 fs.as_ref(),
                 &path,
-                self.opts.block_size,
+                crate::sstable::DEFAULT_BLOCK_SIZE,
                 cf.opts.bloom_bits_per_key.max(1),
             )?;
             for (k, entry) in cf.mem.drain_sorted() {
@@ -716,7 +713,7 @@ impl Db {
             let mut w = SstWriter::create(
                 fs.as_ref(),
                 &path,
-                self.opts.block_size,
+                crate::sstable::DEFAULT_BLOCK_SIZE,
                 cf.opts.bloom_bits_per_key.max(1),
             )?;
             for (k, entry) in merged {

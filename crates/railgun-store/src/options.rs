@@ -10,9 +10,9 @@
 //! module gives `railgun-store` both halves:
 //!
 //! * [`CfOptions`] — per-CF memtable budget, compaction trigger, bloom
-//!   density, and an optional [`CompactionFilter`], with profiles tuned
-//!   for Railgun's three CF shapes ([`CfOptions::wide_state`],
-//!   [`CfOptions::aux_sketch`], [`CfOptions::meta`]);
+//!   density, and an optional [`CompactionFilter`], with a
+//!   [`CfOptions::meta`] profile for tiny metadata CFs (task stores
+//!   derive the state and aux CFs' tuning from the global knobs);
 //! * [`CompactionFilter`] — the seam a full-CF merge consults for every
 //!   surviving live entry;
 //! * [`WriteBufferBudget`] — a process-wide memtable cap shared across
@@ -113,32 +113,6 @@ impl Default for CfOptions {
 }
 
 impl CfOptions {
-    /// Profile for the wide per-entity aggregation-state CF: the write
-    /// stream is large and key-diverse, so it gets the big memtable (few,
-    /// large SSTables) and a moderate trigger — compactions are where
-    /// expired window buckets are reclaimed, so they must not be starved.
-    pub fn wide_state() -> Self {
-        CfOptions {
-            memtable_budget_bytes: 4 << 20,
-            compaction_trigger: 4,
-            bloom_bits_per_key: 10,
-            filter: None,
-        }
-    }
-
-    /// Profile for the aux/sketch CF (`countDistinct` per-value counters
-    /// and serialized sketch blobs): point-lookup heavy, so denser blooms;
-    /// smaller memtable so aux state cannot crowd out the state CF; a
-    /// higher trigger because its SSTables are small and merge cheaply.
-    pub fn aux_sketch() -> Self {
-        CfOptions {
-            memtable_budget_bytes: 1 << 20,
-            compaction_trigger: 6,
-            bloom_bits_per_key: 12,
-            filter: None,
-        }
-    }
-
     /// Profile for tiny metadata CFs (horizons, dead-leaf markers): a
     /// handful of keys, rewritten rarely — flush small and compact
     /// eagerly so the CF stays a single table.
@@ -243,12 +217,10 @@ mod tests {
 
     #[test]
     fn profiles_are_distinct_and_debuggable() {
-        let w = CfOptions::wide_state();
-        let x = CfOptions::aux_sketch();
+        let w = CfOptions::default();
         let m = CfOptions::meta();
-        assert!(w.memtable_budget_bytes > x.memtable_budget_bytes);
-        assert!(x.memtable_budget_bytes > m.memtable_budget_bytes);
-        assert!(x.bloom_bits_per_key > w.bloom_bits_per_key);
+        assert!(w.memtable_budget_bytes > m.memtable_budget_bytes);
+        assert!(w.compaction_trigger > m.compaction_trigger);
         struct Nop;
         impl CompactionFilter for Nop {
             fn name(&self) -> &str {

@@ -146,6 +146,6 @@ pub use railgun_types as types;
 // The typed client API, re-exported at the crate root (the engine module
 // remains the full toolbox).
 pub use railgun_core::{
-    EventBuilder, MetricsSnapshot, QueryHandle, QueryId, QueryMetrics, Session, StreamEvent,
-    StreamHandle, TypedReply,
+    ClientResponse, EventBuilder, MetricsSnapshot, QueryHandle, QueryId, QueryMetrics, Session,
+    StreamEvent, StreamHandle,
 };

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use railgun::engine::{BatchPolicy, Cluster, ClusterConfig, SendOutcome};
+use railgun::engine::{BatchPolicy, ClientResponse, Cluster, ClusterConfig};
 use railgun::types::{FieldType, Schema, Timestamp, Value};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -63,7 +63,7 @@ fn fresh_cluster(tag: &str, batch: BatchPolicy) -> Cluster {
 /// up front, so the front-end coalesces) or closed-loop (each event is a
 /// synchronous `send` — a batch of one by construction). Returns every
 /// reply in send order plus the processed-event count.
-fn run(tag: &str, events: &[Drawn], threaded: bool, pipelined: bool) -> (Vec<SendOutcome>, u64) {
+fn run(tag: &str, events: &[Drawn], threaded: bool, pipelined: bool) -> (Vec<ClientResponse>, u64) {
     let mut cluster = fresh_cluster(tag, BatchPolicy::default());
     if threaded {
         cluster.start().unwrap();

@@ -747,9 +747,10 @@ mod group_rows {
     }
 
     pub fn register(tp: &mut TaskProcessor, template: usize) {
-        tp.register_query_as(
+        tp.attach_query(
             QueryId(template as u64),
             &parse_query(TEMPLATES[template].0).unwrap(),
+            true,
         )
         .unwrap();
     }
@@ -938,7 +939,7 @@ proptest! {
         let mut tp = open(&data, Some(&fs));
         // One group: sum = leaf 0, countDistinct = leaf 1.
         for (id, (text, _)) in FOREVER.iter().enumerate().take(2) {
-            tp.register_query_as(QueryId(id as u64), &parse_query(text).unwrap()).unwrap();
+            tp.attach_query(QueryId(id as u64), &parse_query(text).unwrap(), true).unwrap();
         }
         let mut sum = forever_engine("reopen-sum", FOREVER[0].1);
         let mut count = forever_engine("reopen-count", FOREVER[2].1);
@@ -960,9 +961,9 @@ proptest! {
         let mut tp = open(&data, None);
         let resumed = tp.store_stats();
         // The state is in the store; nothing to backfill.
-        tp.reattach_query_as(QueryId(0), &parse_query(FOREVER[0].0).unwrap()).unwrap();
+        tp.attach_query(QueryId(0), &parse_query(FOREVER[0].0).unwrap(), false).unwrap();
         // Leaf id 1 again, now a count.
-        tp.reattach_query_as(QueryId(2), &parse_query(FOREVER[2].0).unwrap()).unwrap();
+        tp.attach_query(QueryId(2), &parse_query(FOREVER[2].0).unwrap(), false).unwrap();
         for (i, (card, merchant, amount)) in after.into_iter().enumerate() {
             ts += 1_000;
             let e = event(10_000 + i as u64, ts, card, merchant, amount);
