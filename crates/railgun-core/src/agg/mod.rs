@@ -72,8 +72,11 @@ const SKETCH_CACHE_CAP: usize = 1024;
 
 impl AggScratch {
     /// Run `f` against the live sketch for `state_key`, loading the blob
-    /// from the store (or creating a fresh sketch) on cache miss. The
-    /// sketch is marked dirty; it reaches the store on the next `flush`.
+    /// from the store (or creating a fresh sketch) on cache miss. Panes
+    /// the window has left are pruned first, on an insert too: they age
+    /// with the window, and an entity back after a quiet spell had no
+    /// eviction to prune them. The sketch is marked dirty; it reaches the
+    /// store on the next `flush`.
     fn with_sketch<R>(
         &self,
         ctx: &AggContext<'_>,
@@ -111,6 +114,7 @@ impl AggScratch {
         }
         let entry = cache.get_mut(ctx.state_key).expect("just inserted");
         entry.1 = true;
+        entry.0.prune(ctx.window_lower_ms);
         f(&mut entry.0, self)
     }
 
@@ -464,26 +468,24 @@ impl AggState {
             }
             // Sketches cannot evict single events; sliding windows prune
             // whole expired panes instead (pane-granular expiry, see
-            // [`sketch`]). Tumbling/infinite leaves (`window_ms == 0`)
-            // have nothing to do.
+            // [`sketch`]; `with_sketch` does it). Tumbling/infinite leaves
+            // (`window_ms == 0`) have nothing to do.
             AggState::ApproxDistinct { estimate, err_bp } => {
                 if ctx.window_ms > 0 {
                     let kind = SketchKind::Distinct {
                         precision: sketch::hll::precision_for_err_bp(*err_bp),
                     };
-                    *estimate = ctx.scratch.with_sketch(ctx, kind, |st, _| {
-                        st.prune(ctx.window_lower_ms);
-                        st.distinct_estimate()
-                    })?;
+                    *estimate = ctx
+                        .scratch
+                        .with_sketch(ctx, kind, |st, _| st.distinct_estimate())?;
                 }
             }
             AggState::TopK { top, k } => {
                 if ctx.window_ms > 0 {
                     let kind = SketchKind::TopK { k: *k };
-                    *top = ctx.scratch.with_sketch(ctx, kind, |st, _| {
-                        st.prune(ctx.window_lower_ms);
-                        st.topk_snapshot()
-                    })?;
+                    *top = ctx
+                        .scratch
+                        .with_sketch(ctx, kind, |st, _| st.topk_snapshot())?;
                 }
             }
             AggState::Percentile { estimate, rank_bp } => {
@@ -492,7 +494,6 @@ impl AggState {
                     *estimate =
                         ctx.scratch
                             .with_sketch(ctx, SketchKind::Quantile, |st, scratch| {
-                                st.prune(ctx.window_lower_ms);
                                 st.quantile_estimate(rank, &mut scratch.rank_buf.borrow_mut())
                             })?;
                 }
@@ -1095,6 +1096,25 @@ mod tests {
         let c = ctx(&db, aux, &scratch).windowed(110, 40, 80);
         d.evict(Some(&Value::Int(0)), &c).unwrap();
         assert_eq!(d.value(), Value::Int(4));
+    }
+
+    #[test]
+    fn sliding_sketch_prunes_on_insert_after_a_quiet_spell() {
+        let db = test_db("approx-quiet");
+        let aux = db.create_cf("distinct-aux").unwrap();
+        let scratch = AggScratch::default();
+        let mut d = AggState::new(AggFunc::ApproxCountDistinct { err_bp: 200 });
+        for i in 0..8i64 {
+            let c = ctx(&db, aux, &scratch).windowed(i * 10, i * 10 - 80, 80);
+            d.insert(Some(&Value::Int(i)), &c).unwrap();
+        }
+        assert_eq!(d.value(), Value::Int(8));
+        // The window moves far past every pane while this key sees no
+        // eviction (its expiring events fell to the late policy, say);
+        // the next insert must not report the long-gone panes.
+        let c = ctx(&db, aux, &scratch).windowed(1_000, 920, 80);
+        d.insert(Some(&Value::Int(99)), &c).unwrap();
+        assert_eq!(d.value(), Value::Int(1));
     }
 
     #[test]

@@ -188,17 +188,23 @@ pub const CHECKPOINT_TOPIC: &str = "railgun-checkpoints";
 /// Encode an [`EventRequest`].
 pub fn encode_event_request(req: &EventRequest) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    encode_event_request_into(&mut buf, req);
+    encode_event_request_into(&mut buf, req.request_id, &req.reply_topic, &req.event);
     buf
 }
 
-/// Encode an [`EventRequest`] by appending to `buf` — the batched ingest
-/// path encodes every event of a batch once into one shared frame buffer
-/// and publishes zero-copy slices of it.
-pub fn encode_event_request_into(buf: &mut Vec<u8>, req: &EventRequest) {
-    put_uvarint(buf, req.request_id);
-    put_bytes(buf, req.reply_topic.as_bytes());
-    put_event(buf, &req.event);
+/// Encode an event request from its borrowed parts by appending to `buf`
+/// — the batched ingest path encodes every event of a batch once into one
+/// shared frame buffer and publishes zero-copy slices of it, without
+/// building an owned [`EventRequest`] per event.
+pub fn encode_event_request_into(
+    buf: &mut Vec<u8>,
+    request_id: u64,
+    reply_topic: &str,
+    event: &Event,
+) {
+    put_uvarint(buf, request_id);
+    put_bytes(buf, reply_topic.as_bytes());
+    put_event(buf, event);
 }
 
 /// Decode an [`EventRequest`].

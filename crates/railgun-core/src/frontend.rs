@@ -7,28 +7,29 @@
 //! single response returned to the client (step 6).
 //!
 //! Requests are fully pipelined: [`FrontEnd::send_event`] registers the
-//! request in an in-flight correlation table and returns immediately, so
-//! one client can keep many requests outstanding; completed responses
-//! accumulate keyed by request id and are claimed with
+//! request in the request table and returns immediately, so one client
+//! can keep many requests outstanding; a request whose last reply arrived
+//! turns into its completed response in place and is claimed with
 //! [`FrontEnd::try_take`]. The table is bounded (`max_in_flight`) —
 //! exceeding it fails with [`RailgunError::Backpressure`] until the
 //! caller collects, which is what keeps a fast producer from flooding the
 //! bus under MAD load.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use railgun_messaging::{
-    partition_for_key, BatchEntry, Consumer, MessageBus, Producer, TopicPartition,
+    partition_for_key, BatchEntry, Consumer, Message, MessageBus, Producer, TopicPartition,
 };
 use railgun_types::encode::{put_value, BatchFrameBuilder};
 use railgun_types::{Event, EventId, RailgunError, Result, Schema, Timestamp, Value};
 
 use crate::api::{
     decode_op, decode_reply, encode_event_request_into, encode_op, find_keyed, query_topic,
-    reply_topic_name, topic_name, validate_topic_component, AggregationResult, EventRequest,
-    OpRequest, QueryId, CHECKPOINT_TOPIC, OPS_TOPIC,
+    reply_topic_name, topic_name, validate_topic_component, AggregationResult, OpRequest,
+    QueryId, CHECKPOINT_TOPIC, OPS_TOPIC,
 };
 use crate::lang::{parse_query, Query};
 use crate::metrics::{EngineTelemetry, QueryTelemetry, SLO_OVERLOAD_MULTIPLIER};
@@ -152,11 +153,14 @@ struct StagedTopic {
     records: Vec<(u32, Vec<u8>, usize)>,
 }
 
-struct Pending {
-    expected: usize,
-    received: usize,
-    aggregations: Vec<AggregationResult>,
-    duplicate: bool,
+/// One request's record in the front-end's table, from `send_event` to
+/// `try_take` / `abandon`.
+struct Request {
+    /// Topics yet to answer; at 0 the request is complete and `response`
+    /// awaits collection.
+    missing: usize,
+    /// The response, assembled in place as replies arrive.
+    response: ClientResponse,
     /// Send time, taken only when the telemetry plane wants request
     /// timing (stage telemetry on, or an SLO registered) — `None`
     /// otherwise, so the off state never reads the clock.
@@ -166,23 +170,26 @@ struct Pending {
 /// One node's front-end layer.
 pub struct FrontEnd {
     node: u32,
+    /// This front-end's reply topic, named once.
+    reply_topic: String,
     producer: Producer,
     replies: Consumer,
     ops: Consumer,
     streams: HashMap<String, StreamMeta>,
     /// Cluster-wide query registry (kept current via the ops topic).
     queries: HashMap<QueryId, RegisteredQuery>,
-    next_request_id: u64,
-    next_event_seq: u64,
+    /// Sequence of accepted events: the next request id and, under the
+    /// node id, the next event id.
+    next_seq: u64,
     /// Sequence for locally-assigned query ids
     /// (`node << 32 | next_query_seq`).
     next_query_seq: u32,
-    /// In-flight correlation table: request id → partially-assembled
-    /// response (bounded by `max_in_flight`).
-    pending: HashMap<u64, Pending>,
-    /// Completed responses awaiting collection, by request id.
-    completed: HashMap<u64, ClientResponse>,
-    /// In-flight cap: `send_event` refuses new requests past this.
+    /// The request table: every request sent and not yet claimed or
+    /// abandoned, in flight or completed (bounded by `max_in_flight`).
+    requests: HashMap<u64, Request>,
+    /// How many entries of `requests` are still missing replies.
+    in_flight: usize,
+    /// Cap on `requests`: `send_event` refuses new requests past this.
     max_in_flight: usize,
     /// The cluster's telemetry hub (disabled hub when telemetry is off).
     telemetry: Arc<EngineTelemetry>,
@@ -196,22 +203,19 @@ pub struct FrontEnd {
     inflight_ages: VecDeque<(u64, Instant)>,
     /// Ingest coalescing knobs.
     batch_policy: BatchPolicy,
-    /// The shared frame every staged event is encoded into **once**;
-    /// flushed slices are zero-copy views of it.
+    /// The shared frame every staged event is encoded into **once**, one
+    /// record each; flushed slices are zero-copy views of it.
     frame: BatchFrameBuilder,
     /// Per-topic staging, in first-use order (deterministic flush order).
     staged: Vec<StagedTopic>,
-    /// Events currently staged (each contributes one frame record).
-    staged_events: usize,
     /// When the oldest staged event was staged; `None` while empty (set
     /// lazily, so the flush-every-event closed-loop path never reads the
     /// clock for it).
     staged_since: Option<Instant>,
     /// Reusable scratch for building `send_batch` entries at flush.
     flush_entries: Vec<BatchEntry>,
-    /// Per-event key scratch: `(key bytes, partition)` per partitioner,
-    /// so identical key bytes hash once per event.
-    key_scratch: Vec<(Vec<u8>, u32)>,
+    /// Reusable poll scratch for the ops and reply consumers.
+    scratch: Vec<Message>,
     /// Telemetry: events per flushed batch (always on, one sample per
     /// flush).
     batch_size: railgun_types::Recorder,
@@ -221,7 +225,7 @@ pub struct FrontEnd {
 
 impl FrontEnd {
     /// Create the front-end of node `node`, creating its reply topic.
-    /// `max_in_flight` bounds the in-flight correlation table; `batch`
+    /// `max_in_flight` bounds the request table; `batch`
     /// sets the ingest coalescing policy; `telemetry` is the cluster's
     /// shared recording hub.
     pub fn new(
@@ -232,26 +236,30 @@ impl FrontEnd {
         telemetry: Arc<EngineTelemetry>,
     ) -> Result<Self> {
         let reply_topic = reply_topic_name(node);
-        // Idempotent: the topic may survive a front-end restart.
-        let _ = bus.create_topic(&reply_topic, 1, 1);
-        let _ = bus.create_topic(OPS_TOPIC, 1, 1);
-        let _ = bus.create_topic(CHECKPOINT_TOPIC, 1, 1);
+        for topic in [reply_topic.as_str(), OPS_TOPIC, CHECKPOINT_TOPIC] {
+            match bus.create_topic(topic, 1, 1) {
+                // Already there: the reply topic may survive a front-end
+                // restart, the other two are shared with every peer.
+                Err(RailgunError::InvalidArgument(_)) if bus.partition_count(topic).is_ok() => {}
+                other => other?,
+            }
+        }
         let mut replies = Consumer::new(bus.clone());
-        replies.assign(vec![TopicPartition::new(reply_topic, 0)]);
+        replies.assign(vec![TopicPartition::new(reply_topic.as_str(), 0)]);
         let mut ops = Consumer::new(bus.clone());
         ops.assign(vec![TopicPartition::new(OPS_TOPIC, 0)]);
         Ok(FrontEnd {
             node,
+            reply_topic,
             producer: Producer::new(bus.clone()),
             replies,
             ops,
             streams: HashMap::new(),
             queries: HashMap::new(),
-            next_request_id: 1,
-            next_event_seq: 1,
+            next_seq: 1,
             next_query_seq: 1,
-            pending: HashMap::new(),
-            completed: HashMap::new(),
+            requests: HashMap::new(),
+            in_flight: 0,
             max_in_flight: max_in_flight.max(1),
             batch_size: telemetry.batch_size_recorder(),
             batched_events: telemetry.frontend_batched_counter(),
@@ -264,10 +272,9 @@ impl FrontEnd {
             },
             frame: BatchFrameBuilder::new(),
             staged: Vec::new(),
-            staged_events: 0,
             staged_since: None,
             flush_entries: Vec::new(),
-            key_scratch: Vec::new(),
+            scratch: Vec::new(),
         })
     }
 
@@ -287,8 +294,6 @@ impl FrontEnd {
                 "a stream needs at least one partitioner".into(),
             ));
         }
-        // Ops must not overtake staged events on the bus.
-        self.flush_staged()?;
         // Stream and partitioner names both become topic-name components;
         // reject anything `parse_topic_name` would silently mis-split.
         validate_topic_component("stream", stream)?;
@@ -300,14 +305,12 @@ impl FrontEnd {
         for topic in &meta.topics {
             bus.create_topic(topic, partitions, replication)?;
         }
-        let op = OpRequest::CreateStream {
+        self.publish_op(&OpRequest::CreateStream {
             stream: stream.to_owned(),
             schema,
             partitioners,
             partitions,
-        };
-        self.producer
-            .send_to_partition(OPS_TOPIC, 0, &[], encode_op(&op))?;
+        })?;
         self.streams.insert(stream.to_owned(), meta);
         Ok(())
     }
@@ -336,7 +339,6 @@ impl FrontEnd {
     }
 
     fn register_parsed(&mut self, query: Query, text: String) -> Result<QueryId> {
-        self.flush_staged()?;
         let meta = self
             .streams
             .get(&query.stream)
@@ -349,12 +351,10 @@ impl FrontEnd {
         query_topic(&query, &meta.partitioners)?;
         let id = QueryId((u64::from(self.node) << 32) | u64::from(self.next_query_seq));
         self.next_query_seq += 1;
-        let op = OpRequest::RegisterQuery {
+        self.publish_op(&OpRequest::RegisterQuery {
             id,
             query_text: text.clone(),
-        };
-        self.producer
-            .send_to_partition(OPS_TOPIC, 0, &[], encode_op(&op))?;
+        })?;
         self.queries
             .insert(id, RegisteredQuery { id, text, query });
         Ok(id)
@@ -367,13 +367,10 @@ impl FrontEnd {
         if !self.queries.contains_key(&id) {
             return Err(RailgunError::NotFound(format!("query {id}")));
         }
-        self.flush_staged()?;
         // Broadcast before touching the registry: if the send fails the
         // query is still running cluster-wide, and it must stay listed
         // (and re-unregisterable) here.
-        let op = OpRequest::UnregisterQuery { id };
-        self.producer
-            .send_to_partition(OPS_TOPIC, 0, &[], encode_op(&op))?;
+        self.publish_op(&OpRequest::UnregisterQuery { id })?;
         self.queries.remove(&id);
         Ok(())
     }
@@ -389,20 +386,17 @@ impl FrontEnd {
     /// Remove a stream (§3.1): broadcast the deletion op and delete the
     /// stream's event topics.
     pub fn delete_stream(&mut self, bus: &MessageBus, stream: &str) -> Result<()> {
-        // Staged events of this stream must reach the bus before the
-        // deletion op (and before the topics disappear).
-        self.flush_staged()?;
         let meta = self
             .streams
             .remove(stream)
             .ok_or_else(|| RailgunError::NotFound(format!("stream `{stream}`")))?;
-        let op = OpRequest::DeleteStream {
+        // Staged events of this stream reach the bus with the op, before
+        // the topics disappear.
+        self.publish_op(&OpRequest::DeleteStream {
             stream: stream.to_owned(),
-        };
-        self.producer
-            .send_to_partition(OPS_TOPIC, 0, &[], encode_op(&op))?;
-        for p in &meta.partitioners {
-            match bus.delete_topic(&topic_name(stream, p)) {
+        })?;
+        for topic in &meta.topics {
+            match bus.delete_topic(topic) {
                 // Already gone (another front-end deleted the stream too).
                 Ok(()) | Err(RailgunError::NotFound(_)) => {}
                 Err(e) => return Err(e),
@@ -428,17 +422,17 @@ impl FrontEnd {
         values: Vec<Value>,
     ) -> Result<u64> {
         // Completed-but-unclaimed responses count against the cap too:
-        // a fire-and-forget caller must not grow the correlation table
+        // a fire-and-forget caller must not grow the request table
         // without bound just because its replies arrived.
-        let outstanding = self.pending.len() + self.completed.len();
+        let outstanding = self.requests.len();
         if outstanding >= self.max_in_flight {
             self.telemetry.count_backpressure();
             return Err(RailgunError::Backpressure(format!(
                 "front-end {} has {} requests outstanding ({} in flight, {} uncollected; cap {}); collect before sending more",
                 self.node,
                 outstanding,
-                self.pending.len(),
-                self.completed.len(),
+                self.in_flight,
+                outstanding - self.in_flight,
                 self.max_in_flight
             )));
         }
@@ -448,7 +442,9 @@ impl FrontEnd {
         // strictest budget — queueing more work can only add breaches.
         let strictest_us = self.telemetry.strictest_slo_us();
         if strictest_us > 0 && outstanding >= self.max_in_flight / 2 {
-            if let Some(oldest_us) = self.oldest_inflight_age_us() {
+            self.prune_inflight_ages();
+            if let Some((_, oldest)) = self.inflight_ages.front() {
+                let oldest_us = oldest.elapsed().as_micros() as u64;
                 let limit = strictest_us.saturating_mul(SLO_OVERLOAD_MULTIPLIER);
                 if oldest_us > limit {
                     self.telemetry.count_backpressure();
@@ -466,39 +462,22 @@ impl FrontEnd {
             .get(stream)
             .ok_or_else(|| RailgunError::NotFound(format!("stream `{stream}`")))?;
         meta.schema.check_values(&values)?;
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        let event_id = EventId((u64::from(self.node) << 40) | self.next_event_seq);
-        self.next_event_seq += 1;
+        let request_id = self.next_seq;
+        self.next_seq += 1;
+        let event_id = EventId((u64::from(self.node) << 40) | request_id);
         let event = Event::new(event_id, ts, values);
-        let req = EventRequest {
-            request_id,
-            reply_topic: reply_topic_name(self.node),
-            event,
-        };
         // Encode once into the shared frame; every topic's record is a
         // zero-copy slice of it after the flush.
         let record = self.frame.len();
-        self.frame.push_with(|buf| encode_event_request_into(buf, &req));
+        self.frame.push_with(|buf| {
+            encode_event_request_into(buf, request_id, &self.reply_topic, &event)
+        });
         // Step 2 of Figure 3: one record per partitioner, keyed by the
         // partitioner value so an entity always lands in one partition.
-        // The key is hashed once per distinct byte string per event: all
-        // partitioner topics of a stream share a partition count, so
-        // identical key bytes always map to the same partition index.
-        let mut key_scratch = std::mem::take(&mut self.key_scratch);
-        key_scratch.clear();
-        let meta = self.streams.get(stream).expect("checked above");
         for (t, &idx) in meta.topics.iter().zip(&meta.partitioner_indexes) {
             let mut key = Vec::with_capacity(16);
-            put_value(&mut key, &req.event.values()[idx]);
-            let partition = match key_scratch.iter().find(|(k, _)| *k == key) {
-                Some(&(_, p)) => p,
-                None => {
-                    let p = partition_for_key(&key, meta.partitions);
-                    key_scratch.push((key.clone(), p));
-                    p
-                }
-            };
+            put_value(&mut key, &event.values()[idx]);
+            let partition = partition_for_key(&key, meta.partitions);
             let slot = match self.staged.iter().position(|s| s.topic == *t) {
                 Some(i) => i,
                 None => {
@@ -511,75 +490,83 @@ impl FrontEnd {
             };
             self.staged[slot].records.push((partition, key, record));
         }
-        self.key_scratch = key_scratch;
-        self.staged_events += 1;
-        let expected = meta.partitioners.len();
-        let sent_at = if self.telemetry.wants_request_timing() {
-            // Lazily prune completed/abandoned entries from the front so
-            // the deque is bounded by the number of requests genuinely in
-            // flight (amortized O(1) per send), independent of whether the
-            // overload check below ever runs.
-            while let Some((id, _)) = self.inflight_ages.front() {
-                if self.pending.contains_key(id) {
-                    break;
-                }
-                self.inflight_ages.pop_front();
-            }
-            let now = Instant::now();
+        let missing = meta.partitioners.len();
+        let sent_at = self.telemetry.wants_request_timing().then(Instant::now);
+        if let Some(now) = sent_at {
+            // Pruning here keeps the deque bounded by the number of
+            // requests genuinely in flight (amortized O(1) per send),
+            // independent of whether the overload check above ever runs.
+            self.prune_inflight_ages();
             self.inflight_ages.push_back((request_id, now));
-            Some(now)
-        } else {
-            None
-        };
-        self.pending.insert(
+        }
+        self.requests.insert(
             request_id,
-            Pending {
-                expected,
-                received: 0,
-                aggregations: Vec::new(),
-                duplicate: false,
+            Request {
+                missing,
+                response: ClientResponse {
+                    request_id,
+                    aggregations: Vec::new(),
+                    duplicate: false,
+                },
                 sent_at,
             },
         );
-        // Flush policy. `pending.len() == staged_events` means every
-        // in-flight request is still sitting in the stage — nothing is
-        // being processed downstream, so holding the batch open would add
-        // pure latency (this is also the first-send case, which keeps
+        self.in_flight += 1;
+        // Flush policy. `in_flight == frame.len()` means every in-flight
+        // request is still sitting in the stage — nothing is being
+        // processed downstream, so holding the batch open would add pure
+        // latency (this is also the first-send case, which keeps
         // closed-loop callers at one bus hop per event). Only when the
         // pipeline is genuinely busy do we coalesce, bounded by
         // `max_events` and `max_delay`.
-        if self.staged_events >= self.batch_policy.max_events
-            || self.pending.len() == self.staged_events
-        {
-            self.flush_staged()?;
-        } else {
-            match self.staged_since {
-                None => self.staged_since = Some(Instant::now()),
-                Some(at) if at.elapsed() >= self.batch_policy.max_delay => {
-                    self.flush_staged()?;
+        let flush = self.frame.len() >= self.batch_policy.max_events
+            || self.in_flight == self.frame.len()
+            || match self.staged_since {
+                None => {
+                    self.staged_since = Some(Instant::now());
+                    false
                 }
-                _ => {}
+                Some(at) => at.elapsed() >= self.batch_policy.max_delay,
+            };
+        if flush {
+            if let Err(e) = self.flush_staged() {
+                // The caller gets no request id to `abandon`, so the slot
+                // must not outlive the error.
+                self.requests.remove(&request_id);
+                self.in_flight -= 1;
+                if sent_at.is_some() {
+                    self.inflight_ages.pop_back();
+                }
+                return Err(e);
             }
         }
         Ok(request_id)
+    }
+
+    /// Broadcast an operational request — after everything staged, so an
+    /// op never overtakes the events sent before it.
+    fn publish_op(&mut self, op: &OpRequest) -> Result<()> {
+        self.flush_staged()?;
+        self.producer
+            .send_to_partition(OPS_TOPIC, 0, &[], encode_op(op))?;
+        Ok(())
     }
 
     /// Publish everything staged: one `send_batch` (one bus lock, one
     /// wakeup) per topic, each record a zero-copy slice of the shared
     /// frame. No-op when nothing is staged.
     fn flush_staged(&mut self) -> Result<()> {
-        if self.staged_events == 0 {
+        if self.frame.is_empty() {
             return Ok(());
         }
-        let events = self.staged_events;
-        self.staged_events = 0;
         self.staged_since = None;
         let frame = self.frame.finish();
-        self.batch_size.record(events as u64);
+        let events = frame.len() as u64;
+        self.batch_size.record(events);
         if events >= 2 {
-            self.batched_events.add(events as u64);
+            self.batched_events.add(events);
         }
-        let mut first_err = None;
+        let mut outcome = Ok(());
         for st in &mut self.staged {
             if st.records.is_empty() {
                 continue;
@@ -599,35 +586,29 @@ impl FrontEnd {
                 // silently dropped on the floor, then surface the first
                 // failure.
                 self.flush_entries.clear();
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+                outcome = outcome.and(Err(e));
             }
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        outcome
     }
 
-    /// Age in µs of the oldest request still awaiting replies, pruning
-    /// entries whose requests completed or were abandoned.
-    fn oldest_inflight_age_us(&mut self) -> Option<u64> {
+    /// Drop send stamps of requests that completed or were abandoned from
+    /// the front of the age deque, leaving the oldest request still
+    /// awaiting replies there.
+    fn prune_inflight_ages(&mut self) {
         while let Some((id, _)) = self.inflight_ages.front() {
-            if self.pending.contains_key(id) {
+            if self.requests.get(id).is_some_and(|r| r.missing > 0) {
                 break;
             }
             self.inflight_ages.pop_front();
         }
-        self.inflight_ages
-            .front()
-            .map(|(_, at)| at.elapsed().as_micros() as u64)
     }
 
     /// Drain the reply topic, completing pending requests (steps 5-6).
     /// Also applies operational requests published by other front-ends.
-    /// Completed responses land in the correlation table — claim them with
-    /// [`FrontEnd::try_take`] or [`FrontEnd::take_completed`].
+    /// A request whose last reply arrived completes in place in the request
+    /// table — claim its response with [`FrontEnd::try_take`] or
+    /// [`FrontEnd::take_completed`].
     pub fn pump(&mut self) -> Result<()> {
         // Anything still staged goes out now: a pump is the caller coming
         // back for replies, so holding the batch open any longer only
@@ -635,41 +616,42 @@ impl FrontEnd {
         // which keeps pump-mode runs deterministic).
         self.flush_staged()?;
         // Ops from other nodes keep this front-end's stream map current.
-        let ops = self.ops.poll(64)?;
-        self.apply_remote_ops(&ops.messages)?;
-        let polled = self.replies.poll(256)?;
-        for msg in polled.messages {
+        let mut buf = std::mem::take(&mut self.scratch);
+        buf.clear();
+        self.ops.poll_into(64, &mut buf)?;
+        self.apply_remote_ops(&buf)?;
+        buf.clear();
+        self.replies.poll_into(256, &mut buf)?;
+        for msg in buf.drain(..) {
             let reply = decode_reply(&msg.payload)?;
-            if let Some(p) = self.pending.get_mut(&reply.request_id) {
-                p.received += 1;
-                p.duplicate |= reply.duplicate;
-                p.aggregations.extend(reply.results);
-                if p.received >= p.expected {
-                    let done = self.pending.remove(&reply.request_id).expect("present");
-                    if let Some(at) = done.sent_at {
-                        self.telemetry.observe_completion_cached(
-                            &mut self.query_telemetry,
-                            &done.aggregations,
-                            at.elapsed().as_micros() as u64,
-                        );
-                    }
-                    self.completed.insert(
-                        reply.request_id,
-                        ClientResponse {
-                            request_id: reply.request_id,
-                            aggregations: done.aggregations,
-                            duplicate: done.duplicate,
-                        },
+            let Some(req) = self
+                .requests
+                .get_mut(&reply.request_id)
+                .filter(|r| r.missing > 0)
+            else {
+                continue; // abandoned, or a reply past the expected count
+            };
+            req.missing -= 1;
+            req.response.duplicate |= reply.duplicate;
+            req.response.aggregations.extend(reply.results);
+            if req.missing == 0 {
+                self.in_flight -= 1;
+                if let Some(at) = req.sent_at {
+                    self.telemetry.observe_completion_cached(
+                        &mut self.query_telemetry,
+                        &req.response.aggregations,
+                        at.elapsed().as_micros() as u64,
                     );
                 }
             }
         }
+        self.scratch = buf;
         Ok(())
     }
 
     /// Apply stream create/delete ops published by other front-ends so
     /// this one's stream map stays current.
-    fn apply_remote_ops(&mut self, messages: &[railgun_messaging::Message]) -> Result<()> {
+    fn apply_remote_ops(&mut self, messages: &[Message]) -> Result<()> {
         for msg in messages {
             match decode_op(&msg.payload) {
                 Ok(OpRequest::CreateStream {
@@ -678,9 +660,7 @@ impl FrontEnd {
                     partitioners,
                     partitions,
                 }) => {
-                    if let std::collections::hash_map::Entry::Vacant(slot) =
-                        self.streams.entry(stream)
-                    {
+                    if let Entry::Vacant(slot) = self.streams.entry(stream) {
                         let meta = StreamMeta::new(slot.key(), schema, partitioners, partitions)?;
                         slot.insert(meta);
                     }
@@ -691,9 +671,7 @@ impl FrontEnd {
                     self.queries.retain(|_, q| q.query.stream != stream);
                 }
                 Ok(OpRequest::RegisterQuery { id, query_text }) => {
-                    if let std::collections::hash_map::Entry::Vacant(slot) =
-                        self.queries.entry(id)
-                    {
+                    if let Entry::Vacant(slot) = self.queries.entry(id) {
                         // Ops are validated before broadcast, but the ops
                         // topic is durable and replayed — a registration
                         // this build's grammar cannot parse (e.g. written
@@ -723,39 +701,81 @@ impl FrontEnd {
     /// (e.g. a [`crate::cluster::ClusterClient`]) learns every stream that
     /// existed before it was born.
     pub fn sync_ops(&mut self) -> Result<()> {
+        let mut buf = std::mem::take(&mut self.scratch);
         loop {
-            let ops = self.ops.poll(256)?;
-            if ops.messages.is_empty() {
+            buf.clear();
+            self.ops.poll_into(256, &mut buf)?;
+            if buf.is_empty() {
+                self.scratch = buf;
                 return Ok(());
             }
-            self.apply_remote_ops(&ops.messages)?;
+            self.apply_remote_ops(&buf)?;
         }
     }
 
     /// Claim the completed response for `request_id`, if it has arrived.
     pub fn try_take(&mut self, request_id: u64) -> Option<ClientResponse> {
-        self.completed.remove(&request_id)
+        match self.requests.entry(request_id) {
+            Entry::Occupied(slot) if slot.get().missing == 0 => Some(slot.remove().response),
+            _ => None,
+        }
     }
 
-    /// Abandon a request: drop its in-flight slot and any completed
-    /// response. Late replies for an abandoned id are ignored by `pump`
-    /// (no pending entry). Returns true if anything was dropped.
+    /// Abandon a request: drop its record, in flight or completed. Late
+    /// replies for an abandoned id are ignored by `pump` (no record).
+    /// Returns true if anything was dropped.
     pub fn abandon(&mut self, request_id: u64) -> bool {
-        let pending = self.pending.remove(&request_id).is_some();
-        let completed = self.completed.remove(&request_id).is_some();
-        pending || completed
+        let dropped = self.requests.remove(&request_id);
+        if dropped.as_ref().is_some_and(|r| r.missing > 0) {
+            self.in_flight -= 1;
+        }
+        dropped.is_some()
     }
 
     /// Drain every completed response (in request-id order, so the legacy
     /// pump-harness consumption stays deterministic).
     pub fn take_completed(&mut self) -> Vec<ClientResponse> {
-        let mut out: Vec<ClientResponse> = self.completed.drain().map(|(_, r)| r).collect();
-        out.sort_by_key(|r| r.request_id);
-        out
+        let mut done: Vec<u64> = self
+            .requests
+            .iter()
+            .filter(|(_, r)| r.missing == 0)
+            .map(|(id, _)| *id)
+            .collect();
+        done.sort_unstable();
+        done.into_iter().filter_map(|id| self.try_take(id)).collect()
     }
 
     /// Schema of a known stream.
     pub fn stream_schema(&self, stream: &str) -> Option<Schema> {
         self.streams.get(stream).map(|m| m.schema.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use railgun_types::FieldType;
+
+    #[test]
+    fn failed_flush_frees_the_in_flight_slot() {
+        // B still lists a stream A deleted (B has not pumped the op yet):
+        // its sends fail at the flush, after the request was registered.
+        // The caller gets no id to abandon, so the slot must go with the
+        // error — it used to leak, and `max_in_flight` failed sends left B
+        // refusing everything with `Backpressure`.
+        let bus = MessageBus::with_defaults();
+        let hub = Arc::new(EngineTelemetry::new(false));
+        let mut a = FrontEnd::new(&bus, 0, 2, BatchPolicy::default(), Arc::clone(&hub)).unwrap();
+        let mut b = FrontEnd::new(&bus, 1, 2, BatchPolicy::default(), hub).unwrap();
+        let schema = Schema::from_pairs(&[("cardId", FieldType::Str)]).unwrap();
+        a.create_stream(&bus, "payments", schema, &["cardId"], 1, 1)
+            .unwrap();
+        b.sync_ops().unwrap();
+        a.delete_stream(&bus, "payments").unwrap();
+        for _ in 0..3 {
+            let sent = b.send_event("payments", Timestamp::from_millis(1), vec![Value::from("c")]);
+            assert!(matches!(sent, Err(RailgunError::NotFound(_))), "{sent:?}");
+        }
+        assert!(b.requests.is_empty() && b.in_flight == 0);
     }
 }

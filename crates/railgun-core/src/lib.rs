@@ -18,8 +18,8 @@
 //!   elastic membership subsystem (Figure 10; handover and drain live
 //!   in [`unit`](mod@unit) and [`cluster`]);
 //! * [`frontend`] — the front-end layer routing events to partitioner
-//!   topics and collecting replies (§3.1), with a pipelined in-flight
-//!   correlation table;
+//!   topics and collecting replies (§3.1), with a pipelined request
+//!   table;
 //! * [`runtime`] — the threaded execution runtime: one OS thread per
 //!   processor unit, parked on the bus wakeup path when idle (§3.2);
 //! * [`node`] / [`cluster`] — node assembly and an in-process cluster

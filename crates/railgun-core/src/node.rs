@@ -153,7 +153,7 @@ impl Node {
     /// worker threads, so only the front-end is driven (after a health
     /// check, so a dead worker surfaces here instead of as a timeout).
     ///
-    /// Completed responses accumulate in the front-end's correlation table;
+    /// Completed responses wait in the front-end's request table;
     /// claim them by id with [`FrontEnd::try_take`] or drain them all
     /// with [`FrontEnd::take_completed`].
     pub fn pump(&mut self) -> Result<Vec<PumpReport>> {

@@ -78,15 +78,36 @@ pub struct PumpReport {
     pub ops_applied: usize,
     pub active_events: usize,
     pub replica_events: usize,
-    pub replies_sent: usize,
     pub rebalanced: bool,
     pub checkpoints: usize,
+    /// Undecodable checkpoint-topic records skipped while refreshing the
+    /// peer-record cache (read at a rebalance).
+    pub bad_checkpoint_records: usize,
 }
 
 #[derive(Debug, Clone)]
 struct StreamMeta {
     schema: Schema,
     partitioners: Vec<String>,
+}
+
+/// Whether a task's replies are published (§4.2: replicas stay silent).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Active,
+    Replica,
+}
+
+/// Everything a unit tracks about one task it holds.
+struct TaskSlot {
+    tp: TopicPartition,
+    processor: TaskProcessor,
+    /// Next offset to process (so promotions replica→active keep their
+    /// position instead of replaying).
+    next_offset: u64,
+    /// Events processed since the task's last checkpoint image.
+    since_checkpoint: u64,
+    role: Role,
 }
 
 /// One processor unit (Algorithm 1).
@@ -104,14 +125,13 @@ pub struct ProcessorUnit {
     streams: HashMap<String, StreamMeta>,
     /// Registered queries in op-log order, keyed by their stable ids.
     queries: Vec<(QueryId, Query)>,
-    tasks: HashMap<TopicPartition, TaskProcessor>,
-    /// Next offset to process per task (so promotions replica→active keep
-    /// their position instead of replaying).
-    task_offsets: HashMap<TopicPartition, u64>,
+    /// One slot per task held, active or replica (a handful per unit, so
+    /// lookups scan).
+    slots: Vec<TaskSlot>,
+    /// The partitions of the [`Role::Active`] slots, as the group handed
+    /// them out — kept only as the slice [`ProcessorUnit::active_tasks`]
+    /// returns.
     active_assignment: Vec<TopicPartition>,
-    replica_assignment: Vec<TopicPartition>,
-    /// Events processed per task since its last checkpoint.
-    since_checkpoint: HashMap<TopicPartition, u64>,
     checkpoint_seq: u64,
     /// Image directories this unit wrote per task, oldest first; all but
     /// the newest [`CHECKPOINTS_KEPT`] are deleted once superseded.
@@ -168,11 +188,8 @@ impl ProcessorUnit {
             strategy,
             streams: HashMap::new(),
             queries: Vec::new(),
-            tasks: HashMap::new(),
-            task_offsets: HashMap::new(),
+            slots: Vec::new(),
             active_assignment: Vec::new(),
-            replica_assignment: Vec::new(),
-            since_checkpoint: HashMap::new(),
             checkpoint_seq: 0,
             checkpoint_dirs: HashMap::new(),
             checkpoints: HashMap::new(),
@@ -250,22 +267,27 @@ impl ProcessorUnit {
             // Messages fetched in the same poll may predate the seek —
             // drop them; the repositioned consumer re-reads next pump.
             buf.clear();
+            // Pull the newest checkpoint records first: a draining peer
+            // flushes its images right before the rebalance that moves its
+            // tasks here, and those are exactly the ones to restore from.
+            report.bad_checkpoint_records = self.refresh_checkpoints(&mut buf)?;
             self.on_rebalance(assignment)?;
         } else {
-            let (events, staged) = self.process_runs(&buf)?;
+            self.process_runs(&buf)?;
+            report.active_events += buf.len();
             buf.clear();
-            report.active_events += events;
-            report.replies_sent += staged;
         }
         // Replies of every active run in this pump go out now, one batch
         // (one bus hop, one wakeup) per reply topic.
         self.flush_replies()?;
 
         // 3. Replica tasks (no replies, §4.2).
-        self.replica.poll_into(self.cfg.max_poll, &mut buf)?;
-        let (events, _) = self.process_runs(&buf)?;
-        buf.clear();
-        report.replica_events += events;
+        if self.slots.iter().any(|s| s.role == Role::Replica) {
+            self.replica.poll_into(self.cfg.max_poll, &mut buf)?;
+            self.process_runs(&buf)?;
+            report.replica_events += buf.len();
+            buf.clear();
+        }
         self.scratch = buf;
 
         // 4. Periodic synchronized checkpoints (§4.1.3).
@@ -300,68 +322,53 @@ impl ProcessorUnit {
     }
 
     /// Checkpoint every task with at least `min_events` processed since
-    /// its last image and publish the (task, offset) records to the
-    /// checkpoint topic. Returns the number of images written.
+    /// its last image: write the image, publish its (task, offset, path)
+    /// record to the checkpoint topic, commit the image-backed offset to
+    /// the group coordinator (introspection only — rebalances always seek
+    /// explicitly), and delete the task's images the new one supersedes.
+    /// Returns the number of images written.
     fn checkpoint_due(&mut self, min_events: u64) -> Result<usize> {
-        let due: Vec<TopicPartition> = self
-            .since_checkpoint
-            .iter()
-            .filter(|(_, n)| **n >= min_events)
-            .map(|(tp, _)| tp.clone())
-            .collect();
         let mut done = 0;
-        for tp in due {
-            if self.checkpoint_task(&tp)? {
-                done += 1;
+        for slot in &mut self.slots {
+            if slot.since_checkpoint < min_events {
+                continue;
             }
+            let tp = &slot.tp;
+            self.checkpoint_seq += 1;
+            let dir = self.cfg.data_dir.join(format!(
+                "ckpt/node{}-unit{}/{}-{}-{}",
+                self.cfg.node, self.cfg.unit, tp.topic, tp.partition, self.checkpoint_seq
+            ));
+            slot.processor.checkpoint(&dir)?;
+            let record = CheckpointRecord {
+                topic: tp.topic.clone(),
+                partition: tp.partition,
+                node: self.cfg.node,
+                unit: self.cfg.unit,
+                next_offset: slot.next_offset,
+                path: dir.to_string_lossy().into_owned(),
+            };
+            match self.producer.send(
+                CHECKPOINT_TOPIC,
+                tp.to_string().as_bytes(),
+                encode_checkpoint(&record),
+            ) {
+                // Minimal setups (a unit on a bus no front-end has set up)
+                // have no checkpoint topic: the image is still written,
+                // there is just nobody to tell.
+                Ok(_) | Err(RailgunError::NotFound(_)) => {}
+                Err(e) => return Err(e),
+            }
+            self.active.commit(tp, slot.next_offset)?;
+            slot.since_checkpoint = 0;
+            let dirs = self.checkpoint_dirs.entry(tp.clone()).or_default();
+            dirs.push_back(dir);
+            while dirs.len() > CHECKPOINTS_KEPT {
+                remove_dir_if_present(&dirs.pop_front().expect("len checked"))?;
+            }
+            done += 1;
         }
         Ok(done)
-    }
-
-    /// Checkpoint one task now: write the image, publish its (task,
-    /// offset, path) record, commit the image-backed offset to the group
-    /// coordinator (introspection only — rebalances always seek
-    /// explicitly), and delete the task's images the new one supersedes.
-    /// Returns `false` for an unknown task.
-    fn checkpoint_task(&mut self, tp: &TopicPartition) -> Result<bool> {
-        let Some(task) = self.tasks.get(tp) else {
-            return Ok(false);
-        };
-        self.checkpoint_seq += 1;
-        let dir = self.cfg.data_dir.join(format!(
-            "ckpt/node{}-unit{}/{}-{}-{}",
-            self.cfg.node, self.cfg.unit, tp.topic, tp.partition, self.checkpoint_seq
-        ));
-        task.checkpoint(&dir)?;
-        let next_offset = self.task_offsets.get(tp).copied().unwrap_or(0);
-        let record = CheckpointRecord {
-            topic: tp.topic.clone(),
-            partition: tp.partition,
-            node: self.cfg.node,
-            unit: self.cfg.unit,
-            next_offset,
-            path: dir.to_string_lossy().into_owned(),
-        };
-        match self.producer.send(
-            CHECKPOINT_TOPIC,
-            tp.to_string().as_bytes(),
-            encode_checkpoint(&record),
-        ) {
-            Ok(_) => {}
-            // Minimal setups (a unit on a bus no front-end has set up)
-            // have no checkpoint topic: the image is still written, there
-            // is just nobody to tell.
-            Err(RailgunError::NotFound(_)) => {}
-            Err(e) => return Err(e),
-        }
-        self.active.commit(tp, next_offset)?;
-        self.since_checkpoint.insert(tp.clone(), 0);
-        let dirs = self.checkpoint_dirs.entry(tp.clone()).or_default();
-        dirs.push_back(dir);
-        while dirs.len() > CHECKPOINTS_KEPT {
-            remove_dir_if_present(&dirs.pop_front().expect("len checked"))?;
-        }
-        Ok(true)
     }
 
     /// Flush a final checkpoint of every task with progress past its last
@@ -378,24 +385,26 @@ impl ProcessorUnit {
     }
 
     /// Drain the checkpoint topic into the per-task record cache (the
-    /// consumer keeps its position, so each call reads only new records).
-    fn refresh_checkpoints(&mut self) {
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
+    /// consumer keeps its position, so each call reads only new records),
+    /// polling through the caller's empty scratch `buf`. A record that
+    /// does not decode is skipped; returns how many were.
+    fn refresh_checkpoints(&mut self, buf: &mut Vec<Message>) -> Result<usize> {
+        let mut skipped = 0;
         loop {
-            if self.ckpt.poll_into(self.cfg.max_poll.max(64), &mut buf).is_err()
-                || buf.is_empty()
-            {
-                break;
+            self.ckpt.poll_into(self.cfg.max_poll.max(64), buf)?;
+            if buf.is_empty() {
+                return Ok(skipped);
             }
             for msg in buf.drain(..) {
-                if let Ok(rec) = decode_checkpoint(&msg.payload) {
-                    let tp = TopicPartition::new(rec.topic.clone(), rec.partition);
-                    self.checkpoints.insert(tp, rec);
+                match decode_checkpoint(&msg.payload) {
+                    Ok(rec) => {
+                        let tp = TopicPartition::new(rec.topic.clone(), rec.partition);
+                        self.checkpoints.insert(tp, rec);
+                    }
+                    Err(_) => skipped += 1,
                 }
             }
         }
-        self.scratch = buf;
     }
 
     fn apply_op(&mut self, op: OpRequest) -> Result<()> {
@@ -420,14 +429,12 @@ impl ProcessorUnit {
                 let not_of_stream = |tp: &TopicPartition| {
                     parse_topic_name(&tp.topic).map(|(s, _)| s) != Some(stream.as_str())
                 };
-                self.tasks.retain(|tp, _| not_of_stream(tp));
-                // Offsets, checkpoint counters and registered queries die
-                // with the stream — a recreated stream of the same name
-                // starts a fresh log with no metrics.
-                self.task_offsets.retain(|tp, _| not_of_stream(tp));
-                self.since_checkpoint.retain(|tp, _| not_of_stream(tp));
+                // Tasks (with their offsets and checkpoint counters) and
+                // registered queries die with the stream — a recreated
+                // stream of the same name starts a fresh log with no
+                // metrics.
+                self.slots.retain(|slot| not_of_stream(&slot.tp));
                 self.active_assignment.retain(not_of_stream);
-                self.replica_assignment.retain(not_of_stream);
                 self.queries.retain(|(_, q)| q.stream != stream);
                 self.resubscribe()?;
             }
@@ -437,18 +444,16 @@ impl ProcessorUnit {
                 }
                 let query = parse_query(&query_text)?;
                 let topic = self.query_topic(&query)?;
-                for (tp, task) in self.tasks.iter_mut() {
-                    if tp.topic == topic {
-                        task.attach_query(id, &query, true)?;
-                    }
+                for slot in self.slots.iter_mut().filter(|s| s.tp.topic == topic) {
+                    slot.processor.attach_query(id, &query, true)?;
                 }
                 self.queries.push((id, query));
             }
             OpRequest::UnregisterQuery { id } => {
                 self.queries.retain(|(qid, _)| *qid != id);
-                for task in self.tasks.values_mut() {
+                for slot in &mut self.slots {
                     // No-op on tasks the query never touched.
-                    task.unregister_query(id)?;
+                    slot.processor.unregister_query(id)?;
                 }
             }
         }
@@ -467,40 +472,42 @@ impl ProcessorUnit {
     fn on_rebalance(&mut self, assignment: Vec<TopicPartition>) -> Result<()> {
         self.active_assignment = assignment;
         // Ask the strategy for this member's replica plan.
-        self.replica_assignment = self.strategy.replica_assignment(self.active.member_id());
-        // Pull the newest checkpoint records first: a draining peer
-        // flushes its images right before the rebalance that moves its
-        // tasks here, and those are exactly the ones to restore from.
-        self.refresh_checkpoints();
-        let all: Vec<TopicPartition> = self
-            .active_assignment
+        let replicas = self.strategy.replica_assignment(self.active.member_id());
+        // Drop the slots of lost tasks; their on-disk data is wiped on
+        // re-gain (fresh replay or handover).
+        let active = &self.active_assignment;
+        self.slots
+            .retain(|s| active.contains(&s.tp) || replicas.contains(&s.tp));
+        // Give every kept task its role (a promotion keeps its position)
+        // and open the newly gained ones. Active goes last, so it wins
+        // should a plan ever list a task twice.
+        let wanted = replicas
             .iter()
-            .chain(self.replica_assignment.iter())
-            .cloned()
-            .collect();
-        // Create processors for newly gained tasks.
-        for tp in &all {
-            if !self.tasks.contains_key(tp) {
-                let (task, start) = self.open_task(tp)?;
-                self.tasks.insert(tp.clone(), task);
-                self.task_offsets.insert(tp.clone(), start);
+            .map(|tp| (tp, Role::Replica))
+            .chain(active.iter().map(|tp| (tp, Role::Active)));
+        for (tp, role) in wanted {
+            match self.slots.iter_mut().find(|s| s.tp == *tp) {
+                Some(slot) => slot.role = role,
+                None => {
+                    let (processor, next_offset) = self.open_task(tp)?;
+                    self.slots.push(TaskSlot {
+                        tp: tp.clone(),
+                        processor,
+                        next_offset,
+                        since_checkpoint: 0,
+                        role,
+                    });
+                }
             }
         }
-        // Drop processors for lost tasks; their on-disk data is wiped on
-        // re-gain (fresh replay), but the entry in `task_offsets` is kept
-        // only while the processor lives.
-        self.tasks.retain(|tp, _| all.contains(tp));
-        self.task_offsets.retain(|tp, _| all.contains(tp));
-        // Seek both consumers to each task's next offset (promotion keeps
-        // position; fresh tasks start at 0 and replay).
-        for tp in &self.active_assignment {
-            let next = self.task_offsets.get(tp).copied().unwrap_or(0);
-            self.active.seek(tp, next);
-        }
-        self.replica.assign(self.replica_assignment.clone());
-        for tp in &self.replica_assignment {
-            let next = self.task_offsets.get(tp).copied().unwrap_or(0);
-            self.replica.seek(tp, next);
+        // Seek both consumers to each task's next offset (fresh tasks
+        // start at 0 and replay).
+        self.replica.assign(replicas);
+        for slot in &self.slots {
+            match slot.role {
+                Role::Active => self.active.seek(&slot.tp, slot.next_offset),
+                Role::Replica => self.replica.seek(&slot.tp, slot.next_offset),
+            }
         }
         Ok(())
     }
@@ -586,80 +593,64 @@ impl ProcessorUnit {
     /// Group one poll's messages into runs of consecutive same-task
     /// records and process each run in a single pass. Per-partition order
     /// is exactly the poll order, so this is byte-identical to the old
-    /// message-at-a-time loop. Returns `(events processed, replies
-    /// staged)`.
-    fn process_runs(&mut self, buf: &[Message]) -> Result<(usize, usize)> {
-        let mut events = 0;
-        let mut staged = 0;
-        let mut i = 0;
-        while i < buf.len() {
-            let tp = buf[i].topic_partition();
-            let mut j = i + 1;
-            while j < buf.len()
-                && buf[j].partition == tp.partition
-                && buf[j].topic == tp.topic
-            {
-                j += 1;
-            }
+    /// message-at-a-time loop.
+    fn process_runs(&mut self, buf: &[Message]) -> Result<()> {
+        for run in buf.chunk_by(|a, b| a.partition == b.partition && a.topic == b.topic) {
             let timer = self.cfg.process_recorder.start();
-            let run = self.process_run(&tp, &buf[i..j]);
+            let outcome = self.process_run(run);
             self.cfg.process_recorder.finish(timer);
-            staged += run?;
-            events += j - i;
-            i = j;
+            outcome?;
         }
-        Ok((events, staged))
+        Ok(())
     }
 
-    /// Process one run of consecutive messages of one task: the decode
-    /// scratch is reused across runs, the offset and checkpoint counters
-    /// are updated once per run, and replies of active tasks are staged
-    /// into the per-reply-topic frame (flushed by
-    /// [`ProcessorUnit::flush_replies`]). Returns replies staged.
-    fn process_run(&mut self, tp: &TopicPartition, msgs: &[Message]) -> Result<usize> {
-        let Some(task) = self.tasks.get_mut(tp) else {
-            return Ok(0); // not ours (stale fetch across rebalance)
+    /// Process one non-empty run of consecutive messages of one task: the
+    /// decode scratch is reused across runs, the task's slot is looked up
+    /// and its offset and checkpoint counter updated once per run, and
+    /// replies of active tasks are staged into the per-reply-topic frame
+    /// (flushed by [`ProcessorUnit::flush_replies`]).
+    fn process_run(&mut self, msgs: &[Message]) -> Result<()> {
+        let (head, last) = (&msgs[0], &msgs[msgs.len() - 1]);
+        let Some(slot) = self
+            .slots
+            .iter_mut()
+            .find(|s| s.tp.partition == head.partition && s.tp.topic == head.topic)
+        else {
+            return Ok(()); // not ours (stale fetch across rebalance)
         };
-        let mut decoded = std::mem::take(&mut self.decoded);
-        decoded.clear();
+        self.decoded.clear();
         for msg in msgs {
-            decoded.push(decode_event_request(&msg.payload)?);
+            self.decoded.push(decode_event_request(&msg.payload)?);
         }
-        let active = self.active_assignment.contains(tp);
-        let mut stage = std::mem::take(&mut self.reply_stage);
-        let mut staged = 0usize;
-        let result = task.process_batch(
+        let (active, topic) = (slot.role == Role::Active, &slot.tp.topic);
+        let (decoded, stage) = (&self.decoded, &mut self.reply_stage);
+        slot.processor.process_batch(
             decoded.iter().map(|r| &r.event),
             |idx, results, duplicate| {
                 if !active {
                     return;
                 }
                 let req = &decoded[idx];
-                let slot = match stage.iter().position(|(t, _)| *t == req.reply_topic) {
+                let at = match stage.iter().position(|(t, _)| *t == req.reply_topic) {
                     Some(s) => s,
                     None => {
                         stage.push((req.reply_topic.clone(), BatchFrameBuilder::new()));
                         stage.len() - 1
                     }
                 };
-                stage[slot].1.push_with(|buf| {
-                    encode_reply_into(buf, req.request_id, &tp.topic, duplicate, &results)
+                stage[at].1.push_with(|buf| {
+                    encode_reply_into(buf, req.request_id, topic, duplicate, &results)
                 });
-                staged += 1;
             },
-        );
-        self.reply_stage = stage;
-        self.decoded = decoded;
-        result?;
+        )?;
         let n = msgs.len() as u64;
         self.cfg.batch_size.record(n);
         if n >= 2 {
             self.cfg.batched_events.add(n);
         }
-        self.task_offsets
-            .insert(tp.clone(), msgs.last().expect("runs are non-empty").offset + 1);
-        *self.since_checkpoint.entry(tp.clone()).or_insert(0) += n;
-        Ok(staged)
+        slot.next_offset = last.offset + 1;
+        slot.since_checkpoint += n;
+        Ok(())
     }
 
     /// Publish every staged reply: one `send_batch` per reply topic
@@ -696,7 +687,10 @@ impl ProcessorUnit {
 
     /// Access a task processor (diagnostics/benches).
     pub fn task(&self, tp: &TopicPartition) -> Option<&TaskProcessor> {
-        self.tasks.get(tp)
+        self.slots
+            .iter()
+            .find(|s| s.tp == *tp)
+            .map(|s| &s.processor)
     }
 
     /// Leave the consumer group gracefully.
@@ -815,6 +809,25 @@ mod tests {
             Err(RailgunError::Messaging(msg)) => assert!(msg.contains("commit"), "{msg}"),
             other => panic!("checkpoint failure must surface, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn undecodable_checkpoint_record_is_skipped_and_counted() {
+        let (bus, mut frontend, mut unit) = pumped_unit("unit-ckpt-bad-record", 0);
+        Producer::new(bus.clone())
+            .send(CHECKPOINT_TOPIC, b"k", vec![0xff])
+            .unwrap();
+        // A second stream makes the unit resubscribe, hence rebalance,
+        // hence read the checkpoint topic.
+        let schema = Schema::from_pairs(&[("cardId", FieldType::Str)]).unwrap();
+        frontend
+            .create_stream(&bus, "refunds", schema, &["cardId"], 1, 1)
+            .unwrap();
+        let mut skipped = 0;
+        while unit.active_tasks().len() < 2 {
+            skipped += unit.pump().unwrap().bad_checkpoint_records;
+        }
+        assert_eq!(skipped, 1);
     }
 
     #[test]

@@ -450,18 +450,6 @@ impl MessageBus {
             .unwrap_or(0)
     }
 
-    /// Number of live members of `group` (0 if unknown). Elastic
-    /// membership uses this to verify a drained node's consumers have
-    /// actually left before the node is removed.
-    pub fn group_members(&self, group: &str) -> usize {
-        self.inner
-            .lock()
-            .groups
-            .get(group)
-            .map(|g| g.members.len())
-            .unwrap_or(0)
-    }
-
     /// The full current assignment of `group`, by member.
     pub fn group_assignment(&self, group: &str) -> HashMap<MemberId, Vec<TopicPartition>> {
         self.inner

@@ -38,9 +38,10 @@ pub struct Consumer {
     bus: MessageBus,
     id: MemberId,
     mode: Mode,
-    assignment: Vec<TopicPartition>,
-    positions: HashMap<TopicPartition, u64>,
-    seen_generation: u64,
+    /// The assigned partitions in fetch order, each with the next offset
+    /// to fetch: the one record `assign`, `seek`, a rebalance and every
+    /// poll read and write.
+    assigned: Vec<(TopicPartition, u64)>,
     /// Bus version observed by the last poll — the anchor
     /// [`Consumer::poll_blocking`] parks against so a produce between poll
     /// and park can never be missed.
@@ -61,9 +62,7 @@ impl Consumer {
             bus,
             id,
             mode: Mode::Unattached,
-            assignment: Vec::new(),
-            positions: HashMap::new(),
-            seen_generation: 0,
+            assigned: Vec::new(),
             last_poll_version: 0,
         }
     }
@@ -119,9 +118,7 @@ impl Consumer {
         self.mode = Mode::Group {
             name: group.to_owned(),
         };
-        self.seen_generation = 0;
-        self.assignment.clear();
-        self.positions.clear();
+        self.assigned.clear();
         Ok(())
     }
 
@@ -140,34 +137,27 @@ impl Consumer {
             self.bus.wakeup.notify_all();
         }
         self.mode = Mode::Unattached;
-        self.assignment.clear();
-        self.positions.clear();
+        self.assigned.clear();
     }
 
     /// Manually assign partitions (no group management).
+    /// Partitions kept across calls keep their position; new ones start
+    /// at offset 0.
     pub fn assign(&mut self, partitions: Vec<TopicPartition>) {
         self.mode = Mode::Manual;
-        self.positions
-            .retain(|tp, _| partitions.contains(tp));
-        for tp in &partitions {
-            self.positions.entry(tp.clone()).or_insert(0);
-        }
-        self.assignment = partitions;
+        reassign(&mut self.assigned, partitions, |_| 0);
     }
 
-    /// Reposition consumption of `tp` to `offset`.
+    /// Reposition consumption of the assigned partition `tp` to `offset`.
     pub fn seek(&mut self, tp: &TopicPartition, offset: u64) {
-        self.positions.insert(tp.clone(), offset);
+        if let Some((_, next)) = self.assigned.iter_mut().find(|(t, _)| t == tp) {
+            *next = offset;
+        }
     }
 
-    /// Current consumption position of `tp`.
+    /// Current consumption position of `tp`, if it is assigned.
     pub fn position(&self, tp: &TopicPartition) -> Option<u64> {
-        self.positions.get(tp).copied()
-    }
-
-    /// The partitions currently assigned.
-    pub fn assignment(&self) -> &[TopicPartition] {
-        &self.assignment
+        position_in(&self.assigned, tp)
     }
 
     /// Poll for messages (up to `max_records`), heartbeat, and pick up any
@@ -196,72 +186,59 @@ impl Consumer {
         let now = inner.now_ms;
         let outcome = 'poll: {
             if let Mode::Group { name } = &self.mode {
-                let name = name.clone();
-                let Some(g) = inner.groups.get_mut(&name) else {
+                let Some(g) = inner.groups.get_mut(name) else {
                     break 'poll Err(RailgunError::Messaging(format!(
                         "group `{name}` vanished"
                     )));
                 };
                 let generation = g.generation;
-                let committed = if let Some(m) = g.members.get_mut(&self.id) {
-                    m.last_heartbeat_ms = now;
-                    if m.seen_generation != generation {
-                        m.seen_generation = generation;
-                        Some((m.assignment.clone(), g.committed.clone()))
-                    } else {
-                        None
-                    }
-                } else {
+                let Some(m) = g.members.get_mut(&self.id) else {
                     // Expelled (heartbeat timeout). Rejoin with empty state.
                     break 'poll Err(RailgunError::Messaging(format!(
                         "consumer {} expelled from group `{name}`",
                         self.id
                     )));
                 };
-                if let Some((assignment, committed)) = committed {
-                    self.seen_generation = generation;
+                m.last_heartbeat_ms = now;
+                if m.seen_generation != generation {
+                    m.seen_generation = generation;
+                    let assignment = m.assignment.clone();
                     // Keep positions of retained partitions; new ones start
                     // at the committed offset (or 0).
-                    self.positions.retain(|tp, _| assignment.contains(tp));
-                    for tp in &assignment {
-                        let start = committed.get(tp).copied().unwrap_or(0);
-                        self.positions.entry(tp.clone()).or_insert(start);
-                    }
-                    self.assignment = assignment.clone();
+                    reassign(&mut self.assigned, assignment.clone(), |tp| {
+                        g.committed.get(tp).copied().unwrap_or(0)
+                    });
                     rebalanced = Some(assignment);
                 }
             }
             // Fetch round-robin across assigned partitions.
             let mut remaining = max_records;
-            let mut fetched = 0u64;
-            for tp in &self.assignment {
+            for (tp, next) in &mut self.assigned {
                 if remaining == 0 {
                     break;
                 }
-                let Some(topic) = inner.topics.get(&tp.topic) else {
+                let Some(log) = inner
+                    .topics
+                    .get(&tp.topic)
+                    .and_then(|t| t.partitions.get(tp.partition as usize))
+                else {
                     continue;
                 };
-                let Some(log) = topic.partitions.get(tp.partition as usize) else {
+                let records = log.read_from(*next, remaining);
+                let Some(last) = records.last() else {
                     continue;
                 };
-                let pos = self.positions.entry(tp.clone()).or_insert(0);
-                let records = log.read_from(*pos, remaining);
-                if let Some(last) = records.last() {
-                    *pos = last.offset + 1;
-                }
+                *next = last.offset + 1;
                 remaining -= records.len();
-                fetched += records.len() as u64;
-                for r in records {
-                    out.push(Message {
-                        topic: tp.topic.clone(),
-                        partition: tp.partition,
-                        offset: r.offset,
-                        key: r.key,
-                        payload: r.payload,
-                    });
-                }
+                out.extend(records.iter().map(|r| Message {
+                    topic: tp.topic.clone(),
+                    partition: tp.partition,
+                    offset: r.offset,
+                    key: r.key.clone(),
+                    payload: r.payload.clone(),
+                }));
             }
-            inner.stats.records_consumed += fetched;
+            inner.stats.records_consumed += (max_records - remaining) as u64;
             self.last_poll_version = inner.version;
             Ok(rebalanced)
         };
@@ -327,6 +304,28 @@ impl Consumer {
             }
         }
     }
+}
+
+/// Position of `tp` in an assignment table.
+fn position_in(assigned: &[(TopicPartition, u64)], tp: &TopicPartition) -> Option<u64> {
+    assigned.iter().find(|(t, _)| t == tp).map(|(_, next)| *next)
+}
+
+/// Replace an assignment table with `partitions` (in their order): a
+/// partition already assigned keeps its position, a new one starts at
+/// `start(tp)`.
+fn reassign(
+    assigned: &mut Vec<(TopicPartition, u64)>,
+    partitions: Vec<TopicPartition>,
+    start: impl Fn(&TopicPartition) -> u64,
+) {
+    *assigned = partitions
+        .into_iter()
+        .map(|tp| {
+            let next = position_in(assigned, &tp).unwrap_or_else(|| start(&tp));
+            (tp, next)
+        })
+        .collect();
 }
 
 #[cfg(test)]

@@ -46,24 +46,15 @@ impl PartitionLog {
     ///
     /// Offsets below the retention floor yield records from the floor
     /// upward — like Kafka's `auto.offset.reset = earliest`.
-    pub fn read_from(&self, from: u64, max: usize) -> Vec<Record> {
-        let start = from.max(self.base_offset) - self.base_offset;
-        let start = start as usize;
-        if start >= self.records.len() {
-            return Vec::new();
-        }
-        let end = (start + max).min(self.records.len());
-        self.records[start..end].to_vec()
+    pub fn read_from(&self, from: u64, max: usize) -> &[Record] {
+        let len = self.records.len();
+        let start = (from.saturating_sub(self.base_offset) as usize).min(len);
+        &self.records[start..start.saturating_add(max).min(len)]
     }
 
     /// Next offset to be assigned (== log end offset).
     pub fn end_offset(&self) -> u64 {
         self.base_offset + self.records.len() as u64
-    }
-
-    /// Oldest retained offset.
-    pub fn start_offset(&self) -> u64 {
-        self.base_offset
     }
 
     /// Drop records below `offset` (retention).
@@ -138,7 +129,6 @@ mod tests {
         }
         let bytes_before = log.bytes();
         log.truncate_before(4);
-        assert_eq!(log.start_offset(), 4);
         assert_eq!(log.len(), 6);
         assert!(log.bytes() < bytes_before);
         // Reads below the floor clamp to the floor.

@@ -188,15 +188,6 @@ struct CursorPos {
     seq: u64,
 }
 
-/// Deferred open-chunk metadata update accumulated across the fast-path
-/// tail appends of one `append`/`append_batch` call (never escapes the
-/// lock). `pending` is `(meta index, last ts, events added, first_ts when
-/// the append found the chunk empty)`.
-#[derive(Default)]
-struct MetaDefer {
-    pending: Option<(usize, Timestamp, u32, Option<Timestamp>)>,
-}
-
 struct Inner {
     /// Metadata for every live chunk, ids `first_chunk_id ..` contiguous.
     chunks: VecDeque<ChunkMeta>,
@@ -360,24 +351,18 @@ impl Reservoir {
         let timer = self.shared.cfg.append_recorder.start();
         let outcome = {
             let mut inner = self.shared.inner.lock();
-            let inner = &mut *inner;
-            let mut defer = MetaDefer::default();
-            let out = self.append_locked(inner, event, &mut defer);
-            Self::flush_meta_defer(inner, &mut defer);
-            out
+            self.append_locked(&mut inner, event)
         };
         self.shared.cfg.append_recorder.finish(timer);
         outcome
     }
 
-    /// Append a whole batch under **one** lock acquisition, with the
-    /// open-chunk metadata refresh of consecutive tail appends deferred to
-    /// one update per batch. Each event runs exactly the same per-event
-    /// body as [`Reservoir::append`] — dedup, late policy, routing,
-    /// cursor fixups and transition finalization are evaluated per event —
-    /// so a batch leaves byte-identical chunks to appending the same
-    /// events one at a time (the invariant the batched-ingest proptests
-    /// pin).
+    /// Append a whole batch under **one** lock acquisition. Each event
+    /// runs exactly the same per-event body as [`Reservoir::append`] —
+    /// dedup, late policy, routing, meta refresh, cursor fixups and
+    /// transition finalization are evaluated per event — so a batch leaves
+    /// byte-identical chunks to appending the same events one at a time
+    /// (the invariant the batched-ingest proptests pin).
     ///
     /// Returns one [`AppendOutcome`] per event, in order. An empty batch
     /// is a no-op. When the append recorder is enabled it receives one
@@ -389,22 +374,12 @@ impl Reservoir {
         let timer = self.shared.cfg.append_recorder.start();
         let result = {
             let mut inner = self.shared.inner.lock();
-            let inner = &mut *inner;
-            let mut defer = MetaDefer::default();
-            let iter = events.into_iter();
-            let mut outcomes = Vec::with_capacity(iter.size_hint().0);
-            let mut res = Ok(());
-            for event in iter {
-                match self.append_locked(inner, event, &mut defer) {
-                    Ok(o) => outcomes.push(o),
-                    Err(e) => {
-                        res = Err(e);
-                        break;
-                    }
-                }
-            }
-            Self::flush_meta_defer(inner, &mut defer);
-            res.map(|()| outcomes)
+            let events = events.into_iter();
+            let mut outcomes = Vec::with_capacity(events.size_hint().0);
+            events
+                .map(|event| self.append_locked(&mut inner, event))
+                .try_for_each(|outcome| outcome.map(|o| outcomes.push(o)))
+                .map(|()| outcomes)
         };
         self.shared.cfg.append_recorder.finish(timer);
         result
@@ -414,12 +389,7 @@ impl Reservoir {
     /// [`Reservoir::append`] (batch-of-1) and [`Reservoir::append_batch`]
     /// funnel through here, which is what keeps batched and sequential
     /// ingest byte-identical by construction.
-    fn append_locked(
-        &self,
-        inner: &mut Inner,
-        mut event: Event,
-        defer: &mut MetaDefer,
-    ) -> Result<AppendOutcome> {
+    fn append_locked(&self, inner: &mut Inner, mut event: Event) -> Result<AppendOutcome> {
         // Single dedup probe: insert up front, roll back on the (rare)
         // late-discard path below.
         if !inner.dedup.insert(event.id) {
@@ -476,25 +446,25 @@ impl Reservoir {
             let pos = insert_sorted(open, event);
             let oi = (id.0 - inner.first_chunk_id) as usize;
             if pos.appended {
-                let was_empty = pos.index == 0;
-                // Fast path: tail push. The O(1) metadata refresh is
-                // *deferred* — consecutive tail appends of a batch collapse
-                // into one refresh at the batch boundary — and the cursor
-                // fixup loop is skipped entirely when no cursor is live
-                // (fixup is still required with cursors: one may sit on
-                // this chunk with a bound past the new event).
-                Self::defer_tail_meta(inner, defer, oi, pos.ts, was_empty);
+                // Fast path: tail push. The metadata refresh is O(1), and
+                // the cursor fixup loop is skipped entirely when no cursor
+                // is live (fixup is still required with cursors: one may
+                // sit on this chunk with a bound past the new event).
+                let meta = &mut inner.chunks[oi];
+                if pos.index == 0 {
+                    meta.first_ts = pos.ts;
+                }
+                meta.last_ts = pos.ts;
+                meta.count += 1;
                 if !inner.cursors.is_empty() {
                     Self::fixup_cursors(inner, id, &pos);
                 }
             } else {
-                // Out-of-order insert: apply any deferred tail updates
-                // first, then recompute the whole meta from the events.
-                Self::flush_meta_defer(inner, defer);
+                // Out-of-order insert: recompute the meta from the events.
                 Self::fixup_cursors(inner, id, &pos);
                 Self::refresh_meta_open(inner, oi);
             }
-            self.maybe_close_open(inner, defer);
+            self.maybe_close_open(inner);
         } else {
             // `transition` is non-empty here: with no transition chunks the
             // boundary equals `min_acceptable_ts`, and anything below that
@@ -506,7 +476,6 @@ impl Reservoir {
             // timestamp below that cursor's bound (see the fixup in
             // `fixup_cursors`), so cursors can safely move past drained
             // transition chunks.
-            Self::flush_meta_defer(inner, defer);
             let ti = inner
                 .transition
                 .iter()
@@ -519,41 +488,6 @@ impl Reservoir {
         }
         self.finalize_ready_transitions(inner)?;
         Ok(outcome)
-    }
-
-    /// Record one fast-path tail append for chunk meta slot `mi`, merging
-    /// with an already-pending update for the same slot. A pending update
-    /// for a *different* slot (the open chunk rolled over) is flushed
-    /// first.
-    fn defer_tail_meta(
-        inner: &mut Inner,
-        defer: &mut MetaDefer,
-        mi: usize,
-        ts: Timestamp,
-        was_empty: bool,
-    ) {
-        match &mut defer.pending {
-            Some((i, last, added, _first)) if *i == mi => {
-                *last = ts;
-                *added += 1;
-            }
-            _ => {
-                Self::flush_meta_defer(inner, defer);
-                defer.pending = Some((mi, ts, 1, was_empty.then_some(ts)));
-            }
-        }
-    }
-
-    /// Apply (and clear) a pending deferred open-chunk meta update.
-    fn flush_meta_defer(inner: &mut Inner, defer: &mut MetaDefer) {
-        if let Some((mi, last, added, first)) = defer.pending.take() {
-            let meta = &mut inner.chunks[mi];
-            meta.last_ts = last;
-            meta.count += added;
-            if let Some(f) = first {
-                meta.first_ts = f;
-            }
-        }
     }
 
     /// After inserting at sorted position `pos` in chunk `chunk`, cursors
@@ -609,7 +543,7 @@ impl Reservoir {
         }
     }
 
-    fn maybe_close_open(&self, inner: &mut Inner, defer: &mut MetaDefer) {
+    fn maybe_close_open(&self, inner: &mut Inner) {
         let close = match &inner.open {
             Some(o) => {
                 o.events.len() >= self.shared.cfg.chunk_target_events
@@ -618,9 +552,6 @@ impl Reservoir {
             None => false,
         };
         if close {
-            // The chunk leaves the open state: its meta must be current
-            // before any transition/finalize bookkeeping reads it.
-            Self::flush_meta_defer(inner, defer);
             let open = inner.open.take().expect("checked");
             let mi = (open.id.0 - inner.first_chunk_id) as usize;
             inner.chunks[mi].state = ChunkState::Transition;
@@ -941,19 +872,6 @@ fn insert_sorted(chunk: &mut MutableChunk, event: Event) -> InsertPos {
     }
 }
 
-/// Load a durable/pending chunk through the cache (demand path). Eager
-/// read-ahead of adjacent chunks happens asynchronously on the I/O thread
-/// (§4.1.1's "iterators eagerly load adjacent chunks into cache").
-fn load_chunk(shared: &Shared, inner: &mut Inner, chunk: ChunkId) -> Result<Arc<DecodedChunk>> {
-    if let Some(hit) = inner.cache.get(chunk) {
-        return Ok(hit);
-    }
-    let loc = durable_location(inner, chunk)?;
-    let decoded = Arc::new(read_chunk_at(&shared.dir, loc)?);
-    inner.cache.insert(Arc::clone(&decoded));
-    Ok(decoded)
-}
-
 fn durable_location(inner: &Inner, chunk: ChunkId) -> Result<ChunkLocation> {
     if chunk.0 < inner.first_chunk_id {
         return Err(RailgunError::Storage(format!(
@@ -1148,35 +1066,6 @@ impl Cursor {
         let mut out = Vec::new();
         self.advance_upto_into(bound, &mut out);
         out
-    }
-
-    /// The timestamp of the next event this cursor would yield, if visible.
-    pub fn peek_ts(&self) -> Option<Timestamp> {
-        let mut inner = self.shared.inner.lock();
-        let inner = &mut *inner;
-        let pos = inner.cursors.get(&self.id)?.clone();
-        if pos.chunk >= inner.next_chunk_id || pos.chunk < inner.first_chunk_id {
-            return None;
-        }
-        let mi = (pos.chunk - inner.first_chunk_id) as usize;
-        match inner.chunks[mi].state {
-            ChunkState::Open => inner
-                .open
-                .as_ref()
-                .and_then(|o| o.events.get(pos.idx))
-                .map(|e| e.ts),
-            ChunkState::Transition => inner
-                .transition
-                .iter()
-                .find(|t| t.id.0 == pos.chunk)
-                .and_then(|t| t.events.get(pos.idx))
-                .map(|e| e.ts),
-            ChunkState::Pending | ChunkState::Durable(_) => {
-                load_chunk(&self.shared, inner, ChunkId(pos.chunk))
-                    .ok()
-                    .and_then(|c| c.events.get(pos.idx).map(|e| e.ts))
-            }
-        }
     }
 }
 

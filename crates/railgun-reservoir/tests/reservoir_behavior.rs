@@ -482,19 +482,6 @@ fn codec_none_roundtrips_too() {
     assert_eq!(c.advance_upto(Timestamp::MAX).len(), 40);
 }
 
-#[test]
-fn peek_ts_reports_next_event() {
-    let dir = fresh("peek");
-    let res = Reservoir::open(&dir, schema(), small_cfg()).unwrap();
-    let c = res.cursor_at_start();
-    assert_eq!(c.peek_ts(), None);
-    res.append(ev(0, 100)).unwrap();
-    res.append(ev(1, 200)).unwrap();
-    assert_eq!(c.peek_ts(), Some(Timestamp::from_millis(100)));
-    c.advance_upto(Timestamp::from_millis(150));
-    assert_eq!(c.peek_ts(), Some(Timestamp::from_millis(200)));
-}
-
 /// Tentpole regression (PR 2): a cold cursor catching up on durable chunks
 /// must not serialize against `append`. One thread ingests while another
 /// drains everything from disk through a tiny cache; both must make

@@ -103,11 +103,6 @@ impl BloomFilter {
             num_hashes,
         })
     }
-
-    /// Size of the bit array in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]

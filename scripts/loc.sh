@@ -9,8 +9,19 @@
 #
 # Rows: each crate under crates/, the facade package at the root (src/,
 # tests/, examples/), shims/, benchmark/, and the workspace total.
-# Usage: scripts/loc.sh [checkout-dir]   (default: the current repo)
+# Usage: scripts/loc.sh [--check budget-file] [checkout-dir]
+#        (default checkout: the current repo)
+#
+# With --check, also compare each crate's non-test count with the budget
+# file (lines of `<crate> <max non-test lines>`, `#` comments) and exit
+# non-zero if a crate exceeds its budget or has none: the line budget
+# ROADMAP item 3 asks for. A PR that shrinks a crate lowers its line.
 set -eu
+budget=""
+if [ "${1:-}" = "--check" ]; then
+    budget=$(cd "$(dirname "$2")" && pwd)/$(basename "$2")
+    shift 2
+fi
 cd "${1:-$(dirname "$0")/..}"
 
 count() { # count <total|nontest> <pathspec>...
@@ -45,10 +56,19 @@ row() { # row <label> <dir> — `.` is the facade package at the root
 }
 
 printf '%-20s %8s %8s %10s\n' crate total src/ non-test
-for d in crates/*/; do
+crates=$(for d in crates/*/; do
     row "$(basename "$d")" "${d%/}"
-done
+done)
+printf '%s\n' "$crates"
 row "railgun (root)" .
 row shims shims
 row benchmark benchmark
 printf '%-20s %8s %8s %10s\n' workspace "$(count total .)" "" ""
+
+if [ -n "$budget" ]; then
+    printf '%s\n' "$crates" | awk -v file="$budget" '
+        BEGIN { while ((getline line < file) > 0) { split(line, f, " "); if (f[1] !~ /^#/) max[f[1]] = f[2] } }
+        !($1 in max) { printf "loc: %s has no line in %s\n", $1, file; bad = 1; next }
+        $4 + 0 > max[$1] + 0 { printf "loc: %s grew: %d non-test src/ lines, budget %d\n", $1, $4, max[$1]; bad = 1 }
+        END { exit bad }'
+fi
