@@ -33,9 +33,24 @@ fn fnv1a(seed: u64, data: &[u8]) -> u64 {
 }
 
 impl BloomFilter {
+    /// The two hashes all of `key`'s probe positions derive from.
+    pub fn probe_hashes(key: &[u8]) -> (u64, u64) {
+        (fnv1a(0x51ed_270b, key), fnv1a(0xb492_b66f, key) | 1) // odd stride
+    }
+
     /// Build a filter sized for `keys.len()` keys at `bits_per_key`.
     pub fn build<K: AsRef<[u8]>>(keys: &[K], bits_per_key: usize) -> Self {
-        let n = keys.len().max(1);
+        let hashes: Vec<_> = keys
+            .iter()
+            .map(|k| Self::probe_hashes(k.as_ref()))
+            .collect();
+        Self::build_from_hashes(&hashes, bits_per_key)
+    }
+
+    /// [`BloomFilter::build`] from each key's [`BloomFilter::probe_hashes`],
+    /// so a table writer need not keep the keys until it knows their count.
+    pub fn build_from_hashes(hashes: &[(u64, u64)], bits_per_key: usize) -> Self {
+        let n = hashes.len().max(1);
         let num_bits = (n * bits_per_key).max(64) as u64;
         // k = ln2 * bits/key, clamped to a sane range.
         let num_hashes = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
@@ -44,32 +59,25 @@ impl BloomFilter {
             num_bits,
             num_hashes,
         };
-        for k in keys {
-            filter.insert(k.as_ref());
+        for &(h1, h2) in hashes {
+            for bit in filter.probes(h1, h2) {
+                filter.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
+            }
         }
         filter
     }
 
-    fn insert(&mut self, key: &[u8]) {
-        let h1 = fnv1a(0x51ed_270b, key);
-        let h2 = fnv1a(0xb492_b66f, key) | 1; // odd stride
-        for i in 0..u64::from(self.num_hashes) {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
-            self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
-        }
+    /// Bit positions probed for a key with hashes `(h1, h2)`.
+    fn probes(&self, h1: u64, h2: u64) -> impl Iterator<Item = u64> {
+        let num_bits = self.num_bits;
+        (0..u64::from(self.num_hashes)).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % num_bits)
     }
 
     /// True if `key` *may* be present; false means definitely absent.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        let h1 = fnv1a(0x51ed_270b, key);
-        let h2 = fnv1a(0xb492_b66f, key) | 1;
-        for i in 0..u64::from(self.num_hashes) {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) % self.num_bits;
-            if self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        let (h1, h2) = Self::probe_hashes(key);
+        self.probes(h1, h2)
+            .all(|bit| self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0)
     }
 
     /// Serialize to `buf` (varint header + raw words).

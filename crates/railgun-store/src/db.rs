@@ -18,10 +18,10 @@ use parking_lot::Mutex;
 use railgun_types::encode::{crc32c, get_string, get_uvarint, put_bytes, put_uvarint};
 use railgun_types::{Counter, RailgunError, Recorder, Result};
 
-use crate::memtable::{Entry, MemTable};
+use crate::memtable::MemTable;
 use crate::merge::MergeIter;
-use crate::options::{CfOptions, FilterDecision, WriteBufferBudget};
-use crate::sstable::{SstReader, SstWriter};
+use crate::options::{CfOptions, FilterDecision};
+use crate::sstable::{KvRef, SstReader, SstWriter};
 use crate::vfs::{crash_points, RealFs, StoreFs};
 use crate::wal::{Wal, WalRecord, WalRecoveryMode};
 
@@ -62,11 +62,6 @@ pub struct DbOptions {
     /// above — existing single-policy configurations behave exactly as
     /// before.
     pub cf_options: Vec<(String, CfOptions)>,
-    /// Optional process-wide memtable budget shared across databases
-    /// (one per task processor on a node). When the shared total crosses
-    /// the cap, the database observing the crossing flushes its largest
-    /// memtable. `None` (the default) disables global accounting.
-    pub write_buffer: Option<Arc<WriteBufferBudget>>,
 }
 
 impl Default for DbOptions {
@@ -83,7 +78,6 @@ impl Default for DbOptions {
             wal_truncated_counter: Counter::disabled(),
             orphan_counter: Counter::disabled(),
             cf_options: Vec::new(),
-            write_buffer: None,
         }
     }
 }
@@ -159,9 +153,6 @@ struct Inner {
     flushes: u64,
     compactions: u64,
     filter_dropped: u64,
-    /// This database's last contribution reported to the shared
-    /// [`WriteBufferBudget`] (0 when none is configured).
-    wb_reported: usize,
 }
 
 /// What [`Db::open`] had to repair while bringing the on-disk image
@@ -202,7 +193,10 @@ impl Db {
     /// Open (or create) a database in `dir`.
     ///
     /// Recovery happens here, in order: load the manifest (the only
-    /// source of truth for live SSTables), sweep the directory — stale
+    /// source of truth for live SSTables) and check every table it names
+    /// completely — a table with a corrupt block fails the open with
+    /// [`RailgunError::Corruption`] naming the file, before anything in
+    /// the directory is touched — then sweep the directory: stale
     /// `*.tmp` files are deleted, unreferenced `*.sst` files are
     /// quarantined, never deleted — then scan the WAL once, cutting a
     /// torn tail under [`WalRecoveryMode::TolerateTornTail`] before the
@@ -288,18 +282,11 @@ impl Db {
                 flushes: 0,
                 compactions: 0,
                 filter_dropped: 0,
-                wb_reported: 0,
             }),
             recovery: report,
         };
         if !had_manifest {
             db.write_manifest(&db.inner.lock())?;
-        }
-        // WAL replay may have repopulated memtables; account for them
-        // against the shared budget before the first write.
-        if let Some(budget) = &db.opts.write_buffer {
-            let mut inner = db.inner.lock();
-            Self::report_write_buffer(&mut inner, budget);
         }
         Ok(db)
     }
@@ -474,8 +461,8 @@ impl Db {
     }
 
     /// Read `key` and apply `f` to the value in place — the hot-path read
-    /// that avoids cloning the value out of the memtable (aggregation
-    /// states are decoded directly from the borrowed bytes).
+    /// that copies the value out of neither the memtable nor an SSTable
+    /// (aggregation states are decoded directly from the borrowed bytes).
     pub fn get_in<T>(
         &self,
         cf: ColumnFamilyId,
@@ -491,8 +478,8 @@ impl Db {
             return Ok(entry.as_deref().map(f));
         }
         for h in &state.ssts {
-            if let Some(entry) = h.reader.get(key)? {
-                return Ok(entry.as_deref().map(f));
+            if let Some(entry) = h.reader.get(key) {
+                return Ok(entry.map(f));
             }
         }
         Ok(None)
@@ -511,19 +498,13 @@ impl Db {
             .cfs
             .get(&cf)
             .ok_or_else(|| RailgunError::NotFound(format!("column family {cf}")))?;
-        let mut sources: Vec<Box<dyn Iterator<Item = (Vec<u8>, Entry)>>> = Vec::new();
-        let mem_items: Vec<(Vec<u8>, Entry)> = state
-            .mem
-            .range(start, end)
-            .map(|(k, v)| (k.to_vec(), v.clone()))
-            .collect();
-        sources.push(Box::new(mem_items.into_iter()));
+        let mem = state.mem.range(start, end).map(|(k, e)| (k, e.as_deref()));
+        let mut sources: Vec<Box<dyn Iterator<Item = KvRef<'_>> + '_>> = vec![Box::new(mem)];
         for h in &state.ssts {
-            let items: Vec<(Vec<u8>, Entry)> = h.reader.range(start, end).collect();
-            sources.push(Box::new(items.into_iter()));
+            sources.push(Box::new(h.reader.range(start, end)));
         }
         Ok(MergeIter::new(sources, true)
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
+            .filter_map(|(k, v)| Some((k.to_vec(), v?.to_vec())))
             .collect())
     }
 
@@ -549,46 +530,14 @@ impl Db {
             .filter(|(_, cf)| cf.mem.approx_bytes() > cf.opts.memtable_budget_bytes)
             .map(|(id, _)| *id)
             .collect();
-        let mut flushed = !over.is_empty();
-        if flushed {
-            let timer = self.opts.flush_recorder.start();
-            let result = self.flush_cfs_locked(inner, over);
-            self.opts.flush_recorder.finish(timer);
-            result?;
+        if over.is_empty() {
+            return Ok(());
         }
-        // Process-wide budget: while the shared total is over the cap,
-        // flush this database's largest memtable (the cheapest local
-        // action that frees the most of the shared budget).
-        if let Some(budget) = &self.opts.write_buffer {
-            Self::report_write_buffer(inner, budget);
-            while budget.over() {
-                let largest = inner
-                    .cfs
-                    .iter()
-                    .filter(|(_, cf)| !cf.mem.is_empty())
-                    .max_by_key(|(_, cf)| cf.mem.approx_bytes())
-                    .map(|(id, _)| *id);
-                // All local memtables empty: another database holds the
-                // bytes and will shed them on its own next write.
-                let Some(id) = largest else { break };
-                let timer = self.opts.flush_recorder.start();
-                let result = self.flush_cfs_locked(inner, vec![id]);
-                self.opts.flush_recorder.finish(timer);
-                result?;
-                flushed = true;
-                Self::report_write_buffer(inner, budget);
-            }
-        }
-        if flushed {
-            self.maybe_compact_locked(inner)?;
-        }
-        Ok(())
-    }
-
-    /// Refresh this database's contribution to the shared budget.
-    fn report_write_buffer(inner: &mut Inner, budget: &WriteBufferBudget) {
-        let total: usize = inner.cfs.values().map(|cf| cf.mem.approx_bytes()).sum();
-        inner.wb_reported = budget.report(inner.wb_reported, total);
+        let timer = self.opts.flush_recorder.start();
+        let result = self.flush_cfs_locked(inner, over);
+        self.opts.flush_recorder.finish(timer);
+        result?;
+        self.maybe_compact_locked(inner)
     }
 
     /// Flush every non-empty memtable to a new SSTable and truncate the WAL.
@@ -610,9 +559,6 @@ impl Db {
         let timer = self.opts.flush_recorder.start();
         let result = self.flush_cfs_locked(inner, cf_ids);
         self.opts.flush_recorder.finish(timer);
-        if let Some(budget) = &self.opts.write_buffer {
-            Self::report_write_buffer(inner, budget);
-        }
         result
     }
 
@@ -630,7 +576,7 @@ impl Db {
                 cf.opts.bloom_bits_per_key.max(1),
             )?;
             for (k, entry) in cf.mem.drain_sorted() {
-                w.add(&k, &entry)?;
+                w.add(&k, entry.as_deref())?;
             }
             w.finish()?;
             let reader = SstReader::open(fs.as_ref(), &path)?;
@@ -702,10 +648,10 @@ impl Db {
         let cf = inner.cfs.get_mut(&id).expect("cf exists");
         let mut dropped = 0u64;
         {
-            let sources: Vec<Box<dyn Iterator<Item = (Vec<u8>, Entry)> + '_>> = cf
+            let sources: Vec<Box<dyn Iterator<Item = KvRef<'_>> + '_>> = cf
                 .ssts
                 .iter()
-                .map(|h| Box::new(h.reader.iter()) as Box<dyn Iterator<Item = (Vec<u8>, Entry)>>)
+                .map(|h| Box::new(h.reader.iter()) as Box<dyn Iterator<Item = KvRef<'_>>>)
                 .collect();
             // Tombstones can be dropped: this merge covers every sorted run
             // older than the memtable, so nothing older remains to shadow.
@@ -717,13 +663,13 @@ impl Db {
                 cf.opts.bloom_bits_per_key.max(1),
             )?;
             for (k, entry) in merged {
-                if let (Some(flt), Some(v)) = (filter.as_deref(), entry.as_deref()) {
-                    if flt.filter(&k, v) == FilterDecision::Discard {
+                if let (Some(flt), Some(v)) = (filter.as_deref(), entry) {
+                    if flt.filter(k, v) == FilterDecision::Discard {
                         dropped += 1;
                         continue;
                     }
                 }
-                w.add(&k, &entry)?;
+                w.add(k, entry)?;
             }
             w.finish()?;
         }
@@ -760,43 +706,18 @@ impl Db {
     }
 
     /// Exhaustively check on-disk invariants: every SSTable referenced by
-    /// the manifest must decode fully (all block CRCs verify, keys
-    /// strictly sorted, decoded entry count matches the footer) and the
-    /// WAL must scan cleanly under the configured recovery mode. The
-    /// crash-torture harness ([`crate::torture`]) runs this after every
-    /// recovery.
+    /// the manifest is read back from disk and checked as at open (all
+    /// block CRCs verify, every entry decodes, keys strictly sorted,
+    /// decoded entry count matches the footer) and the WAL must scan
+    /// cleanly under the configured recovery mode. The crash-torture
+    /// harness ([`crate::torture`]) runs this after every recovery.
     pub fn verify_integrity(&self) -> Result<()> {
         let inner = self.inner.lock();
-        for (id, cf) in &inner.cfs {
-            for h in &cf.ssts {
-                let mut n = 0u64;
-                let mut last: Option<Vec<u8>> = None;
-                for (k, _) in h.reader.iter() {
-                    if let Some(prev) = &last {
-                        if &k <= prev {
-                            return Err(RailgunError::Corruption(format!(
-                                "cf {id}: sst {} keys out of order",
-                                h.file_no
-                            )));
-                        }
-                    }
-                    last = Some(k);
-                    n += 1;
-                }
-                if n != h.reader.entry_count() {
-                    return Err(RailgunError::Corruption(format!(
-                        "cf {id}: sst {} decoded {n} of {} entries (corrupt block?)",
-                        h.file_no,
-                        h.reader.entry_count()
-                    )));
-                }
-            }
+        let fs = self.opts.fs.as_ref();
+        for h in inner.cfs.values().flat_map(|cf| &cf.ssts) {
+            SstReader::open(fs, &self.dir.join(sst_file_name(h.file_no)))?;
         }
-        Wal::scan(
-            self.opts.fs.as_ref(),
-            &self.dir.join(WAL_FILE),
-            self.opts.wal_recovery,
-        )?;
+        Wal::scan(fs, &self.dir.join(WAL_FILE), self.opts.wal_recovery)?;
         Ok(())
     }
 
@@ -863,18 +784,6 @@ impl Db {
     /// Directory this database lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-}
-
-impl Drop for Db {
-    fn drop(&mut self) {
-        // Return this database's contribution to the shared budget so a
-        // closed store does not pin the cap for its neighbours.
-        if let Some(budget) = &self.opts.write_buffer {
-            let mut inner = self.inner.lock();
-            let old = std::mem::take(&mut inner.wb_reported);
-            budget.report(old, 0);
-        }
     }
 }
 
@@ -1234,6 +1143,83 @@ mod tests {
         Db::open(&dir, DbOptions::default()).unwrap();
     }
 
+    /// A flushed table of three data blocks (~100 B an entry) in a fresh
+    /// database; returns the table's path.
+    fn three_block_table(dir: &Path) -> PathBuf {
+        let db = Db::open(dir, DbOptions::default()).unwrap();
+        for i in 0..120u32 {
+            db.put(Db::DEFAULT_CF, format!("k{i:04}").as_bytes(), &[9u8; 90])
+                .unwrap();
+        }
+        db.flush().unwrap();
+        assert_eq!(db.stats().sst_bytes / 4096, 2, "expected three blocks");
+        dir.join(sst_file_name(1))
+    }
+
+    fn flip_byte(path: &Path, pos: usize) {
+        let mut raw = fs::read(path).unwrap();
+        raw[pos] ^= 0xff;
+        fs::write(path, &raw).unwrap();
+    }
+
+    fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| {
+                (
+                    p.file_name().unwrap().to_string_lossy().into_owned(),
+                    fs::read(&p).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn open_refuses_a_table_with_a_corrupt_middle_block() {
+        // Such a table used to open; scans then ended at the bad block
+        // with `Ok`, and a compaction merged the short stream and deleted
+        // the inputs — every key behind the block was lost silently.
+        let dir = fresh_dir("badblock");
+        let sst = three_block_table(&dir);
+        flip_byte(&sst, 6000); // inside the second block
+        let before = dir_image(&dir);
+        match Db::open(&dir, DbOptions::default()) {
+            Err(RailgunError::Corruption(m)) => {
+                assert!(
+                    m.contains("00000001.sst") && m.contains("block 1 crc mismatch"),
+                    "{m}"
+                );
+            }
+            other => panic!("expected Corruption, got {:?}", other.map(|_| "a database")),
+        }
+        assert_eq!(
+            dir_image(&dir),
+            before,
+            "a refused open must not touch the directory"
+        );
+    }
+
+    #[test]
+    fn verify_integrity_reads_tables_back_from_disk() {
+        let dir = fresh_dir("verifydisk");
+        let sst = three_block_table(&dir);
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        db.verify_integrity().unwrap();
+        flip_byte(&sst, 6000);
+        assert!(matches!(
+            db.verify_integrity(),
+            Err(RailgunError::Corruption(_))
+        ));
+        // The resident copy was checked at open and still serves.
+        assert_eq!(
+            db.get(Db::DEFAULT_CF, b"k0119").unwrap(),
+            Some(vec![9u8; 90])
+        );
+    }
+
     #[test]
     fn prefix_upper_bound_logic() {
         assert_eq!(prefix_upper_bound(b"ab"), Some(b"ac".to_vec()));
@@ -1403,53 +1389,6 @@ mod tests {
         // File numbers are consecutive: the no-op compaction left none.
         assert!(dir.join(sst_file_name(1)).exists());
         assert!(dir.join(sst_file_name(2)).exists());
-    }
-
-    #[test]
-    fn write_buffer_budget_flushes_largest_memtable() {
-        let dir_a = fresh_dir("wb-a");
-        let dir_b = fresh_dir("wb-b");
-        let budget = WriteBufferBudget::new(4096);
-        let mk = |dir: &Path| {
-            Db::open(
-                dir,
-                DbOptions {
-                    write_buffer: Some(Arc::clone(&budget)),
-                    // Per-CF budgets far above the shared cap: only the
-                    // shared budget can force the flush.
-                    memtable_budget_bytes: 1 << 30,
-                    ..DbOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let a = mk(&dir_a);
-        let b = mk(&dir_b);
-        for i in 0..30u32 {
-            a.put(Db::DEFAULT_CF, format!("a{i:03}").as_bytes(), &[1u8; 64])
-                .unwrap();
-        }
-        // `a` holds most of the shared budget; writes to `b` push the
-        // total over the cap, and `b` (the observer) sheds its own
-        // largest memtable.
-        for i in 0..40u32 {
-            b.put(Db::DEFAULT_CF, format!("b{i:03}").as_bytes(), &[1u8; 64])
-                .unwrap();
-        }
-        assert!(b.stats().flushes > 0, "shared budget should force a flush");
-        assert!(
-            budget.used_bytes() <= 2 * budget.cap_bytes(),
-            "budget should be shed after flushes: {}",
-            budget.used_bytes()
-        );
-        let used_before_drop = budget.used_bytes();
-        drop(a);
-        assert!(
-            budget.used_bytes() < used_before_drop || used_before_drop == 0,
-            "dropping a Db must return its contribution"
-        );
-        drop(b);
-        assert_eq!(budget.used_bytes(), 0);
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub mod vfs;
 pub mod wal;
 
 pub use db::{CfStats, ColumnFamilyId, Db, DbOptions, DbStats, RecoveryReport};
-pub use options::{CfOptions, CompactionFilter, FilterDecision, WriteBufferBudget};
+pub use options::{CfOptions, CompactionFilter, FilterDecision};
 pub use vfs::{crash_points, CrashPlan, FaultFs, RealFs, StoreFs};
 pub use wal::WalRecoveryMode;

@@ -2,7 +2,9 @@
 //!
 //! A point-in-time read view of one column family is the memtable plus its
 //! SSTables, newest first. [`MergeIter`] merges any number of sorted
-//! `(key, entry)` iterators; when several runs carry the same key, the run
+//! iterators of borrowed `(key, entry)` pairs ([`KvRef`]: the runs are
+//! immutable for the merge's lifetime, so it copies nothing — the caller
+//! copies what it keeps); when several runs carry the same key, the run
 //! with the lowest *precedence index* (newest) wins and the rest are
 //! skipped. Tombstones are preserved (the caller decides whether to drop
 //! them — compaction of the full set does, a partial merge must not).
@@ -10,35 +12,33 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::memtable::Entry;
+use crate::sstable::KvRef;
 
-type Kv = (Vec<u8>, Entry);
-
-struct HeapItem {
-    key: Vec<u8>,
-    entry: Entry,
+struct HeapItem<'a> {
+    key: &'a [u8],
+    entry: Option<&'a [u8]>,
     /// Lower = newer run = higher precedence.
     precedence: usize,
 }
 
-impl PartialEq for HeapItem {
+impl PartialEq for HeapItem<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key && self.precedence == other.precedence
     }
 }
-impl Eq for HeapItem {}
+impl Eq for HeapItem<'_> {}
 
-impl Ord for HeapItem {
+impl Ord for HeapItem<'_> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse so the smallest key pops first,
         // ties broken so the lowest precedence (newest run) pops first.
         other
             .key
-            .cmp(&self.key)
+            .cmp(self.key)
             .then_with(|| other.precedence.cmp(&self.precedence))
     }
 }
-impl PartialOrd for HeapItem {
+impl PartialOrd for HeapItem<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -46,8 +46,8 @@ impl PartialOrd for HeapItem {
 
 /// Merging iterator over sorted runs with newest-wins shadowing.
 pub struct MergeIter<'a> {
-    sources: Vec<Box<dyn Iterator<Item = Kv> + 'a>>,
-    heap: BinaryHeap<HeapItem>,
+    sources: Vec<Box<dyn Iterator<Item = KvRef<'a>> + 'a>>,
+    heap: BinaryHeap<HeapItem<'a>>,
     drop_tombstones: bool,
 }
 
@@ -57,7 +57,10 @@ impl<'a> MergeIter<'a> {
     /// If `drop_tombstones` is set, deleted keys are omitted from the
     /// output — only valid when `sources` covers *every* run of the
     /// column family (i.e. a full compaction or a user-facing scan).
-    pub fn new(sources: Vec<Box<dyn Iterator<Item = Kv> + 'a>>, drop_tombstones: bool) -> Self {
+    pub fn new(
+        sources: Vec<Box<dyn Iterator<Item = KvRef<'a>> + 'a>>,
+        drop_tombstones: bool,
+    ) -> Self {
         let mut it = MergeIter {
             sources,
             heap: BinaryHeap::new(),
@@ -80,10 +83,10 @@ impl<'a> MergeIter<'a> {
     }
 }
 
-impl Iterator for MergeIter<'_> {
-    type Item = Kv;
+impl<'a> Iterator for MergeIter<'a> {
+    type Item = KvRef<'a>;
 
-    fn next(&mut self) -> Option<Kv> {
+    fn next(&mut self) -> Option<KvRef<'a>> {
         loop {
             let top = self.heap.pop()?;
             self.advance_source(top.precedence);
@@ -108,21 +111,21 @@ impl Iterator for MergeIter<'_> {
 mod tests {
     use super::*;
 
-    fn run(items: Vec<(&str, Option<&str>)>) -> Box<dyn Iterator<Item = Kv>> {
+    fn run(
+        items: Vec<(&'static str, Option<&'static str>)>,
+    ) -> Box<dyn Iterator<Item = KvRef<'static>>> {
         Box::new(
             items
                 .into_iter()
-                .map(|(k, v)| (k.as_bytes().to_vec(), v.map(|s| s.as_bytes().to_vec())))
-                .collect::<Vec<_>>()
-                .into_iter(),
+                .map(|(k, v)| (k.as_bytes(), v.map(str::as_bytes))),
         )
     }
 
     fn collect(it: MergeIter<'_>) -> Vec<(String, Option<String>)> {
         it.map(|(k, v)| {
             (
-                String::from_utf8(k).unwrap(),
-                v.map(|v| String::from_utf8(v).unwrap()),
+                String::from_utf8(k.to_vec()).unwrap(),
+                v.map(|v| String::from_utf8(v.to_vec()).unwrap()),
             )
         })
         .collect()

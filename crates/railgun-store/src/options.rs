@@ -14,10 +14,7 @@
 //!   [`CfOptions::meta`] profile for tiny metadata CFs (task stores
 //!   derive the state and aux CFs' tuning from the global knobs);
 //! * [`CompactionFilter`] — the seam a full-CF merge consults for every
-//!   surviving live entry;
-//! * [`WriteBufferBudget`] — a process-wide memtable cap shared across
-//!   [`crate::Db`] instances: when the total crosses the cap, the
-//!   observing database flushes its largest memtable.
+//!   surviving live entry.
 //!
 //! ## Filter contract
 //!
@@ -44,7 +41,6 @@
 //! deletion.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Verdict of a [`CompactionFilter`] for one live entry.
@@ -132,88 +128,9 @@ impl CfOptions {
     }
 }
 
-/// A process-wide memtable cap shared by any number of [`crate::Db`]
-/// instances (one per task processor on a node).
-///
-/// Every database reports its total memtable footprint after each write
-/// and flush; when the shared total crosses `cap`, the database that
-/// observed the crossing flushes its own largest memtable — the cheapest
-/// local action that frees the most of the shared budget (RocksDB's
-/// `write_buffer_manager` behaves the same way). Accounting uses relaxed
-/// atomics: the cap is a resource bound, not a synchronization point, and
-/// a transiently stale total only shifts *which* write triggers the
-/// flush.
-#[derive(Debug)]
-pub struct WriteBufferBudget {
-    cap_bytes: usize,
-    used: AtomicUsize,
-}
-
-impl WriteBufferBudget {
-    /// A budget capping the process-wide memtable total at `cap_bytes`.
-    pub fn new(cap_bytes: usize) -> Arc<Self> {
-        Arc::new(WriteBufferBudget {
-            cap_bytes,
-            used: AtomicUsize::new(0),
-        })
-    }
-
-    /// The configured cap.
-    pub fn cap_bytes(&self) -> usize {
-        self.cap_bytes
-    }
-
-    /// Current process-wide total of reported memtable bytes.
-    pub fn used_bytes(&self) -> usize {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    /// True iff the reported total exceeds the cap.
-    pub fn over(&self) -> bool {
-        self.used_bytes() > self.cap_bytes
-    }
-
-    /// Replace a database's previous contribution (`old`) with `new`,
-    /// returning `new` for the caller to remember.
-    pub(crate) fn report(&self, old: usize, new: usize) -> usize {
-        if new >= old {
-            self.used.fetch_add(new - old, Ordering::Relaxed);
-        } else {
-            self.used.fetch_sub(old - new, Ordering::Relaxed);
-        }
-        new
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn budget_tracks_contributions() {
-        let b = WriteBufferBudget::new(1000);
-        let mut mine = 0;
-        mine = b.report(mine, 400);
-        assert_eq!(b.used_bytes(), 400);
-        assert!(!b.over());
-        mine = b.report(mine, 1200);
-        assert_eq!(b.used_bytes(), 1200);
-        assert!(b.over());
-        b.report(mine, 0);
-        assert_eq!(b.used_bytes(), 0);
-    }
-
-    #[test]
-    fn budget_is_shared_across_reporters() {
-        let b = WriteBufferBudget::new(1000);
-        let a = b.report(0, 600);
-        let c = b.report(0, 600);
-        assert!(b.over());
-        b.report(a, 0);
-        assert!(!b.over());
-        b.report(c, 0);
-        assert_eq!(b.used_bytes(), 0);
-    }
 
     #[test]
     fn profiles_are_distinct_and_debuggable() {

@@ -13,7 +13,7 @@
 //! +--------------------+
 //! | bloom filter       |  over all keys in the table
 //! +--------------------+
-//! | footer (40 bytes)  |  offsets + magic
+//! | footer (48 bytes)  |  offsets + magic
 //! +--------------------+
 //! ```
 //!
@@ -21,9 +21,18 @@
 //! until compaction drops them.
 //!
 //! Readers load the file once and keep it in memory (the role RocksDB's
-//! block cache plays); block CRCs are verified on first access.
+//! block cache plays; a bounded cache with on-demand block reads is
+//! ROADMAP item 1(b)). A table is checked exactly once, when
+//! [`SstReader::from_bytes`] builds the reader: footer, index CRC, then
+//! every data block — its CRC-32C, the encoding of each entry, strict key
+//! order and the footer's entry count. The resident bytes never change
+//! afterwards, so a second check would detect nothing: `get`, `iter` and
+//! `range` parse entries where they lie, and a reader cannot exist over a
+//! table with a bad block.
 
+use std::fmt::Display;
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes};
@@ -31,7 +40,6 @@ use railgun_types::encode::{crc32c, get_bytes, get_uvarint, put_bytes, put_uvari
 use railgun_types::{RailgunError, Result};
 
 use crate::bloom::BloomFilter;
-use crate::memtable::Entry;
 use crate::vfs::{FsFile, StoreFs};
 
 const MAGIC: u64 = 0x5241_494c_5353_5401; // "RAILSST" v1
@@ -39,14 +47,9 @@ const FOOTER_LEN: usize = 48;
 /// Target uncompressed size of one data block.
 pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 
-/// Value tag: 0 encodes a tombstone, `len + 1` encodes a live value.
-#[inline]
-fn value_tag(entry: &Entry) -> u64 {
-    match entry {
-        None => 0,
-        Some(v) => v.len() as u64 + 1,
-    }
-}
+/// One entry borrowed from where it lies (a resident table or a
+/// memtable): the key, and `None` for a tombstone.
+pub type KvRef<'a> = (&'a [u8], Option<&'a [u8]>);
 
 // ---------------------------------------------------------------------------
 // Writer
@@ -61,8 +64,10 @@ pub struct SstWriter {
     /// (first_key, offset, len) per finished block.
     index: Vec<(Vec<u8>, u64, u64)>,
     block_first_key: Option<Vec<u8>>,
-    last_key: Option<Vec<u8>>,
-    keys: Vec<Vec<u8>>,
+    /// The last key added; meaningful once `entry_count > 0`.
+    last_key: Vec<u8>,
+    /// Bloom probe hashes of every key added.
+    key_hashes: Vec<(u64, u64)>,
     offset: u64,
     entry_count: u64,
     bloom_bits_per_key: usize,
@@ -84,34 +89,34 @@ impl SstWriter {
             block_size,
             index: Vec::new(),
             block_first_key: None,
-            last_key: None,
-            keys: Vec::new(),
+            last_key: Vec::new(),
+            key_hashes: Vec::new(),
             offset: 0,
             entry_count: 0,
             bloom_bits_per_key,
         })
     }
 
-    /// Append an entry; keys must arrive in strictly increasing order.
-    pub fn add(&mut self, key: &[u8], entry: &Entry) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            if key <= last.as_slice() {
-                return Err(RailgunError::Storage(format!(
-                    "SstWriter keys out of order: {key:?} after {last:?}"
-                )));
-            }
+    /// Append an entry (`None` = tombstone); keys must arrive in strictly
+    /// increasing order.
+    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        if self.entry_count > 0 && key <= self.last_key.as_slice() {
+            return Err(RailgunError::Storage(format!(
+                "SstWriter keys out of order: {key:?} after {:?}",
+                self.last_key
+            )));
         }
         if self.block_first_key.is_none() {
             self.block_first_key = Some(key.to_vec());
         }
         put_uvarint(&mut self.block, key.len() as u64);
-        put_uvarint(&mut self.block, value_tag(entry));
+        // Value tag: 0 encodes a tombstone, `len + 1` a live value.
+        put_uvarint(&mut self.block, value.map_or(0, |v| v.len() as u64 + 1));
         self.block.put_slice(key);
-        if let Some(v) = entry {
-            self.block.put_slice(v);
-        }
-        self.last_key = Some(key.to_vec());
-        self.keys.push(key.to_vec());
+        self.block.put_slice(value.unwrap_or_default());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
+        self.key_hashes.push(BloomFilter::probe_hashes(key));
         self.entry_count += 1;
         if self.block.len() >= self.block_size {
             self.finish_block()?;
@@ -153,7 +158,7 @@ impl SstWriter {
         let index_off = self.offset;
         self.out.write_all(&index_buf)?;
         // Bloom filter.
-        let bloom = BloomFilter::build(&self.keys, self.bloom_bits_per_key);
+        let bloom = BloomFilter::build_from_hashes(&self.key_hashes, self.bloom_bits_per_key);
         let mut bloom_buf = Vec::new();
         bloom.encode(&mut bloom_buf);
         let bloom_off = index_off + index_buf.len() as u64;
@@ -170,7 +175,7 @@ impl SstWriter {
         self.out.flush()?;
         self.out.get_mut().sync_all()?;
         let smallest = self.index.first().map(|(k, _, _)| k.clone());
-        let largest = self.last_key.clone();
+        let largest = (self.entry_count > 0).then_some(self.last_key);
         Ok(SstMeta {
             path: self.path,
             entry_count: self.entry_count,
@@ -195,67 +200,129 @@ pub struct SstMeta {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// A decoded (key, entry) pair from a data block.
-pub type KvEntry = (Vec<u8>, Entry);
+fn corrupt(msg: impl Into<String>) -> RailgunError {
+    RailgunError::Corruption(msg.into())
+}
+
+/// `off..off + len` as a range of `data`, if it lies inside it.
+fn region(data: &[u8], off: u64, len: u64, what: impl Display) -> Result<Range<usize>> {
+    off.checked_add(len)
+        .filter(|end| *end <= data.len() as u64)
+        .map(|end| off as usize..end as usize)
+        .ok_or_else(|| corrupt(format!("sst {what} out of range")))
+}
+
+/// The `len`-byte region of `data` at `off`, minus its trailing CRC-32C,
+/// which must match. Index and data blocks share this framing.
+fn crc_framed(data: &[u8], off: u64, len: u64, what: impl Display) -> Result<Range<usize>> {
+    let framed = region(data, off, len, &what)?;
+    if framed.len() < 4 {
+        return Err(corrupt(format!("sst {what} too small")));
+    }
+    let payload = framed.start..framed.end - 4;
+    if data[payload.end..framed.end] != crc32c(&data[payload.clone()]).to_le_bytes() {
+        return Err(corrupt(format!("sst {what} crc mismatch")));
+    }
+    Ok(payload)
+}
+
+/// Split `len` bytes off the front of `rest`.
+fn take<'a>(rest: &mut &'a [u8], len: u64) -> Result<&'a [u8]> {
+    let (head, tail) = usize::try_from(len)
+        .ok()
+        .and_then(|len| rest.split_at_checked(len))
+        .ok_or_else(|| corrupt("truncated block entry"))?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// The block cursor — the one decoder of the entry encoding
+/// (`uvarint klen, uvarint vtag, key, value`): split the next entry off
+/// the front of `rest`, borrowing key and value from the block's bytes.
+fn next_entry<'a>(rest: &mut &'a [u8]) -> Result<KvRef<'a>> {
+    let klen = get_uvarint(rest)?;
+    let vtag = get_uvarint(rest)?;
+    let key = take(rest, klen)?;
+    let value = match vtag.checked_sub(1) {
+        Some(vlen) => Some(take(rest, vlen)?),
+        None => None,
+    };
+    Ok((key, value))
+}
+
+/// [`next_entry`] over a block of a live reader.
+fn checked_entry<'a>(rest: &mut &'a [u8]) -> KvRef<'a> {
+    next_entry(rest).expect("every block was decoded once in SstReader::from_bytes")
+}
 
 /// Reader over one immutable SSTable, fully resident in memory.
 pub struct SstReader {
     data: Bytes,
-    /// (first_key, offset, len) per data block.
-    index: Vec<(Vec<u8>, u64, u64)>,
+    /// (first_key, payload range in `data`) per data block.
+    index: Vec<(Vec<u8>, Range<usize>)>,
     bloom: BloomFilter,
     entry_count: u64,
 }
 
 impl SstReader {
-    /// Open and parse `path` via `fs`.
+    /// Read `path` via `fs` and check it ([`SstReader::from_bytes`]); a
+    /// corruption error names the file.
     pub fn open(fs: &dyn StoreFs, path: &Path) -> Result<Self> {
-        Self::from_bytes(Bytes::from(fs.read(path)?))
+        Self::from_bytes(Bytes::from(fs.read(path)?)).map_err(|e| match e {
+            RailgunError::Corruption(m) => corrupt(format!("{}: {m}", path.display())),
+            other => other,
+        })
     }
 
-    /// Parse a table already resident in memory.
+    /// Check a table already resident in memory, once and completely
+    /// (see the module docs), and build its reader.
     pub fn from_bytes(data: Bytes) -> Result<Self> {
-        if data.len() < FOOTER_LEN {
-            return Err(RailgunError::Corruption("sst smaller than footer".into()));
-        }
-        let mut footer = &data[data.len() - FOOTER_LEN..];
-        let index_off = footer.get_u64_le() as usize;
-        let index_len = footer.get_u64_le() as usize;
-        let bloom_off = footer.get_u64_le() as usize;
-        let bloom_len = footer.get_u64_le() as usize;
+        let Some(footer_off) = data.len().checked_sub(FOOTER_LEN) else {
+            return Err(corrupt("sst smaller than footer"));
+        };
+        let mut footer = &data[footer_off..];
+        let index_off = footer.get_u64_le();
+        let index_len = footer.get_u64_le();
+        let bloom_off = footer.get_u64_le();
+        let bloom_len = footer.get_u64_le();
         let entry_count = footer.get_u64_le();
-        let magic = footer.get_u64_le();
-        if magic != MAGIC {
-            return Err(RailgunError::Corruption("bad sst magic".into()));
+        if footer.get_u64_le() != MAGIC {
+            return Err(corrupt("bad sst magic"));
         }
-        if index_off + index_len > data.len() || bloom_off + bloom_len > data.len() {
-            return Err(RailgunError::Corruption("sst footer offsets out of range".into()));
-        }
-        // Index (with trailing CRC).
-        if index_len < 4 {
-            return Err(RailgunError::Corruption("sst index too small".into()));
-        }
-        let index_raw = &data[index_off..index_off + index_len - 4];
-        let stored_crc = u32::from_le_bytes(
-            data[index_off + index_len - 4..index_off + index_len]
-                .try_into()
-                .expect("4-byte slice"),
-        );
-        if crc32c(index_raw) != stored_crc {
-            return Err(RailgunError::Corruption("sst index crc mismatch".into()));
-        }
-        let mut cur = index_raw;
-        let n = get_uvarint(&mut cur)? as usize;
-        let mut index = Vec::with_capacity(n);
-        for _ in 0..n {
+        let bloom_range = region(&data[..footer_off], bloom_off, bloom_len, "bloom")?;
+        let bloom = BloomFilter::decode(&mut &data[bloom_range])?;
+        let mut cur = &data[crc_framed(&data[..footer_off], index_off, index_len, "index")?];
+        let blocks = get_uvarint(&mut cur)?;
+        let mut index = Vec::new();
+        let mut decoded = 0u64;
+        let mut last: Option<&[u8]> = None;
+        for idx in 0..blocks {
             let first = get_bytes(&mut cur)?;
             let off = get_uvarint(&mut cur)?;
             let len = get_uvarint(&mut cur)?;
-            index.push((first, off, len));
+            // Data blocks lie below the index.
+            let block = crc_framed(
+                &data[..index_off as usize],
+                off,
+                len,
+                format_args!("block {idx}"),
+            )?;
+            let mut rest = &data[block.clone()];
+            while !rest.is_empty() {
+                let (key, _) = next_entry(&mut rest)?;
+                if last.is_some_and(|l| key <= l) {
+                    return Err(corrupt(format!("sst block {idx} keys out of order")));
+                }
+                last = Some(key);
+                decoded += 1;
+            }
+            index.push((first, block));
         }
-        // Bloom.
-        let mut bloom_slice = &data[bloom_off..bloom_off + bloom_len];
-        let bloom = BloomFilter::decode(&mut bloom_slice)?;
+        if decoded != entry_count {
+            return Err(corrupt(format!(
+                "sst decoded {decoded} of {entry_count} entries"
+            )));
+        }
         Ok(SstReader {
             data,
             index,
@@ -274,157 +341,77 @@ impl SstReader {
         self.data.len()
     }
 
+    /// The entries of block `idx`, as they lie in the table.
+    fn block(&self, idx: usize) -> Option<&[u8]> {
+        let (_, payload) = self.index.get(idx)?;
+        Some(&self.data[payload.clone()])
+    }
+
+    /// The last block whose first key is `<= key`, if any.
+    fn block_for(&self, key: &[u8]) -> Option<usize> {
+        self.index
+            .partition_point(|(first, _)| first.as_slice() <= key)
+            .checked_sub(1)
+    }
+
     /// Point lookup. `None` = key not in this table; `Some(None)` =
-    /// tombstone; `Some(Some(v))` = live value.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Entry>> {
-        if self.index.is_empty() || !self.bloom.may_contain(key) {
-            return Ok(None);
+    /// tombstone; `Some(Some(v))` = live value, borrowed from the table.
+    pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
+        if !self.bloom.may_contain(key) {
+            return None;
         }
-        // Find the last block whose first_key <= key.
-        let block_idx = match self
-            .index
-            .binary_search_by(|(first, _, _)| first.as_slice().cmp(key))
-        {
-            Ok(i) => i,
-            Err(0) => return Ok(None),
-            Err(i) => i - 1,
-        };
-        for (k, v) in self.block_entries(block_idx)? {
-            match k.as_slice().cmp(key) {
-                std::cmp::Ordering::Less => continue,
-                std::cmp::Ordering::Equal => return Ok(Some(v)),
-                std::cmp::Ordering::Greater => return Ok(None),
+        let mut rest = self.block(self.block_for(key)?)?;
+        while !rest.is_empty() {
+            let (k, v) = checked_entry(&mut rest);
+            if k >= key {
+                return (k == key).then_some(v);
             }
         }
-        Ok(None)
+        None
     }
 
-    /// Decode all entries of block `idx`, verifying its CRC.
-    fn block_entries(&self, idx: usize) -> Result<Vec<KvEntry>> {
-        let (_, off, len) = &self.index[idx];
-        let (off, len) = (*off as usize, *len as usize);
-        if len < 4 || off + len > self.data.len() {
-            return Err(RailgunError::Corruption("block out of range".into()));
-        }
-        let payload = &self.data[off..off + len - 4];
-        let stored_crc =
-            u32::from_le_bytes(self.data[off + len - 4..off + len].try_into().expect("4b"));
-        if crc32c(payload) != stored_crc {
-            return Err(RailgunError::Corruption(format!(
-                "block {idx} crc mismatch"
-            )));
-        }
-        let mut cur = payload;
-        let mut out = Vec::new();
-        while cur.has_remaining() {
-            let klen = get_uvarint(&mut cur)? as usize;
-            let vtag = get_uvarint(&mut cur)?;
-            if cur.remaining() < klen {
-                return Err(RailgunError::Corruption("truncated block key".into()));
-            }
-            let key = cur[..klen].to_vec();
-            cur.advance(klen);
-            let entry = if vtag == 0 {
-                None
-            } else {
-                let vlen = (vtag - 1) as usize;
-                if cur.remaining() < vlen {
-                    return Err(RailgunError::Corruption("truncated block value".into()));
-                }
-                let v = cur[..vlen].to_vec();
-                cur.advance(vlen);
-                Some(v)
-            };
-            out.push((key, entry));
-        }
-        Ok(out)
-    }
-
-    /// Iterate every entry in key order. Corrupt blocks end the iteration.
+    /// Iterate every entry in key order.
     pub fn iter(&self) -> SstIter<'_> {
+        self.iter_from(0)
+    }
+
+    fn iter_from(&self, next_block: usize) -> SstIter<'_> {
         SstIter {
             reader: self,
-            block: 0,
-            entries: Vec::new(),
-            pos: 0,
+            next_block,
+            rest: &[],
         }
     }
 
     /// Iterate entries with keys in `[start, end)`.
-    pub fn range<'a>(&'a self, start: &[u8], end: Option<&[u8]>) -> SstRangeIter<'a> {
-        // First candidate block: the last block whose first key <= start.
-        let block = match self
-            .index
-            .binary_search_by(|(first, _, _)| first.as_slice().cmp(start))
-        {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        SstRangeIter {
-            inner: SstIter {
-                reader: self,
-                block,
-                entries: Vec::new(),
-                pos: 0,
-            },
-            start: start.to_vec(),
-            end: end.map(<[u8]>::to_vec),
-        }
+    pub fn range<'a>(
+        &'a self,
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+    ) -> impl Iterator<Item = KvRef<'a>> + 'a {
+        self.iter_from(self.block_for(start).unwrap_or(0))
+            .skip_while(move |(k, _)| *k < start)
+            .take_while(move |(k, _)| end.is_none_or(|end| *k < end))
     }
 }
 
-/// Full-table iterator.
+/// Iterator over a table's entries from some block on, in key order.
 pub struct SstIter<'a> {
     reader: &'a SstReader,
-    block: usize,
-    entries: Vec<KvEntry>,
-    pos: usize,
+    next_block: usize,
+    /// Undecoded remainder of the current block.
+    rest: &'a [u8],
 }
 
-impl Iterator for SstIter<'_> {
-    type Item = KvEntry;
+impl<'a> Iterator for SstIter<'a> {
+    type Item = KvRef<'a>;
 
-    fn next(&mut self) -> Option<KvEntry> {
-        loop {
-            if self.pos < self.entries.len() {
-                let item = std::mem::take(&mut self.entries[self.pos]);
-                self.pos += 1;
-                return Some(item);
-            }
-            if self.block >= self.reader.index.len() {
-                return None;
-            }
-            self.entries = self.reader.block_entries(self.block).ok()?;
-            self.block += 1;
-            self.pos = 0;
+    fn next(&mut self) -> Option<KvRef<'a>> {
+        while self.rest.is_empty() {
+            self.rest = self.reader.block(self.next_block)?;
+            self.next_block += 1;
         }
-    }
-}
-
-/// Range-bounded iterator.
-pub struct SstRangeIter<'a> {
-    inner: SstIter<'a>,
-    start: Vec<u8>,
-    end: Option<Vec<u8>>,
-}
-
-impl Iterator for SstRangeIter<'_> {
-    type Item = KvEntry;
-
-    fn next(&mut self) -> Option<KvEntry> {
-        for (k, v) in self.inner.by_ref() {
-            if k.as_slice() < self.start.as_slice() {
-                continue;
-            }
-            if let Some(end) = &self.end {
-                if k.as_slice() >= end.as_slice() {
-                    return None;
-                }
-            }
-            return Some((k, v));
-        }
-        None
+        Some(checked_entry(&mut self.rest))
     }
 }
 
@@ -432,6 +419,9 @@ impl Iterator for SstRangeIter<'_> {
 mod tests {
     use super::*;
     use crate::vfs::RealFs;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("railgun-sst-{}-{name}", std::process::id()));
@@ -439,21 +429,46 @@ mod tests {
         d
     }
 
-    fn build_table(name: &str, n: u32) -> (PathBuf, SstMeta) {
-        let dir = tmpdir(name);
-        let path = dir.join("t.sst");
-        let mut w = SstWriter::create(&RealFs, &path, 256, 10).unwrap();
-        for i in 0..n {
-            let key = format!("key{i:06}");
-            let entry = if i % 7 == 3 {
-                None
-            } else {
-                Some(format!("value-{i}").into_bytes())
-            };
-            w.add(key.as_bytes(), &entry).unwrap();
+    /// Write `entries` (sorted) as the table `<tmpdir(name)>/t.sst`.
+    fn write_table<'a>(
+        name: &str,
+        block_size: usize,
+        bloom_bits_per_key: usize,
+        entries: impl IntoIterator<Item = KvRef<'a>>,
+    ) -> (PathBuf, SstMeta) {
+        let path = tmpdir(name).join("t.sst");
+        let mut w = SstWriter::create(&RealFs, &path, block_size, bloom_bits_per_key).unwrap();
+        for (k, v) in entries {
+            w.add(k, v).unwrap();
         }
         let meta = w.finish().unwrap();
         (path, meta)
+    }
+
+    /// [`write_table`], read back as bytes.
+    fn table_bytes<'a>(
+        name: &str,
+        block_size: usize,
+        bloom_bits_per_key: usize,
+        entries: impl IntoIterator<Item = KvRef<'a>>,
+    ) -> Vec<u8> {
+        std::fs::read(write_table(name, block_size, bloom_bits_per_key, entries).0).unwrap()
+    }
+
+    /// `n` keys in 256-byte blocks, every seventh a tombstone.
+    fn build_table(name: &str, n: u32) -> (PathBuf, SstMeta) {
+        let entries: Vec<(String, Option<String>)> = (0..n)
+            .map(|i| {
+                (
+                    format!("key{i:06}"),
+                    (i % 7 != 3).then(|| format!("value-{i}")),
+                )
+            })
+            .collect();
+        let refs = entries
+            .iter()
+            .map(|(k, v)| (k.as_bytes(), v.as_deref().map(str::as_bytes)));
+        write_table(name, 256, 10, refs)
     }
 
     #[test]
@@ -462,23 +477,20 @@ mod tests {
         assert_eq!(meta.entry_count, 500);
         let r = SstReader::open(&RealFs, &path).unwrap();
         assert_eq!(r.entry_count(), 500);
-        assert_eq!(
-            r.get(b"key000000").unwrap(),
-            Some(Some(b"value-0".to_vec()))
-        );
-        assert_eq!(r.get(b"key000003").unwrap(), Some(None)); // tombstone
-        assert_eq!(r.get(b"key000499").unwrap(), Some(Some(b"value-499".to_vec())));
-        assert_eq!(r.get(b"absent").unwrap(), None);
-        assert_eq!(r.get(b"zzz").unwrap(), None);
+        assert_eq!(r.get(b"key000000"), Some(Some(&b"value-0"[..])));
+        assert_eq!(r.get(b"key000003"), Some(None)); // tombstone
+        assert_eq!(r.get(b"key000499"), Some(Some(&b"value-499"[..])));
+        assert_eq!(r.get(b"absent"), None);
+        assert_eq!(r.get(b"zzz"), None);
     }
 
     #[test]
     fn writer_rejects_unsorted_keys() {
         let dir = tmpdir("unsorted");
         let mut w = SstWriter::create(&RealFs, &dir.join("u.sst"), 256, 10).unwrap();
-        w.add(b"b", &Some(vec![1])).unwrap();
-        assert!(w.add(b"a", &Some(vec![2])).is_err());
-        assert!(w.add(b"b", &Some(vec![2])).is_err()); // duplicates too
+        w.add(b"b", Some(&[1])).unwrap();
+        assert!(w.add(b"a", Some(&[2])).is_err());
+        assert!(w.add(b"b", Some(&[2])).is_err()); // duplicates too
     }
 
     #[test]
@@ -501,19 +513,12 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(slice.len(), 10);
-        assert_eq!(slice[0], b"key000010".to_vec());
-        assert_eq!(slice[9], b"key000019".to_vec());
+        assert_eq!(slice[0], b"key000010");
+        assert_eq!(slice[9], b"key000019");
         // Open-ended range reaches the last key.
-        let tail: Vec<_> = r.range(b"key000098", None).collect();
-        assert_eq!(tail.len(), 2);
-    }
-
-    #[test]
-    fn range_start_before_first_key() {
-        let (path, _) = build_table("rangefront", 10);
-        let r = SstReader::open(&RealFs, &path).unwrap();
-        let all: Vec<_> = r.range(b"a", None).collect();
-        assert_eq!(all.len(), 10);
+        assert_eq!(r.range(b"key000098", None).count(), 2);
+        // A start before the first key covers the table.
+        assert_eq!(r.range(b"a", None).count(), 100);
     }
 
     #[test]
@@ -522,10 +527,16 @@ mod tests {
         let mut raw = std::fs::read(&path).unwrap();
         raw[10] ^= 0xff; // flip a data byte in the first block
         std::fs::write(&path, &raw).unwrap();
-        let r = SstReader::open(&RealFs, &path);
-        // Either open fails (entry counting touches the block) or get fails.
-        if let Ok(r) = r {
-            assert!(r.get(b"key000000").is_err());
+        // No reader exists over a bad block: the open itself fails, and
+        // says which block of which file.
+        match SstReader::open(&RealFs, &path) {
+            Err(RailgunError::Corruption(m)) => {
+                assert!(
+                    m.contains("t.sst") && m.contains("block 0 crc mismatch"),
+                    "{m}"
+                );
+            }
+            other => panic!("expected Corruption, got {:?}", other.map(|_| "a reader")),
         }
     }
 
@@ -541,13 +552,237 @@ mod tests {
 
     #[test]
     fn empty_table_is_readable() {
-        let dir = tmpdir("empty");
-        let path = dir.join("e.sst");
-        let w = SstWriter::create(&RealFs, &path, 256, 10).unwrap();
-        let meta = w.finish().unwrap();
-        assert_eq!(meta.entry_count, 0);
-        let r = SstReader::open(&RealFs, &path).unwrap();
-        assert_eq!(r.get(b"k").unwrap(), None);
+        let raw = table_bytes("empty", 256, 10, []);
+        let r = SstReader::from_bytes(Bytes::from(raw)).unwrap();
+        assert_eq!(r.entry_count(), 0);
+        assert_eq!(r.get(b"k"), None);
         assert_eq!(r.iter().count(), 0);
+        assert_eq!(r.range(b"", None).count(), 0);
+    }
+
+    /// A three-block table (48-byte blocks, 10 bloom bits/key) exactly as
+    /// the writer before the in-place reader produced it.
+    const PARENT_FORMAT_TABLE: &str = "\
+        000a656d7074792d6b657901016102006162030d6162637072656669782d636861696e0909636172642f303030310001\
+        020304050607341893380900636172642f303030320941636172642f30303033612076616c7565206c6f6e6720656e6f\
+        75676820746f206f766572666c6f77207468652034382d6279746520626c6f636b206f6e20697473206f776e2e2e2e2e\
+        88c2af4b02057a7a6c6173747c41627a0300003a09636172642f303030323a5a027a7a94010cf9f2ffa050060202eb62\
+        e065f28b2c25d1000000000000a0000000000000001a00000000000000ba000000000000001300000000000000080000\
+        0000000000015453534c494152";
+
+    fn parent_format_entries() -> Vec<KvRef<'static>> {
+        vec![
+            (b"", Some(b"empty-key")),
+            (b"a", Some(b"")),
+            (b"ab", None),
+            (b"abc", Some(b"prefix-chain")),
+            (b"card/0001", Some(b"\x00\x01\x02\x03\x04\x05\x06\x07")),
+            (b"card/0002", None),
+            (
+                b"card/0003",
+                Some(b"a value long enough to overflow the 48-byte block on its own...."),
+            ),
+            (b"zz", Some(b"last")),
+        ]
+    }
+
+    fn parent_format_table() -> Vec<u8> {
+        (0..PARENT_FORMAT_TABLE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&PARENT_FORMAT_TABLE[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The file format did not move: an old table reads entry for entry,
+    /// and the writer (one reused key buffer, bloom from hashes) still
+    /// produces it byte for byte — bloom bits included.
+    #[test]
+    fn parent_format_table_reads_and_is_rewritten_byte_identically() {
+        let raw = parent_format_table();
+        let entries = parent_format_entries();
+        let r = SstReader::from_bytes(Bytes::from(raw.clone())).unwrap();
+        assert_eq!(r.index.len(), 3);
+        assert_eq!(r.iter().collect::<Vec<_>>(), entries);
+        for (k, v) in &entries {
+            assert_eq!(r.get(k), Some(*v));
+        }
+        assert_eq!(table_bytes("golden", 48, 10, entries), raw);
+    }
+
+    /// Every byte of a table except the bloom filter (which the format
+    /// gives no checksum) is covered by the one check at open.
+    #[test]
+    fn any_flipped_byte_outside_the_bloom_fails_the_open() {
+        let raw = parent_format_table();
+        let footer = &raw[raw.len() - FOOTER_LEN..];
+        let word = |i: usize| u64::from_le_bytes(footer[i * 8..][..8].try_into().unwrap()) as usize;
+        let bloom = word(2)..word(2) + word(3);
+        for pos in (0..raw.len()).filter(|p| !bloom.contains(p)) {
+            for bit in 0..8 {
+                let mut bad = raw.clone();
+                bad[pos] ^= 1 << bit;
+                assert!(
+                    matches!(
+                        SstReader::from_bytes(Bytes::from(bad)),
+                        Err(RailgunError::Corruption(_))
+                    ),
+                    "bit {bit} of byte {pos} flipped and the table still opened"
+                );
+            }
+        }
+    }
+
+    /// Recompute the CRC of the first (only) data block after a test
+    /// rewrote its payload, so the entry decoder is what has to object.
+    fn reseal_only_block(raw: &mut [u8]) {
+        let footer = raw.len() - FOOTER_LEN;
+        let index_off = u64::from_le_bytes(raw[footer..][..8].try_into().unwrap()) as usize;
+        let crc = crc32c(&raw[..index_off - 4]);
+        raw[index_off - 4..index_off].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn malformed_entries_behind_a_valid_crc_are_corruption() {
+        // One block, one entry: [klen=1, vtag=13, 'k', 12 value bytes].
+        let good = table_bytes(
+            "malformed",
+            4096,
+            10,
+            [(&b"k"[..], Some(&b"abcdefghijkl"[..]))],
+        );
+        assert_eq!(&good[..4], &[1, 13, b'k', b'a']);
+        let cases: [(&str, Vec<(usize, u8)>); 6] = [
+            ("key overruns the block", vec![(0, 16)]),
+            ("value overruns the block", vec![(1, 14)]),
+            // A value one byte shorter leaves a second entry of one byte.
+            ("entry cut inside its header", vec![(1, 12)]),
+            ("varint runs off the block", vec![(1, 12), (14, 0x80)]),
+            (
+                "varint longer than a u64",
+                (0..15).map(|i| (i, 0xff)).collect(),
+            ),
+            // [1, 6, 'k', 5 bytes] then [1, 5, 'j', 4 bytes].
+            (
+                "keys out of order",
+                vec![(1, 6), (8, 1), (9, 5), (10, b'j')],
+            ),
+        ];
+        for (what, patch) in cases {
+            let mut bad = good.clone();
+            for (pos, byte) in patch {
+                bad[pos] = byte;
+            }
+            reseal_only_block(&mut bad);
+            assert!(
+                matches!(
+                    SstReader::from_bytes(Bytes::from(bad)),
+                    Err(RailgunError::Corruption(_))
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    static CASE: AtomicU64 = AtomicU64::new(0);
+
+    fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            1 => Just(Vec::new()),
+            // A tiny alphabet: many keys are prefixes of one another.
+            12 => proptest::collection::vec(0u8..3, 1..6),
+            2 => proptest::collection::vec(any::<u8>(), 1..24),
+            1 => proptest::collection::vec(any::<u8>(), 300..301),
+        ]
+    }
+
+    fn value_strategy() -> impl Strategy<Value = Option<Vec<u8>>> {
+        prop_oneof![
+            Just(None),
+            Just(Some(Vec::new())),
+            proptest::collection::vec(any::<u8>(), 1..60).prop_map(Some),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The block cursor against a `BTreeMap`, at the block edges:
+        /// tables of 1..N blocks, and probes at, just below and just
+        /// above every stored key — which covers each block's first and
+        /// last key, the gap between two blocks, and both ends of the
+        /// table. One bloom bit per key lets most absent probes through
+        /// to the cursor.
+        #[test]
+        fn reader_matches_a_btreemap_model(
+            entries in proptest::collection::vec((key_strategy(), value_strategy()), 0..120),
+            block_size in 64usize..4096,
+            bounds in proptest::collection::vec(
+                (key_strategy(), proptest::option::of(key_strategy())), 8),
+        ) {
+            let model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = entries.into_iter().collect();
+            let name = format!("model-{}", CASE.fetch_add(1, Ordering::Relaxed));
+            let raw = table_bytes(
+                &name, block_size, 1, model.iter().map(|(k, v)| (k.as_slice(), v.as_deref())));
+            std::fs::remove_dir_all(tmpdir(&name)).ok();
+            let r = SstReader::from_bytes(Bytes::from(raw)).unwrap();
+            let as_refs = |(k, v): (&'_ Vec<u8>, &'_ Option<Vec<u8>>)| -> (Vec<u8>, Option<Vec<u8>>) {
+                (k.clone(), v.clone())
+            };
+            let owned = |(k, v): KvRef<'_>| (k.to_vec(), v.map(<[u8]>::to_vec));
+
+            prop_assert_eq!(r.entry_count(), model.len() as u64);
+            prop_assert_eq!(
+                r.iter().map(owned).collect::<Vec<_>>(),
+                model.iter().map(as_refs).collect::<Vec<_>>()
+            );
+            for key in model.keys() {
+                let below = &key[..key.len().saturating_sub(1)];
+                let above = [key.as_slice(), &[0]].concat();
+                for probe in [key.as_slice(), below, &above] {
+                    prop_assert_eq!(
+                        r.get(probe),
+                        model.get(probe).map(|v| v.as_deref()),
+                        "get({:?})", probe
+                    );
+                }
+            }
+            for (start, end) in &bounds {
+                let want: Vec<_> = model
+                    .iter()
+                    .filter(|(k, _)| *k >= start && end.as_ref().is_none_or(|e| *k < e))
+                    .map(as_refs)
+                    .collect();
+                prop_assert_eq!(
+                    r.range(start, end.as_deref()).map(owned).collect::<Vec<_>>(),
+                    want,
+                    "range({:?}, {:?})", start, end
+                );
+            }
+        }
+
+        /// Arbitrary damage to a block's payload under a matching CRC is
+        /// `Corruption` or a table that still reads end to end — never a
+        /// panic or an out-of-bounds slice.
+        #[test]
+        fn damaged_payloads_never_panic(
+            entries in proptest::collection::vec((key_strategy(), value_strategy()), 1..40),
+            damage in proptest::collection::vec((any::<u32>(), any::<u8>()), 1..4),
+        ) {
+            let model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = entries.into_iter().collect();
+            let name = format!("damage-{}", CASE.fetch_add(1, Ordering::Relaxed));
+            let mut raw = table_bytes(
+                &name, 1 << 20, 10, model.iter().map(|(k, v)| (k.as_slice(), v.as_deref())));
+            std::fs::remove_dir_all(tmpdir(&name)).ok();
+            let footer = raw.len() - FOOTER_LEN;
+            let payload = u64::from_le_bytes(raw[footer..][..8].try_into().unwrap()) as usize - 4;
+            for (pos, byte) in damage {
+                raw[pos as usize % payload] = byte;
+            }
+            reseal_only_block(&mut raw);
+            match SstReader::from_bytes(Bytes::from(raw)) {
+                Ok(r) => prop_assert_eq!(r.iter().count() as u64, r.entry_count()),
+                Err(e) => prop_assert!(matches!(e, RailgunError::Corruption(_)), "{e}"),
+            }
+        }
     }
 }
