@@ -7,9 +7,11 @@
 
 use bytes::{Buf, BufMut};
 use railgun_types::encode::{
-    get_event, get_string, get_uvarint, put_bytes, put_event, put_uvarint,
+    get_event, get_string, get_uvarint, put_bytes, put_event, put_event_values, put_uvarint,
 };
-use railgun_types::{Event, FieldDef, FieldType, RailgunError, Result, Schema, Value};
+use railgun_types::{
+    Event, EventId, FieldDef, FieldType, RailgunError, Result, Schema, Timestamp, Value,
+};
 
 /// Version byte leading every [`OpRequest`] and [`Reply`] payload.
 ///
@@ -187,28 +189,34 @@ pub const CHECKPOINT_TOPIC: &str = "railgun-checkpoints";
 
 /// Encode an [`EventRequest`].
 pub fn encode_event_request(req: &EventRequest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    encode_event_request_into(&mut buf, req.request_id, &req.reply_topic, &req.event);
+    let mut buf = Vec::with_capacity(64 + req.event.row().len());
+    put_uvarint(&mut buf, req.request_id);
+    put_bytes(&mut buf, req.reply_topic.as_bytes());
+    put_event(&mut buf, &req.event);
     buf
 }
 
-/// Encode an event request from its borrowed parts by appending to `buf`
-/// — the batched ingest path encodes every event of a batch once into one
-/// shared frame buffer and publishes zero-copy slices of it, without
-/// building an owned [`EventRequest`] per event.
+/// Append to `buf` what [`encode_event_request`] writes for a request
+/// carrying `Event::new(event_id, ts, values)`, straight from the values —
+/// the batched ingest path encodes every event of a batch once into one
+/// shared frame buffer and publishes zero-copy slices of it, and builds
+/// neither an [`EventRequest`] nor an [`Event`] per event.
 pub fn encode_event_request_into(
     buf: &mut Vec<u8>,
     request_id: u64,
     reply_topic: &str,
-    event: &Event,
+    event_id: EventId,
+    ts: Timestamp,
+    values: &[Value],
 ) {
     put_uvarint(buf, request_id);
     put_bytes(buf, reply_topic.as_bytes());
-    put_event(buf, event);
+    put_event_values(buf, event_id, ts, values);
 }
 
-/// Decode an [`EventRequest`].
-pub fn decode_event_request(mut buf: &[u8]) -> Result<EventRequest> {
+/// Decode an [`EventRequest`]. Handed a `Bytes` (a bus record's payload),
+/// the event is a slice of it: nothing of the row is copied or built.
+pub fn decode_event_request(mut buf: impl Buf) -> Result<EventRequest> {
     let request_id = get_uvarint(&mut buf)?;
     let reply_topic = get_string(&mut buf)?;
     let event = get_event(&mut buf)?;
@@ -463,7 +471,6 @@ pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use railgun_types::{EventId, Timestamp};
 
     #[test]
     fn event_request_roundtrip() {
@@ -477,7 +484,56 @@ mod tests {
             ),
         };
         let buf = encode_event_request(&req);
-        assert_eq!(decode_event_request(&buf).unwrap(), req);
+        assert_eq!(decode_event_request(&buf[..]).unwrap(), req);
+        // From the parts, without the `Event`: the same record.
+        let mut from_values = Vec::new();
+        encode_event_request_into(
+            &mut from_values,
+            req.request_id,
+            &req.reply_topic,
+            req.event.id,
+            req.event.ts,
+            req.event.values(),
+        );
+        assert_eq!(from_values, buf);
+    }
+
+    #[test]
+    fn a_record_written_before_rows_decodes_and_reencodes_byte_for_byte() {
+        // `encode_event_request` of the commit before events were rows:
+        // request 77 to reply topic 3, a string, a float, a non-ASCII
+        // string, a five-byte integer and a bool.
+        const RECORD: &str = "4d0f7261696c67756e2d7265706c792d33e9078c8d0605050d636172642d30303030\
+            30303037040000\
+            00000000e0bf0506ceb1ceb2ceb30380808080804001";
+        let record: Vec<u8> = (0..RECORD.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&RECORD[i..i + 2], 16).unwrap())
+            .collect();
+        let want = EventRequest {
+            request_id: 77,
+            reply_topic: "railgun-reply-3".into(),
+            event: Event::new(
+                EventId(1001),
+                Timestamp::from_millis(49_990),
+                vec![
+                    Value::Str("card-00000007".into()),
+                    Value::Float(-0.5),
+                    Value::Str("αβγ".into()),
+                    Value::Int(1 << 40),
+                    Value::Bool(false),
+                ],
+            ),
+        };
+        // From a slice (copied row) and from a `Bytes` (sliced row).
+        let from_slice = decode_event_request(&record[..]).unwrap();
+        let from_bytes = decode_event_request(bytes::Bytes::from(record.clone())).unwrap();
+        for got in [from_slice, from_bytes] {
+            assert_eq!(got, want);
+            assert_eq!(got.event.values(), want.event.values());
+            assert_eq!(encode_event_request(&got), record);
+        }
+        assert_eq!(encode_event_request(&want), record);
     }
 
     #[test]
@@ -613,7 +669,7 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_rejected() {
-        assert!(decode_event_request(&[]).is_err());
+        assert!(decode_event_request(&[][..]).is_err());
         assert!(decode_reply(&[1]).is_err());
         assert!(decode_op(&[]).is_err());
         assert!(decode_op(&[99]).is_err());

@@ -135,6 +135,19 @@ impl Expr {
         self.eval(values).is_truthy()
     }
 
+    /// Append the schema position of every field this expression reads.
+    pub fn field_indexes(&self, out: &mut Vec<usize>) {
+        match self {
+            Expr::Lit(_) => {}
+            Expr::Field { index, .. } => out.push(*index),
+            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.field_indexes(out);
+                b.field_indexes(out);
+            }
+            Expr::Not(a) | Expr::IsNull(a) => a.field_indexes(out),
+        }
+    }
+
     /// Validate field indexes against a schema (used when plans are rebuilt
     /// after schema evolution).
     pub fn validate(&self, schema: &Schema) -> Result<()> {

@@ -24,7 +24,7 @@ use railgun_messaging::{
     partition_for_key, BatchEntry, Consumer, Message, MessageBus, Producer, TopicPartition,
 };
 use railgun_types::encode::{put_value, BatchFrameBuilder};
-use railgun_types::{Event, EventId, RailgunError, Result, Schema, Timestamp, Value};
+use railgun_types::{EventId, RailgunError, Result, Schema, Timestamp, Value};
 
 use crate::api::{
     decode_op, decode_reply, encode_event_request_into, encode_op, find_keyed, query_topic,
@@ -465,18 +465,18 @@ impl FrontEnd {
         let request_id = self.next_seq;
         self.next_seq += 1;
         let event_id = EventId((u64::from(self.node) << 40) | request_id);
-        let event = Event::new(event_id, ts, values);
-        // Encode once into the shared frame; every topic's record is a
-        // zero-copy slice of it after the flush.
+        // Encode once into the shared frame, the row written straight from
+        // the caller's values; every topic's record is a zero-copy slice
+        // of it after the flush.
         let record = self.frame.len();
         self.frame.push_with(|buf| {
-            encode_event_request_into(buf, request_id, &self.reply_topic, &event)
+            encode_event_request_into(buf, request_id, &self.reply_topic, event_id, ts, &values)
         });
         // Step 2 of Figure 3: one record per partitioner, keyed by the
         // partitioner value so an entity always lands in one partition.
         for (t, &idx) in meta.topics.iter().zip(&meta.partitioner_indexes) {
             let mut key = Vec::with_capacity(16);
-            put_value(&mut key, &event.values()[idx]);
+            put_value(&mut key, &values[idx]);
             let partition = partition_for_key(&key, meta.partitions);
             let slot = match self.staged.iter().position(|s| s.topic == *t) {
                 Some(i) => i,

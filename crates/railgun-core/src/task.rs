@@ -41,7 +41,7 @@ use crate::horizon::{AuxKeyFilter, StateHorizon, StateKeyFilter};
 use crate::keys::{id_prefix, set_prefix, state_key_into};
 use crate::lang::{Query, WindowKind, WindowSpec};
 use crate::metrics::{SharedTaskStats, TaskStatsRegistry};
-use crate::plan::{GroupId, GroupNode, LeafId, MetricHandle, Plan, WindowId};
+use crate::plan::{GroupId, LeafId, MetricHandle, Plan, WindowId};
 
 /// Tuning for a task processor.
 #[derive(Debug, Clone)]
@@ -167,6 +167,13 @@ pub struct TaskProcessor {
     /// Per-window scratch buffers reused across events (hot path).
     expired_bufs: Vec<Vec<Event>>,
     entering_buf: Vec<Event>,
+    /// Schema positions the live plan reads (filters, group-by fields,
+    /// aggregated fields), ascending; see [`TaskProcessor::plan_changed`].
+    read_set: Vec<usize>,
+    /// The scratch row events are projected into, once per DAG walk:
+    /// schema-long, only the `read_set` slots ever written (the rest stay
+    /// NULL), string buffers reused from event to event.
+    fields: Vec<Value>,
     encode_buf: Vec<u8>,
     /// Scratch key: the current row key under a leaf prefix while a row
     /// is updated (aux-CF key derivation), the key asked for while the
@@ -300,6 +307,8 @@ impl TaskProcessor {
             events_since_truncate: 0,
             expired_bufs: Vec::new(),
             entering_buf: Vec::new(),
+            read_set: Vec::new(),
+            fields: Vec::new(),
             encode_buf: Vec::with_capacity(64),
             key_buf: Vec::with_capacity(32),
             rows: Vec::new(),
@@ -423,6 +432,7 @@ impl TaskProcessor {
             }));
         }
         self.rows.resize_with(self.plan.groups.len(), GroupRow::default);
+        self.plan_changed();
         // Brand-new leaves attached to a *pre-existing* window get no
         // events from that window's (already advanced) head cursor, so
         // they must backfill the window's current content directly —
@@ -469,16 +479,38 @@ impl TaskProcessor {
         let mut events = Vec::new();
         cursor.advance_upto_into(upper, &mut events);
         drop(cursor);
+        let mut fields = std::mem::take(&mut self.fields);
         for event in &events {
+            event.project(&self.read_set, &mut fields);
             let passes = match &self.plan.filters[fid].expr {
-                Some(expr) => expr.matches(event.values()),
+                Some(expr) => expr.matches(&fields),
                 None => true,
             };
             if passes {
-                self.update_group(gid, event, true, first_new)?;
+                self.update_group(gid, event.ts, &fields, true, first_new)?;
             }
         }
+        self.fields = fields;
         Ok(())
+    }
+
+    /// The plan gained or lost nodes: recompute which schema positions it
+    /// reads, and size the scratch row to the schema.
+    fn plan_changed(&mut self) {
+        let plan = &self.plan;
+        let set = &mut self.read_set;
+        set.clear();
+        for group in plan.groups.iter().filter(|g| !g.leaves.is_empty()) {
+            set.extend_from_slice(&group.field_indexes);
+            set.extend(group.leaves.iter().filter_map(|&l| plan.leaves[l].field_index));
+            if let Some(expr) = &plan.filters[group.filter].expr {
+                expr.field_indexes(set);
+            }
+        }
+        set.sort_unstable();
+        set.dedup();
+        self.fields.clear();
+        self.fields.resize(self.schema.len(), Value::Null);
     }
 
     /// Tear down a registered query: detach its metrics from the plan,
@@ -520,6 +552,7 @@ impl TaskProcessor {
             // §5.2(b) iterator count shrinks immediately.
             self.windows[wid] = None;
         }
+        self.plan_changed();
         Ok(true)
     }
 
@@ -532,7 +565,7 @@ impl TaskProcessor {
     /// update every aggregation, and return the results for this event's
     /// entities.
     pub fn process_event(&mut self, event: &Event) -> Result<(Vec<AggregationResult>, bool)> {
-        self.schema.check_values(event.values())?;
+        self.schema.check_row(event)?;
         let t_eval = event.ts + TimeDelta::from_millis(1);
         self.stats.events_processed.fetch_add(1, Ordering::Relaxed);
 
@@ -549,14 +582,19 @@ impl TaskProcessor {
             if let (WindowKind::Sliding(ws), Some(tail)) = (spec.kind, wr.tail.as_ref()) {
                 let lower = t_eval - spec.delay - ws;
                 tail.advance_upto_into(lower, &mut self.expired_bufs[wid]);
+                // A tail that could not load a cold chunk has stopped
+                // expiring: every answer from here on would only grow.
+                if let Some(e) = tail.take_error() {
+                    return Err(e);
+                }
                 wr.tail_bound = wr.tail_bound.max(lower);
             }
         }
 
-        // Phase 2: append to the reservoir (dedup + late policy). Only the
-        // stored timestamp is tracked here; the event itself is cloned
-        // just on the rare direct-insert path below (`Event` clones are
-        // cheap Arc bumps, but per-event work on this path adds up).
+        // Phase 2: append to the reservoir (dedup + late policy; it copies
+        // the row out of the bus frame). Only the stored timestamp is
+        // tracked here; the event is cloned again just on the rare
+        // direct-insert path below.
         let outcome = self.reservoir.append(event.clone())?;
         let (effective_ts, duplicate) = match outcome {
             AppendOutcome::Appended => (Some(event.ts), false),
@@ -583,6 +621,9 @@ impl TaskProcessor {
             let mut entering = std::mem::take(&mut self.entering_buf);
             entering.clear();
             wr.head.advance_upto_into(upper, &mut entering);
+            if let Some(e) = wr.head.take_error() {
+                return Err(e);
+            }
             wr.head_bound = wr.head_bound.max(upper);
             // Direct insert of a late (or timestamp-rewritten) arrival that
             // the head's fixup skipped (ts < head_bound_pre). The lower
@@ -593,11 +634,10 @@ impl TaskProcessor {
             let tail_gate = wr.tail_bound;
             if let Some(ts) = effective_ts {
                 if ts < head_bound_pre && ts >= tail_gate {
-                    entering.push(if ts == event.ts {
-                        event.clone()
-                    } else {
-                        Event::new(event.id, ts, event.values().to_vec())
-                    });
+                    // Same row, stamped with the time it was stored under.
+                    let mut stored = event.clone();
+                    stored.ts = ts;
+                    entering.push(stored);
                 }
             }
             // Expire first, then insert (same relative order as the
@@ -653,14 +693,18 @@ impl TaskProcessor {
         Ok(())
     }
 
-    /// Walk the DAG below window `wid` for one entering/expiring event.
+    /// Walk the DAG below window `wid` for one entering/expiring event,
+    /// projected once into the scratch row for every node of the walk.
     fn apply_dag(&mut self, wid: WindowId, event: &Event, insert: bool) -> Result<()> {
-        let values = event.values();
+        // (Lent out for the walk; an error on the way costs the next event
+        // a fresh scratch row, nothing else.)
+        let mut fields = std::mem::take(&mut self.fields);
+        event.project(&self.read_set, &mut fields);
         let nfilters = self.plan.windows[wid].filters.len();
         for fi in 0..nfilters {
             let fid = self.plan.windows[wid].filters[fi];
             let passes = match &self.plan.filters[fid].expr {
-                Some(expr) => expr.matches(values),
+                Some(expr) => expr.matches(&fields),
                 None => true,
             };
             if !passes {
@@ -669,22 +713,25 @@ impl TaskProcessor {
             let ngroups = self.plan.filters[fid].groups.len();
             for gi in 0..ngroups {
                 let gid = self.plan.filters[fid].groups[gi];
-                self.update_group(gid, event, insert, 0)?;
+                self.update_group(gid, event.ts, &fields, insert, 0)?;
             }
         }
+        self.fields = fields;
         Ok(())
     }
 
-    /// One read-modify-write of the row of (`gid`, the event's entity):
-    /// decode it once, apply the insert/evict to every live leaf of the
-    /// group with id `>= first_leaf` (0 = all; a backfill passes its
+    /// One read-modify-write of the row of (`gid`, the event's entity),
+    /// the event given as its timestamp and its projection (`fields`):
+    /// decode the row once, apply the insert/evict to every live leaf of
+    /// the group with id `>= first_leaf` (0 = all; a backfill passes its
     /// first new leaf), write it back once. Slots of leaves no longer in
     /// the group are dropped on the way; a live leaf the row does not
     /// know yet starts from its empty state.
     fn update_group(
         &mut self,
         gid: GroupId,
-        event: &Event,
+        ts: Timestamp,
+        fields: &[Value],
         insert: bool,
         first_leaf: LeafId,
     ) -> Result<()> {
@@ -692,12 +739,13 @@ impl TaskProcessor {
         let wid = self.plan.filters[group.filter].window;
         let spec = self.plan.windows[wid].spec;
         let bucket = match spec.kind {
-            WindowKind::Tumbling(ws) => Some(event.ts.align_down(ws)),
+            WindowKind::Tumbling(ws) => Some(ts.align_down(ws)),
             _ => None,
         };
         let row = &mut self.rows[gid];
         row.valid = false;
-        group_key_into(&mut row.key, gid, group, bucket, event);
+        let entity = group.field_indexes.iter().map(|&i| &fields[i]);
+        state_key_into(&mut row.key, gid as u32, bucket, entity);
         row.load(&self.db, &self.stats)?;
         let slots = &mut row.slots;
         // Line the slots up with the group's walk list.
@@ -735,9 +783,9 @@ impl TaskProcessor {
                 let mut ctx =
                     AggContext::new(&self.db, self.aux_cf, &self.key_buf, &self.agg_scratch);
                 if let Some((ws, lower)) = sliding {
-                    ctx = ctx.windowed(event.ts.as_millis(), lower, ws);
+                    ctx = ctx.windowed(ts.as_millis(), lower, ws);
                 }
-                let field_value = leaf_node.field_index.map(|i| &event.values()[i]);
+                let field_value = leaf_node.field_index.map(|i| &fields[i]);
                 if insert {
                     state.insert(field_value, &ctx)?;
                 } else {
@@ -764,13 +812,16 @@ impl TaskProcessor {
         event: &Event,
         t_eval: Timestamp,
     ) -> Result<Vec<AggregationResult>> {
+        event.project(&self.read_set, &mut self.fields);
+        let fields = &self.fields;
         for (gid, group) in self.plan.groups.iter().enumerate() {
             if group.leaves.is_empty() {
                 continue; // unregistered
             }
             let spec = self.plan.windows[self.plan.filters[group.filter].window].spec;
             let key = &mut self.key_buf;
-            group_key_into(key, gid, group, collect_bucket(spec, t_eval), event);
+            let entity = group.field_indexes.iter().map(|&i| &fields[i]);
+            state_key_into(key, gid as u32, collect_bucket(spec, t_eval), entity);
             let row = &mut self.rows[gid];
             if row.valid && row.key == *key {
                 continue;
@@ -808,11 +859,7 @@ impl TaskProcessor {
                     query: r.query,
                     index: r.index,
                     name: r.name.clone(),
-                    entity: group
-                        .field_indexes
-                        .iter()
-                        .map(|&i| event.value(i).cloned().unwrap_or(Value::Null))
-                        .collect(),
+                    entity: group.field_indexes.iter().map(|&i| fields[i].clone()).collect(),
                     value: v,
                 });
             }
@@ -1004,21 +1051,6 @@ impl TaskProcessor {
     pub fn iterator_count(&self) -> usize {
         self.reservoir.stats().cursors
     }
-}
-
-/// The row key of (`gid`, the event's entity) in `bucket`, into `key`.
-fn group_key_into(
-    key: &mut Vec<u8>,
-    gid: GroupId,
-    group: &GroupNode,
-    bucket: Option<Timestamp>,
-    event: &Event,
-) {
-    let entity = group
-        .field_indexes
-        .iter()
-        .map(|&i| event.value(i).unwrap_or(&Value::Null));
-    state_key_into(key, gid as u32, bucket, entity);
 }
 
 /// The tumbling bucket a window reports at `t_eval`: the one containing
@@ -1869,5 +1901,58 @@ mod tests {
             vec![Value::Int(1)], // wrong arity
         );
         assert!(tp.process_event(&bad).is_err());
+    }
+
+    #[test]
+    fn a_cold_chunk_that_fails_to_load_fails_the_event() {
+        // A window several chunks long over a one-chunk cache, every chunk
+        // sealed into a file of its own: the tail reads disk.
+        let dir = temp_task_dir("coldfail");
+        let mut tp = TaskProcessor::open(
+            &dir,
+            "payments--cardId",
+            0,
+            schema(),
+            TaskConfig {
+                reservoir: ReservoirConfig {
+                    chunk_target_events: 8,
+                    file_target_bytes: 1,
+                    cache_capacity_chunks: 1,
+                    prefetch: false,
+                    ..ReservoirConfig::default()
+                },
+                ..TaskConfig::default()
+            },
+        )
+        .unwrap();
+        let q = parse_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 1 min")
+            .unwrap();
+        tp.register_query(&q).unwrap();
+        // 40 s of events, one a second: chunks 0..5, nothing expires yet.
+        for i in 0..40 {
+            tp.process_event(&ev(i, i as i64 * 1_000, "A", "m", 1.0)).unwrap();
+        }
+        tp.drain_reservoir_io().unwrap();
+        // The tail still holds chunk 0; chunk 2 (events 16..24) is only on
+        // disk. Flip one byte of it.
+        let segment = dir.join("reservoir").join("seg-00000002.rail");
+        let mut raw = std::fs::read(&segment).unwrap();
+        let mid = raw.len() / 2;
+        raw[mid] ^= 0x40;
+        std::fs::write(&segment, raw).unwrap();
+        // Slide the window over chunk 0 and into chunk 1: still fine.
+        let (r, _) = tp.process_event(&ev(100, 70_000, "A", "m", 1.0)).unwrap();
+        assert_eq!(result_value(&r, "count(*)"), Value::Int(30));
+        assert_eq!(tp.reservoir_stats().failed_loads, 0);
+        // ... and into chunk 2: the event fails, typed, naming the place,
+        // instead of being answered with a count that can only grow.
+        let err = tp.process_event(&ev(101, 80_000, "A", "m", 1.0)).unwrap_err();
+        assert!(matches!(err, RailgunError::Corruption(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("seg-00000002.rail:0") && msg.contains("crc"), "{msg}");
+        assert_eq!(tp.reservoir_stats().failed_loads, 1);
+        // The bound was not committed: the next event runs into it again.
+        assert!(tp.process_event(&ev(102, 81_000, "A", "m", 1.0)).is_err());
+        assert_eq!(tp.reservoir_stats().failed_loads, 2);
     }
 }

@@ -620,7 +620,8 @@ impl ProcessorUnit {
         };
         self.decoded.clear();
         for msg in msgs {
-            self.decoded.push(decode_event_request(&msg.payload)?);
+            // A `Bytes` clone: the decoded event is a slice of the record.
+            self.decoded.push(decode_event_request(msg.payload.clone())?);
         }
         let (active, topic) = (slot.role == Role::Active, &slot.tp.topic);
         let (decoded, stage) = (&self.decoded, &mut self.reply_stage);

@@ -1,8 +1,10 @@
 //! Allocation budget of the pump path (pump mode, manual bus clock): an
 //! idle pump of either side allocates nothing, and one closed-loop event
-//! stays under a fixed count. Own test binary because it installs a
-//! counting global allocator; the counter is per thread, so the
-//! reservoir's I/O thread and other tests do not disturb it.
+//! stays under a fixed count — the same count for a 2-field stream and for
+//! a 103-field one under the same query, which is the guard that nothing
+//! between `send_event` and the reply builds a whole row. Own test binary
+//! because it installs a counting global allocator; the counter is per
+//! thread, so the reservoir's I/O thread and other tests do not disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,11 +62,41 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// Most allocations one closed-loop event may cost (send → unit pump →
-/// front-end pump → take). The worst of 64 measured 39 when this test was
-/// written; the commit before it made 53.
-const EVENT_BUDGET: u64 = 48;
+/// front-end pump → take), whatever its arity. The worst of 64 measured
+/// 28 (2 fields) and 27 (103 fields) when events became rows; before
+/// that the 2-field stream made 39 (budget 48) and every further string
+/// field one more.
+const EVENT_BUDGET: u64 = 37;
 
 const PARTITIONS: u32 = 2;
+
+/// Fields of the wide stream (the paper's dataset has 103), 35 of them
+/// strings.
+const WIDE_FIELDS: usize = 103;
+
+fn wide_schema() -> Schema {
+    let names: Vec<String> = (2..WIDE_FIELDS).map(|i| format!("f{i:03}")).collect();
+    let mut pairs = vec![("cardId", FieldType::Str), ("amount", FieldType::Float)];
+    pairs.extend(names.iter().enumerate().map(|(i, n)| {
+        let ty = [FieldType::Str, FieldType::Float, FieldType::Int][i % 3];
+        (n.as_str(), ty)
+    }));
+    let schema = Schema::from_pairs(&pairs).unwrap();
+    let strings = schema.fields().iter().filter(|f| f.ty == FieldType::Str);
+    assert_eq!((schema.len(), strings.count()), (WIDE_FIELDS, 35));
+    schema
+}
+
+/// An event of `stream`: card and amount, then filler to the schema.
+fn event_values(schema: &Schema, seq: i64) -> Vec<Value> {
+    let mut values = vec![Value::from(format!("card-{}", seq % 7)), Value::from(1.0)];
+    values.extend(schema.fields()[2..].iter().map(|f| match f.ty {
+        FieldType::Str => Value::from(format!("v{}", seq % 50)),
+        FieldType::Float => Value::from(seq as f64 * 0.25),
+        _ => Value::from(seq % 1_000),
+    }));
+    values
+}
 
 #[test]
 fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
@@ -100,41 +132,44 @@ fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
         Arc::new(RailgunStrategy::new(1)),
     )
     .unwrap();
-    let schema =
+    let narrow =
         Schema::from_pairs(&[("cardId", FieldType::Str), ("amount", FieldType::Float)]).unwrap();
-    frontend
-        .create_stream(&bus, "payments", schema, &["cardId"], PARTITIONS, 1)
-        .unwrap();
-    frontend
-        .register_query(
-            "SELECT sum(amount), count(*) FROM payments GROUP BY cardId OVER sliding 5 min",
-        )
-        .unwrap();
-    while unit.active_tasks().len() < PARTITIONS as usize {
+    let streams = [("payments", narrow), ("wide", wide_schema())];
+    for (stream, schema) in &streams {
+        frontend
+            .create_stream(&bus, stream, schema.clone(), &["cardId"], PARTITIONS, 1)
+            .unwrap();
+        frontend
+            .register_query(&format!(
+                "SELECT sum(amount), count(*) FROM {stream} GROUP BY cardId OVER sliding 5 min"
+            ))
+            .unwrap();
+    }
+    while unit.active_tasks().len() < streams.len() * PARTITIONS as usize {
         unit.pump().unwrap();
         frontend.pump().unwrap();
     }
 
     let mut next_ts = 0i64;
-    let mut closed_loop_event = |frontend: &mut FrontEnd, unit: &mut ProcessorUnit| {
-        next_ts += 1_000;
-        let values = vec![
-            Value::from(format!("card-{}", next_ts % 7)),
-            Value::from(1.0),
-        ];
-        allocations_in(|| {
-            let id = frontend
-                .send_event("payments", Timestamp::from_millis(next_ts), values)
-                .unwrap();
-            unit.pump().unwrap();
-            frontend.pump().unwrap();
-            frontend.try_take(id).expect("one pump each answers it")
-        })
-        .0
-    };
-    // Warm-up: scratch buffers, tables and both tasks reach steady state.
+    let mut closed_loop_event =
+        |frontend: &mut FrontEnd, unit: &mut ProcessorUnit, (stream, schema): &(&str, Schema)| {
+            next_ts += 1_000;
+            let values = event_values(schema, next_ts / 1_000);
+            allocations_in(|| {
+                let id = frontend
+                    .send_event(stream, Timestamp::from_millis(next_ts), values)
+                    .unwrap();
+                unit.pump().unwrap();
+                frontend.pump().unwrap();
+                frontend.try_take(id).expect("one pump each answers it")
+            })
+            .0
+        };
+    // Warm-up: scratch buffers, tables and all tasks reach steady state.
     for _ in 0..64 {
-        closed_loop_event(&mut frontend, &mut unit);
+        for stream in &streams {
+            closed_loop_event(&mut frontend, &mut unit, stream);
+        }
     }
 
     let (idle_unit, report) = allocations_in(|| unit.pump().unwrap());
@@ -143,15 +178,21 @@ fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
     let (idle_frontend, ()) = allocations_in(|| frontend.pump().unwrap());
     assert_eq!(idle_frontend, 0, "an idle FrontEnd::pump allocates");
 
-    let worst = (0..64)
-        .map(|_| closed_loop_event(&mut frontend, &mut unit))
-        .max()
-        .expect("64 events");
-    println!("allocations per closed-loop event (worst of 64): {worst}");
-    assert!(
-        worst <= EVENT_BUDGET,
-        "a closed-loop event made {worst} allocations, budget {EVENT_BUDGET}"
-    );
+    for stream in &streams {
+        let worst = (0..64)
+            .map(|_| closed_loop_event(&mut frontend, &mut unit, stream))
+            .max()
+            .expect("64 events");
+        println!(
+            "allocations per closed-loop event of {} fields (worst of 64): {worst}",
+            stream.1.len()
+        );
+        assert!(
+            worst <= EVENT_BUDGET,
+            "a closed-loop event of {} fields made {worst} allocations, budget {EVENT_BUDGET}",
+            stream.1.len()
+        );
+    }
     drop((frontend, unit));
     std::fs::remove_dir_all(&data).ok();
 }

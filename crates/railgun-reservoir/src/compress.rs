@@ -3,7 +3,7 @@
 //! The paper compresses chunks "aggressively" before persisting them
 //! (§4.1.1) — storage overhead matters because events are replicated across
 //! task processors. We implement a small LZ77-style byte compressor
-//! (`RailZ`) with a 64 KiB window and greedy hash-chain matching: the same
+//! (`RailZ`) with a 64 KiB window and greedy one-probe matching: the same
 //! family as LZ4, chosen so the decode path stays a tight copy loop (chunk
 //! deserialization cost is on the read-miss path, §5.2(b)).
 //!
@@ -13,6 +13,19 @@
 //! literal run : 0x00 | varint len | bytes
 //! match       : 0x01 | varint len (>= 4) | varint distance (>= 1)
 //! ```
+//!
+//! ## What a match has to earn
+//!
+//! A match token is 3 to 5 bytes (1 + the two varints; the window is
+//! 64 KiB) and cuts the literal run around it in two, whose second half
+//! needs a 2-byte header of its own. A match of 4 — the shortest the
+//! format allows — so costs 5 to 7 bytes to save 4, and rows of short
+//! strings and small integers are full of them: the body came out barely
+//! smaller and slower on both sides. The encoder emits a match only when
+//! it is longer than its token plus that header (6 bytes up at short
+//! range, 8 at long range). That is the encoder's choice alone: the floor
+//! of the format, and of the decoder, stays `MIN_MATCH` (4), so old streams
+//! decode as ever and new ones are valid to every earlier reader.
 
 use bytes::BufMut;
 use railgun_types::encode::{get_uvarint, put_uvarint};
@@ -55,10 +68,15 @@ impl Codec {
         }
     }
 
-    /// Decompress data produced by [`Codec::compress`].
+    /// Decompress data produced by [`Codec::compress`]; anything that
+    /// does not come out at exactly `expected_len` bytes is corruption.
     pub fn decompress(self, input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         match self {
-            Codec::None => Ok(input.to_vec()),
+            Codec::None if input.len() == expected_len => Ok(input.to_vec()),
+            Codec::None => Err(RailgunError::Corruption(format!(
+                "stored body is {} bytes, expected {expected_len}",
+                input.len()
+            ))),
             Codec::RailZ => decompress_railz(input, expected_len),
         }
     }
@@ -66,93 +84,147 @@ impl Codec {
 
 const TOKEN_LITERAL: u8 = 0;
 const TOKEN_MATCH: u8 = 1;
+/// Shortest match the format allows and the decoder accepts.
 const MIN_MATCH: usize = 4;
 const MAX_DISTANCE: usize = 1 << 16;
-const HASH_BITS: u32 = 15;
+/// 4096 `u32` positions = 16 KiB: the probe table stays in L1 and is cheap
+/// enough to zero per chunk to live on the stack.
+const HASH_BITS: u32 = 12;
+/// Bytes hashed per probe: no shorter match is worth emitting.
+const PROBE_BYTES: u32 = 6;
+/// Header of the literal run a match splits off behind itself.
+const SPLIT_COST: usize = 2;
+/// Every `1 << SKIP_SHIFT` probes in a row without a match, the step over
+/// the input grows by a byte (as in LZ4): stretches that do not repeat
+/// cost little.
+const SKIP_SHIFT: u32 = 4;
 
+/// The 8 bytes at `input[at..]` (they must be there), little-endian: the
+/// first [`PROBE_BYTES`] of them are its low bits.
 #[inline]
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn word_at(input: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(*input[at..].first_chunk().expect("caller leaves 8 bytes"))
 }
 
-/// Greedy LZ77 with one-probe hash table.
-fn compress_railz(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut pos = 0usize;
-    let mut literal_start = 0usize;
+const PROBE_MASK: u64 = (1 << (8 * PROBE_BYTES)) - 1;
 
-    while pos + MIN_MATCH <= input.len() {
-        let h = hash4(&input[pos..]);
-        let candidate = table[h];
-        table[h] = pos;
-        let mut match_len = 0;
-        if candidate != usize::MAX && pos - candidate <= MAX_DISTANCE {
-            let max = input.len() - pos;
-            while match_len < max && input[candidate + match_len] == input[pos + match_len] {
-                match_len += 1;
-            }
+/// Hash of the first [`PROBE_BYTES`] of `word`.
+#[inline]
+fn hash(word: u64) -> usize {
+    ((word & PROBE_MASK).wrapping_mul(0x9E37_79B1_85EB_CA87) >> (64 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of `x` and `y`, compared a word at a time.
+#[inline]
+fn common_prefix(x: &[u8], y: &[u8]) -> usize {
+    let mut n = 0;
+    for (a, b) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(a.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        if diff != 0 {
+            return n + (diff.trailing_zeros() / 8) as usize;
         }
-        if match_len >= MIN_MATCH {
-            // Flush pending literals.
-            if literal_start < pos {
-                let lit = &input[literal_start..pos];
-                out.put_u8(TOKEN_LITERAL);
-                put_uvarint(&mut out, lit.len() as u64);
-                out.put_slice(lit);
-            }
-            out.put_u8(TOKEN_MATCH);
-            put_uvarint(&mut out, match_len as u64);
-            put_uvarint(&mut out, (pos - candidate) as u64);
-            // Seed the table sparsely inside the match to keep encode cheap.
-            let end = pos + match_len;
-            let mut p = pos + 1;
-            while p + MIN_MATCH <= input.len() && p < end {
-                table[hash4(&input[p..])] = p;
-                p += 3;
-            }
-            pos = end;
-            literal_start = pos;
-        } else {
-            pos += 1;
-        }
+        n += 8;
     }
-    if literal_start < input.len() {
-        let lit = &input[literal_start..];
+    n + x[n..].iter().zip(&y[n..]).take_while(|(p, q)| p == q).count()
+}
+
+fn uvarint_len(v: usize) -> usize {
+    (usize::BITS - (v | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+fn put_literals(out: &mut Vec<u8>, lit: &[u8]) {
+    if !lit.is_empty() {
         out.put_u8(TOKEN_LITERAL);
-        put_uvarint(&mut out, lit.len() as u64);
+        put_uvarint(out, lit.len() as u64);
         out.put_slice(lit);
     }
+}
+
+/// Greedy LZ77 with a one-probe hash table; the module docs say when a
+/// match is emitted.
+fn compress_railz(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() + input.len() / 64 + 16);
+    // Position + 1 of the last probe with each hash; 0 = none yet.
+    let mut table = [0u32; 1 << HASH_BITS];
+    let (mut pos, mut literal_start, mut misses) = (0usize, 0usize, 0usize);
+    // A probe reads 8 bytes; the tail behind the last one goes out as
+    // literals (as does anything past what a `u32` position can name).
+    while pos + 8 <= input.len() && pos < u32::MAX as usize {
+        let word = word_at(input, pos);
+        let slot = &mut table[hash(word)];
+        let candidate = (*slot as usize).wrapping_sub(1);
+        *slot = pos as u32 + 1;
+        let dist = pos.wrapping_sub(candidate);
+        // Most candidates are hash collisions or too far back: one word
+        // compare turns them away before anything is measured.
+        if candidate < pos
+            && dist <= MAX_DISTANCE
+            && (word_at(input, candidate) ^ word) & PROBE_MASK == 0
+        {
+            let len = common_prefix(&input[candidate..], &input[pos..]);
+            if len > 1 + uvarint_len(len) + uvarint_len(dist) + SPLIT_COST {
+                put_literals(&mut out, &input[literal_start..pos]);
+                out.put_u8(TOKEN_MATCH);
+                put_uvarint(&mut out, len as u64);
+                put_uvarint(&mut out, dist as u64);
+                pos += len;
+                (literal_start, misses) = (pos, 0);
+                // One seed inside the match, so a repeat that starts late
+                // in it is still found.
+                if pos + 8 <= input.len() {
+                    table[hash(word_at(input, pos - 2))] = (pos - 2) as u32 + 1;
+                }
+                continue;
+            }
+        }
+        misses += 1;
+        pos += 1 + (misses >> SKIP_SHIFT);
+    }
+    put_literals(&mut out, &input[literal_start..]);
     out
 }
 
 fn decompress_railz(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+    // Reserve `expected_len` only as far as the input can vouch for it;
+    // a stream that expands more than fourfold grows the buffer as real
+    // bytes arrive.
+    let mut out = Vec::with_capacity(expected_len.min(input.len().saturating_mul(4)));
     let mut cur = input;
-    while !cur.is_empty() {
-        let token = cur[0];
-        cur = &cur[1..];
+    while let Some((&token, rest)) = cur.split_first() {
+        cur = rest;
         match token {
             TOKEN_LITERAL => {
-                let len = get_uvarint(&mut cur)? as usize;
-                if cur.len() < len {
+                let len = get_uvarint(&mut cur)?;
+                if len > cur.len() as u64 {
                     return Err(RailgunError::Corruption("railz literal truncated".into()));
                 }
-                out.extend_from_slice(&cur[..len]);
-                cur = &cur[len..];
+                let (lit, rest) = cur.split_at(len as usize);
+                if lit.len() > expected_len - out.len() {
+                    return Err(RailgunError::Corruption("railz output overrun".into()));
+                }
+                out.extend_from_slice(lit);
+                cur = rest;
             }
             TOKEN_MATCH => {
-                let len = get_uvarint(&mut cur)? as usize;
-                let dist = get_uvarint(&mut cur)? as usize;
-                if dist == 0 || dist > out.len() || len < MIN_MATCH {
+                let len = get_uvarint(&mut cur)?;
+                let dist = get_uvarint(&mut cur)?;
+                if dist == 0 || dist > out.len() as u64 || len < MIN_MATCH as u64 {
                     return Err(RailgunError::Corruption("railz bad match token".into()));
                 }
-                // Overlapping copies are legal (RLE-style), copy byte-wise.
+                if len > (expected_len - out.len()) as u64 {
+                    return Err(RailgunError::Corruption("railz output overrun".into()));
+                }
+                let (len, dist) = (len as usize, dist as usize);
+                // A match may overlap its own output (`dist < len`, an RLE
+                // run): `out[start..]` is then whole periods of the run, so
+                // copying from its front continues it, twice as much a round.
                 let start = out.len() - dist;
-                for i in 0..len {
-                    let b = out[start + i];
-                    out.push(b);
+                let mut left = len;
+                while left > 0 {
+                    let n = left.min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                    left -= n;
                 }
             }
             other => {
@@ -160,9 +232,6 @@ fn decompress_railz(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
                     "railz unknown token {other}"
                 )))
             }
-        }
-        if out.len() > expected_len {
-            return Err(RailgunError::Corruption("railz output overrun".into()));
         }
     }
     if out.len() != expected_len {
@@ -175,13 +244,163 @@ fn decompress_railz(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The encoder as it was before the emit rule: every match of
+    /// [`MIN_MATCH`] or more goes out. Kept as the size reference.
+    fn reference_compress(input: &[u8]) -> Vec<u8> {
+        const HASH_BITS: u32 = 15;
+        fn hash4(data: &[u8]) -> usize {
+            let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+            (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+        }
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        let mut table = vec![usize::MAX; 1 << HASH_BITS];
+        let mut pos = 0usize;
+        let mut literal_start = 0usize;
+        while pos + MIN_MATCH <= input.len() {
+            let h = hash4(&input[pos..]);
+            let candidate = table[h];
+            table[h] = pos;
+            let mut match_len = 0;
+            if candidate != usize::MAX && pos - candidate <= MAX_DISTANCE {
+                let max = input.len() - pos;
+                while match_len < max && input[candidate + match_len] == input[pos + match_len] {
+                    match_len += 1;
+                }
+            }
+            if match_len >= MIN_MATCH {
+                put_literals(&mut out, &input[literal_start..pos]);
+                out.put_u8(TOKEN_MATCH);
+                put_uvarint(&mut out, match_len as u64);
+                put_uvarint(&mut out, (pos - candidate) as u64);
+                let end = pos + match_len;
+                let mut p = pos + 1;
+                while p + MIN_MATCH <= input.len() && p < end {
+                    table[hash4(&input[p..])] = p;
+                    p += 3;
+                }
+                pos = end;
+                literal_start = pos;
+            } else {
+                pos += 1;
+            }
+        }
+        put_literals(&mut out, &input[literal_start..]);
+        out
+    }
+
+    /// The decoder as it was: one bounds-checked push per matched byte,
+    /// overrun noticed after the copy. The model the slice-copying decoder
+    /// is held to.
+    fn reference_decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
+        let out = reference_tokens(input, expected_len)?;
+        if out.len() != expected_len {
+            return Err(RailgunError::Corruption("railz length mismatch".into()));
+        }
+        Ok(out)
+    }
+
+    /// The token loop of [`reference_decompress`], up to its final length
+    /// check (so a test can ask what a stream decodes to).
+    fn reference_tokens(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut cur = input;
+        while !cur.is_empty() {
+            let token = cur[0];
+            cur = &cur[1..];
+            match token {
+                TOKEN_LITERAL => {
+                    let len = get_uvarint(&mut cur)? as usize;
+                    if cur.len() < len {
+                        return Err(RailgunError::Corruption("railz literal truncated".into()));
+                    }
+                    out.extend_from_slice(&cur[..len]);
+                    cur = &cur[len..];
+                }
+                TOKEN_MATCH => {
+                    let len = get_uvarint(&mut cur)? as usize;
+                    let dist = get_uvarint(&mut cur)? as usize;
+                    if dist == 0 || dist > out.len() || len < MIN_MATCH {
+                        return Err(RailgunError::Corruption("railz bad match token".into()));
+                    }
+                    let start = out.len() - dist;
+                    for i in 0..len {
+                        let b = out[start + i];
+                        out.push(b);
+                    }
+                }
+                other => {
+                    return Err(RailgunError::Corruption(format!(
+                        "railz unknown token {other}"
+                    )))
+                }
+            }
+            if out.len() > expected_len {
+                return Err(RailgunError::Corruption("railz output overrun".into()));
+            }
+        }
+        Ok(out)
+    }
 
     fn roundtrip(data: &[u8]) {
         let compressed = Codec::RailZ.compress(data);
         let back = Codec::RailZ.decompress(&compressed, data.len()).unwrap();
         assert_eq!(back, data);
+        // What this encoder writes, the decoder before it reads, and the
+        // other way round: the format did not move.
+        assert_eq!(reference_decompress(&compressed, data.len()).unwrap(), data);
+        let old = reference_compress(data);
+        assert_eq!(Codec::RailZ.decompress(&old, data.len()).unwrap(), data);
+    }
+
+    fn xorshift_bytes(seed: u32, n: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// A chunk body shaped like the benchmark's `cold_window` payload: per
+    /// event an id/ts delta, two id strings, a float, then a hundred short
+    /// categoricals, random floats, small integers and flags — many 4- and
+    /// 5-byte repeats, few long ones.
+    pub(crate) fn payment_body(events: usize) -> Vec<u8> {
+        let noise = xorshift_bytes(0xC01D, events * 160);
+        let mut noise = noise.iter().copied().cycle();
+        let mut next = move || noise.next().expect("cycle");
+        let mut body = Vec::new();
+        for _ in 0..events {
+            body.extend_from_slice(&[8, 40]); // id delta, ts delta
+            body.extend_from_slice(&[5, 13]);
+            body.extend_from_slice(format!("card-{:08}", u32::from(next()) * 97).as_bytes());
+            body.extend_from_slice(&[5, 12]);
+            body.extend_from_slice(format!("merch-{:06}", u32::from(next()) * 13).as_bytes());
+            body.push(4);
+            body.extend_from_slice(&[0, 0, 0, 0, 0, next(), next() & 0x7f, 0x40]);
+            for field in 0..100 {
+                match field % 4 {
+                    0 => {
+                        body.extend_from_slice(&[5, 3, b'v']);
+                        body.extend_from_slice(format!("{:02}", next() % 50).as_bytes());
+                    }
+                    1 => {
+                        body.push(4);
+                        body.extend((0..8).map(|_| next()));
+                    }
+                    2 => body.extend_from_slice(&[3, next() | 0x80, next() & 0x0f]),
+                    _ => body.push(1 + (next() & 1)),
+                }
+            }
+        }
+        body
     }
 
     #[test]
@@ -190,6 +409,7 @@ mod tests {
         roundtrip(b"a");
         roundtrip(b"abc");
         roundtrip(b"abcd");
+        roundtrip(b"abcdabcdabcdabcdabcd");
     }
 
     #[test]
@@ -215,17 +435,39 @@ mod tests {
 
     #[test]
     fn roundtrip_incompressible() {
-        // Pseudo-random bytes via xorshift.
-        let mut x = 0x12345678u32;
-        let data: Vec<u8> = (0..8192)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 17;
-                x ^= x << 5;
-                x as u8
-            })
-            .collect();
-        roundtrip(&data);
+        roundtrip(&xorshift_bytes(0x12345678, 8192));
+    }
+
+    #[test]
+    fn payment_rows_come_out_no_longer_than_before_and_no_longer_than_they_went_in() {
+        let body = payment_body(110);
+        roundtrip(&body);
+        let (new, old) = (compress_railz(&body), reference_compress(&body));
+        assert!(
+            new.len() <= old.len(),
+            "emit rule made it worse: {} > {} of {}",
+            new.len(),
+            old.len(),
+            body.len()
+        );
+        assert!(new.len() < body.len(), "{} of {}", new.len(), body.len());
+    }
+
+    #[test]
+    fn a_match_that_saves_nothing_is_left_as_literals() {
+        // "abcd" twice with junk between: a 4-byte match exists and the
+        // format allows it, but its token and the split cost more.
+        let data = b"abcd-0123456789-abcd+".to_vec();
+        let compressed = compress_railz(&data);
+        assert_eq!(compressed[0], TOKEN_LITERAL);
+        assert_eq!(compressed.len(), 2 + data.len(), "one literal run");
+        // The decoder's floor is still the format's: the old encoder's
+        // 4-byte match decodes.
+        let old = reference_compress(&data);
+        assert!(old.contains(&TOKEN_MATCH) && old.len() != compressed.len());
+        assert_eq!(decompress_railz(&old, data.len()).unwrap(), data);
+        let too_short = [TOKEN_LITERAL, 3, b'a', b'b', b'c', TOKEN_MATCH, 3, 3];
+        assert!(decompress_railz(&too_short, 6).is_err());
     }
 
     #[test]
@@ -234,6 +476,7 @@ mod tests {
         let c = Codec::None.compress(data);
         assert_eq!(c, data);
         assert_eq!(Codec::None.decompress(&c, data.len()).unwrap(), data);
+        assert!(Codec::None.decompress(&c, data.len() + 1).is_err());
     }
 
     #[test]
@@ -258,5 +501,94 @@ mod tests {
         let compressed = Codec::RailZ.compress(&data);
         assert!(Codec::RailZ.decompress(&compressed, data.len() + 1).is_err());
         assert!(Codec::RailZ.decompress(&compressed, data.len() - 1).is_err());
+    }
+
+    #[test]
+    fn an_absurd_expected_len_reserves_nothing_and_an_overrunning_match_copies_nothing() {
+        let compressed = Codec::RailZ.compress(b"hello world");
+        // 2^40 claimed: must come back as an error, not as an allocation.
+        assert!(decompress_railz(&compressed, 1 << 40).is_err());
+        // A match of 2^40 bytes into a 16-byte body is refused before the
+        // first byte of it is copied.
+        let mut huge = vec![TOKEN_LITERAL, 1, b'x', TOKEN_MATCH];
+        put_uvarint(&mut huge, 1 << 40);
+        put_uvarint(&mut huge, 1);
+        assert!(decompress_railz(&huge, 16).is_err());
+    }
+
+    /// One token of a random stream: (is match, length, distance, bytes).
+    fn token() -> impl Strategy<Value = (u8, u64, u64, Vec<u8>)> {
+        (
+            // Mostly the two real tokens, sometimes junk.
+            prop_oneof![4 => Just(TOKEN_LITERAL), 4 => Just(TOKEN_MATCH), 1 => any::<u8>()],
+            prop_oneof![6 => 0u64..40, 1 => 0u64..2_000],
+            prop_oneof![6 => 0u64..12, 1 => 0u64..3_000],
+            proptest::collection::vec(any::<u8>(), 0..24),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random token streams — overlapping runs (`dist < len`), matches
+        /// reaching before the start, zero distances, lengths under the
+        /// floor, literals longer than what follows, unknown tokens, a
+        /// cut-off tail, a wrong expected length — decode to the same
+        /// bytes, or fail together, as the byte-at-a-time decoder.
+        #[test]
+        fn decoder_matches_the_bytewise_reference(
+            tokens in proptest::collection::vec(token(), 0..12),
+            cut in any::<u16>(),
+            len_skew in 0usize..4,
+        ) {
+            let mut stream = Vec::new();
+            for (kind, len, dist, bytes) in &tokens {
+                stream.push(*kind);
+                if *kind == TOKEN_MATCH {
+                    put_uvarint(&mut stream, *len);
+                    put_uvarint(&mut stream, *dist);
+                } else {
+                    // Usually the true length, sometimes the random one.
+                    let claimed = if len % 5 == 0 { *len } else { bytes.len() as u64 };
+                    put_uvarint(&mut stream, claimed);
+                    stream.extend_from_slice(bytes);
+                }
+            }
+            if cut % 4 == 0 {
+                stream.truncate(cut as usize % (stream.len() + 1));
+            }
+            // Learn the length the stream really decodes to, then ask for
+            // it exactly or skewed.
+            let true_len = reference_tokens(&stream, usize::MAX).ok().map(|out| out.len());
+            let expected = match (true_len, len_skew) {
+                (Some(n), 0 | 1) => n,
+                (Some(n), 2) => n + 1,
+                (Some(n), _) => n.saturating_sub(1),
+                (None, k) => k * 7,
+            };
+            let want = reference_decompress(&stream, expected);
+            let got = decompress_railz(&stream, expected);
+            match (want, got) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Err(_), Err(_)) => {}
+                (a, b) => prop_assert!(false, "reference {a:?} vs {b:?}"),
+            }
+        }
+
+        #[test]
+        fn compress_then_decompress_is_identity(
+            seed in any::<u32>(),
+            shape in 0usize..4,
+            len in 0usize..6_000,
+            period in 1usize..40,
+        ) {
+            let data: Vec<u8> = match shape {
+                0 => xorshift_bytes(seed | 1, len),
+                1 => xorshift_bytes(seed | 1, period).into_iter().cycle().take(len).collect(),
+                2 => vec![seed as u8; len],
+                _ => payment_body(len / 500),
+            };
+            roundtrip(&data);
+        }
     }
 }

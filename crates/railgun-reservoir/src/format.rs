@@ -16,8 +16,15 @@
 //! body (compressed):
 //!   per event: ivarint id delta
 //!              | ts delta (uvarint when SORTED_TS, ivarint otherwise)
-//!              | [varint arity — only when NOT UNIFORM_ARITY] | values...
+//!              | [varint arity — only when NOT UNIFORM_ARITY] | row
 //! ```
+//!
+//! The value bytes of the body *are* the events' rows
+//! ([`railgun_types::event`]): encoding a chunk copies each row in behind
+//! its deltas, and decoding decompresses the body into **one** buffer,
+//! checks each row where it lies and hands out events that are slices of
+//! that buffer. Loading or dropping a chunk is a fixed number of
+//! allocations whatever its event count or arity.
 //!
 //! Two header flags amortize per-event cost for the overwhelmingly common
 //! shapes (§5.2(b)): `SORTED_TS` marks a chunk whose timestamps are
@@ -27,6 +34,10 @@
 //! delta-encoded against the previous event either way, and the whole body
 //! then runs through the chunk codec — the two layers the paper calls "a
 //! data format and compression for efficient storage".
+//!
+//! Every size a frame states about itself is held against what the frame
+//! can hold before anything is allocated for it: a frame whose CRC is
+//! right and whose counts are absurd is `Corruption`, not an abort.
 //!
 //! ## Versioning
 //!
@@ -38,10 +49,8 @@
 //! § "Chunk format v2") instead of silently misreading; v1 reservoirs must
 //! be re-ingested from the messaging layer.
 
-use bytes::{Buf, BufMut};
-use railgun_types::encode::{
-    crc32c, get_ivarint, get_uvarint, get_value, put_ivarint, put_uvarint, put_value,
-};
+use bytes::{Buf, BufMut, Bytes};
+use railgun_types::encode::{crc32c, get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 use railgun_types::{Event, EventId, RailgunError, Result, SchemaId, Timestamp};
 
 use crate::compress::Codec;
@@ -50,7 +59,8 @@ use crate::compress::Codec;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub u64);
 
-/// A fully decoded, immutable chunk resident in memory (cache entry).
+/// An immutable chunk resident in memory (cache entry): its events, each
+/// a checked row — slices of one body buffer when loaded from disk.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedChunk {
     pub id: ChunkId,
@@ -61,7 +71,9 @@ pub struct DecodedChunk {
 }
 
 impl DecodedChunk {
-    /// Approximate heap footprint (memory accounting for the §5.2 claim).
+    /// Heap footprint (memory accounting for the §5.2 claim): the events
+    /// and the rows behind them — for a chunk loaded from disk, the one
+    /// body buffer they slice.
     pub fn heap_bytes(&self) -> usize {
         self.events.iter().map(Event::heap_size).sum::<usize>() + std::mem::size_of::<Self>()
     }
@@ -77,6 +89,12 @@ const FLAG_SORTED_TS: u8 = 0b01;
 const FLAG_UNIFORM_ARITY: u8 = 0b10;
 const FLAG_MASK: u8 = FLAG_SORTED_TS | FLAG_UNIFORM_ARITY;
 
+/// Largest uncompressed body a frame may claim. A RailZ match can expand
+/// without bound, so the compressed length alone does not limit it; this
+/// writer closes a chunk at `chunk_target_bytes` (64 KiB by default) plus
+/// one event, five orders of magnitude below.
+const MAX_BODY_BYTES: u64 = 1 << 30;
+
 /// Serialize a chunk into `out`, returning the encoded frame length.
 pub fn encode_chunk(
     out: &mut Vec<u8>,
@@ -89,8 +107,8 @@ pub fn encode_chunk(
     let first_ts = events.first().expect("non-empty").ts;
     let last_ts = events.last().expect("non-empty").ts;
     let sorted = events.windows(2).all(|w| w[0].ts <= w[1].ts);
-    let arity = events.first().expect("non-empty").values().len();
-    let uniform = events.iter().all(|e| e.values().len() == arity);
+    let arity = events.first().expect("non-empty").arity();
+    let uniform = events.iter().all(|e| e.arity() == arity);
     let mut flags = 0u8;
     if sorted {
         flags |= FLAG_SORTED_TS;
@@ -99,8 +117,9 @@ pub fn encode_chunk(
         flags |= FLAG_UNIFORM_ARITY;
     }
 
-    // Body: delta-encoded events.
-    let mut body = Vec::with_capacity(events.len() * 32);
+    // Body: delta-encoded events, each row copied in as it is.
+    let rows: usize = events.iter().map(|e| e.row().len()).sum();
+    let mut body = Vec::with_capacity(rows + events.len() * 8);
     let mut prev_ts = first_ts.as_millis();
     let mut prev_id = 0u64;
     for e in events {
@@ -114,11 +133,9 @@ pub fn encode_chunk(
         }
         prev_ts = e.ts.as_millis();
         if !uniform {
-            put_uvarint(&mut body, e.values().len() as u64);
+            put_uvarint(&mut body, e.arity() as u64);
         }
-        for v in e.values() {
-            put_value(&mut body, v);
-        }
+        body.put_slice(e.row());
     }
     let compressed = codec.compress(&body);
 
@@ -208,57 +225,44 @@ pub fn decode_chunk(data: &[u8]) -> Result<Option<DecodedFrame>> {
         return Err(RailgunError::Corruption("chunk header truncated".into()));
     }
     let codec = Codec::from_id(p.get_u8())?;
-    let count = get_uvarint(&mut p)? as usize;
+    let count = get_uvarint(&mut p)?;
     let first_ts = Timestamp::from_millis(get_ivarint(&mut p)?);
     let last_ts = Timestamp::from_millis(get_ivarint(&mut p)?);
     let arity = if uniform {
-        let a = get_uvarint(&mut p)? as usize;
-        if a > 1 << 20 {
-            return Err(RailgunError::Corruption(format!(
-                "implausible chunk arity {a}"
-            )));
-        }
-        Some(a)
+        Some(get_uvarint(&mut p)?)
     } else {
         None
     };
-    let body_len = get_uvarint(&mut p)? as usize;
-    let body = codec.decompress(p, body_len)?;
+    let body_len = get_uvarint(&mut p)?;
+    // In the body an event is at least its two deltas and one byte per
+    // field.
+    let least = count.saturating_mul(arity.unwrap_or(0).saturating_add(2));
+    if body_len > MAX_BODY_BYTES || least > body_len {
+        return Err(RailgunError::Corruption(format!(
+            "implausible chunk: {count} events of arity {arity:?} in a body of {body_len}"
+        )));
+    }
+    let mut body = Bytes::from(codec.decompress(p, body_len as usize)?);
 
-    let mut b = &body[..];
-    let mut events = Vec::with_capacity(count);
+    let mut events = Vec::with_capacity(count as usize);
     let mut prev_ts = first_ts.as_millis();
     let mut prev_id = 0u64;
     for _ in 0..count {
-        let id_delta = get_ivarint(&mut b)?;
-        let eid = (prev_id as i64 + id_delta) as u64;
-        prev_id = eid;
+        prev_id = prev_id.wrapping_add_signed(get_ivarint(&mut body)?);
         let ts_delta = if sorted {
-            get_uvarint(&mut b)? as i64
+            get_uvarint(&mut body)? as i64
         } else {
-            get_ivarint(&mut b)?
+            get_ivarint(&mut body)?
         };
-        let ts = prev_ts + ts_delta;
-        prev_ts = ts;
+        prev_ts = prev_ts.wrapping_add(ts_delta);
         let nvals = match arity {
             Some(a) => a,
-            None => {
-                let n = get_uvarint(&mut b)? as usize;
-                if n > 1 << 20 {
-                    return Err(RailgunError::Corruption(format!(
-                        "implausible field count {n}"
-                    )));
-                }
-                n
-            }
+            None => get_uvarint(&mut body)?,
         };
-        let mut values = Vec::with_capacity(nvals);
-        for _ in 0..nvals {
-            values.push(get_value(&mut b)?);
-        }
-        events.push(Event::new(EventId(eid), Timestamp::from_millis(ts), values));
+        let ts = Timestamp::from_millis(prev_ts);
+        events.push(Event::read_row(EventId(prev_id), ts, nvals, &mut body)?);
     }
-    if b.has_remaining() {
+    if body.has_remaining() {
         return Err(RailgunError::Corruption("chunk body has trailing bytes".into()));
     }
     Ok(Some(DecodedFrame {
@@ -276,6 +280,8 @@ pub fn decode_chunk(data: &[u8]) -> Result<Option<DecodedFrame>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use railgun_types::encode::put_value;
     use railgun_types::Value;
 
     fn make_events(n: u64) -> Vec<Event> {
@@ -452,5 +458,203 @@ mod tests {
         encode_chunk(&mut buf, ChunkId(0), SchemaId(0), Codec::RailZ, &events);
         let frame = decode_chunk(&buf).unwrap().unwrap();
         assert_eq!(frame.chunk.events, events);
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Three events covering every value tag, a NULL, an empty and a
+    /// non-ASCII string, a gap in the ids and a timestamp out of order.
+    fn pinned_events() -> Vec<Event> {
+        let card = || Value::Str("card-00000007".into());
+        let e = |id, ts, values| Event::new(EventId(id), Timestamp::from_millis(ts), values);
+        vec![
+            e(1000, 50_000, vec![card(), 9.75.into(), Value::Null, (-3).into(), true.into()]),
+            e(1001, 49_990, vec![card(), (-0.5).into(), "αβγ".into(), (1i64 << 40).into(), false.into()]),
+            e(1003, 50_013, vec![card(), Value::Null, "".into(), 0.into(), Value::Null]),
+        ]
+    }
+
+    /// Frames of [`pinned_events`] as the encoder wrote them before events
+    /// were rows (chunk 5, schema 2), RailZ and stored.
+    const PARENT_RAILZ_FRAME: &str = "5b00000085d405fc820205020103a08d06ba8d060560000bd00f00050d636172642d300106010003370400010401000980234000030502021301151e000d00e0bf0506ceb1ceb2ceb3038001040100044001042e010f2a0006000500030000";
+    const PARENT_STORED_FRAME: &str = "7200000093313ca1820205020003a08d06ba8d060560d00f00050d636172642d3030303030303037040000000000802340000305020213050d636172642d303030303030303704000000000000e0bf0506ceb1ceb2ceb30380808080804001042e050d636172642d3030303030303037000500030000";
+
+    #[test]
+    fn frames_written_before_rows_decode_and_reencode_byte_for_byte() {
+        for hex in [PARENT_RAILZ_FRAME, PARENT_STORED_FRAME] {
+            let raw = unhex(hex);
+            let frame = decode_chunk(&raw).unwrap().expect("a whole frame");
+            assert_eq!(frame.frame_len, raw.len());
+            assert_eq!(frame.chunk.id, ChunkId(5));
+            assert_eq!(frame.chunk.schema, SchemaId(2));
+            assert_eq!(frame.chunk.events, pinned_events());
+            assert_eq!(frame.chunk.first_ts, Timestamp::from_millis(50_000));
+            assert_eq!(frame.chunk.last_ts, Timestamp::from_millis(50_013));
+            // Stored, the frame is header + body: the same body, byte for
+            // byte, whether it is built from decoded events or fresh ones.
+            let mut again = Vec::new();
+            encode_chunk(&mut again, ChunkId(5), SchemaId(2), Codec::None, &frame.chunk.events);
+            assert_eq!(again, unhex(PARENT_STORED_FRAME));
+        }
+    }
+
+    /// Assemble a frame from parts a test chooses freely, sealed with a
+    /// correct length and CRC.
+    fn sealed(flags: u8, codec: Codec, count: u64, arity: Option<u64>, body_len: u64, payload: &[u8]) -> Vec<u8> {
+        let mut p = vec![CHUNK_FORMAT_VERSION, flags];
+        put_uvarint(&mut p, 1); // chunk id
+        put_uvarint(&mut p, 0); // schema id
+        p.push(codec.id());
+        put_uvarint(&mut p, count);
+        put_ivarint(&mut p, 100);
+        put_ivarint(&mut p, 200);
+        if let Some(a) = arity {
+            put_uvarint(&mut p, a);
+        }
+        put_uvarint(&mut p, body_len);
+        p.extend_from_slice(payload);
+        let mut frame = Vec::new();
+        frame.put_u32_le(p.len() as u32 + 4);
+        frame.put_u32_le(crc32c(&p));
+        frame.put_slice(&p);
+        frame
+    }
+
+    /// A two-event body (id delta, sorted ts delta, row of two values).
+    fn small_body() -> Vec<u8> {
+        let mut body = Vec::new();
+        for (card, n) in [("card-1", 7i64), ("card-2", 8)] {
+            body.extend_from_slice(&[2, 5]);
+            put_value(&mut body, &Value::Str(card.into()));
+            put_value(&mut body, &Value::Int(n));
+        }
+        body
+    }
+
+    fn expect_corruption(frame: &[u8], what: &str) {
+        match decode_chunk(frame) {
+            Err(RailgunError::Corruption(_)) => {}
+            other => panic!("{what}: expected Corruption, got {other:?}"),
+        }
+    }
+
+    const SORTED_UNIFORM: u8 = FLAG_SORTED_TS | FLAG_UNIFORM_ARITY;
+
+    #[test]
+    fn sizes_a_frame_states_are_held_against_what_it_holds() {
+        let body = small_body();
+        let len = body.len() as u64;
+        let railz = Codec::RailZ.compress(&body);
+        // The body as written decodes.
+        for (codec, payload) in [(Codec::None, &body), (Codec::RailZ, &railz)] {
+            let ok = decode_chunk(&sealed(SORTED_UNIFORM, codec, 2, Some(2), len, payload));
+            assert_eq!(ok.unwrap().unwrap().chunk.events.len(), 2);
+            expect_corruption(
+                &sealed(SORTED_UNIFORM, codec, 1 << 40, Some(2), len, payload),
+                "absurd count",
+            );
+            expect_corruption(
+                &sealed(SORTED_UNIFORM, codec, 2, Some(2), 1 << 40, payload),
+                "absurd body length",
+            );
+            expect_corruption(
+                &sealed(SORTED_UNIFORM, codec, 2, Some(2), (1 << 30) - 1, payload),
+                "body length the payload does not decode to",
+            );
+            expect_corruption(
+                &sealed(SORTED_UNIFORM, codec, 2, Some(1 << 19), len, payload),
+                "arity larger than the body",
+            );
+            expect_corruption(
+                &sealed(SORTED_UNIFORM, codec, 2, Some(3), len, payload),
+                "arity that runs the first row into the second event",
+            );
+            expect_corruption(
+                &sealed(SORTED_UNIFORM, codec, 1, Some(2), len, payload),
+                "trailing bytes after the last event",
+            );
+        }
+        // Per-event arity (no UNIFORM flag) larger than what is left.
+        let mut ragged = vec![2, 5];
+        put_uvarint(&mut ragged, 1 << 40);
+        put_value(&mut ragged, &Value::Int(1));
+        expect_corruption(
+            &sealed(FLAG_SORTED_TS, Codec::None, 1, None, ragged.len() as u64, &ragged),
+            "per-event arity larger than the body",
+        );
+    }
+
+    #[test]
+    fn rows_are_checked_where_they_lie() {
+        let body = small_body();
+        let frame = |body: &[u8]| sealed(SORTED_UNIFORM, Codec::None, 2, Some(2), body.len() as u64, body);
+        assert!(decode_chunk(&frame(&body)).is_ok());
+        // Cut inside the last value (and inside the string before it).
+        for cut in [1, 2, 9] {
+            expect_corruption(&frame(&body[..body.len() - cut]), "row cut mid-value");
+        }
+        let at = |needle: &[u8]| body.windows(needle.len()).position(|w| w == needle).unwrap();
+        let mut bad_utf8 = body.clone();
+        bad_utf8[at(b"card-2") + 2] = 0xFF;
+        expect_corruption(&frame(&bad_utf8), "invalid UTF-8");
+        let mut bad_tag = body.clone();
+        bad_tag[2] = 0x77; // the first value's tag
+        expect_corruption(&frame(&bad_tag), "unknown tag");
+        let mut long_string = body.clone();
+        long_string[3] = 0x7F; // the first string's length
+        expect_corruption(&frame(&long_string), "string past the end");
+        let mut endless_varint = body.clone();
+        let int_at = body.len() - 1; // the last integer's single varint byte
+        endless_varint[int_at] = 0x80;
+        expect_corruption(&frame(&endless_varint), "unterminated varint");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random byte flips and truncations of a frame's payload, the CRC
+        /// and length put right again: decoding is an error or a chunk
+        /// whose every event reads back, never a panic or an abort.
+        #[test]
+        fn damaged_frames_never_panic(
+            railz in any::<bool>(),
+            flips in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..4),
+            keep in any::<u16>(),
+            truncate in any::<bool>(),
+        ) {
+            let codec = if railz { Codec::RailZ } else { Codec::None };
+            let mut frame = Vec::new();
+            encode_chunk(&mut frame, ChunkId(3), SchemaId(1), codec, &pinned_events());
+            let mut payload = frame.split_off(8);
+            for (at, byte) in flips {
+                let at = at as usize % payload.len();
+                payload[at] = byte;
+            }
+            if truncate {
+                payload.truncate(keep as usize % (payload.len() + 1));
+            }
+            frame.clear();
+            frame.put_u32_le(payload.len() as u32 + 4);
+            frame.put_u32_le(crc32c(&payload));
+            frame.put_slice(&payload);
+            if let Ok(Some(decoded)) = decode_chunk(&frame) {
+                let mut again = Vec::new();
+                for e in &decoded.chunk.events {
+                    prop_assert_eq!(e.values().len(), e.arity());
+                }
+                encode_chunk(&mut again, ChunkId(3), SchemaId(1), codec, &decoded.chunk.events);
+                let back = decode_chunk(&again).unwrap().unwrap();
+                // (As text: a flipped float may be NaN.)
+                prop_assert_eq!(
+                    format!("{:?}", back.chunk.events),
+                    format!("{:?}", decoded.chunk.events)
+                );
+            }
+        }
     }
 }

@@ -17,10 +17,20 @@
 //! * once it reaches the size target it **closes**; if a transition hold is
 //!   configured it lingers, closed for new events but open for late ones
 //!   (the watermark-like mechanism of §4.1.1);
-//! * finalization encodes + compresses the chunk, pins it in the cache, and
-//!   queues it for an asynchronous append to the active segment file;
-//! * the background I/O thread appends it, records its location and unpins
-//!   it (**durable**).
+//! * finalization pins the chunk's events in the cache and queues them for
+//!   the background I/O thread;
+//! * the I/O thread frames them (their rows copied behind id/ts deltas,
+//!   then compressed), appends the frame to the active segment file,
+//!   records its location and unpins the chunk (**durable**).
+//!
+//! ## Who owns an event's bytes
+//!
+//! An [`Event`]'s fields are an encoded row behind a reference count
+//! (`railgun_types::event`). `append` copies the row into an allocation of
+//! the reservoir's own: what it is handed is a slice of a bus frame holding
+//! a whole batch, which a stored slice would keep alive for as long as the
+//! chunk is in memory. Events of a chunk loaded from disk slice the chunk's
+//! one decompressed body, which lives as long as any of them is held.
 //!
 //! ## Cursor semantics
 //!
@@ -32,6 +42,8 @@
 //! that can still receive late events, so no event escapes expiry.
 
 use std::collections::VecDeque;
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -131,6 +143,9 @@ pub struct ReservoirStats {
     pub chunks_finalized: u64,
     pub files_sealed: u64,
     pub bytes_written: u64,
+    /// Cold chunk loads by a cursor that failed (the read, or the frame's
+    /// checks); each also reaches its owner through [`Cursor::take_error`].
+    pub failed_loads: u64,
     pub durable_chunks: usize,
     pub open_events: usize,
     pub transition_events: usize,
@@ -389,7 +404,7 @@ impl Reservoir {
     /// [`Reservoir::append`] (batch-of-1) and [`Reservoir::append_batch`]
     /// funnel through here, which is what keeps batched and sequential
     /// ingest byte-identical by construction.
-    fn append_locked(&self, inner: &mut Inner, mut event: Event) -> Result<AppendOutcome> {
+    fn append_locked(&self, inner: &mut Inner, event: Event) -> Result<AppendOutcome> {
         // Single dedup probe: insert up front, roll back on the (rare)
         // late-discard path below.
         if !inner.dedup.insert(event.id) {
@@ -405,12 +420,16 @@ impl Reservoir {
                     return Ok(AppendOutcome::LateDiscarded);
                 }
                 LatePolicy::Rewrite => {
-                    let new_ts = inner.min_acceptable_ts;
-                    event = Event::new(event.id, new_ts, event.values().to_vec());
                     inner.stats.late_rewritten += 1;
-                    outcome = AppendOutcome::LateRewritten(new_ts);
+                    outcome = AppendOutcome::LateRewritten(inner.min_acceptable_ts);
                 }
             }
+        }
+        // The event stays: give it a row of the reservoir's own (module
+        // docs), stamped with the timestamp it is stored under.
+        let mut event = event.detached();
+        if let AppendOutcome::LateRewritten(ts) = outcome {
+            event.ts = ts;
         }
         inner.max_seen_ts = inner.max_seen_ts.max(event.ts);
 
@@ -462,7 +481,8 @@ impl Reservoir {
             } else {
                 // Out-of-order insert: recompute the meta from the events.
                 Self::fixup_cursors(inner, id, &pos);
-                Self::refresh_meta_open(inner, oi);
+                let open = inner.open.as_ref().expect("just ensured");
+                Self::refresh_meta(&mut inner.chunks, inner.first_chunk_id, open);
             }
             self.maybe_close_open(inner);
         } else {
@@ -484,7 +504,7 @@ impl Reservoir {
             let id = inner.transition[ti].id;
             let pos = insert_sorted(&mut inner.transition[ti], event);
             Self::fixup_cursors(inner, id, &pos);
-            Self::refresh_meta(inner, ti);
+            Self::refresh_meta(&mut inner.chunks, inner.first_chunk_id, &inner.transition[ti]);
         }
         self.finalize_ready_transitions(inner)?;
         Ok(outcome)
@@ -509,37 +529,14 @@ impl Reservoir {
         }
     }
 
-    fn refresh_meta(inner: &mut Inner, transition_idx: usize) {
-        let t = &inner.transition[transition_idx];
-        let (id, first, last, count) = (
-            t.id,
-            t.events.first().map(|e| e.ts),
-            t.events.last().map(|e| e.ts),
-            t.events.len(),
-        );
-        let mi = (id.0 - inner.first_chunk_id) as usize;
-        let meta = &mut inner.chunks[mi];
-        if let (Some(f), Some(l)) = (first, last) {
-            meta.first_ts = f;
-            meta.last_ts = l;
-            meta.count = count as u32;
-        }
-    }
-
-    fn refresh_meta_open(inner: &mut Inner, meta_idx: usize) {
-        let (first, last, count) = {
-            let open = inner.open.as_ref().expect("open chunk");
-            (
-                open.events.first().map(|e| e.ts),
-                open.events.last().map(|e| e.ts),
-                open.events.len(),
-            )
-        };
-        let meta = &mut inner.chunks[meta_idx];
-        if let (Some(f), Some(l)) = (first, last) {
-            meta.first_ts = f;
-            meta.last_ts = l;
-            meta.count = count as u32;
+    /// Recompute a mutable chunk's metadata from its events (after an
+    /// out-of-order insert).
+    fn refresh_meta(chunks: &mut VecDeque<ChunkMeta>, first_chunk_id: u64, chunk: &MutableChunk) {
+        if let (Some(first), Some(last)) = (chunk.events.first(), chunk.events.last()) {
+            let meta = &mut chunks[(chunk.id.0 - first_chunk_id) as usize];
+            meta.first_ts = first.ts;
+            meta.last_ts = last.ts;
+            meta.count = chunk.events.len() as u32;
         }
     }
 
@@ -668,8 +665,7 @@ impl Reservoir {
             pos.chunk = chunk_id.0;
             match Self::resident_seek(inner, chunk_id, from) {
                 Some(idx) => pos.idx = idx,
-                // Not resident: seek unlocked below. On a read error the
-                // index stays 0, matching the old degraded behaviour.
+                // Not resident: seek unlocked below.
                 None => cold = durable_location(inner, chunk_id).ok(),
             }
         }
@@ -677,29 +673,37 @@ impl Reservoir {
         let id = inner.next_cursor_id;
         inner.next_cursor_id += 1;
         inner.cursors.insert(id, pos);
-        if let Some(loc) = cold {
-            drop(guard);
-            if let Ok(decoded) = read_chunk_at(&self.shared.dir, loc) {
-                let decoded = Arc::new(decoded);
-                let mut inner = self.shared.inner.lock();
-                let inner = &mut *inner;
-                if chunk_no >= inner.first_chunk_id && !inner.cache.contains(ChunkId(chunk_no))
-                {
-                    inner.cache.insert(Arc::clone(&decoded));
-                }
-                if let Some(cur) = inner.cursors.get_mut(&id) {
-                    // The handle is not returned yet, so nothing advanced
-                    // the cursor; fixups don't apply at bound MIN either.
-                    debug_assert!(cur.chunk == chunk_no && cur.idx == 0);
-                    cur.idx = decoded.events.partition_point(|e| e.ts < from);
-                    cur.held = Some(decoded);
-                }
-            }
-        }
-        Cursor {
+        let cursor = Cursor {
             shared: Arc::clone(&self.shared),
             id,
+            error: Mutex::new(None),
+        };
+        if let Some(loc) = cold {
+            drop(guard);
+            match read_chunk_at(&self.shared.dir, loc) {
+                Ok(decoded) => {
+                    let decoded = Arc::new(decoded);
+                    let mut inner = self.shared.inner.lock();
+                    let inner = &mut *inner;
+                    if chunk_no >= inner.first_chunk_id
+                        && !inner.cache.contains(ChunkId(chunk_no))
+                    {
+                        inner.cache.insert(Arc::clone(&decoded));
+                    }
+                    if let Some(cur) = inner.cursors.get_mut(&id) {
+                        // The handle is not returned yet, so nothing advanced
+                        // the cursor; fixups don't apply at bound MIN either.
+                        debug_assert!(cur.chunk == chunk_no && cur.idx == 0);
+                        cur.idx = decoded.events.partition_point(|e| e.ts < from);
+                        cur.held = Some(decoded);
+                    }
+                }
+                // The cursor stays at the head of the chunk; its owner
+                // finds out why through the error slot.
+                Err(e) => cursor.fail(e),
+            }
         }
+        cursor
     }
 
     /// Cursor positioned at the very beginning of the stored stream.
@@ -785,9 +789,8 @@ impl Reservoir {
                 }
             } else {
                 // Copy only the durable prefix of the active file.
-                let data = std::fs::read(&from)?;
-                let durable = &data[..bytes.min(data.len() as u64) as usize];
-                std::fs::write(&to, durable)?;
+                let mut out = File::create(&to)?;
+                std::io::copy(&mut File::open(&from)?.take(bytes), &mut out)?;
             }
         }
         let reg = self.shared.dir.join(crate::registry::REGISTRY_FILE);
@@ -896,9 +899,25 @@ fn durable_location(inner: &Inner, chunk: ChunkId) -> Result<ChunkLocation> {
 pub struct Cursor {
     shared: Arc<Shared>,
     id: u64,
+    /// Why the last cold load failed, until the owner takes it.
+    error: Mutex<Option<RailgunError>>,
 }
 
 impl Cursor {
+    /// The error (naming segment file and offset) of a cold chunk load this
+    /// cursor could not complete, handed out once. Such a drain yields
+    /// nothing further and does not commit its bound — a window driven by
+    /// this cursor has stopped sliding — so its owner checks after every
+    /// advance.
+    pub fn take_error(&self) -> Option<RailgunError> {
+        self.error.lock().take()
+    }
+
+    fn fail(&self, error: RailgunError) {
+        self.shared.inner.lock().stats.failed_loads += 1;
+        *self.error.lock() = Some(error);
+    }
+
     /// Yield every not-yet-yielded event with `ts < bound` into `out`,
     /// advancing the cursor. Bounds are monotonic: a smaller-or-equal bound
     /// than a previous call yields nothing.
@@ -918,6 +937,9 @@ impl Cursor {
     /// chunk, and a sequence number detects a concurrent advance of the
     /// *same* cursor across the unlocked window (events are then yielded to
     /// exactly one of the callers; each event is still yielded once).
+    ///
+    /// A cold load that fails ends the drain short of `bound`; see
+    /// [`Cursor::take_error`].
     pub fn advance_upto_into(&self, bound: Timestamp, out: &mut Vec<Event>) {
         let mut guard = self.shared.inner.lock();
         loop {
@@ -953,7 +975,8 @@ impl Cursor {
             drop(guard);
             let decoded = match read_chunk_at(&self.shared.dir, loc) {
                 Ok(d) => Arc::new(d),
-                Err(_) => return, // bound not committed; a later call retries
+                // Bound not committed: a later call retries.
+                Err(e) => return self.fail(e),
             };
             guard = self.shared.inner.lock();
             let inner = &mut *guard;

@@ -148,21 +148,28 @@ impl SegmentWriter {
     }
 }
 
-/// Read one chunk frame from a segment file.
+/// Read one chunk frame from a segment file. Every failure — the open,
+/// the read, the frame's checks — names the file and the offset.
 pub fn read_chunk_at(dir: &Path, loc: ChunkLocation) -> Result<DecodedChunk> {
     let path = dir.join(segment_file_name(loc.file));
-    let mut file = File::open(&path)?;
-    file.seek(SeekFrom::Start(loc.offset))?;
-    let mut buf = vec![0u8; loc.len as usize];
-    file.read_exact(&mut buf)?;
-    match decode_chunk(&buf)? {
-        Some(frame) => Ok(frame.chunk),
-        None => Err(RailgunError::Corruption(format!(
-            "chunk frame at {}:{} truncated",
-            path.display(),
-            loc.offset
-        ))),
-    }
+    let read = || -> Result<DecodedChunk> {
+        let mut file = File::open(&path)?;
+        file.seek(SeekFrom::Start(loc.offset))?;
+        let mut buf = vec![0u8; loc.len as usize];
+        file.read_exact(&mut buf)?;
+        match decode_chunk(&buf)? {
+            Some(frame) => Ok(frame.chunk),
+            None => Err(RailgunError::Corruption("chunk frame truncated".into())),
+        }
+    };
+    let place = format!("{}:{}", path.display(), loc.offset);
+    read().map_err(|e| match e {
+        RailgunError::Corruption(what) => RailgunError::Corruption(format!("{place}: {what}")),
+        RailgunError::Io(e) => {
+            RailgunError::Io(std::io::Error::new(e.kind(), format!("{place}: {e}")))
+        }
+        other => other,
+    })
 }
 
 /// A chunk recovered from a segment scan.

@@ -12,6 +12,7 @@
 use bytes::{Buf, BufMut, Bytes};
 
 use crate::event::{Event, EventId};
+use crate::schema::FieldType;
 use crate::time::Timestamp;
 use crate::value::Value;
 use crate::{RailgunError, Result};
@@ -196,52 +197,174 @@ pub fn put_value(buf: &mut impl BufMut, v: &Value) {
     }
 }
 
-/// Decode a [`Value`] written by [`put_value`].
-pub fn get_value(buf: &mut impl Buf) -> Result<Value> {
-    if !buf.has_remaining() {
-        return Err(RailgunError::Corruption("truncated value".into()));
+/// Why walking an [`Event`]'s row cannot fail.
+pub(crate) const CHECKED: &str = "the row was checked when the event was built";
+
+/// One [`put_value`] image borrowed from the bytes it was read from. A
+/// string's payload is handed out as bytes: whoever builds something from
+/// it decides whether UTF-8 still has to be checked ([`check_row`]) or
+/// already was (the accessors of a checked [`Event`] row).
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum RawValue<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a [u8]),
+}
+
+impl RawValue<'_> {
+    /// The string payload as text.
+    fn text(bytes: &[u8]) -> Result<&str> {
+        std::str::from_utf8(bytes)
+            .map_err(|_| RailgunError::Corruption("invalid utf-8 in string".into()))
     }
-    match buf.get_u8() {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL_FALSE => Ok(Value::Bool(false)),
-        TAG_BOOL_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(get_ivarint(buf)?)),
-        TAG_FLOAT => {
-            if buf.remaining() < 8 {
-                return Err(RailgunError::Corruption("truncated float".into()));
+
+    /// Store this value, read from a checked row, into `slot`, reusing
+    /// the buffer of a string already there.
+    pub(crate) fn store_checked(self, slot: &mut Value) {
+        match (self, slot) {
+            (RawValue::Str(b), Value::Str(s)) => {
+                s.clear();
+                s.push_str(Self::text(b).expect(CHECKED));
             }
-            Ok(Value::Float(buf.get_f64_le()))
+            (raw, slot) => *slot = raw.to_value().expect(CHECKED),
         }
-        TAG_STR => Ok(Value::Str(get_string(buf)?)),
+    }
+
+    /// The declared type this value has; `None` for NULL.
+    pub(crate) fn field_type(&self) -> Option<FieldType> {
+        match self {
+            RawValue::Null => None,
+            RawValue::Bool(_) => Some(FieldType::Bool),
+            RawValue::Int(_) => Some(FieldType::Int),
+            RawValue::Float(_) => Some(FieldType::Float),
+            RawValue::Str(_) => Some(FieldType::Str),
+        }
+    }
+
+    /// The owned [`Value`]; fails only on a string that is not UTF-8.
+    pub(crate) fn to_value(self) -> Result<Value> {
+        Ok(match self {
+            RawValue::Null => Value::Null,
+            RawValue::Bool(b) => Value::Bool(b),
+            RawValue::Int(i) => Value::Int(i),
+            RawValue::Float(f) => Value::Float(f),
+            RawValue::Str(b) => Value::Str(Self::text(b)?.to_owned()),
+        })
+    }
+}
+
+/// [`get_uvarint`] over a slice, with the one-byte case — every tag-adjacent
+/// length and small integer of a row — taken without the `Buf` cursor.
+#[inline]
+fn slice_uvarint(row: &mut &[u8]) -> Result<u64> {
+    match row.split_first() {
+        Some((&b, rest)) if b < 0x80 => {
+            *row = rest;
+            Ok(u64::from(b))
+        }
+        _ => get_uvarint(row),
+    }
+}
+
+/// Step over the [`put_value`] image at the front of `row`. This is the
+/// one walker of encoded values: decoding a value, checking a row,
+/// skipping to a field and type-checking against a schema all go through
+/// it, so there is one place that knows the tags and bounds every length.
+#[inline]
+pub(crate) fn next_value<'a>(row: &mut &'a [u8]) -> Result<RawValue<'a>> {
+    let Some((&tag, rest)) = row.split_first() else {
+        return Err(RailgunError::Corruption("truncated value".into()));
+    };
+    *row = rest;
+    match tag {
+        TAG_NULL => Ok(RawValue::Null),
+        TAG_BOOL_FALSE => Ok(RawValue::Bool(false)),
+        TAG_BOOL_TRUE => Ok(RawValue::Bool(true)),
+        TAG_INT => Ok(RawValue::Int(unzigzag(slice_uvarint(row)?))),
+        TAG_FLOAT => {
+            let Some((bits, rest)) = row.split_first_chunk::<8>() else {
+                return Err(RailgunError::Corruption("truncated float".into()));
+            };
+            *row = rest;
+            Ok(RawValue::Float(f64::from_le_bytes(*bits)))
+        }
+        TAG_STR => {
+            let len = slice_uvarint(row)?;
+            if len > row.len() as u64 {
+                return Err(RailgunError::Corruption(format!(
+                    "string of {len} exceeds remaining {}",
+                    row.len()
+                )));
+            }
+            let (text, rest) = row.split_at(len as usize);
+            *row = rest;
+            Ok(RawValue::Str(text))
+        }
         t => Err(RailgunError::Corruption(format!("unknown value tag {t}"))),
     }
 }
 
-/// Append an [`Event`] (id, timestamp, values) in binary form.
-pub fn put_event(buf: &mut impl BufMut, e: &Event) {
-    put_uvarint(buf, e.id.0);
-    put_ivarint(buf, e.ts.as_millis());
-    put_uvarint(buf, e.values().len() as u64);
-    for v in e.values() {
+/// Check that `buf` starts with `arity` well-formed value images — every
+/// tag known, every varint terminated and in range, every float and string
+/// inside the buffer, every string UTF-8 — and return how many bytes they
+/// span. An `arity` the buffer cannot hold fails at the first missing
+/// value; nothing is allocated for it.
+pub(crate) fn check_row(buf: &[u8], arity: u64) -> Result<usize> {
+    let mut rest = buf;
+    for _ in 0..arity {
+        if let RawValue::Str(text) = next_value(&mut rest)? {
+            RawValue::text(text)?;
+        }
+    }
+    Ok(buf.len() - rest.len())
+}
+
+/// Decode a [`Value`] written by [`put_value`]. (Every `Buf` of the
+/// vendored `bytes` shim is contiguous, so the value lies in `chunk()`.)
+pub fn get_value(buf: &mut impl Buf) -> Result<Value> {
+    let mut rest = buf.chunk();
+    let before = rest.len();
+    let value = next_value(&mut rest)?.to_value()?;
+    let used = before - rest.len();
+    buf.advance(used);
+    Ok(value)
+}
+
+/// Append the row of `values`: their [`put_value`] images back to back.
+pub(crate) fn put_row(buf: &mut impl BufMut, values: &[Value]) {
+    for v in values {
         put_value(buf, v);
     }
 }
 
-/// Decode an [`Event`] written by [`put_event`].
+fn put_event_header(buf: &mut impl BufMut, id: EventId, ts: Timestamp, arity: usize) {
+    put_uvarint(buf, id.0);
+    put_ivarint(buf, ts.as_millis());
+    put_uvarint(buf, arity as u64);
+}
+
+/// Append an [`Event`] (id, timestamp, field count, row) in binary form.
+pub fn put_event(buf: &mut impl BufMut, e: &Event) {
+    put_event_header(buf, e.id, e.ts, e.arity());
+    buf.put_slice(e.row());
+}
+
+/// Exactly what [`put_event`] appends for `Event::new(id, ts, values)`,
+/// written straight from the values (the front-end's path: no `Event`).
+pub fn put_event_values(buf: &mut impl BufMut, id: EventId, ts: Timestamp, values: &[Value]) {
+    put_event_header(buf, id, ts, values.len());
+    put_row(buf, values);
+}
+
+/// Decode an [`Event`] written by [`put_event`]. The row is checked here
+/// ([`Event::read_row`]) and not copied when `buf` is a `Bytes`.
 pub fn get_event(buf: &mut impl Buf) -> Result<Event> {
     let id = EventId(get_uvarint(buf)?);
     let ts = Timestamp::from_millis(get_ivarint(buf)?);
-    let n = get_uvarint(buf)? as usize;
-    if n > 1 << 20 {
-        return Err(RailgunError::Corruption(format!(
-            "implausible field count {n}"
-        )));
-    }
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(get_value(buf)?);
-    }
-    Ok(Event::new(id, ts, values))
+    let arity = get_uvarint(buf)?;
+    Event::read_row(id, ts, arity, buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -302,15 +425,17 @@ impl BatchFrameBuilder {
         self.buf.len()
     }
 
-    /// Freeze into a [`BatchFrame`], sharing the buffer via one `Arc`
-    /// allocation. The builder is left empty and reusable.
+    /// Freeze into a [`BatchFrame`]: the records are copied once into one
+    /// shared allocation of exactly their size. The builder is left empty
+    /// and keeps its buffer, so a builder reused frame after frame stops
+    /// growing it (a frame costs the same allocations whatever its
+    /// records' size).
     pub fn finish(&mut self) -> BatchFrame {
         let mut bounds = std::mem::take(&mut self.starts);
         bounds.push(self.buf.len());
-        BatchFrame {
-            data: Bytes::from(std::mem::take(&mut self.buf)),
-            bounds,
-        }
+        let data = Bytes::copy_from_slice(&self.buf);
+        self.buf.clear();
+        BatchFrame { data, bounds }
     }
 }
 

@@ -4,6 +4,7 @@
 //! reservoir persists chunks tagged with a [`SchemaId`] so old chunks can be
 //! deserialized after the schema evolves (paper §4.1.1, schema registry).
 
+use crate::event::Event;
 use crate::value::Value;
 use crate::{RailgunError, Result};
 
@@ -23,14 +24,19 @@ pub enum FieldType {
 impl FieldType {
     /// True iff `v` is NULL or matches this declared type.
     pub fn admits(&self, v: &Value) -> bool {
-        matches!(
-            (self, v),
-            (_, Value::Null)
-                | (FieldType::Bool, Value::Bool(_))
-                | (FieldType::Int, Value::Int(_))
-                | (FieldType::Float, Value::Float(_))
-                | (FieldType::Str, Value::Str(_))
-        )
+        self.admits_type(match v {
+            Value::Null => None,
+            Value::Bool(_) => Some(FieldType::Bool),
+            Value::Int(_) => Some(FieldType::Int),
+            Value::Float(_) => Some(FieldType::Float),
+            Value::Str(_) => Some(FieldType::Str),
+        })
+    }
+
+    /// The rule behind [`FieldType::admits`]: NULL (`None`) goes anywhere,
+    /// anything else only where its own type is declared.
+    fn admits_type(&self, of_value: Option<FieldType>) -> bool {
+        of_value.is_none_or(|t| t == *self)
     }
 }
 
@@ -128,6 +134,23 @@ impl Schema {
         }
         Ok(())
     }
+
+    /// [`Schema::check_values`] over an event's row: the same arity and
+    /// type rules, read off the value tags without building a value. (A
+    /// row that does not fit is handed to `check_values` for the error.)
+    pub fn check_row(&self, event: &Event) -> Result<()> {
+        let fits = event.arity() == self.fields.len()
+            && self
+                .fields
+                .iter()
+                .zip(event.raw_values())
+                .all(|(f, v)| f.ty.admits_type(v.field_type()));
+        if fits {
+            Ok(())
+        } else {
+            self.check_values(event.values())
+        }
+    }
 }
 
 #[cfg(test)]
@@ -178,5 +201,23 @@ mod tests {
         assert!(s
             .check_values(&[Value::Null, Value::Null, Value::Null])
             .is_ok());
+    }
+
+    #[test]
+    fn row_validation_matches_value_validation() {
+        use crate::{EventId, Timestamp};
+        let s = payments();
+        let row = |values: Vec<Value>| {
+            s.check_row(&Event::new(EventId(0), Timestamp::from_millis(0), values))
+        };
+        assert!(row(vec!["c1".into(), "m1".into(), 9.5.into()]).is_ok());
+        assert!(row(vec![Value::Null, Value::Null, Value::Null]).is_ok());
+        let arity = row(vec![Value::Null]).unwrap_err();
+        assert_eq!(
+            arity.to_string(),
+            s.check_values(&[Value::Null]).unwrap_err().to_string()
+        );
+        let ty = row(vec![Value::Int(1), "m".into(), 1.0.into()]).unwrap_err();
+        assert!(ty.to_string().contains("field `cardId` declared Str"), "{ty}");
     }
 }

@@ -111,15 +111,6 @@ impl Value {
     pub fn key_eq(&self, other: &Value) -> bool {
         self.total_cmp(other) == Ordering::Equal
     }
-
-    /// Approximate in-memory footprint, used for chunk sizing and memory
-    /// accounting in the reservoir.
-    pub fn heap_size(&self) -> usize {
-        match self {
-            Value::Str(s) => std::mem::size_of::<Value>() + s.capacity(),
-            _ => std::mem::size_of::<Value>(),
-        }
-    }
 }
 
 impl fmt::Display for Value {

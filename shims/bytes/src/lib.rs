@@ -23,6 +23,15 @@ pub trait Buf {
         self.advance(dst.len());
     }
 
+    /// The next `len` bytes as a [`Bytes`], advancing past them. Copies
+    /// here; [`Bytes`] overrides it with a zero-copy slice of itself.
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        assert!(self.remaining() >= len, "buffer underflow");
+        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
+        self.advance(len);
+        out
+    }
+
     fn get_u8(&mut self) -> u8 {
         let mut b = [0u8; 1];
         self.copy_to_slice(&mut b);
@@ -87,6 +96,10 @@ impl<B: Buf + ?Sized> Buf for &mut B {
     fn advance(&mut self, cnt: usize) {
         (**self).advance(cnt)
     }
+
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        (**self).copy_to_bytes(len)
+    }
 }
 
 /// Write-side cursor appending to a growable byte buffer.
@@ -147,8 +160,13 @@ impl Bytes {
         Self::default()
     }
 
+    /// One allocation, one copy (`Arc<[u8]>` straight from the slice).
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self::from(data.to_vec())
+        Self {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -232,6 +250,12 @@ impl Buf for Bytes {
         assert!(cnt <= self.len(), "buffer underflow");
         self.start += cnt;
     }
+
+    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
+        let out = self.slice(0..len);
+        self.start += len;
+        out
+    }
 }
 
 #[cfg(test)]
@@ -268,5 +292,44 @@ mod tests {
         cur.advance(2);
         assert_eq!(cur.as_ref(), &[4]);
         assert_eq!(b.len(), 5);
+    }
+
+    #[test]
+    fn copy_to_bytes_shares_a_bytes_and_copies_a_slice() {
+        let mut b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        b.advance(1);
+        let head = b.copy_to_bytes(2);
+        assert_eq!(head.as_ref(), &[2, 3]);
+        assert_eq!(b.as_ref(), &[4, 5], "advanced past what was taken");
+        assert!(Arc::ptr_eq(&head.data, &b.data), "a slice of the same buffer");
+        // Through `&mut B` the override is still the one that runs.
+        fn take(mut buf: impl Buf, len: usize) -> Bytes {
+            buf.copy_to_bytes(len)
+        }
+        let tail = take(&mut b, 2);
+        assert!(Arc::ptr_eq(&tail.data, &head.data));
+        assert!(b.is_empty());
+
+        let raw = [9u8, 8, 7];
+        let mut cur = &raw[..];
+        let copied = cur.copy_to_bytes(2);
+        assert_eq!(copied.as_ref(), &[9, 8]);
+        assert_eq!(cur, &[7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn copy_to_bytes_past_the_end_panics() {
+        let mut cur = &[1u8, 2][..];
+        cur.copy_to_bytes(3);
+    }
+
+    #[test]
+    fn copy_from_slice_owns_exactly_the_slice() {
+        let src = [5u8; 40];
+        let b = Bytes::copy_from_slice(&src[8..24]);
+        assert_eq!(b.as_ref(), &src[8..24]);
+        assert_eq!(b.data.len(), 16, "no slack beyond the copied bytes");
+        assert_eq!(Bytes::copy_from_slice(&[]), Bytes::new());
     }
 }
