@@ -90,12 +90,6 @@ impl ServicePool {
         ServicePool { samples }
     }
 
-    /// Build from explicit samples.
-    pub fn from_samples(samples: Vec<u64>) -> Self {
-        assert!(!samples.is_empty());
-        ServicePool { samples }
-    }
-
     /// Service time for simulated event `seq` (cycles the pool), plus a
     /// fixed surcharge in µs (used to model JVM per-state-op costs).
     pub fn sample(&self, seq: u64, surcharge_us: u64) -> u64 {

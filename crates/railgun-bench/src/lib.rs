@@ -1,7 +1,8 @@
-//! # railgun-bench — the evaluation harness
+//! # railgun-bench — the paper-figure reproductions
 //!
-//! Reproduces every table and figure of the paper's evaluation (§5). Each
-//! figure has a dedicated bench target (run with
+//! Reproduces the figures of the paper's evaluation (§5) by timing real
+//! engine code and composing the samples through the `railgun-sim`
+//! queueing models. Each figure has a bench target (run with
 //! `cargo bench -p railgun-bench --bench <name>`):
 //!
 //! | target | reproduces |
@@ -10,15 +11,12 @@
 //! | `fig9a_window_size` | Figure 9(a) — Railgun latency across window sizes 5 min → 7 days |
 //! | `fig9b_iterators` | Figure 9(b) — Railgun latency across 20 → 240 reservoir iterators |
 //! | `fig10_node_scaling` | Figure 10 — per-node throughput & tail latency, 1 → 50 nodes |
-//! | `fig_hotpath` | perf baseline — reservoir ingest/drain hot path (BENCH_hotpath.json) |
-//! | `fig_scaling` | perf baseline — threaded runtime vs worker threads & in-flight depth (BENCH_scaling.json) |
-//! | `fig_latency` | perf baseline — **measured** end-to-end latency percentiles through the threaded runtime, client- and engine-observed (BENCH_latency.json) |
-//! | `micro_*` | Criterion microbenchmarks & ablations (aggregators, reservoir, store, messaging, rebalance) |
 //!
 //! Set `RAILGUN_BENCH_SCALE=full` for paper-length runs (the default
-//! `quick` profile keeps every figure under a few minutes).
-//!
-//! Methodology and paper-vs-measured comparisons live in EXPERIMENTS.md.
+//! `quick` profile keeps every figure under a few minutes). The engine's
+//! measured performance is mad-bench's job (`bash benchmark/run.sh`, see
+//! `benchmark/README.md`); methodology of these figures is in
+//! EXPERIMENTS.md.
 
 pub mod figures;
 pub mod workload;

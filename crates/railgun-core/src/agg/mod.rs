@@ -1119,28 +1119,38 @@ mod tests {
 
     #[test]
     fn sketch_cache_flushes_and_reloads() {
-        let db = test_db("sketch-flush");
-        let aux = db.create_cf("distinct-aux").unwrap();
-        let scratch = AggScratch::default();
-        let mut d = AggState::new(AggFunc::ApproxCountDistinct { err_bp: 200 });
-        {
-            let c = ctx(&db, aux, &scratch);
-            for i in 0..50 {
-                d.insert(Some(&Value::Int(i)), &c).unwrap();
+        // Whatever it counted, the flushed state is one blob of the same
+        // size (6 160 B of key + value at 2%), and its estimate is inside
+        // the configured error — linear counting makes 50 exact.
+        for n in [50i64, 10_000, 1_000_000] {
+            let db = test_db(&format!("sketch-flush-{n}"));
+            let aux = db.create_cf("distinct-aux").unwrap();
+            let scratch = AggScratch::default();
+            let mut d = AggState::new(AggFunc::ApproxCountDistinct { err_bp: 200 });
+            {
+                let c = AggContext::new(&db, aux, b"leaf0/entity0", &scratch);
+                for i in 0..n {
+                    d.insert(Some(&Value::Int(i)), &c).unwrap();
+                }
             }
+            assert!(
+                db.scan_prefix(aux, &[]).unwrap().is_empty(),
+                "no store traffic before flush"
+            );
+            scratch.flush(&db, aux).unwrap();
+            let blobs = db.scan_prefix(aux, &[]).unwrap();
+            assert_eq!(blobs.len(), 1, "one blob per (leaf, entity)");
+            assert_eq!(blobs[0].0.len() + blobs[0].1.len(), 6_160, "n={n}");
+            let est = d.value().as_i64().unwrap();
+            let err = (est - n).abs() as f64 / n as f64;
+            assert!(err <= 0.02, "n={n}: estimate {est} is {:.2}% off", err * 100.0);
+            assert!(n > 50 || est == n, "small cardinality is exact");
+            // A brand-new scratch (fresh task) reloads the flushed sketch.
+            let scratch2 = AggScratch::default();
+            let c2 = AggContext::new(&db, aux, b"leaf0/entity0", &scratch2);
+            d.insert(Some(&Value::Int(0)), &c2).unwrap();
+            assert_eq!(d.value(), Value::Int(est), "estimate survives reload");
         }
-        assert!(
-            db.scan_prefix(aux, &[]).unwrap().is_empty(),
-            "no store traffic before flush"
-        );
-        scratch.flush(&db, aux).unwrap();
-        let blobs = db.scan_prefix(aux, &[]).unwrap();
-        assert_eq!(blobs.len(), 1, "one blob per (leaf, entity)");
-        // A brand-new scratch (fresh task) reloads the flushed sketch.
-        let scratch2 = AggScratch::default();
-        let c2 = ctx(&db, aux, &scratch2);
-        d.insert(Some(&Value::Int(0)), &c2).unwrap();
-        assert_eq!(d.value(), Value::Int(50), "estimate survives reload");
     }
 
     #[test]

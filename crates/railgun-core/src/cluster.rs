@@ -45,8 +45,6 @@ pub struct ClusterConfig {
     pub task: TaskConfig,
     /// Messaging session timeout (failure detection).
     pub session_timeout_ms: u64,
-    /// Max pump iterations while waiting for a reply.
-    pub max_pump_iterations: usize,
     /// Per-task checkpoint cadence in events (0 disables; §4.1.3).
     pub checkpoint_every: u64,
     /// Bus clock mode. [`BusClock::Manual`] (default) keeps tests and the
@@ -108,7 +106,6 @@ impl Default for ClusterConfig {
             )),
             task: TaskConfig::default(),
             session_timeout_ms: 10_000,
-            max_pump_iterations: 64,
             checkpoint_every: 0,
             clock: BusClock::Manual,
             max_in_flight: 1_024,
@@ -291,9 +288,7 @@ impl Cluster {
     /// picked up within the workers' wakeup latency).
     pub fn settle(&mut self) -> Result<()> {
         for _ in 0..4 {
-            for node in &mut self.nodes {
-                node.pump()?;
-            }
+            self.pump_round()?;
         }
         Ok(())
     }
@@ -421,11 +416,18 @@ impl Cluster {
             // pump (which also health-checks its node's workers).
             self.nodes[idx].pump()?;
         } else {
-            for node in &mut self.nodes {
-                node.pump()?;
-            }
+            self.pump_round()?;
         }
         Ok(self.nodes[idx].frontend_mut().try_take(ticket.request_id))
+    }
+
+    /// Pump every node once (pump mode). True if any node did work.
+    fn pump_round(&mut self) -> Result<bool> {
+        let mut busy = false;
+        for node in &mut self.nodes {
+            busy |= node.pump()?;
+        }
+        Ok(busy)
     }
 
     /// Abandon an outstanding request: frees its in-flight slot (and any
@@ -438,24 +440,27 @@ impl Cluster {
             .unwrap_or(false)
     }
 
-    /// Blocking collect. In pump mode this iterates the deterministic
-    /// pump exactly as the original synchronous `send` did (bounded by
-    /// `max_pump_iterations`); in threaded mode it parks on the bus wakeup
-    /// path until the reply arrives or `collect_timeout_ms` elapses.
+    /// Blocking collect. In pump mode this pumps round after round while
+    /// the last one did any work (a replaying task can need thousands) and
+    /// fails at the first idle one; in threaded mode it parks on the bus
+    /// wakeup path until the reply arrives or `collect_timeout_ms` elapses.
     pub fn collect(&mut self, ticket: Ticket) -> Result<ClientResponse> {
         let timeout = Duration::from_millis(self.config.collect_timeout_ms);
-        let mut reply = None;
-        if self.is_running() {
+        let mut rounds = 0u64;
+        let reply = if self.is_running() {
             let bus = self.bus.clone();
-            reply = wait_reply(&bus, timeout, || self.try_collect(ticket))?;
+            wait_reply(&bus, timeout, || self.try_collect(ticket))?
         } else {
-            for _ in 0..self.config.max_pump_iterations {
-                reply = self.try_collect(ticket)?;
-                if reply.is_some() {
-                    break;
+            let idx = self.ticket_node(ticket)?;
+            loop {
+                rounds += 1;
+                let busy = self.pump_round()?;
+                let reply = self.nodes[idx].frontend_mut().try_take(ticket.request_id);
+                if reply.is_some() || !busy {
+                    break reply;
                 }
             }
-        }
+        };
         reply.ok_or_else(|| {
             // Free the in-flight slot: a reply that never came must not
             // count against the backpressure cap forever.
@@ -463,7 +468,7 @@ impl Cluster {
             let waited = if self.is_running() {
                 format!("within {timeout:?}")
             } else {
-                format!("after {} pump iterations", self.config.max_pump_iterations)
+                format!("after {rounds} pump round(s), the last one idle")
             };
             RailgunError::Engine(format!(
                 "no reply for request {} on node {} {waited}",

@@ -608,20 +608,24 @@ impl FrontEnd {
     /// Also applies operational requests published by other front-ends.
     /// A request whose last reply arrived completes in place in the request
     /// table — claim its response with [`FrontEnd::try_take`] or
-    /// [`FrontEnd::take_completed`].
-    pub fn pump(&mut self) -> Result<()> {
+    /// [`FrontEnd::take_completed`]. Returns true if it published staged
+    /// sends or read an op or a reply.
+    pub fn pump(&mut self) -> Result<bool> {
         // Anything still staged goes out now: a pump is the caller coming
         // back for replies, so holding the batch open any longer only
         // delays them (and in pump mode this is the sole flush trigger,
         // which keeps pump-mode runs deterministic).
+        let mut moved = !self.frame.is_empty();
         self.flush_staged()?;
         // Ops from other nodes keep this front-end's stream map current.
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
         self.ops.poll_into(64, &mut buf)?;
         self.apply_remote_ops(&buf)?;
+        moved |= !buf.is_empty();
         buf.clear();
         self.replies.poll_into(256, &mut buf)?;
+        moved |= !buf.is_empty();
         for msg in buf.drain(..) {
             let reply = decode_reply(&msg.payload)?;
             let Some(req) = self
@@ -646,7 +650,7 @@ impl FrontEnd {
             }
         }
         self.scratch = buf;
-        Ok(())
+        Ok(moved)
     }
 
     /// Apply stream create/delete ops published by other front-ends so

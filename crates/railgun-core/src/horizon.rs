@@ -316,6 +316,64 @@ mod tests {
         );
     }
 
+    /// Tumbling state on a real store that spills: buckets expire by
+    /// watermark alone — no delete is ever issued — and the compactions
+    /// (one per window turnover) reclaim exactly the dead buckets.
+    #[test]
+    fn bucket_expiry_reclaims_exactly_the_dead_buckets_of_a_spilling_store() {
+        use railgun_store::{CfOptions, Db, DbOptions};
+        const BUCKET_MS: i64 = 60_000;
+        const ENTITIES: usize = 40;
+        for span in [2usize, 8] {
+            let dir = std::env::temp_dir()
+                .join(format!("railgun-horizon-{}-{span}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let h = StateHorizon::new();
+            // Organic compaction off: only the explicit turnover schedule.
+            let cf = CfOptions {
+                memtable_budget_bytes: 16 << 10,
+                compaction_trigger: usize::MAX,
+                ..CfOptions::default()
+            };
+            let opts = DbOptions {
+                cf_options: vec![(
+                    "default".to_owned(),
+                    cf.with_filter(Arc::new(StateKeyFilter(Arc::clone(&h)))),
+                )],
+                ..DbOptions::default()
+            };
+            let db = Db::open(&dir, opts).unwrap();
+            let buckets = span * 6;
+            let mut entity = vec![Value::Int(0)];
+            for b in 0..buckets {
+                let bucket = Timestamp::from_millis(b as i64 * BUCKET_MS);
+                for e in 0..ENTITIES {
+                    entity[0] = Value::Int(e as i64);
+                    db.put(Db::DEFAULT_CF, &state_key(0, Some(bucket), &entity), &[0xA5; 64])
+                        .unwrap();
+                }
+                // Bucket boundary: keep the newest `span - 1` buckets.
+                if b + 1 >= span {
+                    h.advance_bucket_expiry((b + 2 - span) as i64 * BUCKET_MS);
+                }
+                if (b + 1) % span == 0 {
+                    db.flush().unwrap();
+                    db.compact_cf(Db::DEFAULT_CF).unwrap();
+                }
+            }
+            db.flush().unwrap();
+            db.compact_cf(Db::DEFAULT_CF).unwrap();
+            let live = db.scan(Db::DEFAULT_CF, b"", None).unwrap().len();
+            assert_eq!(live, (span - 1) * ENTITIES, "span {span}: live buckets");
+            // Every entry written is live or was dropped by the filter:
+            // nothing went through a delete and its tombstone.
+            let written = buckets * ENTITIES;
+            assert_eq!(db.stats().filter_dropped, (written - live) as u64, "span {span}");
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn malformed_keys_are_kept() {
         let h = StateHorizon::new();

@@ -693,11 +693,6 @@ impl MetricsSnapshot {
     pub fn query(&self, id: QueryId) -> Option<&QueryMetrics> {
         self.queries.iter().find(|q| q.id == id)
     }
-
-    /// The front-end enqueue→reply percentile ladder (all queries).
-    pub fn frontend_ladder(&self) -> LatencyLadder {
-        LatencyLadder::from_histogram(&self.stages.frontend_e2e)
-    }
 }
 
 #[cfg(test)]

@@ -156,22 +156,20 @@ impl Node {
     /// Completed responses wait in the front-end's request table;
     /// claim them by id with [`FrontEnd::try_take`] or drain them all
     /// with [`FrontEnd::take_completed`].
-    pub fn pump(&mut self) -> Result<Vec<PumpReport>> {
-        let reports = match &mut self.backend {
+    ///
+    /// Returns true if the round did any work: a unit reported a non-zero
+    /// count, or the front-end published staged sends or read a message.
+    pub fn pump(&mut self) -> Result<bool> {
+        let mut busy = false;
+        match &mut self.backend {
             Backend::Pump(units) => {
-                let mut reports = Vec::with_capacity(units.len());
                 for unit in units {
-                    reports.push(unit.pump()?);
+                    busy |= unit.pump()? != PumpReport::default();
                 }
-                reports
             }
-            Backend::Threaded(runtime) => {
-                runtime.health()?;
-                Vec::new()
-            }
-        };
-        self.frontend.pump()?;
-        Ok(reports)
+            Backend::Threaded(runtime) => runtime.health()?,
+        }
+        Ok(self.frontend.pump()? || busy)
     }
 
     /// This node's processor units (diagnostics). Empty while threaded —

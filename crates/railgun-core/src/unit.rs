@@ -72,7 +72,7 @@ pub struct UnitConfig {
     pub handover_fallbacks: railgun_types::Counter,
 }
 
-/// What happened during one pump.
+/// What happened during one pump; all zero (the default) means idle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PumpReport {
     pub ops_applied: usize,
@@ -309,12 +309,7 @@ impl ProcessorUnit {
             Duration::from_millis((self.bus.session_timeout_ms() / 4).clamp(1, 500));
         while !stop.load(Ordering::Acquire) {
             let seen = self.bus.version();
-            let report = self.pump()?;
-            let idle = report.ops_applied == 0
-                && report.active_events == 0
-                && report.replica_events == 0
-                && !report.rebalanced;
-            if idle {
+            if self.pump()? == PumpReport::default() {
                 self.bus.wait_for_activity(seen, heartbeat);
             }
         }

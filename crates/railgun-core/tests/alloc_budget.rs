@@ -175,7 +175,8 @@ fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
     let (idle_unit, report) = allocations_in(|| unit.pump().unwrap());
     assert_eq!(report.active_events, 0);
     assert_eq!(idle_unit, 0, "an idle ProcessorUnit::pump allocates");
-    let (idle_frontend, ()) = allocations_in(|| frontend.pump().unwrap());
+    let (idle_frontend, moved) = allocations_in(|| frontend.pump().unwrap());
+    assert!(!moved, "an idle FrontEnd::pump reports work");
     assert_eq!(idle_frontend, 0, "an idle FrontEnd::pump allocates");
 
     for stream in &streams {

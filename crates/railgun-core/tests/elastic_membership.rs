@@ -410,6 +410,83 @@ fn killed_node_tickets_fail_promptly_with_node_lost() {
     ));
 }
 
+/// A task gained without a checkpoint replays its whole partition, at
+/// `max_poll` (256) events per pump: a pump-mode collect must keep pumping
+/// for as long as that takes, however many rounds it is.
+#[test]
+fn pump_collect_waits_out_a_full_replay() {
+    const PRELOAD: i64 = 20_000; // > 64 rounds of 256 after settle's share
+    let mut cluster = booted(fresh_config("replay", 1, 1, 1));
+    for ts in 0..PRELOAD {
+        send_card(&mut cluster, 0, 0, ts);
+    }
+    cluster.add_node().unwrap();
+    // Checkpoints are off: the new node cold-boots the task from offset 0.
+    cluster.decommission_node(0).unwrap();
+    let r = send_card(&mut cluster, 0, 0, PRELOAD);
+    assert_eq!(r.aggregations[0].value, Value::Int(PRELOAD + 1), "no acked event lost");
+}
+
+/// A pipelined burst leaves more replies on the reply topic than one
+/// front-end pump reads (256) after every unit has gone idle: a pump-mode
+/// collect must keep pumping while the front-end still drains them. One
+/// unit per partition puts each partition's last reply at the tail of its
+/// unit's output, far past what the first idle round has read.
+#[test]
+fn pump_collect_drains_a_pipelined_burst_out_of_order() {
+    const BURST: i64 = 4_000;
+    let mut cfg = fresh_config("burst", 1, 4, 4);
+    cfg.max_in_flight = BURST as usize;
+    let mut cluster = booted(cfg);
+    let tickets: Vec<Ticket> = (0..BURST)
+        .map(|ts| {
+            let card = Value::from(format!("card-{}", ts % 64));
+            cluster
+                .send_async(
+                    "payments",
+                    Timestamp::from_millis(ts),
+                    vec![card, Value::from("m"), Value::from(1.0)],
+                )
+                .unwrap()
+        })
+        .collect();
+    let last = cluster.collect(tickets[BURST as usize - 1]).unwrap();
+    // card-31 was sent at t = 31, 95, …, 3 999.
+    assert_eq!(last.aggregations[0].value, Value::Int(63));
+    for &t in &tickets[..BURST as usize - 1] {
+        cluster.collect(t).unwrap();
+    }
+}
+
+/// With no unit left that could answer, a pump-mode collect gives up at
+/// its first idle round instead of spinning.
+#[test]
+fn pump_collect_without_an_owner_fails_promptly() {
+    let mut cluster = booted(fresh_config("orphan", 2, 1, 1));
+    // The owner of the only partition dies; its consumer stays in the
+    // group until a session timeout the manual clock never reaches.
+    let owner = cluster
+        .nodes()
+        .iter()
+        .position(|n| !n.units()[0].active_tasks().is_empty())
+        .unwrap();
+    cluster.kill_node(owner).unwrap();
+    let start = Instant::now();
+    let err = cluster
+        .send_via(
+            0,
+            "payments",
+            Timestamp::from_millis(1_000),
+            vec![Value::from("c"), Value::from("m"), Value::from(1.0)],
+        )
+        .unwrap_err();
+    assert!(
+        matches!(&err, RailgunError::Engine(m) if m.contains("pump round")),
+        "expected a no-reply error naming the rounds, got {err:?}"
+    );
+    assert!(start.elapsed() < Duration::from_secs(2), "took {:?}", start.elapsed());
+}
+
 #[test]
 fn drain_refuses_the_last_node_and_bad_indices() {
     let mut cluster = booted(fresh_config("last", 1, 1, 2));

@@ -45,8 +45,8 @@ pub trait AssignmentStrategy: Send + Sync {
 }
 
 /// Round-robin assignment: partitions dealt to members in order. Simple,
-/// fair, maximally *non*-sticky — the ablation baseline against Railgun's
-/// strategy in the `micro_rebalance` bench.
+/// fair, maximally *non*-sticky — the baseline the sticky strategies are
+/// compared against in `tests/group_churn.rs`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RoundRobinStrategy;
 

@@ -382,12 +382,6 @@ impl Db {
     /// [`DbOptions::cf_options`] (global fallbacks when no entry matches).
     /// Fails if the name is taken.
     pub fn create_cf(&self, name: &str) -> Result<ColumnFamilyId> {
-        self.create_cf_with(name, self.opts.resolve_cf_opts(name))
-    }
-
-    /// Create a new column family with explicit [`CfOptions`]. Fails if
-    /// the name is taken.
-    pub fn create_cf_with(&self, name: &str, cf_opts: CfOptions) -> Result<ColumnFamilyId> {
         let mut inner = self.inner.lock();
         if inner.cfs.values().any(|cf| cf.name == name) {
             return Err(RailgunError::InvalidArgument(format!(
@@ -400,7 +394,7 @@ impl Db {
             id,
             CfState {
                 name: name.to_owned(),
-                opts: cf_opts,
+                opts: self.opts.resolve_cf_opts(name),
                 mem: MemTable::new(),
                 ssts: Vec::new(),
             },

@@ -72,8 +72,7 @@ impl fmt::Debug for dyn CompactionFilter {
 
 /// Tuning for one column family. Attach by name via
 /// [`crate::DbOptions::cf_options`] (applies at open and to later
-/// [`crate::Db::create_cf`] calls) or explicitly via
-/// [`crate::Db::create_cf_with`].
+/// [`crate::Db::create_cf`] calls).
 #[derive(Clone)]
 pub struct CfOptions {
     /// Flush this CF's memtable once its approximate size exceeds this.

@@ -43,9 +43,8 @@
 //! live one intact — filtered keys never resurrect, live keys are never
 //! lost.
 //!
-//! Shared by the `crash_torture` integration test (every point, every
-//! time) and the `fig_recovery` bench (which additionally reports
-//! recovery wall-times, committed as `BENCH_recovery.json`).
+//! Driven by the `crash_torture` integration test (every point, every
+//! time), which also bounds the worst recovery wall-time.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -263,8 +262,6 @@ pub struct SweepReport {
     pub results: Vec<PointResult>,
     /// `(point, times reached)` from the unarmed profile pass.
     pub profile: Vec<(&'static str, u64)>,
-    /// Recovery wall-time of the crash-free control run.
-    pub clean_recovery_micros: u128,
 }
 
 fn err(plan: &str, msg: String) -> RailgunError {
@@ -586,15 +583,14 @@ fn run_plan(root: &Path, seed: u64, plan: CrashPlan, ops: &[Op]) -> Result<Point
 pub fn sweep(root: &Path, total_ops: usize, seed: u64, hits_per_point: u64) -> Result<SweepReport> {
     let ops = build_workload(total_ops);
     // Profile pass: unarmed, must complete, counts every point's hits —
-    // and doubles as the crash-free control for model verification and
-    // the recovery-time baseline.
+    // and doubles as the crash-free control for model verification.
     fresh_root(root)?;
     let fault = FaultFs::new(seed);
     let st = run_workload(root, Arc::new(fault.clone()), &ops)?;
     if st.tripped {
         return Err(err("profile", "unarmed run tripped a fault".into()));
     }
-    let (_, clean_recovery_micros) = recover_and_verify("profile", root, &st)?;
+    recover_and_verify("profile", root, &st)?;
     let profile = fault.hit_profile();
     for point in crash_points::ALL {
         let hits = profile
@@ -615,11 +611,7 @@ pub fn sweep(root: &Path, total_ops: usize, seed: u64, hits_per_point: u64) -> R
         }
     }
     std::fs::remove_dir_all(root).ok();
-    Ok(SweepReport {
-        results,
-        profile,
-        clean_recovery_micros,
-    })
+    Ok(SweepReport { results, profile })
 }
 
 #[cfg(test)]

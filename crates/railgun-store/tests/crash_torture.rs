@@ -52,6 +52,13 @@ fn sweep_every_registered_crash_point() {
         report.results.iter().any(|r| r.recovery.stale_tmp_removed > 0),
         "no sweep run exercised stale-tmp removal"
     );
+    // Recovery is manifest + WAL work measured in hundreds of µs: a reopen
+    // anywhere near a second means it started rescanning the world.
+    let worst = report.results.iter().map(|r| r.recovery_micros).max();
+    assert!(
+        worst.is_some_and(|us| us < 1_000_000),
+        "worst crash-point recovery took {worst:?} µs (ceiling 1 s)"
+    );
 }
 
 /// Same seed, same workload, same plan ⇒ identical crash image and

@@ -6,8 +6,8 @@
 //!
 //! 1. **Off is free.** A disabled recorder holds no histogram; its
 //!    [`Recorder::start`] returns `None` without reading the clock and
-//!    [`Recorder::finish`] is a no-op. The hot paths measured by
-//!    `BENCH_hotpath.json` are unaffected when telemetry is off.
+//!    [`Recorder::finish`] is a no-op, so telemetry off costs the hot
+//!    paths nothing (mad-bench's `cpu_us_per_event` bound holds them).
 //! 2. **On is cheap and lock-free.** Recording is one clock read plus a
 //!    handful of relaxed atomic operations on the stage's histogram.
 //!    Writers never block each other or snapshot readers.

@@ -20,8 +20,6 @@
 //!   aggregators, task processors, processor units, front-end, cluster.
 //! * [`baseline`] — Flink-like hopping-window and rescan baselines used by
 //!   the paper's evaluation.
-//! * [`sim`] — virtual-time harness: open-loop injector, queueing,
-//!   latency/GC models.
 //!
 //! The engine observes itself through the telemetry & SLO plane
 //! ([`engine::metrics`]): build the cluster with
@@ -139,7 +137,6 @@ pub use railgun_baseline as baseline;
 pub use railgun_core as engine;
 pub use railgun_messaging as messaging;
 pub use railgun_reservoir as reservoir;
-pub use railgun_sim as sim;
 pub use railgun_store as store;
 pub use railgun_types as types;
 

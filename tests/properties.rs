@@ -12,8 +12,6 @@ use railgun::engine::api::{
 use railgun::engine::keys::{decode_state_key, state_key};
 use railgun::engine::lang::AggFunc;
 use railgun::reservoir::{Codec, Reservoir, ReservoirConfig};
-// Histogram moved from `railgun::sim` to `railgun::types` in PR 5 (the
-// telemetry plane shares it); `railgun::sim::Histogram` remains an alias.
 use railgun::store::{Db, DbOptions};
 use railgun::types::{AtomicHistogram, Histogram};
 use railgun::types::encode;
