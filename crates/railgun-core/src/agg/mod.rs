@@ -788,7 +788,7 @@ fn aux_key_into(key: &mut Vec<u8>, state_key: &[u8], v: &Value) {
     put_value(key, v);
 }
 
-///// Auxiliary CF key for a (leaf, entity) sketch blob: the length-
+/// Auxiliary CF key for a (leaf, entity) sketch blob: the length-
 /// prefixed state key with **no** value suffix. Every exact aux key
 /// appends at least one encoded-value byte after the same prefix, so
 /// blob keys can never collide with per-value count keys even when both
@@ -808,15 +808,15 @@ pub(crate) fn blob_key_for_tests(state_key: &[u8]) -> Vec<u8> {
     key
 }
 
+/// An exact-`countDistinct` counter (0 when absent): exactly 8 bytes LE.
 fn read_u64(db: &Db, cf: ColumnFamilyId, key: &[u8]) -> Result<u64> {
-    Ok(db
-        .get(cf, key)?
-        .map(|raw| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&raw[..8.min(raw.len())]);
-            u64::from_le_bytes(b)
-        })
-        .unwrap_or(0))
+    match db.get_in(cf, key, |raw| <[u8; 8]>::try_from(raw).map_err(|_| raw.len()))? {
+        None => Ok(0),
+        Some(Ok(b)) => Ok(u64::from_le_bytes(b)),
+        Some(Err(len)) => Err(RailgunError::Corruption(format!(
+            "countDistinct counter of {len} bytes, expected 8"
+        ))),
+    }
 }
 
 fn write_u64(db: &Db, cf: ColumnFamilyId, key: &[u8], v: u64) -> Result<()> {
@@ -1119,9 +1119,10 @@ mod tests {
 
     #[test]
     fn sketch_cache_flushes_and_reloads() {
-        // Whatever it counted, the flushed state is one blob of the same
-        // size (6 160 B of key + value at 2%), and its estimate is inside
-        // the configured error — linear counting makes 50 exact.
+        // Past m/8 registers set, the flushed state is one blob of the
+        // same size whatever it counted (6 160 B of key + value at 2%);
+        // below, it is sparse and smaller. The estimate is inside the
+        // configured error — linear counting makes 50 exact.
         for n in [50i64, 10_000, 1_000_000] {
             let db = test_db(&format!("sketch-flush-{n}"));
             let aux = db.create_cf("distinct-aux").unwrap();
@@ -1140,7 +1141,14 @@ mod tests {
             scratch.flush(&db, aux).unwrap();
             let blobs = db.scan_prefix(aux, &[]).unwrap();
             assert_eq!(blobs.len(), 1, "one blob per (leaf, entity)");
-            assert_eq!(blobs[0].0.len() + blobs[0].1.len(), 6_160, "n={n}");
+            let size = blobs[0].0.len() + blobs[0].1.len();
+            if n == 50 {
+                // `[tag, p | sparse flag, ..]`
+                assert_ne!(blobs[0].1[1] & 0x80, 0, "50 values are sparse");
+                assert!(size < 6_160, "n={n}: {size} B");
+            } else {
+                assert_eq!(size, 6_160, "n={n}");
+            }
             let est = d.value().as_i64().unwrap();
             let err = (est - n).abs() as f64 / n as f64;
             assert!(err <= 0.02, "n={n}: estimate {est} is {:.2}% off", err * 100.0);
@@ -1150,6 +1158,53 @@ mod tests {
             let c2 = AggContext::new(&db, aux, b"leaf0/entity0", &scratch2);
             d.insert(Some(&Value::Int(0)), &c2).unwrap();
             assert_eq!(d.value(), Value::Int(est), "estimate survives reload");
+        }
+    }
+
+    #[test]
+    fn a_sliding_sketch_of_twenty_values_flushes_under_a_kilobyte() {
+        // 200 events over a 5-min window (8 panes), cycling through 20
+        // values: eight dense panes made this ≈ 49 KB.
+        let db = test_db("sketch-sparse-slide");
+        let aux = db.create_cf("distinct-aux").unwrap();
+        let scratch = AggScratch::default();
+        let mut d = AggState::new(AggFunc::ApproxCountDistinct { err_bp: 200 });
+        const W: i64 = 300_000;
+        for i in 0..200i64 {
+            let ts = i * 1_500;
+            let c = ctx(&db, aux, &scratch).windowed(ts, ts - W, W);
+            d.insert(Some(&Value::Int(i % 20)), &c).unwrap();
+        }
+        assert_eq!(d.value(), Value::Int(20));
+        scratch.flush(&db, aux).unwrap();
+        let blobs = db.scan_prefix(aux, &[]).unwrap();
+        let size = blobs[0].0.len() + blobs[0].1.len();
+        assert!(size < 1024, "{size} B");
+    }
+
+    #[test]
+    fn a_malformed_distinct_counter_is_corruption() {
+        // A short counter used to panic the worker; a long one lost its
+        // extra bytes silently.
+        let db = test_db("distinct-bad-counter");
+        let aux = db.create_cf("distinct-aux").unwrap();
+        let scratch = AggScratch::default();
+        let c = ctx(&db, aux, &scratch);
+        let v = Value::Str("a".into());
+        let mut key = Vec::new();
+        aux_key_into(&mut key, c.state_key, &v);
+        for len in [3usize, 9] {
+            db.put(aux, &key, &vec![1u8; len]).unwrap();
+            let mut d = AggState::new(AggFunc::CountDistinct);
+            let want = format!("countDistinct counter of {len} bytes, expected 8");
+            match d.insert(Some(&v), &c) {
+                Err(RailgunError::Corruption(m)) => assert_eq!(m, want),
+                other => panic!("insert over {len} B: {other:?}"),
+            }
+            match d.evict(Some(&v), &c) {
+                Err(RailgunError::Corruption(m)) => assert_eq!(m, want),
+                other => panic!("evict over {len} B: {other:?}"),
+            }
         }
     }
 

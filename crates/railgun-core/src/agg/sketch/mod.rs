@@ -90,6 +90,11 @@ pub fn hash_value(v: &Value) -> u64 {
 pub trait PaneSketch: Sized {
     /// An empty sketch with the same parameters.
     fn fresh(&self) -> Self;
+    /// True iff `other` has the same parameters (a parameterless sketch
+    /// keeps this default).
+    fn params_match(&self, _other: &Self) -> bool {
+        true
+    }
     /// Fold `other` into `self` (same parameters).
     fn merge_from(&mut self, other: &Self);
     fn encode(&self, buf: &mut Vec<u8>);
@@ -179,8 +184,8 @@ impl<S: PaneSketch> PaneRing<S> {
     }
 
     /// Decode a ring written by [`PaneRing::encode`]. `proto` supplies
-    /// the parameters for an empty ring; the merged view is rebuilt
-    /// deterministically from the panes.
+    /// the ring's parameters, which every pane must share; the merged
+    /// view is rebuilt deterministically from the panes.
     pub fn decode(buf: &mut &[u8], proto: S) -> Result<Self> {
         let pane_ms = railgun_types::encode::get_ivarint(buf)?;
         if pane_ms <= 0 {
@@ -198,7 +203,11 @@ impl<S: PaneSketch> PaneRing<S> {
                 return Err(RailgunError::Corruption("panes out of order".into()));
             }
             prev = start;
-            panes.push((start, S::decode(buf)?));
+            let pane = S::decode(buf)?;
+            if !pane.params_match(&proto) {
+                return Err(RailgunError::Corruption("a pane unlike its ring".into()));
+            }
+            panes.push((start, pane));
         }
         let mut ring = PaneRing {
             pane_ms,
@@ -389,13 +398,20 @@ impl SketchState {
         }
         Ok(match buf.get_u8() {
             BLOB_HLL => SketchState::Hll(Hll::decode(buf)?),
+            // A header value past its type reads as 0, which is out of range.
             BLOB_HLL_PANES => {
-                let p = railgun_types::encode::get_uvarint(buf)? as u8;
+                let p = u8::try_from(railgun_types::encode::get_uvarint(buf)?).unwrap_or(0);
+                if !(hll::MIN_PRECISION..=hll::MAX_PRECISION).contains(&p) {
+                    return Err(RailgunError::Corruption("bad HLL ring precision".into()));
+                }
                 SketchState::HllPanes(PaneRing::decode(buf, Hll::new(p))?)
             }
             BLOB_TOPK => SketchState::TopK(TopKSketch::decode(buf)?),
             BLOB_TOPK_PANES => {
-                let k = railgun_types::encode::get_uvarint(buf)? as u32;
+                let k = u32::try_from(railgun_types::encode::get_uvarint(buf)?).unwrap_or(0);
+                if k == 0 {
+                    return Err(RailgunError::Corruption("bad topK ring k".into()));
+                }
                 SketchState::TopKPanes(PaneRing::decode(buf, TopKSketch::new(k))?)
             }
             BLOB_QUANT => SketchState::Quant(QuantSketch::decode(buf)?),
@@ -498,5 +514,89 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(SketchState::decode(&mut [].as_slice()).is_err());
         assert!(SketchState::decode(&mut [99u8].as_slice()).is_err());
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn encoded(st: &SketchState) -> Vec<u8> {
+        let mut b = Vec::new();
+        st.encode(&mut b);
+        b
+    }
+
+    /// Blobs written before the sparse form (every HLL dense), pinned as
+    /// that code wrote them: 7 values at p=4 (dense: more than m/8 = 2
+    /// registers set), 2 values at p=4, and an 8-pane ring at p=5 whose
+    /// pane `k` saw `k + 1` values (the first panes fit the sparse form).
+    const PARENT_DENSE: &str = "01047d0000800000000008000100";
+    const PARENT_FEW: &str = "0104002000000000002000000000";
+    const PARENT_RING: &str = "\
+        0205140800053c000000000000000000000000000000000000000000000014050100000010000000\
+        00000000000000000000000000000000280540000000000000000000000000000000000000100000\
+        00043c05010000000000001000000000000000401000000000000000500500000000000040000001\
+        00000000000110000000000000086405000000000000c0000002000000000800000080000000000c\
+        78054000000000040000008000008020000000004000000300008c01050000004000008000000100\
+        00010000011000430000000000";
+
+    #[test]
+    fn parent_dense_blobs_decode_to_the_same_estimate_and_one_canonical_form() {
+        for (hex, estimate, canonical_len) in
+            [(PARENT_DENSE, 6, 14), (PARENT_FEW, 2, 10), (PARENT_RING, 34, 155)]
+        {
+            let parent = unhex(hex);
+            let st = SketchState::decode(&mut parent.as_slice()).unwrap();
+            assert_eq!(st.distinct_estimate().unwrap(), estimate, "{hex}");
+            let canonical = encoded(&st);
+            assert_eq!(canonical.len(), canonical_len, "{hex}");
+            let again = SketchState::decode(&mut canonical.as_slice()).unwrap();
+            assert_eq!(again, st);
+            assert_eq!(encoded(&again), canonical);
+        }
+        // A dense sketch's blob is the parent's, byte for byte; two
+        // registers re-encode as two (index, rank) pairs.
+        let canonical = |hex| encoded(&SketchState::decode(&mut unhex(hex).as_slice()).unwrap());
+        assert_eq!(canonical(PARENT_DENSE), unhex(PARENT_DENSE));
+        assert_eq!(canonical(PARENT_FEW), unhex("018402000200020a0002"));
+    }
+
+    #[test]
+    fn ring_blobs_with_foreign_panes_or_bad_headers_are_corruption() {
+        let corrupt = |blob: &[u8]| {
+            matches!(
+                SketchState::decode(&mut &blob[..]),
+                Err(RailgunError::Corruption(_))
+            )
+        };
+        // A p=13 ring holding p=5 panes used to panic rebuilding the view.
+        let mut ring = unhex(PARENT_RING);
+        ring[1] = 13;
+        assert!(corrupt(&ring));
+        // Precision out of range, or past u8 (269 used to truncate to 13).
+        for p in [3u64, 17, 269, 1 << 40] {
+            let mut blob = vec![BLOB_HLL_PANES];
+            railgun_types::encode::put_uvarint(&mut blob, p);
+            blob.extend_from_slice(&unhex(PARENT_RING)[2..]);
+            assert!(corrupt(&blob), "p={p}");
+        }
+        // topK: a k=3 ring holding a k=5 pane, and k of 0 or past u32
+        // (2^32 + 3 used to truncate to 3).
+        let mut st = SketchState::new(SketchKind::TopK { k: 5 }, Some(100));
+        st.insert_topk(&Value::Int(1), hash_value(&Value::Int(1)), 0).unwrap();
+        let blob = encoded(&st);
+        for k in [3u64, 0, (1 << 32) + 3] {
+            let mut bad = vec![BLOB_TOPK_PANES];
+            railgun_types::encode::put_uvarint(&mut bad, k);
+            bad.extend_from_slice(&blob[2..]);
+            assert!(corrupt(&bad), "k={k}");
+        }
+        let mut good = vec![BLOB_TOPK_PANES];
+        railgun_types::encode::put_uvarint(&mut good, 5);
+        good.extend_from_slice(&blob[2..]);
+        assert_eq!(SketchState::decode(&mut good.as_slice()).unwrap(), st);
     }
 }

@@ -106,6 +106,10 @@ impl PaneSketch for TopKSketch {
         TopKSketch::new(self.k)
     }
 
+    fn params_match(&self, other: &Self) -> bool {
+        (self.k, self.cap) == (other.k, other.cap)
+    }
+
     /// Combine monitored sets: counts add for common values; the union
     /// is then cut back to `cap` keeping the heaviest (ties by hash).
     /// Exact — and order-independent — whenever the union fits in
@@ -146,7 +150,8 @@ impl PaneSketch for TopKSketch {
 
     fn decode(buf: &mut &[u8]) -> Result<Self> {
         use bytes::Buf;
-        let k = encode::get_uvarint(buf)? as u32;
+        // A `k` past u32 reads as 0, which the header check rejects.
+        let k = u32::try_from(encode::get_uvarint(buf)?).unwrap_or(0);
         let cap = encode::get_uvarint(buf)? as usize;
         let n = encode::get_uvarint(buf)? as usize;
         if k == 0 || cap == 0 || n > cap || cap > 1 << 20 {

@@ -150,6 +150,8 @@ struct Inner {
     next_cf_id: ColumnFamilyId,
     next_file_no: u64,
     wal: Wal,
+    /// `wal_limit(&cfs)`, recomputed whenever `cfs` changes.
+    wal_limit: u64,
     flushes: u64,
     compactions: u64,
     filter_dropped: u64,
@@ -275,6 +277,7 @@ impl Db {
             dir: dir.to_path_buf(),
             opts,
             inner: Mutex::new(Inner {
+                wal_limit: wal_limit(&cfs),
                 cfs,
                 next_cf_id,
                 next_file_no,
@@ -399,6 +402,7 @@ impl Db {
                 ssts: Vec::new(),
             },
         );
+        inner.wal_limit = wal_limit(&inner.cfs);
         self.write_manifest(&inner)?;
         Ok(id)
     }
@@ -518,10 +522,16 @@ impl Db {
         // Per-CF budgets: flush exactly the over-budget column families.
         // (Flushing all of them — the old behaviour — littered idle CFs
         // with one-entry SSTables and made the aggregate stats drift.)
+        // A memtable counts only live bytes but the WAL grows by every
+        // write: past its limit, flush every non-empty CF to truncate it.
+        let wal_full = inner.wal.len_bytes() > inner.wal_limit;
         let over: Vec<ColumnFamilyId> = inner
             .cfs
             .iter()
-            .filter(|(_, cf)| cf.mem.approx_bytes() > cf.opts.memtable_budget_bytes)
+            .filter(|(_, cf)| {
+                cf.mem.approx_bytes() > cf.opts.memtable_budget_bytes
+                    || (wal_full && !cf.mem.is_empty())
+            })
             .map(|(id, _)| *id)
             .collect();
         if over.is_empty() {
@@ -779,6 +789,11 @@ impl Db {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
+}
+
+/// Past this WAL length every memtable flushes: twice the CFs' budgets.
+fn wal_limit(cfs: &HashMap<ColumnFamilyId, CfState>) -> u64 {
+    cfs.values().map(|cf| 2 * cf.opts.memtable_budget_bytes as u64).sum()
 }
 
 fn collect_files(inner: &Inner) -> Vec<String> {
@@ -1308,6 +1323,33 @@ mod tests {
         assert_eq!(db.get(aux, b"unflushed").unwrap(), Some(b"must-survive".to_vec()));
         assert_eq!(db.get(aux, b"ghost").unwrap(), None);
         db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn overwrites_cannot_grow_the_wal_past_twice_the_budgets() {
+        // Overwriting one key never fills its memtable (that counts live
+        // bytes), so the WAL used to grow by every put until a restart.
+        let dir = fresh_dir("walbound");
+        let opts = DbOptions {
+            memtable_budget_bytes: 4 << 10,
+            ..DbOptions::default()
+        };
+        {
+            let db = Db::open(&dir, opts.clone()).unwrap();
+            let wal_len = || db.inner.lock().wal.len_bytes();
+            db.put(Db::DEFAULT_CF, b"key", &0u64.to_le_bytes()).unwrap();
+            let record = wal_len();
+            for i in 1..100_000u64 {
+                db.put(Db::DEFAULT_CF, b"key", &i.to_le_bytes()).unwrap();
+                assert!(wal_len() <= 2 * (4 << 10) + record, "put {i}: {} B", wal_len());
+            }
+            assert!(db.stats().flushes > 0);
+        }
+        let db = Db::open(&dir, opts).unwrap();
+        assert_eq!(
+            db.get(Db::DEFAULT_CF, b"key").unwrap(),
+            Some(99_999u64.to_le_bytes().to_vec())
+        );
     }
 
     #[test]
