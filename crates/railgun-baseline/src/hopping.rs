@@ -188,10 +188,13 @@ impl HoppingEngine {
             let start = Timestamp::from_millis(start_ms);
             let skey = pane_state_key(&key, start);
             let values = match self.db.get(Db::DEFAULT_CF, &skey)? {
-                Some(raw) => decode_states(&raw)?
-                    .iter()
-                    .map(AggState::value)
-                    .collect(),
+                Some(raw) => {
+                    let ctx = AggContext::new(&self.db, self.aux_cf, &skey, &self.scratch);
+                    decode_states(&raw)?
+                        .iter()
+                        .map(|s| s.value(&ctx))
+                        .collect::<Result<_>>()?
+                }
                 None => Vec::new(),
             };
             let emission = Emission {

@@ -60,8 +60,8 @@ pub struct AggScratch {
     key_buf: RefCell<Vec<u8>>,
     /// Reusable encode buffer for blob flushes.
     blob_buf: RefCell<Vec<u8>>,
-    /// Reusable weighted-walk buffer for quantile estimates.
-    rank_buf: RefCell<Vec<(f64, u64)>>,
+    /// Reusable per-level cursors for quantile estimates.
+    rank_buf: RefCell<Vec<usize>>,
     /// state key → live sketch, with a dirty bit since the last flush.
     cache: RefCell<FastHashMap<Vec<u8>, (SketchState, bool)>>,
 }
@@ -73,14 +73,16 @@ const SKETCH_CACHE_CAP: usize = 1024;
 impl AggScratch {
     /// Run `f` against the live sketch for `state_key`, loading the blob
     /// from the store (or creating a fresh sketch) on cache miss. Panes
-    /// the window has left are pruned first, on an insert too: they age
-    /// with the window, and an entity back after a quiet spell had no
-    /// eviction to prune them. The sketch is marked dirty; it reaches the
-    /// store on the next `flush`.
+    /// the window has left are pruned first, on every touch: they age
+    /// with the window, not with the entity's traffic. The sketch is
+    /// marked dirty — it reaches the store on the next `flush` — only if
+    /// the prune changed it or `f` is an `insert`: a read leaves an
+    /// unchanged sketch clean.
     fn with_sketch<R>(
         &self,
         ctx: &AggContext<'_>,
         kind: SketchKind,
+        insert: bool,
         f: impl FnOnce(&mut SketchState, &AggScratch) -> Result<R>,
     ) -> Result<R> {
         let mut cache = self.cache.borrow_mut();
@@ -110,12 +112,11 @@ impl AggScratch {
                     sliding.then(|| (ctx.window_ms / sketch::NPANES).max(1)),
                 ),
             };
-            cache.insert(ctx.state_key.to_vec(), (sketch, true));
+            cache.insert(ctx.state_key.to_vec(), (sketch, false));
         }
-        let entry = cache.get_mut(ctx.state_key).expect("just inserted");
-        entry.1 = true;
-        entry.0.prune(ctx.window_lower_ms);
-        f(&mut entry.0, self)
+        let (sketch, dirty) = cache.get_mut(ctx.state_key).expect("just inserted");
+        *dirty |= sketch.prune(ctx.window_lower_ms) | insert;
+        f(sketch, self)
     }
 
     /// Write every dirty cached sketch to the aux CF. Called on
@@ -221,15 +222,16 @@ pub enum AggState {
         prev: Option<Value>,
     },
     CountDistinct { distinct: i64 },
-    /// HLL-backed `countDistinct … approx`: the cached estimate plus the
-    /// configured error (basis points). The sketch itself lives in the
-    /// aux CF as one blob per (leaf, entity).
-    ApproxDistinct { estimate: i64, err_bp: u32 },
-    /// Space-saving `topK`: the current top-k snapshot, heaviest first.
-    TopK { top: Vec<(Value, i64)>, k: u32 },
-    /// Quantile-sketch `percentile`: the cached estimate for the
-    /// configured rank (basis points of a percent, `9900` = p99).
-    Percentile { estimate: Option<f64>, rank_bp: u32 },
+    /// HLL-backed `countDistinct … approx` with its configured error
+    /// (basis points). The sketch-backed leaves hold only their
+    /// parameters: the sketch lives in the aux CF as one blob per (leaf,
+    /// entity), and [`AggState::value`] estimates from it.
+    ApproxDistinct { err_bp: u32 },
+    /// Space-saving `topK`.
+    TopK { k: u32 },
+    /// Quantile-sketch `percentile` at the configured rank (basis points
+    /// of a percent, `9900` = p99).
+    Percentile { rank_bp: u32 },
 }
 
 const TAG_COUNT: u8 = 1;
@@ -273,15 +275,9 @@ impl AggState {
                 prev: None,
             },
             AggFunc::CountDistinct => AggState::CountDistinct { distinct: 0 },
-            AggFunc::ApproxCountDistinct { err_bp } => AggState::ApproxDistinct {
-                estimate: 0,
-                err_bp,
-            },
-            AggFunc::TopK { k } => AggState::TopK { top: Vec::new(), k },
-            AggFunc::Percentile { rank_bp } => AggState::Percentile {
-                estimate: None,
-                rank_bp,
-            },
+            AggFunc::ApproxCountDistinct { err_bp } => AggState::ApproxDistinct { err_bp },
+            AggFunc::TopK { k } => AggState::TopK { k },
+            AggFunc::Percentile { rank_bp } => AggState::Percentile { rank_bp },
         }
     }
 
@@ -349,37 +345,32 @@ impl AggState {
                     write_u64(ctx.db, ctx.aux_cf, &key, n + 1)?;
                 }
             }
-            AggState::ApproxDistinct { estimate, err_bp } => {
+            // Sketch inserts update the sketch and compute nothing: the
+            // reply estimates once, when it reads the leaf.
+            AggState::ApproxDistinct { err_bp } => {
                 if let Some(v) = v.filter(|v| !v.is_null()) {
                     let h = sketch::hash_value(v);
-                    let kind = SketchKind::Distinct {
-                        precision: sketch::hll::precision_for_err_bp(*err_bp),
-                    };
-                    *estimate = ctx.scratch.with_sketch(ctx, kind, |st, _| {
-                        st.insert_hash(h, ctx.event_ts_ms)?;
-                        st.distinct_estimate()
-                    })?;
+                    ctx.scratch
+                        .with_sketch(ctx, distinct_kind(*err_bp), true, |st, _| {
+                            st.insert_hash(h, ctx.event_ts_ms)
+                        })?;
                 }
             }
-            AggState::TopK { top, k } => {
+            AggState::TopK { k } => {
                 if let Some(v) = v.filter(|v| !v.is_null()) {
                     let h = sketch::hash_value(v);
-                    let kind = SketchKind::TopK { k: *k };
-                    *top = ctx.scratch.with_sketch(ctx, kind, |st, _| {
-                        st.insert_topk(v, h, ctx.event_ts_ms)?;
-                        st.topk_snapshot()
-                    })?;
+                    ctx.scratch
+                        .with_sketch(ctx, SketchKind::TopK { k: *k }, true, |st, _| {
+                            st.insert_topk(v, h, ctx.event_ts_ms)
+                        })?;
                 }
             }
-            AggState::Percentile { estimate, rank_bp } => {
+            AggState::Percentile { .. } => {
                 if let Some(x) = v.and_then(Value::as_f64) {
-                    let rank = f64::from(*rank_bp) / 10_000.0;
-                    *estimate =
-                        ctx.scratch
-                            .with_sketch(ctx, SketchKind::Quantile, |st, scratch| {
-                                st.insert_sample(x, ctx.event_ts_ms)?;
-                                st.quantile_estimate(rank, &mut scratch.rank_buf.borrow_mut())
-                            })?;
+                    ctx.scratch
+                        .with_sketch(ctx, SketchKind::Quantile, true, |st, _| {
+                            st.insert_sample(x, ctx.event_ts_ms)
+                        })?;
                 }
             }
         }
@@ -466,45 +457,23 @@ impl AggState {
                     }
                 }
             }
-            // Sketches cannot evict single events; sliding windows prune
-            // whole expired panes instead (pane-granular expiry, see
-            // [`sketch`]; `with_sketch` does it). Tumbling/infinite leaves
-            // (`window_ms == 0`) have nothing to do.
-            AggState::ApproxDistinct { estimate, err_bp } => {
-                if ctx.window_ms > 0 {
-                    let kind = SketchKind::Distinct {
-                        precision: sketch::hll::precision_for_err_bp(*err_bp),
-                    };
-                    *estimate = ctx
-                        .scratch
-                        .with_sketch(ctx, kind, |st, _| st.distinct_estimate())?;
-                }
-            }
-            AggState::TopK { top, k } => {
-                if ctx.window_ms > 0 {
-                    let kind = SketchKind::TopK { k: *k };
-                    *top = ctx
-                        .scratch
-                        .with_sketch(ctx, kind, |st, _| st.topk_snapshot())?;
-                }
-            }
-            AggState::Percentile { estimate, rank_bp } => {
-                if ctx.window_ms > 0 {
-                    let rank = f64::from(*rank_bp) / 10_000.0;
-                    *estimate =
-                        ctx.scratch
-                            .with_sketch(ctx, SketchKind::Quantile, |st, scratch| {
-                                st.quantile_estimate(rank, &mut scratch.rank_buf.borrow_mut())
-                            })?;
-                }
-            }
+            // Sketches cannot evict single events, and need not be touched
+            // for one: sliding windows drop whole panes once the window
+            // has left them (pane-granular expiry, see [`sketch`]), on
+            // the sketch's next insert or read.
+            AggState::ApproxDistinct { .. }
+            | AggState::TopK { .. }
+            | AggState::Percentile { .. } => {}
         }
         Ok(())
     }
 
-    /// The current aggregation result.
-    pub fn value(&self) -> Value {
-        match self {
+    /// The current aggregation result. Exact leaves answer from their own
+    /// state and ignore `ctx`; a sketch leaf loads its sketch (from the
+    /// scratch cache or the aux CF), prunes it to `ctx`'s window and
+    /// estimates.
+    pub fn value(&self, ctx: &AggContext<'_>) -> Result<Value> {
+        Ok(match self {
             AggState::Count { count } => Value::Int(*count),
             AggState::Sum { sum } => Value::Float(*sum),
             AggState::Avg { sum, count } => {
@@ -532,12 +501,27 @@ impl AggState {
             AggState::Last { last, .. } => last.clone().unwrap_or(Value::Null),
             AggState::Prev { prev, .. } => prev.clone().unwrap_or(Value::Null),
             AggState::CountDistinct { distinct } => Value::Int(*distinct),
-            AggState::ApproxDistinct { estimate, .. } => Value::Int(*estimate),
-            AggState::TopK { top, .. } => Value::Str(render_topk(top)),
-            AggState::Percentile { estimate, .. } => {
-                estimate.map(Value::Float).unwrap_or(Value::Null)
+            AggState::ApproxDistinct { err_bp } => Value::Int(ctx.scratch.with_sketch(
+                ctx,
+                distinct_kind(*err_bp),
+                false,
+                |st, _| st.distinct_estimate(),
+            )?),
+            AggState::TopK { k } => Value::Str(ctx.scratch.with_sketch(
+                ctx,
+                SketchKind::TopK { k: *k },
+                false,
+                |st, _| st.topk_report(),
+            )?),
+            AggState::Percentile { rank_bp } => {
+                let rank = f64::from(*rank_bp) / 10_000.0;
+                ctx.scratch
+                    .with_sketch(ctx, SketchKind::Quantile, false, |st, scratch| {
+                        st.quantile_estimate(rank, &mut scratch.rank_buf.borrow_mut())
+                    })?
+                    .map_or(Value::Null, Value::Float)
             }
-        }
+        })
     }
 
     /// Serialize into `buf`.
@@ -585,30 +569,23 @@ impl AggState {
                 buf.push(TAG_DISTINCT);
                 put_ivarint(buf, *distinct);
             }
-            AggState::ApproxDistinct { estimate, err_bp } => {
+            // The sketch tags keep the layout of rows that cached an
+            // estimate, with that part empty: estimate 0, no topK entries,
+            // no percentile.
+            AggState::ApproxDistinct { err_bp } => {
                 buf.push(TAG_APPROX_DISTINCT);
-                put_ivarint(buf, *estimate);
+                put_ivarint(buf, 0);
                 put_uvarint(buf, u64::from(*err_bp));
             }
-            AggState::TopK { top, k } => {
+            AggState::TopK { k } => {
                 buf.push(TAG_TOPK);
                 put_uvarint(buf, u64::from(*k));
-                put_uvarint(buf, top.len() as u64);
-                for (v, count) in top {
-                    put_value(buf, v);
-                    put_ivarint(buf, *count);
-                }
+                put_uvarint(buf, 0);
             }
-            AggState::Percentile { estimate, rank_bp } => {
+            AggState::Percentile { rank_bp } => {
                 buf.push(TAG_PERCENTILE);
                 put_uvarint(buf, u64::from(*rank_bp));
-                match estimate {
-                    Some(x) => {
-                        buf.push(1);
-                        buf.extend_from_slice(&x.to_le_bytes());
-                    }
-                    None => buf.push(0),
-                }
+                buf.push(0);
             }
         }
     }
@@ -657,31 +634,32 @@ impl AggState {
             TAG_DISTINCT => AggState::CountDistinct {
                 distinct: get_ivarint(buf)?,
             },
-            TAG_APPROX_DISTINCT => AggState::ApproxDistinct {
-                estimate: get_ivarint(buf)?,
-                err_bp: get_uvarint(buf)? as u32,
-            },
+            // A row written when rows cached the sketch estimates still
+            // decodes: the cached value is read and dropped.
+            TAG_APPROX_DISTINCT => {
+                get_ivarint(buf)?;
+                AggState::ApproxDistinct {
+                    err_bp: get_uvarint(buf)? as u32,
+                }
+            }
             TAG_TOPK => {
                 let k = get_uvarint(buf)? as u32;
-                let n = get_uvarint(buf)? as usize;
-                if n > k as usize {
+                let n = get_uvarint(buf)?;
+                if n > u64::from(k) {
                     return Err(RailgunError::Corruption("topK snapshot too long".into()));
                 }
-                let mut top = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let v = get_value(buf)?;
-                    let count = get_ivarint(buf)?;
-                    top.push((v, count));
+                    get_value(buf)?;
+                    get_ivarint(buf)?;
                 }
-                AggState::TopK { top, k }
+                AggState::TopK { k }
             }
             TAG_PERCENTILE => {
                 let rank_bp = get_uvarint(buf)? as u32;
-                let estimate = match get_opt_value_tag(buf)? {
-                    true => Some(get_f64(buf)?),
-                    false => None,
-                };
-                AggState::Percentile { estimate, rank_bp }
+                if get_opt_value_tag(buf)? {
+                    get_f64(buf)?;
+                }
+                AggState::Percentile { rank_bp }
             }
             other => {
                 return Err(RailgunError::Corruption(format!(
@@ -689,6 +667,13 @@ impl AggState {
                 )))
             }
         })
+    }
+}
+
+/// The sketch an `approx` distinct count with error `err_bp` runs.
+fn distinct_kind(err_bp: u32) -> SketchKind {
+    SketchKind::Distinct {
+        precision: sketch::hll::precision_for_err_bp(err_bp),
     }
 }
 
@@ -738,33 +723,6 @@ fn get_f64(buf: &mut impl Buf) -> Result<f64> {
         return Err(RailgunError::Corruption("truncated f64".into()));
     }
     Ok(buf.get_f64_le())
-}
-
-/// Render a top-k snapshot as the deterministic `value=count,…` string
-/// reported as the metric value.
-fn render_topk(top: &[(Value, i64)]) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    for (i, (v, count)) in top.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match v {
-            Value::Str(s) => out.push_str(s),
-            Value::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Value::Float(x) => {
-                let _ = write!(out, "{x}");
-            }
-            Value::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Value::Null => out.push_str("null"),
-        }
-        let _ = write!(out, "={count}");
-    }
-    out
 }
 
 fn get_opt_value_tag(buf: &mut impl Buf) -> Result<bool> {
@@ -850,14 +808,18 @@ mod tests {
         let mut star = AggState::new(AggFunc::Count);
         star.insert(None, &c).unwrap();
         star.insert(None, &c).unwrap();
-        assert_eq!(star.value(), Value::Int(2));
+        assert_eq!(star.value(&c).unwrap(), Value::Int(2));
         star.evict(None, &c).unwrap();
-        assert_eq!(star.value(), Value::Int(1));
+        assert_eq!(star.value(&c).unwrap(), Value::Int(1));
 
         let mut field = AggState::new(AggFunc::Count);
         field.insert(Some(&Value::Null), &c).unwrap();
         field.insert(Some(&f(1.0)), &c).unwrap();
-        assert_eq!(field.value(), Value::Int(1), "count(field) skips NULL");
+        assert_eq!(
+            field.value(&c).unwrap(),
+            Value::Int(1),
+            "count(field) skips NULL"
+        );
     }
 
     #[test]
@@ -871,16 +833,16 @@ mod tests {
             sum.insert(Some(&f(x)), &c).unwrap();
             avg.insert(Some(&f(x)), &c).unwrap();
         }
-        assert_eq!(sum.value(), f(60.0));
-        assert_eq!(avg.value(), f(20.0));
+        assert_eq!(sum.value(&c).unwrap(), f(60.0));
+        assert_eq!(avg.value(&c).unwrap(), f(20.0));
         sum.evict(Some(&f(10.0)), &c).unwrap();
         avg.evict(Some(&f(10.0)), &c).unwrap();
-        assert_eq!(sum.value(), f(50.0));
-        assert_eq!(avg.value(), f(25.0));
+        assert_eq!(sum.value(&c).unwrap(), f(50.0));
+        assert_eq!(avg.value(&c).unwrap(), f(25.0));
         // Empty average is NULL.
         avg.evict(Some(&f(20.0)), &c).unwrap();
         avg.evict(Some(&f(30.0)), &c).unwrap();
-        assert_eq!(avg.value(), Value::Null);
+        assert_eq!(avg.value(&c).unwrap(), Value::Null);
     }
 
     #[test]
@@ -904,7 +866,7 @@ mod tests {
                     win.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
                         / (win.len() - 1) as f64;
                 let expect = var.sqrt();
-                let got = st.value().as_f64().unwrap();
+                let got = st.value(&c).unwrap().as_f64().unwrap();
                 assert!(
                     (got - expect).abs() < 1e-6,
                     "step {i}: got {got}, expected {expect}"
@@ -924,15 +886,15 @@ mod tests {
             mx.insert(Some(&f(x)), &c).unwrap();
             mn.insert(Some(&f(x)), &c).unwrap();
         }
-        assert_eq!(mx.value(), f(9.0));
-        assert_eq!(mn.value(), f(1.0));
+        assert_eq!(mx.value(&c).unwrap(), f(9.0));
+        assert_eq!(mn.value(&c).unwrap(), f(1.0));
         // Evict 5.0 and 1.0 (arrival order).
         for x in [5.0, 1.0] {
             mx.evict(Some(&f(x)), &c).unwrap();
             mn.evict(Some(&f(x)), &c).unwrap();
         }
-        assert_eq!(mx.value(), f(9.0));
-        assert_eq!(mn.value(), f(3.0));
+        assert_eq!(mx.value(&c).unwrap(), f(9.0));
+        assert_eq!(mn.value(&c).unwrap(), f(3.0));
     }
 
     #[test]
@@ -946,15 +908,15 @@ mod tests {
             last.insert(Some(&f(x)), &c).unwrap();
             prev.insert(Some(&f(x)), &c).unwrap();
         }
-        assert_eq!(last.value(), f(3.0));
-        assert_eq!(prev.value(), f(2.0));
+        assert_eq!(last.value(&c).unwrap(), f(3.0));
+        assert_eq!(prev.value(&c).unwrap(), f(2.0));
         // Window empties entirely.
         for x in [1.0, 2.0, 3.0] {
             last.evict(Some(&f(x)), &c).unwrap();
             prev.evict(Some(&f(x)), &c).unwrap();
         }
-        assert_eq!(last.value(), Value::Null);
-        assert_eq!(prev.value(), Value::Null);
+        assert_eq!(last.value(&c).unwrap(), Value::Null);
+        assert_eq!(prev.value(&c).unwrap(), Value::Null);
     }
 
     #[test]
@@ -967,13 +929,13 @@ mod tests {
         for addr in ["a", "b", "a", "c", "a"] {
             d.insert(Some(&Value::Str(addr.into())), &c).unwrap();
         }
-        assert_eq!(d.value(), Value::Int(3));
+        assert_eq!(d.value(&c).unwrap(), Value::Int(3));
         // Evict one "a": still 3 distinct (two "a"s remain).
         d.evict(Some(&Value::Str("a".into())), &c).unwrap();
-        assert_eq!(d.value(), Value::Int(3));
+        assert_eq!(d.value(&c).unwrap(), Value::Int(3));
         // Evict "b": down to 2.
         d.evict(Some(&Value::Str("b".into())), &c).unwrap();
-        assert_eq!(d.value(), Value::Int(2));
+        assert_eq!(d.value(&c).unwrap(), Value::Int(2));
         // Aux CF has entries for remaining values only.
         assert!(db.scan_prefix(aux, &[]).unwrap().len() == 2);
     }
@@ -990,8 +952,8 @@ mod tests {
         d1.insert(Some(&Value::Str("x".into())), &c1).unwrap();
         d2.insert(Some(&Value::Str("x".into())), &c2).unwrap();
         d1.evict(Some(&Value::Str("x".into())), &c1).unwrap();
-        assert_eq!(d1.value(), Value::Int(0));
-        assert_eq!(d2.value(), Value::Int(1), "cardB unaffected by cardA");
+        assert_eq!(d1.value(&c1).unwrap(), Value::Int(0));
+        assert_eq!(d2.value(&c2).unwrap(), Value::Int(1), "cardB unaffected by cardA");
     }
 
     #[test]
@@ -1028,7 +990,7 @@ mod tests {
             s.encode(&mut buf);
             let back = AggState::decode(&buf).unwrap();
             assert_eq!(s, back, "{func:?}");
-            assert_eq!(s.value(), back.value());
+            assert_eq!(s.value(&c).unwrap(), back.value(&c).unwrap());
         }
     }
 
@@ -1036,6 +998,42 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(AggState::decode(&[]).is_err());
         assert!(AggState::decode(&[200]).is_err());
+    }
+
+    #[test]
+    fn rows_that_cached_sketch_values_decode_and_reencode_empty() {
+        let unhex = |s: &str| -> Vec<u8> {
+            (0..s.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        // A row as written while rows cached each sketch leaf's value:
+        // leaf 0 a sum of 2.5, leaf 1 an approx distinct count at 2%
+        // caching 3, leaf 2 a top-5 caching `m1=3,7=1`, leaf 3 a p99
+        // caching 99.5.
+        const CACHED: &str = "00020000000000000440010a06c801020b050205026d3106030e02030cac4d0100\
+            00000000e05840";
+        // The same slots now: the same layout, each cached part empty.
+        const EMPTY: &str = "00020000000000000440010a00c801020b0500030cac4d00";
+        let want = vec![
+            (0, AggState::Sum { sum: 2.5 }),
+            (1, AggState::ApproxDistinct { err_bp: 200 }),
+            (2, AggState::TopK { k: 5 }),
+            (3, AggState::Percentile { rank_bp: 9900 }),
+        ];
+        for hex in [CACHED, EMPTY] {
+            let mut slots = Vec::new();
+            decode_row(&unhex(hex), &mut slots).unwrap();
+            assert_eq!(slots, want, "{hex}");
+            let mut row = Vec::new();
+            for (leaf, state) in &slots {
+                encode_slot(&mut row, *leaf, state);
+            }
+            assert_eq!(row, unhex(EMPTY));
+        }
+        // A cached topK longer than its k stays corruption.
+        assert!(AggState::decode(&unhex("0b010205026d3106030e02")).is_err());
     }
 
     #[test]
@@ -1049,7 +1047,7 @@ mod tests {
             d.insert(Some(&Value::Str(addr.into())), &c).unwrap();
         }
         // Linear counting makes tiny cardinalities exact.
-        assert_eq!(d.value(), Value::Int(3));
+        assert_eq!(d.value(&c).unwrap(), Value::Int(3));
     }
 
     #[test]
@@ -1064,7 +1062,7 @@ mod tests {
                 t.insert(Some(&Value::Str(name.into())), &c).unwrap();
             }
         }
-        assert_eq!(t.value(), Value::Str("b=9,a=5".into()));
+        assert_eq!(t.value(&c).unwrap(), Value::Str("b=9,a=5".into()));
     }
 
     #[test]
@@ -1077,7 +1075,7 @@ mod tests {
         for i in 0..101 {
             p.insert(Some(&f(f64::from(i))), &c).unwrap();
         }
-        assert_eq!(p.value(), f(50.0));
+        assert_eq!(p.value(&c).unwrap(), f(50.0));
     }
 
     #[test]
@@ -1091,11 +1089,12 @@ mod tests {
             let c = ctx(&db, aux, &scratch).windowed(i * 10, i * 10 - 80, 80);
             d.insert(Some(&Value::Int(i)), &c).unwrap();
         }
-        assert_eq!(d.value(), Value::Int(8));
+        let c = ctx(&db, aux, &scratch).windowed(70, -10, 80);
+        assert_eq!(d.value(&c).unwrap(), Value::Int(8));
         // Window advances: everything below 40ms expires (4 panes die).
         let c = ctx(&db, aux, &scratch).windowed(110, 40, 80);
         d.evict(Some(&Value::Int(0)), &c).unwrap();
-        assert_eq!(d.value(), Value::Int(4));
+        assert_eq!(d.value(&c).unwrap(), Value::Int(4));
     }
 
     #[test]
@@ -1108,13 +1107,41 @@ mod tests {
             let c = ctx(&db, aux, &scratch).windowed(i * 10, i * 10 - 80, 80);
             d.insert(Some(&Value::Int(i)), &c).unwrap();
         }
-        assert_eq!(d.value(), Value::Int(8));
+        let c = ctx(&db, aux, &scratch).windowed(70, -10, 80);
+        assert_eq!(d.value(&c).unwrap(), Value::Int(8));
         // The window moves far past every pane while this key sees no
         // eviction (its expiring events fell to the late policy, say);
         // the next insert must not report the long-gone panes.
         let c = ctx(&db, aux, &scratch).windowed(1_000, 920, 80);
         d.insert(Some(&Value::Int(99)), &c).unwrap();
-        assert_eq!(d.value(), Value::Int(1));
+        assert_eq!(d.value(&c).unwrap(), Value::Int(1));
+    }
+
+    #[test]
+    fn a_read_leaves_a_sketch_clean_unless_its_prune_drops_a_pane() {
+        // A flush writes what changed. Each insert used to mark its sketch
+        // dirty; a reply's read of an unchanged sketch must not.
+        let db = test_db("sketch-dirty");
+        let aux = db.create_cf("distinct-aux").unwrap();
+        let scratch = AggScratch::default();
+        let mut d = AggState::new(AggFunc::ApproxCountDistinct { err_bp: 200 });
+        // An 80 ms window: 10 ms panes, one value in each of 8.
+        let at = |ts: i64| ctx(&db, aux, &scratch).windowed(ts, ts - 80, 80);
+        for i in 0..8i64 {
+            d.insert(Some(&Value::Int(i)), &at(i * 10)).unwrap();
+        }
+        scratch.flush(&db, aux).unwrap();
+        let key = blob_key_for_tests(b"leaf0/card-1");
+        let stored = || db.get(aux, &key).unwrap().expect("flushed");
+        db.put(aux, &key, b"marker").unwrap();
+        assert_eq!(d.value(&at(75)).unwrap(), Value::Int(8));
+        scratch.flush(&db, aux).unwrap();
+        assert_eq!(stored(), b"marker", "a read that dropped no pane is not written");
+        // The window's lower bound reaches 25: panes [0, 10) and [10, 20)
+        // die on this read, and the next flush writes the pruned sketch.
+        assert_eq!(d.value(&at(105)).unwrap(), Value::Int(6));
+        scratch.flush(&db, aux).unwrap();
+        assert_ne!(stored(), b"marker");
     }
 
     #[test]
@@ -1128,11 +1155,9 @@ mod tests {
             let aux = db.create_cf("distinct-aux").unwrap();
             let scratch = AggScratch::default();
             let mut d = AggState::new(AggFunc::ApproxCountDistinct { err_bp: 200 });
-            {
-                let c = AggContext::new(&db, aux, b"leaf0/entity0", &scratch);
-                for i in 0..n {
-                    d.insert(Some(&Value::Int(i)), &c).unwrap();
-                }
+            let c = AggContext::new(&db, aux, b"leaf0/entity0", &scratch);
+            for i in 0..n {
+                d.insert(Some(&Value::Int(i)), &c).unwrap();
             }
             assert!(
                 db.scan_prefix(aux, &[]).unwrap().is_empty(),
@@ -1149,7 +1174,7 @@ mod tests {
             } else {
                 assert_eq!(size, 6_160, "n={n}");
             }
-            let est = d.value().as_i64().unwrap();
+            let est = d.value(&c).unwrap().as_i64().unwrap();
             let err = (est - n).abs() as f64 / n as f64;
             assert!(err <= 0.02, "n={n}: estimate {est} is {:.2}% off", err * 100.0);
             assert!(n > 50 || est == n, "small cardinality is exact");
@@ -1157,7 +1182,7 @@ mod tests {
             let scratch2 = AggScratch::default();
             let c2 = AggContext::new(&db, aux, b"leaf0/entity0", &scratch2);
             d.insert(Some(&Value::Int(0)), &c2).unwrap();
-            assert_eq!(d.value(), Value::Int(est), "estimate survives reload");
+            assert_eq!(d.value(&c2).unwrap(), Value::Int(est), "estimate survives reload");
         }
     }
 
@@ -1175,7 +1200,9 @@ mod tests {
             let c = ctx(&db, aux, &scratch).windowed(ts, ts - W, W);
             d.insert(Some(&Value::Int(i % 20)), &c).unwrap();
         }
-        assert_eq!(d.value(), Value::Int(20));
+        let last = 199 * 1_500;
+        let c = ctx(&db, aux, &scratch).windowed(last, last - W, W);
+        assert_eq!(d.value(&c).unwrap(), Value::Int(20));
         scratch.flush(&db, aux).unwrap();
         let blobs = db.scan_prefix(aux, &[]).unwrap();
         let size = blobs[0].0.len() + blobs[0].1.len();

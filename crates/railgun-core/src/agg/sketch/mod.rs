@@ -21,10 +21,11 @@
 //! Insert-only sketches cannot evict a single event, so sliding windows
 //! use a **pane ring** ([`PaneRing`]): the window is cut into
 //! [`NPANES`] insert-only panes plus an incrementally-maintained merged
-//! view. Inserts hit the event's pane *and* the merged view (O(1));
-//! eviction prunes whole expired panes and rebuilds the merged view only
-//! when the live-pane set actually changed — amortized once per pane
-//! width. Expiry is therefore pane-granular: the reported window covers
+//! view. Inserts hit the event's pane *and* the merged view (O(1)); an
+//! insert or a read first prunes whole expired panes and rebuilds the
+//! merged view only when the live-pane set actually changed — amortized
+//! once per pane width (an evicted event touches no sketch). Expiry is
+//! therefore pane-granular: the reported window covers
 //! `[window, window + pane_width)`, the same trade Memento makes.
 //! Tumbling windows need no ring (the state key already carries the
 //! bucket) and infinite windows never expire — both run one sketch.
@@ -316,11 +317,11 @@ impl SketchState {
         Ok(())
     }
 
-    /// Current top-`k` snapshot, heaviest first (topK modes).
-    pub fn topk_snapshot(&self) -> Result<Vec<(Value, i64)>> {
+    /// The current top-`k` report (topK modes; see [`TopKSketch::report`]).
+    pub fn topk_report(&self) -> Result<String> {
         match self {
-            SketchState::TopK(s) => Ok(s.top()),
-            SketchState::TopKPanes(ring) => Ok(ring.merged().top()),
+            SketchState::TopK(s) => Ok(s.report()),
+            SketchState::TopKPanes(ring) => Ok(ring.merged().report()),
             _ => Err(kind_mismatch("topK")),
         }
     }
@@ -336,12 +337,8 @@ impl SketchState {
     }
 
     /// Current estimate of the `rank` quantile (`0.0..=1.0`), using
-    /// `scratch` for the weighted walk (percentile modes).
-    pub fn quantile_estimate(
-        &self,
-        rank: f64,
-        scratch: &mut Vec<(f64, u64)>,
-    ) -> Result<Option<f64>> {
+    /// `scratch` for the walk's cursors (percentile modes).
+    pub fn quantile_estimate(&self, rank: f64, scratch: &mut Vec<usize>) -> Result<Option<f64>> {
         match self {
             SketchState::Quant(s) => Ok(s.estimate(rank, scratch)),
             SketchState::QuantPanes(ring) => Ok(ring.merged().estimate(rank, scratch)),

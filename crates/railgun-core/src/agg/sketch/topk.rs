@@ -88,16 +88,35 @@ impl TopKSketch {
         };
     }
 
-    /// The top `k` monitored values, heaviest first; ties break by hash
-    /// so the report is deterministic.
-    pub fn top(&self) -> Vec<(Value, i64)> {
+    /// The top `k` monitored slots, heaviest first; ties break by hash
+    /// (unique per slot), so the order is total and the report
+    /// deterministic. Only the top `k` are sorted.
+    fn ranked(&self) -> Vec<&Slot> {
+        let heavier = |a: &&Slot, b: &&Slot| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash));
         let mut order: Vec<&Slot> = self.slots.iter().collect();
-        order.sort_by(|a, b| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash)));
+        let k = self.k as usize;
+        if order.len() > k {
+            order.select_nth_unstable_by(k, heavier);
+            order.truncate(k);
+        }
+        order.sort_unstable_by(heavier);
         order
-            .into_iter()
-            .take(self.k as usize)
-            .map(|s| (s.value.clone(), s.count))
-            .collect()
+    }
+
+    /// What a `topK` metric reports: the top `k` as `value=count` pairs,
+    /// heaviest first, comma-separated.
+    pub fn report(&self) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        for (i, s) in self.ranked().into_iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            // (`Value`'s `Display`, but for a lower-case null.)
+            let _ = match &s.value {
+                Value::Null => write!(out, "{sep}null={}", s.count),
+                v => write!(out, "{sep}{v}={}", s.count),
+            };
+        }
+        out
     }
 }
 
@@ -193,6 +212,32 @@ mod tests {
 
     fn sv(s: &str) -> Value {
         Value::Str(s.to_string())
+    }
+
+    impl TopKSketch {
+        /// The top `k` monitored values with their counts, heaviest first.
+        fn top(&self) -> Vec<(Value, i64)> {
+            let ranked = self.ranked().into_iter();
+            ranked.map(|s| (s.value.clone(), s.count)).collect()
+        }
+    }
+
+    #[test]
+    fn the_report_renders_every_value_kind() {
+        let mut tk = TopKSketch::new(5);
+        for v in [
+            sv("s"),
+            Value::Int(-3),
+            Value::Float(2.5),
+            Value::Bool(true),
+            Value::Null,
+        ] {
+            tk.insert(&v, hash_value(&v));
+        }
+        let report = tk.report();
+        let mut parts: Vec<&str> = report.split(',').collect();
+        parts.sort_unstable();
+        assert_eq!(parts, ["-3=1", "2.5=1", "null=1", "s=1", "true=1"]);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 
 use bytes::{Buf, BufMut};
 use railgun_types::encode::{
-    get_event, get_string, get_uvarint, put_bytes, put_event, put_event_values, put_uvarint,
+    get_event, get_string, get_uvarint, get_value, put_bytes, put_event, put_event_values,
+    put_uvarint, put_value,
 };
 use railgun_types::{
     Event, EventId, FieldDef, FieldType, RailgunError, Result, Schema, Timestamp, Value,
@@ -240,68 +241,81 @@ fn check_version(buf: &mut &[u8], what: &str) -> Result<()> {
     Ok(())
 }
 
-/// Encode a [`Reply`].
+/// Encode a [`Reply`], through the same two writers a task uses to write
+/// its replies straight into a unit's frame.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    encode_reply_into(
-        &mut buf,
-        reply.request_id,
-        &reply.source_topic,
-        reply.duplicate,
-        &reply.results,
-    );
+    let (id, topic, results) = (reply.request_id, &reply.source_topic, &reply.results);
+    put_reply_header(&mut buf, id, topic, reply.duplicate, results.len());
+    for r in results {
+        let entity = r.entity.iter();
+        put_reply_result(&mut buf, r.query, r.index, &r.name, entity, &r.value);
+    }
     buf
 }
 
-/// Encode a reply from its borrowed parts by appending to `buf` —
-/// processor units stage the replies of one pump into a shared frame per
-/// reply topic and publish them as one batch, without building an owned
-/// [`Reply`] per event.
-pub fn encode_reply_into(
+/// Append the part of a reply before its results; exactly `results`
+/// [`put_reply_result`] calls must follow.
+pub fn put_reply_header(
     buf: &mut Vec<u8>,
     request_id: u64,
     source_topic: &str,
     duplicate: bool,
-    results: &[AggregationResult],
+    results: usize,
 ) {
     buf.put_u8(WIRE_VERSION);
     put_uvarint(buf, request_id);
     put_bytes(buf, source_topic.as_bytes());
     buf.put_u8(u8::from(duplicate));
-    put_uvarint(buf, results.len() as u64);
-    for r in results {
-        put_uvarint(buf, r.query.0);
-        put_uvarint(buf, u64::from(r.index));
-        put_bytes(buf, r.name.as_bytes());
-        put_uvarint(buf, r.entity.len() as u64);
-        for v in &r.entity {
-            railgun_types::encode::put_value(buf, v);
-        }
-        railgun_types::encode::put_value(buf, &r.value);
-    }
+    put_uvarint(buf, results as u64);
 }
 
-/// Decode a [`Reply`].
+/// Append one [`AggregationResult`] of a reply, from borrowed parts.
+pub fn put_reply_result<'a>(
+    buf: &mut Vec<u8>,
+    query: QueryId,
+    index: u32,
+    name: &str,
+    entity: impl ExactSizeIterator<Item = &'a Value>,
+    value: &Value,
+) {
+    put_uvarint(buf, query.0);
+    put_uvarint(buf, u64::from(index));
+    put_bytes(buf, name.as_bytes());
+    put_uvarint(buf, entity.len() as u64);
+    for v in entity {
+        put_value(buf, v);
+    }
+    put_value(buf, value);
+}
+
+/// Decode a [`Reply`]: exactly one, with nothing after it. Counts are
+/// not trusted: no capacity is reserved past what the bytes left could
+/// hold, and an aggregation index past `u32` is `Corruption`, not
+/// truncated into another key.
 pub fn decode_reply(mut buf: &[u8]) -> Result<Reply> {
     check_version(&mut buf, "reply")?;
     let request_id = get_uvarint(&mut buf)?;
     let source_topic = get_string(&mut buf)?;
-    if !buf.has_remaining() {
-        return Err(RailgunError::Corruption("truncated reply".into()));
-    }
-    let duplicate = buf.get_u8() != 0;
-    let n = get_uvarint(&mut buf)? as usize;
-    let mut results = Vec::with_capacity(n);
+    let duplicate = match buf.first() {
+        Some(&flag @ (0 | 1)) => flag == 1,
+        _ => return Err(RailgunError::Corruption("bad reply duplicate flag".into())),
+    };
+    buf.advance(1);
+    // Every result and entity value takes at least a byte.
+    let n = get_uvarint(&mut buf)?;
+    let mut results = Vec::with_capacity(n.min(buf.len() as u64) as usize);
     for _ in 0..n {
         let query = QueryId(get_uvarint(&mut buf)?);
-        let index = get_uvarint(&mut buf)? as u32;
+        let index = u32::try_from(get_uvarint(&mut buf)?)
+            .map_err(|_| RailgunError::Corruption("aggregation index past u32".into()))?;
         let name = get_string(&mut buf)?;
-        let ne = get_uvarint(&mut buf)? as usize;
-        let mut entity = Vec::with_capacity(ne);
+        let ne = get_uvarint(&mut buf)?;
+        let mut entity = Vec::with_capacity(ne.min(buf.len() as u64) as usize);
         for _ in 0..ne {
-            entity.push(railgun_types::encode::get_value(&mut buf)?);
+            entity.push(get_value(&mut buf)?);
         }
-        let value = railgun_types::encode::get_value(&mut buf)?;
+        let value = get_value(&mut buf)?;
         results.push(AggregationResult {
             query,
             index,
@@ -309,6 +323,12 @@ pub fn decode_reply(mut buf: &[u8]) -> Result<Reply> {
             entity,
             value,
         });
+    }
+    if !buf.is_empty() {
+        return Err(RailgunError::Corruption(format!(
+            "{} bytes after the last reply result",
+            buf.len()
+        )));
     }
     Ok(Reply {
         request_id,
@@ -567,6 +587,41 @@ mod tests {
         );
         assert!(find_keyed(&reply.results, QueryId(8), 0).is_none());
         assert!(find_keyed(&reply.results, QueryId(7), 2).is_none());
+    }
+
+    #[test]
+    fn absurd_counts_and_an_index_past_u32_are_corruption() {
+        let head = |results: usize| {
+            let mut buf = Vec::new();
+            put_reply_header(&mut buf, 9, "payments--card", false, results);
+            buf
+        };
+        let result = |buf: &mut Vec<u8>, index: u64, entity: u64| {
+            put_uvarint(buf, 7);
+            put_uvarint(buf, index);
+            put_bytes(buf, b"count(*)");
+            put_uvarint(buf, entity);
+        };
+        let corrupt = |buf: &[u8]| matches!(decode_reply(buf), Err(RailgunError::Corruption(_)));
+        // 2^58 results, or 2^58 entity values, used to panic the client
+        // thread reserving their capacity.
+        assert!(corrupt(&head(1 << 58)));
+        let mut buf = head(1);
+        result(&mut buf, 0, 1 << 58);
+        assert!(corrupt(&buf));
+        // Index 2^32 + 3 used to decode as index 3: another metric's key.
+        let mut buf = head(1);
+        result(&mut buf, (1 << 32) + 3, 0);
+        put_value(&mut buf, &Value::Int(1));
+        let err = decode_reply(&buf).unwrap_err();
+        assert!(err.to_string().contains("index past u32"), "{err}");
+        // The same reply at index 3 is fine, and a byte after it is not.
+        let mut buf = head(1);
+        result(&mut buf, 3, 0);
+        put_value(&mut buf, &Value::Int(1));
+        assert_eq!(decode_reply(&buf).unwrap().results[0].index, 3);
+        buf.push(0);
+        assert!(corrupt(&buf));
     }
 
     #[test]

@@ -627,7 +627,12 @@ impl FrontEnd {
         self.replies.poll_into(256, &mut buf)?;
         moved |= !buf.is_empty();
         for msg in buf.drain(..) {
-            let reply = decode_reply(&msg.payload)?;
+            // One bad record must not take the rest of the poll with it:
+            // skip and count it, like the units' checkpoint reader.
+            let Ok(reply) = decode_reply(&msg.payload) else {
+                self.telemetry.count_undecodable_reply();
+                continue;
+            };
             let Some(req) = self
                 .requests
                 .get_mut(&reply.request_id)
@@ -781,5 +786,34 @@ mod tests {
             assert!(matches!(sent, Err(RailgunError::NotFound(_))), "{sent:?}");
         }
         assert!(b.requests.is_empty() && b.in_flight == 0);
+    }
+
+    #[test]
+    fn an_undecodable_reply_is_skipped_and_counted_not_the_poll_behind_it() {
+        // `pump` used to return the decode error from inside the drain,
+        // dropping every reply polled behind the bad one for good.
+        let bus = MessageBus::with_defaults();
+        let hub = Arc::new(EngineTelemetry::new(false));
+        let mut fe = FrontEnd::new(&bus, 0, 8, BatchPolicy::default(), Arc::clone(&hub)).unwrap();
+        let schema = Schema::from_pairs(&[("cardId", FieldType::Str)]).unwrap();
+        fe.create_stream(&bus, "payments", schema, &["cardId"], 1, 1)
+            .unwrap();
+        let ts = Timestamp::from_millis(1);
+        let id = fe.send_event("payments", ts, vec![Value::from("c")]).unwrap();
+        let reply = crate::api::encode_reply(&crate::api::Reply {
+            request_id: id,
+            source_topic: "payments--cardId".into(),
+            duplicate: false,
+            results: Vec::new(),
+        });
+        let producer = Producer::new(bus.clone());
+        for payload in [vec![0xff], reply] {
+            producer
+                .send_to_partition(&reply_topic_name(0), 0, &[], payload)
+                .unwrap();
+        }
+        assert!(fe.pump().unwrap());
+        assert_eq!(fe.try_take(id).map(|r| r.request_id), Some(id));
+        assert_eq!(hub.snapshot().counters.undecodable_replies, 1);
     }
 }

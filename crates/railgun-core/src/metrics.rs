@@ -218,6 +218,9 @@ pub struct EngineTelemetry {
     chunk_misses: Counter,
     backpressure: Counter,
     slo_breaches: Counter,
+    /// Reply records a front-end could not decode and skipped (always
+    /// on — an error path).
+    undecodable_replies: Counter,
     /// Events per flushed front-end ingest batch. Always on: one sample
     /// per batch (not per event) and no clock read, so it rides the
     /// amortized flush path for free — like the task counters.
@@ -284,6 +287,7 @@ impl EngineTelemetry {
             },
             backpressure: Counter::enabled(),
             slo_breaches: Counter::enabled(),
+            undecodable_replies: Counter::enabled(),
             batch_size: Recorder::enabled(),
             frontend_batched: Counter::enabled(),
             unit_batched: Counter::enabled(),
@@ -448,6 +452,11 @@ impl EngineTelemetry {
         self.backpressure.incr();
     }
 
+    /// Count a reply record a front-end skipped because it did not decode.
+    pub fn count_undecodable_reply(&self) {
+        self.undecodable_replies.incr();
+    }
+
     fn entry(&self, id: QueryId) -> Arc<QueryTelemetry> {
         Arc::clone(
             self.per_query
@@ -525,6 +534,7 @@ impl EngineTelemetry {
             counters: EngineCounters {
                 backpressure_rejections: self.backpressure.get(),
                 slo_breaches: self.slo_breaches.get(),
+                undecodable_replies: self.undecodable_replies.get(),
                 reservoir_chunk_misses: self.chunk_misses.get(),
             },
             batching: BatchingMetrics {
@@ -589,6 +599,9 @@ pub struct EngineCounters {
     pub backpressure_rejections: u64,
     /// Completions that exceeded their query's SLO budget (all queries).
     pub slo_breaches: u64,
+    /// Reply records front-ends skipped because they did not decode; the
+    /// rest of their poll was still delivered (always on).
+    pub undecodable_replies: u64,
     /// Reservoir chunk-cache misses (cold drains that had to touch disk).
     /// Populated only while stage telemetry is enabled.
     pub reservoir_chunk_misses: u64,

@@ -36,7 +36,7 @@ use railgun_types::{
 };
 
 use crate::agg::{decode_row, encode_slot, AggContext, AggScratch, AggState};
-use crate::api::{AggregationResult, QueryId};
+use crate::api::{decode_reply, put_reply_header, put_reply_result, AggregationResult, QueryId};
 use crate::horizon::{AuxKeyFilter, StateHorizon, StateKeyFilter};
 use crate::keys::{id_prefix, set_prefix, state_key_into};
 use crate::lang::{Query, WindowKind, WindowSpec};
@@ -117,7 +117,7 @@ struct WindowRuntime {
 
 /// The most recent row read or written under one group-by node: its key
 /// and decoded slots. The read-modify-write of an event decodes into and
-/// encodes out of it (so the buffers are reused), and `collect_results`
+/// encodes out of it (so the buffers are reused), and `write_results`
 /// answers from it when the row the event just wrote is the row it
 /// reports — which it is for the arriving event's own entity on every
 /// window without a delay. Every default-CF write of the event path goes
@@ -181,6 +181,11 @@ pub struct TaskProcessor {
     key_buf: Vec<u8>,
     /// One entry per plan group node, index-aligned with `plan.groups`.
     rows: Vec<GroupRow>,
+    /// Results per reply: one per registered metric (see
+    /// [`TaskProcessor::plan_changed`]).
+    reply_len: usize,
+    /// Scratch reply [`TaskProcessor::process_event`] decodes.
+    reply_buf: Vec<u8>,
     /// Per-task scratch for aggregator aux keys plus the in-memory sketch
     /// cache (flushed to the aux CF at checkpoints — see [`AggScratch`]).
     agg_scratch: AggScratch,
@@ -312,6 +317,8 @@ impl TaskProcessor {
             encode_buf: Vec::with_capacity(64),
             key_buf: Vec::with_capacity(32),
             rows: Vec::new(),
+            reply_len: 0,
+            reply_buf: Vec::new(),
             agg_scratch: AggScratch::default(),
             horizon,
             meta_cf,
@@ -495,9 +502,11 @@ impl TaskProcessor {
     }
 
     /// The plan gained or lost nodes: recompute which schema positions it
-    /// reads, and size the scratch row to the schema.
+    /// reads and how many results a reply carries, and size the scratch
+    /// row to the schema.
     fn plan_changed(&mut self) {
         let plan = &self.plan;
+        self.reply_len = plan.leaves.iter().map(|l| l.refs.len()).sum();
         let set = &mut self.read_set;
         set.clear();
         for group in plan.groups.iter().filter(|g| !g.leaves.is_empty()) {
@@ -561,10 +570,37 @@ impl TaskProcessor {
         self.plan.query_ids()
     }
 
-    /// Process one event end-to-end: advance windows, store the event,
-    /// update every aggregation, and return the results for this event's
-    /// entities.
+    /// [`TaskProcessor::process_event_into`], decoded: the event's results
+    /// and duplicate flag, read back from the reply bytes a unit would
+    /// publish for it.
     pub fn process_event(&mut self, event: &Event) -> Result<(Vec<AggregationResult>, bool)> {
+        let mut buf = std::mem::take(&mut self.reply_buf);
+        buf.clear();
+        let reply = self
+            .process_event_into(event, 0, "", &mut buf)
+            .and_then(|_| decode_reply(&buf));
+        self.reply_buf = buf;
+        let reply = reply?;
+        Ok((reply.results, reply.duplicate))
+    }
+
+    /// Process one event end to end — advance windows, store the event,
+    /// update every aggregation — and append its reply to `out`: request
+    /// `request_id` answered from `source_topic`, with one result per
+    /// registered metric for this event's entities, written straight from
+    /// the plan, the event's fields and the state rows. Returns whether
+    /// the event was a duplicate.
+    ///
+    /// On error `out` may end in part of a reply: the unit writes through
+    /// [`BatchFrameBuilder::try_push_with`](railgun_types::encode::BatchFrameBuilder::try_push_with),
+    /// which cuts it off.
+    pub fn process_event_into(
+        &mut self,
+        event: &Event,
+        request_id: u64,
+        source_topic: &str,
+        out: &mut Vec<u8>,
+    ) -> Result<bool> {
         self.schema.check_row(event)?;
         let t_eval = event.ts + TimeDelta::from_millis(1);
         self.stats.events_processed.fetch_add(1, Ordering::Relaxed);
@@ -656,8 +692,9 @@ impl TaskProcessor {
             self.entering_buf = entering;
         }
 
-        // Phase 4: collect reply values for this event's entities.
-        let results = self.collect_results(event, t_eval)?;
+        // Phase 4: the reply, for this event's entities.
+        put_reply_header(out, request_id, source_topic, duplicate, self.reply_len);
+        self.write_results(event, t_eval, out)?;
 
         // Phase 5: periodic retention.
         self.events_since_truncate += 1;
@@ -667,20 +704,16 @@ impl TaskProcessor {
             self.events_since_truncate = 0;
             self.maybe_truncate(t_eval)?;
         }
-        Ok((results, duplicate))
+        Ok(duplicate)
     }
 
-    /// Process a run of events in arrival order, handing each event's
-    /// `(index, results, duplicate)` to `sink` as it completes.
+    /// [`TaskProcessor::process_event`] over a run of events in arrival
+    /// order, handing each event's `(index, results, duplicate)` to `sink`
+    /// as it completes.
     ///
     /// Window semantics are per-event — every event's reply reflects the
     /// window state *at that event* (tail advance, append, head advance,
-    /// DAG, collect) — so a run is processed one event after the other and
-    /// what a batch amortizes today is the work around the task: the
-    /// caller decodes a whole run into reused scratch, updates offsets
-    /// once, and publishes all replies as one bus batch. Within an event
-    /// the leaves of a group-by node already share one state row
-    /// (`update_group`).
+    /// DAG, reply) — so a run is processed one event after the other.
     pub fn process_batch<'a, I, F>(&mut self, events: I, mut sink: F) -> Result<()>
     where
         I: IntoIterator<Item = &'a Event>,
@@ -800,18 +833,13 @@ impl TaskProcessor {
         Ok(())
     }
 
-    /// Report the current value of every live leaf for the event's
-    /// entities, emitting one keyed result per registered metric — a leaf
-    /// shared by several queries is reported under each `(query, index)`
-    /// key. A group's row is answered from what this event just wrote
-    /// when that is the row being reported, and read once otherwise (the
-    /// filter rejected the event, the window is delayed, the event was
-    /// late or a duplicate).
-    fn collect_results(
-        &mut self,
-        event: &Event,
-        t_eval: Timestamp,
-    ) -> Result<Vec<AggregationResult>> {
+    /// Write one result per registered metric for the event's entities:
+    /// every live leaf's value, read once and written under each
+    /// `(query, index)` key sharing it. A group's row is answered from what
+    /// this event just wrote when that is the row being reported, and read
+    /// once otherwise (the filter rejected the event, the window is
+    /// delayed, the event was late or a duplicate).
+    fn write_results(&mut self, event: &Event, t_eval: Timestamp, out: &mut Vec<u8>) -> Result<()> {
         event.project(&self.read_set, &mut self.fields);
         let fields = &self.fields;
         for (gid, group) in self.plan.groups.iter().enumerate() {
@@ -831,40 +859,31 @@ impl TaskProcessor {
             row.load(&self.db, &self.stats)?;
             row.valid = true;
         }
-        let mut out = Vec::with_capacity(self.plan.leaves.len());
         for (leaf_idx, leaf) in self.plan.leaves.iter().enumerate() {
             if !leaf.is_live() {
                 continue; // unregistered
             }
-            let group = &self.plan.groups[leaf.group];
-            let value = match self.rows[leaf.group]
-                .slots
-                .iter()
-                .find(|s| s.0 == leaf_idx as u32)
-            {
-                Some((_, state)) => state.value(),
-                None => AggState::new(leaf.func).value(),
+            let row = &self.rows[leaf.group];
+            self.key_buf.clear();
+            self.key_buf.extend_from_slice(&row.key);
+            set_prefix(&mut self.key_buf, leaf_idx as u32);
+            let mut ctx = AggContext::new(&self.db, self.aux_cf, &self.key_buf, &self.agg_scratch);
+            let kind = self.plan.windows[leaf.window].spec.kind;
+            if let (WindowKind::Sliding(ws), Some(wr)) = (kind, &self.windows[leaf.window]) {
+                let lower = wr.tail_bound.as_millis();
+                ctx = ctx.windowed(t_eval.as_millis(), lower, ws.as_millis());
+            }
+            let value = match row.slots.iter().find(|s| s.0 == leaf_idx as u32) {
+                Some((_, state)) => state.value(&ctx)?,
+                None => AggState::new(leaf.func).value(&ctx)?,
             };
-            // Move the value into the last ref; clone only for the extra
-            // refs of a shared leaf (refs.len() == 1 is the common case).
-            let last = leaf.refs.len() - 1;
-            let mut value = value;
-            for (i, r) in leaf.refs.iter().enumerate() {
-                let v = if i == last {
-                    std::mem::replace(&mut value, Value::Null)
-                } else {
-                    value.clone()
-                };
-                out.push(AggregationResult {
-                    query: r.query,
-                    index: r.index,
-                    name: r.name.clone(),
-                    entity: group.field_indexes.iter().map(|&i| fields[i].clone()).collect(),
-                    value: v,
-                });
+            let entity = &self.plan.groups[leaf.group].field_indexes;
+            for r in &leaf.refs {
+                let entity = entity.iter().map(|&i| &fields[i]);
+                put_reply_result(out, r.query, r.index, &r.name, entity, &value);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn maybe_truncate(&mut self, t_eval: Timestamp) -> Result<()> {
@@ -1890,6 +1909,129 @@ mod tests {
             Value::Int(1)
         );
         assert!(crate::api::find_keyed(&r, qid, 2).is_none());
+    }
+
+    /// Write garbage where card `A`'s sketch of each of `leaves` lives,
+    /// so that any load of one fails.
+    fn spoil_sketches_of_a(tp: &TaskProcessor, leaves: impl IntoIterator<Item = LeafId>) {
+        for leaf in leaves {
+            let key = crate::keys::state_key(leaf as u32, None, &[Value::from("A")]);
+            let blob_key = crate::agg::blob_key_for_tests(&key);
+            tp.db.put(tp.aux_cf, &blob_key, b"\xff").unwrap();
+        }
+    }
+
+    #[test]
+    fn an_event_that_fails_mid_reply_leaves_no_partial_record() {
+        // `sum` is answered first; then the topK leaf reads its sketch,
+        // which is garbage. The filter keeps the event out of the sketch,
+        // so the reply is the first to read it.
+        let mut tp = proc("fail-mid-reply");
+        let q = |text| parse_query(text).unwrap();
+        tp.attach_query(
+            QueryId(1),
+            &q("SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 5 min"),
+            true,
+        )
+        .unwrap();
+        let topk = q("SELECT topK(merchantId, 3) FROM payments WHERE amount > 50 \
+                      GROUP BY cardId OVER sliding 5 min");
+        let topk = tp.attach_query(QueryId(2), &topk, true).unwrap();
+        spoil_sketches_of_a(&tp, [topk[0].leaf]);
+        let mut frame = railgun_types::encode::BatchFrameBuilder::new();
+        frame.push_with(|buf| buf.extend_from_slice(b"an earlier reply"));
+        let failed = frame.try_push_with(|buf| {
+            tp.process_event_into(&ev(1, 1_000, "A", "m", 10.0), 7, "payments--cardId", buf)
+                .map(drop)
+        });
+        let corrupt = matches!(failed, Err(RailgunError::Corruption(_)));
+        assert!(corrupt, "{failed:?}");
+        let frame = frame.finish();
+        assert_eq!(frame.len(), 1);
+        assert_eq!(frame.slice(0).as_ref(), b"an earlier reply");
+    }
+
+    #[test]
+    fn expiry_alone_never_loads_a_sketch() {
+        // Card A's sketches reach the store at a checkpoint; the restored
+        // task starts with an empty sketch cache, and the stored blobs are
+        // then spoiled. B's events slide the window past all of A's: the
+        // evictions must not load A's sketches (they used to, to cache a
+        // fresh estimate in A's row).
+        let q = parse_query(
+            "SELECT countDistinct(merchantId) approx 0.02, topK(merchantId, 3), \
+             percentile(amount, 50) FROM payments GROUP BY cardId OVER sliding 1 min",
+        )
+        .unwrap();
+        // One-event chunks: the image holds every event appended so far.
+        let config = || TaskConfig {
+            reservoir: ReservoirConfig {
+                chunk_target_events: 1,
+                ..ReservoirConfig::default()
+            },
+            ..TaskConfig::default()
+        };
+        let dir = temp_task_dir("expiry-no-load");
+        let mut tp = TaskProcessor::open(&dir, "payments--cardId", 0, schema(), config()).unwrap();
+        let leaves: Vec<LeafId> = tp
+            .attach_query(QueryId(1), &q, true)
+            .unwrap()
+            .iter()
+            .map(|h| h.leaf)
+            .collect();
+        for i in 0..5 {
+            tp.process_event(&ev(i, i as i64 * 1_000, "A", &format!("m{i}"), 1.0))
+                .unwrap();
+        }
+        let ckpt = temp_task_dir("expiry-no-load-ckpt");
+        tp.checkpoint(&ckpt).unwrap();
+        drop(tp);
+        let mut tp = TaskProcessor::restore_from_checkpoint(
+            &ckpt,
+            &temp_task_dir("expiry-no-load-restored"),
+            "payments--cardId",
+            0,
+            schema(),
+            config(),
+        )
+        .unwrap();
+        tp.attach_query(QueryId(1), &q, false).unwrap();
+        spoil_sketches_of_a(&tp, leaves);
+        for i in 0..10 {
+            tp.process_event(&ev(100 + i, 70_000 + i as i64 * 1_000, "B", "m", 1.0))
+                .unwrap();
+        }
+        assert_eq!(tp.stats().evictions, 5, "every event of A expired");
+        // A's own next event does read them, and finds the garbage.
+        let err = tp
+            .process_event(&ev(200, 80_000, "A", "m", 1.0))
+            .unwrap_err();
+        assert!(matches!(err, RailgunError::Corruption(_)), "{err}");
+    }
+
+    #[test]
+    fn a_duplicate_after_its_panes_expired_reports_the_pruned_estimate() {
+        // An 80 s window has 10 s panes. A's only event (1 s) leaves the
+        // window at 81.001 s, its pane [0, 10 s) only at 90.001 s.
+        let mut tp = proc("dup-after-expiry");
+        tp.register_query(
+            &parse_query(
+                "SELECT countDistinct(merchantId) approx 0.02 FROM payments \
+                 GROUP BY cardId OVER sliding 80 sec",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        tp.process_event(&ev(1, 1_000, "A", "m1", 1.0)).unwrap();
+        // A's event expires, its pane is still live.
+        tp.process_event(&ev(2, 82_000, "B", "m1", 1.0)).unwrap();
+        // The pane has left the window; nothing of A was left to evict.
+        tp.process_event(&ev(3, 95_000, "B", "m1", 1.0)).unwrap();
+        let (r, dup) = tp.process_event(&ev(1, 1_000, "A", "m1", 1.0)).unwrap();
+        assert!(dup);
+        // Rows used to cache the estimate, and this reply reported 1: the
+        // value cached when A's event was evicted at 82 s, its pane live.
+        assert_eq!(result_value(&r, "countDistinct"), Value::Int(0));
     }
 
     #[test]

@@ -29,9 +29,8 @@ use railgun_types::encode::BatchFrameBuilder;
 use railgun_types::{RailgunError, Result, Schema};
 
 use crate::api::{
-    decode_checkpoint, decode_event_request, decode_op, encode_checkpoint, encode_reply_into,
-    parse_topic_name, CheckpointRecord, EventRequest, OpRequest, QueryId, CHECKPOINT_TOPIC,
-    OPS_TOPIC,
+    decode_checkpoint, decode_event_request, decode_op, encode_checkpoint, parse_topic_name,
+    CheckpointRecord, EventRequest, OpRequest, QueryId, CHECKPOINT_TOPIC, OPS_TOPIC,
 };
 use crate::lang::{parse_query, Query};
 use crate::rebalance::{ProcessorIdentity, RailgunStrategy};
@@ -145,11 +144,15 @@ pub struct ProcessorUnit {
     scratch: Vec<Message>,
     /// Reusable decode scratch: one run's event requests.
     decoded: Vec<EventRequest>,
-    /// Replies staged per reply topic during a pump, each encoded once
-    /// into that topic's shared frame and flushed as one batch
-    /// ([`ProcessorUnit::flush_replies`]). Slots persist across pumps so
-    /// their buffers are reused.
+    /// Replies staged per reply topic during a pump, each written by its
+    /// task straight into that topic's shared frame and flushed as one
+    /// batch ([`ProcessorUnit::flush_replies`]). Slots persist across
+    /// pumps so their buffers are reused.
     reply_stage: Vec<(String, BatchFrameBuilder)>,
+    /// Where a replica task writes the reply nobody reads: it is still
+    /// computed, so a replica's sketch leaves are read — and age — exactly
+    /// as the active's are.
+    replica_reply: Vec<u8>,
     /// Reusable scratch for building `send_batch` entries at flush.
     reply_entries: Vec<BatchEntry>,
 }
@@ -196,6 +199,7 @@ impl ProcessorUnit {
             scratch: Vec::new(),
             decoded: Vec::new(),
             reply_stage: Vec::new(),
+            replica_reply: Vec::new(),
             reply_entries: Vec::new(),
         })
     }
@@ -601,9 +605,10 @@ impl ProcessorUnit {
 
     /// Process one non-empty run of consecutive messages of one task: the
     /// decode scratch is reused across runs, the task's slot is looked up
-    /// and its offset and checkpoint counter updated once per run, and
-    /// replies of active tasks are staged into the per-reply-topic frame
-    /// (flushed by [`ProcessorUnit::flush_replies`]).
+    /// and its offset and checkpoint counter updated once per run, and an
+    /// active task writes each reply as a record of its reply topic's
+    /// frame (flushed by [`ProcessorUnit::flush_replies`]); a reply that
+    /// fails part-way leaves no record.
     fn process_run(&mut self, msgs: &[Message]) -> Result<()> {
         let (head, last) = (&msgs[0], &msgs[msgs.len() - 1]);
         let Some(slot) = self
@@ -618,27 +623,27 @@ impl ProcessorUnit {
             // A `Bytes` clone: the decoded event is a slice of the record.
             self.decoded.push(decode_event_request(msg.payload.clone())?);
         }
-        let (active, topic) = (slot.role == Role::Active, &slot.tp.topic);
-        let (decoded, stage) = (&self.decoded, &mut self.reply_stage);
-        slot.processor.process_batch(
-            decoded.iter().map(|r| &r.event),
-            |idx, results, duplicate| {
-                if !active {
-                    return;
+        let (task, topic) = (&mut slot.processor, &slot.tp.topic);
+        for req in &self.decoded {
+            let mut write = |buf: &mut Vec<u8>| {
+                task.process_event_into(&req.event, req.request_id, topic, buf)
+                    .map(drop)
+            };
+            if slot.role == Role::Replica {
+                self.replica_reply.clear();
+                write(&mut self.replica_reply)?;
+                continue;
+            }
+            let stage = &mut self.reply_stage;
+            let at = match stage.iter().position(|(t, _)| *t == req.reply_topic) {
+                Some(at) => at,
+                None => {
+                    stage.push((req.reply_topic.clone(), BatchFrameBuilder::new()));
+                    stage.len() - 1
                 }
-                let req = &decoded[idx];
-                let at = match stage.iter().position(|(t, _)| *t == req.reply_topic) {
-                    Some(s) => s,
-                    None => {
-                        stage.push((req.reply_topic.clone(), BatchFrameBuilder::new()));
-                        stage.len() - 1
-                    }
-                };
-                stage[at].1.push_with(|buf| {
-                    encode_reply_into(buf, req.request_id, topic, duplicate, &results)
-                });
-            },
-        )?;
+            };
+            stage[at].1.try_push_with(write)?;
+        }
         let n = msgs.len() as u64;
         self.cfg.batch_size.record(n);
         if n >= 2 {

@@ -1,0 +1,247 @@
+//! What a task replies, end to end: the reply bytes a processor unit
+//! publishes are what `TaskProcessor::process_event` reports, and a state
+//! image written while rows still cached each sketch leaf's value answers
+//! as the engine that wrote it did.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use railgun_core::api::{
+    encode_event_request, encode_reply, reply_topic_name, EventRequest, Reply,
+};
+use railgun_core::frontend::{BatchPolicy, FrontEnd};
+use railgun_core::unit::{ProcessorUnit, UnitConfig};
+use railgun_core::{
+    parse_query, EngineTelemetry, QueryId, RailgunStrategy, TaskConfig, TaskProcessor,
+};
+use railgun_messaging::{Consumer, MessageBus, Producer, TopicPartition};
+use railgun_types::encode::crc32c;
+use railgun_types::{Event, EventId, FieldType, Schema, Timestamp, Value};
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("railgun-task-replies-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+fn schema() -> Schema {
+    Schema::from_pairs(&[
+        ("cardId", FieldType::Str),
+        ("merchantId", FieldType::Str),
+        ("amount", FieldType::Float),
+    ])
+    .unwrap()
+}
+
+const TOPIC: &str = "payments--cardId";
+
+/// `wide_plan`'s card queries, with its second group-by moved onto this
+/// task: 23 results per reply.
+const WIDE: &[&str] = &[
+    "SELECT sum(amount), count(*), avg(amount) FROM payments GROUP BY cardId OVER sliding 10 sec",
+    "SELECT min(amount), max(amount) FROM payments GROUP BY cardId OVER sliding 10 sec",
+    "SELECT sum(amount), count(*), avg(amount) FROM payments GROUP BY cardId OVER sliding 1 min",
+    "SELECT min(amount), max(amount) FROM payments GROUP BY cardId OVER sliding 1 min",
+    "SELECT sum(amount), count(*), avg(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+    "SELECT min(amount), max(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+    "SELECT sum(amount), count(amount) FROM payments WHERE amount > 60 GROUP BY cardId OVER sliding 5 min",
+    "SELECT count(*) FROM payments GROUP BY cardId OVER tumbling 1 min",
+    "SELECT countDistinct(merchantId) approx 0.02 FROM payments GROUP BY cardId OVER sliding 5 min",
+    "SELECT topK(merchantId, 5) FROM payments GROUP BY cardId OVER sliding 5 min",
+    "SELECT percentile(amount, 99) FROM payments GROUP BY cardId OVER sliding 5 min",
+    "SELECT sum(amount), count(*) FROM payments GROUP BY cardId, merchantId OVER sliding 5 min",
+];
+
+/// Event `i` of a stream one second apart: 5 cards, 97 merchants,
+/// amounts 0..=100. Every 17th event is 3 s late; event 500 repeats
+/// event 450.
+fn wide_event(i: u64) -> Event {
+    let i = if i == 500 { 450 } else { i };
+    let late = if i % 17 == 16 { 3_000 } else { 0 };
+    Event::new(
+        EventId(i),
+        Timestamp::from_millis(i as i64 * 1_000 - late),
+        vec![
+            Value::from(format!("card-{}", i % 5)),
+            Value::from(format!("m{}", (i * 7) % 97)),
+            Value::from(((i * 37) % 101) as f64),
+        ],
+    )
+}
+
+#[test]
+fn the_unit_publishes_what_process_event_reports() {
+    let bus = MessageBus::with_defaults();
+    let hub = Arc::new(EngineTelemetry::new(false));
+    let mut frontend =
+        FrontEnd::new(&bus, 0, 1024, BatchPolicy::default(), Arc::clone(&hub)).unwrap();
+    let mut unit = ProcessorUnit::new(
+        &bus,
+        UnitConfig {
+            node: 0,
+            unit: 0,
+            data_dir: temp_dir("unit"),
+            task: TaskConfig::default(),
+            max_poll: 256,
+            checkpoint_every: 0,
+            poll_recorder: hub.unit_poll_recorder(),
+            process_recorder: hub.unit_process_recorder(),
+            batch_size: hub.batch_size_recorder(),
+            batched_events: hub.unit_batched_counter(),
+            handovers: hub.handover_counter(),
+            tail_replayed: hub.tail_replayed_counter(),
+            handover_fallbacks: hub.handover_fallback_counter(),
+        },
+        Arc::new(RailgunStrategy::new(1)),
+    )
+    .unwrap();
+    frontend
+        .create_stream(&bus, "payments", schema(), &["cardId"], 1, 1)
+        .unwrap();
+    let mut twin =
+        TaskProcessor::open(&temp_dir("twin"), TOPIC, 0, schema(), TaskConfig::default()).unwrap();
+    for q in WIDE {
+        let id = frontend.register_query(q).unwrap();
+        twin.attach_query(id, &parse_query(q).unwrap(), true)
+            .unwrap();
+    }
+    while unit.active_tasks().is_empty() {
+        unit.pump().unwrap();
+    }
+    let reply_topic = reply_topic_name(0);
+    let mut replies = Consumer::new(bus.clone());
+    replies.assign(vec![TopicPartition::new(reply_topic.as_str(), 0)]);
+    let producer = Producer::new(bus.clone());
+    let mut duplicates = 0;
+    for i in 0..700 {
+        let event = wide_event(i);
+        let request = EventRequest {
+            request_id: 1_000 + i,
+            reply_topic: reply_topic.clone(),
+            event: event.clone(),
+        };
+        producer
+            .send_to_partition(TOPIC, 0, &[], encode_event_request(&request))
+            .unwrap();
+        assert_eq!(unit.pump().unwrap().active_events, 1);
+        let published = replies.poll(8).unwrap().messages;
+        assert_eq!(published.len(), 1, "event {i}");
+        let (results, duplicate) = twin.process_event(&event).unwrap();
+        assert_eq!(results.len(), 23);
+        duplicates += u32::from(duplicate);
+        let expected = encode_reply(&Reply {
+            request_id: request.request_id,
+            source_topic: TOPIC.into(),
+            duplicate,
+            results,
+        });
+        assert_eq!(
+            published[0].payload.as_ref(),
+            expected.as_slice(),
+            "event {i}"
+        );
+    }
+    assert_eq!(duplicates, 1);
+}
+
+/// `PARENT_CHECKPOINT`'s plan: exact and sketch leaves over a sliding and
+/// a tumbling window.
+const PARENT_PLAN: &[&str] = &[
+    "SELECT sum(amount), min(amount), max(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+    "SELECT countDistinct(merchantId) approx 0.02, topK(merchantId, 3), percentile(amount, 90) \
+     FROM payments GROUP BY cardId OVER sliding 5 min",
+    "SELECT countDistinct(merchantId) approx 0.05, topK(merchantId, 2), percentile(amount, 50) \
+     FROM payments GROUP BY cardId OVER tumbling 1 min",
+];
+
+/// A checkpoint of `PARENT_PLAN` after `parent_event(0..600)`, written
+/// by the engine as it was while rows cached each sketch leaf's value
+/// (`write_parent_checkpoint`, run against that engine).
+const PARENT_CHECKPOINT: &str = "tests/fixtures/cached-sketch-values-checkpoint";
+
+/// Events the checkpoint covers, and events answered after it.
+const CHECKPOINTED: u64 = 600;
+const ANSWERED: u64 = 10_000;
+
+/// What that engine answered to `parent_event(600..10_600)` after
+/// restoring the checkpoint: the CRC-32C and length of the replies'
+/// concatenated encodings.
+const PARENT_ANSWERS: (u32, usize) = (3_063_417_079, 5_649_178);
+
+/// Event `i` of an in-order stream 250 ms apart, 5 cards and 97
+/// merchants: each event inserts into every leaf of its card, so its
+/// reply does not depend on when a sketch last had its expired panes
+/// dropped.
+fn parent_event(i: u64) -> Event {
+    Event::new(
+        EventId(i),
+        Timestamp::from_millis(i as i64 * 250),
+        vec![
+            Value::from(format!("card-{}", i % 5)),
+            Value::from(format!("m{}", (i * 7) % 97)),
+            Value::from(((i * 37) % 101) as f64),
+        ],
+    )
+}
+
+fn attach_parent_plan(task: &mut TaskProcessor, backfill: bool) {
+    for (id, q) in PARENT_PLAN.iter().enumerate() {
+        task.attach_query(QueryId(id as u64 + 1), &parse_query(q).unwrap(), backfill)
+            .unwrap();
+    }
+}
+
+/// Restore `checkpoint` and answer `ANSWERED` events after it.
+fn answers_after(checkpoint: &Path) -> (u32, usize) {
+    let mut task = TaskProcessor::restore_from_checkpoint(
+        checkpoint,
+        &temp_dir("restored"),
+        TOPIC,
+        0,
+        schema(),
+        TaskConfig::default(),
+    )
+    .unwrap();
+    attach_parent_plan(&mut task, false);
+    let mut replies = Vec::new();
+    for i in CHECKPOINTED..CHECKPOINTED + ANSWERED {
+        let (results, duplicate) = task.process_event(&parent_event(i)).unwrap();
+        replies.extend(encode_reply(&Reply {
+            request_id: i,
+            source_topic: TOPIC.into(),
+            duplicate,
+            results,
+        }));
+    }
+    (crc32c(&replies), replies.len())
+}
+
+#[test]
+fn a_checkpoint_whose_rows_cached_sketch_values_answers_as_its_writer_did() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join(PARENT_CHECKPOINT);
+    assert_eq!(answers_after(&fixture), PARENT_ANSWERS);
+}
+
+/// Writes `PARENT_CHECKPOINT` with the engine this file is built
+/// against, into the directory `RAILGUN_FIXTURE_OUT` names, and prints
+/// what that engine answers after it.
+#[test]
+#[ignore = "writes a fixture"]
+fn write_parent_checkpoint() {
+    let out = PathBuf::from(std::env::var("RAILGUN_FIXTURE_OUT").expect("RAILGUN_FIXTURE_OUT"));
+    let mut task = TaskProcessor::open(
+        &temp_dir("writer"),
+        TOPIC,
+        0,
+        schema(),
+        TaskConfig::default(),
+    )
+    .unwrap();
+    attach_parent_plan(&mut task, true);
+    for i in 0..CHECKPOINTED {
+        task.process_event(&parent_event(i)).unwrap();
+    }
+    task.checkpoint(&out).unwrap();
+    println!("answers after the checkpoint: {:?}", answers_after(&out));
+}

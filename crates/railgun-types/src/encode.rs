@@ -410,6 +410,26 @@ impl BatchFrameBuilder {
         encode(&mut self.buf);
     }
 
+    /// [`BatchFrameBuilder::push_with`] for an encoder that can fail
+    /// part-way: on error the buffer is cut back to where the record
+    /// started and no record is added, so the frame is exactly as it was.
+    pub fn try_push_with<E>(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let start = self.buf.len();
+        match encode(&mut self.buf) {
+            Ok(()) => {
+                self.starts.push(start);
+                Ok(())
+            }
+            Err(e) => {
+                self.buf.truncate(start);
+                Err(e)
+            }
+        }
+    }
+
     /// Number of records pushed so far.
     pub fn len(&self) -> usize {
         self.starts.len()
@@ -670,5 +690,26 @@ mod tests {
         assert!(f.slice(0).is_empty());
         assert_eq!(f.slice(1).as_ref(), b"xy");
         assert!(f.slice(2).is_empty());
+    }
+
+    #[test]
+    fn a_failed_push_leaves_the_frame_as_it_was() {
+        let mut b = BatchFrameBuilder::new();
+        b.push_with(|buf| buf.put_slice(b"ab"));
+        let failed = b.try_push_with(|buf| {
+            buf.put_slice(b"half a record");
+            Err("encoder failed")
+        });
+        assert_eq!(failed, Err("encoder failed"));
+        assert_eq!((b.len(), b.bytes()), (1, 2));
+        let pushed = b.try_push_with(|buf| {
+            buf.put_u8(7);
+            Ok::<_, ()>(())
+        });
+        assert_eq!(pushed, Ok(()));
+        let f = b.finish();
+        assert_eq!(f.len(), 2);
+        assert_eq!(f.slice(0).as_ref(), b"ab");
+        assert_eq!(f.slice(1).as_ref(), &[7]);
     }
 }

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use railgun::engine::agg::sketch::{hll::Hll, quantile::QuantSketch, topk::TopKSketch, PaneSketch};
 use railgun::engine::agg::{AggContext, AggScratch, AggState};
 use railgun::engine::api::{
-    decode_op, decode_reply, encode_op, encode_reply, AggregationResult, OpRequest, QueryId,
-    Reply, WIRE_VERSION,
+    decode_op, decode_reply, encode_op, encode_reply, put_reply_header, AggregationResult,
+    OpRequest, QueryId, Reply, WIRE_VERSION,
 };
 use railgun::engine::keys::{decode_state_key, state_key};
 use railgun::engine::lang::AggFunc;
@@ -205,6 +205,44 @@ proptest! {
         prop_assert!(reply_err.to_string().contains("wire version"), "{}", reply_err);
     }
 
+    /// A damaged reply decodes to an error or exactly, never to a panic:
+    /// every cut tail is an error, a flipped bit is an error or a reply
+    /// its own encoding decodes back to, and a result count other than
+    /// the true one is an error however large (2^58 used to abort the
+    /// client thread reserving capacity).
+    #[test]
+    fn damaged_replies_are_errors_or_exact_decodes(
+        reply in arb_reply(),
+        cut in any::<u64>(),
+        flip in any::<u64>(),
+        bit in 0u32..8,
+        count in prop_oneof![0u64..8, any::<u64>()],
+    ) {
+        let buf = encode_reply(&reply);
+        let len = buf.len() as u64;
+        prop_assert!(decode_reply(&buf[..(cut % len) as usize]).is_err());
+
+        let mut flipped = buf.clone();
+        flipped[(flip % len) as usize] ^= 1 << bit;
+        if let Ok(r) = decode_reply(&flipped) {
+            let again = encode_reply(&r);
+            prop_assert_eq!(encode_reply(&decode_reply(&again).unwrap()), again);
+        }
+
+        let header = |results: usize| {
+            let (id, topic) = (reply.request_id, &reply.source_topic);
+            let mut head = Vec::new();
+            put_reply_header(&mut head, id, topic, reply.duplicate, results);
+            head
+        };
+        let mut recounted = header(count as usize);
+        recounted.extend_from_slice(&buf[header(reply.results.len()).len()..]);
+        match decode_reply(&recounted) {
+            Ok(r) => prop_assert!(count == reply.results.len() as u64 && r == reply),
+            Err(e) => prop_assert!(count != reply.results.len() as u64, "{}", e),
+        }
+    }
+
     #[test]
     fn histogram_percentiles_bounded_error(
         mut values in proptest::collection::vec(1u64..10_000_000, 10..500),
@@ -317,19 +355,19 @@ proptest! {
             let start = i.saturating_sub(window - 1);
             let win: Vec<f64> = values[start..=i].iter().map(|&x| x as f64).collect();
             let nsum: f64 = win.iter().sum();
-            prop_assert!((sum.value().as_f64().unwrap() - nsum).abs() < 1e-6);
-            prop_assert_eq!(count.value().as_i64().unwrap(), win.len() as i64);
-            prop_assert!((avg.value().as_f64().unwrap() - nsum / win.len() as f64).abs() < 1e-6);
+            prop_assert!((sum.value(&ctx).unwrap().as_f64().unwrap() - nsum).abs() < 1e-6);
+            prop_assert_eq!(count.value(&ctx).unwrap().as_i64().unwrap(), win.len() as i64);
+            prop_assert!((avg.value(&ctx).unwrap().as_f64().unwrap() - nsum / win.len() as f64).abs() < 1e-6);
             let nmin = win.iter().copied().fold(f64::INFINITY, f64::min);
             let nmax = win.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert_eq!(min.value().as_f64().unwrap(), nmin);
-            prop_assert_eq!(max.value().as_f64().unwrap(), nmax);
+            prop_assert_eq!(min.value(&ctx).unwrap().as_f64().unwrap(), nmin);
+            prop_assert_eq!(max.value(&ctx).unwrap().as_f64().unwrap(), nmax);
             if win.len() >= 2 {
                 let mean = nsum / win.len() as f64;
                 let var = win.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
                     / (win.len() - 1) as f64;
                 prop_assert!(
-                    (sd.value().as_f64().unwrap() - var.sqrt()).abs() < 1e-5,
+                    (sd.value(&ctx).unwrap().as_f64().unwrap() - var.sqrt()).abs() < 1e-5,
                     "stddev drift"
                 );
             }
