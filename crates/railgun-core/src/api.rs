@@ -228,6 +228,12 @@ pub fn decode_event_request(mut buf: impl Buf) -> Result<EventRequest> {
     })
 }
 
+/// A varint that must fit in a `u32`; `what` names it in the error.
+fn get_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
+    u32::try_from(get_uvarint(buf)?)
+        .map_err(|_| RailgunError::Corruption(format!("{what} past u32")))
+}
+
 fn check_version(buf: &mut &[u8], what: &str) -> Result<()> {
     if !buf.has_remaining() {
         return Err(RailgunError::Corruption(format!("empty {what}")));
@@ -307,8 +313,7 @@ pub fn decode_reply(mut buf: &[u8]) -> Result<Reply> {
     let mut results = Vec::with_capacity(n.min(buf.len() as u64) as usize);
     for _ in 0..n {
         let query = QueryId(get_uvarint(&mut buf)?);
-        let index = u32::try_from(get_uvarint(&mut buf)?)
-            .map_err(|_| RailgunError::Corruption("aggregation index past u32".into()))?;
+        let index = get_u32(&mut buf, "aggregation index")?;
         let name = get_string(&mut buf)?;
         let ne = get_uvarint(&mut buf)?;
         let mut entity = Vec::with_capacity(ne.min(buf.len() as u64) as usize);
@@ -405,7 +410,8 @@ pub fn encode_op(op: &OpRequest) -> Vec<u8> {
     buf
 }
 
-/// Decode an [`OpRequest`].
+/// Decode an [`OpRequest`]. Counts are checked against the bytes left
+/// before anything is reserved for them.
 pub fn decode_op(mut buf: &[u8]) -> Result<OpRequest> {
     check_version(&mut buf, "op")?;
     if !buf.has_remaining() {
@@ -414,8 +420,9 @@ pub fn decode_op(mut buf: &[u8]) -> Result<OpRequest> {
     match buf.get_u8() {
         OP_CREATE_STREAM => {
             let stream = get_string(&mut buf)?;
-            let nf = get_uvarint(&mut buf)? as usize;
-            let mut fields = Vec::with_capacity(nf);
+            let nf = get_uvarint(&mut buf)?;
+            // A field takes at least two bytes: its name's length and type.
+            let mut fields = Vec::with_capacity(nf.min(buf.len() as u64 / 2) as usize);
             for _ in 0..nf {
                 let name = get_string(&mut buf)?;
                 if !buf.has_remaining() {
@@ -424,12 +431,12 @@ pub fn decode_op(mut buf: &[u8]) -> Result<OpRequest> {
                 let ty = decode_field_type(buf.get_u8())?;
                 fields.push(FieldDef::new(name, ty));
             }
-            let np = get_uvarint(&mut buf)? as usize;
-            let mut partitioners = Vec::with_capacity(np);
+            let np = get_uvarint(&mut buf)?;
+            let mut partitioners = Vec::with_capacity(np.min(buf.len() as u64) as usize);
             for _ in 0..np {
                 partitioners.push(get_string(&mut buf)?);
             }
-            let partitions = get_uvarint(&mut buf)? as u32;
+            let partitions = get_u32(&mut buf, "partition count")?;
             Ok(OpRequest::CreateStream {
                 stream,
                 schema: Schema::new(fields)?,
@@ -480,9 +487,9 @@ pub fn encode_checkpoint(c: &CheckpointRecord) -> Vec<u8> {
 pub fn decode_checkpoint(mut buf: &[u8]) -> Result<CheckpointRecord> {
     Ok(CheckpointRecord {
         topic: get_string(&mut buf)?,
-        partition: get_uvarint(&mut buf)? as u32,
-        node: get_uvarint(&mut buf)? as u32,
-        unit: get_uvarint(&mut buf)? as u32,
+        partition: get_u32(&mut buf, "checkpoint partition")?,
+        node: get_u32(&mut buf, "checkpoint node")?,
+        unit: get_u32(&mut buf, "checkpoint unit")?,
         next_offset: get_uvarint(&mut buf)?,
         path: get_string(&mut buf)?,
     })
@@ -728,5 +735,43 @@ mod tests {
         assert!(decode_reply(&[1]).is_err());
         assert!(decode_op(&[]).is_err());
         assert!(decode_op(&[99]).is_err());
+    }
+
+    #[test]
+    fn op_and_checkpoint_decoders_check_their_counts() {
+        // A field count of 2^58 used to panic reserving capacity.
+        let mut op = vec![WIRE_VERSION, OP_CREATE_STREAM];
+        put_bytes(&mut op, b"s");
+        put_uvarint(&mut op, 1 << 58);
+        assert!(matches!(decode_op(&op), Err(RailgunError::Corruption(_))));
+        // 2^32 + 2 partitions used to decode as 2.
+        let mut op = vec![WIRE_VERSION, OP_CREATE_STREAM];
+        put_bytes(&mut op, b"s");
+        put_uvarint(&mut op, 1);
+        put_bytes(&mut op, b"f");
+        op.put_u8(encode_field_type(FieldType::Int));
+        put_uvarint(&mut op, 1);
+        put_bytes(&mut op, b"f");
+        let valid = op.len();
+        put_uvarint(&mut op, (1 << 32) + 2);
+        match decode_op(&op) {
+            Err(RailgunError::Corruption(m)) => assert!(m.contains("partition count"), "{m}"),
+            other => panic!("expected Corruption, got {other:?}"),
+        }
+        op.truncate(valid);
+        put_uvarint(&mut op, 2);
+        assert!(matches!(
+            decode_op(&op),
+            Ok(OpRequest::CreateStream { partitions: 2, .. })
+        ));
+        // A record for partition 2^32 + 3 used to restore partition 3's.
+        let mut rec = Vec::new();
+        put_bytes(&mut rec, b"payments--card");
+        put_uvarint(&mut rec, (1 << 32) + 3);
+        rec.extend_from_slice(&[1, 2, 9, 0]);
+        assert!(matches!(
+            decode_checkpoint(&rec),
+            Err(RailgunError::Corruption(_))
+        ));
     }
 }

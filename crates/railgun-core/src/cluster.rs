@@ -65,7 +65,7 @@ pub struct ClusterConfig {
     pub collect_timeout_ms: u64,
     /// Enable the telemetry plane: stage latency histograms (front-end
     /// enqueue→reply, unit poll/process, reservoir append, store
-    /// WAL/flush), per-query ladders, and the chunk-miss counter. Off by
+    /// flush), per-query ladders, and the chunk-miss counter. Off by
     /// default — the off state records nothing and never reads the clock
     /// (see the `metrics` module's cost contract). Snapshot with
     /// [`Cluster::metrics_snapshot`].
@@ -162,9 +162,7 @@ impl Cluster {
         config.task.stats_registry = telemetry.task_registry();
         config.task.reservoir.append_recorder = telemetry.reservoir_append_recorder();
         config.task.reservoir.chunk_miss_counter = telemetry.chunk_miss_counter();
-        config.task.store.wal_recorder = telemetry.store_wal_recorder();
         config.task.store.flush_recorder = telemetry.store_flush_recorder();
-        config.task.store.wal_truncated_counter = telemetry.store_wal_truncated_counter();
         config.task.store.orphan_counter = telemetry.store_orphan_counter();
         config.task.checkpoint_fallbacks = telemetry.checkpoint_fallback_counter();
         let strategy = Arc::new(RailgunStrategy::new(config.replication));

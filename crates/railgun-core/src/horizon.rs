@@ -7,7 +7,7 @@
 //! progress, and compactions drop every entry that fell behind — expired
 //! tumbling-window buckets and the keys of unregistered queries vanish
 //! during merges the store was doing anyway, instead of costing a point
-//! delete (WAL frame + memtable entry + tombstone) each.
+//! delete (memtable entry + tombstone) each.
 //!
 //! Two horizons, two filters:
 //!

@@ -9,7 +9,7 @@
 //! * [`EngineTelemetry`] — the shared recording hub a cluster wires
 //!   through every layer: front-end enqueue→reply latency (per
 //!   [`QueryId`]), unit pump poll/process, reservoir append and
-//!   cold-drain chunk misses, store WAL-append and memtable flush;
+//!   cold-drain chunk misses, store memtable flush;
 //! * [`TaskStatsRegistry`] / [`SharedTaskStats`] — cluster-wide,
 //!   always-on task counters, readable even while the threaded runtime
 //!   owns the task processors (previously `TaskStats` was write-only
@@ -213,7 +213,6 @@ pub struct EngineTelemetry {
     unit_poll: Recorder,
     unit_process: Recorder,
     reservoir_append: Recorder,
-    store_wal: Recorder,
     store_flush: Recorder,
     chunk_misses: Counter,
     backpressure: Counter,
@@ -230,11 +229,9 @@ pub struct EngineTelemetry {
     frontend_batched: Counter,
     /// Events processed by units in same-task runs of ≥ 2 per poll.
     unit_batched: Counter,
-    /// Bytes of torn WAL tail truncated at store open. Always on:
+    /// Unreferenced SSTables quarantined at store open. Always on:
     /// recovery runs once per open, off the hot path, and a silent
     /// repair is exactly what an operator must not get.
-    store_wal_truncated: Counter,
-    /// Unreferenced SSTables quarantined at store open (always on).
     store_orphans: Counter,
     /// Corrupt/partial checkpoints that degraded to a full topic replay
     /// (always on).
@@ -278,7 +275,6 @@ impl EngineTelemetry {
             unit_poll: recorder(),
             unit_process: recorder(),
             reservoir_append: recorder(),
-            store_wal: recorder(),
             store_flush: recorder(),
             chunk_misses: if enabled {
                 Counter::enabled()
@@ -291,7 +287,6 @@ impl EngineTelemetry {
             batch_size: Recorder::enabled(),
             frontend_batched: Counter::enabled(),
             unit_batched: Counter::enabled(),
-            store_wal_truncated: Counter::enabled(),
             store_orphans: Counter::enabled(),
             checkpoint_fallbacks: Counter::enabled(),
             handovers: Counter::enabled(),
@@ -326,11 +321,6 @@ impl EngineTelemetry {
         self.reservoir_append.clone()
     }
 
-    /// The store WAL-append recorder (for `DbOptions`).
-    pub fn store_wal_recorder(&self) -> Recorder {
-        self.store_wal.clone()
-    }
-
     /// The store flush recorder (for `DbOptions`).
     pub fn store_flush_recorder(&self) -> Recorder {
         self.store_flush.clone()
@@ -362,12 +352,6 @@ impl EngineTelemetry {
     /// unit configs).
     pub fn unit_batched_counter(&self) -> Counter {
         self.unit_batched.clone()
-    }
-
-    /// Counter of torn WAL-tail bytes truncated at store open (for
-    /// `DbOptions::wal_truncated_counter`).
-    pub fn store_wal_truncated_counter(&self) -> Counter {
-        self.store_wal_truncated.clone()
     }
 
     /// Counter of orphaned SSTables quarantined at store open (for
@@ -528,7 +512,7 @@ impl EngineTelemetry {
                 unit_poll: stage(&self.unit_poll),
                 unit_process: stage(&self.unit_process),
                 reservoir_append: stage(&self.reservoir_append),
-                store_wal_append: stage(&self.store_wal),
+                store_wal_append: Histogram::default(),
                 store_flush: stage(&self.store_flush),
             },
             counters: EngineCounters {
@@ -543,7 +527,6 @@ impl EngineTelemetry {
                 unit_batched_events: self.unit_batched.get(),
             },
             recovery: RecoveryCounters {
-                wal_truncated_bytes: self.store_wal_truncated.get(),
                 orphaned_sstables_quarantined: self.store_orphans.get(),
                 checkpoint_fallbacks: self.checkpoint_fallbacks.get(),
             },
@@ -586,7 +569,8 @@ pub struct StageLatencies {
     pub unit_process: Histogram,
     /// Reservoir append (lock wait included).
     pub reservoir_append: Histogram,
-    /// State-store WAL append.
+    /// Always empty: the state store keeps no write-ahead log. Kept
+    /// only because the benchmark package reads it.
     pub store_wal_append: Histogram,
     /// State-store memtable flush.
     pub store_flush: Histogram,
@@ -614,9 +598,6 @@ pub struct EngineCounters {
 /// at the node's disk before it becomes a pattern.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
-    /// Bytes of torn WAL tail truncated at store open (a crash landed
-    /// mid-append; the unacknowledged suffix was cut).
-    pub wal_truncated_bytes: u64,
     /// Unreferenced SSTables moved to the store's quarantine directory
     /// at open (a crash landed between SST creation and the manifest).
     pub orphaned_sstables_quarantined: u64,
@@ -796,14 +777,12 @@ mod tests {
         let t = EngineTelemetry::new(false);
         // Recovery counters are always on, even with stage telemetry off:
         // the injected handles must observably reach the snapshot.
-        t.store_wal_truncated_counter().add(123);
         t.store_orphan_counter().incr();
         t.checkpoint_fallback_counter().incr();
         let snap = t.snapshot();
         assert_eq!(
             snap.recovery,
             RecoveryCounters {
-                wal_truncated_bytes: 123,
                 orphaned_sstables_quarantined: 1,
                 checkpoint_fallbacks: 1,
             }

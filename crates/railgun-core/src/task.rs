@@ -535,7 +535,9 @@ impl TaskProcessor {
         // Dead state is reclaimed through the compaction filters rather
         // than per-key point deletes: mark the nodes dead, persist the
         // marker (a crash before the reclaim finishes must resume it at
-        // the next open — ids restart per incarnation), then reclaim. A
+        // the next open — ids restart per incarnation) and flush it, since
+        // a write is durable only once flushed and a budget flush must not
+        // commit a row it guards first, then reclaim. A
         // group whose last leaf died loses its rows in the default CF's
         // merge; a leaf that died inside a live group has its slot
         // stripped from that group's rows. The aux CF needs no scan at
@@ -554,6 +556,7 @@ impl TaskProcessor {
             }
             self.db
                 .put(self.meta_cf, DEAD_NODES_KEY, &self.horizon.marker())?;
+            self.db.flush()?;
             self.reclaim_dead_state()?;
         }
         for &wid in &diff.dead_windows {
@@ -1678,6 +1681,9 @@ mod tests {
             tp.db
                 .put(tp.meta_cf, DEAD_NODES_KEY, &dead.marker())
                 .unwrap();
+            // As `unregister_query` does: the marker and everything before
+            // it are durable once flushed.
+            tp.db.flush().unwrap();
         }
         let mut tp = open();
         // Open must finish the reclaim before any registration can reuse

@@ -82,6 +82,9 @@ pub struct PumpReport {
     /// Undecodable checkpoint-topic records skipped while refreshing the
     /// peer-record cache (read at a rebalance).
     pub bad_checkpoint_records: usize,
+    /// Op-topic records skipped because they did not decode, or carried
+    /// a query text that does not parse.
+    pub bad_op_records: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -244,12 +247,14 @@ impl ProcessorUnit {
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
 
-        // 1. Operational requests.
+        // 1. Operational requests. A record the unit cannot read is
+        // skipped: the consumer is already past the whole poll, so
+        // stopping at it would lose every op behind it.
         self.ops.poll_into(self.cfg.max_poll, &mut buf)?;
         for msg in buf.drain(..) {
-            let op = decode_op(&msg.payload)?;
-            self.apply_op(op)?;
-            report.ops_applied += 1;
+            let applied = decode_op(&msg.payload).map_or(Ok(false), |op| self.apply_op(op))?;
+            report.ops_applied += usize::from(applied);
+            report.bad_op_records += usize::from(!applied);
         }
 
         // 2. Active tasks.
@@ -406,7 +411,9 @@ impl ProcessorUnit {
         }
     }
 
-    fn apply_op(&mut self, op: OpRequest) -> Result<()> {
+    /// Apply one op; `false` if it registers a query whose text does not
+    /// parse (nothing is applied then).
+    fn apply_op(&mut self, op: OpRequest) -> Result<bool> {
         match op {
             OpRequest::CreateStream {
                 stream,
@@ -439,9 +446,11 @@ impl ProcessorUnit {
             }
             OpRequest::RegisterQuery { id, query_text } => {
                 if self.queries.iter().any(|(qid, _)| *qid == id) {
-                    return Ok(()); // op-log replay: already registered
+                    return Ok(true); // op-log replay: already registered
                 }
-                let query = parse_query(&query_text)?;
+                let Ok(query) = parse_query(&query_text) else {
+                    return Ok(false);
+                };
                 let topic = self.query_topic(&query)?;
                 for slot in self.slots.iter_mut().filter(|s| s.tp.topic == topic) {
                     slot.processor.attach_query(id, &query, true)?;
@@ -456,7 +465,7 @@ impl ProcessorUnit {
                 }
             }
         }
-        Ok(())
+        Ok(true)
     }
 
     /// The event topic a query's metrics are computed on
@@ -829,6 +838,32 @@ mod tests {
             skipped += unit.pump().unwrap().bad_checkpoint_records;
         }
         assert_eq!(skipped, 1);
+    }
+
+    #[test]
+    fn unreadable_ops_are_skipped_and_counted_and_the_rest_still_apply() {
+        // The consumer is past the whole poll once it returns: a pump that
+        // stopped at the first bad record used to lose every op behind it.
+        let (bus, mut frontend, mut unit) = pumped_unit("unit-bad-op", 0);
+        let producer = Producer::new(bus.clone());
+        producer.send(OPS_TOPIC, b"k", vec![0xff]).unwrap();
+        let unparsable = OpRequest::RegisterQuery {
+            id: QueryId(99),
+            query_text: "SELECT nonsense".into(),
+        };
+        producer
+            .send(OPS_TOPIC, b"k", crate::api::encode_op(&unparsable))
+            .unwrap();
+        frontend
+            .register_query("SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 5 min")
+            .unwrap();
+        let report = unit.pump().unwrap();
+        assert_eq!((report.bad_op_records, report.ops_applied), (2, 1));
+        assert_eq!(
+            unit.queries.len(),
+            2,
+            "the op behind the bad ones registered"
+        );
     }
 
     #[test]

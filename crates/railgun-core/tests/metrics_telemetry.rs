@@ -101,7 +101,8 @@ fn pump_mode_metrics_per_query_and_stages() {
     assert!(s1.stages.unit_process.count() >= 20);
     assert!(s1.stages.unit_poll.count() > 0);
     assert!(s1.stages.reservoir_append.count() >= 20);
-    assert!(s1.stages.store_wal_append.count() > 0);
+    // The store keeps no write-ahead log: its stage stays empty.
+    assert_eq!(s1.stages.store_wal_append.count(), 0);
 
     // Task counters aggregate through the registry.
     assert_eq!(s1.tasks.events_processed, 20);

@@ -8,7 +8,8 @@
 //!
 //! All I/O goes through the [`StoreFs`] seam, with crash points before
 //! each file lands ([`crash_points::CHECKPOINT_MID_COPY`]) and before the
-//! empty-WAL marker is created
+//! completeness marker — an empty `wal.log`, the name the image format
+//! has always used — is created
 //! ([`crash_points::CHECKPOINT_BEFORE_WAL_CREATE`]) — a partial
 //! checkpoint must be detected as invalid by whoever tries to restore
 //! from it, never silently opened.
@@ -17,6 +18,7 @@ use std::path::Path;
 
 use railgun_types::{RailgunError, Result};
 
+use crate::db::WAL_FILE;
 use crate::vfs::{crash_points, StoreFs};
 
 /// Snapshot `files` (relative names inside `src`) into `target`.
@@ -44,8 +46,8 @@ pub fn create(fs: &dyn StoreFs, src: &Path, target: &Path, files: &[String]) -> 
         fs.hard_link_or_copy(&from, &to)?;
     }
     fs.crash_point(crash_points::CHECKPOINT_BEFORE_WAL_CREATE)?;
-    // An empty WAL marks the checkpoint as fully flushed.
-    fs.create(&target.join("wal.log"))?.sync_all()?;
+    // The empty marker says every file above landed.
+    fs.create(&target.join(WAL_FILE))?.sync_all()?;
     fs.sync_dir(target)?;
     Ok(())
 }
@@ -58,7 +60,7 @@ pub fn create(fs: &dyn StoreFs, src: &Path, target: &Path, files: &[String]) -> 
 /// back to full replay) instead of opening a partial image, which would
 /// otherwise bootstrap as an empty database.
 pub fn is_complete(fs: &dyn StoreFs, dir: &Path) -> bool {
-    fs.exists(&dir.join("wal.log")) && fs.exists(&dir.join("MANIFEST"))
+    fs.exists(&dir.join(WAL_FILE)) && fs.exists(&dir.join("MANIFEST"))
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
-//! The database facade: column families, WAL-backed writes, flush,
-//! compaction, and scans.
+//! The database facade: column families, writes, flush, compaction, and
+//! scans.
 //!
 //! One [`Db`] corresponds to one RocksDB instance in the paper: each task
 //! processor owns one (share-nothing, §4.1), holding its aggregation states
-//! and auxiliary data. The write path is WAL append → memtable; reads merge
+//! and auxiliary data. Writes go to the memtable and nowhere else; a write
+//! is durable once its column family is flushed, and [`Db::checkpoint`]
+//! flushes every column family — the image recovery restores (§4.2), with
+//! the messaging layer's topic replaying what came after it. Reads merge
 //! the memtable with the SSTables newest-first; background maintenance is
 //! explicit (`flush`, `compact`) so the engine can schedule it off the
 //! latency-critical path.
@@ -23,7 +26,6 @@ use crate::merge::MergeIter;
 use crate::options::{CfOptions, FilterDecision};
 use crate::sstable::{KvRef, SstReader, SstWriter};
 use crate::vfs::{crash_points, RealFs, StoreFs};
-use crate::wal::{Wal, WalRecord, WalRecoveryMode};
 
 /// Identifier of a column family within a [`Db`].
 pub type ColumnFamilyId = u32;
@@ -37,23 +39,17 @@ pub struct DbOptions {
     pub bloom_bits_per_key: usize,
     /// Compact a column family once it accumulates this many SSTables.
     pub compaction_trigger: usize,
-    /// fsync the WAL on every write (durable, slow) instead of on flush.
+    /// No effect: the store keeps no write-ahead log. Kept only because
+    /// the benchmark package sets it.
     pub sync_wal: bool,
-    /// Telemetry: WAL-append latency recorder (off by default — a
+    /// Telemetry: memtable-flush latency recorder (off by default — a
     /// disabled recorder never reads the clock; see
     /// `railgun_types::metrics`).
-    pub wal_recorder: Recorder,
-    /// Telemetry: memtable-flush latency recorder (off by default).
     pub flush_recorder: Recorder,
     /// The filesystem seam every durable byte passes through.
     /// [`RealFs`] in production; swap in [`crate::vfs::FaultFs`] to test
     /// crash behaviour deterministically.
     pub fs: Arc<dyn StoreFs>,
-    /// Policy for a torn/corrupt WAL tail at open (see
-    /// [`WalRecoveryMode`]).
-    pub wal_recovery: WalRecoveryMode,
-    /// Telemetry: bytes of torn WAL tail cut at open (off by default).
-    pub wal_truncated_counter: Counter,
     /// Telemetry: orphaned SSTables quarantined at open (off by default).
     pub orphan_counter: Counter,
     /// Per-column-family overrides, matched by CF name both at open (for
@@ -71,11 +67,8 @@ impl Default for DbOptions {
             bloom_bits_per_key: 10,
             compaction_trigger: 4,
             sync_wal: false,
-            wal_recorder: Recorder::disabled(),
             flush_recorder: Recorder::disabled(),
             fs: RealFs::shared(),
-            wal_recovery: WalRecoveryMode::default(),
-            wal_truncated_counter: Counter::disabled(),
             orphan_counter: Counter::disabled(),
             cf_options: Vec::new(),
         }
@@ -149,23 +142,16 @@ struct Inner {
     cfs: HashMap<ColumnFamilyId, CfState>,
     next_cf_id: ColumnFamilyId,
     next_file_no: u64,
-    wal: Wal,
-    /// `wal_limit(&cfs)`, recomputed whenever `cfs` changes.
-    wal_limit: u64,
     flushes: u64,
     compactions: u64,
     filter_dropped: u64,
 }
 
 /// What [`Db::open`] had to repair while bringing the on-disk image
-/// online. Also surfaced through [`DbOptions::wal_truncated_counter`] /
-/// [`DbOptions::orphan_counter`] for the telemetry plane.
+/// online. Also surfaced through [`DbOptions::orphan_counter`] for the
+/// telemetry plane.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Bytes of torn/corrupt WAL tail cut before accepting appends.
-    pub wal_truncated_bytes: u64,
-    /// Intact WAL records replayed into memtables.
-    pub wal_records_replayed: u64,
     /// Unreferenced `*.sst` files moved into [`QUARANTINE_DIR`].
     pub orphaned_sstables_quarantined: u64,
     /// Stale `*.tmp` files (interrupted manifest writes) deleted.
@@ -182,7 +168,11 @@ pub struct Db {
 
 const MANIFEST: &str = "MANIFEST";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
-const WAL_FILE: &str = "wal.log";
+/// Where an older store logged its unflushed writes. [`Db::open`]
+/// refuses a non-empty one rather than drop what it holds; checkpoints
+/// still write it empty, as their completeness marker
+/// ([`crate::checkpoint`]).
+pub(crate) const WAL_FILE: &str = "wal.log";
 const MANIFEST_MAGIC: u64 = 0x5241_494c_4d41_4e01;
 /// Subdirectory orphaned SSTables are moved into at open — never deleted,
 /// so a recovery bug can be diagnosed from the quarantined bytes.
@@ -198,18 +188,18 @@ impl Db {
     /// source of truth for live SSTables) and check every table it names
     /// completely — a table with a corrupt block fails the open with
     /// [`RailgunError::Corruption`] naming the file, before anything in
-    /// the directory is touched — then sweep the directory: stale
-    /// `*.tmp` files are deleted, unreferenced `*.sst` files are
-    /// quarantined, never deleted — then scan the WAL once, cutting a
-    /// torn tail under [`WalRecoveryMode::TolerateTornTail`] before the
-    /// append handle opens, and replay the intact records. What was
+    /// the directory is touched, and so does a non-empty `wal.log` (writes
+    /// an older store logged and never flushed) — then sweep the
+    /// directory: stale `*.tmp` files are deleted, unreferenced `*.sst`
+    /// files are quarantined, never deleted. Each column family opens as
+    /// of its last committed flush; writes after it are gone. What was
     /// repaired is reported via [`Db::recovery_report`].
     pub fn open(dir: &Path, opts: DbOptions) -> Result<Self> {
         let fs = Arc::clone(&opts.fs);
         fs.create_dir_all(dir)?;
         let manifest_path = dir.join(MANIFEST);
         let had_manifest = fs.exists(&manifest_path);
-        let (mut cfs, next_cf_id, next_file_no) = if had_manifest {
+        let (cfs, next_cf_id, next_file_no) = if had_manifest {
             Self::load_manifest(fs.as_ref(), dir, &manifest_path, &opts)?
         } else {
             let mut cfs = HashMap::new();
@@ -224,6 +214,13 @@ impl Db {
             );
             (cfs, 1, 1)
         };
+        let wal = dir.join(WAL_FILE);
+        if fs.exists(&wal) && fs.file_len(&wal)? > 0 {
+            return Err(RailgunError::Corruption(format!(
+                "{} holds logged writes this store cannot replay",
+                wal.display()
+            )));
+        }
         // Sweep the directory before accepting writes. A crash between
         // SST creation and the manifest update leaves unreferenced
         // tables; a crash between a compaction's manifest update and
@@ -247,41 +244,13 @@ impl Db {
             }
         }
         opts.orphan_counter.add(report.orphaned_sstables_quarantined);
-        // Recover unflushed writes in the same scan that opens the WAL
-        // (a torn tail is cut before the append handle is created, so
-        // new records stay reachable at the next replay).
-        let (wal, wal_recovery) = Wal::open(
-            Arc::clone(&fs),
-            &dir.join(WAL_FILE),
-            opts.sync_wal,
-            opts.wal_recovery,
-        )?;
-        report.wal_truncated_bytes = wal_recovery.truncated_bytes;
-        report.wal_records_replayed = wal_recovery.records.len() as u64;
-        opts.wal_truncated_counter.add(wal_recovery.truncated_bytes);
-        for rec in wal_recovery.records {
-            match rec {
-                WalRecord::Put { cf, key, value } => {
-                    if let Some(state) = cfs.get_mut(&cf) {
-                        state.mem.put(&key, &value);
-                    }
-                }
-                WalRecord::Delete { cf, key } => {
-                    if let Some(state) = cfs.get_mut(&cf) {
-                        state.mem.delete(&key);
-                    }
-                }
-            }
-        }
         let db = Db {
             dir: dir.to_path_buf(),
             opts,
             inner: Mutex::new(Inner {
-                wal_limit: wal_limit(&cfs),
                 cfs,
                 next_cf_id,
                 next_file_no,
-                wal,
                 flushes: 0,
                 compactions: 0,
                 filter_dropped: 0,
@@ -402,7 +371,6 @@ impl Db {
                 ssts: Vec::new(),
             },
         );
-        inner.wal_limit = wal_limit(&inner.cfs);
         self.write_manifest(&inner)?;
         Ok(id)
     }
@@ -417,40 +385,34 @@ impl Db {
             .map(|(id, _)| *id)
     }
 
-    /// Write `key = value` in column family `cf`.
+    /// Write `key = value` in column family `cf`. Durable once `cf` is
+    /// flushed.
     pub fn put(&self, cf: ColumnFamilyId, key: &[u8], value: &[u8]) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if !inner.cfs.contains_key(&cf) {
-            return Err(RailgunError::NotFound(format!("column family {cf}")));
-        }
-        let timer = self.opts.wal_recorder.start();
-        inner.wal.append_put(cf, key, value)?;
-        self.opts.wal_recorder.finish(timer);
-        inner
-            .cfs
-            .get_mut(&cf)
-            .expect("checked above")
-            .mem
-            .put(key, value);
-        self.maybe_flush_locked(&mut inner)
+        self.write(cf, |mem| mem.put(key, value))
     }
 
-    /// Delete `key` in column family `cf`.
+    /// Delete `key` in column family `cf`. Durable once `cf` is flushed.
     pub fn delete(&self, cf: ColumnFamilyId, key: &[u8]) -> Result<()> {
+        self.write(cf, |mem| mem.delete(key))
+    }
+
+    /// Apply one write to `cf`'s memtable and flush that memtable if the
+    /// write took it past its budget — the only one a write can grow.
+    fn write(&self, cf: ColumnFamilyId, apply: impl FnOnce(&mut MemTable)) -> Result<()> {
         let mut inner = self.inner.lock();
-        if !inner.cfs.contains_key(&cf) {
-            return Err(RailgunError::NotFound(format!("column family {cf}")));
-        }
-        let timer = self.opts.wal_recorder.start();
-        inner.wal.append_delete(cf, key)?;
-        self.opts.wal_recorder.finish(timer);
-        inner
+        let state = inner
             .cfs
             .get_mut(&cf)
-            .expect("checked above")
-            .mem
-            .delete(key);
-        self.maybe_flush_locked(&mut inner)
+            .ok_or_else(|| RailgunError::NotFound(format!("column family {cf}")))?;
+        apply(&mut state.mem);
+        if state.mem.approx_bytes() <= state.opts.memtable_budget_bytes {
+            return Ok(());
+        }
+        let timer = self.opts.flush_recorder.start();
+        let result = self.flush_cfs_locked(&mut inner, vec![cf]);
+        self.opts.flush_recorder.finish(timer);
+        result?;
+        self.maybe_compact_locked(&mut inner)
     }
 
     /// Read the current value of `key`, if live.
@@ -518,33 +480,8 @@ impl Db {
         }
     }
 
-    fn maybe_flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        // Per-CF budgets: flush exactly the over-budget column families.
-        // (Flushing all of them — the old behaviour — littered idle CFs
-        // with one-entry SSTables and made the aggregate stats drift.)
-        // A memtable counts only live bytes but the WAL grows by every
-        // write: past its limit, flush every non-empty CF to truncate it.
-        let wal_full = inner.wal.len_bytes() > inner.wal_limit;
-        let over: Vec<ColumnFamilyId> = inner
-            .cfs
-            .iter()
-            .filter(|(_, cf)| {
-                cf.mem.approx_bytes() > cf.opts.memtable_budget_bytes
-                    || (wal_full && !cf.mem.is_empty())
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        if over.is_empty() {
-            return Ok(());
-        }
-        let timer = self.opts.flush_recorder.start();
-        let result = self.flush_cfs_locked(inner, over);
-        self.opts.flush_recorder.finish(timer);
-        result?;
-        self.maybe_compact_locked(inner)
-    }
-
-    /// Flush every non-empty memtable to a new SSTable and truncate the WAL.
+    /// Flush every non-empty memtable to a new SSTable: everything written
+    /// so far is durable once this returns.
     pub fn flush(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         self.flush_locked(&mut inner)
@@ -589,25 +526,9 @@ impl Db {
         }
         // SSTs are durable but unreferenced until the manifest lands; a
         // crash here leaves orphans for the open-time quarantine sweep,
-        // with the data still covered by the WAL.
+        // and the flushed CFs reopen as of their previous flush.
         fs.crash_point(crash_points::FLUSH_BEFORE_MANIFEST)?;
-        self.write_manifest(inner)?;
-        // A crash here replays WAL records already covered by the new
-        // SSTs — put/delete replay is idempotent, so that is safe.
-        fs.crash_point(crash_points::FLUSH_BEFORE_WAL_TRUNCATE)?;
-        if inner.cfs.values().all(|cf| cf.mem.is_empty()) {
-            inner.wal.truncate()?;
-        } else {
-            // Partial flush: the WAL must keep covering the column
-            // families that did not flush, so rebuild it atomically from
-            // their surviving memtable entries instead of truncating.
-            let inner = &mut *inner;
-            let cfs = &inner.cfs;
-            inner.wal.rewrite(cfs.iter().flat_map(|(id, cf)| {
-                cf.mem.iter().map(move |(k, e)| (*id, k, e.as_deref()))
-            }))?;
-        }
-        Ok(())
+        self.write_manifest(inner)
     }
 
     fn maybe_compact_locked(&self, inner: &mut Inner) -> Result<()> {
@@ -712,16 +633,14 @@ impl Db {
     /// Exhaustively check on-disk invariants: every SSTable referenced by
     /// the manifest is read back from disk and checked as at open (all
     /// block CRCs verify, every entry decodes, keys strictly sorted,
-    /// decoded entry count matches the footer) and the WAL must scan
-    /// cleanly under the configured recovery mode. The crash-torture
-    /// harness ([`crate::torture`]) runs this after every recovery.
+    /// decoded entry count matches the footer). The crash-torture harness
+    /// ([`crate::torture`]) runs this after every recovery.
     pub fn verify_integrity(&self) -> Result<()> {
         let inner = self.inner.lock();
         let fs = self.opts.fs.as_ref();
         for h in inner.cfs.values().flat_map(|cf| &cf.ssts) {
             SstReader::open(fs, &self.dir.join(sst_file_name(h.file_no)))?;
         }
-        Wal::scan(fs, &self.dir.join(WAL_FILE), self.opts.wal_recovery)?;
         Ok(())
     }
 
@@ -789,11 +708,6 @@ impl Db {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-}
-
-/// Past this WAL length every memtable flushes: twice the CFs' budgets.
-fn wal_limit(cfs: &HashMap<ColumnFamilyId, CfState>) -> u64 {
-    cfs.values().map(|cf| 2 * cf.opts.memtable_budget_bytes as u64).sum()
 }
 
 fn collect_files(inner: &Inner) -> Vec<String> {
@@ -874,20 +788,29 @@ mod tests {
     }
 
     #[test]
-    fn wal_recovery_after_crash() {
+    fn unflushed_writes_are_gone_at_reopen() {
         let dir = fresh_dir("recovery");
         {
             let db = Db::open(&dir, DbOptions::default()).unwrap();
-            db.put(Db::DEFAULT_CF, b"persisted", b"yes").unwrap();
-            db.delete(Db::DEFAULT_CF, b"persisted2").unwrap();
-            // Dropped without flush: WAL must carry the writes.
+            db.put(Db::DEFAULT_CF, b"flushed", b"yes").unwrap();
+            db.put(Db::DEFAULT_CF, b"doomed", b"old").unwrap();
+            db.flush().unwrap();
+            db.put(Db::DEFAULT_CF, b"unflushed", b"no").unwrap();
+            db.delete(Db::DEFAULT_CF, b"flushed").unwrap();
+            db.put(Db::DEFAULT_CF, b"doomed", b"new").unwrap();
+            // Dropped without a flush: a crash.
         }
         let db = Db::open(&dir, DbOptions::default()).unwrap();
         assert_eq!(
-            db.get(Db::DEFAULT_CF, b"persisted").unwrap(),
+            db.get(Db::DEFAULT_CF, b"flushed").unwrap(),
             Some(b"yes".to_vec())
         );
-        assert_eq!(db.get(Db::DEFAULT_CF, b"persisted2").unwrap(), None);
+        assert_eq!(
+            db.get(Db::DEFAULT_CF, b"doomed").unwrap(),
+            Some(b"old".to_vec())
+        );
+        assert_eq!(db.get(Db::DEFAULT_CF, b"unflushed").unwrap(), None);
+        assert!(!dir.join(WAL_FILE).exists(), "nothing is logged");
     }
 
     #[test]
@@ -1104,52 +1027,30 @@ mod tests {
     }
 
     #[test]
-    fn recovery_report_counts_truncated_wal() {
-        let dir = fresh_dir("walreport");
+    fn open_refuses_a_non_empty_wal_log() {
+        // An older store logged writes it had not flushed: opening without
+        // them would drop them silently.
+        let dir = fresh_dir("walrefused");
         {
             let db = Db::open(&dir, DbOptions::default()).unwrap();
             db.put(Db::DEFAULT_CF, b"a", b"1").unwrap();
-            db.put(Db::DEFAULT_CF, b"b", b"2").unwrap();
+            db.flush().unwrap();
         }
-        // Tear the last WAL frame.
-        let wal = dir.join(WAL_FILE);
-        let raw = fs::read(&wal).unwrap();
-        fs::write(&wal, &raw[..raw.len() - 3]).unwrap();
-        let counter = Counter::enabled();
-        let opts = DbOptions {
-            wal_truncated_counter: counter.clone(),
-            ..DbOptions::default()
-        };
-        let db = Db::open(&dir, opts).unwrap();
-        let rep = db.recovery_report();
-        assert!(rep.wal_truncated_bytes > 0);
-        assert_eq!(rep.wal_records_replayed, 1);
-        assert_eq!(counter.get(), rep.wal_truncated_bytes);
+        fs::write(dir.join(WAL_FILE), b"logged").unwrap();
+        let before = dir_image(&dir);
+        match Db::open(&dir, DbOptions::default()) {
+            Err(RailgunError::Corruption(m)) => assert!(m.contains(WAL_FILE), "{m}"),
+            other => panic!("expected Corruption, got {:?}", other.map(|_| "a database")),
+        }
+        assert_eq!(
+            dir_image(&dir),
+            before,
+            "a refused open must not touch the directory"
+        );
+        // Empty, it is a checkpoint's completeness marker and opens.
+        fs::write(dir.join(WAL_FILE), b"").unwrap();
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
         assert_eq!(db.get(Db::DEFAULT_CF, b"a").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(db.get(Db::DEFAULT_CF, b"b").unwrap(), None);
-        db.verify_integrity().unwrap();
-    }
-
-    #[test]
-    fn absolute_consistency_mode_refuses_torn_wal() {
-        let dir = fresh_dir("absmode");
-        {
-            let db = Db::open(&dir, DbOptions::default()).unwrap();
-            db.put(Db::DEFAULT_CF, b"a", b"1").unwrap();
-        }
-        let wal = dir.join(WAL_FILE);
-        let raw = fs::read(&wal).unwrap();
-        fs::write(&wal, &raw[..raw.len() - 2]).unwrap();
-        let opts = DbOptions {
-            wal_recovery: WalRecoveryMode::AbsoluteConsistency,
-            ..DbOptions::default()
-        };
-        assert!(matches!(
-            Db::open(&dir, opts),
-            Err(RailgunError::Corruption(_))
-        ));
-        // The default mode recovers the same image.
-        Db::open(&dir, DbOptions::default()).unwrap();
     }
 
     /// A flushed table of three data blocks (~100 B an entry) in a fresh
@@ -1291,10 +1192,11 @@ mod tests {
     }
 
     #[test]
-    fn partial_flush_keeps_unflushed_cfs_durable() {
-        // After a partial flush the WAL is rewritten, not truncated: the
-        // un-flushed CF's records must survive a crash.
-        let dir = fresh_dir("partialwal");
+    fn partial_flush_commits_only_the_flushed_cf() {
+        // A budget flush of one CF makes that CF durable and no other: at
+        // reopen the flushed CF reads its writes, the idle one reads as
+        // of its own last flush.
+        let dir = fresh_dir("partialflush");
         let opts = DbOptions {
             cf_options: vec![(
                 "hot".to_owned(),
@@ -1306,45 +1208,55 @@ mod tests {
             )],
             ..DbOptions::default()
         };
-        let aux;
+        let (aux, unflushed_hot);
         {
             let db = Db::open(&dir, opts.clone()).unwrap();
             let hot = db.create_cf("hot").unwrap();
             aux = db.create_cf("aux").unwrap();
-            db.put(aux, b"unflushed", b"must-survive").unwrap();
-            db.delete(aux, b"ghost").unwrap();
+            db.put(aux, b"flushed", b"kept").unwrap();
+            db.flush().unwrap();
+            db.put(aux, b"unflushed", b"lost").unwrap();
+            db.delete(aux, b"flushed").unwrap();
             for i in 0..50u32 {
-                db.put(hot, format!("h{i:03}").as_bytes(), &[7u8; 64]).unwrap();
+                db.put(hot, format!("h{i:03}").as_bytes(), &[7u8; 64])
+                    .unwrap();
             }
-            assert!(db.stats().per_cf.iter().any(|c| c.name == "hot" && c.sst_count > 0));
+            let s = db.stats();
+            let hot_cf = s.per_cf.iter().find(|c| c.name == "hot").unwrap();
+            assert!(hot_cf.sst_count > 0, "hot CF should have auto-flushed");
+            unflushed_hot = hot_cf.memtable_entries;
             // Dropped without an explicit flush — simulated crash.
         }
         let db = Db::open(&dir, opts).unwrap();
-        assert_eq!(db.get(aux, b"unflushed").unwrap(), Some(b"must-survive".to_vec()));
-        assert_eq!(db.get(aux, b"ghost").unwrap(), None);
+        let hot = db.cf_by_name("hot").unwrap();
+        assert_eq!(db.scan(hot, b"", None).unwrap().len(), 50 - unflushed_hot);
+        assert_eq!(db.get(aux, b"flushed").unwrap(), Some(b"kept".to_vec()));
+        assert_eq!(db.get(aux, b"unflushed").unwrap(), None);
         db.verify_integrity().unwrap();
     }
 
     #[test]
-    fn overwrites_cannot_grow_the_wal_past_twice_the_budgets() {
+    fn overwrites_of_one_key_leave_at_most_one_table_on_disk() {
         // Overwriting one key never fills its memtable (that counts live
-        // bytes), so the WAL used to grow by every put until a restart.
-        let dir = fresh_dir("walbound");
+        // bytes), and nothing else on disk grows per write: the directory
+        // stays at the manifest plus at most one table.
+        let dir = fresh_dir("overwrites");
         let opts = DbOptions {
             memtable_budget_bytes: 4 << 10,
             ..DbOptions::default()
         };
-        {
-            let db = Db::open(&dir, opts.clone()).unwrap();
-            let wal_len = || db.inner.lock().wal.len_bytes();
-            db.put(Db::DEFAULT_CF, b"key", &0u64.to_le_bytes()).unwrap();
-            let record = wal_len();
-            for i in 1..100_000u64 {
-                db.put(Db::DEFAULT_CF, b"key", &i.to_le_bytes()).unwrap();
-                assert!(wal_len() <= 2 * (4 << 10) + record, "put {i}: {} B", wal_len());
-            }
-            assert!(db.stats().flushes > 0);
+        let db = Db::open(&dir, opts.clone()).unwrap();
+        for i in 0..100_000u64 {
+            db.put(Db::DEFAULT_CF, b"key", &i.to_le_bytes()).unwrap();
         }
+        db.flush().unwrap();
+        let mut files = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect::<Vec<_>>();
+        files.sort();
+        assert_eq!(files, [sst_file_name(1), MANIFEST.to_owned()]);
+        drop(db);
         let db = Db::open(&dir, opts).unwrap();
         assert_eq!(
             db.get(Db::DEFAULT_CF, b"key").unwrap(),

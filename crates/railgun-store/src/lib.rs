@@ -4,8 +4,10 @@
 //! embedded RocksDB instance. This crate is a from-scratch substitute with
 //! the same shape: a log-structured merge store with
 //!
-//! * an in-memory **memtable** per column family ([`memtable`]),
-//! * a shared, CRC-framed **write-ahead log** for crash recovery ([`wal`]),
+//! * an in-memory **memtable** per column family ([`memtable`]) — and no
+//!   write-ahead log: a write is durable once its column family is
+//!   flushed, and a checkpoint flushes them all (recovery restores the
+//!   checkpoint and replays the input topic past it, as the paper does),
 //! * immutable, block-structured **SSTables** with per-table bloom filters
 //!   ([`sstable`], [`bloom`]),
 //! * newest-wins **merge iterators** across memtable + tables ([`merge`]),
@@ -42,9 +44,7 @@ pub mod options;
 pub mod sstable;
 pub mod torture;
 pub mod vfs;
-pub mod wal;
 
 pub use db::{CfStats, ColumnFamilyId, Db, DbOptions, DbStats, RecoveryReport};
 pub use options::{CfOptions, CompactionFilter, FilterDecision};
 pub use vfs::{crash_points, CrashPlan, FaultFs, RealFs, StoreFs};
-pub use wal::WalRecoveryMode;

@@ -4,7 +4,7 @@
 //! of applying one global policy (qdrant's per-CF options wrapper), and
 //! expire dead state by *dropping it during compaction* instead of
 //! issuing point deletes (the Solana blockstore `OldestSlot` pattern):
-//! a delete is a write — it costs a WAL frame, memtable space, and a
+//! a delete is a write — it costs memtable space, a flush, and a
 //! tombstone that lives until the next merge — while a compaction-time
 //! drop is free, because the merge was rewriting the entry anyway. This
 //! module gives `railgun-store` both halves:
@@ -19,7 +19,7 @@
 //! ## Filter contract
 //!
 //! A filter decides the fate of **live entries during a full-CF
-//! compaction** — never of memtable or WAL contents. That placement is
+//! compaction** — never of memtable contents. That placement is
 //! what keeps it crash-consistent for free: the merged output SSTable
 //! becomes visible only through the atomic manifest swap, so a crash at
 //! any instant leaves either the unfiltered inputs or the filtered
@@ -30,7 +30,7 @@
 //!   pair and the filter's *current horizon*, not on time-of-call or I/O;
 //! * **monotonic** — once a horizon admits discarding a key, every later
 //!   horizon must too. A key dropped from the SSTables may still surface
-//!   from the memtable/WAL until the next flush + compaction; monotonic
+//!   from the memtable until the next flush + compaction; monotonic
 //!   horizons make that re-appearance converge to "gone" instead of
 //!   flickering.
 //!

@@ -1,8 +1,8 @@
 //! Deterministic crash-torture harness.
 //!
-//! The recovery claims of this crate (WAL torn-tail handling, atomic
-//! manifest replacement, orphan quarantine, checkpoint completeness) are
-//! only as good as their tests. This module proves them by brute force:
+//! The recovery claims of this crate (flush durability, atomic manifest
+//! replacement, orphan quarantine, checkpoint completeness) are only as
+//! good as their tests. This module proves them by brute force:
 //!
 //! 1. **Profile pass** — run a fixed mixed put/delete/flush/compact/
 //!    expire/checkpoint workload ([`build_workload`]) over an *unarmed*
@@ -16,20 +16,22 @@
 //!    image of a crash at that instant.
 //! 3. **Recover and verify** — reopen the frozen image with [`RealFs`]
 //!    and assert the contract:
-//!    * no acknowledged write is lost and no unacknowledged write
-//!      appears (the single in-flight operation may land either way —
-//!      both outcomes are legal for an un-acked op);
-//!    * [`Db::verify_integrity`] passes — every SSTable decodes fully
-//!      and the WAL scans cleanly;
+//!    * each column family reads exactly the model as of its last
+//!      committed flush: nothing flushed is lost, and nothing written
+//!      after that flush — acknowledged or not — appears. A flush in
+//!      flight at the crash may land either way, so a CF it was flushing
+//!      may instead read the model with the in-flight op applied;
+//!    * [`Db::verify_integrity`] passes — every SSTable decodes fully;
 //!    * every *acknowledged* checkpoint is complete
 //!      ([`crate::checkpoint::is_complete`]) and restores to exactly the
 //!      model state at its creation; a checkpoint interrupted by the
 //!      crash is either detectably incomplete or fully correct.
 //!
-//! The workload runs with `sync_wal = true`, so "acknowledged" means
-//! "durable by contract": `put`/`delete` return only after the WAL frame
-//! is fsynced. That is what licenses the loss check — anything the model
-//! recorded as acked *must* survive.
+//! A write is durable once its CF is flushed — explicitly, by a
+//! checkpoint, or because the write took the CF's memtable past its
+//! budget. The harness learns which by reading the CF's memtable size
+//! after every acknowledged op: an empty memtable means every write to
+//! the CF so far is in a committed table.
 //!
 //! Both column families carry a watermark-driven [`CompactionFilter`]:
 //! [`Op::ExpireBefore`] advances a shared atomic horizon, and compactions
@@ -179,9 +181,8 @@ fn value_bytes(key: u64, tick: u64) -> Vec<u8> {
 }
 
 /// Store tuning for the torture workload: a tiny memtable budget so
-/// automatic flushes and compactions fire constantly, and `sync_wal` so
-/// every acknowledged write is durable by contract — the property the
-/// sweep asserts. A zero horizon makes the expiry filter a no-op.
+/// automatic flushes and compactions fire constantly. A zero horizon
+/// makes the expiry filter a no-op.
 pub fn torture_opts(fs: Arc<dyn StoreFs>) -> DbOptions {
     torture_opts_with(fs, Arc::new(AtomicU64::new(0)))
 }
@@ -200,7 +201,6 @@ pub fn torture_opts_with(fs: Arc<dyn StoreFs>, horizon: Arc<AtomicU64>) -> DbOpt
     DbOptions {
         memtable_budget_bytes: 1024,
         compaction_trigger: 3,
-        sync_wal: true,
         fs,
         cf_options: vec![("default".to_owned(), cf(&horizon)), ("aux".to_owned(), cf(&horizon))],
         ..DbOptions::default()
@@ -209,16 +209,16 @@ pub fn torture_opts_with(fs: Arc<dyn StoreFs>, horizon: Arc<AtomicU64>) -> DbOpt
 
 /// `(aux?, key)` → acked state (`None` = acked delete).
 type ModelKey = (bool, Vec<u8>);
-/// An in-flight KV op: target key and intended new value (`None` =
-/// delete). After a crash either the old or the new state is legal.
-type PendingKv = (ModelKey, Option<Vec<u8>>);
 type Model = HashMap<ModelKey, Option<Vec<u8>>>;
 
-/// Everything the workload run learned: the acked model, per-checkpoint
-/// snapshots, and what (if anything) was in flight at the crash.
+/// Everything the workload run learned: the acked model, what of it each
+/// CF committed, per-checkpoint snapshots, and what (if anything) was in
+/// flight at the crash.
 #[derive(Debug, Default)]
 struct RunState {
     model: Model,
+    /// Per CF, the model as of that CF's last committed flush.
+    durable: Model,
     /// Expiry horizon at the crash (acked `ExpireBefore` high-water mark).
     horizon: u64,
     /// `(index, model, horizon)` snapshot at each *acknowledged*
@@ -226,11 +226,43 @@ struct RunState {
     ckpts: Vec<(u32, Model, u64)>,
     /// Checkpoint in flight when the crash tripped.
     pending_ckpt: Option<u32>,
-    /// KV op in flight when the crash tripped: target and intended new
-    /// state. Either the old or the new state is legal after recovery.
-    pending_kv: Option<PendingKv>,
+    /// The op in flight at the crash may have flushed these CFs (by aux
+    /// flag) before it failed: each may read the model with the op
+    /// applied instead of its durable state.
+    landing: Option<(Model, Vec<bool>)>,
     acked_ops: usize,
     tripped: bool,
+}
+
+impl RunState {
+    /// Record a put (`Some`) or delete (`None`) of `id`: acked, into the
+    /// model; failed, as the op in flight, returned as its landing — only
+    /// the written CF's memtable grew, so only it can have been flushed.
+    fn record_write(
+        &mut self,
+        id: ModelKey,
+        state: Option<Vec<u8>>,
+        acked: bool,
+    ) -> Option<(Model, Vec<bool>)> {
+        let aux = id.0;
+        if acked {
+            self.model.insert(id, state);
+            return None;
+        }
+        let mut applied = self.model.clone();
+        applied.insert(id, state);
+        Some((applied, vec![aux]))
+    }
+}
+
+/// `model` with the entries of CF `aux` replaced by those of `from`.
+fn adopt_cf(model: &mut Model, from: &Model, aux: bool) {
+    model.retain(|(a, _), _| *a != aux);
+    model.extend(
+        from.iter()
+            .filter(|((a, _), _)| *a == aux)
+            .map(|(k, v)| (k.clone(), v.clone())),
+    );
 }
 
 /// True iff the acked state `(key, value)` is fair game for the filter
@@ -291,31 +323,26 @@ fn run_workload(root: &Path, fs: Arc<dyn StoreFs>, ops: &[Op]) -> Result<RunStat
         Err(e) => return Err(e),
     };
     for op in ops {
+        // What this op would make durable, and in which CFs, if it fails
+        // part-way through a flush.
+        let mut landing = None;
         let r: Result<()> = match op {
             Op::Put { aux: a, key, tick } => {
-                let k = key_bytes(*key);
-                let v = value_bytes(*key, *tick);
-                let cf = if *a { aux } else { Db::DEFAULT_CF };
-                let res = db.put(cf, &k, &v);
-                if res.is_ok() {
-                    st.model.insert((*a, k), Some(v));
-                } else {
-                    st.pending_kv = Some(((*a, k), Some(v)));
-                }
+                let (k, v) = (key_bytes(*key), value_bytes(*key, *tick));
+                let res = db.put(if *a { aux } else { Db::DEFAULT_CF }, &k, &v);
+                landing = st.record_write((*a, k), Some(v), res.is_ok());
                 res
             }
             Op::Delete { aux: a, key } => {
                 let k = key_bytes(*key);
-                let cf = if *a { aux } else { Db::DEFAULT_CF };
-                let res = db.delete(cf, &k);
-                if res.is_ok() {
-                    st.model.insert((*a, k), None);
-                } else {
-                    st.pending_kv = Some(((*a, k), None));
-                }
+                let res = db.delete(if *a { aux } else { Db::DEFAULT_CF }, &k);
+                landing = st.record_write((*a, k), None, res.is_ok());
                 res
             }
-            Op::Flush => db.flush(),
+            Op::Flush => {
+                landing = Some((st.model.clone(), vec![false, true]));
+                db.flush()
+            }
             Op::Compact => db
                 .compact_cf(Db::DEFAULT_CF)
                 .and_then(|()| db.compact_cf(aux)),
@@ -327,6 +354,7 @@ fn run_workload(root: &Path, fs: Arc<dyn StoreFs>, ops: &[Op]) -> Result<RunStat
                 Ok(())
             }
             Op::Checkpoint(ix) => {
+                landing = Some((st.model.clone(), vec![false, true]));
                 let res = db.checkpoint(&root.join(format!("ckpt-{ix}")));
                 if res.is_ok() {
                     st.ckpts.push((*ix, st.model.clone(), st.horizon));
@@ -340,106 +368,76 @@ fn run_workload(root: &Path, fs: Arc<dyn StoreFs>, ops: &[Op]) -> Result<RunStat
             Ok(()) => st.acked_ops += 1,
             Err(e) if is_injected(&e) => {
                 st.tripped = true;
+                st.landing = landing;
                 break;
             }
             Err(e) => return Err(e),
+        }
+        // An empty memtable: every write to the CF so far is committed.
+        for cf in db
+            .stats()
+            .per_cf
+            .iter()
+            .filter(|cf| cf.memtable_entries == 0)
+        {
+            match cf.name.as_str() {
+                "default" => adopt_cf(&mut st.durable, &st.model, false),
+                "aux" => adopt_cf(&mut st.durable, &st.model, true),
+                _ => {}
+            }
         }
     }
     Ok(st)
 }
 
-/// Check `db` against an exact expected state (used for checkpoints,
-/// where no op can be in flight), relaxed only by the expiry horizon in
-/// force when the snapshot was taken.
+/// Check both column families of `db` against `model`.
 fn verify_exact(plan: &str, db: &Db, model: &Model, horizon: u64) -> Result<()> {
-    verify_state(plan, db, model, None, horizon)
+    verify_cf(plan, db, false, model, horizon)?;
+    verify_cf(plan, db, true, model, horizon)
 }
 
-fn verify_state(
-    plan: &str,
-    db: &Db,
-    model: &Model,
-    pending: Option<&PendingKv>,
-    horizon: u64,
-) -> Result<()> {
-    let aux_cf = db.cf_by_name("aux");
-    let get = |a: bool, k: &[u8]| -> Result<Option<Vec<u8>>> {
-        match (a, aux_cf) {
-            (false, _) => db.get(Db::DEFAULT_CF, k),
-            (true, Some(id)) => db.get(id, k),
-            (true, None) => Ok(None),
-        }
+/// Check column family `aux` of `db` against the entries of `model` for
+/// it: every key reads back exactly — except an acked value below the
+/// expiry horizon, which the compaction filter may already have
+/// reclaimed: its value or absence are both legal, nothing else is — and
+/// a full scan shows no key the model does not hold.
+fn verify_cf(plan: &str, db: &Db, aux: bool, model: &Model, horizon: u64) -> Result<()> {
+    let cf = if aux {
+        db.cf_by_name("aux")
+    } else {
+        Some(Db::DEFAULT_CF)
     };
-    if aux_cf.is_none() && model.keys().any(|(a, _)| *a) {
-        return Err(err(plan, "acknowledged aux column family lost".into()));
-    }
-    // Every acked write must read back exactly — except an acked value
-    // below the expiry horizon, which the compaction filter may already
-    // have reclaimed: its acked value or absence are both legal, nothing
-    // else is.
-    for (id @ (a, k), expect) in model {
-        if pending.is_some_and(|(pid, _)| pid == id) {
-            continue; // re-targeted by the in-flight op, checked below
-        }
-        let got = get(*a, k)?;
-        if got.as_deref() != expect.as_deref() {
-            let expired_ok = got.is_none()
-                && expect
-                    .as_deref()
-                    .is_some_and(|v| may_expire(k, v, horizon));
-            if !expired_ok {
-                return Err(err(
-                    plan,
-                    format!(
-                        "acked write lost: cf(aux={a}) key {:?} expected {:?} got {:?}",
-                        String::from_utf8_lossy(k),
-                        expect.as_ref().map(|v| v.len()),
-                        got.as_ref().map(|v| v.len())
-                    ),
-                ));
-            }
-        }
-    }
-    // The in-flight op may have landed or not — both are legal, nothing
-    // else is.
-    if let Some(((a, k), new_state)) = pending {
-        let got = get(*a, k)?;
-        let old_state = model.get(&(*a, k.clone())).cloned().flatten();
-        let ok = got.as_deref() == new_state.as_deref() || got.as_deref() == old_state.as_deref();
-        if !ok {
+    for ((a, k), expect) in model.iter().filter(|((a, _), _)| *a == aux) {
+        let got = match cf {
+            Some(id) => db.get(id, k)?,
+            None => None,
+        };
+        let expired_ok =
+            got.is_none() && expect.as_deref().is_some_and(|v| may_expire(k, v, horizon));
+        if got.as_deref() != expect.as_deref() && !expired_ok {
             return Err(err(
                 plan,
                 format!(
-                    "in-flight op on key {:?} left a third state",
-                    String::from_utf8_lossy(k)
+                    "cf(aux={a}) key {:?} expected {:?} B got {:?} B",
+                    String::from_utf8_lossy(k),
+                    expect.as_ref().map(|v| v.len()),
+                    got.as_ref().map(|v| v.len())
                 ),
             ));
         }
     }
-    // No unacknowledged key may appear out of nowhere.
-    type ScanDump = Vec<(Vec<u8>, Vec<u8>)>;
-    let mut scans: Vec<(bool, ScanDump)> = vec![(false, db.scan(Db::DEFAULT_CF, b"", None)?)];
-    if let Some(id) = aux_cf {
-        scans.push((true, db.scan(id, b"", None)?));
-    }
-    for (a, entries) in scans {
-        for (k, v) in entries {
-            let id = (a, k);
-            let from_pending = pending.is_some_and(|(pid, new_state)| {
-                *pid == id && new_state.as_deref() == Some(v.as_slice())
-            });
-            let from_model = model.get(&id).is_some_and(|e| e.as_deref() == Some(v.as_slice()));
-            // An overwritten/deleted pending key may legally still show
-            // its old model value — that is `from_model`.
-            if !from_model && !from_pending {
-                return Err(err(
-                    plan,
-                    format!(
-                        "unacknowledged key {:?} surfaced after recovery",
-                        String::from_utf8_lossy(&id.1)
-                    ),
-                ));
-            }
+    let Some(id) = cf else {
+        return Ok(());
+    };
+    for (k, v) in db.scan(id, b"", None)? {
+        if model.get(&(aux, k.clone())) != Some(&Some(v)) {
+            return Err(err(
+                plan,
+                format!(
+                    "cf(aux={aux}) key {:?} surfaced that no committed flush wrote",
+                    String::from_utf8_lossy(&k)
+                ),
+            ));
         }
     }
     Ok(())
@@ -455,7 +453,18 @@ fn recover_and_verify(plan: &str, root: &Path, st: &RunState) -> Result<(Recover
     let micros = t0.elapsed().as_micros();
     db.verify_integrity()
         .map_err(|e| err(plan, format!("integrity check failed: {e}")))?;
-    verify_state(plan, &db, &st.model, st.pending_kv.as_ref(), st.horizon)?;
+    // Each CF reads its durable state — or, if the op in flight was
+    // flushing it, possibly that op's result. `settled` collects which.
+    let mut settled = Model::new();
+    for aux in [false, true] {
+        let mut outcome = verify_cf(plan, &db, aux, &st.durable, st.horizon).map(|()| &st.durable);
+        if let (Err(_), Some((landed, cfs))) = (&outcome, &st.landing) {
+            if cfs.contains(&aux) && verify_cf(plan, &db, aux, landed, st.horizon).is_ok() {
+                outcome = Ok(landed);
+            }
+        }
+        adopt_cf(&mut settled, outcome?, aux);
+    }
     // Acked checkpoints must be complete and restore byte-exactly (up to
     // expiry at their snapshot horizon).
     for (ix, snap, snap_horizon) in &st.ckpts {
@@ -481,10 +490,10 @@ fn recover_and_verify(plan: &str, root: &Path, st: &RunState) -> Result<(Recover
         }
     }
     // Reclaim check: force a flush + filtered compaction of both CFs at
-    // the crash-time horizon. Every expired acked key must now be gone
-    // (filtered keys never resurrect — not from leftover input tables,
-    // not from the WAL) and every live acked key must read back exactly
-    // (the filter never eats live data).
+    // the crash-time horizon. Every expired recovered key must now be
+    // gone (filtered keys never resurrect from leftover input tables) and
+    // every live one must read back exactly (the filter never eats live
+    // data).
     db.flush()
         .map_err(|e| err(plan, format!("post-recovery flush failed: {e}")))?;
     db.compact_cf(Db::DEFAULT_CF)
@@ -494,10 +503,7 @@ fn recover_and_verify(plan: &str, root: &Path, st: &RunState) -> Result<(Recover
             .map_err(|e| err(plan, format!("post-recovery aux compact failed: {e}")))?;
     }
     let aux_cf = db.cf_by_name("aux");
-    for (id @ (a, k), expect) in &st.model {
-        if st.pending_kv.as_ref().is_some_and(|(pid, _)| pid == id) {
-            continue;
-        }
+    for ((a, k), expect) in &settled {
         let got = match (a, aux_cf) {
             (false, _) => db.get(Db::DEFAULT_CF, k)?,
             (true, Some(cf)) => db.get(cf, k)?,

@@ -5,13 +5,13 @@
 //! §2): a crash that silently loses acknowledged state is a correctness
 //! bug, not an operational inconvenience. But durability claims are only
 //! as good as their tests, and `std::fs` cannot be made to fail on cue.
-//! This module fixes that by routing all store I/O — WAL appends, SSTable
-//! writes, manifest renames, checkpoint links, directory fsyncs — through
-//! a [`StoreFs`] trait with two implementations:
+//! This module fixes that by routing all store I/O — SSTable writes,
+//! manifest renames, checkpoint links, directory fsyncs — through a
+//! [`StoreFs`] trait with two implementations:
 //!
-//! * [`RealFs`] — a thin passthrough to `std::fs`. The hot path (WAL
-//!   appends) still writes into a `BufWriter`, so the only added cost is
-//!   one virtual call per buffer flush: zero-cost in practice.
+//! * [`RealFs`] — a thin passthrough to `std::fs`. SSTables are written
+//!   through a `BufWriter`, so the only added cost is one virtual call
+//!   per buffer flush: zero-cost in practice.
 //! * [`FaultFs`] — deterministic, seed-driven fault injection over a real
 //!   backing directory: torn writes (a prefix of the buffer lands, then
 //!   the write fails), failed `sync_data`/`sync_all`, failed renames,
@@ -24,7 +24,8 @@
 //!
 //! The set of trip sites is the **crash-point registry**
 //! ([`crash_points::ALL`]): the crash-torture harness ([`crate::torture`])
-//! sweeps every entry and verifies no acknowledged write is lost.
+//! sweeps every entry and verifies every column family recovers exactly
+//! as of its last committed flush.
 //!
 //! ## Error contract
 //!
@@ -35,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -63,8 +64,6 @@ pub trait FsFile: Write + Send {
 pub trait StoreFs: fmt::Debug + Send + Sync {
     /// Create `path` and all missing parents.
     fn create_dir_all(&self, path: &Path) -> Result<()>;
-    /// Open `path` for appending, creating it if missing.
-    fn open_append(&self, path: &Path) -> Result<Box<dyn FsFile>>;
     /// Create `path` for writing, truncating any existing file.
     fn create(&self, path: &Path) -> Result<Box<dyn FsFile>>;
     /// Read the entire contents of `path`.
@@ -73,9 +72,6 @@ pub trait StoreFs: fmt::Debug + Send + Sync {
     fn file_len(&self, path: &Path) -> Result<u64>;
     /// True iff `path` exists.
     fn exists(&self, path: &Path) -> bool;
-    /// Truncate (or extend with zeros) `path` to exactly `len` bytes and
-    /// sync it. Used to cut a torn WAL tail before accepting appends.
-    fn truncate(&self, path: &Path, len: u64) -> Result<()>;
     /// Atomically rename `from` to `to` (same directory).
     fn rename(&self, from: &Path, to: &Path) -> Result<()>;
     /// Remove the file at `path`.
@@ -144,11 +140,6 @@ impl StoreFs for RealFs {
         Ok(())
     }
 
-    fn open_append(&self, path: &Path) -> Result<Box<dyn FsFile>> {
-        let f = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Box::new(RealFile(f)))
-    }
-
     fn create(&self, path: &Path) -> Result<Box<dyn FsFile>> {
         Ok(Box::new(RealFile(File::create(path)?)))
     }
@@ -165,13 +156,6 @@ impl StoreFs for RealFs {
 
     fn exists(&self, path: &Path) -> bool {
         path.exists()
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(len)?;
-        f.sync_all()?;
-        Ok(())
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
@@ -236,12 +220,6 @@ impl StoreFs for RealFs {
 /// The crash-torture harness sweeps [`crash_points::ALL`]; adding a new
 /// point here automatically enrolls it.
 pub mod crash_points {
-    /// Torn write to the WAL file (a prefix of the frame lands).
-    pub const WAL_WRITE: &str = "wal:write";
-    /// `sync_data` on the WAL fails after an append.
-    pub const WAL_SYNC: &str = "wal:sync";
-    /// WAL truncation (post-flush reset, or torn-tail cut at open) fails.
-    pub const WAL_TRUNCATE: &str = "wal:truncate";
     /// Torn write to an SSTable under construction.
     pub const SST_WRITE: &str = "sst:write";
     /// `sync_all` on a finished SSTable fails.
@@ -256,9 +234,6 @@ pub mod crash_points {
     pub const DIR_SYNC: &str = "dir:sync";
     /// Flush: SSTables written and synced, manifest not yet updated.
     pub const FLUSH_BEFORE_MANIFEST: &str = "flush:before-manifest";
-    /// Flush: manifest updated, WAL not yet truncated (replay overlaps
-    /// flushed data; recovery must be idempotent).
-    pub const FLUSH_BEFORE_WAL_TRUNCATE: &str = "flush:before-wal-truncate";
     /// Compaction: merged SSTable written, manifest still references the
     /// inputs.
     pub const COMPACT_BEFORE_MANIFEST: &str = "compact:before-manifest";
@@ -278,15 +253,12 @@ pub mod crash_points {
     /// Checkpoint: before each file is linked/copied into the target (hit
     /// `k` freezes with `k - 1` files present — a partial checkpoint).
     pub const CHECKPOINT_MID_COPY: &str = "checkpoint:mid-copy";
-    /// Checkpoint: all files present, empty `wal.log` marker not yet
-    /// created.
+    /// Checkpoint: all files present, the empty `wal.log` completeness
+    /// marker not yet created.
     pub const CHECKPOINT_BEFORE_WAL_CREATE: &str = "checkpoint:before-wal-create";
 
     /// Every registered crash point, in sweep order.
     pub const ALL: &[&str] = &[
-        WAL_WRITE,
-        WAL_SYNC,
-        WAL_TRUNCATE,
         SST_WRITE,
         SST_SYNC,
         MANIFEST_WRITE,
@@ -294,7 +266,6 @@ pub mod crash_points {
         MANIFEST_RENAME,
         DIR_SYNC,
         FLUSH_BEFORE_MANIFEST,
-        FLUSH_BEFORE_WAL_TRUNCATE,
         COMPACT_BEFORE_MANIFEST,
         COMPACT_FILTERED_BEFORE_MANIFEST,
         COMPACT_FILTERED_AFTER_MANIFEST,
@@ -467,21 +438,24 @@ impl FaultFs {
         }
     }
 
-    /// Classify a path into its (write, sync) crash points.
-    fn file_points(path: &Path) -> (&'static str, &'static str) {
-        let name = path.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+    /// Classify a path into its (write, sync) crash points. Any other
+    /// file — the checkpoint marker, created empty and synced at once,
+    /// right after its own hook point — has none.
+    fn file_points(path: &Path) -> Option<(&'static str, &'static str)> {
+        let name = path.file_name()?.to_string_lossy();
         if name.ends_with(".sst") {
-            (crash_points::SST_WRITE, crash_points::SST_SYNC)
+            Some((crash_points::SST_WRITE, crash_points::SST_SYNC))
         } else if name.starts_with("MANIFEST") {
-            (crash_points::MANIFEST_WRITE, crash_points::MANIFEST_SYNC)
+            Some((crash_points::MANIFEST_WRITE, crash_points::MANIFEST_SYNC))
         } else {
-            // wal.log and anything else appends like a log.
-            (crash_points::WAL_WRITE, crash_points::WAL_SYNC)
+            None
         }
     }
 
     fn wrap(&self, path: &Path, inner: Box<dyn FsFile>) -> Box<dyn FsFile> {
-        let (write_point, sync_point) = Self::file_points(path);
+        let Some((write_point, sync_point)) = Self::file_points(path) else {
+            return inner;
+        };
         Box::new(FaultFile {
             inner,
             state: Arc::clone(&self.state),
@@ -541,11 +515,6 @@ impl StoreFs for FaultFs {
         RealFs.create_dir_all(path)
     }
 
-    fn open_append(&self, path: &Path) -> Result<Box<dyn FsFile>> {
-        self.frozen_guard()?;
-        Ok(self.wrap(path, RealFs.open_append(path)?))
-    }
-
     fn create(&self, path: &Path) -> Result<Box<dyn FsFile>> {
         self.frozen_guard()?;
         Ok(self.wrap(path, RealFs.create(path)?))
@@ -563,11 +532,6 @@ impl StoreFs for FaultFs {
 
     fn exists(&self, path: &Path) -> bool {
         RealFs.exists(path)
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
-        self.check(crash_points::WAL_TRUNCATE)?;
-        RealFs.truncate(path, len)
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
@@ -628,14 +592,6 @@ mod tests {
         }
         assert_eq!(fs.read(&p).unwrap(), b"hello");
         assert_eq!(fs.file_len(&p).unwrap(), 5);
-        {
-            let mut f = fs.open_append(&p).unwrap();
-            f.write_all(b" world").unwrap();
-            f.sync_data().unwrap();
-        }
-        assert_eq!(fs.read(&p).unwrap(), b"hello world");
-        fs.truncate(&p, 5).unwrap();
-        assert_eq!(fs.read(&p).unwrap(), b"hello");
         let p2 = d.join("g");
         fs.rename(&p, &p2).unwrap();
         assert!(!fs.exists(&p));
@@ -650,15 +606,15 @@ mod tests {
     fn faultfs_passthrough_when_unarmed() {
         let d = tmp("pass");
         let fs = FaultFs::new(1);
-        let p = d.join("wal.log");
+        let p = d.join("00000001.sst");
         let mut f = fs.create(&p).unwrap();
         f.write_all(b"data").unwrap();
         f.sync_data().unwrap();
         drop(f);
         assert_eq!(fs.read(&p).unwrap(), b"data");
         assert!(!fs.crashed());
-        assert_eq!(fs.hit_count(crash_points::WAL_WRITE), 1);
-        assert_eq!(fs.hit_count(crash_points::WAL_SYNC), 1);
+        assert_eq!(fs.hit_count(crash_points::SST_WRITE), 1);
+        assert_eq!(fs.hit_count(crash_points::SST_SYNC), 1);
     }
 
     #[test]
@@ -666,10 +622,10 @@ mod tests {
         let d = tmp("torn");
         let fs = FaultFs::new(42);
         fs.arm(Some(CrashPlan {
-            point: crash_points::WAL_WRITE,
+            point: crash_points::SST_WRITE,
             hit: 2,
         }));
-        let p = d.join("wal.log");
+        let p = d.join("00000001.sst");
         let mut f = fs.create(&p).unwrap();
         f.write_all(b"first-frame").unwrap();
         let err = f.write_all(b"second-frame").unwrap_err();
@@ -711,10 +667,10 @@ mod tests {
             let d = tmp(&format!("det{seed}"));
             let fs = FaultFs::new(seed);
             fs.arm(Some(CrashPlan {
-                point: crash_points::WAL_WRITE,
+                point: crash_points::SST_WRITE,
                 hit: 1,
             }));
-            let p = d.join("wal.log");
+            let p = d.join("00000001.sst");
             let mut f = fs.create(&p).unwrap();
             f.write_all(&[7u8; 64]).unwrap_err();
             drop(f);
@@ -729,6 +685,6 @@ mod tests {
         for p in crash_points::ALL {
             assert!(seen.insert(*p), "duplicate crash point {p}");
         }
-        assert_eq!(crash_points::ALL.len(), 17);
+        assert_eq!(crash_points::ALL.len(), 13);
     }
 }

@@ -11,8 +11,8 @@
 //! After every operation the store must read back **exactly** the model
 //! (both are deterministic, so no value-or-absent slack is needed):
 //! compaction reclaims precisely the expired keys and never touches a
-//! live one. A final crash-reopen (drop without flush, WAL replay) must
-//! land on the same state.
+//! live one. A final crash-reopen (drop without flush) must land on the
+//! `disk` map alone: writes after the last flush are gone.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,9 +195,10 @@ proptest! {
         }
 
         let dropped = db.stats().filter_dropped;
-        // Crash-reopen without a flush: WAL replay rebuilds the
-        // memtable, the SSTables carry the compacted state.
+        // Crash-reopen without a flush: the memtable is gone, the
+        // SSTables carry the flushed, compacted state.
         drop(db);
+        model.mem.clear();
         let horizon2 = Arc::new(AtomicU64::new(model.horizon));
         let db = Db::open(&dir, store_opts(&horizon2)).unwrap();
         check_equiv(&db, &model, "after crash-reopen");

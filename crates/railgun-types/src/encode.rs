@@ -1,6 +1,6 @@
 //! Binary encoding primitives shared by all on-disk and wire formats.
 //!
-//! Every persistent format in Railgun (WAL frames, SSTable blocks, reservoir
+//! Every persistent format in Railgun (SSTable blocks, manifests, reservoir
 //! chunks, messaging records, checkpoints) is built from these primitives:
 //! little-endian fixed integers, LEB128 varints, zigzag-encoded signed
 //! varints, length-prefixed byte strings, and a CRC-32 (Castagnoli

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use railgun::engine::agg::sketch::{hll::Hll, quantile::QuantSketch, topk::TopKSketch, PaneSketch};
 use railgun::engine::agg::{AggContext, AggScratch, AggState};
 use railgun::engine::api::{
-    decode_op, decode_reply, encode_op, encode_reply, put_reply_header, AggregationResult,
-    OpRequest, QueryId, Reply, WIRE_VERSION,
+    decode_checkpoint, decode_op, decode_reply, encode_checkpoint, encode_op, encode_reply,
+    put_reply_header, AggregationResult, CheckpointRecord, OpRequest, QueryId, Reply, WIRE_VERSION,
 };
 use railgun::engine::keys::{decode_state_key, state_key};
 use railgun::engine::lang::AggFunc;
@@ -67,6 +67,27 @@ fn arb_op() -> impl Strategy<Value = OpRequest> {
         }),
         any::<u64>().prop_map(|id| OpRequest::UnregisterQuery { id: QueryId(id) }),
     ]
+}
+
+fn arb_checkpoint() -> impl Strategy<Value = CheckpointRecord> {
+    (
+        "[a-z-]{1,16}",
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u64>(),
+        "[a-z0-9/-]{0,24}",
+    )
+        .prop_map(
+            |(topic, partition, node, unit, next_offset, path)| CheckpointRecord {
+                topic,
+                partition,
+                node,
+                unit,
+                next_offset,
+                path,
+            },
+        )
 }
 
 fn arb_agg_result() -> impl Strategy<Value = AggregationResult> {
@@ -240,6 +261,71 @@ proptest! {
         match decode_reply(&recounted) {
             Ok(r) => prop_assert!(count == reply.results.len() as u64 && r == reply),
             Err(e) => prop_assert!(count != reply.results.len() as u64, "{}", e),
+        }
+    }
+
+    /// Damaged op and checkpoint records fare the same: every cut tail
+    /// is an error, a flipped bit is an error or a record its own
+    /// encoding decodes back to, a schema field count past what the bytes
+    /// hold is an error (2^58 used to panic reserving capacity), and a
+    /// partition past `u32` is an error (2^32 + 3 used to decode as 3).
+    #[test]
+    fn damaged_ops_and_checkpoint_records_are_errors_or_exact_decodes(
+        op in arb_op(),
+        record in arb_checkpoint(),
+        cut in any::<u64>(),
+        flip in any::<u64>(),
+        bit in 0u32..8,
+        count in prop_oneof![0u64..8, (1u64 << 32)..(1u64 << 32) + 8, any::<u64>()],
+    ) {
+        let buf = encode_op(&op);
+        let len = buf.len() as u64;
+        prop_assert!(decode_op(&buf[..(cut % len) as usize]).is_err());
+        let mut flipped = buf.clone();
+        flipped[(flip % len) as usize] ^= 1 << bit;
+        if let Ok(o) = decode_op(&flipped) {
+            prop_assert_eq!(decode_op(&encode_op(&o)).unwrap(), o);
+        }
+        if let OpRequest::CreateStream { stream, schema, .. } = &op {
+            let mut head = buf[..2].to_vec();
+            encode::put_bytes(&mut head, stream.as_bytes());
+            let at = head.len();
+            encode::put_uvarint(&mut head, schema.fields().len() as u64);
+            let rest = &buf[head.len()..];
+            head.truncate(at);
+            encode::put_uvarint(&mut head, count);
+            head.extend_from_slice(rest);
+            match decode_op(&head) {
+                Ok(o) => {
+                    prop_assert!(count <= rest.len() as u64);
+                    prop_assert_eq!(decode_op(&encode_op(&o)).unwrap(), o);
+                }
+                Err(e) => prop_assert!(count != schema.fields().len() as u64, "{}", e),
+            }
+        }
+
+        let buf = encode_checkpoint(&record);
+        let len = buf.len() as u64;
+        prop_assert!(decode_checkpoint(&buf[..(cut % len) as usize]).is_err());
+        let mut flipped = buf.clone();
+        flipped[(flip % len) as usize] ^= 1 << bit;
+        if let Ok(r) = decode_checkpoint(&flipped) {
+            prop_assert_eq!(decode_checkpoint(&encode_checkpoint(&r)).unwrap(), r);
+        }
+        let mut head = Vec::new();
+        encode::put_bytes(&mut head, record.topic.as_bytes());
+        let at = head.len();
+        encode::put_uvarint(&mut head, u64::from(record.partition));
+        let rest = &buf[head.len()..];
+        head.truncate(at);
+        encode::put_uvarint(&mut head, count);
+        head.extend_from_slice(rest);
+        match decode_checkpoint(&head) {
+            Ok(r) => prop_assert!(
+                u64::from(r.partition) == count
+                    && r == CheckpointRecord { partition: r.partition, ..record.clone() }
+            ),
+            Err(e) => prop_assert!(count > u64::from(u32::MAX), "{}", e),
         }
     }
 
@@ -427,7 +513,8 @@ proptest! {
     }
 
     /// The LSM store behaves like a BTreeMap under any operation sequence,
-    /// including across flush/compaction/restart.
+    /// including across flush/compaction, and a restart keeps exactly
+    /// what the last flush committed.
     #[test]
     fn store_matches_map_model(
         ops in proptest::collection::vec(
@@ -442,6 +529,7 @@ proptest! {
         ));
         std::fs::remove_dir_all(&dir).ok();
         let mut model = std::collections::BTreeMap::new();
+        let mut durable = model.clone();
         {
             let db = Db::open(&dir, DbOptions {
                 memtable_budget_bytes: 512, // force frequent flushes
@@ -466,6 +554,10 @@ proptest! {
                         );
                     }
                 }
+                // An empty memtable: every write so far is in a table.
+                if db.stats().memtable_entries == 0 {
+                    durable = model.clone();
+                }
             }
             // Full scan agrees with the model.
             let scanned = db.scan(Db::DEFAULT_CF, b"", None).unwrap();
@@ -473,11 +565,10 @@ proptest! {
                 model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             prop_assert_eq!(scanned, expect);
         }
-        // Restart (WAL replay + manifest load) preserves everything.
+        // Restart without a flush: the manifest's tables are all there is.
         let db = Db::open(&dir, DbOptions::default()).unwrap();
-        for (k, v) in &model {
-            prop_assert_eq!(db.get(Db::DEFAULT_CF, k).unwrap(), Some(v.clone()));
-        }
+        let expect: Vec<(Vec<u8>, Vec<u8>)> = durable.into_iter().collect();
+        prop_assert_eq!(db.scan(Db::DEFAULT_CF, b"", None).unwrap(), expect);
     }
 }
 
@@ -806,33 +897,38 @@ mod group_rows {
         let mut config = TaskConfig::default();
         if let Some(fs) = fs {
             config.store.fs = Arc::new(fs.clone());
-            // Every acknowledged put survives the crash image.
-            config.store.sync_wal = true;
+            // Small enough that a reclaim's row rewrites flush (and
+            // compact) as they go: a stripped row can commit before the
+            // reclaim's own flush, and must never commit before its
+            // marker.
+            config.store.memtable_budget_bytes = 64;
         }
         TaskProcessor::open(dir, "payments--cardId", 0, schema(), config).unwrap()
     }
 
     /// Trip the `nth` time from now that the store reaches `point`.
     pub fn arm(fs: &FaultFs, point: usize, nth: u64) {
-        // The points a reclaim passes: its slot-strip puts, the flush and
+        // The points a reclaim passes: the flush of its stripped rows and
         // the filtered compactions.
         const POINTS: [&str; 8] = [
-            crash_points::WAL_WRITE,
             crash_points::SST_WRITE,
+            crash_points::SST_SYNC,
             crash_points::FLUSH_BEFORE_MANIFEST,
-            crash_points::FLUSH_BEFORE_WAL_TRUNCATE,
+            crash_points::MANIFEST_WRITE,
             crash_points::MANIFEST_RENAME,
             crash_points::COMPACT_FILTERED_BEFORE_MANIFEST,
             crash_points::COMPACT_FILTERED_AFTER_MANIFEST,
             crash_points::COMPACT_BEFORE_REMOVE_OLD,
         ];
         let point = POINTS[point % POINTS.len()];
-        // An unregistration's first WAL write is its marker: torn, the
-        // unregistration never happened and there is nothing to resume.
-        let nth = nth + u64::from(point == crash_points::WAL_WRITE);
+        // An unregistration first flushes its marker, alone after a
+        // checkpoint — one small table, one manifest. Torn there, the
+        // unregistration never happened and there is nothing to resume,
+        // so the window opens after it.
+        let marker_flush = u64::from(!point.starts_with("compact:"));
         fs.arm(Some(CrashPlan {
             point,
-            hit: fs.hit_count(point) + nth,
+            hit: fs.hit_count(point) + marker_flush + nth,
         }));
     }
 
@@ -987,6 +1083,9 @@ proptest! {
             let key = e.values()[0].to_string();
             sum.process(key.as_bytes(), e.ts, &[e.values()[2].clone(), Value::Null]).unwrap();
         }
+        // A write is durable once flushed: the checkpoint flushes the
+        // prefix, as a unit's periodic checkpoints do.
+        tp.checkpoint(&dir("reopen-ckpt")).unwrap();
         arm(&fs, crash.0, crash.1);
         // Either the crash point is reached and the reclaim stops there
         // with its marker on disk, or it completes.
