@@ -79,20 +79,25 @@ impl MinMaxDeque {
 
     /// Deserialize from `buf`.
     pub fn decode(buf: &mut impl Buf) -> Result<Self> {
-        let insert_seq = get_uvarint(buf)?;
-        let evicted = get_uvarint(buf)?;
-        let n = get_uvarint(buf)? as usize;
-        let mut deque = VecDeque::with_capacity(n);
+        let mut deque = MinMaxDeque::default();
+        deque.decode_into(buf)?;
+        Ok(deque)
+    }
+
+    /// [`MinMaxDeque::decode`] into `self`, reusing its buffer.
+    pub fn decode_into(&mut self, buf: &mut impl Buf) -> Result<()> {
+        self.insert_seq = get_uvarint(buf)?;
+        self.evicted = get_uvarint(buf)?;
+        let n = get_uvarint(buf)?;
+        self.deque.clear();
+        // An element takes at least two bytes: its value and its seq.
+        self.deque
+            .reserve(n.min(buf.remaining() as u64 / 2) as usize);
         for _ in 0..n {
             let v = get_value(buf)?;
-            let seq = get_uvarint(buf)?;
-            deque.push_back((v, seq));
+            self.deque.push_back((v, get_uvarint(buf)?));
         }
-        Ok(MinMaxDeque {
-            deque,
-            insert_seq,
-            evicted,
-        })
+        Ok(())
     }
 }
 

@@ -684,14 +684,26 @@ pub fn encode_slot(row: &mut Vec<u8>, leaf: u32, state: &AggState) {
 }
 
 /// Decode a group row (a run of [`encode_slot`] slots) into `slots`,
-/// replacing its previous content.
+/// replacing its previous content; a min/max reuses the deque of its kind
+/// found at its position. On error `slots` holds part of the decode.
 pub fn decode_row(mut row: &[u8], slots: &mut Vec<(u32, AggState)>) -> Result<()> {
-    slots.clear();
+    let mut n = 0;
     while !row.is_empty() {
         let leaf = u32::try_from(get_uvarint(&mut row)?)
             .map_err(|_| RailgunError::Corruption("leaf id out of range in group row".into()))?;
-        slots.push((leaf, AggState::decode_from(&mut row)?));
+        match (row.first(), slots.get_mut(n)) {
+            (Some(&TAG_MAX), Some((at, AggState::Max { deque })))
+            | (Some(&TAG_MIN), Some((at, AggState::Min { deque }))) => {
+                *at = leaf;
+                row.advance(1);
+                deque.decode_into(&mut row)?;
+            }
+            (_, Some(slot)) => *slot = (leaf, AggState::decode_from(&mut row)?),
+            (_, None) => slots.push((leaf, AggState::decode_from(&mut row)?)),
+        }
+        n += 1;
     }
+    slots.truncate(n);
     Ok(())
 }
 

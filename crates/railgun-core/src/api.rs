@@ -5,7 +5,9 @@
 //! payloads. Everything is hand-rolled binary over the shared encode
 //! primitives (see DESIGN.md's dependency policy).
 
-use bytes::{Buf, BufMut};
+use std::sync::Arc;
+
+use bytes::{Buf, BufMut, Bytes};
 use railgun_types::encode::{
     get_event, get_string, get_uvarint, get_value, put_bytes, put_event, put_event_values,
     put_uvarint, put_value,
@@ -71,9 +73,9 @@ pub struct AggregationResult {
     /// Index of the aggregation in the query's SELECT list.
     pub index: u32,
     /// Display name, e.g. `sum(amount) over sliding 5min`.
-    pub name: String,
+    pub name: Arc<str>,
     /// The entity this value belongs to (group-by values of the event).
-    pub entity: Vec<Value>,
+    pub entity: Arc<[Value]>,
     /// Current aggregation value.
     pub value: Value,
 }
@@ -215,12 +217,11 @@ pub fn encode_event_request_into(
     put_event_values(buf, event_id, ts, values);
 }
 
-/// Decode an [`EventRequest`]. Handed a `Bytes` (a bus record's payload),
-/// the event is a slice of it: nothing of the row is copied or built.
+/// Decode an [`EventRequest`] ([`read_event_request`], the topic copied).
 pub fn decode_event_request(mut buf: impl Buf) -> Result<EventRequest> {
-    let request_id = get_uvarint(&mut buf)?;
-    let reply_topic = get_string(&mut buf)?;
-    let event = get_event(&mut buf)?;
+    let record = buf.copy_to_bytes(buf.remaining());
+    let (request_id, topic, event) = read_event_request(&record)?;
+    let reply_topic = topic.to_owned();
     Ok(EventRequest {
         request_id,
         reply_topic,
@@ -228,10 +229,29 @@ pub fn decode_event_request(mut buf: impl Buf) -> Result<EventRequest> {
     })
 }
 
+/// Read an event request off a bus record without copying any of it: its
+/// id, its reply topic borrowed from the record, its event a slice of it.
+pub fn read_event_request(record: &Bytes) -> Result<(u64, &str, Event)> {
+    let mut head: &[u8] = record;
+    let request_id = get_uvarint(&mut head)?;
+    let reply_topic = get_str(&mut head)?;
+    let mut event = record.slice(record.len() - head.len()..record.len());
+    Ok((request_id, reply_topic, get_event(&mut event)?))
+}
+
 /// A varint that must fit in a `u32`; `what` names it in the error.
 fn get_u32(buf: &mut &[u8], what: &str) -> Result<u32> {
     u32::try_from(get_uvarint(buf)?)
         .map_err(|_| RailgunError::Corruption(format!("{what} past u32")))
+}
+
+/// A length-prefixed UTF-8 string, borrowed from `buf`.
+fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
+    let len = get_uvarint(buf)?;
+    let past = || RailgunError::Corruption(format!("string of {len} past the end"));
+    let (text, rest) = buf.split_at_checked(len as usize).ok_or_else(past)?;
+    *buf = rest;
+    std::str::from_utf8(text).map_err(|_| RailgunError::Corruption("invalid utf-8".into()))
 }
 
 fn check_version(buf: &mut &[u8], what: &str) -> Result<()> {
@@ -295,52 +315,114 @@ pub fn put_reply_result<'a>(
     put_value(buf, value);
 }
 
-/// Decode a [`Reply`]: exactly one, with nothing after it. Counts are
-/// not trusted: no capacity is reserved past what the bytes left could
-/// hold, and an aggregation index past `u32` is `Corruption`, not
-/// truncated into another key.
-pub fn decode_reply(mut buf: &[u8]) -> Result<Reply> {
+/// Decode a [`Reply`]: the one reply reader, with no registry to name
+/// results from.
+pub fn decode_reply(buf: &[u8]) -> Result<Reply> {
+    let head = read_reply_head(buf)?;
+    let mut reply = Reply {
+        request_id: head.request_id,
+        source_topic: head.source_topic.to_owned(),
+        duplicate: head.duplicate,
+        results: Vec::new(),
+    };
+    head.read_results(|_, _| None, &mut reply.results)?;
+    Ok(reply)
+}
+
+/// The part of a reply before its results, read in place.
+pub struct ReplyHead<'a> {
+    pub request_id: u64,
+    /// Checked to be UTF-8, not copied.
+    pub source_topic: &'a str,
+    pub duplicate: bool,
+    /// The result count the reply claims, and the bytes after it.
+    results: (u64, &'a [u8]),
+}
+
+/// Read the head of a reply; [`ReplyHead::read_results`] reads the rest.
+pub fn read_reply_head(mut buf: &[u8]) -> Result<ReplyHead<'_>> {
     check_version(&mut buf, "reply")?;
     let request_id = get_uvarint(&mut buf)?;
-    let source_topic = get_string(&mut buf)?;
-    let duplicate = match buf.first() {
-        Some(&flag @ (0 | 1)) => flag == 1,
+    let source_topic = get_str(&mut buf)?;
+    let (duplicate, mut buf) = match buf.split_first() {
+        Some((&flag @ (0 | 1), rest)) => (flag == 1, rest),
         _ => return Err(RailgunError::Corruption("bad reply duplicate flag".into())),
     };
-    buf.advance(1);
-    // Every result and entity value takes at least a byte.
-    let n = get_uvarint(&mut buf)?;
-    let mut results = Vec::with_capacity(n.min(buf.len() as u64) as usize);
-    for _ in 0..n {
-        let query = QueryId(get_uvarint(&mut buf)?);
-        let index = get_u32(&mut buf, "aggregation index")?;
-        let name = get_string(&mut buf)?;
-        let ne = get_uvarint(&mut buf)?;
-        let mut entity = Vec::with_capacity(ne.min(buf.len() as u64) as usize);
-        for _ in 0..ne {
-            entity.push(get_value(&mut buf)?);
-        }
-        let value = get_value(&mut buf)?;
-        results.push(AggregationResult {
-            query,
-            index,
-            name,
-            entity,
-            value,
-        });
-    }
-    if !buf.is_empty() {
-        return Err(RailgunError::Corruption(format!(
-            "{} bytes after the last reply result",
-            buf.len()
-        )));
-    }
-    Ok(Reply {
+    let results = (get_uvarint(&mut buf)?, buf);
+    Ok(ReplyHead {
         request_id,
         source_topic,
         duplicate,
         results,
     })
+}
+
+impl ReplyHead<'_> {
+    /// Append the reply's results to `out` — exactly as many as it
+    /// claims, with nothing after them — or fail and leave `out` as it
+    /// was. A name is a clone of `names(query, index)` when that holds the
+    /// name on the wire, and is built from the wire otherwise; consecutive
+    /// results whose entities are encoded alike share one. Counts are not
+    /// trusted: nothing is reserved past what the bytes left could hold,
+    /// and an index past `u32` is `Corruption`, not another key.
+    pub fn read_results<'r>(
+        self,
+        names: impl Fn(QueryId, u32) -> Option<&'r Arc<str>>,
+        out: &mut Vec<AggregationResult>,
+    ) -> Result<()> {
+        let (n, mut buf) = self.results;
+        let before = out.len();
+        // The last entity read, and its bytes: the encoding is prefix-free,
+        // so a result whose bytes start with them carries that entity.
+        let mut last: Option<(&[u8], Arc<[Value]>)> = None;
+        // Read as one fallible block, so every error path cuts `out` back.
+        let read = (|| {
+            // Every result takes at least a byte.
+            out.reserve(n.min(buf.len() as u64) as usize);
+            for _ in 0..n {
+                let query = QueryId(get_uvarint(&mut buf)?);
+                let index = get_u32(&mut buf, "aggregation index")?;
+                let wire = get_str(&mut buf)?;
+                let name = match names(query, index) {
+                    Some(name) if **name == *wire => Arc::clone(name),
+                    _ => Arc::from(wire),
+                };
+                let entity = match &last {
+                    Some((bytes, entity)) if buf.starts_with(bytes) => {
+                        buf = &buf[bytes.len()..];
+                        Arc::clone(entity)
+                    }
+                    _ => {
+                        let start = buf;
+                        let len = get_uvarint(&mut buf)?;
+                        let entity: Arc<[Value]> = (0..len)
+                            .map(|_| get_value(&mut buf))
+                            .collect::<Result<_>>()?;
+                        last = Some((&start[..start.len() - buf.len()], Arc::clone(&entity)));
+                        entity
+                    }
+                };
+                let value = get_value(&mut buf)?;
+                out.push(AggregationResult {
+                    query,
+                    index,
+                    name,
+                    entity,
+                    value,
+                });
+            }
+            match buf.len() {
+                0 => Ok(()),
+                left => Err(RailgunError::Corruption(format!(
+                    "{left} bytes after the last reply result"
+                ))),
+            }
+        })();
+        if read.is_err() {
+            out.truncate(before);
+        }
+        read
+    }
 }
 
 const OP_CREATE_STREAM: u8 = 1;
@@ -574,14 +656,14 @@ mod tests {
                     query: QueryId(7),
                     index: 0,
                     name: "sum(amount) over sliding 5min".into(),
-                    entity: vec![Value::Str("card-1".into())],
+                    entity: vec![Value::Str("card-1".into())].into(),
                     value: Value::Float(120.5),
                 },
                 AggregationResult {
                     query: QueryId(7),
                     index: 1,
                     name: "count(*) over sliding 5min".into(),
-                    entity: vec![Value::Str("card-1".into())],
+                    entity: vec![Value::Str("card-1".into())].into(),
                     value: Value::Int(3),
                 },
             ],

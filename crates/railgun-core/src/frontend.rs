@@ -24,10 +24,10 @@ use railgun_messaging::{
     partition_for_key, BatchEntry, Consumer, Message, MessageBus, Producer, TopicPartition,
 };
 use railgun_types::encode::{put_value, BatchFrameBuilder};
-use railgun_types::{EventId, RailgunError, Result, Schema, Timestamp, Value};
+use railgun_types::{EventId, FastHashMap, RailgunError, Result, Schema, Timestamp, Value};
 
 use crate::api::{
-    decode_op, decode_reply, encode_event_request_into, encode_op, find_keyed, query_topic,
+    decode_op, encode_event_request_into, encode_op, find_keyed, query_topic, read_reply_head,
     reply_topic_name, topic_name, validate_topic_component, AggregationResult, OpRequest,
     QueryId, CHECKPOINT_TOPIC, OPS_TOPIC,
 };
@@ -84,6 +84,22 @@ pub struct RegisteredQuery {
     pub id: QueryId,
     pub text: String,
     pub query: Query,
+    /// Each SELECT item's [`Query::metric_name`], made once and shared by
+    /// every result read with the same name.
+    names: Vec<Arc<str>>,
+}
+
+impl RegisteredQuery {
+    fn new(id: QueryId, text: String, query: Query) -> Self {
+        let names = (0..query.select.len()).filter_map(|i| query.metric_name(i));
+        let names = names.map(Arc::from).collect();
+        RegisteredQuery {
+            id,
+            text,
+            query,
+            names,
+        }
+    }
 }
 
 /// Front-end ingest coalescing knobs (see DESIGN.md § "Batched ingest").
@@ -176,8 +192,9 @@ pub struct FrontEnd {
     replies: Consumer,
     ops: Consumer,
     streams: HashMap<String, StreamMeta>,
-    /// Cluster-wide query registry (kept current via the ops topic).
-    queries: HashMap<QueryId, RegisteredQuery>,
+    /// Cluster-wide query registry (kept current via the ops topic); reply
+    /// results take their names from it.
+    queries: FastHashMap<QueryId, RegisteredQuery>,
     /// Sequence of accepted events: the next request id and, under the
     /// node id, the next event id.
     next_seq: u64,
@@ -186,7 +203,7 @@ pub struct FrontEnd {
     next_query_seq: u32,
     /// The request table: every request sent and not yet claimed or
     /// abandoned, in flight or completed (bounded by `max_in_flight`).
-    requests: HashMap<u64, Request>,
+    requests: FastHashMap<u64, Request>,
     /// How many entries of `requests` are still missing replies.
     in_flight: usize,
     /// Cap on `requests`: `send_event` refuses new requests past this.
@@ -255,10 +272,10 @@ impl FrontEnd {
             replies,
             ops,
             streams: HashMap::new(),
-            queries: HashMap::new(),
+            queries: FastHashMap::default(),
             next_seq: 1,
             next_query_seq: 1,
-            requests: HashMap::new(),
+            requests: FastHashMap::default(),
             in_flight: 0,
             max_in_flight: max_in_flight.max(1),
             batch_size: telemetry.batch_size_recorder(),
@@ -356,7 +373,7 @@ impl FrontEnd {
             query_text: text.clone(),
         })?;
         self.queries
-            .insert(id, RegisteredQuery { id, text, query });
+            .insert(id, RegisteredQuery::new(id, text, query));
         Ok(id)
     }
 
@@ -621,7 +638,7 @@ impl FrontEnd {
         let mut buf = std::mem::take(&mut self.scratch);
         buf.clear();
         self.ops.poll_into(64, &mut buf)?;
-        self.apply_remote_ops(&buf)?;
+        self.apply_remote_ops(&buf);
         moved |= !buf.is_empty();
         buf.clear();
         self.replies.poll_into(256, &mut buf)?;
@@ -629,20 +646,31 @@ impl FrontEnd {
         for msg in buf.drain(..) {
             // One bad record must not take the rest of the poll with it:
             // skip and count it, like the units' checkpoint reader.
-            let Ok(reply) = decode_reply(&msg.payload) else {
+            let Ok(head) = read_reply_head(&msg.payload) else {
                 self.telemetry.count_undecodable_reply();
                 continue;
             };
-            let Some(req) = self
+            // Results go straight into the response; those for no awaiting
+            // request (abandoned, or past the expected count) are dropped.
+            let mut req = self
                 .requests
-                .get_mut(&reply.request_id)
-                .filter(|r| r.missing > 0)
-            else {
-                continue; // abandoned, or a reply past the expected count
+                .get_mut(&head.request_id)
+                .filter(|r| r.missing > 0);
+            let mut dropped = Vec::new();
+            let out = match &mut req {
+                Some(req) => &mut req.response.aggregations,
+                None => &mut dropped,
             };
+            let queries = &self.queries;
+            let names = |q, i| queries.get(&q).and_then(|r| r.names.get(i as usize));
+            let duplicate = head.duplicate;
+            if head.read_results(names, out).is_err() {
+                self.telemetry.count_undecodable_reply();
+                continue;
+            }
+            let Some(req) = req else { continue };
             req.missing -= 1;
-            req.response.duplicate |= reply.duplicate;
-            req.response.aggregations.extend(reply.results);
+            req.response.duplicate |= duplicate;
             if req.missing == 0 {
                 self.in_flight -= 1;
                 if let Some(at) = req.sent_at {
@@ -658,52 +686,52 @@ impl FrontEnd {
         Ok(moved)
     }
 
-    /// Apply stream create/delete ops published by other front-ends so
-    /// this one's stream map stays current.
-    fn apply_remote_ops(&mut self, messages: &[Message]) -> Result<()> {
+    /// Apply ops published by other front-ends so this one's stream map
+    /// and query registry stay current. Ops are validated before
+    /// broadcast, but the ops topic is durable and replayed, so an op this
+    /// front-end cannot read or apply (a stream whose partitioner is not
+    /// in its schema, a query text this build cannot parse) is skipped and
+    /// counted: the ops polled behind it still apply. The registry then
+    /// under-reports a skipped query; processing is unaffected (units
+    /// parse independently).
+    fn apply_remote_ops(&mut self, messages: &[Message]) {
         for msg in messages {
-            match decode_op(&msg.payload) {
+            let applied = match decode_op(&msg.payload) {
                 Ok(OpRequest::CreateStream {
                     stream,
                     schema,
                     partitioners,
                     partitions,
-                }) => {
-                    if let Entry::Vacant(slot) = self.streams.entry(stream) {
-                        let meta = StreamMeta::new(slot.key(), schema, partitioners, partitions)?;
-                        slot.insert(meta);
+                }) => match self.streams.entry(stream) {
+                    Entry::Vacant(slot) => {
+                        StreamMeta::new(slot.key(), schema, partitioners, partitions)
+                            .map(|meta| slot.insert(meta))
+                            .is_ok()
                     }
-                }
+                    Entry::Occupied(_) => true,
+                },
                 Ok(OpRequest::DeleteStream { stream }) => {
                     self.streams.remove(&stream);
                     // Queries die with their stream, cluster-wide.
                     self.queries.retain(|_, q| q.query.stream != stream);
+                    true
                 }
-                Ok(OpRequest::RegisterQuery { id, query_text }) => {
-                    if let Entry::Vacant(slot) = self.queries.entry(id) {
-                        // Ops are validated before broadcast, but the ops
-                        // topic is durable and replayed — a registration
-                        // this build's grammar cannot parse (e.g. written
-                        // by a newer build) must not brick the front-end,
-                        // so it is skipped rather than escalated. The
-                        // registry then under-reports it; processing is
-                        // unaffected (units parse independently).
-                        if let Ok(query) = parse_query(&query_text) {
-                            slot.insert(RegisteredQuery {
-                                id,
-                                text: query_text,
-                                query,
-                            });
-                        }
-                    }
-                }
+                Ok(OpRequest::RegisterQuery { id, query_text }) => match self.queries.entry(id) {
+                    Entry::Vacant(slot) => parse_query(&query_text)
+                        .map(|query| slot.insert(RegisteredQuery::new(id, query_text, query)))
+                        .is_ok(),
+                    Entry::Occupied(_) => true,
+                },
                 Ok(OpRequest::UnregisterQuery { id }) => {
                     self.queries.remove(&id);
+                    true
                 }
-                Err(_) => {}
+                Err(_) => false,
+            };
+            if !applied {
+                self.telemetry.count_skipped_op();
             }
         }
-        Ok(())
     }
 
     /// Replay the whole operational log so a freshly-created front-end
@@ -718,7 +746,7 @@ impl FrontEnd {
                 self.scratch = buf;
                 return Ok(());
             }
-            self.apply_remote_ops(&buf)?;
+            self.apply_remote_ops(&buf);
         }
     }
 
@@ -800,20 +828,71 @@ mod tests {
             .unwrap();
         let ts = Timestamp::from_millis(1);
         let id = fe.send_event("payments", ts, vec![Value::from("c")]).unwrap();
-        let reply = crate::api::encode_reply(&crate::api::Reply {
-            request_id: id,
-            source_topic: "payments--cardId".into(),
-            duplicate: false,
-            results: Vec::new(),
-        });
+        let result = AggregationResult {
+            query: QueryId(1),
+            index: 0,
+            name: "count(*)".into(),
+            entity: vec![Value::from("c")].into(),
+            value: Value::Int(1),
+        };
+        let reply = |request_id, results: &[AggregationResult]| {
+            crate::api::encode_reply(&crate::api::Reply {
+                request_id,
+                source_topic: "payments--cardId".into(),
+                duplicate: false,
+                results: results.to_vec(),
+            })
+        };
+        // Cut inside the second result: the first one read must not stay
+        // in the response, nor count for a request nobody awaits.
+        let cut = |request_id| {
+            let mut bytes = reply(request_id, &[result.clone(), result.clone()]);
+            bytes.pop();
+            bytes
+        };
         let producer = Producer::new(bus.clone());
-        for payload in [vec![0xff], reply] {
+        for payload in [vec![0xff], cut(id), cut(id + 1), reply(id, &[])] {
             producer
                 .send_to_partition(&reply_topic_name(0), 0, &[], payload)
                 .unwrap();
         }
         assert!(fe.pump().unwrap());
-        assert_eq!(fe.try_take(id).map(|r| r.request_id), Some(id));
-        assert_eq!(hub.snapshot().counters.undecodable_replies, 1);
+        let response = fe.try_take(id).expect("the last reply completes it");
+        assert!(response.aggregations.is_empty());
+        assert_eq!(hub.snapshot().counters.undecodable_replies, 3);
+    }
+
+    #[test]
+    fn an_op_it_cannot_apply_is_skipped_and_counted_not_the_ops_behind_it() {
+        // A stream whose partitioner is not in its schema used to fail
+        // `apply_remote_ops` from inside the poll: B's pump returned the
+        // error and B never learned of the stream A created behind it, and
+        // `sync_ops` failed the same way.
+        let bus = MessageBus::with_defaults();
+        let hub = Arc::new(EngineTelemetry::new(false));
+        let frontend =
+            |node| FrontEnd::new(&bus, node, 8, BatchPolicy::default(), Arc::clone(&hub));
+        let (mut a, mut b) = (frontend(0).unwrap(), frontend(1).unwrap());
+        let schema = Schema::from_pairs(&[("cardId", FieldType::Str)]).unwrap();
+        let foreign = encode_op(&OpRequest::CreateStream {
+            stream: "refunds".into(),
+            schema: schema.clone(),
+            partitioners: vec!["nope".into()],
+            partitions: 1,
+        });
+        let producer = Producer::new(bus.clone());
+        for op in [foreign, vec![0xff]] {
+            producer.send_to_partition(OPS_TOPIC, 0, &[], op).unwrap();
+        }
+        a.create_stream(&bus, "payments", schema, &["cardId"], 1, 1)
+            .unwrap();
+        assert!(b.pump().unwrap());
+        assert!(b.stream_schema("payments").is_some());
+        assert!(b.stream_schema("refunds").is_none());
+        assert_eq!(hub.snapshot().counters.skipped_ops, 2);
+        let mut late = frontend(2).unwrap();
+        late.sync_ops().unwrap();
+        assert!(late.stream_schema("payments").is_some());
+        assert_eq!(hub.snapshot().counters.skipped_ops, 4);
     }
 }

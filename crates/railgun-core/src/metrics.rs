@@ -220,6 +220,8 @@ pub struct EngineTelemetry {
     /// Reply records a front-end could not decode and skipped (always
     /// on — an error path).
     undecodable_replies: Counter,
+    /// Op records front-ends skipped (always on — an error path).
+    skipped_ops: Counter,
     /// Events per flushed front-end ingest batch. Always on: one sample
     /// per batch (not per event) and no clock read, so it rides the
     /// amortized flush path for free — like the task counters.
@@ -284,6 +286,7 @@ impl EngineTelemetry {
             backpressure: Counter::enabled(),
             slo_breaches: Counter::enabled(),
             undecodable_replies: Counter::enabled(),
+            skipped_ops: Counter::enabled(),
             batch_size: Recorder::enabled(),
             frontend_batched: Counter::enabled(),
             unit_batched: Counter::enabled(),
@@ -441,6 +444,11 @@ impl EngineTelemetry {
         self.undecodable_replies.incr();
     }
 
+    /// Count an op record a front-end could not decode or apply.
+    pub fn count_skipped_op(&self) {
+        self.skipped_ops.incr();
+    }
+
     fn entry(&self, id: QueryId) -> Arc<QueryTelemetry> {
         Arc::clone(
             self.per_query
@@ -519,6 +527,7 @@ impl EngineTelemetry {
                 backpressure_rejections: self.backpressure.get(),
                 slo_breaches: self.slo_breaches.get(),
                 undecodable_replies: self.undecodable_replies.get(),
+                skipped_ops: self.skipped_ops.get(),
                 reservoir_chunk_misses: self.chunk_misses.get(),
             },
             batching: BatchingMetrics {
@@ -586,6 +595,9 @@ pub struct EngineCounters {
     /// Reply records front-ends skipped because they did not decode; the
     /// rest of their poll was still delivered (always on).
     pub undecodable_replies: u64,
+    /// Op records front-ends skipped because they did not decode or could
+    /// not be applied; the ops behind them still applied (always on).
+    pub skipped_ops: u64,
     /// Reservoir chunk-cache misses (cold drains that had to touch disk).
     /// Populated only while stage telemetry is enabled.
     pub reservoir_chunk_misses: u64,
@@ -699,7 +711,7 @@ mod tests {
             query,
             index: 0,
             name: "count(*)".into(),
-            entity: vec![Value::Str("e".into())],
+            entity: vec![Value::Str("e".into())].into(),
             value: Value::Int(1),
         }
     }

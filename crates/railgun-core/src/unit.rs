@@ -29,8 +29,8 @@ use railgun_types::encode::BatchFrameBuilder;
 use railgun_types::{RailgunError, Result, Schema};
 
 use crate::api::{
-    decode_checkpoint, decode_event_request, decode_op, encode_checkpoint, parse_topic_name,
-    CheckpointRecord, EventRequest, OpRequest, QueryId, CHECKPOINT_TOPIC, OPS_TOPIC,
+    decode_checkpoint, decode_op, encode_checkpoint, parse_topic_name, read_event_request,
+    CheckpointRecord, OpRequest, QueryId, CHECKPOINT_TOPIC, OPS_TOPIC,
 };
 use crate::lang::{parse_query, Query};
 use crate::rebalance::{ProcessorIdentity, RailgunStrategy};
@@ -85,6 +85,9 @@ pub struct PumpReport {
     /// Op-topic records skipped because they did not decode, or carried
     /// a query text that does not parse.
     pub bad_op_records: usize,
+    /// Event-topic records skipped because they are not event requests;
+    /// the task's offset still moves past them.
+    pub bad_event_records: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -145,8 +148,6 @@ pub struct ProcessorUnit {
     /// Reusable poll scratch — the pump fetches into this instead of
     /// allocating a fresh `Vec` per consumer per iteration.
     scratch: Vec<Message>,
-    /// Reusable decode scratch: one run's event requests.
-    decoded: Vec<EventRequest>,
     /// Replies staged per reply topic during a pump, each written by its
     /// task straight into that topic's shared frame and flushed as one
     /// batch ([`ProcessorUnit::flush_replies`]). Slots persist across
@@ -200,7 +201,6 @@ impl ProcessorUnit {
             checkpoint_dirs: HashMap::new(),
             checkpoints: HashMap::new(),
             scratch: Vec::new(),
-            decoded: Vec::new(),
             reply_stage: Vec::new(),
             replica_reply: Vec::new(),
             reply_entries: Vec::new(),
@@ -282,7 +282,7 @@ impl ProcessorUnit {
             report.bad_checkpoint_records = self.refresh_checkpoints(&mut buf)?;
             self.on_rebalance(assignment)?;
         } else {
-            self.process_runs(&buf)?;
+            report.bad_event_records += self.process_runs(&buf)?;
             report.active_events += buf.len();
             buf.clear();
         }
@@ -293,7 +293,7 @@ impl ProcessorUnit {
         // 3. Replica tasks (no replies, §4.2).
         if self.slots.iter().any(|s| s.role == Role::Replica) {
             self.replica.poll_into(self.cfg.max_poll, &mut buf)?;
-            self.process_runs(&buf)?;
+            report.bad_event_records += self.process_runs(&buf)?;
             report.replica_events += buf.len();
             buf.clear();
         }
@@ -601,41 +601,43 @@ impl ProcessorUnit {
     /// Group one poll's messages into runs of consecutive same-task
     /// records and process each run in a single pass. Per-partition order
     /// is exactly the poll order, so this is byte-identical to the old
-    /// message-at-a-time loop.
-    fn process_runs(&mut self, buf: &[Message]) -> Result<()> {
+    /// message-at-a-time loop. Returns how many records were skipped.
+    fn process_runs(&mut self, buf: &[Message]) -> Result<usize> {
+        let mut skipped = 0;
         for run in buf.chunk_by(|a, b| a.partition == b.partition && a.topic == b.topic) {
             let timer = self.cfg.process_recorder.start();
             let outcome = self.process_run(run);
             self.cfg.process_recorder.finish(timer);
-            outcome?;
+            skipped += outcome?;
         }
-        Ok(())
+        Ok(skipped)
     }
 
     /// Process one non-empty run of consecutive messages of one task: the
-    /// decode scratch is reused across runs, the task's slot is looked up
-    /// and its offset and checkpoint counter updated once per run, and an
-    /// active task writes each reply as a record of its reply topic's
-    /// frame (flushed by [`ProcessorUnit::flush_replies`]); a reply that
-    /// fails part-way leaves no record.
-    fn process_run(&mut self, msgs: &[Message]) -> Result<()> {
+    /// task's slot is looked up and its offset and checkpoint counter
+    /// updated once per run, and an active task writes each reply as a
+    /// record of its reply topic's frame (flushed by
+    /// [`ProcessorUnit::flush_replies`]); a reply that fails part-way
+    /// leaves no record. A record that is not an event request is skipped,
+    /// not the run behind it; returns how many were.
+    fn process_run(&mut self, msgs: &[Message]) -> Result<usize> {
         let (head, last) = (&msgs[0], &msgs[msgs.len() - 1]);
         let Some(slot) = self
             .slots
             .iter_mut()
             .find(|s| s.tp.partition == head.partition && s.tp.topic == head.topic)
         else {
-            return Ok(()); // not ours (stale fetch across rebalance)
+            return Ok(0); // not ours (stale fetch across rebalance)
         };
-        self.decoded.clear();
-        for msg in msgs {
-            // A `Bytes` clone: the decoded event is a slice of the record.
-            self.decoded.push(decode_event_request(msg.payload.clone())?);
-        }
         let (task, topic) = (&mut slot.processor, &slot.tp.topic);
-        for req in &self.decoded {
+        let mut skipped = 0;
+        for msg in msgs {
+            let Ok((request_id, reply_topic, event)) = read_event_request(&msg.payload) else {
+                skipped += 1;
+                continue;
+            };
             let mut write = |buf: &mut Vec<u8>| {
-                task.process_event_into(&req.event, req.request_id, topic, buf)
+                task.process_event_into(&event, request_id, topic, buf)
                     .map(drop)
             };
             if slot.role == Role::Replica {
@@ -644,10 +646,10 @@ impl ProcessorUnit {
                 continue;
             }
             let stage = &mut self.reply_stage;
-            let at = match stage.iter().position(|(t, _)| *t == req.reply_topic) {
+            let at = match stage.iter().position(|(t, _)| t == reply_topic) {
                 Some(at) => at,
                 None => {
-                    stage.push((req.reply_topic.clone(), BatchFrameBuilder::new()));
+                    stage.push((reply_topic.to_owned(), BatchFrameBuilder::new()));
                     stage.len() - 1
                 }
             };
@@ -660,7 +662,7 @@ impl ProcessorUnit {
         }
         slot.next_offset = last.offset + 1;
         slot.since_checkpoint += n;
-        Ok(())
+        Ok(skipped)
     }
 
     /// Publish every staged reply: one `send_batch` per reply topic
@@ -864,6 +866,27 @@ mod tests {
             2,
             "the op behind the bad ones registered"
         );
+    }
+
+    #[test]
+    fn an_undecodable_event_record_is_skipped_and_counted_not_the_run_behind_it() {
+        // `process_run` used to return the decode error from inside the
+        // run: the event behind the bad record was never processed, its
+        // request never answered, and a threaded unit's worker stopped.
+        let (bus, mut frontend, mut unit) = pumped_unit("unit-bad-event", 0);
+        Producer::new(bus.clone())
+            .send_to_partition("payments--cardId", 0, b"k", vec![0xff, 0xff])
+            .unwrap();
+        let values = vec![Value::from("card-1"), Value::from(1.0)];
+        let id = frontend
+            .send_event("payments", Timestamp::from_millis(1_000), values)
+            .unwrap();
+        let report = unit.pump().unwrap();
+        assert_eq!((report.bad_event_records, report.active_events), (1, 2));
+        frontend.pump().unwrap();
+        assert!(frontend.try_take(id).is_some(), "the event behind it is answered");
+        let tp = TopicPartition::new("payments--cardId", 0);
+        assert_eq!(unit.slots[0].next_offset, bus.end_offset(&tp).unwrap());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! a 103-field one under the same query, which is the guard that nothing
 //! between `send_event` and the reply builds a whole row; a third stream
 //! under `wide_plan`'s card queries (a 23-result reply) has a budget of its
-//! own, the guard that the unit writes replies without per-result
-//! allocations. Own test binary because it installs a counting global
+//! own, the guard that neither the unit writing a reply nor the front-end
+//! reading it allocates per result. Own test binary because it installs a counting global
 //! allocator; the counter is per thread, so the reservoir's I/O thread and
 //! other tests do not disturb it.
 
@@ -66,17 +66,21 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Most allocations one closed-loop event may cost (send → unit pump →
 /// front-end pump → take), whatever its arity. The worst of 64 measured
-/// 20 (2 fields) and 20 (103 fields) once tasks wrote replies straight
-/// into the unit's frame; 27 and 27 before; 28 and 27 when events became
-/// rows; before that the 2-field stream made 39 (budget 48) and every
-/// further string field one more.
-const EVENT_BUDGET: u64 = 23;
+/// 14 (2 fields) and 14 (103 fields) once the front-end read replies
+/// without allocating per result and the unit read reply topics in place;
+/// 20 and 20 once tasks wrote replies straight into the unit's frame; 27
+/// and 27 before; 28 and 27 when events became rows; before that the
+/// 2-field stream made 39 (budget 48) and every further string field one
+/// more.
+const EVENT_BUDGET: u64 = 17;
 
-/// The same for an event of the `cards` stream, whose 23-result reply is
-/// most of the count: the front-end builds each result (name, entity and
-/// its value, and a topK report). The worst of 64 measured 142 once tasks
-/// wrote replies straight into the unit's frame, 264 before.
-const WIDE_PLAN_BUDGET: u64 = 145;
+/// The same for an event of the `cards` stream, whose 23-result reply
+/// costs the front-end what its values cost (a topK report) plus one
+/// entity, not a name and an entity per result; a min/max row decodes
+/// into the deques of the row before it. The worst of 64 measured 64
+/// then; 142 once tasks wrote replies straight into the unit's frame,
+/// 264 before.
+const WIDE_PLAN_BUDGET: u64 = 67;
 
 /// `wide_plan`'s card queries.
 const WIDE_PLAN: &[&str] = &[

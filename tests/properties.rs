@@ -1,13 +1,17 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! cross-crate invariants they must uphold.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use railgun::engine::agg::sketch::{hll::Hll, quantile::QuantSketch, topk::TopKSketch, PaneSketch};
-use railgun::engine::agg::{AggContext, AggScratch, AggState};
+use railgun::engine::agg::{decode_row, encode_slot, AggContext, AggScratch, AggState};
 use railgun::engine::api::{
     decode_checkpoint, decode_op, decode_reply, encode_checkpoint, encode_op, encode_reply,
-    put_reply_header, AggregationResult, CheckpointRecord, OpRequest, QueryId, Reply, WIRE_VERSION,
+    put_reply_header, read_reply_head, AggregationResult, CheckpointRecord, OpRequest, QueryId,
+    Reply, WIRE_VERSION,
 };
 use railgun::engine::keys::{decode_state_key, state_key};
 use railgun::engine::lang::AggFunc;
@@ -101,10 +105,42 @@ fn arb_agg_result() -> impl Strategy<Value = AggregationResult> {
         .prop_map(|(query, index, name, entity, value)| AggregationResult {
             query: QueryId(query),
             index,
-            name,
-            entity,
+            name: name.into(),
+            entity: entity.into(),
             value,
         })
+}
+
+/// The name the test registry gives `(query, index)`: queries 0..3 are
+/// registered with three metrics each.
+fn registered_name(query: u64, index: u32) -> String {
+    format!("m{query}.{index} over sliding 5min")
+}
+
+fn test_registry() -> HashMap<QueryId, Vec<Arc<str>>> {
+    let names = |q| (0..3).map(|i| registered_name(q, i).into()).collect();
+    (0..3).map(|q| (QueryId(q), names(q))).collect()
+}
+
+/// Read `buf` with the test registry's names into `response`, which it
+/// must leave exactly as it was on error and extend by exactly what
+/// `decode_reply` reads otherwise.
+fn read_into_response(
+    registry: &HashMap<QueryId, Vec<Arc<str>>>,
+    buf: &[u8],
+    response: &mut Vec<AggregationResult>,
+) {
+    let names = |q, i: u32| registry.get(&q).and_then(|n| n.get(i as usize));
+    let before = response.clone();
+    let read = read_reply_head(buf).and_then(|head| head.read_results(names, response));
+    match (read, decode_reply(buf)) {
+        (Ok(()), Ok(want)) => {
+            assert_eq!(response[..before.len()], before[..]);
+            assert_eq!(response[before.len()..], want.results[..]);
+        }
+        (Err(_), Err(_)) => assert_eq!(*response, before),
+        (read, want) => panic!("the reader said {read:?}, decode_reply {want:?}"),
+    }
 }
 
 fn arb_reply() -> impl Strategy<Value = Reply> {
@@ -241,13 +277,21 @@ proptest! {
     ) {
         let buf = encode_reply(&reply);
         let len = buf.len() as u64;
-        prop_assert!(decode_reply(&buf[..(cut % len) as usize]).is_err());
+        let cut = &buf[..(cut % len) as usize];
+        prop_assert!(decode_reply(cut).is_err());
 
         let mut flipped = buf.clone();
         flipped[(flip % len) as usize] ^= 1 << bit;
         if let Ok(r) = decode_reply(&flipped) {
             let again = encode_reply(&r);
             prop_assert_eq!(encode_reply(&decode_reply(&again).unwrap()), again);
+        }
+        // Read into a response that already holds a reply, neither damage
+        // touches what is there.
+        let registry = test_registry();
+        let mut response = decode_reply(&buf).unwrap().results;
+        for damaged in [cut, &flipped[..]] {
+            read_into_response(&registry, damaged, &mut response);
         }
 
         let header = |results: usize| {
@@ -261,6 +305,57 @@ proptest! {
         match decode_reply(&recounted) {
             Ok(r) => prop_assert!(count == reply.results.len() as u64 && r == reply),
             Err(e) => prop_assert!(count != reply.results.len() as u64, "{}", e),
+        }
+    }
+
+    /// Replies read one after the other into one response give what
+    /// `decode_reply` gives, result for result, whether a name matches the
+    /// registry, differs from it or belongs to a query it does not know.
+    /// A name that matches is the registry's own, and consecutive results
+    /// of a reply that carry one entity share it.
+    #[test]
+    fn a_response_read_with_the_registry_is_what_decode_reply_reads(
+        entities in proptest::collection::vec(proptest::collection::vec(arb_value(), 0..3), 3),
+        replies in proptest::collection::vec(
+            proptest::collection::vec((0u64..4, 0u32..4, any::<bool>(), 0usize..3, arb_value()), 0..8),
+            1..4,
+        ),
+    ) {
+        let registry = test_registry();
+        let mut response = Vec::new();
+        for (r, results) in replies.iter().enumerate() {
+            let reply = Reply {
+                request_id: 7,
+                source_topic: format!("payments--t{r}"),
+                duplicate: r % 2 == 1,
+                results: results
+                    .iter()
+                    .map(|(q, index, registered, e, value)| AggregationResult {
+                        query: QueryId(*q),
+                        index: *index,
+                        name: match registered {
+                            true => registered_name(*q, *index),
+                            false => format!("other {q}.{index}"),
+                        }
+                        .into(),
+                        entity: entities[*e].clone().into(),
+                        value: value.clone(),
+                    })
+                    .collect(),
+            };
+            let start = response.len();
+            read_into_response(&registry, &encode_reply(&reply), &mut response);
+            let read = &response[start..];
+            prop_assert_eq!(read, &reply.results[..]);
+            for (i, (got, (q, index, registered, e, _))) in read.iter().zip(results).enumerate() {
+                let known = registry.get(&got.query).and_then(|n| n.get(*index as usize));
+                if let (true, Some(name)) = (registered, known) {
+                    prop_assert!(Arc::ptr_eq(&got.name, name), "q{} #{}", q, index);
+                }
+                if i > 0 && results[i - 1].3 == *e {
+                    prop_assert!(Arc::ptr_eq(&got.entity, &read[i - 1].entity));
+                }
+            }
         }
     }
 
@@ -397,6 +492,106 @@ proptest! {
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
             prop_assert_eq!(snap.percentile(q), plain.percentile(q), "q={}", q);
         }
+    }
+}
+
+/// The exact aggregators a group row can hold, in pairs: `i ^ 1` is the
+/// other one of `i`'s pair.
+const EXACT: [AggFunc; 8] = [
+    AggFunc::Max,
+    AggFunc::Min,
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::Avg,
+    AggFunc::StdDev,
+    AggFunc::Last,
+    AggFunc::Prev,
+];
+
+/// A group row of exact aggregators: per slot its leaf, its aggregator
+/// (an index into [`EXACT`]), the values inserted and how many of them
+/// were evicted again.
+fn arb_exact_row() -> impl Strategy<Value = Vec<(u32, usize, Vec<i64>, usize)>> {
+    proptest::collection::vec(
+        (
+            0u32..300,
+            0..EXACT.len(),
+            proptest::collection::vec(-50i64..50, 0..6),
+            0usize..6,
+        ),
+        0..5,
+    )
+}
+
+fn encode_exact_row(slots: &[(u32, usize, Vec<i64>, usize)], ctx: &AggContext<'_>) -> Vec<u8> {
+    let mut row = Vec::new();
+    for (leaf, func, values, evicted) in slots {
+        let mut state = AggState::new(EXACT[*func]);
+        for v in values {
+            state.insert(Some(&Value::Int(*v)), ctx).unwrap();
+        }
+        for v in values.iter().take(*evicted) {
+            state.evict(Some(&Value::Int(*v)), ctx).unwrap();
+        }
+        encode_slot(&mut row, *leaf, &state);
+    }
+    row
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A group row decodes into the slots another row left exactly as
+    /// into an empty list, for any two rows of exact aggregators — their
+    /// lengths alike or not, their tags independent, alike or swapped
+    /// (max for min) — whole or with its tail cut or a bit flipped; and a
+    /// whole row re-encodes byte for byte.
+    #[test]
+    fn a_row_decodes_into_old_slots_as_into_none(
+        a in arb_exact_row(),
+        b in arb_exact_row(),
+        tags in 0usize..3,
+        cut in any::<bool>(),
+        at in any::<u64>(),
+        bit in 0u32..8,
+    ) {
+        let dir = std::env::temp_dir().join(format!("railgun-prop-row-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        let aux = db.create_cf("aux").unwrap();
+        let scratch = AggScratch::default();
+        let ctx = AggContext::new(&db, aux, b"k", &scratch);
+        let mut b = b;
+        for (slot, old) in b.iter_mut().zip(&a).filter(|_| tags > 0) {
+            slot.1 = old.1 ^ (tags - 1);
+        }
+        let (a, b) = (encode_exact_row(&a, &ctx), encode_exact_row(&b, &ctx));
+        let mut damaged = b.clone();
+        let i = (at % b.len().max(1) as u64) as usize;
+        match cut {
+            true => damaged.truncate(i),
+            false if !b.is_empty() => damaged[i] ^= 1 << bit,
+            false => {}
+        }
+        // A decode, re-encoded: equal encodings are equal slots, NaN or not.
+        let decode = |row: &[u8], slots: &mut Vec<(u32, AggState)>| {
+            decode_row(row, slots).map(|()| {
+                let mut out = Vec::new();
+                for (leaf, state) in slots.iter() {
+                    encode_slot(&mut out, *leaf, state);
+                }
+                out
+            })
+        };
+        for row in [&b, &damaged] {
+            let mut reused = Vec::new();
+            prop_assert_eq!(decode(&a, &mut reused).unwrap(), a.clone());
+            let got = decode(row, &mut reused).ok();
+            prop_assert_eq!(&got, &decode(row, &mut Vec::new()).ok());
+            prop_assert!(row != &b || got.as_ref() == Some(&b));
+        }
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
