@@ -30,7 +30,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use railgun_reservoir::{AppendOutcome, Cursor, Reservoir, ReservoirConfig};
-use railgun_store::{CfOptions, ColumnFamilyId, Db, DbOptions, RealFs};
+use railgun_store::{CfOptions, ColumnFamilyId, Db, DbOptions, RealFs, StoreFs};
 use railgun_types::{
     Counter, Event, RailgunError, Result, Schema, TimeDelta, Timestamp, Value,
 };
@@ -57,8 +57,8 @@ pub struct TaskConfig {
     /// threaded runtime owns the processors). The default is a private
     /// registry per config; the cluster injects its shared one.
     pub stats_registry: TaskStatsRegistry,
-    /// Bumped when [`TaskProcessor::restore_or_replay`] rejects a
-    /// corrupt/partial checkpoint and falls back to a full topic replay.
+    /// Bumped when [`TaskProcessor::restore_or_replay`] rejects a missing,
+    /// partial or corrupt checkpoint and falls back to a full topic replay.
     /// Disabled by default; the cluster injects its telemetry counter.
     pub checkpoint_fallbacks: Counter,
 }
@@ -79,13 +79,13 @@ impl Default for TaskConfig {
 /// How [`TaskProcessor::restore_or_replay`] recovered a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreOutcome {
-    /// The checkpoint image was complete and verified: the caller only
-    /// replays events from the checkpoint's recorded offset onward.
+    /// The checkpoint image was complete, opened and matched the plan: the
+    /// caller only replays events from the checkpoint's recorded offset
+    /// onward.
     FromCheckpoint,
-    /// The checkpoint was missing, partial, or corrupt: the task started
-    /// from an empty image and the caller must replay the topic from the
-    /// beginning. At-least-once replay makes this merely slow, never
-    /// wrong (the reservoir dedups by event id).
+    /// The checkpoint was missing, partial or corrupt, or written under
+    /// another plan numbering: the task started empty and the caller must
+    /// replay the topic from the beginning.
     FullReplay,
 }
 
@@ -371,71 +371,62 @@ impl TaskProcessor {
     /// test use; the cluster path assigns front-end ids and calls
     /// [`TaskProcessor::attach_query`]).
     pub fn register_query(&mut self, query: &Query) -> Result<Vec<MetricHandle>> {
-        self.attach_query(derived_query_id(query), query, true)
+        self.attach_query(derived_query_id(query), query)
     }
 
     /// Attach a query's metrics to this task under `id` — the one way a
-    /// query reaches a task plan. New windows create head and tail
-    /// cursors. Re-attaching the same id is idempotent.
+    /// query reaches a live task's plan. New windows create head and tail
+    /// cursors, the head a window back, so the new metric fills from
+    /// events already in the reservoir (§6's future work, supported here
+    /// via the reservoir's random reads). Re-attaching the same id is
+    /// idempotent. A restored task gets its queries back through
+    /// [`TaskProcessor::restore_or_replay`] instead: its state already
+    /// holds what a backfill would add again.
+    pub fn attach_query(&mut self, id: QueryId, query: &Query) -> Result<Vec<MetricHandle>> {
+        self.attach(id, query, true)
+    }
+
+    /// [`TaskProcessor::attach_query`], or with `backfill` false the
+    /// re-attach of a query whose state came with a checkpoint image.
     ///
-    /// With `backfill` the head starts far enough back to fill the new
-    /// metric from events already in the reservoir (§6's future work,
-    /// supported here via the reservoir's random reads). Without it the
-    /// task was just restored from a checkpoint image (see
-    /// [`TaskProcessor::restore_or_replay`]) whose state store already
-    /// carries this query's aggregate state through the checkpointed
-    /// offset, so the new window runtime starts *at the end* of the
-    /// restored reservoir: only events appended after the restore (the
-    /// replayed tail) flow into the leaves. Backfilling there would
-    /// double-count every restored event that is both reflected in the
-    /// leaf state and present in the image's reservoir segments.
-    pub fn attach_query(
-        &mut self,
-        id: QueryId,
-        query: &Query,
-        backfill: bool,
-    ) -> Result<Vec<MetricHandle>> {
+    /// Either way a new window's cursors start where the image's source
+    /// left them after its newest event `T`: the tail at the window's
+    /// lower bound for `T`, and on a re-attach the head at its upper
+    /// bound `T + 1ms − delay`, which the head bound records as already
+    /// flowed (this keeps the late-arrival direct-insert path and any
+    /// later backfill right). A backfill starts the head at the tail
+    /// instead, so the window's content flows in at the next event.
+    fn attach(&mut self, id: QueryId, query: &Query, backfill: bool) -> Result<Vec<MetricHandle>> {
         let pre_leaf_count = self.plan.leaves.len();
         let pre_window_count = self.windows.len();
         let handles = self.plan.add_query(id, query, &self.schema)?;
         // Create runtimes for any window nodes added by this query.
         while self.windows.len() < self.plan.windows.len() {
-            let wid = self.windows.len();
-            let spec = self.plan.windows[wid].spec;
+            let spec = self.plan.windows[self.windows.len()].spec;
             let max_seen = self.reservoir.max_seen_ts();
-            let from = match spec.kind {
-                // Only events that could still be in the window matter.
-                WindowKind::Sliding(ws) | WindowKind::Tumbling(ws)
-                    if max_seen != Timestamp::MIN =>
-                {
-                    max_seen.saturating_sub(ws + spec.delay)
-                }
-                // Infinite windows backfill the full history (and an
-                // empty reservoir has none to skip).
-                _ => Timestamp::MIN,
+            // An empty reservoir has no history to skip.
+            let upper = match max_seen {
+                Timestamp::MIN => Timestamp::MIN,
+                t => t.saturating_add(TimeDelta::from_millis(1)).saturating_sub(spec.delay),
             };
-            // Re-attach: the leaf state already covers everything up to
-            // `max_seen`, so the head skips the stored history (and the
-            // head bound marks it as already-flowed, which keeps the
-            // late-arrival direct-insert path and any *later* new-query
-            // backfill correct). The tail still starts at the window
-            // boundary — restored events must be evicted normally as the
-            // window slides past them.
-            let (head_from, head_bound) = if backfill || max_seen == Timestamp::MIN {
-                (from, Timestamp::MIN)
-            } else {
-                (max_seen.saturating_add(TimeDelta::from_millis(1)), max_seen)
+            let lower = match spec.kind {
+                WindowKind::Sliding(ws) | WindowKind::Tumbling(ws) => upper.saturating_sub(ws),
+                WindowKind::Infinite => Timestamp::MIN,
+            };
+            let (head_from, head_bound) = match backfill {
+                true => (lower, Timestamp::MIN),
+                false => (upper, upper),
             };
             let head = self.reservoir.cursor_at(head_from);
             let tail = match spec.kind {
-                WindowKind::Sliding(_) => Some(self.reservoir.cursor_at(from)),
+                WindowKind::Sliding(_) => Some(self.reservoir.cursor_at(lower)),
                 _ => None,
             };
             self.windows.push(Some(WindowRuntime {
                 head,
                 tail,
                 head_bound,
-                tail_bound: Timestamp::MIN,
+                tail_bound: lower,
             }));
         }
         self.rows.resize_with(self.plan.groups.len(), GroupRow::default);
@@ -932,7 +923,11 @@ impl TaskProcessor {
         Ok(())
     }
 
-    /// Checkpoint reservoir and state store together (§4.1.3) into `dir`.
+    /// Checkpoint reservoir and state store together (§4.1.3) into `dir`:
+    /// the whole task, hard links to its immutable files plus its open and
+    /// transition chunks. The reservoir half lands (and its directory is
+    /// fsynced) before the store half starts, so the store's completeness
+    /// marker, written last, vouches for the whole image.
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
         // Finish any pending dead-state reclaim first so the image does
@@ -952,21 +947,23 @@ impl TaskProcessor {
     }
 
     /// True iff the plan numbers its live leaves exactly as the plan that
-    /// wrote the checkpoint image this task was restored from. Asked after
-    /// re-attaching the live queries to a restored task: a query
+    /// wrote the checkpoint image this task was restored from. A query
     /// unregistered before the image (its ids are skipped there, handed
-    /// out again here) or registered after it (no state in the image, and
-    /// a re-attach does not backfill) makes the answer `false`, and the
-    /// image must not be used. An image without a recorded fingerprint
+    /// out again here) or registered after it (no state in the image)
+    /// makes the answer `false`. An image without a recorded fingerprint
     /// only matches an empty plan.
-    pub fn plan_matches_image(&self) -> Result<bool> {
+    fn plan_matches_image(&self) -> Result<bool> {
         let recorded = self.db.get(self.meta_cf, PLAN_KEY)?.unwrap_or_default();
         Ok(recorded == self.plan.fingerprint().as_bytes())
     }
 
     /// Restore a task processor from a checkpoint directory (as written by
-    /// [`TaskProcessor::checkpoint`]) into a fresh data directory. Events
-    /// after the checkpoint must be replayed from the messaging layer.
+    /// [`TaskProcessor::checkpoint`]) into a fresh data directory: both
+    /// halves of the image are hard-linked back (copied where the
+    /// filesystem refuses a link), as its files are immutable. Events
+    /// after the checkpoint must be replayed from the messaging layer; the
+    /// image's queries come back through
+    /// [`TaskProcessor::restore_or_replay`].
     pub fn restore_from_checkpoint(
         ckpt: &Path,
         dir: &Path,
@@ -981,71 +978,65 @@ impl TaskProcessor {
                 dir.display()
             )));
         }
-        std::fs::create_dir_all(dir)?;
-        copy_dir(&ckpt.join("reservoir"), &dir.join("reservoir"))?;
-        copy_dir(&ckpt.join("store"), &dir.join("store"))?;
+        for half in ["reservoir", "store"] {
+            let to = dir.join(half);
+            std::fs::create_dir_all(&to)?;
+            for name in RealFs.read_dir_files(&ckpt.join(half))? {
+                RealFs.hard_link_or_copy(&ckpt.join(half).join(&name), &to.join(&name))?;
+            }
+        }
         Self::open(dir, topic, partition, schema, config)
     }
 
-    /// Restore from `ckpt` if it is a complete, verifiable image —
-    /// otherwise degrade to a fresh task that the caller rebuilds by
-    /// replaying the topic from the beginning (§4.2's recovery flow with
-    /// a crash-safety net: a checkpoint interrupted mid-copy, or damaged
-    /// on disk afterwards, must never wedge the node or silently open as
-    /// an empty store). This is also the elastic-membership handover
-    /// entry point: a processor unit that gains a task in a rebalance
-    /// restores the newest checkpoint-topic image through here and
-    /// replays only the tail past the record's offset
-    /// (`ProcessorUnit::open_task`), with the full replay below as
-    /// the degraded arm.
+    /// Restore the task from the image at `ckpt` and re-attach `queries`,
+    /// the one way a task comes back from a checkpoint (§4.2's recovery
+    /// flow, and the elastic-membership handover: a unit that gains a task
+    /// restores the newest image and replays only the tail past the
+    /// record's offset). The restored task answers as the image's source
+    /// would have: the image holds its whole reservoir and state, and
+    /// each window's cursors start where the source's stood.
     ///
-    /// A checkpoint is accepted only if all of:
-    ///
-    /// 1. its store image carries the completeness marker
-    ///    ([`railgun_store::checkpoint::is_complete`] — the empty
-    ///    `wal.log` is written after every SSTable and the manifest);
-    /// 2. the copied image opens ([`TaskProcessor::open`] succeeds);
-    /// 3. the opened store passes a full integrity check
-    ///    ([`Db::verify_integrity`] — every SSTable block decodes, keys
-    ///    are strictly sorted, entry counts match).
-    ///
-    /// Any other outcome wipes the restore target, bumps
-    /// `TaskConfig::checkpoint_fallbacks`, and returns a fresh processor
-    /// with [`RestoreOutcome::FullReplay`].
+    /// The image is used only if its store carries the completeness
+    /// marker ([`railgun_store::checkpoint::is_complete`] — the empty
+    /// `wal.log` is written after every other file of the image), it opens
+    /// ([`TaskProcessor::open`]; opening the store checks every table),
+    /// and the re-attached plan numbers its leaves as the image's did. An
+    /// image that is missing, partial or damaged bumps
+    /// `TaskConfig::checkpoint_fallbacks`. In any of these cases the
+    /// target is wiped and a fresh task with `queries` attached (and
+    /// backfilled) is returned with [`RestoreOutcome::FullReplay`]: the
+    /// caller replays the topic from the beginning — slow, never wrong.
     pub fn restore_or_replay(
         ckpt: &Path,
         dir: &Path,
-        topic: &str,
-        partition: u32,
         schema: Schema,
         config: TaskConfig,
+        queries: &[(QueryId, &Query)],
     ) -> Result<(Self, RestoreOutcome)> {
-        let fallbacks = config.checkpoint_fallbacks.clone();
-        if railgun_store::checkpoint::is_complete(&RealFs, &ckpt.join("store")) {
-            let restored = Self::restore_from_checkpoint(
-                ckpt,
-                dir,
-                topic,
-                partition,
-                schema.clone(),
-                config.clone(),
-            );
-            match restored {
-                Ok(tp) if tp.db.verify_integrity().is_ok() => {
+        let complete = railgun_store::checkpoint::is_complete(&RealFs, &ckpt.join("store"));
+        let restored = complete.then(|| {
+            Self::restore_from_checkpoint(ckpt, dir, "", 0, schema.clone(), config.clone())
+        });
+        match restored {
+            Some(Ok(mut tp)) => {
+                for (id, query) in queries {
+                    tp.attach(*id, query, false)?;
+                }
+                if tp.plan_matches_image()? {
                     return Ok((tp, RestoreOutcome::FromCheckpoint));
                 }
-                // Marker present but the image does not open or verify
-                // (bit rot, truncation after creation): fall through.
-                _ => {}
             }
+            _ => config.checkpoint_fallbacks.incr(),
         }
         // Leave nothing of the failed restore behind — `open` would
-        // otherwise recover the half-copied image as if it were real data.
+        // otherwise recover the half-linked image as if it were real data.
         if dir.exists() {
             std::fs::remove_dir_all(dir)?;
         }
-        fallbacks.incr();
-        let tp = Self::open(dir, topic, partition, schema, config)?;
+        let mut tp = Self::open(dir, "", 0, schema, config)?;
+        for (id, query) in queries {
+            tp.attach_query(*id, query)?;
+        }
         Ok((tp, RestoreOutcome::FullReplay))
     }
 
@@ -1098,20 +1089,6 @@ fn derived_query_id(query: &Query) -> QueryId {
         Err(_) => h.write(format!("{query:?}").as_bytes()),
     }
     QueryId(h.finish() | (1 << 63))
-}
-
-fn copy_dir(from: &Path, to: &Path) -> Result<()> {
-    std::fs::create_dir_all(to)?;
-    if !from.exists() {
-        return Ok(());
-    }
-    for entry in std::fs::read_dir(from)? {
-        let entry = entry?;
-        if entry.file_type()?.is_file() {
-            std::fs::copy(entry.path(), to.join(entry.file_name()))?;
-        }
-    }
-    Ok(())
 }
 
 /// Helper: a fresh unique data dir under the system temp dir (tests).
@@ -1413,22 +1390,18 @@ mod tests {
         let ckpt = temp_task_dir("ckpt-dir2");
         tp.checkpoint(&ckpt).unwrap();
         drop(tp);
-        let restore_dir = temp_task_dir("ckpt-restore2");
-        let mut tp2 = TaskProcessor::restore_from_checkpoint(
+        let (mut tp2, outcome) = TaskProcessor::restore_or_replay(
             &ckpt,
-            &restore_dir,
-            "payments--cardId",
-            0,
+            &temp_task_dir("ckpt-restore2"),
             schema(),
             TaskConfig::default(),
+            &[(derived_query_id(&q), &q)],
         )
         .unwrap();
-        tp2.register_query(&q).unwrap();
-        // The restored processor continues with backfilled state from the
-        // reservoir (events re-enter via the backfill head cursor).
+        assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
+        // The restored state holds the ten events; the next one adds one.
         let (r, _) = tp2.process_event(&ev(100, 10_000, "A", "m", 1.0)).unwrap();
-        let sum = result_value(&r, "sum(amount)").as_f64().unwrap();
-        assert!(sum >= 10.0, "restored + replayed state, got {sum}");
+        assert_eq!(result_value(&r, "sum(amount)"), Value::Float(11.0));
     }
 
     #[test]
@@ -1708,12 +1681,11 @@ mod tests {
         );
         // This incarnation hands leaf id 1 of group 0 to a different
         // aggregator: it must start empty, not decode the old slot.
-        tp.attach_query(QueryId(1), &q_sum, false).unwrap();
+        tp.attach_query(QueryId(1), &q_sum).unwrap();
         tp.attach_query(
             QueryId(2),
             &parse_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min")
                 .unwrap(),
-            false,
         )
         .unwrap();
         let (r, _) = tp.process_event(&ev(100, 7_000, "A", "m", 1.0)).unwrap();
@@ -1724,10 +1696,9 @@ mod tests {
     #[test]
     fn elastic_handover_matches_lockstep_twin_under_expiry() {
         // The elastic-membership handover path (checkpoint →
-        // restore_or_replay → attach_query without backfill) on a task
-        // whose store has been through watermark expiry *and* dead-leaf
-        // filtering:
-        // the restored processor's per-event results must stay
+        // restore_or_replay) on a task whose store has been through
+        // watermark expiry *and* dead-leaf filtering: the restored
+        // processor's per-event results must stay
         // byte-identical to a lockstep twin that only ever ran the
         // surviving query.
         let cfg = || TaskConfig {
@@ -1752,8 +1723,8 @@ mod tests {
             cfg(),
         )
         .unwrap();
-        primary.attach_query(tid, &qt, true).unwrap();
-        primary.attach_query(xid, &qx, true).unwrap();
+        primary.attach_query(tid, &qt).unwrap();
+        primary.attach_query(xid, &qx).unwrap();
         let mut twin = TaskProcessor::open(
             &temp_task_dir("elastic-expiry-twin"),
             "payments--cardId",
@@ -1762,7 +1733,7 @@ mod tests {
             cfg(),
         )
         .unwrap();
-        twin.attach_query(tid, &qt, true).unwrap();
+        twin.attach_query(tid, &qt).unwrap();
 
         let mk = |i: u64| {
             ev(
@@ -1812,17 +1783,14 @@ mod tests {
         let (mut restored, outcome) = TaskProcessor::restore_or_replay(
             &ckpt,
             &temp_task_dir("elastic-expiry-restore"),
-            "payments--cardId",
-            0,
             schema(),
             cfg(),
+            &[(tid, &qt)],
         )
         .unwrap();
-        assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
-        restored.attach_query(tid, &qt, false).unwrap();
         // The unregistered query was the last one registered, so the
         // survivor keeps the ids a fresh plan gives it: the image is usable.
-        assert!(restored.plan_matches_image().unwrap());
+        assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
         for i in 60..90 {
             let e = mk(i);
             let rr = only_t(restored.process_event(&e).unwrap().0);
@@ -1937,12 +1905,11 @@ mod tests {
         tp.attach_query(
             QueryId(1),
             &q("SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 5 min"),
-            true,
         )
         .unwrap();
         let topk = q("SELECT topK(merchantId, 3) FROM payments WHERE amount > 50 \
                       GROUP BY cardId OVER sliding 5 min");
-        let topk = tp.attach_query(QueryId(2), &topk, true).unwrap();
+        let topk = tp.attach_query(QueryId(2), &topk).unwrap();
         spoil_sketches_of_a(&tp, [topk[0].leaf]);
         let mut frame = railgun_types::encode::BatchFrameBuilder::new();
         frame.push_with(|buf| buf.extend_from_slice(b"an earlier reply"));
@@ -1969,18 +1936,12 @@ mod tests {
              percentile(amount, 50) FROM payments GROUP BY cardId OVER sliding 1 min",
         )
         .unwrap();
-        // One-event chunks: the image holds every event appended so far.
-        let config = || TaskConfig {
-            reservoir: ReservoirConfig {
-                chunk_target_events: 1,
-                ..ReservoirConfig::default()
-            },
-            ..TaskConfig::default()
-        };
         let dir = temp_task_dir("expiry-no-load");
-        let mut tp = TaskProcessor::open(&dir, "payments--cardId", 0, schema(), config()).unwrap();
+        let mut tp =
+            TaskProcessor::open(&dir, "payments--cardId", 0, schema(), TaskConfig::default())
+                .unwrap();
         let leaves: Vec<LeafId> = tp
-            .attach_query(QueryId(1), &q, true)
+            .attach_query(QueryId(1), &q)
             .unwrap()
             .iter()
             .map(|h| h.leaf)
@@ -1992,16 +1953,14 @@ mod tests {
         let ckpt = temp_task_dir("expiry-no-load-ckpt");
         tp.checkpoint(&ckpt).unwrap();
         drop(tp);
-        let mut tp = TaskProcessor::restore_from_checkpoint(
+        let (mut tp, _) = TaskProcessor::restore_or_replay(
             &ckpt,
             &temp_task_dir("expiry-no-load-restored"),
-            "payments--cardId",
-            0,
             schema(),
-            config(),
+            TaskConfig::default(),
+            &[(QueryId(1), &q)],
         )
         .unwrap();
-        tp.attach_query(QueryId(1), &q, false).unwrap();
         spoil_sketches_of_a(&tp, leaves);
         for i in 0..10 {
             tp.process_event(&ev(100 + i, 70_000 + i as i64 * 1_000, "B", "m", 1.0))

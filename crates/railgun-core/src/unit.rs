@@ -453,7 +453,7 @@ impl ProcessorUnit {
                 };
                 let topic = self.query_topic(&query)?;
                 for slot in self.slots.iter_mut().filter(|s| s.tp.topic == topic) {
-                    slot.processor.attach_query(id, &query, true)?;
+                    slot.processor.attach_query(id, &query)?;
                 }
                 self.queries.push((id, query));
             }
@@ -544,17 +544,13 @@ impl ProcessorUnit {
     /// unit. The task's directory is wiped first: leftovers of an earlier
     /// tenancy are never recovered, the topic is.
     ///
-    /// With a cached checkpoint record the image is restored through the
-    /// validating [`TaskProcessor::restore_or_replay`], this unit's
-    /// queries on the task's topic are re-attached without backfill, and
-    /// the record's `next_offset` is returned, so only the tail is
-    /// replayed. If the image fails validation, or was written under a
-    /// different plan numbering than the re-attached one (a query was
-    /// unregistered before it or registered after it —
-    /// [`TaskProcessor::plan_matches_image`]), it is discarded and counted
-    /// as a handover fallback. That arm, like a cold boot with no record
-    /// at all (the normal first start, counted as neither), opens an empty
-    /// task, attaches the queries with backfill and replays from 0.
+    /// With a cached checkpoint record the task comes back through
+    /// [`TaskProcessor::restore_or_replay`] with this unit's queries on
+    /// its topic: restored from the image, it replays only the tail past
+    /// the record's `next_offset` (a handover); rejected, it replays from
+    /// 0 (a handover fallback). A cold boot with no record at all (the
+    /// normal first start, counted as neither) opens an empty task with
+    /// the queries attached and replays from 0.
     fn open_task(&self, tp: &TopicPartition) -> Result<(TaskProcessor, u64)> {
         let schema = self.task_schema(tp)?;
         let dir = self.task_dir(tp);
@@ -564,38 +560,29 @@ impl ProcessorUnit {
                 queries.push((*id, q));
             }
         }
-        if let Some(rec) = self.checkpoints.get(tp) {
-            remove_dir_if_present(&dir)?;
-            let (mut task, outcome) = TaskProcessor::restore_or_replay(
-                Path::new(&rec.path),
-                &dir,
-                &tp.topic,
-                tp.partition,
-                schema.clone(),
-                self.cfg.task.clone(),
-            )?;
-            if outcome == RestoreOutcome::FromCheckpoint {
-                for (id, q) in &queries {
-                    task.attach_query(*id, q, false)?;
-                }
-                if task.plan_matches_image()? {
-                    self.cfg.handovers.incr();
-                    let end = self.bus.end_offset(tp).unwrap_or(rec.next_offset);
-                    self.cfg
-                        .tail_replayed
-                        .add(end.saturating_sub(rec.next_offset));
-                    return Ok((task, rec.next_offset));
-                }
-            }
-            self.cfg.handover_fallbacks.incr();
-        }
         remove_dir_if_present(&dir)?;
-        let mut task =
-            TaskProcessor::open(&dir, &tp.topic, tp.partition, schema, self.cfg.task.clone())?;
-        for (id, q) in queries {
-            task.attach_query(id, q, true)?;
+        let config = self.cfg.task.clone();
+        let Some(rec) = self.checkpoints.get(tp) else {
+            let mut task = TaskProcessor::open(&dir, &tp.topic, tp.partition, schema, config)?;
+            for (id, q) in queries {
+                task.attach_query(id, q)?;
+            }
+            return Ok((task, 0));
+        };
+        let (task, outcome) =
+            TaskProcessor::restore_or_replay(Path::new(&rec.path), &dir, schema, config, &queries)?;
+        match outcome {
+            RestoreOutcome::FromCheckpoint => {
+                self.cfg.handovers.incr();
+                let end = self.bus.end_offset(tp).unwrap_or(rec.next_offset);
+                self.cfg.tail_replayed.add(end.saturating_sub(rec.next_offset));
+                Ok((task, rec.next_offset))
+            }
+            RestoreOutcome::FullReplay => {
+                self.cfg.handover_fallbacks.incr();
+                Ok((task, 0))
+            }
         }
-        Ok((task, 0))
     }
 
     /// Group one poll's messages into runs of consecutive same-task

@@ -122,6 +122,38 @@ fn scale_out_restores_from_checkpoints_not_full_replay() {
     }
 }
 
+/// A handover under a window that expires: the gained tasks evict exactly
+/// what the twin's evict. Images used to leave out the open chunk (all of
+/// this window's content) and the re-attached cursors started off the
+/// source's: at event 301 a card read 6 where the twin read 3.
+#[test]
+fn scale_out_under_expiry_matches_undisturbed_twin() {
+    let boot = |tag: &str| {
+        let mut cfg = fresh_config(tag, 1, 1, 4);
+        cfg.checkpoint_every = 50;
+        let mut cluster = Cluster::new(cfg).unwrap();
+        cluster
+            .create_stream("payments", payments_schema(), &["cardId"])
+            .unwrap();
+        cluster
+            .register_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 10 sec")
+            .unwrap();
+        cluster
+    };
+    let (mut cluster, mut twin) = (boot("expiry"), boot("expiry-twin"));
+    for i in 0..300i64 {
+        lockstep(&mut cluster, &mut twin, (i % 4) as u64, i * 1_000, "before scale-out");
+    }
+    cluster.add_node().unwrap();
+    cluster.settle().unwrap();
+    for i in 300..400i64 {
+        lockstep(&mut cluster, &mut twin, (i % 4) as u64, i * 1_000, "after scale-out");
+    }
+    let elastic = cluster.metrics_snapshot().elastic;
+    assert!(elastic.handovers_completed >= 1, "{elastic:?}");
+    assert_eq!(elastic.handover_fallbacks, 0, "{elastic:?}");
+}
+
 /// Delete every `wal.log` under `dir` (the store checkpoint completeness
 /// marker), making every published image restore-invalid.
 fn corrupt_images(dir: &Path) -> usize {

@@ -135,8 +135,8 @@ fn interleaved_disorder_conserves_insert_evict_balance() {
 
 #[test]
 fn schema_evolution_mid_stream() {
-    // The reservoir's schema registry lets old chunks decode after the
-    // stream's schema evolves; the engine keeps serving the original plan.
+    // Rows describe themselves, so old chunks decode after the stream's
+    // schema evolves; the engine keeps serving the original plan.
     let dir = tmp("evolve");
     let cfg = TaskConfig::default();
     let mut tp = TaskProcessor::open(&dir, "payments--cardId", 0, schema(), cfg).unwrap();

@@ -12,7 +12,8 @@ use railgun_core::api::{
 use railgun_core::frontend::{BatchPolicy, FrontEnd};
 use railgun_core::unit::{ProcessorUnit, UnitConfig};
 use railgun_core::{
-    parse_query, EngineTelemetry, QueryId, RailgunStrategy, TaskConfig, TaskProcessor,
+    parse_query, EngineTelemetry, Query, QueryId, RailgunStrategy, RestoreOutcome, TaskConfig,
+    TaskProcessor,
 };
 use railgun_messaging::{Consumer, MessageBus, Producer, TopicPartition};
 use railgun_types::encode::crc32c;
@@ -103,8 +104,7 @@ fn the_unit_publishes_what_process_event_reports() {
         TaskProcessor::open(&temp_dir("twin"), TOPIC, 0, schema(), TaskConfig::default()).unwrap();
     for q in WIDE {
         let id = frontend.register_query(q).unwrap();
-        twin.attach_query(id, &parse_query(q).unwrap(), true)
-            .unwrap();
+        twin.attach_query(id, &parse_query(q).unwrap()).unwrap();
     }
     while unit.active_tasks().is_empty() {
         unit.pump().unwrap();
@@ -185,25 +185,24 @@ fn parent_event(i: u64) -> Event {
     )
 }
 
-fn attach_parent_plan(task: &mut TaskProcessor, backfill: bool) {
-    for (id, q) in PARENT_PLAN.iter().enumerate() {
-        task.attach_query(QueryId(id as u64 + 1), &parse_query(q).unwrap(), backfill)
-            .unwrap();
-    }
+fn parent_plan() -> Vec<(QueryId, Query)> {
+    let plan = PARENT_PLAN.iter().enumerate();
+    plan.map(|(id, q)| (QueryId(id as u64 + 1), parse_query(q).unwrap())).collect()
 }
 
 /// Restore `checkpoint` and answer `ANSWERED` events after it.
 fn answers_after(checkpoint: &Path) -> (u32, usize) {
-    let mut task = TaskProcessor::restore_from_checkpoint(
+    let plan = parent_plan();
+    let queries: Vec<(QueryId, &Query)> = plan.iter().map(|(id, q)| (*id, q)).collect();
+    let (mut task, outcome) = TaskProcessor::restore_or_replay(
         checkpoint,
         &temp_dir("restored"),
-        TOPIC,
-        0,
         schema(),
         TaskConfig::default(),
+        &queries,
     )
     .unwrap();
-    attach_parent_plan(&mut task, false);
+    assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
     let mut replies = Vec::new();
     for i in CHECKPOINTED..CHECKPOINTED + ANSWERED {
         let (results, duplicate) = task.process_event(&parent_event(i)).unwrap();
@@ -238,7 +237,9 @@ fn write_parent_checkpoint() {
         TaskConfig::default(),
     )
     .unwrap();
-    attach_parent_plan(&mut task, true);
+    for (id, q) in parent_plan() {
+        task.attach_query(id, &q).unwrap();
+    }
     for i in 0..CHECKPOINTED {
         task.process_event(&parent_event(i)).unwrap();
     }

@@ -15,12 +15,14 @@
 //!   **cache** with eager read-ahead ([`cache`]) — in steady state the next
 //!   chunk is already resident when a window needs it, so disk never sits on
 //!   the latency-critical path;
-//! * a **schema registry** ([`registry`]) versions event schemas so old
-//!   chunks outlive schema evolution;
 //! * **late events** are admitted while their chunk is open or in
 //!   transition, then discarded or timestamp-rewritten per policy;
 //! * events are **deduplicated by id** against in-memory chunks, which
-//!   combined with at-least-once delivery yields exactly-once processing.
+//!   combined with at-least-once delivery yields exactly-once processing;
+//! * a **checkpoint** is the reservoir's one durability point: it seals
+//!   the active segment, hard-links every live one and frames the open
+//!   and transition chunks into the image, so a restore is the whole
+//!   reservoir. Rows describe themselves, so there is no schema registry.
 //!
 //! Memory usage is bounded by the chunk cache, *independent of window
 //! size* — the enabler for the paper's Figure 9(a): "windows of years are
@@ -50,14 +52,12 @@
 pub mod cache;
 pub mod compress;
 pub mod format;
-pub mod registry;
 pub mod reservoir;
 pub mod segment;
 
 pub use cache::CacheStats;
 pub use compress::Codec;
 pub use format::{ChunkId, DecodedChunk};
-pub use registry::SchemaRegistry;
 pub use reservoir::{
     AppendOutcome, Cursor, LatePolicy, Reservoir, ReservoirConfig, ReservoirStats,
 };

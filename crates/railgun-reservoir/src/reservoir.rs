@@ -23,6 +23,16 @@
 //!   then compressed), appends the frame to the active segment file,
 //!   records its location and unpins the chunk (**durable**).
 //!
+//! ## Durable at the checkpoint
+//!
+//! A segment is fsynced once, when it is sealed: at its size target, or by
+//! [`Reservoir::checkpoint`], which seals the active file so that every
+//! live segment is immutable and the image is a set of hard links. The
+//! open and transition chunks go into the image too, framed like a
+//! segment, so a restore is the whole task: the same chunks, the same
+//! dedup set, the same late-event frontier. Recovery only ever reads an
+//! image (§4.2), so nothing else needs to reach the disk first.
+//!
 //! ## Who owns an event's bytes
 //!
 //! An [`Event`]'s fields are an encoded row behind a reference count
@@ -43,7 +53,7 @@
 
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::Read;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
@@ -57,10 +67,19 @@ use railgun_types::{
 use crate::cache::{CacheStats, ChunkCache};
 use crate::compress::Codec;
 use crate::format::{encode_chunk, ChunkId, DecodedChunk};
-use crate::registry::SchemaRegistry;
 use crate::segment::{
-    read_chunk_at, scan_segments, segment_file_name, ChunkLocation, FileNo, SegmentWriter,
+    read_chunk_at, read_chunks, scan_segments, segment_file_name, ChunkLocation, FileNo,
+    SegmentWriter,
 };
+
+/// The schema id every chunk is written under. Rows describe themselves
+/// (each value carries its type), so no chunk decode looks a schema up.
+const SCHEMA: SchemaId = SchemaId(0);
+
+/// Image files holding the transition chunks and the open chunk, as
+/// frames like a segment's ([`Reservoir::checkpoint`]).
+const TRANSITION_FILE: &str = "transition.rail";
+const OPEN_FILE: &str = "open.rail";
 
 /// What to do with an event older than the last finalized chunk (§4.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,6 +162,9 @@ pub struct ReservoirStats {
     pub chunks_finalized: u64,
     pub files_sealed: u64,
     pub bytes_written: u64,
+    /// Chunk writes that failed. The next [`Reservoir::flush_io`] or
+    /// [`Reservoir::checkpoint`] fails with the first of them.
+    pub failed_persists: u64,
     /// Cold chunk loads by a cursor that failed (the read, or the frame's
     /// checks); each also reaches its owner through [`Cursor::take_error`].
     pub failed_loads: u64,
@@ -213,8 +235,6 @@ struct Inner {
     cache: ChunkCache,
     files: FastHashMap<u64, FileInfo>,
     dedup: FastHashSet<EventId>,
-    registry: SchemaRegistry,
-    schema_id: SchemaId,
     cursors: FastHashMap<u64, CursorPos>,
     next_cursor_id: u64,
     max_seen_ts: Timestamp,
@@ -229,9 +249,13 @@ enum IoCmd {
     Persist(Arc<DecodedChunk>),
     /// Eagerly load a chunk into the cache (read-ahead, §4.1.1).
     Prefetch(ChunkId),
-    /// Sync the active file and reply with (active_file, bytes) pairs of
-    /// every file, for checkpointing.
-    Barrier(SyncSender<Vec<(u64, u64, bool)>>),
+    /// Reply once every command before it is done, with the first chunk
+    /// write that failed since the last barrier; `seal` seals the active
+    /// segment first.
+    Barrier {
+        seal: bool,
+        reply: SyncSender<Result<()>>,
+    },
     Shutdown,
 }
 
@@ -249,54 +273,79 @@ pub struct Reservoir {
 }
 
 impl Reservoir {
-    /// Open (or create) a reservoir in `dir` with `schema` as the current
-    /// event schema, recovering any chunks already on disk.
-    pub fn open(dir: &Path, schema: Schema, cfg: ReservoirConfig) -> Result<Self> {
+    /// Open (or create) a reservoir in `dir`, recovering the chunks of its
+    /// segments and, in a restored image, its open and transition chunks.
+    /// Rows describe themselves, so the schema goes unused.
+    pub fn open(dir: &Path, _schema: Schema, cfg: ReservoirConfig) -> Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let mut registry = SchemaRegistry::open(dir)?;
-        let schema_id = registry.register(schema)?;
-        let (recovered, metas, next_file) = scan_segments(dir)?;
-        let mut chunks = VecDeque::new();
+        let (recovered, next_file) = scan_segments(dir)?;
+        let mut chunks: VecDeque<ChunkMeta> = VecDeque::new();
+        let push = |chunks: &mut VecDeque<ChunkMeta>, chunk: &DecodedChunk, state| {
+            match chunks.back() {
+                Some(last) if chunk.id.0 != last.id.0 + 1 => {
+                    return Err(RailgunError::Corruption(format!(
+                        "non-contiguous chunk ids: expected {}, found {}",
+                        last.id.0 + 1,
+                        chunk.id.0
+                    )))
+                }
+                _ => {}
+            }
+            chunks.push_back(ChunkMeta {
+                id: chunk.id,
+                first_ts: chunk.first_ts,
+                last_ts: chunk.last_ts,
+                count: chunk.events.len() as u32,
+                state,
+            });
+            Ok(())
+        };
         let mut files: FastHashMap<u64, FileInfo> = FastHashMap::default();
         let mut max_seen_ts = Timestamp::MIN;
         let mut min_acceptable_ts = Timestamp::MIN;
-        let mut first_chunk_id = 0;
-        let mut next_chunk_id = 0;
-        for (i, rc) in recovered.iter().enumerate() {
-            if i == 0 {
-                first_chunk_id = rc.chunk.id.0;
-            } else if rc.chunk.id.0 != next_chunk_id {
-                return Err(RailgunError::Corruption(format!(
-                    "non-contiguous chunk ids: expected {next_chunk_id}, found {}",
-                    rc.chunk.id.0
-                )));
-            }
-            next_chunk_id = rc.chunk.id.0 + 1;
-            chunks.push_back(ChunkMeta {
-                id: rc.chunk.id,
-                first_ts: rc.chunk.first_ts,
-                last_ts: rc.chunk.last_ts,
-                count: rc.chunk.events.len() as u32,
-                state: ChunkState::Durable(rc.location),
-            });
+        for rc in &recovered {
+            push(&mut chunks, &rc.chunk, ChunkState::Durable(rc.location))?;
+            // Every recovered file is sealed: the writer starts a fresh
+            // segment, so nothing will ever be appended to them again.
             files
                 .entry(rc.location.file.0)
                 .or_insert(FileInfo {
                     remaining_chunks: 0,
-                    sealed: false,
+                    sealed: true,
                 })
                 .remaining_chunks += 1;
             max_seen_ts = max_seen_ts.max(rc.chunk.last_ts);
             min_acceptable_ts = rc.chunk.last_ts;
         }
-        // Every recovered file is effectively sealed: the writer starts a
-        // fresh segment, so nothing will ever be appended to them again.
-        let _ = metas;
-        for fi in files.values_mut() {
-            fi.sealed = true;
-        }
+        let mut dedup = FastHashSet::default();
+        let mut mutable = |name: &str, state: ChunkState| -> Result<Vec<MutableChunk>> {
+            let path = dir.join(name);
+            if !path.exists() {
+                return Ok(Vec::new());
+            }
+            let restored = read_chunks(&path)?;
+            // Loaded once: from here on these chunks live in memory and
+            // reach a segment as any other chunk does.
+            std::fs::remove_file(&path)?;
+            let mut out = Vec::with_capacity(restored.len());
+            for chunk in restored {
+                push(&mut chunks, &chunk, state)?;
+                dedup.extend(chunk.events.iter().map(|e| e.id));
+                max_seen_ts = max_seen_ts.max(chunk.last_ts);
+                out.push(MutableChunk {
+                    id: chunk.id,
+                    bytes: chunk.events.iter().map(Event::heap_size).sum(),
+                    events: chunk.events,
+                });
+            }
+            Ok(out)
+        };
+        let transition = mutable(TRANSITION_FILE, ChunkState::Transition)?;
+        let open = mutable(OPEN_FILE, ChunkState::Open)?.pop();
+        let first_chunk_id = chunks.front().map_or(0, |m| m.id.0);
+        let next_chunk_id = chunks.back().map_or(0, |m| m.id.0 + 1);
         let stats = ReservoirStats {
-            durable_chunks: chunks.len(),
+            durable_chunks: recovered.len(),
             files_sealed: files.len() as u64,
             ..ReservoirStats::default()
         };
@@ -304,17 +353,15 @@ impl Reservoir {
             chunks,
             first_chunk_id,
             next_chunk_id,
-            open: None,
-            transition: Vec::new(),
+            open,
+            transition,
             cache: {
                 let mut cache = ChunkCache::new(cfg.cache_capacity_chunks);
                 cache.set_miss_counter(cfg.chunk_miss_counter.clone());
                 cache
             },
             files,
-            dedup: FastHashSet::default(),
-            registry,
-            schema_id,
+            dedup,
             cursors: FastHashMap::default(),
             next_cursor_id: 0,
             max_seen_ts,
@@ -338,19 +385,6 @@ impl Reservoir {
             shared,
             io_thread: Some(io_thread),
         })
-    }
-
-    /// Register a new (evolved) schema for subsequently written chunks.
-    pub fn evolve_schema(&self, schema: Schema) -> Result<SchemaId> {
-        let mut inner = self.shared.inner.lock();
-        let id = inner.registry.register(schema)?;
-        inner.schema_id = id;
-        Ok(id)
-    }
-
-    /// The schema id new chunks are written under.
-    pub fn current_schema(&self) -> SchemaId {
-        self.shared.inner.lock().schema_id
     }
 
     /// Append one event. See [`AppendOutcome`].
@@ -588,7 +622,7 @@ impl Reservoir {
         inner.min_acceptable_ts = inner.min_acceptable_ts.max(last_ts);
         let decoded = Arc::new(DecodedChunk {
             id: chunk.id,
-            schema: inner.schema_id,
+            schema: SCHEMA,
             first_ts,
             last_ts,
             events: chunk.events,
@@ -626,18 +660,27 @@ impl Reservoir {
         Ok(())
     }
 
-    /// Block until all queued chunk writes are on disk.
-    pub fn flush_io(&self) -> Result<Vec<(u64, u64, bool)>> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
-        self.shared
-            .io_tx
-            .send(IoCmd::Barrier(tx))
-            .map_err(|_| RailgunError::Storage("reservoir io thread is gone".into()))?;
-        rx.recv()
-            .map_err(|_| RailgunError::Storage("reservoir io thread died".into()))
+    /// Block until every queued chunk write is done (written, not
+    /// fsynced: a checkpoint makes segments durable). Fails with the first
+    /// chunk write that failed since the last barrier.
+    pub fn flush_io(&self) -> Result<()> {
+        self.barrier(false)
     }
 
-    /// Create a cursor positioned at the first event with `ts >= from`.
+    fn barrier(&self, seal: bool) -> Result<()> {
+        let (reply, rx) = std::sync::mpsc::sync_channel(1);
+        self.shared
+            .io_tx
+            .send(IoCmd::Barrier { seal, reply })
+            .map_err(|_| RailgunError::Storage("reservoir io thread is gone".into()))?;
+        rx.recv()
+            .map_err(|_| RailgunError::Storage("reservoir io thread died".into()))?
+    }
+
+    /// Create a cursor positioned at the first event with `ts >= from`, as
+    /// if it had advanced to bound `from`: an event appended later below
+    /// `from` is behind it (module docs). Past every stored event it waits
+    /// at the end of the open chunk, where the next arrival lands.
     ///
     /// Seeding follows the same lock discipline as the two-phase drain: if
     /// the starting chunk is cold, the cursor is registered first (pinning
@@ -649,7 +692,7 @@ impl Reservoir {
         let mut pos = CursorPos {
             chunk: inner.next_chunk_id,
             idx: 0,
-            bound: Timestamp::MIN,
+            bound: from,
             held: None,
             prefetch_sent: false,
             seq: 0,
@@ -668,6 +711,9 @@ impl Reservoir {
                 // Not resident: seek unlocked below.
                 None => cold = durable_location(inner, chunk_id).ok(),
             }
+        } else if let Some(open) = &inner.open {
+            pos.chunk = open.id.0;
+            pos.idx = open.events.len();
         }
         let chunk_no = pos.chunk;
         let id = inner.next_cursor_id;
@@ -692,7 +738,7 @@ impl Reservoir {
                     }
                     if let Some(cur) = inner.cursors.get_mut(&id) {
                         // The handle is not returned yet, so nothing advanced
-                        // the cursor; fixups don't apply at bound MIN either.
+                        // the cursor, and a durable chunk takes no fixups.
                         debug_assert!(cur.chunk == chunk_no && cur.idx == 0);
                         cur.idx = decoded.events.partition_point(|e| e.ts < from);
                         cur.held = Some(decoded);
@@ -730,7 +776,9 @@ impl Reservoir {
 
     /// Drop durable chunks entirely below `before` (event time), deleting
     /// sealed segment files that no longer hold live chunks. Chunks still
-    /// ahead of any cursor are never dropped.
+    /// ahead of any cursor are never dropped, nor is the newest finalized
+    /// chunk: its last timestamp is the late-event frontier, and a
+    /// checkpoint image carries the frontier in it.
     pub fn truncate_before(&self, before: Timestamp) -> Result<usize> {
         let mut inner = self.shared.inner.lock();
         let inner = &mut *inner;
@@ -746,7 +794,11 @@ impl Reservoir {
                 ChunkState::Durable(loc) => loc,
                 _ => break,
             };
-            if front.last_ts >= before || front.id.0 >= min_cursor_chunk {
+            let newest_finalized = !matches!(
+                inner.chunks.get(1).map(|m| m.state),
+                Some(ChunkState::Pending | ChunkState::Durable(_))
+            );
+            if front.last_ts >= before || front.id.0 >= min_cursor_chunk || newest_finalized {
                 break;
             }
             let id = front.id;
@@ -758,45 +810,55 @@ impl Reservoir {
             if let Some(fi) = inner.files.get_mut(&loc.file.0) {
                 fi.remaining_chunks = fi.remaining_chunks.saturating_sub(1);
                 if fi.remaining_chunks == 0 && fi.sealed {
-                    std::fs::remove_file(
-                        self.shared.dir.join(segment_file_name(loc.file)),
-                    )
-                    .ok();
                     inner.files.remove(&loc.file.0);
                     inner.stats.files_sealed = inner.stats.files_sealed.saturating_sub(1);
+                    let path = self.shared.dir.join(segment_file_name(loc.file));
+                    match std::fs::remove_file(path) {
+                        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                        _ => {}
+                    }
                 }
             }
         }
         Ok(dropped)
     }
 
-    /// Checkpoint the durable state into `target` (§4.1.3): sealed segment
-    /// files are hard-linked, the active file is copied up to its durable
-    /// length, and the schema registry is copied. Events still in memory
-    /// (open/transition) are *not* included — they are recovered by
-    /// replaying the messaging layer from the checkpointed offset.
+    /// Checkpoint the whole reservoir into `target` (§4.1.3), the one point
+    /// at which it is made durable. The I/O thread seals the active
+    /// segment (its one fsync), so every live segment is immutable and is
+    /// hard-linked into the image (copied where the filesystem refuses a
+    /// link). The transition chunks and the open chunk are framed into
+    /// the image as they stand — a checkpoint closes no chunk early, so
+    /// answers do not depend on how often one runs. The image directory is
+    /// fsynced last. Fails with the first chunk write that failed since
+    /// the last barrier: the image would miss that chunk.
     pub fn checkpoint(&self, target: &Path) -> Result<()> {
-        let files = self.flush_io()?;
+        self.barrier(true)?;
         std::fs::create_dir_all(target)?;
-        let _inner = self.shared.inner.lock(); // freeze truncation during copy
-        for (file_no, bytes, sealed) in files {
-            let name = segment_file_name(FileNo(file_no));
-            let from = self.shared.dir.join(&name);
-            let to = target.join(&name);
-            if sealed {
-                if std::fs::hard_link(&from, &to).is_err() {
-                    std::fs::copy(&from, &to)?;
-                }
-            } else {
-                // Copy only the durable prefix of the active file.
-                let mut out = File::create(&to)?;
-                std::io::copy(&mut File::open(&from)?.take(bytes), &mut out)?;
+        let inner = self.shared.inner.lock(); // freeze truncation while linking
+        for &no in inner.files.keys() {
+            let name = segment_file_name(FileNo(no));
+            let (from, to) = (self.shared.dir.join(&name), target.join(&name));
+            if std::fs::hard_link(&from, &to).is_err() {
+                std::fs::copy(&from, &to)?;
             }
         }
-        let reg = self.shared.dir.join(crate::registry::REGISTRY_FILE);
-        if reg.exists() {
-            std::fs::copy(&reg, target.join(crate::registry::REGISTRY_FILE))?;
+        let mut frames = Vec::new();
+        let mutable = [
+            (TRANSITION_FILE, inner.transition.as_slice()),
+            (OPEN_FILE, inner.open.as_slice()),
+        ];
+        for (name, chunks) in mutable.into_iter().filter(|(_, c)| !c.is_empty()) {
+            frames.clear();
+            for c in chunks {
+                encode_chunk(&mut frames, c.id, SCHEMA, self.shared.cfg.codec, &c.events);
+            }
+            let mut file = File::create(target.join(name))?;
+            file.write_all(&frames)?;
+            file.sync_all()?;
         }
+        drop(inner);
+        File::open(target)?.sync_all()?;
         Ok(())
     }
 
@@ -1111,6 +1173,9 @@ fn drain_slice(events: &[Event], pos: &mut CursorPos, bound: Timestamp, out: &mu
 
 fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) {
     let mut frame = Vec::new();
+    // The first chunk write that failed since the last barrier: its chunk
+    // stays pinned in the cache, readable but in no segment.
+    let mut failed: Option<RailgunError> = None;
     while let Ok(cmd) = rx.recv() {
         match cmd {
             IoCmd::Persist(decoded) => {
@@ -1126,39 +1191,37 @@ fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) 
                     &decoded.events,
                 );
                 let chunk = decoded.id;
-                match writer.append(&frame, decoded.first_ts, decoded.last_ts) {
-                    Ok(loc) => {
-                        let mut inner = shared.inner.lock();
-                        let inner = &mut *inner;
-                        inner.stats.bytes_written += frame.len() as u64;
-                        if chunk.0 >= inner.first_chunk_id {
-                            let mi = (chunk.0 - inner.first_chunk_id) as usize;
-                            if let Some(meta) = inner.chunks.get_mut(mi) {
-                                meta.state = ChunkState::Durable(loc);
-                                inner.stats.durable_chunks += 1;
-                            }
-                        }
-                        let entry =
-                            inner.files.entry(loc.file.0).or_insert(FileInfo {
-                                remaining_chunks: 0,
-                                sealed: false,
-                            });
-                        entry.remaining_chunks += 1;
-                        for sealed in writer.take_sealed() {
-                            if let Some(fi) = inner.files.get_mut(&sealed.file.0) {
-                                if !fi.sealed {
-                                    fi.sealed = true;
-                                    inner.stats.files_sealed += 1;
-                                }
-                            }
-                        }
-                        inner.cache.unpin(chunk);
+                let written = writer.append(&frame);
+                let mut inner = shared.inner.lock();
+                let inner = &mut *inner;
+                let (loc, sealed) = match written {
+                    Ok(written) => written,
+                    Err(e) => {
+                        inner.stats.failed_persists += 1;
+                        failed.get_or_insert(e);
+                        continue;
                     }
-                    Err(_) => {
-                        // Keep the chunk pinned in cache: its events remain
-                        // readable; durability is degraded until restart.
+                };
+                inner.stats.bytes_written += frame.len() as u64;
+                if chunk.0 >= inner.first_chunk_id {
+                    let mi = (chunk.0 - inner.first_chunk_id) as usize;
+                    if let Some(meta) = inner.chunks.get_mut(mi) {
+                        meta.state = ChunkState::Durable(loc);
+                        inner.stats.durable_chunks += 1;
                     }
                 }
+                inner
+                    .files
+                    .entry(loc.file.0)
+                    .or_insert(FileInfo {
+                        remaining_chunks: 0,
+                        sealed: false,
+                    })
+                    .remaining_chunks += 1;
+                if sealed {
+                    mark_sealed(inner, loc.file);
+                }
+                inner.cache.unpin(chunk);
             }
             IoCmd::Prefetch(chunk) => {
                 // Snapshot the location under the lock, read without it.
@@ -1179,30 +1242,31 @@ fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) 
                     }
                 }
             }
-            IoCmd::Barrier(reply) => {
-                let _ = writer.sync();
-                let metas = writer.metas();
-                let mut files: Vec<(u64, u64, bool)> = metas
-                    .iter()
-                    .map(|m| (m.file.0, m.bytes, m.sealed))
-                    .collect();
-                // Include files recovered from a previous run (not owned by
-                // this writer instance).
-                let inner = shared.inner.lock();
-                for (no, fi) in &inner.files {
-                    if !files.iter().any(|(n, _, _)| n == no) {
-                        let path = shared.dir.join(segment_file_name(FileNo(*no)));
-                        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                        files.push((*no, bytes, fi.sealed));
+            IoCmd::Barrier { seal, reply } => {
+                let mut result = failed.take().map_or(Ok(()), Err);
+                if seal {
+                    match writer.seal_active() {
+                        Ok(Some(file)) => mark_sealed(&mut shared.inner.lock(), file),
+                        Ok(None) => {}
+                        Err(e) => result = result.and(Err(e)),
                     }
                 }
-                drop(inner);
-                let _ = reply.send(files);
+                let _ = reply.send(result);
             }
             IoCmd::Shutdown => break,
         }
     }
-    let _ = writer.sync();
+}
+
+/// The writer sealed `file`: it takes no more chunks, so truncation may
+/// delete it once it holds no live one.
+fn mark_sealed(inner: &mut Inner, file: FileNo) {
+    if let Some(fi) = inner.files.get_mut(&file.0) {
+        if !fi.sealed {
+            fi.sealed = true;
+            inner.stats.files_sealed += 1;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use railgun_types::{RailgunError, Result, Timestamp};
+use railgun_types::{RailgunError, Result};
 
-use crate::format::{decode_chunk, DecodedChunk};
+use crate::format::{decode_chunk, DecodedChunk, DecodedFrame};
 
 /// Sequential identifier of a segment file within one reservoir.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -27,30 +27,20 @@ pub struct ChunkLocation {
     pub len: u32,
 }
 
-/// Metadata for one segment file.
-#[derive(Debug, Clone)]
-pub struct SegmentMeta {
-    pub file: FileNo,
-    pub first_ts: Timestamp,
-    pub last_ts: Timestamp,
-    pub bytes: u64,
-    pub chunk_count: u32,
-    pub sealed: bool,
-}
-
 /// File name for a segment number.
 pub fn segment_file_name(no: FileNo) -> String {
     format!("seg-{:08}.rail", no.0)
 }
 
 /// The writer half: appends chunk frames to the active segment, sealing
-/// files at the size target.
+/// files at the size target or when asked to (a checkpoint). The seal's
+/// fsync is the only one a segment gets.
 pub struct SegmentWriter {
     dir: PathBuf,
     target_bytes: u64,
-    active: Option<(FileNo, File, SegmentMeta)>,
+    /// The active file and its length.
+    active: Option<(FileNo, File, u64)>,
     next_file: FileNo,
-    sealed: Vec<SegmentMeta>,
 }
 
 impl SegmentWriter {
@@ -61,90 +51,49 @@ impl SegmentWriter {
             target_bytes: target_bytes.max(1),
             active: None,
             next_file,
-            sealed: Vec::new(),
         }
     }
 
-    /// Append an encoded chunk frame; returns its location.
-    pub fn append(
-        &mut self,
-        frame: &[u8],
-        first_ts: Timestamp,
-        last_ts: Timestamp,
-    ) -> Result<ChunkLocation> {
+    /// Append an encoded chunk frame; returns its location and whether
+    /// the append filled its file, which is then sealed.
+    pub fn append(&mut self, frame: &[u8]) -> Result<(ChunkLocation, bool)> {
         if self.active.is_none() {
             let no = self.next_file;
             self.next_file = FileNo(no.0 + 1);
             let path = self.dir.join(segment_file_name(no));
             let file = OpenOptions::new().create_new(true).append(true).open(path)?;
-            self.active = Some((
-                no,
-                file,
-                SegmentMeta {
-                    file: no,
-                    first_ts,
-                    last_ts,
-                    bytes: 0,
-                    chunk_count: 0,
-                    sealed: false,
-                },
-            ));
+            self.active = Some((no, file, 0));
         }
-        let (no, file, meta) = self.active.as_mut().expect("just ensured");
-        let offset = meta.bytes;
-        file.write_all(frame)?;
-        meta.bytes += frame.len() as u64;
-        meta.chunk_count += 1;
-        meta.last_ts = last_ts;
-        if meta.chunk_count == 1 {
-            meta.first_ts = first_ts;
-        }
+        let (no, file, bytes) = self.active.as_mut().expect("just ensured");
         let loc = ChunkLocation {
             file: *no,
-            offset,
+            offset: *bytes,
             len: frame.len() as u32,
         };
-        if meta.bytes >= self.target_bytes {
+        file.write_all(frame)?;
+        *bytes += frame.len() as u64;
+        let full = *bytes >= self.target_bytes;
+        if full {
             self.seal_active()?;
         }
-        Ok(loc)
+        Ok((loc, full))
     }
 
-    /// Seal the active file (fsync + mark immutable), if any.
-    pub fn seal_active(&mut self) -> Result<()> {
-        if let Some((_, file, mut meta)) = self.active.take() {
-            file.sync_all()?;
-            meta.sealed = true;
-            self.sealed.push(meta);
-        }
-        Ok(())
-    }
-
-    /// Flush the active file to disk without sealing.
-    pub fn sync(&mut self) -> Result<()> {
-        if let Some((_, file, _)) = self.active.as_mut() {
-            file.sync_data()?;
-        }
-        Ok(())
-    }
-
-    /// Metadata of every sealed file plus the active one (if any).
-    pub fn metas(&self) -> Vec<SegmentMeta> {
-        let mut out = self.sealed.clone();
-        if let Some((_, _, m)) = &self.active {
-            out.push(m.clone());
-        }
-        out
+    /// Seal the active file, if any: fsync it and never append to it
+    /// again. Returns the file sealed; a failed fsync leaves it active.
+    pub fn seal_active(&mut self) -> Result<Option<FileNo>> {
+        let Some((no, file, _)) = &self.active else {
+            return Ok(None);
+        };
+        file.sync_all()?;
+        let no = *no;
+        self.active = None;
+        Ok(Some(no))
     }
 
     /// Next file number the writer would allocate.
     pub fn next_file(&self) -> FileNo {
         self.next_file
-    }
-
-    /// Drain sealed-file metadata accumulated since the last call.
-    pub fn take_sealed(&mut self) -> Vec<SegmentMeta> {
-        std::mem::take(&mut self.sealed)
     }
 }
 
@@ -179,9 +128,10 @@ pub struct RecoveredChunk {
 }
 
 /// Scan every `seg-*.rail` file in `dir` in order, yielding all intact
-/// chunks. A torn frame at the tail of the **last** file is tolerated
-/// (crash during append); torn frames elsewhere are corruption.
-pub fn scan_segments(dir: &Path) -> Result<(Vec<RecoveredChunk>, Vec<SegmentMeta>, FileNo)> {
+/// chunks and the next free file number. A torn frame at the tail of the
+/// **last** file is tolerated (crash during append); torn frames
+/// elsewhere are corruption.
+pub fn scan_segments(dir: &Path) -> Result<(Vec<RecoveredChunk>, FileNo)> {
     let mut names: Vec<(FileNo, PathBuf)> = Vec::new();
     if dir.exists() {
         for entry in std::fs::read_dir(dir)? {
@@ -201,53 +151,55 @@ pub fn scan_segments(dir: &Path) -> Result<(Vec<RecoveredChunk>, Vec<SegmentMeta
     }
     names.sort_by_key(|(no, _)| *no);
     let mut chunks = Vec::new();
-    let mut metas = Vec::new();
     let mut next_file = FileNo(0);
     let last_idx = names.len().saturating_sub(1);
     for (idx, (no, path)) in names.iter().enumerate() {
         next_file = FileNo(no.0 + 1);
-        let raw = std::fs::read(path)?;
-        let mut offset = 0usize;
-        let mut meta: Option<SegmentMeta> = None;
-        while offset < raw.len() {
-            match decode_chunk(&raw[offset..])? {
-                Some(frame) => {
-                    let loc = ChunkLocation {
-                        file: *no,
-                        offset: offset as u64,
-                        len: frame.frame_len as u32,
-                    };
-                    let m = meta.get_or_insert(SegmentMeta {
-                        file: *no,
-                        first_ts: frame.chunk.first_ts,
-                        last_ts: frame.chunk.last_ts,
-                        bytes: 0,
-                        chunk_count: 0,
-                        sealed: idx != last_idx,
-                    });
-                    m.last_ts = frame.chunk.last_ts;
-                    m.chunk_count += 1;
-                    m.bytes = (offset + frame.frame_len) as u64;
-                    offset += frame.frame_len;
-                    chunks.push(RecoveredChunk {
-                        chunk: frame.chunk,
-                        location: loc,
-                    });
-                }
-                None if idx == last_idx => break, // torn tail after crash
-                None => {
-                    return Err(RailgunError::Corruption(format!(
-                        "torn frame in sealed segment {}",
-                        path.display()
-                    )))
-                }
-            }
-        }
-        if let Some(m) = meta {
-            metas.push(m);
+        for (offset, frame) in read_frames(path, idx == last_idx)? {
+            let location = ChunkLocation {
+                file: *no,
+                offset,
+                len: frame.frame_len as u32,
+            };
+            chunks.push(RecoveredChunk {
+                chunk: frame.chunk,
+                location,
+            });
         }
     }
-    Ok((chunks, metas, next_file))
+    Ok((chunks, next_file))
+}
+
+/// Every chunk of a file written whole and fsynced before anyone reads
+/// it, so a torn frame anywhere in it is corruption.
+pub fn read_chunks(path: &Path) -> Result<Vec<DecodedChunk>> {
+    let frames = read_frames(path, false)?;
+    Ok(frames.into_iter().map(|(_, frame)| frame.chunk).collect())
+}
+
+/// Decode every frame of the file at `path`, with its offset. A torn
+/// frame at the tail ends the file when `torn_tail` allows it.
+fn read_frames(path: &Path, torn_tail: bool) -> Result<Vec<(u64, DecodedFrame)>> {
+    let raw = std::fs::read(path)?;
+    let mut frames = Vec::new();
+    let mut offset = 0;
+    while offset < raw.len() {
+        match decode_chunk(&raw[offset..])? {
+            Some(frame) => {
+                let len = frame.frame_len;
+                frames.push((offset as u64, frame));
+                offset += len;
+            }
+            None if torn_tail => break, // torn tail after crash
+            None => {
+                return Err(RailgunError::Corruption(format!(
+                    "torn frame in {}",
+                    path.display()
+                )))
+            }
+        }
+    }
+    Ok(frames)
 }
 
 #[cfg(test)]
@@ -255,7 +207,7 @@ mod tests {
     use super::*;
     use crate::compress::Codec;
     use crate::format::{encode_chunk, ChunkId};
-    use railgun_types::{Event, EventId, SchemaId, Value};
+    use railgun_types::{Event, EventId, SchemaId, Timestamp, Value};
 
     fn fresh(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("railgun-seg-{}-{name}", std::process::id()));
@@ -264,7 +216,7 @@ mod tests {
         d
     }
 
-    fn frame(id: u64, ts0: i64, n: u64) -> (Vec<u8>, Timestamp, Timestamp) {
+    fn frame(id: u64, ts0: i64, n: u64) -> Vec<u8> {
         let events: Vec<Event> = (0..n)
             .map(|i| {
                 Event::new(
@@ -276,18 +228,17 @@ mod tests {
             .collect();
         let mut buf = Vec::new();
         encode_chunk(&mut buf, ChunkId(id), SchemaId(0), Codec::RailZ, &events);
-        (buf, events[0].ts, events[n as usize - 1].ts)
+        buf
     }
 
     #[test]
     fn append_read_roundtrip() {
         let dir = fresh("rw");
         let mut w = SegmentWriter::new(&dir, 1 << 20, FileNo(0));
-        let (f1, a1, b1) = frame(1, 100, 10);
-        let loc1 = w.append(&f1, a1, b1).unwrap();
-        let (f2, a2, b2) = frame(2, 200, 20);
-        let loc2 = w.append(&f2, a2, b2).unwrap();
-        w.sync().unwrap();
+        let f1 = frame(1, 100, 10);
+        let (loc1, sealed) = w.append(&f1).unwrap();
+        assert!(!sealed);
+        let (loc2, _) = w.append(&frame(2, 200, 20)).unwrap();
         let c1 = read_chunk_at(&dir, loc1).unwrap();
         assert_eq!(c1.id, ChunkId(1));
         assert_eq!(c1.events.len(), 10);
@@ -301,13 +252,21 @@ mod tests {
         let dir = fresh("seal");
         let mut w = SegmentWriter::new(&dir, 1, FileNo(0)); // seal every chunk
         for i in 0..5 {
-            let (f, a, b) = frame(i, i as i64 * 100, 10);
-            w.append(&f, a, b).unwrap();
+            let (loc, sealed) = w.append(&frame(i, i as i64 * 100, 10)).unwrap();
+            assert_eq!((loc.file, loc.offset, sealed), (FileNo(i), 0, true));
         }
-        let metas = w.metas();
-        assert!(metas.len() >= 5, "each chunk should seal its file");
-        assert!(metas.iter().take(metas.len() - 1).all(|m| m.sealed));
-        assert_eq!(w.next_file().0 as usize, metas.len());
+        assert_eq!(w.seal_active().unwrap(), None, "nothing left to seal");
+        assert_eq!(w.next_file(), FileNo(5));
+    }
+
+    #[test]
+    fn a_seal_ends_the_active_file() {
+        let dir = fresh("seal-early");
+        let mut w = SegmentWriter::new(&dir, 1 << 20, FileNo(0));
+        w.append(&frame(0, 0, 5)).unwrap();
+        assert_eq!(w.seal_active().unwrap(), Some(FileNo(0)));
+        let (loc, _) = w.append(&frame(1, 1000, 5)).unwrap();
+        assert_eq!((loc.file, loc.offset), (FileNo(1), 0));
     }
 
     #[test]
@@ -316,16 +275,13 @@ mod tests {
         {
             let mut w = SegmentWriter::new(&dir, 300, FileNo(0));
             for i in 0..8 {
-                let (f, a, b) = frame(i, i as i64 * 1000, 5);
-                w.append(&f, a, b).unwrap();
+                w.append(&frame(i, i as i64 * 1000, 5)).unwrap();
             }
-            w.sync().unwrap();
         }
-        let (chunks, metas, next_file) = scan_segments(&dir).unwrap();
+        let (chunks, next_file) = scan_segments(&dir).unwrap();
         assert_eq!(chunks.len(), 8);
         assert!(chunks.windows(2).all(|w| w[0].chunk.id < w[1].chunk.id));
-        assert!(!metas.is_empty());
-        assert!(next_file.0 >= metas.len() as u64);
+        assert!(next_file.0 > chunks.last().unwrap().location.file.0);
         // Every recovered location re-reads correctly.
         for rc in &chunks {
             let again = read_chunk_at(&dir, rc.location).unwrap();
@@ -339,25 +295,24 @@ mod tests {
         {
             let mut w = SegmentWriter::new(&dir, 1 << 20, FileNo(0));
             for i in 0..3 {
-                let (f, a, b) = frame(i, i as i64 * 1000, 5);
-                w.append(&f, a, b).unwrap();
+                w.append(&frame(i, i as i64 * 1000, 5)).unwrap();
             }
-            w.sync().unwrap();
         }
         // Truncate the (single, active) file mid-frame.
         let path = dir.join(segment_file_name(FileNo(0)));
         let raw = std::fs::read(&path).unwrap();
         std::fs::write(&path, &raw[..raw.len() - 10]).unwrap();
-        let (chunks, _, _) = scan_segments(&dir).unwrap();
+        let (chunks, _) = scan_segments(&dir).unwrap();
         assert_eq!(chunks.len(), 2);
+        // A file written whole tolerates no torn frame.
+        assert!(matches!(read_chunks(&path), Err(RailgunError::Corruption(_))));
     }
 
     #[test]
     fn scan_empty_dir() {
         let dir = fresh("empty");
-        let (chunks, metas, next_file) = scan_segments(&dir).unwrap();
+        let (chunks, next_file) = scan_segments(&dir).unwrap();
         assert!(chunks.is_empty());
-        assert!(metas.is_empty());
         assert_eq!(next_file, FileNo(0));
     }
 
@@ -366,15 +321,13 @@ mod tests {
         let dir = fresh("resume");
         {
             let mut w = SegmentWriter::new(&dir, 50, FileNo(0)); // seals every chunk
-            let (f, a, b) = frame(0, 0, 5);
-            w.append(&f, a, b).unwrap();
+            w.append(&frame(0, 0, 5)).unwrap();
         }
-        let (_, _, next_file) = scan_segments(&dir).unwrap();
+        let (_, next_file) = scan_segments(&dir).unwrap();
         let mut w = SegmentWriter::new(&dir, 50, next_file);
-        let (f, a, b) = frame(1, 1000, 5);
         // Must not hit create_new collision with the existing file.
-        w.append(&f, a, b).unwrap();
-        let (chunks, _, _) = scan_segments(&dir).unwrap();
+        w.append(&frame(1, 1000, 5)).unwrap();
+        let (chunks, _) = scan_segments(&dir).unwrap();
         assert_eq!(chunks.len(), 2);
     }
 }

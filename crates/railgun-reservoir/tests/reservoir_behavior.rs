@@ -269,6 +269,86 @@ fn checkpoint_restores_elsewhere() {
     assert_eq!(c.advance_upto(Timestamp::MAX).len(), 40);
 }
 
+/// The image is the whole reservoir: its open and transition chunks come
+/// back as open and transition chunks, so the restored copy takes late
+/// events and flags duplicates exactly as its source does.
+#[test]
+fn checkpoint_carries_open_and_transition_chunks() {
+    let cfg = || ReservoirConfig {
+        transition_hold: TimeDelta::from_millis(100),
+        ..small_cfg()
+    };
+    let source = Reservoir::open(&fresh("live-src"), schema(), cfg()).unwrap();
+    // 8-event chunks: chunks 0..3 closed, the youngest in transition, 3
+    // events open.
+    for i in 0..35 {
+        source.append(ev(i, i as i64 * 10)).unwrap();
+    }
+    let before = source.stats();
+    assert!(before.transition_events > 0 && before.open_events > 0, "{before:?}");
+    let target = fresh("live-dst");
+    source.checkpoint(&target).unwrap();
+    assert_eq!(source.stats().open_events, before.open_events, "no chunk closed early");
+    // The live segments are in the image as links, not copies.
+    #[cfg(unix)]
+    for entry in std::fs::read_dir(&target).unwrap() {
+        use std::os::unix::fs::MetadataExt;
+        let entry = entry.unwrap();
+        if entry.file_name().to_string_lossy().starts_with("seg-") {
+            assert_eq!(entry.metadata().unwrap().nlink(), 2, "{entry:?}");
+        }
+    }
+    let image = fresh("live-image");
+    std::fs::create_dir_all(&image).unwrap();
+    for entry in std::fs::read_dir(&target).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+    }
+    let restored = Reservoir::open(&image, schema(), cfg()).unwrap();
+    let after = restored.stats();
+    assert_eq!(
+        (after.open_events, after.transition_events),
+        (before.open_events, before.transition_events)
+    );
+    // Duplicates of resident events, a late event for the transition
+    // chunk, one behind the frontier, and new arrivals: same outcomes.
+    for e in [ev(33, 330), ev(20, 200), ev(100, 245), ev(101, 5), ev(102, 400)] {
+        assert_eq!(restored.append(e.clone()).unwrap(), source.append(e).unwrap());
+    }
+    let all = |r: &Reservoir| r.cursor_at_start().advance_upto(Timestamp::MAX);
+    assert_eq!(all(&restored), all(&source));
+    // Opened once, the image's chunks live on in memory: a reopen of the
+    // same directory finds only what has reached a segment since.
+    drop(restored);
+    let reopened = Reservoir::open(&image, schema(), cfg()).unwrap();
+    assert_eq!(reopened.stats().open_events, 0);
+}
+
+#[test]
+fn a_failed_chunk_write_fails_the_next_checkpoint() {
+    let dir = fresh("failed-persist");
+    let cfg = ReservoirConfig {
+        file_target_bytes: 1, // one chunk per segment
+        ..small_cfg()
+    };
+    let res = Reservoir::open(&dir, schema(), cfg).unwrap();
+    for i in 0..8 {
+        res.append(ev(i, i as i64 * 10)).unwrap();
+    }
+    res.flush_io().unwrap();
+    // The next segment has nowhere to go.
+    std::fs::remove_dir_all(&dir).unwrap();
+    for i in 8..17 {
+        res.append(ev(i, i as i64 * 10)).unwrap();
+    }
+    let err = res.checkpoint(&fresh("failed-persist-image")).unwrap_err();
+    assert!(matches!(err, railgun_types::RailgunError::Io(_)), "{err:?}");
+    assert_eq!(res.stats().failed_persists, 1);
+    // The chunk is still served from the cache.
+    let c = res.cursor_at_start();
+    assert_eq!(c.advance_upto(Timestamp::MAX).len(), 17);
+}
+
 #[test]
 fn truncation_drops_expired_chunks_and_files() {
     let dir = fresh("truncate");
@@ -432,15 +512,8 @@ fn schema_evolution_old_chunks_still_readable() {
     for i in 0..16 {
         res.append(ev(i, i as i64)).unwrap();
     }
-    let v2 = Schema::from_pairs(&[
-        ("cardId", FieldType::Str),
-        ("amount", FieldType::Float),
-        ("country", FieldType::Str),
-    ])
-    .unwrap();
-    let id2 = res.evolve_schema(v2).unwrap();
-    assert_eq!(res.current_schema(), id2);
-    // New events under the new schema.
+    // New events under a schema with one more field: rows describe
+    // themselves, so no registry is asked.
     for i in 16..32 {
         res.append(Event::new(
             EventId(i),

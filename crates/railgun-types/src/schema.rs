@@ -1,14 +1,14 @@
 //! Event schemas.
 //!
-//! A [`Schema`] declares the ordered list of fields an event carries. The
-//! reservoir persists chunks tagged with a [`SchemaId`] so old chunks can be
-//! deserialized after the schema evolves (paper §4.1.1, schema registry).
+//! A [`Schema`] declares the ordered list of fields an event carries.
+//! Rows describe themselves (every value carries its type), so reservoir
+//! chunks still decode after a schema evolves (paper §4.1.1).
 
 use crate::event::Event;
 use crate::value::Value;
 use crate::{RailgunError, Result};
 
-/// Identifier of a registered schema version.
+/// Identifier of a schema version, as a reservoir chunk frame records it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SchemaId(pub u32);
 

@@ -2,7 +2,9 @@
 //! checkpoint-based task recovery.
 
 use railgun::engine::api::{decode_checkpoint, CHECKPOINT_TOPIC};
-use railgun::engine::{parse_query, Cluster, ClusterConfig, TaskConfig, TaskProcessor};
+use railgun::engine::{
+    parse_query, Cluster, ClusterConfig, QueryId, RestoreOutcome, TaskConfig, TaskProcessor,
+};
 use railgun::messaging::{Consumer, TopicPartition};
 use railgun::types::{Event, EventId, FieldType, Schema, Timestamp, Value};
 
@@ -68,7 +70,7 @@ fn restored_processor_continues_from_checkpoint_plus_replay() {
         .unwrap();
     let mut source =
         TaskProcessor::open(&dir, "payments--cardId", 0, schema(), TaskConfig::default()).unwrap();
-    source.register_query(&q).unwrap();
+    source.attach_query(QueryId(1), &q).unwrap();
     let event = |i: u64| {
         Event::new(
             EventId(i),
@@ -89,16 +91,15 @@ fn restored_processor_continues_from_checkpoint_plus_replay() {
     }
     // Restore from the checkpoint and replay events 30.. (the messaging
     // layer would supply these from the checkpointed offset).
-    let mut restored = TaskProcessor::restore_from_checkpoint(
+    let (mut restored, outcome) = TaskProcessor::restore_or_replay(
         &ckpt,
         &tmp("recovered"),
-        "payments--cardId",
-        0,
         schema(),
         TaskConfig::default(),
+        &[(QueryId(1), &q)],
     )
     .unwrap();
-    restored.register_query(&q).unwrap();
+    assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
     let mut last_restored = Vec::new();
     for i in 30..40 {
         let (r, _) = restored.process_event(&event(i)).unwrap();

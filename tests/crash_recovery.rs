@@ -11,8 +11,8 @@
 
 use railgun::engine::api::{decode_checkpoint, CHECKPOINT_TOPIC};
 use railgun::engine::{
-    parse_query, AggregationResult, Cluster, ClusterConfig, RestoreOutcome, TaskConfig,
-    TaskProcessor,
+    parse_query, AggregationResult, Cluster, ClusterConfig, Query, QueryId, RestoreOutcome,
+    TaskConfig, TaskProcessor,
 };
 use railgun::messaging::{Consumer, TopicPartition};
 use railgun::types::{Counter, Event, EventId, FieldType, Schema, Timestamp, Value};
@@ -45,15 +45,16 @@ fn config_with_counter() -> (TaskConfig, Counter) {
     (config, counter)
 }
 
+fn query() -> Query {
+    parse_query("SELECT sum(amount), count(*) FROM payments GROUP BY cardId OVER sliding 1 hours")
+        .unwrap()
+}
+
 /// A source processor with `total` events processed and a checkpoint
 /// taken after `ckpt_at` of them; returns the checkpoint dir and the
 /// reply of the final event (the aggregates a recovered unit must
 /// reproduce exactly).
 fn source_run(tag: &str, ckpt_at: u64, total: u64) -> (std::path::PathBuf, Vec<AggregationResult>) {
-    let q = parse_query(
-        "SELECT sum(amount), count(*) FROM payments GROUP BY cardId OVER sliding 1 hours",
-    )
-    .unwrap();
     let mut source = TaskProcessor::open(
         &tmp(&format!("{tag}-src")),
         "payments--cardId",
@@ -62,7 +63,7 @@ fn source_run(tag: &str, ckpt_at: u64, total: u64) -> (std::path::PathBuf, Vec<A
         TaskConfig::default(),
     )
     .unwrap();
-    source.register_query(&q).unwrap();
+    source.attach_query(QueryId(1), &query()).unwrap();
     for i in 0..ckpt_at {
         source.process_event(&event(i)).unwrap();
     }
@@ -90,17 +91,11 @@ fn recover(
     let (mut tp, outcome) = TaskProcessor::restore_or_replay(
         ckpt,
         &tmp(&format!("{tag}-recovered")),
-        "payments--cardId",
-        0,
         schema(),
         config,
+        &[(QueryId(1), &query())],
     )
     .unwrap();
-    let q = parse_query(
-        "SELECT sum(amount), count(*) FROM payments GROUP BY cardId OVER sliding 1 hours",
-    )
-    .unwrap();
-    tp.register_query(&q).unwrap();
     let mut last = Vec::new();
     for i in replay_from..total {
         let (r, _) = tp.process_event(&event(i)).unwrap();
@@ -205,7 +200,7 @@ fn sketch_state_survives_checkpoint_and_full_replay() {
         TaskConfig::default(),
     )
     .unwrap();
-    source.register_query(&q).unwrap();
+    source.attach_query(QueryId(1), &q).unwrap();
     for i in 0..ckpt_at {
         source.process_event(&sketch_event(i)).unwrap();
     }
@@ -222,15 +217,13 @@ fn sketch_state_survives_checkpoint_and_full_replay() {
     let (mut tp, outcome) = TaskProcessor::restore_or_replay(
         &ckpt,
         &tmp("sketch-restored"),
-        "payments--cardId",
-        0,
         schema(),
         config,
+        &[(QueryId(1), &q)],
     )
     .unwrap();
     assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
     assert_eq!(fallbacks.get(), 0);
-    tp.register_query(&q).unwrap();
     let mut last_restored = Vec::new();
     for i in ckpt_at..total {
         let (r, _) = tp.process_event(&sketch_event(i)).unwrap();
@@ -248,15 +241,13 @@ fn sketch_state_survives_checkpoint_and_full_replay() {
     let (mut tp, outcome) = TaskProcessor::restore_or_replay(
         &ckpt,
         &tmp("sketch-replayed"),
-        "payments--cardId",
-        0,
         schema(),
         config,
+        &[(QueryId(1), &q)],
     )
     .unwrap();
     assert_eq!(outcome, RestoreOutcome::FullReplay);
     assert_eq!(fallbacks.get(), 1);
-    tp.register_query(&q).unwrap();
     let mut last_replayed = Vec::new();
     for i in 0..total {
         let (r, _) = tp.process_event(&sketch_event(i)).unwrap();
@@ -278,9 +269,8 @@ fn cluster_published_checkpoints_pass_restore_validation() {
     cfg.checkpoint_every = 5;
     let mut cluster = Cluster::new(cfg).unwrap();
     cluster.create_stream("payments", schema(), &["cardId"]).unwrap();
-    cluster
-        .register_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 minutes")
-        .unwrap();
+    let text = "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 minutes";
+    let id = cluster.register_query(text).unwrap();
     for i in 0..12 {
         cluster
             .send(
@@ -300,10 +290,9 @@ fn cluster_published_checkpoints_pass_restore_validation() {
     let (tp, outcome) = TaskProcessor::restore_or_replay(
         std::path::Path::new(&rec.path),
         &tmp("cluster-restore"),
-        &rec.topic,
-        rec.partition,
         schema(),
         config,
+        &[(id, &parse_query(text).unwrap())],
     )
     .unwrap();
     assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
@@ -327,7 +316,8 @@ fn record_of_a_pruned_image_degrades_to_full_replay() {
     let mut cluster = Cluster::new(cfg).unwrap();
     cluster.create_stream("payments", schema(), &["cardId"]).unwrap();
     let query = "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 minutes";
-    cluster.register_query(query).unwrap();
+    let id = cluster.register_query(query).unwrap();
+    let query = parse_query(query).unwrap();
     let total = 22;
     for i in 0..total {
         cluster
@@ -355,10 +345,9 @@ fn record_of_a_pruned_image_degrades_to_full_replay() {
         let (tp, outcome) = TaskProcessor::restore_or_replay(
             std::path::Path::new(&rec.path),
             &tmp(tag),
-            &rec.topic,
-            rec.partition,
             schema(),
             config,
+            &[(id, &query)],
         )
         .unwrap();
         (tp, outcome, fallbacks.get())
@@ -368,10 +357,125 @@ fn record_of_a_pruned_image_degrades_to_full_replay() {
     let (mut tp, outcome, fallbacks) = restore(&stale[0], "pruned-restore-old");
     assert_eq!((outcome, fallbacks), (RestoreOutcome::FullReplay, 1));
     // The degraded arm is an empty task the caller replays from offset 0.
-    tp.register_query(&parse_query(query).unwrap()).unwrap();
     let mut last = Vec::new();
     for i in 0..total {
         last = tp.process_event(&event(i)).unwrap().0;
     }
     assert_eq!(last[0].value, Value::Int(total as i64));
+}
+
+/// Process `event(i)` for `i` in `events` on both tasks and require the
+/// same reply from each.
+fn lockstep(
+    source: &mut TaskProcessor,
+    restored: &mut TaskProcessor,
+    events: impl IntoIterator<Item = Event>,
+) {
+    for e in events {
+        let want = source.process_event(&e).unwrap();
+        let got = restored.process_event(&e).unwrap();
+        assert_eq!(got, want, "event {:?} at {:?}", e.id, e.ts);
+    }
+}
+
+/// A window that has slid past events of the image: the restored task
+/// evicts exactly what its source evicts. The image used to leave out
+/// the open chunk (the window's whole content here) and the cursors
+/// started a millisecond early: at the first event after the restore the
+/// source read 10 and the restored task 0.
+#[test]
+fn a_restored_task_answers_as_its_source_under_expiry() {
+    let q = parse_query(
+        "SELECT count(*), sum(amount) FROM payments GROUP BY cardId OVER sliding 10 sec",
+    )
+    .unwrap();
+    let mut source = TaskProcessor::open(
+        &tmp("expiry-src"),
+        "payments--cardId",
+        0,
+        schema(),
+        TaskConfig::default(),
+    )
+    .unwrap();
+    source.attach_query(QueryId(1), &q).unwrap();
+    for i in 0..300 {
+        source.process_event(&event(i)).unwrap();
+    }
+    let ckpt = tmp("expiry-ckpt");
+    source.checkpoint(&ckpt).unwrap();
+    let (mut restored, outcome) = TaskProcessor::restore_or_replay(
+        &ckpt,
+        &tmp("expiry-restored"),
+        schema(),
+        TaskConfig::default(),
+        &[(QueryId(1), &q)],
+    )
+    .unwrap();
+    assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
+    lockstep(&mut source, &mut restored, (300..400).map(event));
+}
+
+/// Late events and duplicates across a restore, with chunks held in
+/// transition for late arrivals: the image carries the open and the
+/// transition chunks with their event ids, so the restored task accepts,
+/// discards and flags duplicates exactly as its source does.
+#[test]
+fn late_and_duplicate_events_across_a_restore_match_the_source() {
+    let config = || TaskConfig {
+        reservoir: railgun::reservoir::ReservoirConfig {
+            chunk_target_events: 16,
+            transition_hold: railgun::types::TimeDelta::from_secs(20),
+            ..Default::default()
+        },
+        ..TaskConfig::default()
+    };
+    let q = parse_query(
+        "SELECT count(*), sum(amount), max(amount) FROM payments \
+         GROUP BY cardId OVER sliding 30 sec",
+    )
+    .unwrap();
+    // Event i arrives at i seconds. Every 7th is up to 40 s late — some
+    // land in a transition chunk, some behind the frontier — and every
+    // 5th repeats an event 3 to 9 arrivals back.
+    let stream: Vec<Event> = (0..300u64)
+        .map(|i| {
+            let n = if i % 5 == 4 { i.saturating_sub(3 + i % 7) } else { i };
+            let late = if n % 7 == 6 { (n * 13 % 41) as i64 * 1_000 } else { 0 };
+            Event::new(
+                EventId(n),
+                Timestamp::from_millis((n as i64 * 1_000 - late).max(0)),
+                vec![Value::from(format!("card-{}", n % 3)), Value::from((n * 37 % 101) as f64)],
+            )
+        })
+        .collect();
+    for at in [100, 137, 201] {
+        let mut source = TaskProcessor::open(
+            &tmp(&format!("late-src-{at}")),
+            "payments--cardId",
+            0,
+            schema(),
+            config(),
+        )
+        .unwrap();
+        source.attach_query(QueryId(1), &q).unwrap();
+        for e in &stream[..at] {
+            source.process_event(e).unwrap();
+        }
+        let held = source.reservoir_stats();
+        assert!(held.transition_events > 0 && held.open_events > 0, "{held:?}");
+        let ckpt = tmp(&format!("late-ckpt-{at}"));
+        source.checkpoint(&ckpt).unwrap();
+        let (mut restored, outcome) = TaskProcessor::restore_or_replay(
+            &ckpt,
+            &tmp(&format!("late-restored-{at}")),
+            schema(),
+            config(),
+            &[(QueryId(1), &q)],
+        )
+        .unwrap();
+        assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
+        lockstep(&mut source, &mut restored, stream[at..].iter().cloned());
+        let r = restored.reservoir_stats();
+        assert!(r.duplicates > 0 && r.late_discarded > 0, "{r:?}");
+    }
 }

@@ -1069,12 +1069,8 @@ mod group_rows {
     }
 
     pub fn register(tp: &mut TaskProcessor, template: usize) {
-        tp.attach_query(
-            QueryId(template as u64),
-            &parse_query(TEMPLATES[template].0).unwrap(),
-            true,
-        )
-        .unwrap();
+        tp.attach_query(QueryId(template as u64), &parse_query(TEMPLATES[template].0).unwrap())
+            .unwrap();
     }
 
     /// The values a reply carries for one template's query, in SELECT
@@ -1266,7 +1262,7 @@ proptest! {
         let mut tp = open(&data, Some(&fs));
         // One group: sum = leaf 0, countDistinct = leaf 1.
         for (id, (text, _)) in FOREVER.iter().enumerate().take(2) {
-            tp.attach_query(QueryId(id as u64), &parse_query(text).unwrap(), true).unwrap();
+            tp.attach_query(QueryId(id as u64), &parse_query(text).unwrap()).unwrap();
         }
         let mut sum = forever_engine("reopen-sum", FOREVER[0].1);
         let mut count = forever_engine("reopen-count", FOREVER[2].1);
@@ -1290,10 +1286,11 @@ proptest! {
 
         let mut tp = open(&data, None);
         let resumed = tp.store_stats();
-        // The state is in the store; nothing to backfill.
-        tp.attach_query(QueryId(0), &parse_query(FOREVER[0].0).unwrap(), false).unwrap();
+        // The state is in the store. The reservoir reopens empty (every
+        // event was still in its open chunk), so the backfill adds nothing.
+        tp.attach_query(QueryId(0), &parse_query(FOREVER[0].0).unwrap()).unwrap();
         // Leaf id 1 again, now a count.
-        tp.attach_query(QueryId(2), &parse_query(FOREVER[2].0).unwrap(), false).unwrap();
+        tp.attach_query(QueryId(2), &parse_query(FOREVER[2].0).unwrap()).unwrap();
         for (i, (card, merchant, amount)) in after.into_iter().enumerate() {
             ts += 1_000;
             let e = event(10_000 + i as u64, ts, card, merchant, amount);
