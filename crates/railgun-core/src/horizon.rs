@@ -30,11 +30,12 @@
 //! `railgun_store::options`): verdicts depend only on the key bytes and
 //! the current horizon values, `expire_before_ms` only advances, and the
 //! dead set is only *cleared* after the state it covers has been
-//! reclaimed (slots stripped, flush + compaction of every filtered CF) —
-//! within an incarnation ids are never reused, and across restarts the
-//! pending set is persisted ([`StateHorizon::marker`]) and reclaimed
-//! before the plan registers new nodes. Unparseable keys are kept: the
-//! filter must never guess.
+//! reclaimed (slots stripped, flush + compaction of every filtered CF).
+//! Within an incarnation ids are never reused. The set lives in memory
+//! only: a task comes back only from a checkpoint image, and the task
+//! finishes any pending reclaim before it writes one, so no image holds
+//! dead state that a restored plan's ids could alias. Unparseable keys
+//! are kept: the filter must never guess.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -71,11 +72,6 @@ impl Dead {
         self.leaves.binary_search_by_key(&leaf, |&(l, _)| l).is_ok()
     }
 }
-
-/// Marker record: group id then leaf id, big-endian; [`WHOLE_GROUP`] in
-/// the leaf position marks the group itself dead.
-const MARKER_RECORD: usize = 8;
-const WHOLE_GROUP: u32 = u32::MAX;
 
 impl StateHorizon {
     pub fn new() -> Arc<Self> {
@@ -136,35 +132,6 @@ impl StateHorizon {
             }
         }
         strips
-    }
-
-    /// The pending dead set in its persisted form. The task writes this
-    /// before it starts reclaiming and deletes it when done, so a restart
-    /// in between resumes the reclaim ([`StateHorizon::load_marker`]).
-    pub fn marker(&self) -> Vec<u8> {
-        let dead = self.dead.lock();
-        let mut out = Vec::with_capacity(MARKER_RECORD * (dead.groups.len() + dead.leaves.len()));
-        let pairs = dead
-            .groups
-            .iter()
-            .map(|&g| (g, WHOLE_GROUP))
-            .chain(dead.leaves.iter().map(|&(l, g)| (g, l)));
-        for (group, leaf) in pairs {
-            out.extend_from_slice(&group.to_be_bytes());
-            out.extend_from_slice(&leaf.to_be_bytes());
-        }
-        out
-    }
-
-    /// Re-add the dead set a previous incarnation persisted.
-    pub fn load_marker(&self, raw: &[u8]) {
-        for rec in raw.chunks_exact(MARKER_RECORD) {
-            let group = u32::from_be_bytes(rec[..4].try_into().expect("4b"));
-            match u32::from_be_bytes(rec[4..].try_into().expect("4b")) {
-                WHOLE_GROUP => self.add_dead_group(group),
-                leaf => self.add_dead_leaf(group, leaf),
-            }
-        }
     }
 
     /// Forget the dead set — call only after the state it covers has
@@ -296,24 +263,6 @@ mod tests {
         assert!(!h.has_dead());
         assert_eq!(state.filter(&dead_row, b""), FilterDecision::Keep);
         assert_eq!(aux.filter(&dead_aux, b""), FilterDecision::Keep);
-    }
-
-    #[test]
-    fn marker_roundtrips_the_dead_set() {
-        let h = StateHorizon::new();
-        h.add_dead_leaf(3, 11);
-        h.add_dead_leaf(4, 12);
-        h.add_dead_leaf(4, 13);
-        h.add_dead_group(4);
-        let restored = StateHorizon::new();
-        restored.load_marker(&h.marker());
-        assert_eq!(restored.marker(), h.marker());
-        assert_eq!(restored.pending_strips(), vec![(3, vec![11])]);
-        let state = StateKeyFilter(Arc::clone(&restored));
-        assert_eq!(
-            state.filter(&state_key(4, None, &entity()), b""),
-            FilterDecision::Discard
-        );
     }
 
     /// Tumbling state on a real store that spills: buckets expire by

@@ -200,15 +200,8 @@ pub struct TaskProcessor {
 /// Name of the auxiliary column family for `countDistinct`.
 const AUX_CF_NAME: &str = "distinct-aux";
 
-/// Name of the metadata column family (reclamation markers, tiny).
+/// Name of the metadata column family (the plan fingerprint, tiny).
 const META_CF_NAME: &str = "task-meta";
-
-/// Meta-CF key holding the pending dead groups and leaves
-/// ([`StateHorizon::marker`]). Present iff an unregistration's state
-/// reclaim has not yet completed — group and leaf ids restart per
-/// incarnation, so a restart must finish the reclaim *before* the plan
-/// can hand those ids out again.
-const DEAD_NODES_KEY: &[u8] = b"dead-nodes";
 
 /// Meta-CF key holding [`Plan::fingerprint`] as of the last checkpoint.
 /// State rows are keyed by positional plan ids, so an image is only
@@ -291,16 +284,9 @@ impl TaskProcessor {
             Some(cf) => cf,
             None => db.create_cf(META_CF_NAME)?,
         };
-        // A persisted marker means a reclaim was cut short (crash between
-        // the unregistration and its compactions): reload the dead set
-        // and finish the job below, before any query registers new
-        // groups or leaves under the same ids.
-        if let Some(raw) = db.get(meta_cf, DEAD_NODES_KEY)? {
-            horizon.load_marker(&raw);
-        }
         let stats = Arc::new(SharedTaskStats::default());
         config.stats_registry.register(&stats);
-        let tp = TaskProcessor {
+        Ok(TaskProcessor {
             schema,
             plan: Plan::new(),
             reservoir,
@@ -322,20 +308,15 @@ impl TaskProcessor {
             agg_scratch: AggScratch::default(),
             horizon,
             meta_cf,
-        };
-        if tp.horizon.has_dead() {
-            tp.reclaim_dead_state()?;
-        }
-        Ok(tp)
+        })
     }
 
     /// Reclaim the state behind the pending dead set: rewrite the rows
     /// of live groups without their dead leaves' slots, flush the
     /// memtables (filters only see SSTables), compact the filtered CFs
-    /// so dead groups' rows and dead leaves' aux keys vanish, then clear
-    /// the marker. Idempotent — a crash anywhere before the final delete
-    /// re-runs the whole reclaim at the next open, which is safe because
-    /// nothing live can use a dead id until the marker is gone.
+    /// so dead groups' rows and dead leaves' aux keys vanish, then forget
+    /// the set. One that fails part-way keeps the set and runs again at
+    /// the next checkpoint.
     fn reclaim_dead_state(&self) -> Result<()> {
         let mut slots = Vec::new();
         let mut row = Vec::new();
@@ -357,7 +338,6 @@ impl TaskProcessor {
         self.db.compact_cf(Db::DEFAULT_CF)?;
         self.db.compact_cf(self.aux_cf)?;
         self.horizon.clear_dead();
-        self.db.delete(self.meta_cf, DEAD_NODES_KEY)?;
         Ok(())
     }
 
@@ -524,16 +504,14 @@ impl TaskProcessor {
             return Ok(false);
         }
         // Dead state is reclaimed through the compaction filters rather
-        // than per-key point deletes: mark the nodes dead, persist the
-        // marker (a crash before the reclaim finishes must resume it at
-        // the next open — ids restart per incarnation) and flush it, since
-        // a write is durable only once flushed and a budget flush must not
-        // commit a row it guards first, then reclaim. A
+        // than per-key point deletes: mark the nodes dead, then reclaim. A
         // group whose last leaf died loses its rows in the default CF's
         // merge; a leaf that died inside a live group has its slot
         // stripped from that group's rows. The aux CF needs no scan at
         // all: its filter decodes the embedded state key, so counters and
-        // sketch blobs of dead leaves fall out of the same merge.
+        // sketch blobs of dead leaves fall out of the same merge. Nothing
+        // is persisted: a task comes back only from an image, and images
+        // are written after the reclaim.
         if !diff.dead_leaves.is_empty() {
             for &leaf in &diff.dead_leaves {
                 let gid = self.plan.leaves[leaf].group;
@@ -545,9 +523,6 @@ impl TaskProcessor {
                     self.horizon.add_dead_group(gid as u32);
                 }
             }
-            self.db
-                .put(self.meta_cf, DEAD_NODES_KEY, &self.horizon.marker())?;
-            self.db.flush()?;
             self.reclaim_dead_state()?;
         }
         for &wid in &diff.dead_windows {
@@ -930,9 +905,8 @@ impl TaskProcessor {
     /// marker, written last, vouches for the whole image.
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
-        // Finish any pending dead-state reclaim first so the image does
-        // not ship keys (and a marker) a restore would immediately have
-        // to compact away again.
+        // Finish any pending dead-state reclaim first: the image must not
+        // ship dead state, whose ids a restored plan may hand out again.
         if self.horizon.has_dead() {
             self.reclaim_dead_state()?;
         }
@@ -1541,10 +1515,6 @@ mod tests {
             tp.store_stats().filter_dropped > 0,
             "unregister must reclaim via filtered compaction"
         );
-        assert!(
-            tp.db.get(tp.meta_cf, DEAD_NODES_KEY).unwrap().is_none(),
-            "reclaim marker cleared once the compactions committed"
-        );
     }
 
     /// The leaf ids found in the slots of every row under group `gid`.
@@ -1590,7 +1560,6 @@ mod tests {
             "the dead leaf's counters fall out of the aux compaction"
         );
         assert!(tp.store_stats().filter_dropped > 0);
-        assert!(tp.db.get(tp.meta_cf, DEAD_NODES_KEY).unwrap().is_none());
         assert!(!tp.horizon.has_dead());
 
         // A later aggregation on the same group gets a fresh leaf id and
@@ -1611,86 +1580,6 @@ mod tests {
         assert_eq!(result_value(&r, "sum(amount)"), Value::Float(11.0));
         assert_eq!(result_value(&r, "max(amount)"), Value::Float(5.0));
         assert_eq!(r.len(), 2, "{r:?}");
-    }
-
-    #[test]
-    fn interrupted_unregister_reclaim_resumes_at_open() {
-        let dir = temp_task_dir("reclaim-resume");
-        let open = || {
-            TaskProcessor::open(&dir, "payments--cardId", 0, schema(), TaskConfig::default())
-                .unwrap()
-        };
-        let q_sum = parse_query(
-            "SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
-        )
-        .unwrap();
-        {
-            let mut tp = open();
-            // Group 0 = {sum (leaf 0), countDistinct (leaf 1)} on the
-            // sliding window, group 1 = {countDistinct (leaf 2)} on the
-            // infinite one.
-            tp.register_query(&q_sum).unwrap();
-            for q in [
-                "SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 5 min",
-                "SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER infinite",
-            ] {
-                tp.register_query(&parse_query(q).unwrap()).unwrap();
-            }
-            for i in 0..6 {
-                tp.process_event(&ev(i, 1_000 * i as i64, "A", &format!("m{i}"), 1.0))
-                    .unwrap();
-            }
-            assert_eq!(slot_leaves(&tp, 0), vec![vec![0, 1]]);
-            assert_eq!(slot_leaves(&tp, 1), vec![vec![2]]);
-            assert!(!tp.db.scan_prefix(tp.aux_cf, &[]).unwrap().is_empty());
-            // Crash exactly between an unregistration of both
-            // countDistincts persisting its marker and running the
-            // reclaim: write the marker by hand and drop the task without
-            // reclaiming.
-            let dead = StateHorizon::new();
-            dead.add_dead_leaf(0, 1);
-            dead.add_dead_leaf(1, 2);
-            dead.add_dead_group(1);
-            tp.db
-                .put(tp.meta_cf, DEAD_NODES_KEY, &dead.marker())
-                .unwrap();
-            // As `unregister_query` does: the marker and everything before
-            // it are durable once flushed.
-            tp.db.flush().unwrap();
-        }
-        let mut tp = open();
-        // Open must finish the reclaim before any registration can reuse
-        // group id 1 or leaf ids 1 and 2 (ids restart per incarnation).
-        assert_eq!(
-            slot_leaves(&tp, 0),
-            vec![vec![0]],
-            "dead leaf's slot stripped from the live group's rows at open"
-        );
-        assert!(
-            slot_leaves(&tp, 1).is_empty(),
-            "dead group's rows reclaimed at open"
-        );
-        assert!(
-            tp.db.scan_prefix(tp.aux_cf, &[]).unwrap().is_empty(),
-            "dead aux state reclaimed at open"
-        );
-        assert!(!tp.horizon.has_dead());
-        assert!(
-            tp.db.get(tp.meta_cf, DEAD_NODES_KEY).unwrap().is_none(),
-            "marker cleared after the resumed reclaim"
-        );
-        // This incarnation hands leaf id 1 of group 0 to a different
-        // aggregator: it must start empty, not decode the old slot.
-        tp.attach_query(QueryId(1), &q_sum).unwrap();
-        tp.attach_query(
-            QueryId(2),
-            &parse_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min")
-                .unwrap(),
-        )
-        .unwrap();
-        let (r, _) = tp.process_event(&ev(100, 7_000, "A", "m", 1.0)).unwrap();
-        assert_eq!(result_value(&r, "sum(amount)"), Value::Float(7.0));
-        assert_eq!(result_value(&r, "count(*)"), Value::Int(1));
     }
 
     #[test]

@@ -252,7 +252,8 @@ impl ProcessorUnit {
         // stopping at it would lose every op behind it.
         self.ops.poll_into(self.cfg.max_poll, &mut buf)?;
         for msg in buf.drain(..) {
-            let applied = decode_op(&msg.payload).map_or(Ok(false), |op| self.apply_op(op))?;
+            let applied =
+                decode_op(&msg.payload).map_or(Ok(false), |op| self.apply_op(op, &mut report))?;
             report.ops_applied += usize::from(applied);
             report.bad_op_records += usize::from(!applied);
         }
@@ -413,7 +414,7 @@ impl ProcessorUnit {
 
     /// Apply one op; `false` if it registers a query whose text does not
     /// parse (nothing is applied then).
-    fn apply_op(&mut self, op: OpRequest) -> Result<bool> {
+    fn apply_op(&mut self, op: OpRequest, report: &mut PumpReport) -> Result<bool> {
         match op {
             OpRequest::CreateStream {
                 stream,
@@ -435,11 +436,26 @@ impl ProcessorUnit {
                 let not_of_stream = |tp: &TopicPartition| {
                     parse_topic_name(&tp.topic).map(|(s, _)| s) != Some(stream.as_str())
                 };
-                // Tasks (with their offsets and checkpoint counters) and
-                // registered queries die with the stream — a recreated
+                // Tasks (with their offsets, directories and checkpoints)
+                // and registered queries die with the stream — a recreated
                 // stream of the same name starts a fresh log with no
-                // metrics.
-                self.slots.retain(|slot| not_of_stream(&slot.tp));
+                // metrics. Records already published are read first, or
+                // the next rebalance would read them and restore a task
+                // of the recreated stream from the deleted one's image.
+                report.bad_checkpoint_records += self.refresh_checkpoints(&mut Vec::new())?;
+                self.checkpoints.retain(|tp, _| not_of_stream(tp));
+                for (_, dirs) in self.checkpoint_dirs.extract_if(|tp, _| !not_of_stream(tp)) {
+                    dirs.iter().try_for_each(|dir| remove_dir_if_present(dir))?;
+                }
+                let gone: Vec<TaskSlot> = self
+                    .slots
+                    .extract_if(.., |slot| !not_of_stream(&slot.tp))
+                    .collect();
+                for slot in gone {
+                    let dir = self.task_dir(&slot.tp);
+                    drop(slot); // closes the task's files
+                    remove_dir_if_present(&dir)?;
+                }
                 self.active_assignment.retain(not_of_stream);
                 self.queries.retain(|(_, q)| q.stream != stream);
                 self.resubscribe()?;

@@ -456,46 +456,51 @@ fn window_sizes_coexist_and_agree() {
     assert_eq!(hour.value, Value::Int(10));
 }
 
+/// A stream deleted after its task checkpointed, then recreated under the
+/// same name, with the query registered before the checkpoints or only
+/// after the recreation: the new stream's task starts fresh instead of
+/// restoring the deleted stream's image.
 #[test]
 fn stream_deletion_removes_tasks_and_topics() {
-    let mut cluster = Cluster::new(fresh_config("delete", 1, 1, 2)).unwrap();
-    cluster
-        .create_stream("payments", payments_schema(), &["cardId"])
-        .unwrap();
-    cluster
-        .register_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min")
-        .unwrap();
-    cluster
-        .send(
+    const QUERY: &str = "SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min";
+    let send = |cluster: &mut Cluster, secs: i64| {
+        cluster.send(
             "payments",
-            Timestamp::from_millis(0),
+            Timestamp::from_millis(secs * 1_000),
             vec![Value::from("c"), Value::from("m"), Value::from(1.0)],
         )
-        .unwrap();
-    cluster.delete_stream("payments").unwrap();
-    // Sends to the deleted stream fail at the front-end.
-    assert!(cluster
-        .send(
-            "payments",
-            Timestamp::from_millis(1_000),
-            vec![Value::from("c"), Value::from("m"), Value::from(1.0)],
-        )
-        .is_err());
-    // Deleting twice fails cleanly.
-    assert!(cluster.delete_stream("payments").is_err());
-    // The stream can be recreated from scratch (counts restart).
-    cluster
-        .create_stream("payments", payments_schema(), &["cardId"])
-        .unwrap();
-    cluster
-        .register_query("SELECT count(*) FROM payments GROUP BY cardId OVER sliding 5 min")
-        .unwrap();
-    let r = cluster
-        .send(
-            "payments",
-            Timestamp::from_millis(2_000),
-            vec![Value::from("c"), Value::from("m"), Value::from(1.0)],
-        )
-        .unwrap();
-    assert_eq!(find(&r, "count(*)").value, Value::Int(1), "fresh state");
+    };
+    for query_first in [false, true] {
+        let mut cfg = fresh_config(&format!("delete-{query_first}"), 1, 1, 1);
+        cfg.checkpoint_every = 10;
+        let mut cluster = Cluster::new(cfg).unwrap();
+        cluster
+            .create_stream("payments", payments_schema(), &["cardId"])
+            .unwrap();
+        if query_first {
+            cluster.register_query(QUERY).unwrap();
+        }
+        for secs in 0..30 {
+            send(&mut cluster, secs).unwrap();
+        }
+        cluster.delete_stream("payments").unwrap();
+        // Deleting twice fails cleanly.
+        assert!(cluster.delete_stream("payments").is_err());
+        // The stream can be recreated from scratch (counts restart).
+        cluster
+            .create_stream("payments", payments_schema(), &["cardId"])
+            .unwrap();
+        cluster.register_query(QUERY).unwrap();
+        let r = send(&mut cluster, 40).unwrap();
+        assert_eq!(find(&r, "count(*)").value, Value::Int(1), "fresh state");
+        let elastic = cluster.metrics_snapshot().elastic;
+        assert_eq!(
+            (elastic.handovers_completed, elastic.handover_fallbacks),
+            (0, 0),
+            "query first: {query_first}, {elastic:?}"
+        );
+        // Sends to the deleted stream fail at the front-end.
+        cluster.delete_stream("payments").unwrap();
+        assert!(send(&mut cluster, 50).is_err());
+    }
 }

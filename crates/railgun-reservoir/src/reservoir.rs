@@ -50,6 +50,18 @@
 //! that cursor (and the engine consistently excludes them from the window —
 //! both sides compare against the same bound). Cursors never cross a chunk
 //! that can still receive late events, so no event escapes expiry.
+//!
+//! ## Cold loads
+//!
+//! A cursor that reaches a chunk neither in memory nor cached reads it
+//! with the lock held, caches it and holds it; [`Reservoir::cursor_at`]
+//! loads its starting chunk the same way. The lock has two users: the
+//! task owning the reservoir, whose appends and cursor advances all run
+//! on its unit's one thread (§3.2), and the I/O thread. The task never
+//! waits on the I/O thread while holding the lock (a barrier waits on the
+//! channel without it), so a read under the lock delays only the I/O
+//! thread's bookkeeping. The other way round, the I/O thread's read-ahead
+//! reads without the lock, so the task never waits on that disk read.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -220,9 +232,6 @@ struct CursorPos {
     held: Option<Arc<DecodedChunk>>,
     /// Read-ahead already requested for the successor of the held chunk.
     prefetch_sent: bool,
-    /// Bumped on every committed advance; lets the two-phase drain detect
-    /// a concurrent advance of the same cursor across its unlocked I/O.
-    seq: u64,
 }
 
 struct Inner {
@@ -682,10 +691,9 @@ impl Reservoir {
     /// `from` is behind it (module docs). Past every stored event it waits
     /// at the end of the open chunk, where the next arrival lands.
     ///
-    /// Seeding follows the same lock discipline as the two-phase drain: if
-    /// the starting chunk is cold, the cursor is registered first (pinning
-    /// the chunk against truncation), then the segment read + decompression
-    /// happen without the lock, and the seek index is published afterwards.
+    /// A cold starting chunk is loaded as a cursor advance loads one
+    /// (module docs). If that fails, the cursor waits at the head of the
+    /// chunk and [`Cursor::take_error`] says why.
     pub fn cursor_at(&self, from: Timestamp) -> Cursor {
         let mut guard = self.shared.inner.lock();
         let inner = &mut *guard;
@@ -695,9 +703,8 @@ impl Reservoir {
             bound: from,
             held: None,
             prefetch_sent: false,
-            seq: 0,
         };
-        let mut cold: Option<ChunkLocation> = None;
+        let mut error = None;
         // Find the first chunk whose last event is >= from.
         let start = inner
             .chunks
@@ -708,48 +715,26 @@ impl Reservoir {
             pos.chunk = chunk_id.0;
             match Self::resident_seek(inner, chunk_id, from) {
                 Some(idx) => pos.idx = idx,
-                // Not resident: seek unlocked below.
-                None => cold = durable_location(inner, chunk_id).ok(),
+                None => match load_cold(&self.shared.dir, inner, chunk_id) {
+                    Ok(decoded) => {
+                        pos.idx = decoded.events.partition_point(|e| e.ts < from);
+                        pos.held = Some(decoded);
+                    }
+                    Err(e) => error = Some(e),
+                },
             }
         } else if let Some(open) = &inner.open {
             pos.chunk = open.id.0;
             pos.idx = open.events.len();
         }
-        let chunk_no = pos.chunk;
         let id = inner.next_cursor_id;
         inner.next_cursor_id += 1;
         inner.cursors.insert(id, pos);
-        let cursor = Cursor {
+        Cursor {
             shared: Arc::clone(&self.shared),
             id,
-            error: Mutex::new(None),
-        };
-        if let Some(loc) = cold {
-            drop(guard);
-            match read_chunk_at(&self.shared.dir, loc) {
-                Ok(decoded) => {
-                    let decoded = Arc::new(decoded);
-                    let mut inner = self.shared.inner.lock();
-                    let inner = &mut *inner;
-                    if chunk_no >= inner.first_chunk_id
-                        && !inner.cache.contains(ChunkId(chunk_no))
-                    {
-                        inner.cache.insert(Arc::clone(&decoded));
-                    }
-                    if let Some(cur) = inner.cursors.get_mut(&id) {
-                        // The handle is not returned yet, so nothing advanced
-                        // the cursor, and a durable chunk takes no fixups.
-                        debug_assert!(cur.chunk == chunk_no && cur.idx == 0);
-                        cur.idx = decoded.events.partition_point(|e| e.ts < from);
-                        cur.held = Some(decoded);
-                    }
-                }
-                // The cursor stays at the head of the chunk; its owner
-                // finds out why through the error slot.
-                Err(e) => cursor.fail(e),
-            }
+            error: Mutex::new(error),
         }
-        cursor
     }
 
     /// Cursor positioned at the very beginning of the stored stream.
@@ -954,6 +939,23 @@ fn durable_location(inner: &Inner, chunk: ChunkId) -> Result<ChunkLocation> {
     }
 }
 
+/// Load `chunk`, which a cursor found neither resident nor cached: read
+/// its frame with the lock held and cache it (module docs). A failed
+/// load is counted in [`ReservoirStats::failed_loads`].
+fn load_cold(dir: &Path, inner: &mut Inner, chunk: ChunkId) -> Result<Arc<DecodedChunk>> {
+    match durable_location(inner, chunk).and_then(|loc| read_chunk_at(dir, loc)) {
+        Ok(decoded) => {
+            let decoded = Arc::new(decoded);
+            inner.cache.insert(Arc::clone(&decoded));
+            Ok(decoded)
+        }
+        Err(e) => {
+            inner.stats.failed_loads += 1;
+            Err(e)
+        }
+    }
+}
+
 /// A monotonic reading position over a reservoir's event stream.
 ///
 /// Cursors are created by [`Reservoir::cursor_at`]; windows use one for
@@ -975,102 +977,47 @@ impl Cursor {
         self.error.lock().take()
     }
 
-    fn fail(&self, error: RailgunError) {
-        self.shared.inner.lock().stats.failed_loads += 1;
-        *self.error.lock() = Some(error);
-    }
-
     /// Yield every not-yet-yielded event with `ts < bound` into `out`,
     /// advancing the cursor. Bounds are monotonic: a smaller-or-equal bound
     /// than a previous call yields nothing.
     ///
-    /// ## Two-phase drain (lock discipline)
+    /// The whole advance runs under the reservoir lock. It batch-copies
+    /// from chunks in memory (open, transition, held or cached) with
+    /// `partition_point` and slice extends, and reads a cold chunk inline
+    /// (module docs).
     ///
-    /// Under the reservoir lock, the cursor only ever **resolves positions
-    /// and batch-copies from chunks already in memory** (open, transition,
-    /// held, or cached) using `partition_point` + slice extends. When it
-    /// runs into a durable chunk that is not resident, it *commits its
-    /// position, releases the lock*, performs the segment read + RailZ
-    /// decompression unlocked, then re-acquires the lock to publish the
-    /// chunk and continue. A cursor catching up on cold chunks therefore
-    /// never blocks `append`.
-    ///
-    /// The committed position keeps truncation away from the in-flight
-    /// chunk, and a sequence number detects a concurrent advance of the
-    /// *same* cursor across the unlocked window (events are then yielded to
-    /// exactly one of the callers; each event is still yielded once).
-    ///
-    /// A cold load that fails ends the drain short of `bound`; see
-    /// [`Cursor::take_error`].
+    /// A cold load that fails ends the drain short of `bound`, and the
+    /// bound stays where it was, so the next advance retries the read;
+    /// see [`Cursor::take_error`].
     pub fn advance_upto_into(&self, bound: Timestamp, out: &mut Vec<Event>) {
         let mut guard = self.shared.inner.lock();
-        loop {
-            let inner = &mut *guard;
-            let mut pos = match inner.cursors.get(&self.id) {
-                Some(p) => p.clone(),
-                None => return,
-            };
-            if pos.bound >= bound {
-                // Monotonic-bound rejection — either this call's bound is
-                // not ahead of the cursor, or a concurrent caller with this
-                // bound (or larger) completed meanwhile and yielded the
-                // remaining events below it.
-                return;
-            }
-            // Phase 1 (locked): drain everything resident in memory. The
-            // position (chunk, idx) commits progressively, but the bound
-            // only commits once the drain fully reaches it — a failed cold
-            // load below must leave the bound where it was, so a later call
-            // at the same bound retries instead of silently skipping.
-            let pending = self.drain_resident(inner, &mut pos, bound, out);
-            if pending.is_none() {
-                pos.bound = bound;
-            }
-            pos.seq = pos.seq.wrapping_add(1);
-            let my_seq = pos.seq;
-            inner.cursors.insert(self.id, pos);
-            let Some((chunk_no, loc)) = pending else {
-                return;
-            };
-            // Phase 2 (unlocked): cold chunk — disk read + decompression
-            // happen without the lock, so ingest keeps flowing.
-            drop(guard);
-            let decoded = match read_chunk_at(&self.shared.dir, loc) {
-                Ok(d) => Arc::new(d),
-                // Bound not committed: a later call retries.
-                Err(e) => return self.fail(e),
-            };
-            guard = self.shared.inner.lock();
-            let inner = &mut *guard;
-            if chunk_no >= inner.first_chunk_id && !inner.cache.contains(ChunkId(chunk_no)) {
-                inner.cache.insert(Arc::clone(&decoded));
-            }
-            match inner.cursors.get_mut(&self.id) {
-                Some(cur) if cur.seq == my_seq && cur.chunk == chunk_no => {
-                    cur.held = Some(decoded);
-                    cur.prefetch_sent = false;
-                }
-                Some(_) => {} // concurrently moved; next iteration re-reads
-                None => return,
-            }
+        let inner = &mut *guard;
+        // Copied out and written back: taking it out of the map with
+        // `remove` and re-inserting it measured slower per advance.
+        let Some(mut pos) = inner.cursors.get(&self.id).cloned() else {
+            return;
+        };
+        if pos.bound >= bound {
+            return;
         }
+        match self.drain(inner, &mut pos, bound, out) {
+            Ok(()) => pos.bound = bound,
+            Err(e) => *self.error.lock() = Some(e),
+        }
+        inner.cursors.insert(self.id, pos);
     }
 
-    /// Locked phase of [`Cursor::advance_upto_into`]: batch-copy events
-    /// below `bound` from in-memory chunks into `out`, advancing `pos`.
-    /// Returns the location of the first non-resident chunk blocking
-    /// progress, if any.
-    fn drain_resident(
+    /// The body of [`Cursor::advance_upto_into`]: copy events below
+    /// `bound` into `out`, advancing `pos` chunk by chunk and loading the
+    /// cold ones.
+    fn drain(
         &self,
         inner: &mut Inner,
         pos: &mut CursorPos,
         bound: Timestamp,
         out: &mut Vec<Event>,
-    ) -> Option<(u64, ChunkLocation)> {
-        loop {
-            if pos.chunk >= inner.next_chunk_id || pos.chunk < inner.first_chunk_id {
-                return None;
-            }
+    ) -> Result<()> {
+        while (inner.first_chunk_id..inner.next_chunk_id).contains(&pos.chunk) {
             let mi = (pos.chunk - inner.first_chunk_id) as usize;
             let state = inner.chunks[mi].state;
             match state {
@@ -1078,7 +1025,7 @@ impl Cursor {
                     pos.held = None;
                     let open = inner.open.as_ref().expect("open meta implies open chunk");
                     drain_slice(&open.events, pos, bound, out);
-                    return None; // never cross the open chunk
+                    return Ok(()); // never cross the open chunk
                 }
                 ChunkState::Transition => {
                     pos.held = None;
@@ -1094,7 +1041,7 @@ impl Cursor {
                         pos.chunk += 1;
                         pos.idx = 0;
                     } else {
-                        return None;
+                        return Ok(());
                     }
                 }
                 ChunkState::Pending | ChunkState::Durable(_) => {
@@ -1102,22 +1049,18 @@ impl Cursor {
                     // cache is only consulted on chunk transitions.
                     let decoded = match &pos.held {
                         Some(held) if held.id.0 == pos.chunk => Arc::clone(held),
-                        _ => match inner.cache.get(ChunkId(pos.chunk)) {
-                            Some(hit) => {
-                                pos.held = Some(Arc::clone(&hit));
-                                pos.prefetch_sent = false;
-                                hit
-                            }
-                            None => {
-                                // Cold: hand the location to phase 2.
-                                // Pending chunks are pinned in cache, so a
-                                // miss here implies a durable location.
-                                match durable_location(inner, ChunkId(pos.chunk)) {
-                                    Ok(loc) => return Some((pos.chunk, loc)),
-                                    Err(_) => return None,
-                                }
-                            }
-                        },
+                        _ => {
+                            let chunk = ChunkId(pos.chunk);
+                            // Pending chunks are pinned in the cache, so a
+                            // miss is a durable chunk.
+                            let decoded = match inner.cache.get(chunk) {
+                                Some(hit) => hit,
+                                None => load_cold(&self.shared.dir, inner, chunk)?,
+                            };
+                            pos.held = Some(Arc::clone(&decoded));
+                            pos.prefetch_sent = false;
+                            decoded
+                        }
                     };
                     let events = &decoded.events;
                     let done = drain_slice(events, pos, bound, out);
@@ -1139,11 +1082,12 @@ impl Cursor {
                         pos.idx = 0;
                         pos.held = None;
                     } else {
-                        return None;
+                        return Ok(());
                     }
                 }
             }
         }
+        Ok(())
     }
 
     /// Convenience wrapper collecting into a fresh vector.

@@ -127,10 +127,11 @@ pub struct RecoveredChunk {
     pub location: ChunkLocation,
 }
 
-/// Scan every `seg-*.rail` file in `dir` in order, yielding all intact
-/// chunks and the next free file number. A torn frame at the tail of the
-/// **last** file is tolerated (crash during append); torn frames
-/// elsewhere are corruption.
+/// Scan every `seg-*.rail` file in `dir` in order, yielding all chunks
+/// and the next free file number. A reservoir is only ever opened on a
+/// checkpoint image, or on a directory whose writer finished, and every
+/// segment of an image is sealed whole before the image is published: a
+/// torn frame anywhere, the last file's tail included, is corruption.
 pub fn scan_segments(dir: &Path) -> Result<(Vec<RecoveredChunk>, FileNo)> {
     let mut names: Vec<(FileNo, PathBuf)> = Vec::new();
     if dir.exists() {
@@ -152,10 +153,9 @@ pub fn scan_segments(dir: &Path) -> Result<(Vec<RecoveredChunk>, FileNo)> {
     names.sort_by_key(|(no, _)| *no);
     let mut chunks = Vec::new();
     let mut next_file = FileNo(0);
-    let last_idx = names.len().saturating_sub(1);
-    for (idx, (no, path)) in names.iter().enumerate() {
+    for (no, path) in &names {
         next_file = FileNo(no.0 + 1);
-        for (offset, frame) in read_frames(path, idx == last_idx)? {
+        for (offset, frame) in read_frames(path)? {
             let location = ChunkLocation {
                 file: *no,
                 offset,
@@ -171,15 +171,15 @@ pub fn scan_segments(dir: &Path) -> Result<(Vec<RecoveredChunk>, FileNo)> {
 }
 
 /// Every chunk of a file written whole and fsynced before anyone reads
-/// it, so a torn frame anywhere in it is corruption.
+/// it.
 pub fn read_chunks(path: &Path) -> Result<Vec<DecodedChunk>> {
-    let frames = read_frames(path, false)?;
+    let frames = read_frames(path)?;
     Ok(frames.into_iter().map(|(_, frame)| frame.chunk).collect())
 }
 
 /// Decode every frame of the file at `path`, with its offset. A torn
-/// frame at the tail ends the file when `torn_tail` allows it.
-fn read_frames(path: &Path, torn_tail: bool) -> Result<Vec<(u64, DecodedFrame)>> {
+/// frame is corruption.
+fn read_frames(path: &Path) -> Result<Vec<(u64, DecodedFrame)>> {
     let raw = std::fs::read(path)?;
     let mut frames = Vec::new();
     let mut offset = 0;
@@ -190,7 +190,6 @@ fn read_frames(path: &Path, torn_tail: bool) -> Result<Vec<(u64, DecodedFrame)>>
                 frames.push((offset as u64, frame));
                 offset += len;
             }
-            None if torn_tail => break, // torn tail after crash
             None => {
                 return Err(RailgunError::Corruption(format!(
                     "torn frame in {}",
@@ -290,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_tolerates_torn_tail_in_last_file() {
+    fn scan_rejects_torn_tail_in_last_file() {
         let dir = fresh("torn");
         {
             let mut w = SegmentWriter::new(&dir, 1 << 20, FileNo(0));
@@ -298,13 +297,11 @@ mod tests {
                 w.append(&frame(i, i as i64 * 1000, 5)).unwrap();
             }
         }
-        // Truncate the (single, active) file mid-frame.
+        // Truncate the last file mid-frame.
         let path = dir.join(segment_file_name(FileNo(0)));
         let raw = std::fs::read(&path).unwrap();
         std::fs::write(&path, &raw[..raw.len() - 10]).unwrap();
-        let (chunks, _) = scan_segments(&dir).unwrap();
-        assert_eq!(chunks.len(), 2);
-        // A file written whole tolerates no torn frame.
+        assert!(matches!(scan_segments(&dir), Err(RailgunError::Corruption(_))));
         assert!(matches!(read_chunks(&path), Err(RailgunError::Corruption(_))));
     }
 

@@ -324,6 +324,77 @@ fn checkpoint_carries_open_and_transition_chunks() {
     assert_eq!(reopened.stats().open_events, 0);
 }
 
+/// Every segment of an image is sealed whole before the image is
+/// published, so a torn frame at the end of the last one is damage, not a
+/// crash to recover from: opening the image fails instead of silently
+/// losing the torn chunk.
+#[test]
+fn an_image_whose_last_segment_ends_in_a_torn_frame_is_corruption() {
+    let cfg = || ReservoirConfig {
+        file_target_bytes: 1 << 20,
+        ..small_cfg()
+    };
+    let source = Reservoir::open(&fresh("torn-src"), schema(), cfg()).unwrap();
+    // Two closed chunks and no open one.
+    for i in 0..16 {
+        source.append(ev(i, i as i64 * 10)).unwrap();
+    }
+    assert_eq!(source.stats().open_events, 0);
+    let image = fresh("torn-image");
+    source.checkpoint(&image).unwrap();
+    // The image links the source's segment: write a short copy in its
+    // place instead of truncating the shared file.
+    let segment = image.join("seg-00000000.rail");
+    let raw = std::fs::read(&segment).unwrap();
+    std::fs::remove_file(&segment).unwrap();
+    std::fs::write(&segment, &raw[..raw.len() - 3]).unwrap();
+    match Reservoir::open(&image, schema(), cfg()) {
+        Err(railgun_types::RailgunError::Corruption(what)) => {
+            assert!(what.contains("seg-00000000.rail"), "{what}")
+        }
+        Err(e) => panic!("expected Corruption, got {e:?}"),
+        Ok(r) => panic!(
+            "opened with {} of 16 events",
+            r.cursor_at_start().advance_upto(Timestamp::MAX).len()
+        ),
+    }
+}
+
+/// A cursor created on a damaged cold chunk waits at its head with the
+/// error in its slot; an advance over the chunk reads it again.
+#[test]
+fn a_cursor_started_in_a_damaged_cold_chunk_reports_it_and_retries() {
+    let dir = fresh("cursor-at-damaged");
+    let cfg = ReservoirConfig {
+        file_target_bytes: 1, // one chunk per segment
+        cache_capacity_chunks: 1,
+        prefetch: false,
+        ..small_cfg()
+    };
+    let res = Reservoir::open(&dir, schema(), cfg).unwrap();
+    for i in 0..40 {
+        res.append(ev(i, i as i64 * 10)).unwrap();
+    }
+    res.flush_io().unwrap();
+    // Chunk 2 (ts 160..240) is only on disk. Flip one byte of it.
+    let segment = dir.join("seg-00000002.rail");
+    let mut raw = std::fs::read(&segment).unwrap();
+    let mid = raw.len() / 2;
+    raw[mid] ^= 0x40;
+    std::fs::write(&segment, raw).unwrap();
+    let c = res.cursor_at(Timestamp::from_millis(200));
+    match c.take_error() {
+        Some(railgun_types::RailgunError::Corruption(what)) => {
+            assert!(what.contains("seg-00000002.rail:0"), "{what}")
+        }
+        other => panic!("expected Corruption, got {other:?}"),
+    }
+    assert_eq!(res.stats().failed_loads, 1);
+    assert!(c.advance_upto(Timestamp::MAX).is_empty());
+    assert!(c.take_error().is_some());
+    assert_eq!(res.stats().failed_loads, 2);
+}
+
 #[test]
 fn a_failed_chunk_write_fails_the_next_checkpoint() {
     let dir = fresh("failed-persist");
@@ -555,11 +626,12 @@ fn codec_none_roundtrips_too() {
     assert_eq!(c.advance_upto(Timestamp::MAX).len(), 40);
 }
 
-/// Tentpole regression (PR 2): a cold cursor catching up on durable chunks
-/// must not serialize against `append`. One thread ingests while another
-/// drains everything from disk through a tiny cache; both must make
-/// progress, every event must be yielded exactly once, in timestamp order,
-/// and always below the bound the drainer asked for.
+/// A cold cursor catching up on durable chunks while another thread
+/// appends (the engine drives both from one thread; this pins the lock
+/// discipline regardless). One thread ingests while another drains
+/// everything from disk through a tiny cache; both must make progress,
+/// every event must be yielded exactly once, in timestamp order, and
+/// always below the bound the drainer asked for.
 #[test]
 fn concurrent_append_and_cold_drain() {
     let dir = fresh("concurrent-cold");

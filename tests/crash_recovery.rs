@@ -159,6 +159,29 @@ fn corrupt_checkpoint_manifest_degrades_to_full_replay() {
 }
 
 #[test]
+fn torn_reservoir_segment_degrades_to_full_replay() {
+    // 512 events fill two whole 256-event chunks: the image holds one
+    // segment and no open or transition chunk behind it.
+    let (ckpt, last_source) = source_run("torn", 512, 520);
+    let reservoir = ckpt.join("reservoir");
+    let names: Vec<_> = std::fs::read_dir(&reservoir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert_eq!(names, ["seg-00000000.rail"]);
+    // The image links the source's segment: write a short copy in its
+    // place instead of truncating the shared file.
+    let segment = reservoir.join(&names[0]);
+    let raw = std::fs::read(&segment).unwrap();
+    std::fs::remove_file(&segment).unwrap();
+    std::fs::write(&segment, &raw[..raw.len() - 3]).unwrap();
+    let (outcome, last_recovered, fallbacks) = recover("torn", &ckpt, 0, 520);
+    assert_eq!(outcome, RestoreOutcome::FullReplay);
+    assert_eq!(fallbacks, 1, "fallback must be counted");
+    assert_eq!(last_source, last_recovered);
+}
+
+#[test]
 fn missing_checkpoint_dir_degrades_to_full_replay() {
     let (ckpt, last_source) = source_run("missing", 30, 40);
     std::fs::remove_dir_all(&ckpt).unwrap();

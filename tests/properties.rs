@@ -864,18 +864,14 @@ proptest! {
 
 mod group_rows {
     use std::collections::HashMap;
-    use std::sync::Arc;
 
     use railgun::baseline::{RescanConfig, RescanEngine};
     pub use railgun::engine::parse_query;
     use railgun::engine::{AggFunc, AggregationResult, QueryId, TaskConfig, TaskProcessor};
-    pub use railgun::store::FaultFs;
-    use railgun::store::{crash_points, CrashPlan, DbOptions};
+    use railgun::store::DbOptions;
     use railgun::types::{Event, EventId, FieldType, Schema, TimeDelta, Timestamp, Value};
 
     const WINDOW_MS: i64 = 60_000;
-    /// How far the rescan engines look back for the infinite window.
-    const FOREVER_MS: i64 = 1 << 40;
 
     /// What an oracle reproduces of a query.
     pub enum Model {
@@ -1084,77 +1080,12 @@ mod group_rows {
         of_query.into_iter().map(|a| a.value.clone()).collect()
     }
 
-    pub fn open(dir: &std::path::Path, fs: Option<&FaultFs>) -> TaskProcessor {
-        let mut config = TaskConfig::default();
-        if let Some(fs) = fs {
-            config.store.fs = Arc::new(fs.clone());
-            // Small enough that a reclaim's row rewrites flush (and
-            // compact) as they go: a stripped row can commit before the
-            // reclaim's own flush, and must never commit before its
-            // marker.
-            config.store.memtable_budget_bytes = 64;
-        }
-        TaskProcessor::open(dir, "payments--cardId", 0, schema(), config).unwrap()
-    }
-
-    /// Trip the `nth` time from now that the store reaches `point`.
-    pub fn arm(fs: &FaultFs, point: usize, nth: u64) {
-        // The points a reclaim passes: the flush of its stripped rows and
-        // the filtered compactions.
-        const POINTS: [&str; 8] = [
-            crash_points::SST_WRITE,
-            crash_points::SST_SYNC,
-            crash_points::FLUSH_BEFORE_MANIFEST,
-            crash_points::MANIFEST_WRITE,
-            crash_points::MANIFEST_RENAME,
-            crash_points::COMPACT_FILTERED_BEFORE_MANIFEST,
-            crash_points::COMPACT_FILTERED_AFTER_MANIFEST,
-            crash_points::COMPACT_BEFORE_REMOVE_OLD,
-        ];
-        let point = POINTS[point % POINTS.len()];
-        // An unregistration first flushes its marker, alone after a
-        // checkpoint — one small table, one manifest. Torn there, the
-        // unregistration never happened and there is nothing to resume,
-        // so the window opens after it.
-        let marker_flush = u64::from(!point.starts_with("compact:"));
-        fs.arm(Some(CrashPlan {
-            point,
-            hit: fs.hit_count(point) + marker_flush + nth,
-        }));
+    pub fn open(dir: &std::path::Path) -> TaskProcessor {
+        TaskProcessor::open(dir, "payments--cardId", 0, schema(), TaskConfig::default()).unwrap()
     }
 
     /// A rescan engine's aggregations: function and input field.
     type Aggs = &'static [(AggFunc, Option<usize>)];
-
-    /// Infinite-window templates for the reopen property: state in the
-    /// store is all there is to them, so a reopened task stays exact.
-    pub const FOREVER: [(&str, Aggs); 3] = [
-        (
-            "SELECT sum(amount) FROM payments GROUP BY cardId OVER infinite",
-            &[(AggFunc::Sum, AMOUNT)],
-        ),
-        (
-            "SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER infinite",
-            &[(AggFunc::CountDistinct, MERCHANT)],
-        ),
-        (
-            "SELECT count(*) FROM payments GROUP BY cardId OVER infinite",
-            &[(AggFunc::Count, None)],
-        ),
-    ];
-
-    pub fn forever_engine(tag: &str, aggs: &[(AggFunc, Option<usize>)]) -> RescanEngine {
-        RescanEngine::open(
-            &dir(tag),
-            RescanConfig {
-                window: TimeDelta::from_millis(FOREVER_MS),
-                aggs: aggs.to_vec(),
-                store: DbOptions::default(),
-                cleanup_every: 0,
-            },
-        )
-        .unwrap()
-    }
 }
 
 proptest! {
@@ -1184,7 +1115,7 @@ proptest! {
                 live.push(p);
             }
         }
-        let mut tp = open(&dir("task"), None);
+        let mut tp = open(&dir("task"));
         for &t in &live {
             register(&mut tp, t);
         }
@@ -1243,70 +1174,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// An unregistration out of a live group whose reclaim is cut short
-    /// at any store crash point: the reopened task finishes it before
-    /// the plan hands the dead leaf's id to a different aggregator, which
-    /// therefore starts empty while its neighbour's slot carries on.
-    #[test]
-    fn interrupted_reclaim_resumes_at_reopen_without_aliasing(
-        crash in (0usize..8, 1u64..3),
-        steps in proptest::collection::vec((0u8..3, 0u8..4, 0u8..20), 20..60),
-        after in proptest::collection::vec((0u8..3, 0u8..4, 0u8..20), 5..20),
-    ) {
-        use group_rows::*;
-        let data = dir("reopen-task");
-        let fs = FaultFs::new(crash.1);
-        let mut tp = open(&data, Some(&fs));
-        // One group: sum = leaf 0, countDistinct = leaf 1.
-        for (id, (text, _)) in FOREVER.iter().enumerate().take(2) {
-            tp.attach_query(QueryId(id as u64), &parse_query(text).unwrap()).unwrap();
-        }
-        let mut sum = forever_engine("reopen-sum", FOREVER[0].1);
-        let mut count = forever_engine("reopen-count", FOREVER[2].1);
-        let mut ts = 0i64;
-        for (i, (card, merchant, amount)) in steps.into_iter().enumerate() {
-            ts += 1_000;
-            let e = event(i as u64, ts, card, merchant, amount);
-            tp.process_event(&e).unwrap();
-            let key = e.values()[0].to_string();
-            sum.process(key.as_bytes(), e.ts, &[e.values()[2].clone(), Value::Null]).unwrap();
-        }
-        // A write is durable once flushed: the checkpoint flushes the
-        // prefix, as a unit's periodic checkpoints do.
-        tp.checkpoint(&dir("reopen-ckpt")).unwrap();
-        arm(&fs, crash.0, crash.1);
-        // Either the crash point is reached and the reclaim stops there
-        // with its marker on disk, or it completes.
-        let unregistered = tp.unregister_query(QueryId(1));
-        prop_assert_eq!(unregistered.is_err(), fs.crashed());
-        drop(tp);
-
-        let mut tp = open(&data, None);
-        let resumed = tp.store_stats();
-        // The state is in the store. The reservoir reopens empty (every
-        // event was still in its open chunk), so the backfill adds nothing.
-        tp.attach_query(QueryId(0), &parse_query(FOREVER[0].0).unwrap()).unwrap();
-        // Leaf id 1 again, now a count.
-        tp.attach_query(QueryId(2), &parse_query(FOREVER[2].0).unwrap()).unwrap();
-        for (i, (card, merchant, amount)) in after.into_iter().enumerate() {
-            ts += 1_000;
-            let e = event(10_000 + i as u64, ts, card, merchant, amount);
-            let (reply, _) = tp.process_event(&e).unwrap();
-            let key = e.values()[0].to_string();
-            let fields = [e.values()[2].clone(), Value::Null];
-            prop_assert_eq!(
-                reported(&reply, 0),
-                sum.process(key.as_bytes(), e.ts, &fields).unwrap(),
-                "sum after {:?}, store {:?}", crash, resumed
-            );
-            prop_assert_eq!(
-                reported(&reply, 2),
-                count.process(key.as_bytes(), e.ts, &fields).unwrap(),
-                "count after {:?}, store {:?}", crash, resumed
-            );
         }
     }
 }
