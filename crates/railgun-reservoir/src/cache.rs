@@ -5,10 +5,17 @@
 //! cache is an LRU over [`DecodedChunk`]s with two wrinkles:
 //!
 //! * chunks that are closed but not yet durable on disk are **pinned** —
-//!   they are the only copy of their events, so eviction must skip them;
+//!   they are the only copy of their events, so eviction must skip them.
+//!   A pinned chunk holds its events as appended; once written, the
+//!   I/O thread swaps it for the body it wrote plus a row index
+//!   ([`ChunkCache::unpin`]), the form a chunk read back from disk has, so
+//!   every evictable chunk costs its body and 32 bytes per event;
 //! * hit/miss/prefetch statistics feed the Figure 9(b) reproduction, where
 //!   tail latency degrades once the number of live iterators approaches the
 //!   cache capacity.
+//!
+//! Byte and event accounting is kept per entry at insert and swap time
+//! ([`DecodedChunk::heap_bytes`]), so reading it is O(1).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,7 +140,7 @@ impl ChunkCache {
         self.tick += 1;
         let id = chunk.id;
         let heap = chunk.heap_bytes();
-        let events = chunk.events.len();
+        let events = chunk.len();
         let entry = CacheEntry {
             chunk,
             last_used: self.tick,
@@ -144,14 +151,20 @@ impl ChunkCache {
         self.resident_events += events;
         if let Some(prev) = self.entries.insert(id, entry) {
             self.resident_heap -= prev.heap;
-            self.resident_events -= prev.chunk.events.len();
+            self.resident_events -= prev.chunk.len();
         }
         self.evict_to_capacity();
     }
 
-    /// Mark a chunk as durable; it becomes evictable.
-    pub fn unpin(&mut self, id: ChunkId) {
-        if let Some(e) = self.entries.get_mut(&id) {
+    /// A pinned chunk is durable: hold it as `durable` (its written form,
+    /// the same events in the same order, so a cursor index into either
+    /// names the same event) and let it be evicted.
+    pub fn unpin(&mut self, durable: Arc<DecodedChunk>) {
+        if let Some(e) = self.entries.get_mut(&durable.id) {
+            let heap = durable.heap_bytes();
+            self.resident_heap = self.resident_heap - e.heap + heap;
+            e.heap = heap;
+            e.chunk = durable;
             e.pinned = false;
         }
         self.evict_to_capacity();
@@ -179,7 +192,7 @@ impl ChunkCache {
     pub fn remove(&mut self, id: ChunkId) {
         if let Some(prev) = self.entries.remove(&id) {
             self.resident_heap -= prev.heap;
-            self.resident_events -= prev.chunk.events.len();
+            self.resident_events -= prev.chunk.len();
         }
     }
 
@@ -202,7 +215,9 @@ impl ChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use railgun_types::Timestamp;
+    use crate::compress::Codec;
+    use crate::format::{encode_chunk, ChunkRows};
+    use railgun_types::{Event, EventId, SchemaId, Timestamp, Value};
 
     fn chunk(id: u64) -> Arc<DecodedChunk> {
         Arc::new(DecodedChunk {
@@ -210,8 +225,38 @@ mod tests {
             schema: railgun_types::SchemaId(0),
             first_ts: Timestamp::from_millis(id as i64 * 100),
             last_ts: Timestamp::from_millis(id as i64 * 100 + 99),
-            events: vec![],
+            rows: ChunkRows::Pending(vec![]),
         })
+    }
+
+    #[test]
+    fn unpin_swaps_in_the_durable_form_and_its_bytes() {
+        let events: Vec<Event> = (0..3)
+            .map(|i| Event::new(EventId(i), Timestamp::from_millis(i as i64), vec![Value::Int(7)]))
+            .collect();
+        let form = |rows| {
+            Arc::new(DecodedChunk {
+                id: ChunkId(1),
+                schema: railgun_types::SchemaId(0),
+                first_ts: Timestamp::from_millis(0),
+                last_ts: Timestamp::from_millis(2),
+                rows,
+            })
+        };
+        let pending = form(ChunkRows::Pending(events.clone()));
+        let mut frame = Vec::new();
+        let block = encode_chunk(&mut frame, ChunkId(1), SchemaId(0), Codec::None, &events);
+        let durable = form(ChunkRows::Block(block));
+        assert!(durable.heap_bytes() < pending.heap_bytes());
+        let mut c = ChunkCache::new(4);
+        c.insert(chunk(2));
+        c.insert_pinned(Arc::clone(&pending));
+        c.unpin(Arc::clone(&durable));
+        assert_eq!(c.resident_events(), 3);
+        assert_eq!(c.heap_bytes(), chunk(2).heap_bytes() + durable.heap_bytes());
+        let held = c.get(ChunkId(1)).unwrap();
+        assert!(Arc::ptr_eq(&held, &durable));
+        assert_eq!(held.events(), pending.events());
     }
 
     #[test]
@@ -256,7 +301,7 @@ mod tests {
         c.insert_pinned(chunk(1));
         c.insert(chunk(2)); // 2 evicted immediately (1 pinned)
         assert_eq!(c.len(), 1);
-        c.unpin(ChunkId(1));
+        c.unpin(chunk(1));
         c.insert(chunk(3));
         assert!(!c.contains(ChunkId(1)));
         assert!(c.contains(ChunkId(3)));

@@ -21,10 +21,14 @@
 //!
 //! The value bytes of the body *are* the events' rows
 //! ([`railgun_types::event`]): encoding a chunk copies each row in behind
-//! its deltas, and decoding decompresses the body into **one** buffer,
-//! checks each row where it lies and hands out events that are slices of
-//! that buffer. Loading or dropping a chunk is a fixed number of
-//! allocations whatever its event count or arity.
+//! its deltas, and decoding decompresses the body into **one** buffer and
+//! indexes it where it lies: each row is checked in place and gets a
+//! 32-byte index entry, and the chunk is that body plus the index (a
+//! [`RowBlock`]), handing out events that are slices of the body. The
+//! encoder builds the same block from the body it writes, so a chunk the
+//! I/O thread has just written is held in memory exactly as one read back
+//! from disk. Loading or dropping a chunk is a fixed number of allocations
+//! whatever its event count or arity.
 //!
 //! Two header flags amortize per-event cost for the overwhelmingly common
 //! shapes (§5.2(b)): `SORTED_TS` marks a chunk whose timestamps are
@@ -49,9 +53,14 @@
 //! § "Chunk format v2") instead of silently misreading; v1 reservoirs must
 //! be re-ingested from the messaging layer.
 
+use std::ops::Range;
+
 use bytes::{Buf, BufMut, Bytes};
 use railgun_types::encode::{crc32c, get_ivarint, get_uvarint, put_ivarint, put_uvarint};
-use railgun_types::{Event, EventId, RailgunError, Result, SchemaId, Timestamp};
+use railgun_types::{
+    Event, EventId, RailgunError, Result, RowBlock, RowBlockReader, RowBlockWriter, SchemaId,
+    Timestamp,
+};
 
 use crate::compress::Codec;
 
@@ -59,23 +68,90 @@ use crate::compress::Codec;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub u64);
 
-/// An immutable chunk resident in memory (cache entry): its events, each
-/// a checked row — slices of one body buffer when loaded from disk.
-#[derive(Debug, Clone, PartialEq)]
+/// An immutable chunk resident in memory (cache entry).
+#[derive(Debug)]
 pub struct DecodedChunk {
     pub id: ChunkId,
     pub schema: SchemaId,
     pub first_ts: Timestamp,
     pub last_ts: Timestamp,
-    pub events: Vec<Event>,
+    pub rows: ChunkRows,
+}
+
+/// The events of a chunk in memory, in timestamp order.
+#[derive(Debug)]
+pub enum ChunkRows {
+    /// Finalized, not yet written: the events as appended, each with a
+    /// row of its own.
+    Pending(Vec<Event>),
+    /// Written or read back: the chunk body and its row index.
+    Block(RowBlock),
+}
+
+/// What a cursor reads from a chunk in memory: events in timestamp order.
+pub(crate) trait EventRows {
+    fn len(&self) -> usize;
+    /// Index of the first event at or after `start` with `ts >= bound`.
+    fn seek(&self, start: usize, bound: Timestamp) -> usize;
+    /// Append (clones of) the events at `range` to `out`.
+    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>);
+}
+
+impl EventRows for Vec<Event> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn seek(&self, start: usize, bound: Timestamp) -> usize {
+        start + self[start..].partition_point(|e| e.ts < bound)
+    }
+
+    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>) {
+        out.extend_from_slice(&self[range]);
+    }
+}
+
+impl EventRows for RowBlock {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn seek(&self, start: usize, bound: Timestamp) -> usize {
+        self.partition_point(start, |ts| ts < bound)
+    }
+
+    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>) {
+        out.extend(range.map(|i| self.event(i)));
+    }
 }
 
 impl DecodedChunk {
-    /// Heap footprint (memory accounting for the §5.2 claim): the events
-    /// and the rows behind them — for a chunk loaded from disk, the one
-    /// body buffer they slice.
+    pub(crate) fn rows(&self) -> &dyn EventRows {
+        match &self.rows {
+            ChunkRows::Pending(events) => events,
+            ChunkRows::Block(block) => block,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.rows().len()
+    }
+
+    pub(crate) fn events(&self) -> Vec<Event> {
+        let mut out = Vec::with_capacity(self.len());
+        self.rows().copy_into(0..self.len(), &mut out);
+        out
+    }
+
+    /// Heap footprint (memory accounting for the §5.2 claim). A pending
+    /// chunk holds its events and a row each ([`Event::heap_size`]); a
+    /// block holds its body and its index.
     pub fn heap_bytes(&self) -> usize {
-        self.events.iter().map(Event::heap_size).sum::<usize>() + std::mem::size_of::<Self>()
+        std::mem::size_of::<Self>()
+            + match &self.rows {
+                ChunkRows::Pending(events) => events.iter().map(Event::heap_size).sum(),
+                ChunkRows::Block(block) => block.heap_bytes(),
+            }
     }
 }
 
@@ -95,14 +171,15 @@ const FLAG_MASK: u8 = FLAG_SORTED_TS | FLAG_UNIFORM_ARITY;
 /// one event, five orders of magnitude below.
 const MAX_BODY_BYTES: u64 = 1 << 30;
 
-/// Serialize a chunk into `out`, returning the encoded frame length.
+/// Serialize a chunk into `out`, returning the body it wrote as a
+/// [`RowBlock`]: what [`decode_chunk`] of the frame holds.
 pub fn encode_chunk(
     out: &mut Vec<u8>,
     id: ChunkId,
     schema: SchemaId,
     codec: Codec,
     events: &[Event],
-) -> usize {
+) -> RowBlock {
     debug_assert!(!events.is_empty(), "chunks are never empty");
     let first_ts = events.first().expect("non-empty").ts;
     let last_ts = events.last().expect("non-empty").ts;
@@ -119,7 +196,7 @@ pub fn encode_chunk(
 
     // Body: delta-encoded events, each row copied in as it is.
     let rows: usize = events.iter().map(|e| e.row().len()).sum();
-    let mut body = Vec::with_capacity(rows + events.len() * 8);
+    let mut body = RowBlockWriter::with_capacity(events.len(), rows + events.len() * 8);
     let mut prev_ts = first_ts.as_millis();
     let mut prev_id = 0u64;
     for e in events {
@@ -135,9 +212,9 @@ pub fn encode_chunk(
         if !uniform {
             put_uvarint(&mut body, e.arity() as u64);
         }
-        body.put_slice(e.row());
+        body.copy_row(e);
     }
-    let compressed = codec.compress(&body);
+    let compressed = codec.compress(body.body());
 
     // Frame directly into `out`: length and CRC are patched afterwards so
     // the payload is written exactly once (no intermediate copy).
@@ -155,14 +232,14 @@ pub fn encode_chunk(
     if uniform {
         put_uvarint(out, arity as u64);
     }
-    put_uvarint(out, body.len() as u64);
+    put_uvarint(out, body.body().len() as u64);
     out.put_slice(&compressed);
 
     let payload_len = out.len() - start - 8;
     let crc = crc32c(&out[start + 8..]);
     out[start..start + 4].copy_from_slice(&(payload_len as u32 + 4).to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    out.len() - start
+    body.finish()
 }
 
 /// Result of decoding a frame: the chunk plus the total frame size consumed.
@@ -242,9 +319,9 @@ pub fn decode_chunk(data: &[u8]) -> Result<Option<DecodedFrame>> {
             "implausible chunk: {count} events of arity {arity:?} in a body of {body_len}"
         )));
     }
-    let mut body = Bytes::from(codec.decompress(p, body_len as usize)?);
+    let body = Bytes::from(codec.decompress(p, body_len as usize)?);
 
-    let mut events = Vec::with_capacity(count as usize);
+    let mut body = RowBlockReader::new(body, count as usize);
     let mut prev_ts = first_ts.as_millis();
     let mut prev_id = 0u64;
     for _ in 0..count {
@@ -259,8 +336,7 @@ pub fn decode_chunk(data: &[u8]) -> Result<Option<DecodedFrame>> {
             Some(a) => a,
             None => get_uvarint(&mut body)?,
         };
-        let ts = Timestamp::from_millis(prev_ts);
-        events.push(Event::read_row(EventId(prev_id), ts, nvals, &mut body)?);
+        body.read_row(EventId(prev_id), Timestamp::from_millis(prev_ts), nvals)?;
     }
     if body.has_remaining() {
         return Err(RailgunError::Corruption("chunk body has trailing bytes".into()));
@@ -271,7 +347,7 @@ pub fn decode_chunk(data: &[u8]) -> Result<Option<DecodedFrame>> {
             schema,
             first_ts,
             last_ts,
-            events,
+            rows: ChunkRows::Block(body.finish()),
         },
         frame_len: frame_len + 4,
     }))
@@ -305,13 +381,12 @@ mod tests {
         for codec in [Codec::None, Codec::RailZ] {
             let events = make_events(100);
             let mut buf = Vec::new();
-            let len = encode_chunk(&mut buf, ChunkId(5), SchemaId(2), codec, &events);
-            assert_eq!(len, buf.len());
+            encode_chunk(&mut buf, ChunkId(5), SchemaId(2), codec, &events);
             let frame = decode_chunk(&buf).unwrap().expect("full frame");
             assert_eq!(frame.frame_len, buf.len());
             assert_eq!(frame.chunk.id, ChunkId(5));
             assert_eq!(frame.chunk.schema, SchemaId(2));
-            assert_eq!(frame.chunk.events, events);
+            assert_eq!(frame.chunk.events(), events);
             assert_eq!(frame.chunk.first_ts, events[0].ts);
             assert_eq!(frame.chunk.last_ts, events[99].ts);
         }
@@ -363,7 +438,7 @@ mod tests {
         assert_eq!(f1.chunk.id, ChunkId(1));
         let f2 = decode_chunk(&buf[f1.frame_len..]).unwrap().unwrap();
         assert_eq!(f2.chunk.id, ChunkId(2));
-        assert_eq!(f2.chunk.events.len(), 7);
+        assert_eq!(f2.chunk.len(), 7);
     }
 
     #[test]
@@ -421,7 +496,7 @@ mod tests {
             let mut buf = Vec::new();
             encode_chunk(&mut buf, ChunkId(0), SchemaId(0), codec, &events);
             let frame = decode_chunk(&buf).unwrap().unwrap();
-            assert_eq!(frame.chunk.events, events);
+            assert_eq!(frame.chunk.events(), events);
         }
     }
 
@@ -457,7 +532,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_chunk(&mut buf, ChunkId(0), SchemaId(0), Codec::RailZ, &events);
         let frame = decode_chunk(&buf).unwrap().unwrap();
-        assert_eq!(frame.chunk.events, events);
+        assert_eq!(frame.chunk.events(), events);
     }
 
     fn unhex(s: &str) -> Vec<u8> {
@@ -492,13 +567,13 @@ mod tests {
             assert_eq!(frame.frame_len, raw.len());
             assert_eq!(frame.chunk.id, ChunkId(5));
             assert_eq!(frame.chunk.schema, SchemaId(2));
-            assert_eq!(frame.chunk.events, pinned_events());
+            assert_eq!(frame.chunk.events(), pinned_events());
             assert_eq!(frame.chunk.first_ts, Timestamp::from_millis(50_000));
             assert_eq!(frame.chunk.last_ts, Timestamp::from_millis(50_013));
             // Stored, the frame is header + body: the same body, byte for
             // byte, whether it is built from decoded events or fresh ones.
             let mut again = Vec::new();
-            encode_chunk(&mut again, ChunkId(5), SchemaId(2), Codec::None, &frame.chunk.events);
+            encode_chunk(&mut again, ChunkId(5), SchemaId(2), Codec::None, &frame.chunk.events());
             assert_eq!(again, unhex(PARENT_STORED_FRAME));
         }
     }
@@ -518,11 +593,97 @@ mod tests {
         }
         put_uvarint(&mut p, body_len);
         p.extend_from_slice(payload);
+        seal(&p)
+    }
+
+    /// A frame around `payload`, with a correct length and CRC.
+    fn seal(payload: &[u8]) -> Vec<u8> {
         let mut frame = Vec::new();
-        frame.put_u32_le(p.len() as u32 + 4);
-        frame.put_u32_le(crc32c(&p));
-        frame.put_slice(&p);
+        frame.put_u32_le(payload.len() as u32 + 4);
+        frame.put_u32_le(crc32c(payload));
+        frame.put_slice(payload);
         frame
+    }
+
+    /// The frame the encoder of the commit before row blocks wrote for
+    /// `events` (chunk 7, schema 0).
+    fn reference_frame(codec: Codec, events: &[Event]) -> Vec<u8> {
+        let (mut p, body) = reference_parts(codec, events);
+        put_uvarint(&mut p, body.len() as u64);
+        p.extend_from_slice(&codec.compress(&body));
+        seal(&p)
+    }
+
+    /// [`reference_frame`]'s payload up to the body length, and its
+    /// uncompressed body.
+    fn reference_parts(codec: Codec, events: &[Event]) -> (Vec<u8>, Vec<u8>) {
+        let sorted = events.windows(2).all(|w| w[0].ts <= w[1].ts);
+        let arity = events[0].arity();
+        let uniform = events.iter().all(|e| e.arity() == arity);
+        let mut body = Vec::new();
+        let (mut prev_id, mut prev_ts) = (0u64, events[0].ts.as_millis());
+        for e in events {
+            put_ivarint(&mut body, e.id.0 as i64 - prev_id as i64);
+            let dt = e.ts.as_millis() - prev_ts;
+            if sorted {
+                put_uvarint(&mut body, dt as u64);
+            } else {
+                put_ivarint(&mut body, dt);
+            }
+            if !uniform {
+                put_uvarint(&mut body, e.arity() as u64);
+            }
+            body.put_slice(e.row());
+            (prev_id, prev_ts) = (e.id.0, e.ts.as_millis());
+        }
+        let flags = (u8::from(sorted) * FLAG_SORTED_TS) | (u8::from(uniform) * FLAG_UNIFORM_ARITY);
+        let mut p = vec![CHUNK_FORMAT_VERSION, flags];
+        put_uvarint(&mut p, 7);
+        put_uvarint(&mut p, 0);
+        p.push(codec.id());
+        put_uvarint(&mut p, events.len() as u64);
+        put_ivarint(&mut p, events[0].ts.as_millis());
+        put_ivarint(&mut p, events[events.len() - 1].ts.as_millis());
+        if uniform {
+            put_uvarint(&mut p, arity as u64);
+        }
+        (p, body)
+    }
+
+    /// Every value tag, empty strings included; no NaN (it is not equal
+    /// to itself).
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            any::<f64>().prop_map(Value::Float),
+            "[a-zα-ω0-9-]{0,12}".prop_map(Value::Str),
+        ]
+    }
+
+    /// Chunks of events of mixed arity (none, a few, or 103 fields), with
+    /// id gaps, timestamp ties and late arrivals.
+    fn random_events() -> impl Strategy<Value = Vec<Event>> {
+        let arity = prop_oneof![Just(0usize), 1usize..6, Just(103usize)];
+        let one = (0u64..1000, -3i64..4, proptest::collection::vec(value(), 103), arity);
+        proptest::collection::vec(one, 1..40).prop_map(|raw| {
+            let (mut id, mut ts) = (0u64, 1_000i64);
+            raw.into_iter()
+                .map(|(gap, step, values, arity)| {
+                    (id, ts) = (id + gap, ts + step);
+                    Event::new(EventId(id), Timestamp::from_millis(ts), values[..arity].to_vec())
+                })
+                .collect()
+        })
+    }
+
+    fn assert_holds(got: impl Iterator<Item = Event>, want: &[Event]) {
+        let got: Vec<Event> = got.collect();
+        assert_eq!(got, want);
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.row(), w.row(), "byte-identical rows");
+        }
     }
 
     /// A two-event body (id delta, sorted ts delta, row of two values).
@@ -553,7 +714,7 @@ mod tests {
         // The body as written decodes.
         for (codec, payload) in [(Codec::None, &body), (Codec::RailZ, &railz)] {
             let ok = decode_chunk(&sealed(SORTED_UNIFORM, codec, 2, Some(2), len, payload));
-            assert_eq!(ok.unwrap().unwrap().chunk.events.len(), 2);
+            assert_eq!(ok.unwrap().unwrap().chunk.len(), 2);
             expect_corruption(
                 &sealed(SORTED_UNIFORM, codec, 1 << 40, Some(2), len, payload),
                 "absurd count",
@@ -644,16 +805,66 @@ mod tests {
             frame.put_slice(&payload);
             if let Ok(Some(decoded)) = decode_chunk(&frame) {
                 let mut again = Vec::new();
-                for e in &decoded.chunk.events {
+                for e in decoded.chunk.events() {
                     prop_assert_eq!(e.values().len(), e.arity());
                 }
-                encode_chunk(&mut again, ChunkId(3), SchemaId(1), codec, &decoded.chunk.events);
+                encode_chunk(&mut again, ChunkId(3), SchemaId(1), codec, &decoded.chunk.events());
                 let back = decode_chunk(&again).unwrap().unwrap();
                 // (As text: a flipped float may be NaN.)
                 prop_assert_eq!(
-                    format!("{:?}", back.chunk.events),
-                    format!("{:?}", decoded.chunk.events)
+                    format!("{:?}", back.chunk.events()),
+                    format!("{:?}", decoded.chunk.events())
                 );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A frame written through a block is the reference encoder's,
+        /// byte for byte; the block it leaves and the one decoded from the
+        /// frame hand out the events with their rows byte for byte.
+        #[test]
+        fn blocks_written_and_decoded_hold_the_events(events in random_events(), railz in any::<bool>()) {
+            let codec = if railz { Codec::RailZ } else { Codec::None };
+            let mut frame = Vec::new();
+            let written = encode_chunk(&mut frame, ChunkId(7), SchemaId(0), codec, &events);
+            prop_assert_eq!(&frame, &reference_frame(codec, &events));
+            assert_holds((0..written.len()).map(|i| written.event(i)), &events);
+            let decoded = decode_chunk(&frame).unwrap().unwrap();
+            prop_assert_eq!(decoded.frame_len, frame.len());
+            assert_holds(decoded.chunk.events().into_iter(), &events);
+        }
+
+        /// A body cut short (its stated length cut to match, so the codec
+        /// passes it) is `Corruption`; a body with a byte changed is
+        /// `Corruption` or events that read back whole. Never a panic.
+        #[test]
+        fn cut_or_changed_bodies_are_corruption_or_exact(
+            events in random_events(),
+            cut in any::<u16>(),
+            at in any::<u16>(),
+            byte in any::<u8>(),
+        ) {
+            let (header, body) = reference_parts(Codec::None, &events);
+            let resealed = |body: &[u8]| {
+                let mut p = header.to_vec();
+                put_uvarint(&mut p, body.len() as u64);
+                p.extend_from_slice(body);
+                decode_chunk(&seal(&p))
+            };
+            let cut = cut as usize % body.len();
+            prop_assert!(matches!(resealed(&body[..cut]), Err(RailgunError::Corruption(_))));
+            let mut changed = body.clone();
+            changed[at as usize % body.len()] = byte;
+            match resealed(&changed) {
+                Err(e) => prop_assert!(matches!(e, RailgunError::Corruption(_))),
+                Ok(decoded) => {
+                    for e in decoded.unwrap().chunk.events() {
+                        prop_assert_eq!(e.values().len(), e.arity());
+                    }
+                }
             }
         }
     }

@@ -17,11 +17,16 @@
 //! * once it reaches the size target it **closes**; if a transition hold is
 //!   configured it lingers, closed for new events but open for late ones
 //!   (the watermark-like mechanism of §4.1.1);
-//! * finalization pins the chunk's events in the cache and queues them for
-//!   the background I/O thread;
-//! * the I/O thread frames them (their rows copied behind id/ts deltas,
-//!   then compressed), appends the frame to the active segment file,
-//!   records its location and unpins the chunk (**durable**).
+//! * finalization pins the chunk in the cache as it stands — its events,
+//!   each with a row of its own (**pending**) — and queues it for the
+//!   background I/O thread;
+//! * the I/O thread frames the events (their rows copied behind id/ts
+//!   deltas into one body, then compressed), appends the frame to the
+//!   active segment file, records its location and swaps the pinned entry
+//!   for the body it wrote plus a 32-byte index entry per event, now
+//!   evictable (**durable**). That is the form a chunk read back from disk
+//!   has, with the events in the same positions, so a cursor holding the
+//!   pending form keeps its place in it.
 //!
 //! ## Durable at the checkpoint
 //!
@@ -39,8 +44,13 @@
 //! (`railgun_types::event`). `append` copies the row into an allocation of
 //! the reservoir's own: what it is handed is a slice of a bus frame holding
 //! a whole batch, which a stored slice would keep alive for as long as the
-//! chunk is in memory. Events of a chunk loaded from disk slice the chunk's
-//! one decompressed body, which lives as long as any of them is held.
+//! chunk is in memory. Open, transition and pending chunks hold such
+//! events, which a late event can still be inserted between. A durable
+//! chunk holds none: it is a [`RowBlock`](railgun_types::RowBlock), one
+//! body (the uncompressed body of its frame, as the I/O thread wrote it or
+//! a cold load decompressed it) and an index. The events a cursor yields
+//! from it slice that body, which lives as long as any of them is held, so
+//! a resident event costs its row, its deltas and its index entry.
 //!
 //! ## Cursor semantics
 //!
@@ -78,7 +88,7 @@ use railgun_types::{
 
 use crate::cache::{CacheStats, ChunkCache};
 use crate::compress::Codec;
-use crate::format::{encode_chunk, ChunkId, DecodedChunk};
+use crate::format::{encode_chunk, ChunkId, ChunkRows, DecodedChunk, EventRows};
 use crate::segment::{
     read_chunk_at, read_chunks, scan_segments, segment_file_name, ChunkLocation, FileNo,
     SegmentWriter,
@@ -180,6 +190,10 @@ pub struct ReservoirStats {
     /// Cold chunk loads by a cursor that failed (the read, or the frame's
     /// checks); each also reaches its owner through [`Cursor::take_error`].
     pub failed_loads: u64,
+    /// Read-ahead loads that failed. Nothing waits on one: the cursor that
+    /// reaches the chunk loads it itself, and that load retries the read
+    /// and reports its error ([`ReservoirStats::failed_loads`]).
+    pub failed_prefetches: u64,
     pub durable_chunks: usize,
     pub open_events: usize,
     pub transition_events: usize,
@@ -252,9 +266,9 @@ struct Inner {
 }
 
 enum IoCmd {
-    /// Encode, compress and append a finalized chunk. Encoding happens on
-    /// the I/O thread so the append path never pays it under the lock; the
-    /// events are shared with the cache entry (pinned until durable).
+    /// Encode, compress and append a pending chunk, then swap its pinned
+    /// cache entry for the body written. Encoding happens on the I/O
+    /// thread so the append path never pays it under the lock.
     Persist(Arc<DecodedChunk>),
     /// Eagerly load a chunk into the cache (read-ahead, §4.1.1).
     Prefetch(ChunkId),
@@ -304,7 +318,7 @@ impl Reservoir {
                 id: chunk.id,
                 first_ts: chunk.first_ts,
                 last_ts: chunk.last_ts,
-                count: chunk.events.len() as u32,
+                count: chunk.len() as u32,
                 state,
             });
             Ok(())
@@ -339,12 +353,13 @@ impl Reservoir {
             let mut out = Vec::with_capacity(restored.len());
             for chunk in restored {
                 push(&mut chunks, &chunk, state)?;
-                dedup.extend(chunk.events.iter().map(|e| e.id));
+                let events = chunk.events();
+                dedup.extend(events.iter().map(|e| e.id));
                 max_seen_ts = max_seen_ts.max(chunk.last_ts);
                 out.push(MutableChunk {
                     id: chunk.id,
-                    bytes: chunk.events.iter().map(Event::heap_size).sum(),
-                    events: chunk.events,
+                    bytes: events.iter().map(Event::heap_size).sum(),
+                    events,
                 });
             }
             Ok(out)
@@ -634,7 +649,7 @@ impl Reservoir {
             schema: SCHEMA,
             first_ts,
             last_ts,
-            events: chunk.events,
+            rows: ChunkRows::Pending(chunk.events),
         });
         inner.cache.insert_pinned(Arc::clone(&decoded));
         let mi = (chunk.id.0 - inner.first_chunk_id) as usize;
@@ -717,7 +732,7 @@ impl Reservoir {
                 Some(idx) => pos.idx = idx,
                 None => match load_cold(&self.shared.dir, inner, chunk_id) {
                     Ok(decoded) => {
-                        pos.idx = decoded.events.partition_point(|e| e.ts < from);
+                        pos.idx = decoded.rows().seek(0, from);
                         pos.held = Some(decoded);
                     }
                     Err(e) => error = Some(e),
@@ -753,10 +768,7 @@ impl Reservoir {
         if let Some(t) = inner.transition.iter().find(|t| t.id == chunk) {
             return Some(t.events.partition_point(|e| e.ts < from));
         }
-        inner
-            .cache
-            .get(chunk)
-            .map(|c| c.events.partition_point(|e| e.ts < from))
+        inner.cache.get(chunk).map(|c| c.rows().seek(0, from))
     }
 
     /// Drop durable chunks entirely below `before` (event time), deleting
@@ -1062,14 +1074,14 @@ impl Cursor {
                             decoded
                         }
                     };
-                    let events = &decoded.events;
-                    let done = drain_slice(events, pos, bound, out);
+                    let rows = decoded.rows();
+                    let done = drain_slice(rows, pos, bound, out);
                     // Eager read-ahead, issued just-in-time (when the
                     // iterator is most of the way through its chunk) so
                     // prefetched chunks are not evicted before use.
                     if self.shared.cfg.prefetch
                         && !pos.prefetch_sent
-                        && pos.idx * 4 >= events.len() * 3
+                        && pos.idx * 4 >= rows.len() * 3
                     {
                         pos.prefetch_sent = true;
                         let next = ChunkId(pos.chunk + 1);
@@ -1104,15 +1116,21 @@ impl Drop for Cursor {
     }
 }
 
-/// Batch-copy every event with `ts < bound` from `events[pos.idx..]` into
-/// `out` (one `partition_point` + one slice extend instead of a per-event
-/// compare-and-push loop). Returns true when the chunk is fully drained.
-fn drain_slice(events: &[Event], pos: &mut CursorPos, bound: Timestamp, out: &mut Vec<Event>) -> bool {
-    let start = pos.idx.min(events.len());
-    let end = start + events[start..].partition_point(|e| e.ts < bound);
-    out.extend_from_slice(&events[start..end]);
+/// Batch-copy every event with `ts < bound` from the chunk's events
+/// `pos.idx..` into `out` (one binary search + one extend instead of a
+/// per-event compare-and-push loop). Returns true when the chunk is fully
+/// drained.
+fn drain_slice(
+    rows: &(impl EventRows + ?Sized),
+    pos: &mut CursorPos,
+    bound: Timestamp,
+    out: &mut Vec<Event>,
+) -> bool {
+    let start = pos.idx.min(rows.len());
+    let end = rows.seek(start, bound);
+    rows.copy_into(start..end, out);
     pos.idx = end;
-    end == events.len()
+    end == rows.len()
 }
 
 fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) {
@@ -1122,19 +1140,24 @@ fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) 
     let mut failed: Option<RailgunError> = None;
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            IoCmd::Persist(decoded) => {
+            IoCmd::Persist(pending) => {
                 // Encode + compress here, off the append path. The events
                 // are shared with the pinned cache entry, so readers are
                 // already served while this runs.
+                let ChunkRows::Pending(events) = &pending.rows else {
+                    unreachable!("finalize_chunk persists only pending chunks")
+                };
                 frame.clear();
-                encode_chunk(
-                    &mut frame,
-                    decoded.id,
-                    decoded.schema,
-                    shared.cfg.codec,
-                    &decoded.events,
-                );
-                let chunk = decoded.id;
+                let rows =
+                    encode_chunk(&mut frame, pending.id, pending.schema, shared.cfg.codec, events);
+                let durable = Arc::new(DecodedChunk {
+                    id: pending.id,
+                    schema: pending.schema,
+                    first_ts: pending.first_ts,
+                    last_ts: pending.last_ts,
+                    rows: ChunkRows::Block(rows),
+                });
+                let chunk = pending.id;
                 let written = writer.append(&frame);
                 let mut inner = shared.inner.lock();
                 let inner = &mut *inner;
@@ -1165,7 +1188,7 @@ fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) 
                 if sealed {
                     mark_sealed(inner, loc.file);
                 }
-                inner.cache.unpin(chunk);
+                inner.cache.unpin(durable);
             }
             IoCmd::Prefetch(chunk) => {
                 // Snapshot the location under the lock, read without it.
@@ -1179,11 +1202,17 @@ fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) 
                         Err(_) => continue,
                     }
                 };
-                if let Ok(decoded) = read_chunk_at(&shared.dir, loc) {
-                    let mut inner = shared.inner.lock();
-                    if !inner.cache.contains(chunk) {
-                        inner.cache.insert_prefetched(Arc::new(decoded));
+                // A failed read is only counted: the cursor that asked
+                // for it loads the chunk itself on arrival, and that load
+                // reports the error (`Cursor::take_error`) and retries.
+                let read = read_chunk_at(&shared.dir, loc);
+                let mut inner = shared.inner.lock();
+                match read {
+                    Ok(decoded) if !inner.cache.contains(chunk) => {
+                        inner.cache.insert_prefetched(Arc::new(decoded))
                     }
+                    Ok(_) => {}
+                    Err(_) => inner.stats.failed_prefetches += 1,
                 }
             }
             IoCmd::Barrier { seal, reply } => {

@@ -240,7 +240,7 @@ mod tests {
         let (loc2, _) = w.append(&frame(2, 200, 20)).unwrap();
         let c1 = read_chunk_at(&dir, loc1).unwrap();
         assert_eq!(c1.id, ChunkId(1));
-        assert_eq!(c1.events.len(), 10);
+        assert_eq!(c1.len(), 10);
         let c2 = read_chunk_at(&dir, loc2).unwrap();
         assert_eq!(c2.id, ChunkId(2));
         assert_eq!(loc2.offset, f1.len() as u64);

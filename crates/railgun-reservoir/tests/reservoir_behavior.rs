@@ -395,6 +395,39 @@ fn a_cursor_started_in_a_damaged_cold_chunk_reports_it_and_retries() {
     assert_eq!(res.stats().failed_loads, 2);
 }
 
+/// A read-ahead of a damaged durable chunk fails on the I/O thread with no
+/// one waiting on it: it is counted, and the cursor's own load of the chunk
+/// reports the error.
+#[test]
+fn a_failed_prefetch_is_counted_and_the_cursor_load_reports_it() {
+    let dir = fresh("failed-prefetch");
+    let cfg = ReservoirConfig {
+        file_target_bytes: 1, // one chunk per segment
+        cache_capacity_chunks: 1,
+        ..small_cfg()
+    };
+    let res = Reservoir::open(&dir, schema(), cfg).unwrap();
+    for i in 0..40 {
+        res.append(ev(i, i as i64 * 10)).unwrap();
+    }
+    res.flush_io().unwrap();
+    // Chunk 1 (ts 80..160) is only on disk. Flip one byte of it.
+    let segment = dir.join("seg-00000001.rail");
+    let mut raw = std::fs::read(&segment).unwrap();
+    let mid = raw.len() / 2;
+    raw[mid] ^= 0x40;
+    std::fs::write(&segment, raw).unwrap();
+    // Three quarters into chunk 0 the cursor asks for chunk 1 ahead.
+    let c = res.cursor_at_start();
+    assert_eq!(c.advance_upto(Timestamp::from_millis(60)).len(), 6);
+    res.flush_io().unwrap(); // the read-ahead has run
+    assert_eq!(res.stats().failed_prefetches, 1);
+    assert_eq!(res.stats().failed_loads, 0);
+    assert_eq!(c.advance_upto(Timestamp::from_millis(120)).len(), 2);
+    assert!(matches!(c.take_error(), Some(railgun_types::RailgunError::Corruption(_))));
+    assert_eq!(res.stats().failed_loads, 1);
+}
+
 #[test]
 fn a_failed_chunk_write_fails_the_next_checkpoint() {
     let dir = fresh("failed-persist");

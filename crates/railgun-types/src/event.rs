@@ -16,7 +16,8 @@
 //! copy of those bytes; nothing in between builds the values.
 //!
 //! A row is checked once, when the event is built from bytes
-//! ([`Event::read_row`]): every tag known, every varint terminated and in
+//! ([`Event::read_row`]) or a [`RowBlock`](crate::block::RowBlock) indexes
+//! it where it lies: every tag known, every varint terminated and in
 //! range, every float and string inside the row, every string UTF-8,
 //! exactly `arity` values. No `Event` exists with an unchecked row, which
 //! is why the accessors below cannot fail. The engine reads fields through
@@ -154,14 +155,21 @@ impl Event {
         }
     }
 
-    fn with_row(&self, row: Bytes) -> Event {
+    /// An event whose `arity`-value row was checked before: as another
+    /// event's row, or by the [`RowBlock`](crate::block::RowBlock) that
+    /// indexed it.
+    pub(crate) fn from_checked(id: EventId, ts: Timestamp, arity: u32, row: Bytes) -> Event {
         Event {
-            id: self.id,
-            ts: self.ts,
-            arity: self.arity,
+            id,
+            ts,
+            arity,
             row,
             view: OnceLock::new(),
         }
+    }
+
+    fn with_row(&self, row: Bytes) -> Event {
+        Event::from_checked(self.id, self.ts, self.arity, row)
     }
 
     /// The same event with a row allocation of its own: what a store that
@@ -171,9 +179,13 @@ impl Event {
         self.with_row(Bytes::copy_from_slice(&self.row))
     }
 
-    /// Memory this event holds: itself plus its row (its share of the
-    /// buffer, when the row is a slice of one). Used by the reservoir for
-    /// chunk sizing and memory accounting.
+    /// Memory this event holds: itself plus its row's bytes (its share of
+    /// the buffer, when the row is a slice of one), not counting the
+    /// reference counts in front of a row allocated on its own. The
+    /// reservoir closes a chunk at a byte target of this, and counts it for
+    /// events it keeps one by one (open, transition and pending chunks); a
+    /// durable chunk is a [`RowBlock`](crate::block::RowBlock) and counts
+    /// its body and index instead.
     pub fn heap_size(&self) -> usize {
         std::mem::size_of::<Event>() + self.row.len()
     }

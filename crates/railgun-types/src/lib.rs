@@ -15,6 +15,7 @@
 //! Everything here is deliberately small and dependency-free so that the
 //! storage, messaging, and engine crates can share it without coupling.
 
+pub mod block;
 pub mod encode;
 pub mod error;
 pub mod event;
@@ -25,6 +26,7 @@ pub mod schema;
 pub mod time;
 pub mod value;
 
+pub use block::{RowBlock, RowBlockReader, RowBlockWriter};
 pub use encode::{BatchFrame, BatchFrameBuilder};
 pub use error::{RailgunError, Result};
 pub use hash::{FastHashMap, FastHashSet};
