@@ -889,8 +889,8 @@ impl TaskProcessor {
         Ok(())
     }
 
-    /// Block until the reservoir's queued chunk writes are durable (and
-    /// unpinned from cache). Benches call this before measuring so the
+    /// Block until the reservoir's queued chunk writes are done (and the
+    /// chunks cached as written). Benches call this before measuring so the
     /// cache starts at its configured capacity — the paper's runs start
     /// from a fully-persisted checkpoint load.
     pub fn drain_reservoir_io(&self) -> Result<()> {

@@ -2,20 +2,18 @@
 //!
 //! The reservoir keeps a bounded number of decoded chunks in memory
 //! (§4.1.1, §5.2(b): "we used 220 chunk elements in Railgun's cache"). The
-//! cache is an LRU over [`DecodedChunk`]s with two wrinkles:
+//! cache is an LRU over [`DecodedChunk`]s, and it holds only chunks that
+//! are in a segment file: the I/O thread inserts a chunk once it has
+//! written it, and a cursor or read-ahead once it has read it back. Either
+//! way the entry is the chunk's body plus a 32-byte index entry per event,
+//! and any entry may be evicted, since the disk holds it too. A chunk
+//! waiting for the I/O thread is the reservoir's to hold, with the open
+//! and transition chunks.
 //!
-//! * chunks that are closed but not yet durable on disk are **pinned** —
-//!   they are the only copy of their events, so eviction must skip them.
-//!   A pinned chunk holds its events as appended; once written, the
-//!   I/O thread swaps it for the body it wrote plus a row index
-//!   ([`ChunkCache::unpin`]), the form a chunk read back from disk has, so
-//!   every evictable chunk costs its body and 32 bytes per event;
-//! * hit/miss/prefetch statistics feed the Figure 9(b) reproduction, where
-//!   tail latency degrades once the number of live iterators approaches the
-//!   cache capacity.
-//!
-//! Byte and event accounting is kept per entry at insert and swap time
-//! ([`DecodedChunk::heap_bytes`]), so reading it is O(1).
+//! Hit/miss/prefetch statistics feed the Figure 9(b) reproduction, where
+//! tail latency degrades once the number of live iterators approaches the
+//! cache capacity. Byte and event accounting is kept per entry at insert
+//! time ([`DecodedChunk::heap_bytes`]), so reading it is O(1).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,7 +54,6 @@ pub struct ChunkCache {
 struct CacheEntry {
     chunk: Arc<DecodedChunk>,
     last_used: u64,
-    pinned: bool,
     /// Heap footprint, computed once at insert.
     heap: usize,
 }
@@ -114,29 +111,14 @@ impl ChunkCache {
         }
     }
 
-    /// Peek without touching recency or stats (used by memory accounting).
+    /// Peek without touching recency or stats (used by read-ahead).
     pub fn contains(&self, id: ChunkId) -> bool {
         self.entries.contains_key(&id)
     }
 
-    /// Insert a chunk loaded on demand (after a miss).
+    /// Insert a chunk just written, or loaded on demand (after a miss),
+    /// evicting the least recently used one if the cache is full.
     pub fn insert(&mut self, chunk: Arc<DecodedChunk>) {
-        self.insert_inner(chunk, false, false);
-    }
-
-    /// Insert a chunk loaded by read-ahead.
-    pub fn insert_prefetched(&mut self, chunk: Arc<DecodedChunk>) {
-        self.stats.prefetch_inserts += 1;
-        self.insert_inner(chunk, false, true);
-    }
-
-    /// Insert a freshly closed chunk that is not yet durable; it cannot be
-    /// evicted until [`ChunkCache::unpin`] is called.
-    pub fn insert_pinned(&mut self, chunk: Arc<DecodedChunk>) {
-        self.insert_inner(chunk, true, false);
-    }
-
-    fn insert_inner(&mut self, chunk: Arc<DecodedChunk>, pinned: bool, _prefetch: bool) {
         self.tick += 1;
         let id = chunk.id;
         let heap = chunk.heap_bytes();
@@ -144,7 +126,6 @@ impl ChunkCache {
         let entry = CacheEntry {
             chunk,
             last_used: self.tick,
-            pinned,
             heap,
         };
         self.resident_heap += heap;
@@ -153,39 +134,22 @@ impl ChunkCache {
             self.resident_heap -= prev.heap;
             self.resident_events -= prev.chunk.len();
         }
-        self.evict_to_capacity();
-    }
-
-    /// A pinned chunk is durable: hold it as `durable` (its written form,
-    /// the same events in the same order, so a cursor index into either
-    /// names the same event) and let it be evicted.
-    pub fn unpin(&mut self, durable: Arc<DecodedChunk>) {
-        if let Some(e) = self.entries.get_mut(&durable.id) {
-            let heap = durable.heap_bytes();
-            self.resident_heap = self.resident_heap - e.heap + heap;
-            e.heap = heap;
-            e.chunk = durable;
-            e.pinned = false;
-        }
-        self.evict_to_capacity();
-    }
-
-    fn evict_to_capacity(&mut self) {
-        while self.entries.len() > self.capacity {
+        if self.entries.len() > self.capacity {
             let victim = self
                 .entries
                 .iter()
-                .filter(|(_, e)| !e.pinned)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(id, _)| *id);
-            match victim {
-                Some(id) => {
-                    self.remove(id);
-                    self.stats.evictions += 1;
-                }
-                None => break, // everything pinned; over-capacity until unpin
-            }
+                .map(|(id, _)| *id)
+                .expect("a cache over capacity holds a chunk");
+            self.remove(victim);
+            self.stats.evictions += 1;
         }
+    }
+
+    /// Insert a chunk loaded by read-ahead.
+    pub fn insert_prefetched(&mut self, chunk: Arc<DecodedChunk>) {
+        self.stats.prefetch_inserts += 1;
+        self.insert(chunk);
     }
 
     /// Drop a chunk outright (used by eviction and truncation).
@@ -216,47 +180,33 @@ impl ChunkCache {
 mod tests {
     use super::*;
     use crate::compress::Codec;
-    use crate::format::{encode_chunk, ChunkRows};
+    use crate::format::encode_chunk;
     use railgun_types::{Event, EventId, SchemaId, Timestamp, Value};
 
+    /// Chunk `id` as the I/O thread leaves it: `id + 1` events.
     fn chunk(id: u64) -> Arc<DecodedChunk> {
-        Arc::new(DecodedChunk {
-            id: ChunkId(id),
-            schema: railgun_types::SchemaId(0),
-            first_ts: Timestamp::from_millis(id as i64 * 100),
-            last_ts: Timestamp::from_millis(id as i64 * 100 + 99),
-            rows: ChunkRows::Pending(vec![]),
-        })
+        let events: Vec<Event> = (0..=id)
+            .map(|i| Event::new(EventId(i), Timestamp::from_millis(i as i64), vec![Value::Int(7)]))
+            .collect();
+        let mut frame = Vec::new();
+        Arc::new(encode_chunk(&mut frame, ChunkId(id), SchemaId(0), Codec::None, &events))
     }
 
     #[test]
-    fn unpin_swaps_in_the_durable_form_and_its_bytes() {
-        let events: Vec<Event> = (0..3)
-            .map(|i| Event::new(EventId(i), Timestamp::from_millis(i as i64), vec![Value::Int(7)]))
-            .collect();
-        let form = |rows| {
-            Arc::new(DecodedChunk {
-                id: ChunkId(1),
-                schema: railgun_types::SchemaId(0),
-                first_ts: Timestamp::from_millis(0),
-                last_ts: Timestamp::from_millis(2),
-                rows,
-            })
-        };
-        let pending = form(ChunkRows::Pending(events.clone()));
-        let mut frame = Vec::new();
-        let block = encode_chunk(&mut frame, ChunkId(1), SchemaId(0), Codec::None, &events);
-        let durable = form(ChunkRows::Block(block));
-        assert!(durable.heap_bytes() < pending.heap_bytes());
-        let mut c = ChunkCache::new(4);
+    fn bytes_and_events_follow_inserts_evictions_and_removals() {
+        let mut c = ChunkCache::new(2);
+        c.insert(chunk(1));
         c.insert(chunk(2));
-        c.insert_pinned(Arc::clone(&pending));
-        c.unpin(Arc::clone(&durable));
-        assert_eq!(c.resident_events(), 3);
-        assert_eq!(c.heap_bytes(), chunk(2).heap_bytes() + durable.heap_bytes());
-        let held = c.get(ChunkId(1)).unwrap();
-        assert!(Arc::ptr_eq(&held, &durable));
-        assert_eq!(held.events(), pending.events());
+        assert_eq!(c.resident_events(), 2 + 3);
+        assert_eq!(c.heap_bytes(), chunk(1).heap_bytes() + chunk(2).heap_bytes());
+        c.insert(chunk(3)); // evicts chunk 1
+        assert_eq!(c.resident_events(), 3 + 4);
+        c.insert(chunk(3)); // the same chunk again replaces its entry
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.heap_bytes(), chunk(2).heap_bytes() + chunk(3).heap_bytes());
+        c.remove(ChunkId(2));
+        c.remove(ChunkId(3));
+        assert_eq!((c.heap_bytes(), c.resident_events()), (0, 0));
     }
 
     #[test]
@@ -281,30 +231,6 @@ mod tests {
         assert!(!c.contains(ChunkId(2)));
         assert!(c.contains(ChunkId(3)));
         assert_eq!(c.stats().evictions, 1);
-    }
-
-    #[test]
-    fn pinned_chunks_survive_eviction() {
-        let mut c = ChunkCache::new(2);
-        c.insert_pinned(chunk(1));
-        c.insert_pinned(chunk(2));
-        c.insert(chunk(3)); // over capacity, but 1 and 2 are pinned
-        assert!(c.contains(ChunkId(1)));
-        assert!(c.contains(ChunkId(2)));
-        // The unpinned chunk 3 is the only candidate.
-        assert!(!c.contains(ChunkId(3)));
-    }
-
-    #[test]
-    fn unpin_allows_eviction() {
-        let mut c = ChunkCache::new(1);
-        c.insert_pinned(chunk(1));
-        c.insert(chunk(2)); // 2 evicted immediately (1 pinned)
-        assert_eq!(c.len(), 1);
-        c.unpin(chunk(1));
-        c.insert(chunk(3));
-        assert!(!c.contains(ChunkId(1)));
-        assert!(c.contains(ChunkId(3)));
     }
 
     #[test]

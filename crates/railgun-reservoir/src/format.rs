@@ -53,8 +53,6 @@
 //! § "Chunk format v2") instead of silently misreading; v1 reservoirs must
 //! be re-ingested from the messaging layer.
 
-use std::ops::Range;
-
 use bytes::{Buf, BufMut, Bytes};
 use railgun_types::encode::{crc32c, get_ivarint, get_uvarint, put_ivarint, put_uvarint};
 use railgun_types::{
@@ -68,90 +66,32 @@ use crate::compress::Codec;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(pub u64);
 
-/// An immutable chunk resident in memory (cache entry).
+/// A written chunk in memory (cache entry): its frame's uncompressed body
+/// and the index of the rows in it, however the chunk got there — written
+/// by [`encode_chunk`] or read back by [`decode_chunk`].
 #[derive(Debug)]
 pub struct DecodedChunk {
     pub id: ChunkId,
     pub schema: SchemaId,
     pub first_ts: Timestamp,
     pub last_ts: Timestamp,
-    pub rows: ChunkRows,
-}
-
-/// The events of a chunk in memory, in timestamp order.
-#[derive(Debug)]
-pub enum ChunkRows {
-    /// Finalized, not yet written: the events as appended, each with a
-    /// row of its own.
-    Pending(Vec<Event>),
-    /// Written or read back: the chunk body and its row index.
-    Block(RowBlock),
-}
-
-/// What a cursor reads from a chunk in memory: events in timestamp order.
-pub(crate) trait EventRows {
-    fn len(&self) -> usize;
-    /// Index of the first event at or after `start` with `ts >= bound`.
-    fn seek(&self, start: usize, bound: Timestamp) -> usize;
-    /// Append (clones of) the events at `range` to `out`.
-    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>);
-}
-
-impl EventRows for Vec<Event> {
-    fn len(&self) -> usize {
-        self.len()
-    }
-
-    fn seek(&self, start: usize, bound: Timestamp) -> usize {
-        start + self[start..].partition_point(|e| e.ts < bound)
-    }
-
-    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>) {
-        out.extend_from_slice(&self[range]);
-    }
-}
-
-impl EventRows for RowBlock {
-    fn len(&self) -> usize {
-        self.len()
-    }
-
-    fn seek(&self, start: usize, bound: Timestamp) -> usize {
-        self.partition_point(start, |ts| ts < bound)
-    }
-
-    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>) {
-        out.extend(range.map(|i| self.event(i)));
-    }
+    /// The events, in timestamp order.
+    pub rows: RowBlock,
 }
 
 impl DecodedChunk {
-    pub(crate) fn rows(&self) -> &dyn EventRows {
-        match &self.rows {
-            ChunkRows::Pending(events) => events,
-            ChunkRows::Block(block) => block,
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
-        self.rows().len()
+        self.rows.len()
     }
 
     pub(crate) fn events(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.len());
-        self.rows().copy_into(0..self.len(), &mut out);
-        out
+        (0..self.len()).map(|i| self.rows.event(i)).collect()
     }
 
-    /// Heap footprint (memory accounting for the §5.2 claim). A pending
-    /// chunk holds its events and a row each ([`Event::heap_size`]); a
-    /// block holds its body and its index.
+    /// Heap footprint (memory accounting for the §5.2 claim): the body and
+    /// the index.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + match &self.rows {
-                ChunkRows::Pending(events) => events.iter().map(Event::heap_size).sum(),
-                ChunkRows::Block(block) => block.heap_bytes(),
-            }
+        std::mem::size_of::<Self>() + self.rows.heap_bytes()
     }
 }
 
@@ -171,15 +111,15 @@ const FLAG_MASK: u8 = FLAG_SORTED_TS | FLAG_UNIFORM_ARITY;
 /// one event, five orders of magnitude below.
 const MAX_BODY_BYTES: u64 = 1 << 30;
 
-/// Serialize a chunk into `out`, returning the body it wrote as a
-/// [`RowBlock`]: what [`decode_chunk`] of the frame holds.
+/// Serialize a chunk into `out`, returning the chunk it wrote, the body
+/// indexed: what [`decode_chunk`] of the frame holds.
 pub fn encode_chunk(
     out: &mut Vec<u8>,
     id: ChunkId,
     schema: SchemaId,
     codec: Codec,
     events: &[Event],
-) -> RowBlock {
+) -> DecodedChunk {
     debug_assert!(!events.is_empty(), "chunks are never empty");
     let first_ts = events.first().expect("non-empty").ts;
     let last_ts = events.last().expect("non-empty").ts;
@@ -239,7 +179,13 @@ pub fn encode_chunk(
     let crc = crc32c(&out[start + 8..]);
     out[start..start + 4].copy_from_slice(&(payload_len as u32 + 4).to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    body.finish()
+    DecodedChunk {
+        id,
+        schema,
+        first_ts,
+        last_ts,
+        rows: body.finish(),
+    }
 }
 
 /// Result of decoding a frame: the chunk plus the total frame size consumed.
@@ -347,7 +293,7 @@ pub fn decode_chunk(data: &[u8]) -> Result<Option<DecodedFrame>> {
             schema,
             first_ts,
             last_ts,
-            rows: ChunkRows::Block(body.finish()),
+            rows: body.finish(),
         },
         frame_len: frame_len + 4,
     }))
@@ -823,7 +769,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// A frame written through a block is the reference encoder's,
-        /// byte for byte; the block it leaves and the one decoded from the
+        /// byte for byte; the chunk it leaves and the one decoded from the
         /// frame hand out the events with their rows byte for byte.
         #[test]
         fn blocks_written_and_decoded_hold_the_events(events in random_events(), railz in any::<bool>()) {
@@ -831,9 +777,13 @@ mod tests {
             let mut frame = Vec::new();
             let written = encode_chunk(&mut frame, ChunkId(7), SchemaId(0), codec, &events);
             prop_assert_eq!(&frame, &reference_frame(codec, &events));
-            assert_holds((0..written.len()).map(|i| written.event(i)), &events);
+            assert_holds(written.events().into_iter(), &events);
             let decoded = decode_chunk(&frame).unwrap().unwrap();
             prop_assert_eq!(decoded.frame_len, frame.len());
+            prop_assert_eq!(
+                (decoded.chunk.first_ts, decoded.chunk.last_ts),
+                (written.first_ts, written.last_ts)
+            );
             assert_holds(decoded.chunk.events().into_iter(), &events);
         }
 

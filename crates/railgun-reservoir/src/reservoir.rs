@@ -3,11 +3,12 @@
 //! A reservoir stores **all events of one task processor** and hands them
 //! back to windows through cheap, monotonic [`Cursor`]s. It has two parts:
 //! a very small in-memory part (the open chunk receiving arrivals, chunks in
-//! transition awaiting late events, and the bounded chunk cache) and a
-//! potentially huge on-disk part (append-only segment files of compressed
-//! chunks). Regardless of window size, only a tiny number of chunks is in
-//! memory — the property behind "windows of years are equivalent to windows
-//! of seconds" (§4.1.1, Figure 9a).
+//! transition awaiting late events, chunks waiting for the I/O thread, and
+//! the bounded cache of written chunks) and a potentially huge on-disk part
+//! (append-only segment files of compressed chunks). Regardless of window
+//! size, only a tiny number of chunks is in memory — the property behind
+//! "windows of years are equivalent to windows of seconds" (§4.1.1,
+//! Figure 9a).
 //!
 //! ## Chunk lifecycle
 //!
@@ -17,16 +18,18 @@
 //! * once it reaches the size target it **closes**; if a transition hold is
 //!   configured it lingers, closed for new events but open for late ones
 //!   (the watermark-like mechanism of §4.1.1);
-//! * finalization pins the chunk in the cache as it stands — its events,
-//!   each with a row of its own (**pending**) — and queues it for the
-//!   background I/O thread;
+//! * finalization queues the chunk for the background I/O thread as it
+//!   stands, its events each with a row of its own (**pending**). The
+//!   reservoir keeps holding it, with the open and transition chunks, and
+//!   cursors read it there;
 //! * the I/O thread frames the events (their rows copied behind id/ts
 //!   deltas into one body, then compressed), appends the frame to the
-//!   active segment file, records its location and swaps the pinned entry
-//!   for the body it wrote plus a 32-byte index entry per event, now
-//!   evictable (**durable**). That is the form a chunk read back from disk
-//!   has, with the events in the same positions, so a cursor holding the
-//!   pending form keeps its place in it.
+//!   active segment file, records its location, drops the pending chunk
+//!   and caches the body it wrote plus a 32-byte index entry per event
+//!   (**durable**). That is the form a chunk read back from disk has, with
+//!   the events in the same positions, so a cursor part-way through the
+//!   pending chunk keeps its place. The cache holds only such chunks, and
+//!   may evict any of them.
 //!
 //! ## Durable at the checkpoint
 //!
@@ -45,12 +48,13 @@
 //! the reservoir's own: what it is handed is a slice of a bus frame holding
 //! a whole batch, which a stored slice would keep alive for as long as the
 //! chunk is in memory. Open, transition and pending chunks hold such
-//! events, which a late event can still be inserted between. A durable
-//! chunk holds none: it is a [`RowBlock`](railgun_types::RowBlock), one
-//! body (the uncompressed body of its frame, as the I/O thread wrote it or
-//! a cold load decompressed it) and an index. The events a cursor yields
-//! from it slice that body, which lives as long as any of them is held, so
-//! a resident event costs its row, its deltas and its index entry.
+//! events: a late event can still be inserted between those of the first
+//! two, and the third holds them only until the I/O thread has written
+//! them. A durable chunk holds none: it is a [`RowBlock`], one body (the
+//! uncompressed body of its frame, as the I/O thread wrote it or a cold
+//! load decompressed it) and an index. The events a cursor yields from it
+//! slice that body, which lives as long as any of them is held, so a
+//! resident event costs its row, its deltas and its index entry.
 //!
 //! ## Cursor semantics
 //!
@@ -76,19 +80,20 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use railgun_types::{
-    Counter, Event, EventId, FastHashMap, FastHashSet, RailgunError, Recorder, Result, Schema,
-    SchemaId, TimeDelta, Timestamp,
+    Counter, Event, EventId, FastHashMap, FastHashSet, RailgunError, Recorder, Result, RowBlock,
+    Schema, SchemaId, TimeDelta, Timestamp,
 };
 
 use crate::cache::{CacheStats, ChunkCache};
 use crate::compress::Codec;
-use crate::format::{encode_chunk, ChunkId, ChunkRows, DecodedChunk, EventRows};
+use crate::format::{encode_chunk, ChunkId, DecodedChunk};
 use crate::segment::{
     read_chunk_at, read_chunks, scan_segments, segment_file_name, ChunkLocation, FileNo,
     SegmentWriter,
@@ -197,6 +202,8 @@ pub struct ReservoirStats {
     pub durable_chunks: usize,
     pub open_events: usize,
     pub transition_events: usize,
+    /// Events of finalized chunks the I/O thread has not written yet.
+    pub pending_events: usize,
     pub cached_events: usize,
     pub events_in_memory: usize,
     pub memory_bytes: usize,
@@ -208,7 +215,7 @@ pub struct ReservoirStats {
 enum ChunkState {
     Open,
     Transition,
-    /// Finalized, queued for the I/O thread, pinned in cache.
+    /// Finalized, queued for the I/O thread, held in `Inner::pending`.
     Pending,
     /// On disk at the given location.
     Durable(ChunkLocation),
@@ -223,8 +230,9 @@ struct ChunkMeta {
     state: ChunkState,
 }
 
-/// A chunk whose events still live in a mutable `Vec` (open or transition).
-struct MutableChunk {
+/// A chunk held as its events, each with a row of its own (module docs):
+/// open, transition or pending.
+struct EventChunk {
     id: ChunkId,
     events: Vec<Event>,
     bytes: usize,
@@ -253,8 +261,13 @@ struct Inner {
     chunks: VecDeque<ChunkMeta>,
     first_chunk_id: u64,
     next_chunk_id: u64,
-    open: Option<MutableChunk>,
-    transition: Vec<MutableChunk>,
+    open: Option<EventChunk>,
+    transition: Vec<EventChunk>,
+    /// Finalized chunks the I/O thread has not written yet, oldest first,
+    /// each shared with its `IoCmd::Persist`. A chunk whose write failed
+    /// stays here.
+    pending: VecDeque<Arc<EventChunk>>,
+    /// Written chunks only.
     cache: ChunkCache,
     files: FastHashMap<u64, FileInfo>,
     dedup: FastHashSet<EventId>,
@@ -265,11 +278,26 @@ struct Inner {
     stats: ReservoirStats,
 }
 
+impl Inner {
+    /// The chunks held as events: open, transition and pending.
+    fn event_chunks(&self) -> impl Iterator<Item = &EventChunk> {
+        let pending = self.pending.iter().map(Arc::as_ref);
+        self.open.iter().chain(&self.transition).chain(pending)
+    }
+
+    /// The events of `chunk`, if it is held as events.
+    fn events_of(&self, chunk: ChunkId) -> Option<&[Event]> {
+        self.event_chunks()
+            .find(|c| c.id == chunk)
+            .map(|c| c.events.as_slice())
+    }
+}
+
 enum IoCmd {
-    /// Encode, compress and append a pending chunk, then swap its pinned
-    /// cache entry for the body written. Encoding happens on the I/O
-    /// thread so the append path never pays it under the lock.
-    Persist(Arc<DecodedChunk>),
+    /// Encode, compress and append a pending chunk, then cache the body
+    /// written in its place. Encoding happens on the I/O thread so the
+    /// append path never pays it under the lock.
+    Persist(Arc<EventChunk>),
     /// Eagerly load a chunk into the cache (read-ahead, §4.1.1).
     Prefetch(ChunkId),
     /// Reply once every command before it is done, with the first chunk
@@ -341,7 +369,7 @@ impl Reservoir {
             min_acceptable_ts = rc.chunk.last_ts;
         }
         let mut dedup = FastHashSet::default();
-        let mut mutable = |name: &str, state: ChunkState| -> Result<Vec<MutableChunk>> {
+        let mut mutable = |name: &str, state: ChunkState| -> Result<Vec<EventChunk>> {
             let path = dir.join(name);
             if !path.exists() {
                 return Ok(Vec::new());
@@ -356,7 +384,7 @@ impl Reservoir {
                 let events = chunk.events();
                 dedup.extend(events.iter().map(|e| e.id));
                 max_seen_ts = max_seen_ts.max(chunk.last_ts);
-                out.push(MutableChunk {
+                out.push(EventChunk {
                     id: chunk.id,
                     bytes: events.iter().map(Event::heap_size).sum(),
                     events,
@@ -379,6 +407,7 @@ impl Reservoir {
             next_chunk_id,
             open,
             transition,
+            pending: VecDeque::new(),
             cache: {
                 let mut cache = ChunkCache::new(cfg.cache_capacity_chunks);
                 cache.set_miss_counter(cfg.chunk_miss_counter.clone());
@@ -512,7 +541,7 @@ impl Reservoir {
                     count: 0,
                     state: ChunkState::Open,
                 });
-                inner.open = Some(MutableChunk {
+                inner.open = Some(EventChunk {
                     id,
                     events: Vec::with_capacity(self.shared.cfg.chunk_target_events),
                     bytes: 0,
@@ -589,7 +618,7 @@ impl Reservoir {
 
     /// Recompute a mutable chunk's metadata from its events (after an
     /// out-of-order insert).
-    fn refresh_meta(chunks: &mut VecDeque<ChunkMeta>, first_chunk_id: u64, chunk: &MutableChunk) {
+    fn refresh_meta(chunks: &mut VecDeque<ChunkMeta>, first_chunk_id: u64, chunk: &EventChunk) {
         if let (Some(first), Some(last)) = (chunk.events.first(), chunk.events.last()) {
             let meta = &mut chunks[(chunk.id.0 - first_chunk_id) as usize];
             meta.first_ts = first.ts;
@@ -614,9 +643,9 @@ impl Reservoir {
         }
     }
 
-    /// Finalize transition chunks the watermark has passed: encode, pin in
-    /// cache, hand to the I/O thread. With a zero hold, chunks finalize the
-    /// moment they close (no transition state).
+    /// Finalize transition chunks the watermark has passed: hand them to
+    /// the I/O thread. With a zero hold, chunks finalize the moment they
+    /// close (no transition state).
     fn finalize_ready_transitions(&self, inner: &mut Inner) -> Result<()> {
         let hold = self.shared.cfg.transition_hold;
         while let Some(t) = inner.transition.first() {
@@ -631,32 +660,25 @@ impl Reservoir {
         Ok(())
     }
 
-    /// Finalize a closed chunk: pin its events in the cache and hand them to
-    /// the I/O thread, which encodes, compresses and appends them. Keeping
+    /// Finalize a closed chunk: keep it as pending and hand it to the I/O
+    /// thread, which encodes, compresses and appends it. Keeping
     /// serialization off this path means `append` never stalls behind a
     /// chunk close for more than the O(1) bookkeeping here.
-    fn finalize_chunk(&self, inner: &mut Inner, chunk: MutableChunk) -> Result<()> {
+    fn finalize_chunk(&self, inner: &mut Inner, chunk: EventChunk) -> Result<()> {
         debug_assert!(!chunk.events.is_empty(), "chunks close only when non-empty");
         for e in &chunk.events {
             inner.dedup.remove(&e.id);
         }
-        let first_ts = chunk.events.first().expect("non-empty").ts;
         let last_ts = chunk.events.last().expect("non-empty").ts;
         inner.stats.chunks_finalized += 1;
         inner.min_acceptable_ts = inner.min_acceptable_ts.max(last_ts);
-        let decoded = Arc::new(DecodedChunk {
-            id: chunk.id,
-            schema: SCHEMA,
-            first_ts,
-            last_ts,
-            rows: ChunkRows::Pending(chunk.events),
-        });
-        inner.cache.insert_pinned(Arc::clone(&decoded));
         let mi = (chunk.id.0 - inner.first_chunk_id) as usize;
         inner.chunks[mi].state = ChunkState::Pending;
+        let chunk = Arc::new(chunk);
+        inner.pending.push_back(Arc::clone(&chunk));
         self.shared
             .io_tx
-            .send(IoCmd::Persist(decoded))
+            .send(IoCmd::Persist(chunk))
             .map_err(|_| RailgunError::Storage("reservoir io thread is gone".into()))?;
         Ok(())
     }
@@ -732,7 +754,7 @@ impl Reservoir {
                 Some(idx) => pos.idx = idx,
                 None => match load_cold(&self.shared.dir, inner, chunk_id) {
                     Ok(decoded) => {
-                        pos.idx = decoded.rows().seek(0, from);
+                        pos.idx = decoded.rows.seek(0, from);
                         pos.held = Some(decoded);
                     }
                     Err(e) => error = Some(e),
@@ -758,17 +780,12 @@ impl Reservoir {
     }
 
     /// Seek index of the first event with `ts >= from` in `chunk`, if the
-    /// chunk is resident in memory (open, transition, or cached).
+    /// chunk is resident in memory (held as events, or cached).
     fn resident_seek(inner: &mut Inner, chunk: ChunkId, from: Timestamp) -> Option<usize> {
-        if let Some(open) = &inner.open {
-            if open.id == chunk {
-                return Some(open.events.partition_point(|e| e.ts < from));
-            }
+        match inner.events_of(chunk) {
+            Some(events) => Some(events.seek(0, from)),
+            None => inner.cache.get(chunk).map(|c| c.rows.seek(0, from)),
         }
-        if let Some(t) = inner.transition.iter().find(|t| t.id == chunk) {
-            return Some(t.events.partition_point(|e| e.ts < from));
-        }
-        inner.cache.get(chunk).map(|c| c.rows().seek(0, from))
     }
 
     /// Drop durable chunks entirely below `before` (event time), deleting
@@ -828,11 +845,18 @@ impl Reservoir {
     /// the image as they stand — a checkpoint closes no chunk early, so
     /// answers do not depend on how often one runs. The image directory is
     /// fsynced last. Fails with the first chunk write that failed since
-    /// the last barrier: the image would miss that chunk.
+    /// the last barrier, and while any chunk whose write failed is still
+    /// pending: the image would miss that chunk.
     pub fn checkpoint(&self, target: &Path) -> Result<()> {
         self.barrier(true)?;
         std::fs::create_dir_all(target)?;
         let inner = self.shared.inner.lock(); // freeze truncation while linking
+        if let Some(unwritten) = inner.pending.front() {
+            return Err(RailgunError::Storage(format!(
+                "chunk {} is in no segment: its write failed",
+                unwritten.id.0
+            )));
+        }
         for &no in inner.files.keys() {
             let name = segment_file_name(FileNo(no));
             let (from, to) = (self.shared.dir.join(&name), target.join(&name));
@@ -865,19 +889,20 @@ impl Reservoir {
     /// cache keeps incremental byte/event accounting; `durable_chunks` and
     /// `files_sealed` are updated at state transitions), so polling stats
     /// never walks chunks or cached events and cannot stall ingest — the
-    /// only remaining per-call work is O(#transition chunks), which the
-    /// watermark keeps tiny.
+    /// only remaining per-call work is O(#transition and pending chunks),
+    /// which the watermark and the I/O thread keep tiny.
     pub fn stats(&self) -> ReservoirStats {
         let inner = self.shared.inner.lock();
         let mut s = inner.stats.clone();
         s.cache = inner.cache.stats();
         s.open_events = inner.open.as_ref().map_or(0, |o| o.events.len());
         s.transition_events = inner.transition.iter().map(|t| t.events.len()).sum();
+        s.pending_events = inner.pending.iter().map(|p| p.events.len()).sum();
         s.cached_events = inner.cache.resident_events();
-        s.events_in_memory = s.open_events + s.transition_events + s.cached_events;
-        s.memory_bytes = inner.cache.heap_bytes()
-            + inner.open.as_ref().map_or(0, |o| o.bytes)
-            + inner.transition.iter().map(|t| t.bytes).sum::<usize>();
+        s.events_in_memory =
+            s.open_events + s.transition_events + s.pending_events + s.cached_events;
+        s.memory_bytes =
+            inner.cache.heap_bytes() + inner.event_chunks().map(|c| c.bytes).sum::<usize>();
         s.cursors = inner.cursors.len();
         s
     }
@@ -910,7 +935,7 @@ struct InsertPos {
 /// In-order arrivals (`ts` at or past the current tail) take a plain push;
 /// only out-of-order events pay the binary search + memmove. Both paths
 /// produce the identical final ordering (pinned by a property test below).
-fn insert_sorted(chunk: &mut MutableChunk, event: Event) -> InsertPos {
+fn insert_sorted(chunk: &mut EventChunk, event: Event) -> InsertPos {
     let ts = event.ts;
     chunk.bytes += event.heap_size();
     match chunk.events.last() {
@@ -1002,8 +1027,11 @@ impl Cursor {
     /// bound stays where it was, so the next advance retries the read;
     /// see [`Cursor::take_error`].
     pub fn advance_upto_into(&self, bound: Timestamp, out: &mut Vec<Event>) {
-        let mut guard = self.shared.inner.lock();
-        let inner = &mut *guard;
+        self.advance_locked(&mut self.shared.inner.lock(), bound, out);
+    }
+
+    /// [`Cursor::advance_upto_into`] with the lock held.
+    fn advance_locked(&self, inner: &mut Inner, bound: Timestamp, out: &mut Vec<Event>) {
         // Copied out and written back: taking it out of the map with
         // `remove` and re-inserting it measured slower per advance.
         let Some(mut pos) = inner.cursors.get(&self.id).cloned() else {
@@ -1032,39 +1060,29 @@ impl Cursor {
         while (inner.first_chunk_id..inner.next_chunk_id).contains(&pos.chunk) {
             let mi = (pos.chunk - inner.first_chunk_id) as usize;
             let state = inner.chunks[mi].state;
+            let chunk = ChunkId(pos.chunk);
             match state {
-                ChunkState::Open => {
+                ChunkState::Open | ChunkState::Transition | ChunkState::Pending => {
                     pos.held = None;
-                    let open = inner.open.as_ref().expect("open meta implies open chunk");
-                    drain_slice(&open.events, pos, bound, out);
-                    return Ok(()); // never cross the open chunk
-                }
-                ChunkState::Transition => {
-                    pos.held = None;
-                    let t = inner
-                        .transition
-                        .iter()
-                        .find(|t| t.id.0 == pos.chunk)
-                        .expect("transition meta implies transition chunk");
-                    if drain_slice(&t.events, pos, bound, out) {
-                        // Fully drained: safe to move on. Late events that
-                        // land behind us are below our bound by the routing
-                        // invariant and get skipped via `fixup_cursors`.
-                        pos.chunk += 1;
-                        pos.idx = 0;
-                    } else {
+                    let events = inner
+                        .events_of(chunk)
+                        .expect("a chunk in no segment is held as events");
+                    // A drained transition or pending chunk is safe to move
+                    // past: late events that land behind us are below our
+                    // bound by the routing invariant and get skipped via
+                    // `fixup_cursors`. The open chunk is never crossed.
+                    if !drain_slice(events, pos, bound, out) || state == ChunkState::Open {
                         return Ok(());
                     }
+                    pos.chunk += 1;
+                    pos.idx = 0;
                 }
-                ChunkState::Pending | ChunkState::Durable(_) => {
+                ChunkState::Durable(_) => {
                     // Figure 5: the iterator holds its current chunk; the
                     // cache is only consulted on chunk transitions.
                     let decoded = match &pos.held {
-                        Some(held) if held.id.0 == pos.chunk => Arc::clone(held),
+                        Some(held) if held.id == chunk => Arc::clone(held),
                         _ => {
-                            let chunk = ChunkId(pos.chunk);
-                            // Pending chunks are pinned in the cache, so a
-                            // miss is a durable chunk.
                             let decoded = match inner.cache.get(chunk) {
                                 Some(hit) => hit,
                                 None => load_cold(&self.shared.dir, inner, chunk)?,
@@ -1074,7 +1092,7 @@ impl Cursor {
                             decoded
                         }
                     };
-                    let rows = decoded.rows();
+                    let rows = &decoded.rows;
                     let done = drain_slice(rows, pos, bound, out);
                     // Eager read-ahead, issued just-in-time (when the
                     // iterator is most of the way through its chunk) so
@@ -1116,6 +1134,44 @@ impl Drop for Cursor {
     }
 }
 
+/// What a cursor reads from a chunk in memory, in timestamp order: the
+/// events of a chunk held as events, or the rows of a written one.
+trait EventRows {
+    fn len(&self) -> usize;
+    /// Index of the first event at or after `start` with `ts >= bound`.
+    fn seek(&self, start: usize, bound: Timestamp) -> usize;
+    /// Append (clones of) the events at `range` to `out`.
+    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>);
+}
+
+impl EventRows for [Event] {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn seek(&self, start: usize, bound: Timestamp) -> usize {
+        start + self[start..].partition_point(|e| e.ts < bound)
+    }
+
+    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>) {
+        out.extend_from_slice(&self[range]);
+    }
+}
+
+impl EventRows for RowBlock {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn seek(&self, start: usize, bound: Timestamp) -> usize {
+        self.partition_point(start, |ts| ts < bound)
+    }
+
+    fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>) {
+        out.extend(range.map(|i| self.event(i)));
+    }
+}
+
 /// Batch-copy every event with `ts < bound` from the chunk's events
 /// `pos.idx..` into `out` (one binary search + one extend instead of a
 /// per-event compare-and-push loop). Returns true when the chunk is fully
@@ -1136,33 +1192,22 @@ fn drain_slice(
 fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) {
     let mut frame = Vec::new();
     // The first chunk write that failed since the last barrier: its chunk
-    // stays pinned in the cache, readable but in no segment.
+    // stays pending, readable but in no segment.
     let mut failed: Option<RailgunError> = None;
     while let Ok(cmd) = rx.recv() {
         match cmd {
             IoCmd::Persist(pending) => {
                 // Encode + compress here, off the append path. The events
-                // are shared with the pinned cache entry, so readers are
-                // already served while this runs.
-                let ChunkRows::Pending(events) = &pending.rows else {
-                    unreachable!("finalize_chunk persists only pending chunks")
-                };
+                // are shared with the reservoir's pending chunk, so readers
+                // are served while this runs.
                 frame.clear();
-                let rows =
-                    encode_chunk(&mut frame, pending.id, pending.schema, shared.cfg.codec, events);
-                let durable = Arc::new(DecodedChunk {
-                    id: pending.id,
-                    schema: pending.schema,
-                    first_ts: pending.first_ts,
-                    last_ts: pending.last_ts,
-                    rows: ChunkRows::Block(rows),
-                });
-                let chunk = pending.id;
-                let written = writer.append(&frame);
+                let written =
+                    encode_chunk(&mut frame, pending.id, SCHEMA, shared.cfg.codec, &pending.events);
+                let appended = writer.append(&frame);
                 let mut inner = shared.inner.lock();
                 let inner = &mut *inner;
-                let (loc, sealed) = match written {
-                    Ok(written) => written,
+                let (loc, sealed) = match appended {
+                    Ok(appended) => appended,
                     Err(e) => {
                         inner.stats.failed_persists += 1;
                         failed.get_or_insert(e);
@@ -1170,13 +1215,12 @@ fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) 
                     }
                 };
                 inner.stats.bytes_written += frame.len() as u64;
-                if chunk.0 >= inner.first_chunk_id {
-                    let mi = (chunk.0 - inner.first_chunk_id) as usize;
-                    if let Some(meta) = inner.chunks.get_mut(mi) {
-                        meta.state = ChunkState::Durable(loc);
-                        inner.stats.durable_chunks += 1;
-                    }
-                }
+                // Truncation stops at the first chunk in no segment, so a
+                // pending chunk's meta is live.
+                let mi = (pending.id.0 - inner.first_chunk_id) as usize;
+                inner.chunks[mi].state = ChunkState::Durable(loc);
+                inner.stats.durable_chunks += 1;
+                inner.pending.retain(|p| p.id != pending.id);
                 inner
                     .files
                     .entry(loc.file.0)
@@ -1188,7 +1232,7 @@ fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) 
                 if sealed {
                     mark_sealed(inner, loc.file);
                 }
-                inner.cache.unpin(durable);
+                inner.cache.insert(Arc::new(written));
             }
             IoCmd::Prefetch(chunk) => {
                 // Snapshot the location under the lock, read without it.
@@ -1246,7 +1290,7 @@ fn mark_sealed(inner: &mut Inner, file: FileNo) {
 mod insert_path_tests {
     use super::*;
     use proptest::prelude::*;
-    use railgun_types::Value;
+    use railgun_types::{FieldType, Value};
 
     /// The pre-fast-path insert: always binary-search + `Vec::insert`.
     fn insert_reference(events: &mut Vec<Event>, event: Event) {
@@ -1277,7 +1321,7 @@ mod insert_path_tests {
         fn fast_path_matches_reference_insert(
             lateness in proptest::collection::vec(0i64..40, 1..200),
         ) {
-            let mut fast = MutableChunk {
+            let mut fast = EventChunk {
                 id: ChunkId(9),
                 events: Vec::new(),
                 bytes: 0,
@@ -1302,7 +1346,7 @@ mod insert_path_tests {
 
     #[test]
     fn tail_ties_take_the_fast_path() {
-        let mut chunk = MutableChunk {
+        let mut chunk = EventChunk {
             id: ChunkId(0),
             events: Vec::new(),
             bytes: 0,
@@ -1316,5 +1360,46 @@ mod insert_path_tests {
         assert!(insert_sorted(&mut chunk, e(4, 10)).appended);
         let ids: Vec<u64> = chunk.events.iter().map(|ev| ev.id.0).collect();
         assert_eq!(ids, vec![3, 1, 2, 4], "ties keep arrival order");
+    }
+
+    /// A cursor part-way through a chunk the I/O thread has not written
+    /// yet reads on from the same position once the chunk is written and
+    /// cached: the block holds the events in the order the chunk did.
+    #[test]
+    fn a_cursor_keeps_its_place_when_its_pending_chunk_is_written() {
+        let dir = std::env::temp_dir().join(format!("railgun-res-pending-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let schema = Schema::from_pairs(&[("n", FieldType::Int)]).unwrap();
+        let cfg = ReservoirConfig {
+            chunk_target_events: 4,
+            prefetch: false,
+            ..ReservoirConfig::default()
+        };
+        let res = Reservoir::open(&dir, schema, cfg).unwrap();
+        let ev = |i: u64| {
+            Event::new(EventId(i), Timestamp::from_millis(i as i64), vec![Value::Int(i as i64)])
+        };
+        let c = res.cursor_at_start();
+        let mut out = Vec::new();
+        {
+            // With the lock held the I/O thread may write chunk 0, but it
+            // cannot record it or drop the pending chunk.
+            let mut inner = res.shared.inner.lock();
+            for i in 0..6 {
+                res.append_locked(&mut inner, ev(i)).unwrap();
+            }
+            assert_eq!(inner.chunks[0].state, ChunkState::Pending);
+            assert_eq!(inner.pending.len(), 1);
+            assert!(!inner.cache.contains(ChunkId(0)), "the cache holds written chunks only");
+            c.advance_locked(&mut inner, Timestamp::from_millis(2), &mut out);
+        }
+        res.flush_io().unwrap();
+        let s = res.stats();
+        assert_eq!((s.pending_events, s.cached_events, s.open_events), (0, 4, 2));
+        c.advance_upto_into(Timestamp::MAX, &mut out);
+        let ids: Vec<u64> = out.iter().map(|e| e.id.0).collect();
+        assert_eq!(ids, (0..6).collect::<Vec<_>>());
+        drop((c, res));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

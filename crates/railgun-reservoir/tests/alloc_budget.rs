@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use railgun_reservoir::format::{encode_chunk, ChunkId, ChunkRows};
+use railgun_reservoir::format::{encode_chunk, ChunkId};
 use railgun_reservoir::segment::{read_chunk_at, FileNo, SegmentWriter};
 use railgun_reservoir::Codec;
 use railgun_types::{Event, EventId, SchemaId, Timestamp, Value};
@@ -96,10 +96,7 @@ fn a_cold_load_allocates_the_same_whatever_the_chunk_holds() {
             let (loc, _) = writer.append(&frame).unwrap();
             let before = ALLOCATIONS.with(Cell::get);
             let chunk = read_chunk_at(&dir, loc).unwrap();
-            let ChunkRows::Block(rows) = &chunk.rows else {
-                panic!("a chunk read back is a row block")
-            };
-            let held = rows.len();
+            let held = chunk.rows.len();
             drop(chunk);
             let made = ALLOCATIONS.with(Cell::get) - before;
             assert_eq!(held, n as usize);

@@ -436,21 +436,21 @@ fn a_failed_chunk_write_fails_the_next_checkpoint() {
         ..small_cfg()
     };
     let res = Reservoir::open(&dir, schema(), cfg).unwrap();
-    for i in 0..8 {
-        res.append(ev(i, i as i64 * 10)).unwrap();
-    }
-    res.flush_io().unwrap();
-    // The next segment has nowhere to go.
-    std::fs::remove_dir_all(&dir).unwrap();
-    for i in 8..17 {
+    // The second chunk's segment is taken; the third gets the next one.
+    std::fs::write(dir.join("seg-00000001.rail"), b"").unwrap();
+    for i in 0..25 {
         res.append(ev(i, i as i64 * 10)).unwrap();
     }
     let err = res.checkpoint(&fresh("failed-persist-image")).unwrap_err();
     assert!(matches!(err, railgun_types::RailgunError::Io(_)), "{err:?}");
     assert_eq!(res.stats().failed_persists, 1);
-    // The chunk is still served from the cache.
+    // The chunk stays pending: still served, and no later image leaves it
+    // out (its chunk ids would have a gap, which a restore refuses).
+    assert_eq!(res.stats().pending_events, 8);
+    let err = res.checkpoint(&fresh("failed-persist-image-2")).unwrap_err();
+    assert!(matches!(err, railgun_types::RailgunError::Storage(_)), "{err:?}");
     let c = res.cursor_at_start();
-    assert_eq!(c.advance_upto(Timestamp::MAX).len(), 17);
+    assert_eq!(c.advance_upto(Timestamp::MAX).len(), 25);
 }
 
 #[test]
@@ -514,7 +514,7 @@ fn memory_is_independent_of_history_size() {
     }
     let s = res.stats();
     assert!(s.appended == 20_000);
-    // Bounded by: 4 cached chunks + open chunk + chunks pinned while the
+    // Bounded by: 4 cached chunks + open chunk + chunks pending while the
     // async I/O thread drains its queue. The point is the bound does not
     // scale with the 20k-event history.
     assert!(
