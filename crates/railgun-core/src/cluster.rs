@@ -163,7 +163,6 @@ impl Cluster {
         config.task.reservoir.append_recorder = telemetry.reservoir_append_recorder();
         config.task.reservoir.chunk_miss_counter = telemetry.chunk_miss_counter();
         config.task.store.flush_recorder = telemetry.store_flush_recorder();
-        config.task.store.orphan_counter = telemetry.store_orphan_counter();
         config.task.checkpoint_fallbacks = telemetry.checkpoint_fallback_counter();
         let strategy = Arc::new(RailgunStrategy::new(config.replication));
         let mut nodes = Vec::with_capacity(config.nodes as usize);

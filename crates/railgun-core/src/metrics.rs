@@ -231,10 +231,6 @@ pub struct EngineTelemetry {
     frontend_batched: Counter,
     /// Events processed by units in same-task runs of ≥ 2 per poll.
     unit_batched: Counter,
-    /// Unreferenced SSTables quarantined at store open. Always on:
-    /// recovery runs once per open, off the hot path, and a silent
-    /// repair is exactly what an operator must not get.
-    store_orphans: Counter,
     /// Corrupt/partial checkpoints that degraded to a full topic replay
     /// (always on).
     checkpoint_fallbacks: Counter,
@@ -290,7 +286,6 @@ impl EngineTelemetry {
             batch_size: Recorder::enabled(),
             frontend_batched: Counter::enabled(),
             unit_batched: Counter::enabled(),
-            store_orphans: Counter::enabled(),
             checkpoint_fallbacks: Counter::enabled(),
             handovers: Counter::enabled(),
             tail_replayed: Counter::enabled(),
@@ -355,12 +350,6 @@ impl EngineTelemetry {
     /// unit configs).
     pub fn unit_batched_counter(&self) -> Counter {
         self.unit_batched.clone()
-    }
-
-    /// Counter of orphaned SSTables quarantined at store open (for
-    /// `DbOptions::orphan_counter`).
-    pub fn store_orphan_counter(&self) -> Counter {
-        self.store_orphans.clone()
     }
 
     /// Counter of checkpoint restores that degraded to full replay (for
@@ -536,7 +525,6 @@ impl EngineTelemetry {
                 unit_batched_events: self.unit_batched.get(),
             },
             recovery: RecoveryCounters {
-                orphaned_sstables_quarantined: self.store_orphans.get(),
                 checkpoint_fallbacks: self.checkpoint_fallbacks.get(),
             },
             elastic: ElasticCounters {
@@ -603,16 +591,13 @@ pub struct EngineCounters {
     pub reservoir_chunk_misses: u64,
 }
 
-/// Crash-recovery counters (always on — recovery runs once per store
-/// open or restore, far off the hot path, and every one of these events
-/// means data on disk was not what the engine left there). Zero across
-/// the board is the healthy steady state; anything else deserves a look
-/// at the node's disk before it becomes a pattern.
+/// Crash-recovery counters (always on — recovery runs once per restore,
+/// far off the hot path, and every one of these events means data on
+/// disk was not what the engine left there). Zero across the board is
+/// the healthy steady state; anything else deserves a look at the node's
+/// disk before it becomes a pattern.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryCounters {
-    /// Unreferenced SSTables moved to the store's quarantine directory
-    /// at open (a crash landed between SST creation and the manifest).
-    pub orphaned_sstables_quarantined: u64,
     /// Checkpoint restores that found a corrupt/partial image and
     /// degraded to a full topic replay instead of wedging.
     pub checkpoint_fallbacks: u64,
@@ -682,8 +667,7 @@ pub struct MetricsSnapshot {
     /// Batched-ingest observability: batch-size histogram and per-stage
     /// batched-event counters (always on).
     pub batching: BatchingMetrics,
-    /// Crash-recovery counters: torn-tail truncation, orphan quarantine,
-    /// checkpoint fallbacks (always on).
+    /// Crash-recovery counters: checkpoint fallbacks (always on).
     pub recovery: RecoveryCounters,
     /// Elastic-membership counters: handovers, replayed tails, drains,
     /// autoscaler decisions (always on).
@@ -789,13 +773,11 @@ mod tests {
         let t = EngineTelemetry::new(false);
         // Recovery counters are always on, even with stage telemetry off:
         // the injected handles must observably reach the snapshot.
-        t.store_orphan_counter().incr();
         t.checkpoint_fallback_counter().incr();
         let snap = t.snapshot();
         assert_eq!(
             snap.recovery,
             RecoveryCounters {
-                orphaned_sstables_quarantined: 1,
                 checkpoint_fallbacks: 1,
             }
         );

@@ -48,10 +48,11 @@
 //! The version byte has the high bit set (`0x80 | 2`), which no v1 frame
 //! payload started with unless its chunk id was ≥ 128: v1 had no version
 //! byte, so the payload began with the chunk-id varint, whose first byte is
-//! below `0x80` for small ids. Decoding a v1 frame therefore fails with a
-//! clear "legacy chunk format" [`RailgunError::Corruption`] (see DESIGN.md
-//! § "Chunk format v2") instead of silently misreading; v1 reservoirs must
-//! be re-ingested from the messaging layer.
+//! below `0x80` for small ids. A frame of any other version — a v1 frame
+//! included — fails with one "unsupported chunk format version"
+//! [`RailgunError::Corruption`] (see DESIGN.md § "Chunk format v2") instead
+//! of being misread; such a reservoir is re-ingested from the messaging
+//! layer.
 
 use bytes::{Buf, BufMut, Bytes};
 use railgun_types::encode::{crc32c, get_ivarint, get_uvarint, put_ivarint, put_uvarint};
@@ -95,8 +96,8 @@ impl DecodedChunk {
     }
 }
 
-/// Version byte of the current chunk format: high bit (so v1 frames with
-/// small chunk ids are recognized as legacy) plus the version number.
+/// Version byte of the current chunk format: high bit (so no v1 frame
+/// with a small chunk id reads as current) plus the version number.
 pub const CHUNK_FORMAT_VERSION: u8 = 0x80 | 2;
 
 /// Chunk timestamps are non-decreasing; ts deltas are plain uvarints.
@@ -219,16 +220,6 @@ pub fn decode_chunk(data: &[u8]) -> Result<Option<DecodedFrame>> {
     }
     let version = p.get_u8();
     if version != CHUNK_FORMAT_VERSION {
-        if version < 0x80 {
-            // v1 frames had no version byte; their payload started with the
-            // chunk-id varint (first byte < 0x80 for ids below 128).
-            return Err(RailgunError::Corruption(
-                "legacy chunk format (v1, pre-versioned); this build reads chunk \
-                 format v2 — re-ingest from the messaging layer or read with a \
-                 pre-v2 build (see DESIGN.md § Chunk format v2)"
-                    .into(),
-            ));
-        }
         return Err(RailgunError::Corruption(format!(
             "unsupported chunk format version {:#04x} (this build reads {:#04x})",
             version, CHUNK_FORMAT_VERSION
@@ -395,36 +386,37 @@ mod tests {
         assert_eq!(CHUNK_FORMAT_VERSION, 0x82, "wire constant is pinned");
     }
 
-    #[test]
-    fn legacy_v1_frame_is_clear_corruption() {
-        // Hand-build a v1-style frame: payload starts with the chunk-id
-        // varint (no version byte). CRC is valid, so decode reaches the
-        // version check and must name the legacy format.
-        let mut payload = Vec::new();
-        put_uvarint(&mut payload, 7u64); // v1 chunk id
-        put_uvarint(&mut payload, 0u64); // v1 schema id
-        payload.push(0u8); // codec None
-        put_uvarint(&mut payload, 0u64); // count
+    /// Frames `payload` with a valid CRC, so decode reaches the version
+    /// check, and asserts it is the one unsupported-version corruption.
+    fn expect_unsupported_version(payload: &[u8]) {
         let mut frame = Vec::new();
         frame.put_u32_le(payload.len() as u32 + 4);
-        frame.put_u32_le(crc32c(&payload));
-        frame.put_slice(&payload);
-        let err = decode_chunk(&frame).unwrap_err();
-        let msg = format!("{err}");
-        assert!(msg.contains("legacy chunk format"), "got: {msg}");
+        frame.put_u32_le(crc32c(payload));
+        frame.put_slice(payload);
+        let msg = format!("{}", decode_chunk(&frame).unwrap_err());
+        assert!(msg.contains("unsupported chunk format version"), "got: {msg}");
+    }
+
+    #[test]
+    fn legacy_v1_frame_is_clear_corruption() {
+        // A v1-style frame: the payload starts with the chunk-id varint
+        // (no version byte).
+        let mut v1 = Vec::new();
+        put_uvarint(&mut v1, 7u64); // v1 chunk id
+        put_uvarint(&mut v1, 0u64); // v1 schema id
+        v1.push(0u8); // codec None
+        put_uvarint(&mut v1, 0u64); // count
+        expect_unsupported_version(&v1);
     }
 
     #[test]
     fn unknown_future_version_is_corruption() {
-        let mut buf = Vec::new();
-        encode_chunk(&mut buf, ChunkId(1), SchemaId(0), Codec::None, &make_events(2));
-        let payload_start = 8;
-        buf[payload_start] = 0x80 | 9; // pretend v9
-        // Re-patch the CRC so the version check (not the CRC) fires.
-        let crc = crc32c(&buf[payload_start..]);
-        buf[4..8].copy_from_slice(&crc.to_le_bytes());
-        let err = decode_chunk(&buf).unwrap_err();
-        assert!(format!("{err}").contains("unsupported chunk format version"));
+        // A current frame claiming a future version.
+        let mut v9 = Vec::new();
+        encode_chunk(&mut v9, ChunkId(1), SchemaId(0), Codec::None, &make_events(2));
+        v9.drain(..8);
+        v9[0] = 0x80 | 9;
+        expect_unsupported_version(&v9);
     }
 
     #[test]

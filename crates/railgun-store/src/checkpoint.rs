@@ -1,33 +1,44 @@
-//! Checkpoints: consistent on-disk snapshots of a database.
+//! Checkpoints: the store's one durability point.
 //!
 //! The paper (§4.1.3) synchronizes state-store checkpoints with reservoir
-//! checkpoints and notes they are cheap because the LSM persists data
-//! continuously — a checkpoint only has to capture the (immutable) SSTables
-//! and the manifest. We hard-link SSTables when the filesystem allows it
-//! and fall back to copying, like RocksDB's checkpoint feature.
+//! checkpoints, and recovers a task from its newest image plus a topic
+//! replay (§4.2). The store is durable here and nowhere else: its live
+//! directory keeps no manifest, and nothing reopens it. An image is the
+//! live tables, hard-linked like RocksDB's checkpoint feature (copied
+//! where the filesystem refuses a link) — each was fsynced once, when it
+//! was written, and never changes after — plus a `MANIFEST` written fresh
+//! from the store's in-memory table lists and fsynced.
 //!
 //! All I/O goes through the [`StoreFs`] seam, with crash points before
-//! each file lands ([`crash_points::CHECKPOINT_MID_COPY`]) and before the
+//! each table lands ([`crash_points::CHECKPOINT_MID_COPY`]) and before the
 //! completeness marker — an empty `wal.log`, the name the image format
 //! has always used — is created
 //! ([`crash_points::CHECKPOINT_BEFORE_WAL_CREATE`]) — a partial
 //! checkpoint must be detected as invalid by whoever tries to restore
 //! from it, never silently opened.
 
+use std::io::Write;
 use std::path::Path;
 
 use railgun_types::{RailgunError, Result};
 
-use crate::db::WAL_FILE;
+use crate::db::{MANIFEST, WAL_FILE};
 use crate::vfs::{crash_points, StoreFs};
 
-/// Snapshot `files` (relative names inside `src`) into `target`.
+/// Write an image into `target`: link `tables` (names inside `src`),
+/// write `manifest` as its `MANIFEST` and fsync it, then create the
+/// completeness marker and fsync the directory.
 ///
 /// `target` must not already contain a checkpoint; it is created fresh.
-/// Callers must ensure the files are immutable for the duration (the
-/// [`crate::Db`] holds its lock and flushes first). The target directory
-/// is fsynced at the end so the checkpoint's entries survive a crash.
-pub fn create(fs: &dyn StoreFs, src: &Path, target: &Path, files: &[String]) -> Result<()> {
+/// Callers must ensure the tables are immutable for the duration (the
+/// [`crate::Db`] holds its lock and flushes first).
+pub fn create(
+    fs: &dyn StoreFs,
+    src: &Path,
+    target: &Path,
+    tables: &[String],
+    manifest: &[u8],
+) -> Result<()> {
     if fs.exists(target) && !fs.read_dir_files(target)?.is_empty() {
         return Err(RailgunError::InvalidArgument(format!(
             "checkpoint target {} is not empty",
@@ -35,16 +46,14 @@ pub fn create(fs: &dyn StoreFs, src: &Path, target: &Path, files: &[String]) -> 
         )));
     }
     fs.create_dir_all(target)?;
-    for name in files {
-        // Hit `k` freezes the image with `k - 1` files present: a
-        // partial checkpoint, missing its manifest or some SSTs.
+    for name in tables {
+        // Hit `k` freezes the image with `k - 1` tables and no manifest.
         fs.crash_point(crash_points::CHECKPOINT_MID_COPY)?;
-        let from = src.join(name);
-        let to = target.join(name);
-        // Hard links make checkpoints O(1) per file; immutability of SSTs
-        // and atomic manifest replacement keep them safe.
-        fs.hard_link_or_copy(&from, &to)?;
+        fs.hard_link_or_copy(&src.join(name), &target.join(name))?;
     }
+    let mut f = fs.create(&target.join(MANIFEST))?;
+    f.write_all(manifest)?;
+    f.sync_all()?;
     fs.crash_point(crash_points::CHECKPOINT_BEFORE_WAL_CREATE)?;
     // The empty marker says every file above landed.
     fs.create(&target.join(WAL_FILE))?.sync_all()?;
@@ -54,13 +63,13 @@ pub fn create(fs: &dyn StoreFs, src: &Path, target: &Path, files: &[String]) -> 
 
 /// True iff `dir` contains a *complete* checkpoint.
 ///
-/// Creation writes the empty `wal.log` marker last — after the manifest
-/// and every SSTable, before the directory fsync — so its presence
-/// implies all files landed. Restore paths must check this (and fall
-/// back to full replay) instead of opening a partial image, which would
-/// otherwise bootstrap as an empty database.
+/// Creation writes the empty `wal.log` marker last — after every table
+/// and the manifest, before the directory fsync — so its presence implies
+/// all files landed. Restore paths must check this (and fall back to full
+/// replay) instead of opening a partial image, which would otherwise
+/// bootstrap as an empty database.
 pub fn is_complete(fs: &dyn StoreFs, dir: &Path) -> bool {
-    fs.exists(&dir.join(WAL_FILE)) && fs.exists(&dir.join("MANIFEST"))
+    fs.exists(&dir.join(WAL_FILE)) && fs.exists(&dir.join(MANIFEST))
 }
 
 #[cfg(test)]
@@ -82,9 +91,9 @@ mod tests {
         let dst = fresh("dst");
         fs::create_dir_all(&src).unwrap();
         fs::write(src.join("a.sst"), b"AAA").unwrap();
-        fs::write(src.join("MANIFEST"), b"MMM").unwrap();
+        fs::write(src.join("MANIFEST"), b"stale").unwrap();
         fs::write(src.join("ignored.tmp"), b"TTT").unwrap();
-        create(&RealFs, &src, &dst, &["a.sst".into(), "MANIFEST".into()]).unwrap();
+        create(&RealFs, &src, &dst, &["a.sst".into()], b"MMM").unwrap();
         assert_eq!(fs::read(dst.join("a.sst")).unwrap(), b"AAA");
         assert_eq!(fs::read(dst.join("MANIFEST")).unwrap(), b"MMM");
         assert!(!dst.join("ignored.tmp").exists());
@@ -98,7 +107,7 @@ mod tests {
         fs::create_dir_all(&src).unwrap();
         fs::create_dir_all(&dst).unwrap();
         fs::write(dst.join("existing"), b"x").unwrap();
-        assert!(create(&RealFs, &src, &dst, &[]).is_err());
+        assert!(create(&RealFs, &src, &dst, &[], b"").is_err());
     }
 
     #[test]
@@ -107,7 +116,7 @@ mod tests {
         let dst = fresh("dst3");
         fs::create_dir_all(&src).unwrap();
         fs::create_dir_all(&dst).unwrap(); // exists but empty
-        create(&RealFs, &src, &dst, &[]).unwrap();
+        create(&RealFs, &src, &dst, &[], b"").unwrap();
         assert!(dst.join("wal.log").exists());
     }
 }

@@ -3,29 +3,30 @@
 //!
 //! One [`Db`] corresponds to one RocksDB instance in the paper: each task
 //! processor owns one (share-nothing, §4.1), holding its aggregation states
-//! and auxiliary data. Writes go to the memtable and nowhere else; a write
-//! is durable once its column family is flushed, and [`Db::checkpoint`]
-//! flushes every column family — the image recovery restores (§4.2), with
-//! the messaging layer's topic replaying what came after it. Reads merge
-//! the memtable with the SSTables newest-first; background maintenance is
+//! and auxiliary data. Writes go to the memtable and nowhere else, and the
+//! table list of each column family lives only in memory: the store is
+//! durable at [`Db::checkpoint`] and nowhere else. A checkpoint flushes
+//! every column family, links the tables into the image and writes the
+//! image's manifest — the image recovery restores (§4.2), with the
+//! messaging layer's topic replaying what came after it. Reads merge the
+//! memtable with the SSTables newest-first; background maintenance is
 //! explicit (`flush`, `compact`) so the engine can schedule it off the
 //! latency-critical path.
 
 use std::collections::{HashMap, HashSet};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 use railgun_types::encode::{crc32c, get_string, get_uvarint, put_bytes, put_uvarint};
-use railgun_types::{Counter, RailgunError, Recorder, Result};
+use railgun_types::{RailgunError, Recorder, Result};
 
 use crate::memtable::MemTable;
 use crate::merge::MergeIter;
 use crate::options::{CfOptions, FilterDecision};
 use crate::sstable::{KvRef, SstReader, SstWriter};
-use crate::vfs::{crash_points, RealFs, StoreFs};
+use crate::vfs::{RealFs, StoreFs};
 
 /// Identifier of a column family within a [`Db`].
 pub type ColumnFamilyId = u32;
@@ -50,10 +51,8 @@ pub struct DbOptions {
     /// [`RealFs`] in production; swap in [`crate::vfs::FaultFs`] to test
     /// crash behaviour deterministically.
     pub fs: Arc<dyn StoreFs>,
-    /// Telemetry: orphaned SSTables quarantined at open (off by default).
-    pub orphan_counter: Counter,
     /// Per-column-family overrides, matched by CF name both at open (for
-    /// CFs recovered from the manifest) and at [`Db::create_cf`]. A CF
+    /// CFs an image's manifest lists) and at [`Db::create_cf`]. A CF
     /// without an entry derives its [`CfOptions`] from the global fields
     /// above — existing single-policy configurations behave exactly as
     /// before.
@@ -69,7 +68,6 @@ impl Default for DbOptions {
             sync_wal: false,
             flush_recorder: Recorder::disabled(),
             fs: RealFs::shared(),
-            orphan_counter: Counter::disabled(),
             cf_options: Vec::new(),
         }
     }
@@ -147,59 +145,47 @@ struct Inner {
     filter_dropped: u64,
 }
 
-/// What [`Db::open`] had to repair while bringing the on-disk image
-/// online. Also surfaced through [`DbOptions::orphan_counter`] for the
-/// telemetry plane.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Unreferenced `*.sst` files moved into [`QUARANTINE_DIR`].
-    pub orphaned_sstables_quarantined: u64,
-    /// Stale `*.tmp` files (interrupted manifest writes) deleted.
-    pub stale_tmp_removed: u64,
-}
-
 /// An embedded LSM key-value store with column families.
 pub struct Db {
     dir: PathBuf,
     opts: DbOptions,
     inner: Mutex<Inner>,
-    recovery: RecoveryReport,
 }
 
-const MANIFEST: &str = "MANIFEST";
-const MANIFEST_TMP: &str = "MANIFEST.tmp";
+/// The table list of every column family, as an image holds it.
+pub(crate) const MANIFEST: &str = "MANIFEST";
 /// Where an older store logged its unflushed writes. [`Db::open`]
 /// refuses a non-empty one rather than drop what it holds; checkpoints
 /// still write it empty, as their completeness marker
 /// ([`crate::checkpoint`]).
 pub(crate) const WAL_FILE: &str = "wal.log";
 const MANIFEST_MAGIC: u64 = 0x5241_494c_4d41_4e01;
-/// Subdirectory orphaned SSTables are moved into at open — never deleted,
-/// so a recovery bug can be diagnosed from the quarantined bytes.
-pub const QUARANTINE_DIR: &str = "quarantine";
 
 impl Db {
     /// The column family every database starts with.
     pub const DEFAULT_CF: ColumnFamilyId = 0;
 
-    /// Open (or create) a database in `dir`.
+    /// Open a database in `dir`: empty, or the image a [`Db::checkpoint`]
+    /// wrote there.
     ///
-    /// Recovery happens here, in order: load the manifest (the only
-    /// source of truth for live SSTables) and check every table it names
-    /// completely — a table with a corrupt block fails the open with
-    /// [`RailgunError::Corruption`] naming the file, before anything in
-    /// the directory is touched, and so does a non-empty `wal.log` (writes
-    /// an older store logged and never flushed) — then sweep the
-    /// directory: stale `*.tmp` files are deleted, unreferenced `*.sst`
-    /// files are quarantined, never deleted. Each column family opens as
-    /// of its last committed flush; writes after it are gone. What was
-    /// repaired is reported via [`Db::recovery_report`].
+    /// A `MANIFEST` is read only as an image's: every table it lists is
+    /// checked completely, and a table with a corrupt block fails the open
+    /// with [`RailgunError::Corruption`] naming the file. So does a table
+    /// the manifest does not list (or any table, with no manifest), and a
+    /// non-empty `wal.log` (writes an older store logged and never
+    /// flushed). A refused open touches nothing in the directory.
     pub fn open(dir: &Path, opts: DbOptions) -> Result<Self> {
         let fs = Arc::clone(&opts.fs);
         fs.create_dir_all(dir)?;
+        let wal = dir.join(WAL_FILE);
+        if fs.exists(&wal) && fs.file_len(&wal)? > 0 {
+            return Err(RailgunError::Corruption(format!(
+                "{} holds logged writes this store cannot replay",
+                wal.display()
+            )));
+        }
         let manifest_path = dir.join(MANIFEST);
-        let had_manifest = fs.exists(&manifest_path);
-        let (cfs, next_cf_id, next_file_no) = if had_manifest {
+        let (cfs, next_cf_id, next_file_no) = if fs.exists(&manifest_path) {
             Self::load_manifest(fs.as_ref(), dir, &manifest_path, &opts)?
         } else {
             let mut cfs = HashMap::new();
@@ -214,37 +200,23 @@ impl Db {
             );
             (cfs, 1, 1)
         };
-        let wal = dir.join(WAL_FILE);
-        if fs.exists(&wal) && fs.file_len(&wal)? > 0 {
-            return Err(RailgunError::Corruption(format!(
-                "{} holds logged writes this store cannot replay",
-                wal.display()
-            )));
-        }
-        // Sweep the directory before accepting writes. A crash between
-        // SST creation and the manifest update leaves unreferenced
-        // tables; a crash between a compaction's manifest update and
-        // input deletion leaves the (now shadowed) inputs. Neither may
-        // ever be read again, so move them aside.
-        let mut report = RecoveryReport::default();
-        let referenced: HashSet<String> = cfs
+        // Only an image's manifest says which tables are state: a table it
+        // does not list is not part of any image this store wrote.
+        let listed: HashSet<String> = cfs
             .values()
             .flat_map(|cf| cf.ssts.iter().map(|h| sst_file_name(h.file_no)))
             .collect();
-        for name in fs.read_dir_files(dir)? {
-            let path = dir.join(&name);
-            if name.ends_with(".tmp") {
-                fs.remove_file(&path)?;
-                report.stale_tmp_removed += 1;
-            } else if name.ends_with(".sst") && !referenced.contains(&name) {
-                let qdir = dir.join(QUARANTINE_DIR);
-                fs.create_dir_all(&qdir)?;
-                fs.rename(&path, &qdir.join(&name))?;
-                report.orphaned_sstables_quarantined += 1;
-            }
+        if let Some(name) = fs
+            .read_dir_files(dir)?
+            .into_iter()
+            .find(|name| name.ends_with(".sst") && !listed.contains(name))
+        {
+            return Err(RailgunError::Corruption(format!(
+                "{} is a table no {MANIFEST} lists",
+                dir.join(name).display()
+            )));
         }
-        opts.orphan_counter.add(report.orphaned_sstables_quarantined);
-        let db = Db {
+        Ok(Db {
             dir: dir.to_path_buf(),
             opts,
             inner: Mutex::new(Inner {
@@ -255,18 +227,7 @@ impl Db {
                 compactions: 0,
                 filter_dropped: 0,
             }),
-            recovery: report,
-        };
-        if !had_manifest {
-            db.write_manifest(&db.inner.lock())?;
-        }
-        Ok(db)
-    }
-
-    /// What the open-time recovery pass repaired (all zero on a clean
-    /// open).
-    pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.recovery
+        })
     }
 
     fn load_manifest(
@@ -316,7 +277,9 @@ impl Db {
         Ok((cfs, next_cf_id, next_file_no))
     }
 
-    fn write_manifest(&self, inner: &Inner) -> Result<()> {
+    /// The manifest of the tables `inner` holds now, in the format
+    /// [`Db::open`] reads.
+    fn encode_manifest(inner: &Inner) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.put_u64_le(MANIFEST_MAGIC);
         put_uvarint(&mut buf, u64::from(inner.next_cf_id));
@@ -335,19 +298,7 @@ impl Db {
         }
         let crc = crc32c(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
-        let fs = &self.opts.fs;
-        let tmp = self.dir.join(MANIFEST_TMP);
-        {
-            let mut f = fs.create(&tmp)?;
-            f.write_all(&buf)?;
-            f.sync_all()?;
-        }
-        fs.rename(&tmp, &self.dir.join(MANIFEST))?;
-        // An fsync of the file does not cover its directory entry: without
-        // this, a crash can roll back the rename itself (and the entries
-        // of any SSTs created alongside it).
-        fs.sync_dir(&self.dir)?;
-        Ok(())
+        buf
     }
 
     /// Create a new column family with options resolved from
@@ -371,7 +322,6 @@ impl Db {
                 ssts: Vec::new(),
             },
         );
-        self.write_manifest(&inner)?;
         Ok(id)
     }
 
@@ -385,13 +335,14 @@ impl Db {
             .map(|(id, _)| *id)
     }
 
-    /// Write `key = value` in column family `cf`. Durable once `cf` is
-    /// flushed.
+    /// Write `key = value` in column family `cf`. Durable once a
+    /// [`Db::checkpoint`] has written it into an image.
     pub fn put(&self, cf: ColumnFamilyId, key: &[u8], value: &[u8]) -> Result<()> {
         self.write(cf, |mem| mem.put(key, value))
     }
 
-    /// Delete `key` in column family `cf`. Durable once `cf` is flushed.
+    /// Delete `key` in column family `cf`. Durable once a
+    /// [`Db::checkpoint`] has written it into an image.
     pub fn delete(&self, cf: ColumnFamilyId, key: &[u8]) -> Result<()> {
         self.write(cf, |mem| mem.delete(key))
     }
@@ -480,8 +431,7 @@ impl Db {
         }
     }
 
-    /// Flush every non-empty memtable to a new SSTable: everything written
-    /// so far is durable once this returns.
+    /// Flush every non-empty memtable to a new SSTable.
     pub fn flush(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         self.flush_locked(&mut inner)
@@ -524,11 +474,7 @@ impl Db {
             cf.ssts.insert(0, SstHandle { file_no, reader });
             inner.flushes += 1;
         }
-        // SSTs are durable but unreferenced until the manifest lands; a
-        // crash here leaves orphans for the open-time quarantine sweep,
-        // and the flushed CFs reopen as of their previous flush.
-        fs.crash_point(crash_points::FLUSH_BEFORE_MANIFEST)?;
-        self.write_manifest(inner)
+        Ok(())
     }
 
     fn maybe_compact_locked(&self, inner: &mut Inner) -> Result<()> {
@@ -598,66 +544,48 @@ impl Db {
             }
             w.finish()?;
         }
-        // The merged table is durable but the manifest still references
-        // the inputs — a crash here quarantines the merged table at the
-        // next open and keeps serving from the inputs.
-        fs.crash_point(crash_points::COMPACT_BEFORE_MANIFEST)?;
-        if dropped > 0 {
-            // Same window, filter-specific: the output omits filtered
-            // entries but recovery must keep serving them from the
-            // still-referenced inputs (filtered keys may legally
-            // reappear until the swap lands).
-            fs.crash_point(crash_points::COMPACT_FILTERED_BEFORE_MANIFEST)?;
-        }
         let old: Vec<u64> = cf.ssts.iter().map(|h| h.file_no).collect();
         let reader = SstReader::open(fs.as_ref(), &path)?;
         cf.ssts = vec![SstHandle { file_no, reader }];
         inner.compactions += 1;
         inner.filter_dropped += dropped;
-        self.write_manifest(inner)?;
-        if dropped > 0 {
-            // The manifest now references only the filtered output: the
-            // dropped keys must never resurrect, even with the input
-            // tables still on disk (quarantined at the next open).
-            fs.crash_point(crash_points::COMPACT_FILTERED_AFTER_MANIFEST)?;
-        }
-        // A crash here leaves the (shadowed) inputs on disk — the
-        // quarantine sweep moves them aside at the next open.
-        fs.crash_point(crash_points::COMPACT_BEFORE_REMOVE_OLD)?;
+        // Unlinking an input drops this directory's name for it; an image
+        // that links the table keeps its own. Nothing else would notice a
+        // table left behind, so only one already gone is fine.
         for no in old {
-            fs.remove_file(&self.dir.join(sst_file_name(no))).ok();
+            match fs.remove_file(&self.dir.join(sst_file_name(no))) {
+                Err(RailgunError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
+                r => r?,
+            }
         }
         Ok(())
     }
 
-    /// Exhaustively check on-disk invariants: every SSTable referenced by
-    /// the manifest is read back from disk and checked as at open (all
-    /// block CRCs verify, every entry decodes, keys strictly sorted,
-    /// decoded entry count matches the footer). The crash-torture harness
-    /// ([`crate::torture`]) runs this after every recovery.
-    pub fn verify_integrity(&self) -> Result<()> {
-        let inner = self.inner.lock();
-        let fs = self.opts.fs.as_ref();
-        for h in inner.cfs.values().flat_map(|cf| &cf.ssts) {
-            SstReader::open(fs, &self.dir.join(sst_file_name(h.file_no)))?;
-        }
-        Ok(())
-    }
-
-    /// Create a consistent checkpoint of the whole database in `target`.
+    /// Create a consistent checkpoint of the whole database in `target`:
+    /// the store's one durability point.
     ///
-    /// Flushes all memtables first, then copies the manifest and every live
-    /// SSTable. The checkpoint directory can itself be opened with
-    /// [`Db::open`] — this is how a recovering task processor bootstraps
-    /// from a peer (paper §4.2).
+    /// Flushes every memtable, then writes the image
+    /// ([`crate::checkpoint::create`]): hard links to the tables, each
+    /// fsynced when it was written and never changed after, and a manifest
+    /// written fresh from the in-memory table lists. The checkpoint
+    /// directory opens with [`Db::open`] — this is how a recovering task
+    /// processor bootstraps (paper §4.2).
     pub fn checkpoint(&self, target: &Path) -> Result<()> {
         let mut inner = self.inner.lock();
         self.flush_locked(&mut inner)?;
+        let mut ids: Vec<ColumnFamilyId> = inner.cfs.keys().copied().collect();
+        ids.sort_unstable();
+        let tables: Vec<String> = ids
+            .iter()
+            .flat_map(|id| &inner.cfs[id].ssts)
+            .map(|h| sst_file_name(h.file_no))
+            .collect();
         crate::checkpoint::create(
             self.opts.fs.as_ref(),
             &self.dir,
             target,
-            &collect_files(&inner),
+            &tables,
+            &Self::encode_manifest(&inner),
         )
     }
 
@@ -708,16 +636,6 @@ impl Db {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-}
-
-fn collect_files(inner: &Inner) -> Vec<String> {
-    let mut files = vec![MANIFEST.to_owned()];
-    for cf in inner.cfs.values() {
-        for h in &cf.ssts {
-            files.push(sst_file_name(h.file_no));
-        }
-    }
-    files
 }
 
 fn sst_file_name(no: u64) -> String {
@@ -788,34 +706,9 @@ mod tests {
     }
 
     #[test]
-    fn unflushed_writes_are_gone_at_reopen() {
-        let dir = fresh_dir("recovery");
-        {
-            let db = Db::open(&dir, DbOptions::default()).unwrap();
-            db.put(Db::DEFAULT_CF, b"flushed", b"yes").unwrap();
-            db.put(Db::DEFAULT_CF, b"doomed", b"old").unwrap();
-            db.flush().unwrap();
-            db.put(Db::DEFAULT_CF, b"unflushed", b"no").unwrap();
-            db.delete(Db::DEFAULT_CF, b"flushed").unwrap();
-            db.put(Db::DEFAULT_CF, b"doomed", b"new").unwrap();
-            // Dropped without a flush: a crash.
-        }
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
-        assert_eq!(
-            db.get(Db::DEFAULT_CF, b"flushed").unwrap(),
-            Some(b"yes".to_vec())
-        );
-        assert_eq!(
-            db.get(Db::DEFAULT_CF, b"doomed").unwrap(),
-            Some(b"old".to_vec())
-        );
-        assert_eq!(db.get(Db::DEFAULT_CF, b"unflushed").unwrap(), None);
-        assert!(!dir.join(WAL_FILE).exists(), "nothing is logged");
-    }
-
-    #[test]
     fn restart_after_flush_reads_ssts() {
         let dir = fresh_dir("restart");
+        let image = fresh_dir("restart-image");
         {
             let db = Db::open(&dir, DbOptions::default()).unwrap();
             for i in 0..100u32 {
@@ -823,8 +716,9 @@ mod tests {
                     .unwrap();
             }
             db.flush().unwrap();
+            db.checkpoint(&image).unwrap();
         }
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        let db = Db::open(&image, DbOptions::default()).unwrap();
         for i in (0..100u32).step_by(7) {
             assert_eq!(
                 db.get(Db::DEFAULT_CF, format!("k{i:04}").as_bytes()).unwrap(),
@@ -897,14 +791,15 @@ mod tests {
     #[test]
     fn column_families_survive_restart() {
         let dir = fresh_dir("cfrestart");
+        let image = fresh_dir("cfrestart-image");
         let aux;
         {
             let db = Db::open(&dir, DbOptions::default()).unwrap();
             aux = db.create_cf("aux").unwrap();
             db.put(aux, b"x", b"1").unwrap();
-            db.flush().unwrap();
+            db.checkpoint(&image).unwrap();
         }
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        let db = Db::open(&image, DbOptions::default()).unwrap();
         assert_eq!(db.cf_by_name("aux"), Some(aux));
         assert_eq!(db.get(aux, b"x").unwrap(), Some(b"1".to_vec()));
     }
@@ -997,33 +892,37 @@ mod tests {
         assert!(s1.sst_bytes > 0);
     }
 
-    #[test]
-    fn open_quarantines_orphans_and_removes_stale_tmp() {
-        let dir = fresh_dir("quarantine");
-        {
-            let db = Db::open(&dir, DbOptions::default()).unwrap();
-            db.put(Db::DEFAULT_CF, b"live", b"1").unwrap();
-            db.flush().unwrap();
+    /// `Db::open(dir)` fails with `Corruption` naming `what` and touches
+    /// nothing in `dir`.
+    fn assert_refused(dir: &Path, what: &str) {
+        let before = dir_image(dir);
+        match Db::open(dir, DbOptions::default()) {
+            Err(RailgunError::Corruption(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("expected Corruption, got {:?}", other.map(|_| "a database")),
         }
-        // Simulate a crash between SST creation and the manifest update
-        // (orphan) and mid-manifest-write (stale tmp).
-        let live_sst = sst_file_name(1);
-        fs::copy(dir.join(&live_sst), dir.join("00000099.sst")).unwrap();
-        fs::write(dir.join(MANIFEST_TMP), b"partial garbage").unwrap();
+        assert_eq!(
+            dir_image(dir),
+            before,
+            "a refused open must not touch the directory"
+        );
+    }
+
+    #[test]
+    fn open_refuses_tables_no_manifest_lists() {
+        let dir = fresh_dir("unlisted");
+        let image = fresh_dir("unlisted-image");
         let db = Db::open(&dir, DbOptions::default()).unwrap();
-        let rep = db.recovery_report();
-        assert_eq!(rep.orphaned_sstables_quarantined, 1);
-        assert_eq!(rep.stale_tmp_removed, 1);
-        assert!(!dir.join(MANIFEST_TMP).exists());
-        assert!(!dir.join("00000099.sst").exists());
-        assert!(dir.join(QUARANTINE_DIR).join("00000099.sst").exists());
-        assert_eq!(db.get(Db::DEFAULT_CF, b"live").unwrap(), Some(b"1".to_vec()));
-        db.verify_integrity().unwrap();
-        // A clean reopen repairs nothing.
+        db.put(Db::DEFAULT_CF, b"live", b"1").unwrap();
+        db.checkpoint(&image).unwrap();
         drop(db);
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
-        assert_eq!(db.recovery_report().orphaned_sstables_quarantined, 0);
-        assert_eq!(db.recovery_report().stale_tmp_removed, 0);
+        // The live directory holds a table and no manifest.
+        assert_refused(&dir, &sst_file_name(1));
+        // An image holding a table its manifest does not list.
+        fs::copy(image.join(sst_file_name(1)), image.join("00000099.sst")).unwrap();
+        assert_refused(&image, "00000099.sst");
+        fs::remove_file(image.join("00000099.sst")).unwrap();
+        let db = Db::open(&image, DbOptions::default()).unwrap();
+        assert_eq!(db.get(Db::DEFAULT_CF, b"live").unwrap(), Some(b"1".to_vec()));
     }
 
     #[test]
@@ -1031,45 +930,18 @@ mod tests {
         // An older store logged writes it had not flushed: opening without
         // them would drop them silently.
         let dir = fresh_dir("walrefused");
+        let image = fresh_dir("walrefused-image");
         {
             let db = Db::open(&dir, DbOptions::default()).unwrap();
             db.put(Db::DEFAULT_CF, b"a", b"1").unwrap();
-            db.flush().unwrap();
+            db.checkpoint(&image).unwrap();
         }
-        fs::write(dir.join(WAL_FILE), b"logged").unwrap();
-        let before = dir_image(&dir);
-        match Db::open(&dir, DbOptions::default()) {
-            Err(RailgunError::Corruption(m)) => assert!(m.contains(WAL_FILE), "{m}"),
-            other => panic!("expected Corruption, got {:?}", other.map(|_| "a database")),
-        }
-        assert_eq!(
-            dir_image(&dir),
-            before,
-            "a refused open must not touch the directory"
-        );
+        fs::write(image.join(WAL_FILE), b"logged").unwrap();
+        assert_refused(&image, WAL_FILE);
         // Empty, it is a checkpoint's completeness marker and opens.
-        fs::write(dir.join(WAL_FILE), b"").unwrap();
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        fs::write(image.join(WAL_FILE), b"").unwrap();
+        let db = Db::open(&image, DbOptions::default()).unwrap();
         assert_eq!(db.get(Db::DEFAULT_CF, b"a").unwrap(), Some(b"1".to_vec()));
-    }
-
-    /// A flushed table of three data blocks (~100 B an entry) in a fresh
-    /// database; returns the table's path.
-    fn three_block_table(dir: &Path) -> PathBuf {
-        let db = Db::open(dir, DbOptions::default()).unwrap();
-        for i in 0..120u32 {
-            db.put(Db::DEFAULT_CF, format!("k{i:04}").as_bytes(), &[9u8; 90])
-                .unwrap();
-        }
-        db.flush().unwrap();
-        assert_eq!(db.stats().sst_bytes / 4096, 2, "expected three blocks");
-        dir.join(sst_file_name(1))
-    }
-
-    fn flip_byte(path: &Path, pos: usize) {
-        let mut raw = fs::read(path).unwrap();
-        raw[pos] ^= 0xff;
-        fs::write(path, &raw).unwrap();
     }
 
     fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
@@ -1092,42 +964,22 @@ mod tests {
         // Such a table used to open; scans then ended at the bad block
         // with `Ok`, and a compaction merged the short stream and deleted
         // the inputs — every key behind the block was lost silently.
-        let dir = fresh_dir("badblock");
-        let sst = three_block_table(&dir);
-        flip_byte(&sst, 6000); // inside the second block
-        let before = dir_image(&dir);
-        match Db::open(&dir, DbOptions::default()) {
-            Err(RailgunError::Corruption(m)) => {
-                assert!(
-                    m.contains("00000001.sst") && m.contains("block 1 crc mismatch"),
-                    "{m}"
-                );
-            }
-            other => panic!("expected Corruption, got {:?}", other.map(|_| "a database")),
+        let image = fresh_dir("badblock");
+        // An image of one table of three data blocks (~100 B an entry).
+        let db = Db::open(&fresh_dir("badblock-live"), DbOptions::default()).unwrap();
+        for i in 0..120u32 {
+            db.put(Db::DEFAULT_CF, format!("k{i:04}").as_bytes(), &[9u8; 90])
+                .unwrap();
         }
-        assert_eq!(
-            dir_image(&dir),
-            before,
-            "a refused open must not touch the directory"
-        );
-    }
-
-    #[test]
-    fn verify_integrity_reads_tables_back_from_disk() {
-        let dir = fresh_dir("verifydisk");
-        let sst = three_block_table(&dir);
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
-        db.verify_integrity().unwrap();
-        flip_byte(&sst, 6000);
-        assert!(matches!(
-            db.verify_integrity(),
-            Err(RailgunError::Corruption(_))
-        ));
-        // The resident copy was checked at open and still serves.
-        assert_eq!(
-            db.get(Db::DEFAULT_CF, b"k0119").unwrap(),
-            Some(vec![9u8; 90])
-        );
+        db.checkpoint(&image).unwrap();
+        assert_eq!(db.stats().sst_bytes / 4096, 2, "expected three blocks");
+        drop(db);
+        let sst = image.join(sst_file_name(1));
+        let mut raw = fs::read(&sst).unwrap();
+        raw[6000] ^= 0xff; // inside the second block
+        fs::write(&sst, &raw).unwrap();
+        assert_refused(&image, "00000001.sst");
+        assert_refused(&image, "block 1 crc mismatch");
     }
 
     #[test]
@@ -1192,55 +1044,12 @@ mod tests {
     }
 
     #[test]
-    fn partial_flush_commits_only_the_flushed_cf() {
-        // A budget flush of one CF makes that CF durable and no other: at
-        // reopen the flushed CF reads its writes, the idle one reads as
-        // of its own last flush.
-        let dir = fresh_dir("partialflush");
-        let opts = DbOptions {
-            cf_options: vec![(
-                "hot".to_owned(),
-                CfOptions {
-                    memtable_budget_bytes: 512,
-                    compaction_trigger: 100,
-                    ..CfOptions::default()
-                },
-            )],
-            ..DbOptions::default()
-        };
-        let (aux, unflushed_hot);
-        {
-            let db = Db::open(&dir, opts.clone()).unwrap();
-            let hot = db.create_cf("hot").unwrap();
-            aux = db.create_cf("aux").unwrap();
-            db.put(aux, b"flushed", b"kept").unwrap();
-            db.flush().unwrap();
-            db.put(aux, b"unflushed", b"lost").unwrap();
-            db.delete(aux, b"flushed").unwrap();
-            for i in 0..50u32 {
-                db.put(hot, format!("h{i:03}").as_bytes(), &[7u8; 64])
-                    .unwrap();
-            }
-            let s = db.stats();
-            let hot_cf = s.per_cf.iter().find(|c| c.name == "hot").unwrap();
-            assert!(hot_cf.sst_count > 0, "hot CF should have auto-flushed");
-            unflushed_hot = hot_cf.memtable_entries;
-            // Dropped without an explicit flush — simulated crash.
-        }
-        let db = Db::open(&dir, opts).unwrap();
-        let hot = db.cf_by_name("hot").unwrap();
-        assert_eq!(db.scan(hot, b"", None).unwrap().len(), 50 - unflushed_hot);
-        assert_eq!(db.get(aux, b"flushed").unwrap(), Some(b"kept".to_vec()));
-        assert_eq!(db.get(aux, b"unflushed").unwrap(), None);
-        db.verify_integrity().unwrap();
-    }
-
-    #[test]
     fn overwrites_of_one_key_leave_at_most_one_table_on_disk() {
         // Overwriting one key never fills its memtable (that counts live
         // bytes), and nothing else on disk grows per write: the directory
-        // stays at the manifest plus at most one table.
+        // holds at most one table.
         let dir = fresh_dir("overwrites");
+        let image = fresh_dir("overwrites-image");
         let opts = DbOptions {
             memtable_budget_bytes: 4 << 10,
             ..DbOptions::default()
@@ -1250,14 +1059,14 @@ mod tests {
             db.put(Db::DEFAULT_CF, b"key", &i.to_le_bytes()).unwrap();
         }
         db.flush().unwrap();
-        let mut files = fs::read_dir(&dir)
+        let files = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect::<Vec<_>>();
-        files.sort();
-        assert_eq!(files, [sst_file_name(1), MANIFEST.to_owned()]);
+        assert_eq!(files, [sst_file_name(1)]);
+        db.checkpoint(&image).unwrap();
         drop(db);
-        let db = Db::open(&dir, opts).unwrap();
+        let db = Db::open(&image, opts).unwrap();
         assert_eq!(
             db.get(Db::DEFAULT_CF, b"key").unwrap(),
             Some(99_999u64.to_le_bytes().to_vec())
@@ -1291,7 +1100,6 @@ mod tests {
         let s = db.stats();
         assert_eq!(s.filter_dropped, 2);
         assert_eq!(s.sst_entries, 2);
-        db.verify_integrity().unwrap();
     }
 
     #[test]
@@ -1372,14 +1180,15 @@ mod tests {
 
     #[test]
     fn cf_options_apply_to_manifest_recovered_cfs() {
-        // Filters are attached by *name*, so a reopen re-resolves them for
-        // CFs loaded from the manifest.
+        // Filters are attached by *name*, so an open re-resolves them for
+        // the CFs an image's manifest lists.
         let dir = fresh_dir("cfoptsreopen");
+        let image = fresh_dir("cfoptsreopen-image");
         {
             let db = Db::open(&dir, DbOptions::default()).unwrap();
             db.put(Db::DEFAULT_CF, b"dead:z", b"1").unwrap();
             db.put(Db::DEFAULT_CF, b"live:z", b"2").unwrap();
-            db.flush().unwrap();
+            db.checkpoint(&image).unwrap();
         }
         let opts = DbOptions {
             cf_options: vec![(
@@ -1388,9 +1197,66 @@ mod tests {
             )],
             ..DbOptions::default()
         };
-        let db = Db::open(&dir, opts).unwrap();
+        let db = Db::open(&image, opts).unwrap();
         db.compact_cf(Db::DEFAULT_CF).unwrap();
         assert_eq!(db.get(Db::DEFAULT_CF, b"dead:z").unwrap(), None);
         assert_eq!(db.get(Db::DEFAULT_CF, b"live:z").unwrap(), Some(b"2".to_vec()));
+    }
+
+    #[test]
+    fn an_image_of_a_restored_image_leaves_the_first_untouched() {
+        let (live, first) = (fresh_dir("reimage-live"), fresh_dir("reimage-1"));
+        let (restored, second) = (fresh_dir("reimage-restored"), fresh_dir("reimage-2"));
+        let db = Db::open(&live, DbOptions::default()).unwrap();
+        for k in [b"a", b"b", b"c"] {
+            db.put(Db::DEFAULT_CF, k, b"1").unwrap();
+            db.flush().unwrap();
+        }
+        db.checkpoint(&first).unwrap();
+        drop(db);
+        let before = dir_image(&first);
+        // Restore as a task does: link the image into a fresh directory.
+        fs::create_dir_all(&restored).unwrap();
+        for (name, _) in &before {
+            fs::hard_link(first.join(name), restored.join(name)).unwrap();
+        }
+        let db = Db::open(&restored, DbOptions::default()).unwrap();
+        db.put(Db::DEFAULT_CF, b"d", b"2").unwrap();
+        db.delete(Db::DEFAULT_CF, b"a").unwrap();
+        db.flush().unwrap();
+        db.compact_cf(Db::DEFAULT_CF).unwrap();
+        for name in before.iter().map(|(n, _)| n).filter(|n| n.ends_with(".sst")) {
+            assert!(!restored.join(name).exists(), "compaction unlinks {name}");
+        }
+        db.checkpoint(&second).unwrap();
+        drop(db);
+        assert_eq!(dir_image(&first), before, "nothing writes through a link");
+        let kv = |k: &[u8], v: &[u8]| (k.to_vec(), v.to_vec());
+        let scan = |dir: &Path| {
+            let db = Db::open(dir, DbOptions::default()).unwrap();
+            db.scan(Db::DEFAULT_CF, b"", None).unwrap()
+        };
+        assert_eq!(scan(&first), [kv(b"a", b"1"), kv(b"b", b"1"), kv(b"c", b"1")]);
+        assert_eq!(scan(&second), [kv(b"b", b"1"), kv(b"c", b"1"), kv(b"d", b"2")]);
+    }
+
+    #[test]
+    fn a_compaction_that_cannot_unlink_an_input_returns_the_error() {
+        let dir = fresh_dir("unlinkfail");
+        let db = Db::open(&dir, DbOptions::default()).unwrap();
+        db.put(Db::DEFAULT_CF, b"a", b"1").unwrap();
+        db.flush().unwrap();
+        db.put(Db::DEFAULT_CF, b"b", b"2").unwrap();
+        db.flush().unwrap();
+        // The first input's path now holds a non-empty directory.
+        let input = dir.join(sst_file_name(1));
+        fs::remove_file(&input).unwrap();
+        fs::create_dir_all(input.join("x")).unwrap();
+        assert!(matches!(
+            db.compact_cf(Db::DEFAULT_CF),
+            Err(RailgunError::Io(_))
+        ));
+        assert_eq!(db.get(Db::DEFAULT_CF, b"a").unwrap(), Some(b"1".to_vec()));
+        assert_eq!(db.get(Db::DEFAULT_CF, b"b").unwrap(), Some(b"2".to_vec()));
     }
 }

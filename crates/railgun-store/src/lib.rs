@@ -5,9 +5,9 @@
 //! the same shape: a log-structured merge store with
 //!
 //! * an in-memory **memtable** per column family ([`memtable`]) — and no
-//!   write-ahead log: a write is durable once its column family is
-//!   flushed, and a checkpoint flushes them all (recovery restores the
-//!   checkpoint and replays the input topic past it, as the paper does),
+//!   write-ahead log or live manifest: the store is durable at a
+//!   checkpoint and nowhere else (recovery restores the checkpoint and
+//!   replays the input topic past it, as the paper does),
 //! * immutable, block-structured **SSTables** with per-table bloom filters
 //!   ([`sstable`], [`bloom`]),
 //! * newest-wins **merge iterators** across memtable + tables ([`merge`]),
@@ -16,13 +16,14 @@
 //!   with per-CF tuning and compaction filters ([`options`]) — dead state
 //!   (expired windows, unregistered queries) is dropped during merges
 //!   instead of being deleted key-by-key,
-//! * cheap **checkpoints** that flush and snapshot the current tables
-//!   ([`checkpoint`]), matching the paper's observation that checkpoints are
-//!   efficient because data is frequently persisted anyway,
+//! * cheap **checkpoints** that flush, link the immutable tables and
+//!   write a manifest ([`checkpoint`]), matching the paper's observation
+//!   that checkpoints are efficient because data is frequently persisted
+//!   anyway,
 //! * a **virtual filesystem seam** ([`vfs`]) with deterministic fault
 //!   injection ([`FaultFs`]) and a **crash-torture harness** ([`torture`])
-//!   that proves the recovery claims above by sweeping every registered
-//!   crash point.
+//!   that proves every image recovery reads is exact by sweeping every
+//!   registered crash point.
 //!
 //! The public entry point is [`Db`].
 //!
@@ -45,6 +46,6 @@ pub mod sstable;
 pub mod torture;
 pub mod vfs;
 
-pub use db::{CfStats, ColumnFamilyId, Db, DbOptions, DbStats, RecoveryReport};
+pub use db::{CfStats, ColumnFamilyId, Db, DbOptions, DbStats};
 pub use options::{CfOptions, CompactionFilter, FilterDecision};
 pub use vfs::{crash_points, CrashPlan, FaultFs, RealFs, StoreFs};

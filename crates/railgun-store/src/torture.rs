@@ -1,8 +1,10 @@
 //! Deterministic crash-torture harness.
 //!
-//! The recovery claims of this crate (flush durability, atomic manifest
-//! replacement, orphan quarantine, checkpoint completeness) are only as
-//! good as their tests. This module proves them by brute force:
+//! The store is durable at [`Db::checkpoint`] and nowhere else: recovery
+//! restores the newest image and replays the topic past it, and no live
+//! directory is ever reopened. So the claims to prove are about images —
+//! immutable tables, the image's manifest, the completeness marker — and
+//! this module proves them by brute force:
 //!
 //! 1. **Profile pass** — run a fixed mixed put/delete/flush/compact/
 //!    expire/checkpoint workload ([`build_workload`]) over an *unarmed*
@@ -13,50 +15,43 @@
 //! 2. **Sweep** — for each point, re-run the same workload with a
 //!    [`CrashPlan`] armed at a spread of hit indices. The trip freezes
 //!    the filesystem, leaving the backing directory as the exact on-disk
-//!    image of a crash at that instant.
-//! 3. **Recover and verify** — reopen the frozen image with [`RealFs`]
-//!    and assert the contract:
-//!    * each column family reads exactly the model as of its last
-//!      committed flush: nothing flushed is lost, and nothing written
-//!      after that flush — acknowledged or not — appears. A flush in
-//!      flight at the crash may land either way, so a CF it was flushing
-//!      may instead read the model with the in-flight op applied;
-//!    * [`Db::verify_integrity`] passes — every SSTable decodes fully;
-//!    * every *acknowledged* checkpoint is complete
-//!      ([`crate::checkpoint::is_complete`]) and restores to exactly the
-//!      model state at its creation; a checkpoint interrupted by the
-//!      crash is either detectably incomplete or fully correct.
-//!
-//! A write is durable once its CF is flushed — explicitly, by a
-//! checkpoint, or because the write took the CF's memtable past its
-//! budget. The harness learns which by reading the CF's memtable size
-//! after every acknowledged op: an empty memtable means every write to
-//! the CF so far is in a committed table.
+//!    state of a crash at that instant.
+//! 3. **Verify what recovery reads** — the images, never the crashed live
+//!    directory:
+//!    * every *acknowledged* image is complete
+//!      ([`crate::checkpoint::is_complete`]) and opens to exactly the
+//!      model state at its creation, up to expiry at its horizon;
+//!    * an image the crash interrupted is either detectably incomplete or
+//!      exact;
+//!    * every file of an acknowledged image is byte-identical to what it
+//!      was at acknowledgement: later flushes, compactions and images
+//!      never change a table an earlier image links;
+//!    * an image restored as a task restores it (linked into a fresh
+//!      directory) and forced through a flush and compaction at the
+//!      crash-time horizon holds no expired key and every live one —
+//!      filtered keys never resurrect, live keys are never lost.
 //!
 //! Both column families carry a watermark-driven [`CompactionFilter`]:
 //! [`Op::ExpireBefore`] advances a shared atomic horizon, and compactions
 //! drop *expirable* keys (a fixed subset of the key space) whose value
-//! tick is below it — the store's capacity-reclaim path. The verification
-//! contract extends accordingly: an acked expired key may read back as
-//! its acked value **or** be absent (the filter ran), never anything
-//! else; non-expirable and fresh keys stay exact. After recovery the
-//! harness additionally forces a flush + compaction of both CFs at the
-//! crash-time horizon and asserts every expired key is gone and every
-//! live one intact — filtered keys never resurrect, live keys are never
-//! lost.
+//! tick is below it — the store's capacity-reclaim path. An image taken
+//! after such a compaction may lack an acked key that had expired at its
+//! horizon: its value or its absence are both legal, nothing else is.
 //!
 //! Driven by the `crash_torture` integration test (every point, every
-//! time), which also bounds the worst recovery wall-time.
+//! time), which also bounds the worst image open.
 
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use railgun_types::encode::crc32c;
 use railgun_types::{RailgunError, Result};
 
-use crate::db::{Db, DbOptions, RecoveryReport};
+use crate::checkpoint::is_complete;
+use crate::db::{Db, DbOptions};
 use crate::options::{CfOptions, CompactionFilter, FilterDecision};
 use crate::vfs::{crash_points, is_injected, CrashPlan, FaultFs, RealFs, StoreFs};
 
@@ -181,15 +176,9 @@ fn value_bytes(key: u64, tick: u64) -> Vec<u8> {
 }
 
 /// Store tuning for the torture workload: a tiny memtable budget so
-/// automatic flushes and compactions fire constantly. A zero horizon
-/// makes the expiry filter a no-op.
-pub fn torture_opts(fs: Arc<dyn StoreFs>) -> DbOptions {
-    torture_opts_with(fs, Arc::new(AtomicU64::new(0)))
-}
-
-/// [`torture_opts`] with the [`TortureFilter`] installed on both column
-/// families at the given shared horizon.
-pub fn torture_opts_with(fs: Arc<dyn StoreFs>, horizon: Arc<AtomicU64>) -> DbOptions {
+/// automatic flushes and compactions fire constantly, and the
+/// [`TortureFilter`] on both column families at the given shared horizon.
+pub fn torture_opts(fs: Arc<dyn StoreFs>, horizon: Arc<AtomicU64>) -> DbOptions {
     let cf = |horizon: &Arc<AtomicU64>| CfOptions {
         memtable_budget_bytes: 1024,
         compaction_trigger: 3,
@@ -211,58 +200,28 @@ pub fn torture_opts_with(fs: Arc<dyn StoreFs>, horizon: Arc<AtomicU64>) -> DbOpt
 type ModelKey = (bool, Vec<u8>);
 type Model = HashMap<ModelKey, Option<Vec<u8>>>;
 
-/// Everything the workload run learned: the acked model, what of it each
-/// CF committed, per-checkpoint snapshots, and what (if anything) was in
-/// flight at the crash.
+/// An acknowledged checkpoint: the model and expiry horizon at its
+/// creation, and the CRC of each of its files at acknowledgement.
+#[derive(Debug)]
+struct Image {
+    ix: u32,
+    model: Model,
+    horizon: u64,
+    files: Vec<(String, u32)>,
+}
+
+/// Everything the workload run learned: the acked model, the acked
+/// images, and the checkpoint (if any) the crash interrupted.
 #[derive(Debug, Default)]
 struct RunState {
     model: Model,
-    /// Per CF, the model as of that CF's last committed flush.
-    durable: Model,
     /// Expiry horizon at the crash (acked `ExpireBefore` high-water mark).
     horizon: u64,
-    /// `(index, model, horizon)` snapshot at each *acknowledged*
-    /// checkpoint.
-    ckpts: Vec<(u32, Model, u64)>,
+    images: Vec<Image>,
     /// Checkpoint in flight when the crash tripped.
     pending_ckpt: Option<u32>,
-    /// The op in flight at the crash may have flushed these CFs (by aux
-    /// flag) before it failed: each may read the model with the op
-    /// applied instead of its durable state.
-    landing: Option<(Model, Vec<bool>)>,
     acked_ops: usize,
     tripped: bool,
-}
-
-impl RunState {
-    /// Record a put (`Some`) or delete (`None`) of `id`: acked, into the
-    /// model; failed, as the op in flight, returned as its landing — only
-    /// the written CF's memtable grew, so only it can have been flushed.
-    fn record_write(
-        &mut self,
-        id: ModelKey,
-        state: Option<Vec<u8>>,
-        acked: bool,
-    ) -> Option<(Model, Vec<bool>)> {
-        let aux = id.0;
-        if acked {
-            self.model.insert(id, state);
-            return None;
-        }
-        let mut applied = self.model.clone();
-        applied.insert(id, state);
-        Some((applied, vec![aux]))
-    }
-}
-
-/// `model` with the entries of CF `aux` replaced by those of `from`.
-fn adopt_cf(model: &mut Model, from: &Model, aux: bool) {
-    model.retain(|(a, _), _| *a != aux);
-    model.extend(
-        from.iter()
-            .filter(|((a, _), _)| *a == aux)
-            .map(|(k, v)| (k.clone(), v.clone())),
-    );
 }
 
 /// True iff the acked state `(key, value)` is fair game for the filter
@@ -281,9 +240,13 @@ pub struct PointResult {
     pub tripped: bool,
     /// Operations acknowledged before the crash.
     pub acked_ops: usize,
-    /// What the post-crash open repaired.
-    pub recovery: RecoveryReport,
-    /// Wall-time of the post-crash `Db::open`.
+    /// Images opened and verified: every acknowledged one, and the
+    /// interrupted one if it is complete.
+    pub images: usize,
+    /// For a crash inside a checkpoint, whether its image is complete
+    /// (and was then verified exact); `None` for a crash elsewhere.
+    pub interrupted_complete: Option<bool>,
+    /// Wall-time of the slowest image open.
     pub recovery_micros: u128,
 }
 
@@ -300,49 +263,46 @@ fn err(plan: &str, msg: String) -> RailgunError {
     RailgunError::Storage(format!("crash-torture [{plan}]: {msg}"))
 }
 
+fn image_dir(root: &Path, ix: u32) -> PathBuf {
+    root.join(format!("ckpt-{ix}"))
+}
+
+/// Each file of `dir` with the CRC of its bytes, sorted by name.
+fn file_crcs(dir: &Path) -> Result<Vec<(String, u32)>> {
+    let mut files = Vec::new();
+    for name in RealFs.read_dir_files(dir)? {
+        let crc = crc32c(&RealFs.read(&dir.join(&name))?);
+        files.push((name, crc));
+    }
+    files.sort();
+    Ok(files)
+}
+
 fn run_workload(root: &Path, fs: Arc<dyn StoreFs>, ops: &[Op]) -> Result<RunState> {
     let mut st = RunState::default();
     let horizon = Arc::new(AtomicU64::new(0));
-    let db = match Db::open(
-        &root.join("db"),
-        torture_opts_with(Arc::clone(&fs), Arc::clone(&horizon)),
-    ) {
-        Ok(db) => db,
-        Err(e) if is_injected(&e) => {
-            st.tripped = true;
-            return Ok(st);
-        }
-        Err(e) => return Err(e),
-    };
-    let aux = match db.create_cf("aux") {
-        Ok(id) => id,
-        Err(e) if is_injected(&e) => {
-            st.tripped = true;
-            return Ok(st);
-        }
-        Err(e) => return Err(e),
-    };
+    let db = Db::open(&root.join("db"), torture_opts(fs, Arc::clone(&horizon)))?;
+    let aux = db.create_cf("aux")?;
+    let cf = |a: bool| if a { aux } else { Db::DEFAULT_CF };
     for op in ops {
-        // What this op would make durable, and in which CFs, if it fails
-        // part-way through a flush.
-        let mut landing = None;
         let r: Result<()> = match op {
             Op::Put { aux: a, key, tick } => {
                 let (k, v) = (key_bytes(*key), value_bytes(*key, *tick));
-                let res = db.put(if *a { aux } else { Db::DEFAULT_CF }, &k, &v);
-                landing = st.record_write((*a, k), Some(v), res.is_ok());
+                let res = db.put(cf(*a), &k, &v);
+                if res.is_ok() {
+                    st.model.insert((*a, k), Some(v));
+                }
                 res
             }
             Op::Delete { aux: a, key } => {
                 let k = key_bytes(*key);
-                let res = db.delete(if *a { aux } else { Db::DEFAULT_CF }, &k);
-                landing = st.record_write((*a, k), None, res.is_ok());
+                let res = db.delete(cf(*a), &k);
+                if res.is_ok() {
+                    st.model.insert((*a, k), None);
+                }
                 res
             }
-            Op::Flush => {
-                landing = Some((st.model.clone(), vec![false, true]));
-                db.flush()
-            }
+            Op::Flush => db.flush(),
             Op::Compact => db
                 .compact_cf(Db::DEFAULT_CF)
                 .and_then(|()| db.compact_cf(aux)),
@@ -354,12 +314,16 @@ fn run_workload(root: &Path, fs: Arc<dyn StoreFs>, ops: &[Op]) -> Result<RunStat
                 Ok(())
             }
             Op::Checkpoint(ix) => {
-                landing = Some((st.model.clone(), vec![false, true]));
-                let res = db.checkpoint(&root.join(format!("ckpt-{ix}")));
-                if res.is_ok() {
-                    st.ckpts.push((*ix, st.model.clone(), st.horizon));
-                } else {
-                    st.pending_ckpt = Some(*ix);
+                let target = image_dir(root, *ix);
+                let res = db.checkpoint(&target);
+                match &res {
+                    Ok(()) => st.images.push(Image {
+                        ix: *ix,
+                        model: st.model.clone(),
+                        horizon: st.horizon,
+                        files: file_crcs(&target)?,
+                    }),
+                    Err(_) => st.pending_ckpt = Some(*ix),
                 }
                 res
             }
@@ -368,32 +332,12 @@ fn run_workload(root: &Path, fs: Arc<dyn StoreFs>, ops: &[Op]) -> Result<RunStat
             Ok(()) => st.acked_ops += 1,
             Err(e) if is_injected(&e) => {
                 st.tripped = true;
-                st.landing = landing;
                 break;
             }
             Err(e) => return Err(e),
         }
-        // An empty memtable: every write to the CF so far is committed.
-        for cf in db
-            .stats()
-            .per_cf
-            .iter()
-            .filter(|cf| cf.memtable_entries == 0)
-        {
-            match cf.name.as_str() {
-                "default" => adopt_cf(&mut st.durable, &st.model, false),
-                "aux" => adopt_cf(&mut st.durable, &st.model, true),
-                _ => {}
-            }
-        }
     }
     Ok(st)
-}
-
-/// Check both column families of `db` against `model`.
-fn verify_exact(plan: &str, db: &Db, model: &Model, horizon: u64) -> Result<()> {
-    verify_cf(plan, db, false, model, horizon)?;
-    verify_cf(plan, db, true, model, horizon)
 }
 
 /// Check column family `aux` of `db` against the entries of `model` for
@@ -434,7 +378,7 @@ fn verify_cf(plan: &str, db: &Db, aux: bool, model: &Model, horizon: u64) -> Res
             return Err(err(
                 plan,
                 format!(
-                    "cf(aux={aux}) key {:?} surfaced that no committed flush wrote",
+                    "cf(aux={aux}) key {:?} surfaced that the image never held",
                     String::from_utf8_lossy(&k)
                 ),
             ));
@@ -443,98 +387,90 @@ fn verify_cf(plan: &str, db: &Db, aux: bool, model: &Model, horizon: u64) -> Res
     Ok(())
 }
 
-fn recover_and_verify(plan: &str, root: &Path, st: &RunState) -> Result<(RecoveryReport, u128)> {
+/// Restore image `ix` as a task does — its files linked into a fresh
+/// directory — and check it holds exactly `snap` (up to expiry at
+/// `snap_horizon`); then force a flush and compaction of both column
+/// families at the crash-time `horizon` and check every expired key is
+/// gone and every live one intact. Returns the open's wall-time.
+fn verify_image(
+    plan: &str,
+    root: &Path,
+    ix: u32,
+    snap: &Model,
+    snap_horizon: u64,
+    horizon: u64,
+) -> Result<u128> {
+    let image = image_dir(root, ix);
+    let restored = root.join(format!("restored-{ix}"));
+    RealFs.create_dir_all(&restored)?;
+    for name in RealFs.read_dir_files(&image)? {
+        RealFs.hard_link_or_copy(&image.join(&name), &restored.join(&name))?;
+    }
     let t0 = Instant::now();
     let db = Db::open(
-        &root.join("db"),
-        torture_opts_with(RealFs::shared(), Arc::new(AtomicU64::new(st.horizon))),
+        &restored,
+        torture_opts(RealFs::shared(), Arc::new(AtomicU64::new(horizon))),
     )
-    .map_err(|e| err(plan, format!("recovery open failed: {e}")))?;
+    .map_err(|e| err(plan, format!("image {ix} does not open: {e}")))?;
     let micros = t0.elapsed().as_micros();
-    db.verify_integrity()
-        .map_err(|e| err(plan, format!("integrity check failed: {e}")))?;
-    // Each CF reads its durable state — or, if the op in flight was
-    // flushing it, possibly that op's result. `settled` collects which.
-    let mut settled = Model::new();
-    for aux in [false, true] {
-        let mut outcome = verify_cf(plan, &db, aux, &st.durable, st.horizon).map(|()| &st.durable);
-        if let (Err(_), Some((landed, cfs))) = (&outcome, &st.landing) {
-            if cfs.contains(&aux) && verify_cf(plan, &db, aux, landed, st.horizon).is_ok() {
-                outcome = Ok(landed);
-            }
-        }
-        adopt_cf(&mut settled, outcome?, aux);
-    }
-    // Acked checkpoints must be complete and restore byte-exactly (up to
-    // expiry at their snapshot horizon).
-    for (ix, snap, snap_horizon) in &st.ckpts {
-        let target = root.join(format!("ckpt-{ix}"));
-        if !crate::checkpoint::is_complete(&RealFs, &target) {
-            return Err(err(plan, format!("acked checkpoint {ix} is incomplete")));
-        }
-        let cdb = Db::open(&target, torture_opts(RealFs::shared()))?;
-        cdb.verify_integrity()
-            .map_err(|e| err(plan, format!("checkpoint {ix} corrupt: {e}")))?;
-        verify_exact(plan, &cdb, snap, *snap_horizon)?;
-    }
-    // An interrupted checkpoint is either detectably incomplete (the
-    // restore path falls back to replay) or fully correct — never a
-    // silently-wrong image.
-    if let Some(ix) = st.pending_ckpt {
-        let target = root.join(format!("ckpt-{ix}"));
-        if crate::checkpoint::is_complete(&RealFs, &target) {
-            let cdb = Db::open(&target, torture_opts(RealFs::shared()))?;
-            cdb.verify_integrity()
-                .map_err(|e| err(plan, format!("interrupted checkpoint {ix} corrupt: {e}")))?;
-            verify_exact(plan, &cdb, &st.model, st.horizon)?;
-        }
-    }
-    // Reclaim check: force a flush + filtered compaction of both CFs at
-    // the crash-time horizon. Every expired recovered key must now be
-    // gone (filtered keys never resurrect from leftover input tables) and
-    // every live one must read back exactly (the filter never eats live
-    // data).
-    db.flush()
-        .map_err(|e| err(plan, format!("post-recovery flush failed: {e}")))?;
-    db.compact_cf(Db::DEFAULT_CF)
-        .map_err(|e| err(plan, format!("post-recovery compact failed: {e}")))?;
-    if let Some(aux) = db.cf_by_name("aux") {
-        db.compact_cf(aux)
-            .map_err(|e| err(plan, format!("post-recovery aux compact failed: {e}")))?;
-    }
+    verify_cf(plan, &db, false, snap, snap_horizon)?;
+    verify_cf(plan, &db, true, snap, snap_horizon)?;
     let aux_cf = db.cf_by_name("aux");
-    for ((a, k), expect) in &settled {
+    db.flush()
+        .and_then(|()| db.compact_cf(Db::DEFAULT_CF))
+        .and_then(|()| aux_cf.map_or(Ok(()), |aux| db.compact_cf(aux)))
+        .map_err(|e| err(plan, format!("image {ix}: reclaim failed: {e}")))?;
+    for ((a, k), expect) in snap {
         let got = match (a, aux_cf) {
             (false, _) => db.get(Db::DEFAULT_CF, k)?,
             (true, Some(cf)) => db.get(cf, k)?,
             (true, None) => None,
         };
-        match expect.as_deref() {
-            Some(v) if may_expire(k, v, st.horizon) => {
-                if got.is_some() {
-                    return Err(err(
-                        plan,
-                        format!(
-                            "expired key {:?} survived post-recovery compaction",
-                            String::from_utf8_lossy(k)
-                        ),
-                    ));
-                }
-            }
-            other => {
-                if got.as_deref() != other {
-                    return Err(err(
-                        plan,
-                        format!(
-                            "live key {:?} damaged by post-recovery compaction",
-                            String::from_utf8_lossy(k)
-                        ),
-                    ));
-                }
-            }
+        let (ok, what) = match expect.as_deref() {
+            Some(v) if may_expire(k, v, horizon) => (got.is_none(), "expired key survived"),
+            other => (got.as_deref() == other, "live key damaged by"),
+        };
+        if !ok {
+            return Err(err(
+                plan,
+                format!(
+                    "image {ix}: {what} its reclaim: {:?}",
+                    String::from_utf8_lossy(k)
+                ),
+            ));
         }
     }
-    Ok((db.recovery_report().clone(), micros))
+    Ok(micros)
+}
+
+/// Check every image of the run `st` against the contract (module docs);
+/// returns the images verified, whether an interrupted image was
+/// complete, and the slowest open.
+fn verify_images(plan: &str, root: &Path, st: &RunState) -> Result<(usize, Option<bool>, u128)> {
+    let mut worst = 0;
+    for img in &st.images {
+        let dir = image_dir(root, img.ix);
+        if !is_complete(&RealFs, &dir) {
+            return Err(err(plan, format!("acked image {} is incomplete", img.ix)));
+        }
+        if file_crcs(&dir)? != img.files {
+            return Err(err(
+                plan,
+                format!("image {} changed after it was acked", img.ix),
+            ));
+        }
+        worst = worst.max(verify_image(plan, root, img.ix, &img.model, img.horizon, st.horizon)?);
+    }
+    // An interrupted image is either detectably incomplete (the restore
+    // path falls back to replay) or exact — never a silently-wrong image.
+    let interrupted_complete = st
+        .pending_ckpt
+        .map(|ix| is_complete(&RealFs, &image_dir(root, ix)));
+    if let (Some(ix), Some(true)) = (st.pending_ckpt, interrupted_complete) {
+        worst = worst.max(verify_image(plan, root, ix, &st.model, st.horizon, st.horizon)?);
+    }
+    let images = st.images.len() + usize::from(interrupted_complete == Some(true));
+    Ok((images, interrupted_complete, worst))
 }
 
 fn fresh_root(root: &Path) -> Result<()> {
@@ -560,22 +496,23 @@ fn pick_hits(max_hit: u64, per_point: u64) -> Vec<u64> {
 }
 
 /// Run one armed plan end-to-end: fresh directory, workload to the trip,
-/// recovery, full verification.
+/// full verification of the images.
 fn run_plan(root: &Path, seed: u64, plan: CrashPlan, ops: &[Op]) -> Result<PointResult> {
     let tag = format!("{}#{}", plan.point, plan.hit);
     fresh_root(root)?;
     let fault = FaultFs::new(seed);
     fault.arm(Some(plan));
-    let st = run_workload(root, Arc::new(fault.clone()), ops)?;
+    let st = run_workload(root, Arc::new(fault), ops)?;
     if !st.tripped {
         return Err(err(&tag, "plan never tripped".into()));
     }
-    let (recovery, recovery_micros) = recover_and_verify(&tag, root, &st)?;
+    let (images, interrupted_complete, recovery_micros) = verify_images(&tag, root, &st)?;
     Ok(PointResult {
         plan,
         tripped: st.tripped,
         acked_ops: st.acked_ops,
-        recovery,
+        images,
+        interrupted_complete,
         recovery_micros,
     })
 }
@@ -596,7 +533,7 @@ pub fn sweep(root: &Path, total_ops: usize, seed: u64, hits_per_point: u64) -> R
     if st.tripped {
         return Err(err("profile", "unarmed run tripped a fault".into()));
     }
-    recover_and_verify("profile", root, &st)?;
+    verify_images("profile", root, &st)?;
     let profile = fault.hit_profile();
     for point in crash_points::ALL {
         let hits = profile
@@ -636,8 +573,8 @@ mod tests {
         assert!(count(|o| matches!(o, Op::Compact)) >= 5);
         assert!(count(|o| matches!(o, Op::Checkpoint(_))) >= 4);
         // Enough horizon advances that some land above tick 0 (the first
-        // two saturate to 0) — otherwise the filtered-compaction crash
-        // points are unreachable.
+        // two saturate to 0) — otherwise no compaction before an image
+        // filters anything.
         assert!(count(|o| matches!(o, Op::ExpireBefore(t) if *t > 0)) >= 3);
     }
 

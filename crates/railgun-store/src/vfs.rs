@@ -6,7 +6,7 @@
 //! bug, not an operational inconvenience. But durability claims are only
 //! as good as their tests, and `std::fs` cannot be made to fail on cue.
 //! This module fixes that by routing all store I/O — SSTable writes,
-//! manifest renames, checkpoint links, directory fsyncs — through a
+//! image manifests, checkpoint links, directory fsyncs — through a
 //! [`StoreFs`] trait with two implementations:
 //!
 //! * [`RealFs`] — a thin passthrough to `std::fs`. SSTables are written
@@ -14,18 +14,17 @@
 //!   per buffer flush: zero-cost in practice.
 //! * [`FaultFs`] — deterministic, seed-driven fault injection over a real
 //!   backing directory: torn writes (a prefix of the buffer lands, then
-//!   the write fails), failed `sync_data`/`sync_all`, failed renames,
-//!   failed directory fsyncs, and explicit crash-point hooks placed at
-//!   the interesting sequencing moments of flush / compaction /
-//!   checkpoint. Tripping **any** fault freezes the filesystem: every
-//!   subsequent operation fails, so the backing directory is exactly the
-//!   on-disk image a power cut at that moment would have left. Recovery
-//!   is then exercised by reopening that image with [`RealFs`].
+//!   the write fails), failed `sync_all`, failed directory fsyncs, and
+//!   explicit crash-point hooks placed between the steps of writing a
+//!   checkpoint image. Tripping **any** fault freezes the filesystem:
+//!   every subsequent operation fails, so the backing directory is
+//!   exactly the on-disk state a power cut at that moment would have
+//!   left. Recovery is then exercised by opening the images in it with
+//!   [`RealFs`].
 //!
 //! The set of trip sites is the **crash-point registry**
 //! ([`crash_points::ALL`]): the crash-torture harness ([`crate::torture`])
-//! sweeps every entry and verifies every column family recovers exactly
-//! as of its last committed flush.
+//! sweeps every entry and verifies every image recovery reads is exact.
 //!
 //! ## Error contract
 //!
@@ -46,11 +45,9 @@ use railgun_types::{RailgunError, Result};
 
 /// A writable file handle produced by a [`StoreFs`].
 ///
-/// Implementations are plain `Write` sinks plus the two fsync flavours;
-/// callers that need buffering wrap the handle in a `BufWriter`.
+/// Implementations are plain `Write` sinks plus `fsync`; callers that
+/// need buffering wrap the handle in a `BufWriter`.
 pub trait FsFile: Write + Send {
-    /// Flush file *data* to stable storage (`fdatasync`).
-    fn sync_data(&mut self) -> Result<()>;
     /// Flush file data *and metadata* to stable storage (`fsync`).
     fn sync_all(&mut self) -> Result<()>;
 }
@@ -72,24 +69,21 @@ pub trait StoreFs: fmt::Debug + Send + Sync {
     fn file_len(&self, path: &Path) -> Result<u64>;
     /// True iff `path` exists.
     fn exists(&self, path: &Path) -> bool;
-    /// Atomically rename `from` to `to` (same directory).
-    fn rename(&self, from: &Path, to: &Path) -> Result<()>;
     /// Remove the file at `path`.
     fn remove_file(&self, path: &Path) -> Result<()>;
     /// Hard-link `from` to `to`, falling back to a copy when the
     /// filesystem refuses links (checkpoints, [`crate::checkpoint`]).
     fn hard_link_or_copy(&self, from: &Path, to: &Path) -> Result<()>;
-    /// fsync the directory itself, making renames and newly created
-    /// directory entries durable (a file fsync does **not** cover its
-    /// directory entry).
+    /// fsync the directory itself, making newly created directory entries
+    /// durable (a file fsync does **not** cover its directory entry).
     fn sync_dir(&self, path: &Path) -> Result<()>;
     /// Names of the *files* directly inside `path` (subdirectories are
     /// skipped — the store never recurses).
     fn read_dir_files(&self, path: &Path) -> Result<Vec<String>>;
     /// A named sequencing hook. [`RealFs`] returns `Ok(())` unconditionally;
     /// [`FaultFs`] trips a crash here when armed on `name`. Store code
-    /// places these between the distinct durability steps of flush,
-    /// compaction and checkpoint creation (see [`crash_points`]).
+    /// places these between the steps of checkpoint creation (see
+    /// [`crash_points`]).
     fn crash_point(&self, name: &'static str) -> Result<()> {
         let _ = name;
         Ok(())
@@ -124,10 +118,6 @@ impl Write for RealFile {
 }
 
 impl FsFile for RealFile {
-    fn sync_data(&mut self) -> Result<()> {
-        self.0.sync_data()?;
-        Ok(())
-    }
     fn sync_all(&mut self) -> Result<()> {
         self.0.sync_all()?;
         Ok(())
@@ -158,11 +148,6 @@ impl StoreFs for RealFs {
         path.exists()
     }
 
-    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        std::fs::rename(from, to)?;
-        Ok(())
-    }
-
     fn remove_file(&self, path: &Path) -> Result<()> {
         std::fs::remove_file(path)?;
         Ok(())
@@ -178,7 +163,7 @@ impl StoreFs for RealFs {
     fn sync_dir(&self, path: &Path) -> Result<()> {
         // Opening a directory read-only and fsyncing it is the POSIX way
         // to make its entries durable; on platforms where that fails the
-        // rename durability guarantee degrades gracefully (macOS HFS+
+        // entry durability guarantee degrades gracefully (macOS HFS+
         // semantics), so errors opening the dir are not fatal.
         match File::open(path) {
             Ok(d) => {
@@ -206,55 +191,37 @@ impl StoreFs for RealFs {
 // ---------------------------------------------------------------------------
 
 /// The registry of every site where [`FaultFs`] can freeze the on-disk
-/// image. Two flavours:
+/// state. Two flavours:
 ///
-/// * **operation points** (`*:write`, `*:sync`, `manifest:rename`, …) trip
-///   inside the corresponding [`StoreFs`] / [`FsFile`] call — a `*:write`
-///   trip additionally tears the write, landing only a seed-determined
-///   prefix of the buffer;
-/// * **hook points** (`flush:*`, `compact:*`, `checkpoint:*`) are explicit
-///   [`StoreFs::crash_point`] calls placed *between* the durability steps
-///   of a compound operation, freezing the image in its intermediate
-///   state.
+/// * **operation points** (`*:write`, `*:sync`) trip inside the
+///   corresponding [`StoreFs`] / [`FsFile`] call — a `*:write` trip
+///   additionally tears the write, landing only a seed-determined prefix
+///   of the buffer;
+/// * **hook points** (`checkpoint:*`) are explicit [`StoreFs::crash_point`]
+///   calls placed *between* the steps of writing an image, freezing it in
+///   its intermediate state.
 ///
 /// The crash-torture harness sweeps [`crash_points::ALL`]; adding a new
 /// point here automatically enrolls it.
 pub mod crash_points {
-    /// Torn write to an SSTable under construction.
+    /// Torn write to an SSTable under construction (a flush's, a
+    /// compaction's or a checkpoint's).
     pub const SST_WRITE: &str = "sst:write";
     /// `sync_all` on a finished SSTable fails.
     pub const SST_SYNC: &str = "sst:sync";
-    /// Torn write to `MANIFEST.tmp`.
+    /// Torn write to an image's `MANIFEST`.
     pub const MANIFEST_WRITE: &str = "manifest:write";
-    /// `sync_all` on `MANIFEST.tmp` fails.
+    /// `sync_all` on an image's `MANIFEST` fails.
     pub const MANIFEST_SYNC: &str = "manifest:sync";
-    /// The atomic `MANIFEST.tmp` → `MANIFEST` rename fails.
-    pub const MANIFEST_RENAME: &str = "manifest:rename";
-    /// The directory fsync after a manifest rename / checkpoint fails.
+    /// The image directory's fsync fails — after the completeness marker,
+    /// so the image may be complete.
     pub const DIR_SYNC: &str = "dir:sync";
-    /// Flush: SSTables written and synced, manifest not yet updated.
-    pub const FLUSH_BEFORE_MANIFEST: &str = "flush:before-manifest";
-    /// Compaction: merged SSTable written, manifest still references the
-    /// inputs.
-    pub const COMPACT_BEFORE_MANIFEST: &str = "compact:before-manifest";
-    /// Compaction: manifest updated, input SSTables not yet deleted (the
-    /// orphan-quarantine path at next open).
-    pub const COMPACT_BEFORE_REMOVE_OLD: &str = "compact:before-remove-old";
-    /// Filtered compaction: the merged table omits filter-discarded
-    /// entries but the manifest still references the unfiltered inputs —
-    /// recovery must keep serving the filtered keys from the inputs.
-    /// Fires only when the compaction actually dropped entries.
-    pub const COMPACT_FILTERED_BEFORE_MANIFEST: &str = "compact:filtered-before-manifest";
-    /// Filtered compaction: manifest swapped to the filtered output —
-    /// the dropped keys must never resurrect, even with the input tables
-    /// still on disk (quarantined at the next open). Fires only when the
-    /// compaction actually dropped entries.
-    pub const COMPACT_FILTERED_AFTER_MANIFEST: &str = "compact:filtered-after-manifest";
-    /// Checkpoint: before each file is linked/copied into the target (hit
-    /// `k` freezes with `k - 1` files present — a partial checkpoint).
+    /// Checkpoint: before each table is linked/copied into the target (hit
+    /// `k` freezes with `k - 1` tables present and no manifest — a partial
+    /// checkpoint).
     pub const CHECKPOINT_MID_COPY: &str = "checkpoint:mid-copy";
-    /// Checkpoint: all files present, the empty `wal.log` completeness
-    /// marker not yet created.
+    /// Checkpoint: tables and manifest present, the empty `wal.log`
+    /// completeness marker not yet created.
     pub const CHECKPOINT_BEFORE_WAL_CREATE: &str = "checkpoint:before-wal-create";
 
     /// Every registered crash point, in sweep order.
@@ -263,13 +230,7 @@ pub mod crash_points {
         SST_SYNC,
         MANIFEST_WRITE,
         MANIFEST_SYNC,
-        MANIFEST_RENAME,
         DIR_SYNC,
-        FLUSH_BEFORE_MANIFEST,
-        COMPACT_BEFORE_MANIFEST,
-        COMPACT_FILTERED_BEFORE_MANIFEST,
-        COMPACT_FILTERED_AFTER_MANIFEST,
-        COMPACT_BEFORE_REMOVE_OLD,
         CHECKPOINT_MID_COPY,
         CHECKPOINT_BEFORE_WAL_CREATE,
     ];
@@ -381,8 +342,8 @@ fn io_trip_error(point: &str) -> io::Error {
 /// point is reached for the `hit`-th time, the operation fails (tearing
 /// the write in flight for `*:write` points) and the filesystem
 /// **freezes** — every later operation fails too, so the backing
-/// directory is the exact on-disk image of a crash at that instant.
-/// Reopen it with [`RealFs`] to exercise recovery. See [`crate::torture`]
+/// directory is the exact on-disk state of a crash at that instant. Open
+/// its images with [`RealFs`] to exercise recovery. See [`crate::torture`]
 /// for the harness that sweeps all of [`crash_points::ALL`].
 #[derive(Debug, Clone)]
 pub struct FaultFs {
@@ -445,7 +406,7 @@ impl FaultFs {
         let name = path.file_name()?.to_string_lossy();
         if name.ends_with(".sst") {
             Some((crash_points::SST_WRITE, crash_points::SST_SYNC))
-        } else if name.starts_with("MANIFEST") {
+        } else if name == crate::db::MANIFEST {
             Some((crash_points::MANIFEST_WRITE, crash_points::MANIFEST_SYNC))
         } else {
             None
@@ -499,10 +460,6 @@ impl Write for FaultFile {
 }
 
 impl FsFile for FaultFile {
-    fn sync_data(&mut self) -> Result<()> {
-        self.state.lock().check(self.sync_point)?;
-        self.inner.sync_data()
-    }
     fn sync_all(&mut self) -> Result<()> {
         self.state.lock().check(self.sync_point)?;
         self.inner.sync_all()
@@ -532,15 +489,6 @@ impl StoreFs for FaultFs {
 
     fn exists(&self, path: &Path) -> bool {
         RealFs.exists(path)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> Result<()> {
-        if to.file_name().is_some_and(|n| n == "MANIFEST") {
-            self.check(crash_points::MANIFEST_RENAME)?;
-        } else {
-            self.frozen_guard()?;
-        }
-        RealFs.rename(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> Result<()> {
@@ -593,13 +541,12 @@ mod tests {
         assert_eq!(fs.read(&p).unwrap(), b"hello");
         assert_eq!(fs.file_len(&p).unwrap(), 5);
         let p2 = d.join("g");
-        fs.rename(&p, &p2).unwrap();
+        fs.hard_link_or_copy(&p, &p2).unwrap();
+        fs.remove_file(&p).unwrap();
         assert!(!fs.exists(&p));
-        assert!(fs.exists(&p2));
+        assert_eq!(fs.read(&p2).unwrap(), b"hello");
         fs.sync_dir(&d).unwrap();
         assert_eq!(fs.read_dir_files(&d).unwrap(), vec!["g".to_owned()]);
-        fs.remove_file(&p2).unwrap();
-        assert!(!fs.exists(&p2));
     }
 
     #[test]
@@ -609,7 +556,7 @@ mod tests {
         let p = d.join("00000001.sst");
         let mut f = fs.create(&p).unwrap();
         f.write_all(b"data").unwrap();
-        f.sync_data().unwrap();
+        f.sync_all().unwrap();
         drop(f);
         assert_eq!(fs.read(&p).unwrap(), b"data");
         assert!(!fs.crashed());
@@ -643,22 +590,19 @@ mod tests {
     }
 
     #[test]
-    fn sync_and_rename_points_trip() {
+    fn sync_points_trip() {
         let d = tmp("sync");
         let fs = FaultFs::new(7);
         fs.arm(Some(CrashPlan {
-            point: crash_points::MANIFEST_RENAME,
+            point: crash_points::MANIFEST_SYNC,
             hit: 1,
         }));
-        let tmp_p = d.join("MANIFEST.tmp");
-        let mut f = fs.create(&tmp_p).unwrap();
+        let mut f = fs.create(&d.join("MANIFEST")).unwrap();
         f.write_all(b"m").unwrap();
-        drop(f);
-        let err = fs.rename(&tmp_p, &d.join("MANIFEST")).unwrap_err();
-        assert!(is_injected(&err));
-        // The rename did NOT happen.
-        assert!(RealFs.exists(&tmp_p));
-        assert!(!RealFs.exists(&d.join("MANIFEST")));
+        assert!(is_injected(&f.sync_all().unwrap_err()));
+        assert!(fs.crashed());
+        // Frozen: the directory fsync that would follow fails too.
+        assert!(is_injected(&fs.sync_dir(&d).unwrap_err()));
     }
 
     #[test]
@@ -685,6 +629,6 @@ mod tests {
         for p in crash_points::ALL {
             assert!(seen.insert(*p), "duplicate crash point {p}");
         }
-        assert_eq!(crash_points::ALL.len(), 13);
+        assert_eq!(crash_points::ALL.len(), 7);
     }
 }

@@ -11,8 +11,9 @@
 //! After every operation the store must read back **exactly** the model
 //! (both are deterministic, so no value-or-absent slack is needed):
 //! compaction reclaims precisely the expired keys and never touches a
-//! live one. A final crash-reopen (drop without flush) must land on the
-//! `disk` map alone: writes after the last flush are gone.
+//! live one. A checkpoint taken at a random point (it flushes, so `mem`
+//! folds into `disk`) must open, after the schedule has run on, as that
+//! `disk` map alone, and reclaim from there like the model.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,18 +153,27 @@ proptest! {
     #[test]
     fn random_schedules_match_model(
         schedule in proptest::collection::vec((0u32..100, 0u64..KEYS, 0u64..30), 1..120),
+        ckpt_at in 0usize..120,
     ) {
         let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir()
             .join(format!("railgun-store-model-{}-{n}", std::process::id()));
+        let image = dir.with_extension("image");
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&image).ok();
 
         let horizon = Arc::new(AtomicU64::new(0));
         let db = Db::open(&dir, store_opts(&horizon)).unwrap();
         let mut model = Model::default();
+        let mut imaged = BTreeMap::new();
         let mut stamp = 0u64;
 
         for (i, (sel, k, lag)) in schedule.iter().enumerate() {
+            if i == ckpt_at.min(schedule.len() - 1) {
+                db.checkpoint(&image).unwrap();
+                model.flush();
+                imaged = model.disk.clone();
+            }
             match sel {
                 0..=54 => {
                     stamp += 1;
@@ -194,25 +204,28 @@ proptest! {
             check_equiv(&db, &model, &format!("after op {i}"));
         }
 
-        let dropped = db.stats().filter_dropped;
-        // Crash-reopen without a flush: the memtable is gone, the
-        // SSTables carry the flushed, compacted state.
+        // The image holds what the model's tables held at the checkpoint,
+        // whatever the schedule did after it.
         drop(db);
-        model.mem.clear();
+        let mut model = Model {
+            disk: imaged,
+            horizon: model.horizon,
+            ..Model::default()
+        };
         let horizon2 = Arc::new(AtomicU64::new(model.horizon));
-        let db = Db::open(&dir, store_opts(&horizon2)).unwrap();
-        check_equiv(&db, &model, "after crash-reopen");
-        prop_assert_eq!(db.stats().filter_dropped, 0, "reopen must not re-count drops");
-        // Reclaim on the reopened image: flush + compact drops exactly
-        // the expired keys, keeps every live one.
+        let db = Db::open(&image, store_opts(&horizon2)).unwrap();
+        check_equiv(&db, &model, "after opening the image");
+        prop_assert_eq!(db.stats().filter_dropped, 0, "an open must not re-count drops");
+        // Reclaim on the image at the final horizon: flush + compact
+        // drops exactly the expired keys, keeps every live one.
         db.flush().unwrap();
         db.compact_cf(Db::DEFAULT_CF).unwrap();
         model.flush();
         model.compact();
-        check_equiv(&db, &model, "after post-reopen reclaim");
-        let _ = dropped;
+        check_equiv(&db, &model, "after reclaim on the image");
 
         drop(db);
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&image).ok();
     }
 }

@@ -708,30 +708,37 @@ proptest! {
     }
 
     /// The LSM store behaves like a BTreeMap under any operation sequence,
-    /// including across flush/compaction, and a restart keeps exactly
-    /// what the last flush committed.
+    /// including across flush/compaction, and a checkpoint taken at any
+    /// point holds exactly the map at that point.
     #[test]
     fn store_matches_map_model(
         ops in proptest::collection::vec(
             (0u8..3, 0u16..64, proptest::collection::vec(any::<u8>(), 0..24)),
             1..200
         ),
+        ckpt_at in 0usize..200,
     ) {
         let dir = std::env::temp_dir().join(format!(
             "railgun-prop-store-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
+        let image = dir.with_extension("image");
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&image).ok();
         let mut model = std::collections::BTreeMap::new();
-        let mut durable = model.clone();
+        let mut imaged = model.clone();
         {
             let db = Db::open(&dir, DbOptions {
                 memtable_budget_bytes: 512, // force frequent flushes
                 compaction_trigger: 3,
                 ..DbOptions::default()
             }).unwrap();
-            for (op, key, value) in &ops {
+            for (i, (op, key, value)) in ops.iter().enumerate() {
+                if i == ckpt_at.min(ops.len() - 1) {
+                    db.checkpoint(&image).unwrap();
+                    imaged = model.clone();
+                }
                 let key = format!("k{key:04}").into_bytes();
                 match op {
                     0 => {
@@ -749,10 +756,6 @@ proptest! {
                         );
                     }
                 }
-                // An empty memtable: every write so far is in a table.
-                if db.stats().memtable_entries == 0 {
-                    durable = model.clone();
-                }
             }
             // Full scan agrees with the model.
             let scanned = db.scan(Db::DEFAULT_CF, b"", None).unwrap();
@@ -760,9 +763,9 @@ proptest! {
                 model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
             prop_assert_eq!(scanned, expect);
         }
-        // Restart without a flush: the manifest's tables are all there is.
-        let db = Db::open(&dir, DbOptions::default()).unwrap();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> = durable.into_iter().collect();
+        // Writes after the checkpoint, flushed or not, are not in it.
+        let db = Db::open(&image, DbOptions::default()).unwrap();
+        let expect: Vec<(Vec<u8>, Vec<u8>)> = imaged.into_iter().collect();
         prop_assert_eq!(db.scan(Db::DEFAULT_CF, b"", None).unwrap(), expect);
     }
 }
