@@ -81,7 +81,7 @@ pub struct HoppingEngine {
     /// Last emitted pane per key (query answers come from here).
     last_emitted: std::collections::HashMap<Vec<u8>, Emission>,
     stats: HoppingStats,
-    /// Reusable aggregator scratch (aux keys, sketch cache).
+    /// Reusable aggregator scratch (aux keys, state cache).
     scratch: AggScratch,
 }
 

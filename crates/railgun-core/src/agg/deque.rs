@@ -61,6 +61,11 @@ impl MinMaxDeque {
         self.deque.len()
     }
 
+    /// Heap bytes of the deque's buffer.
+    pub fn heap_bytes(&self) -> usize {
+        self.deque.capacity() * std::mem::size_of::<(Value, u64)>()
+    }
+
     /// True iff no elements are retained.
     pub fn is_empty(&self) -> bool {
         self.deque.is_empty()

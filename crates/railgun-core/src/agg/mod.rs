@@ -21,63 +21,364 @@
 //!   family** of the state store;
 //! * the approximate family (`countDistinct … approx`, `topK`,
 //!   `percentile`) keeps **one serialized sketch blob** per
-//!   (leaf, entity) in the same column family ([`sketch`]), cached
-//!   in memory ([`AggScratch`]) and flushed at checkpoints.
+//!   (leaf, entity) in the same column family ([`sketch`]).
+//!
+//! Rows and sketches live decoded in the task's state cache
+//! ([`AggScratch`]) between checkpoints; the store sees one only when the
+//! cache evicts it or a checkpoint writes everything back.
 
 pub mod deque;
 pub mod sketch;
 
 use std::cell::RefCell;
+use std::hash::Hasher;
+use std::mem::size_of;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 use bytes::Buf;
 use railgun_store::{ColumnFamilyId, Db};
 use railgun_types::encode::{
     get_ivarint, get_uvarint, get_value, put_ivarint, put_uvarint, put_value,
 };
-use railgun_types::hash::FastHashMap;
+use railgun_types::hash::{FastHashMap, FxHasher};
 use railgun_types::{RailgunError, Result, Value};
 
 use crate::lang::AggFunc;
+use crate::metrics::SharedTaskStats;
 use deque::{max_keeps, min_keeps, MinMaxDeque};
 use sketch::{SketchKind, SketchState};
 
-/// Per-task scratch shared by every aggregator the task drives: reusable
-/// key/estimate buffers (no per-event allocation on the aux paths) and
-/// the in-memory sketch cache.
+/// Bytes of decoded state one task keeps in memory, as [`AggScratch`]
+/// counts them. A task whose keys outnumber it holds all of it, so it is
+/// what the cache adds to the heap per task: in a sweep of 256–512 KiB,
+/// 384 KiB bought `wide_plan` most of the throughput 512 KiB did while
+/// holding `cold_window`'s heap (four tasks of 12 500 cards) to about +7%.
+pub(crate) const STATE_CACHE_BYTES: usize = 384 << 10;
+
+/// Per-task scratch shared by every aggregator the task drives — reusable
+/// key and rank buffers (no per-event allocation on the aux paths) — and
+/// the task's one **state cache**: decoded group rows (under their row
+/// key) and sketches (under their leaf's state key) in one ring with a
+/// byte budget and per-entry CLOCK eviction.
 ///
-/// The cache is the reason the approximate path can beat the exact one:
-/// a sketch blob is kilobytes, so decoding and re-encoding it per event
-/// would drown the O(1) kernel update. Instead blobs live here between
-/// events and hit the store only at checkpoints (`flush`) or on cache
-/// eviction. Crash safety is unaffected: recovery always starts from a
-/// checkpoint image (which sees a flushed cache) or from an empty store
+/// An update changes the cached state in place and marks it dirty; the
+/// store sees it only when the cache evicts it (written back on its own:
+/// a row to the default CF, a sketch to its aux-CF blob) or when
+/// [`AggScratch::write_back`] runs before a checkpoint or a dead-state
+/// reclaim. Crash safety is unaffected: recovery always starts from a
+/// checkpoint image (written after a write-back) or from an empty store
 /// with a full ordered replay, and the kernels are deterministic under
 /// replay, so both arms converge (pinned by `tests/crash_recovery.rs`).
-#[derive(Default)]
+///
+/// The budget counts an entry's heap close to what it holds (key, slots,
+/// deques, sketch buffers, allocator headers); the cache keeps at most one
+/// entry beyond it. Hits, reads on a miss and write-backs count into the
+/// owning task's [`SharedTaskStats`].
 pub struct AggScratch {
     /// Reusable aux/blob key buffer (the exact path's per-event
     /// `aux_key` allocation removed).
     key_buf: RefCell<Vec<u8>>,
-    /// Reusable encode buffer for blob flushes.
-    blob_buf: RefCell<Vec<u8>>,
     /// Reusable per-level cursors for quantile estimates.
     rank_buf: RefCell<Vec<usize>>,
-    /// state key → live sketch, with a dirty bit since the last flush.
-    cache: RefCell<FastHashMap<Vec<u8>, (SketchState, bool)>>,
+    cache: RefCell<StateCache>,
 }
 
-/// Max cached sketches per task before least-recently-inserted entries
-/// are flushed out (bounds memory at ~tens of MB worst case).
-const SKETCH_CACHE_CAP: usize = 1024;
+impl Default for AggScratch {
+    fn default() -> Self {
+        Self::new(STATE_CACHE_BYTES, Arc::default())
+    }
+}
+
+/// Where write-backs go: the store and its aux CF.
+type Store<'a> = (&'a Db, ColumnFamilyId);
+
+/// One cached state.
+enum Cached {
+    /// A group's row, its slots as [`decode_row`] gives them.
+    Row(Vec<(u32, AggState)>),
+    /// Boxed: a row entry then costs less than half the bytes.
+    Sketch(Box<SketchState>),
+}
+
+struct Entry {
+    /// [`key_hash`] of `key`: where the index files the entry.
+    hash: u64,
+    key: Vec<u8>,
+    state: Cached,
+    /// What the budget counts for the entry.
+    bytes: usize,
+    /// Changed since the store last saw it.
+    dirty: bool,
+    /// CLOCK credit: hand passes the entry survives, set by an update (a
+    /// reply's read right after an update is no second use) to about what
+    /// its miss costs: a sketch, whose blob decodes and encodes whole,
+    /// two; a row one.
+    credit: u8,
+}
+
+/// Heap bytes an entry costs beyond its buffers' capacity: itself, its
+/// index slot and the allocator's headers of its key and state.
+const ENTRY_BYTES: usize = size_of::<Entry>() + 16 + 32;
+
+impl Entry {
+    fn heap_bytes(&self) -> usize {
+        ENTRY_BYTES
+            + self.key.capacity()
+            + match &self.state {
+                Cached::Row(slots) => {
+                    slots.capacity() * size_of::<(u32, AggState)>()
+                        + slots.iter().map(|(_, s)| s.heap_bytes()).sum::<usize>()
+                }
+                Cached::Sketch(sketch) => size_of::<SketchState>() + sketch.heap_bytes(),
+            }
+    }
+}
+
+#[derive(Default)]
+struct StateCache {
+    budget: usize,
+    /// Sum of the entries' `bytes`.
+    bytes: usize,
+    entries: Vec<Entry>,
+    /// Entry position by hash. Two keys of one hash never share the
+    /// cache: the second evicts the first.
+    index: FastHashMap<u64, u32>,
+    /// The CLOCK hand.
+    hand: usize,
+    /// Encode buffer and aux key of a write-back.
+    buf: Vec<u8>,
+    blob_key: Vec<u8>,
+    stats: Arc<SharedTaskStats>,
+}
+
+/// The index hash of a row key or, with `sketch`, a leaf's state key (the
+/// two share a key space).
+fn key_hash(key: &[u8], sketch: bool) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u8(sketch as u8);
+    h.write(key);
+    h.finish()
+}
+
+impl StateCache {
+    /// The position of the entry under `key` (checked at `hint` first,
+    /// without hashing), credited if `update`.
+    fn find(&mut self, key: &[u8], sketch: bool, hint: usize, update: bool) -> Option<usize> {
+        let is = |e: &Entry| e.key == key && matches!(e.state, Cached::Sketch(_)) == sketch;
+        let at = match self.entries.get(hint).filter(|e| is(e)) {
+            Some(_) => hint,
+            None => {
+                let hash = key_hash(key, sketch);
+                let at = *self.index.get(&hash)? as usize;
+                is(&self.entries[at]).then_some(at)?
+            }
+        };
+        if update {
+            self.entries[at].credit = 1 + sketch as u8;
+        }
+        Some(at)
+    }
+
+    /// A position for a new entry filed under `hash`: a new one while the
+    /// budget has room, else the entry of the same hash or the CLOCK's
+    /// victim, written back first. Its buffers stay for the caller to
+    /// reuse; a failed write-back leaves it as it was.
+    fn claim(&mut self, hash: u64, store: Store<'_>) -> Result<usize> {
+        let at = match self.index.get(&hash) {
+            Some(&at) => at as usize,
+            None if self.bytes < self.budget || self.entries.is_empty() => {
+                let (key, state) = (Vec::new(), Cached::Row(Vec::new()));
+                self.entries.push(Entry { hash, key, state, bytes: 0, dirty: false, credit: 0 });
+                self.index.insert(hash, self.entries.len() as u32 - 1);
+                return Ok(self.entries.len() - 1);
+            }
+            None => self.victim(usize::MAX),
+        };
+        self.write_back(at, store)?;
+        let e = &mut self.entries[at];
+        self.index.remove(&e.hash);
+        self.index.insert(hash, at as u32);
+        self.bytes -= std::mem::take(&mut e.bytes);
+        (e.hash, e.credit) = (hash, 0);
+        Ok(at)
+    }
+
+    /// The next entry other than `keep` without credit, taking one from
+    /// each entry the hand passes over.
+    fn victim(&mut self, keep: usize) -> usize {
+        loop {
+            let at = self.hand % self.entries.len();
+            self.hand = at + 1;
+            match &mut self.entries[at].credit {
+                _ if at == keep => {}
+                0 => return at,
+                credit => *credit -= 1,
+            }
+        }
+    }
+
+    /// Write entry `at` to the store if it is dirty; a failure leaves it
+    /// dirty.
+    fn write_back(&mut self, at: usize, (db, aux_cf): Store<'_>) -> Result<()> {
+        let e = &mut self.entries[at];
+        if !e.dirty {
+            return Ok(());
+        }
+        self.buf.clear();
+        match &e.state {
+            Cached::Row(slots) => {
+                for (leaf, state) in slots {
+                    encode_slot(&mut self.buf, *leaf, state);
+                }
+                db.put(Db::DEFAULT_CF, &e.key, &self.buf)?;
+            }
+            Cached::Sketch(sketch) => {
+                sketch.encode(&mut self.buf);
+                blob_key_into(&mut self.blob_key, &e.key);
+                db.put(aux_cf, &self.blob_key, &self.buf)?;
+            }
+        }
+        e.dirty = false;
+        self.stats.state_writes.fetch_add(1, Relaxed);
+        Ok(())
+    }
+
+    /// Drop entry `at` unwritten; the last entry takes its position.
+    fn remove(&mut self, at: usize) {
+        let e = self.entries.swap_remove(at);
+        self.index.remove(&e.hash);
+        self.bytes -= e.bytes;
+        if let Some(moved) = self.entries.get(at) {
+            self.index.insert(moved.hash, at as u32);
+        }
+    }
+
+    /// Count entry `at` anew after a touch, then evict others (written
+    /// back) until the rest fit the budget. Returns `at`'s position.
+    fn settle(&mut self, mut at: usize, store: Store<'_>) -> Result<usize> {
+        let bytes = self.entries[at].heap_bytes();
+        self.bytes = self.bytes + bytes - std::mem::replace(&mut self.entries[at].bytes, bytes);
+        while self.bytes - self.entries[at].bytes > self.budget {
+            let victim = self.victim(at);
+            self.write_back(victim, store)?;
+            if at == self.entries.len() - 1 {
+                at = victim;
+            }
+            self.remove(victim);
+        }
+        self.stats.state_cache_bytes.store(self.bytes as u64, Relaxed);
+        Ok(at)
+    }
+}
 
 impl AggScratch {
-    /// Run `f` against the live sketch for `state_key`, loading the blob
-    /// from the store (or creating a fresh sketch) on cache miss. Panes
+    /// A scratch whose cache holds `budget` bytes (0 holds one entry),
+    /// counting into `stats`.
+    pub(crate) fn new(budget: usize, stats: Arc<SharedTaskStats>) -> Self {
+        let cache = StateCache { budget, stats, ..StateCache::default() };
+        AggScratch {
+            key_buf: RefCell::default(),
+            rank_buf: RefCell::default(),
+            cache: RefCell::new(cache),
+        }
+    }
+
+    /// Run `f` on the state cached under `key` (a row, or with `sketch` a
+    /// sketch), `load`ing it on a miss into the buffers of the entry it
+    /// replaces. `hint` is where the entry was last found; it is set to
+    /// where it is. `f` also says whether it changed the state (only then,
+    /// or after a load, is the entry counted anew). An `f` or a `load`
+    /// that fails drops the entry unwritten: a torn update never reaches
+    /// the store.
+    #[allow(clippy::too_many_arguments)]
+    fn touch<R>(
+        &self,
+        store: Store<'_>,
+        key: &[u8],
+        sketch: bool,
+        hint: &mut usize,
+        update: bool,
+        load: impl FnOnce(&mut Cached) -> Result<()>,
+        f: impl FnOnce(&mut Cached) -> Result<(R, bool)>,
+    ) -> Result<R> {
+        // Only a sketch state in a slot of a row being touched comes back
+        // here while the cache is in use: a row its leaf could not write.
+        let cache = &mut *self.cache.try_borrow_mut().map_err(|_| {
+            RailgunError::Corruption("a row slot holds a sketch its leaf does not have".into())
+        })?;
+        let found = cache.find(key, sketch, *hint, update);
+        let at = match found {
+            Some(at) => {
+                cache.stats.state_cache_hits.fetch_add(1, Relaxed);
+                at
+            }
+            None => {
+                let at = cache.claim(key_hash(key, sketch), store)?;
+                cache.stats.state_reads.fetch_add(1, Relaxed);
+                let e = &mut cache.entries[at];
+                e.key.clear();
+                e.key.extend_from_slice(key);
+                if let Err(err) = load(&mut e.state) {
+                    cache.remove(at);
+                    return Err(err);
+                }
+                at
+            }
+        };
+        match f(&mut cache.entries[at].state) {
+            Ok((out, changed)) => {
+                cache.entries[at].dirty |= changed;
+                *hint = match changed || found.is_none() {
+                    true => cache.settle(at, store)?,
+                    false => at,
+                };
+                Ok(out)
+            }
+            Err(err) => {
+                cache.remove(at);
+                Err(err)
+            }
+        }
+    }
+
+    /// Run `f` on the slots of the group row under `key`, loading it from
+    /// the default CF on a miss; `hint` as for [`AggScratch::touch`].
+    /// With `update` the row is marked dirty.
+    pub(crate) fn with_row<R>(
+        &self,
+        store: Store<'_>,
+        key: &[u8],
+        hint: &mut usize,
+        update: bool,
+        f: impl FnOnce(&mut Vec<(u32, AggState)>) -> Result<R>,
+    ) -> Result<R> {
+        let load = |state: &mut Cached| {
+            if let Cached::Sketch(_) = state {
+                *state = Cached::Row(Vec::new());
+            }
+            let Cached::Row(slots) = state else { unreachable!() };
+            // (Decoded into the replaced entry's slots, reusing its deques.)
+            match store.0.get_in(Db::DEFAULT_CF, key, |raw| decode_row(raw, slots))? {
+                Some(decoded) => decoded,
+                None => {
+                    slots.clear();
+                    Ok(())
+                }
+            }
+        };
+        self.touch(store, key, false, hint, update, load, |state| match state {
+            Cached::Row(slots) => Ok((f(slots)?, update)),
+            Cached::Sketch(_) => unreachable!(),
+        })
+    }
+
+    /// Run `f` against the live sketch for `ctx.state_key`, loading its
+    /// blob from the aux CF (or creating a fresh sketch) on a miss. Panes
     /// the window has left are pruned first, on every touch: they age
     /// with the window, not with the entity's traffic. The sketch is
-    /// marked dirty — it reaches the store on the next `flush` — only if
-    /// the prune changed it or `f` is an `insert`: a read leaves an
-    /// unchanged sketch clean.
+    /// marked dirty only if the prune changed it or `f` is an `insert`: a
+    /// read leaves an unchanged sketch clean.
     fn with_sketch<R>(
         &self,
         ctx: &AggContext<'_>,
@@ -85,74 +386,64 @@ impl AggScratch {
         insert: bool,
         f: impl FnOnce(&mut SketchState, &AggScratch) -> Result<R>,
     ) -> Result<R> {
-        let mut cache = self.cache.borrow_mut();
-        if !cache.contains_key(ctx.state_key) {
-            if cache.len() >= SKETCH_CACHE_CAP {
-                self.flush_locked(&mut cache, ctx.db, ctx.aux_cf)?;
-                cache.clear();
-            }
-            let sliding = ctx.window_ms > 0;
-            let loaded = {
-                let mut key = self.key_buf.borrow_mut();
-                blob_key_into(&mut key, ctx.state_key);
-                ctx.db.get(ctx.aux_cf, &key)?
-            };
-            let sketch = match loaded {
-                Some(raw) => {
-                    let st = SketchState::decode(&mut raw.as_slice())?;
-                    if !st.matches(kind, sliding) {
-                        return Err(RailgunError::Corruption(
-                            "sketch blob does not match leaf parameters".into(),
-                        ));
-                    }
-                    st
-                }
+        let sliding = ctx.window_ms > 0;
+        let load = |state: &mut Cached| {
+            let mut key = self.key_buf.borrow_mut();
+            blob_key_into(&mut key, ctx.state_key);
+            let sketch = match ctx.db.get(ctx.aux_cf, &key)? {
+                Some(raw) => SketchState::decode(&mut raw.as_slice())?,
                 None => SketchState::new(
                     kind,
                     sliding.then(|| (ctx.window_ms / sketch::NPANES).max(1)),
                 ),
             };
-            cache.insert(ctx.state_key.to_vec(), (sketch, false));
-        }
-        let (sketch, dirty) = cache.get_mut(ctx.state_key).expect("just inserted");
-        *dirty |= sketch.prune(ctx.window_lower_ms) | insert;
-        f(sketch, self)
-    }
-
-    /// Write every dirty cached sketch to the aux CF. Called on
-    /// checkpoint so the on-disk image is complete.
-    pub fn flush(&self, db: &Db, aux_cf: ColumnFamilyId) -> Result<()> {
-        self.flush_locked(&mut self.cache.borrow_mut(), db, aux_cf)
-    }
-
-    fn flush_locked(
-        &self,
-        cache: &mut FastHashMap<Vec<u8>, (SketchState, bool)>,
-        db: &Db,
-        aux_cf: ColumnFamilyId,
-    ) -> Result<()> {
-        let mut key = self.key_buf.borrow_mut();
-        let mut blob = self.blob_buf.borrow_mut();
-        for (state_key, (sketch, dirty)) in cache.iter_mut() {
-            if !*dirty {
-                continue;
+            if !sketch.matches(kind, sliding) {
+                return Err(RailgunError::Corruption(
+                    "sketch blob does not match leaf parameters".into(),
+                ));
             }
-            blob_key_into(&mut key, state_key);
-            blob.clear();
-            sketch.encode(&mut blob);
-            db.put(aux_cf, &key, &blob)?;
-            *dirty = false;
-        }
-        Ok(())
+            *state = Cached::Sketch(Box::new(sketch));
+            Ok(())
+        };
+        let (store, mut hint) = ((ctx.db, ctx.aux_cf), usize::MAX);
+        self.touch(store, ctx.state_key, true, &mut hint, insert, load, |state| {
+            let Cached::Sketch(sketch) = state else { unreachable!() };
+            let changed = sketch.prune(ctx.window_lower_ms) | insert;
+            Ok((f(sketch, self)?, changed))
+        })
     }
 
-    /// Drop cached sketches whose (leaf) state key starts with `prefix`
-    /// (query unregistration; the store-side blobs fall out of the aux
-    /// CF's filtered compaction).
-    pub fn drop_prefix(&self, prefix: &[u8]) {
-        self.cache
-            .borrow_mut()
-            .retain(|k, _| !k.starts_with(prefix));
+    /// Write every dirty entry back to the store: before a checkpoint
+    /// image, so it holds the current state, and before a dead-state
+    /// reclaim. An entry whose write fails stays dirty and fails the
+    /// call.
+    pub fn write_back(&self, db: &Db, aux_cf: ColumnFamilyId) -> Result<()> {
+        let cache = &mut *self.cache.borrow_mut();
+        (0..cache.entries.len()).try_for_each(|at| cache.write_back(at, (db, aux_cf)))
+    }
+
+    /// Drop the cached sketches whose (leaf) state key starts with
+    /// `prefix`, unwritten (query unregistration: the store-side blobs fall
+    /// out of the aux CF's filtered compaction, and a write-back must not
+    /// bring them back).
+    pub(crate) fn drop_sketches(&self, prefix: &[u8]) {
+        let cache = &mut *self.cache.borrow_mut();
+        let mut at = 0;
+        while let Some(e) = cache.entries.get(at) {
+            match matches!(e.state, Cached::Sketch(_)) && e.key.starts_with(prefix) {
+                true => cache.remove(at),
+                false => at += 1,
+            }
+        }
+    }
+
+    /// Empty the cache, unwritten (after a [`AggScratch::write_back`]).
+    pub(crate) fn clear(&self) {
+        let cache = &mut *self.cache.borrow_mut();
+        (cache.bytes, cache.hand) = (0, 0);
+        cache.entries.clear();
+        cache.index.clear();
+        cache.stats.state_cache_bytes.store(0, Relaxed);
     }
 }
 
@@ -173,7 +464,7 @@ pub struct AggContext<'a> {
     /// Sliding-window size in ms; `0` means tumbling/infinite (sketches
     /// run in single-sketch mode, no pane ring).
     pub window_ms: i64,
-    /// Per-task scratch buffers and the sketch cache.
+    /// Per-task scratch buffers and the state cache.
     pub scratch: &'a AggScratch,
 }
 
@@ -470,7 +761,7 @@ impl AggState {
 
     /// The current aggregation result. Exact leaves answer from their own
     /// state and ignore `ctx`; a sketch leaf loads its sketch (from the
-    /// scratch cache or the aux CF), prunes it to `ctx`'s window and
+    /// state cache or the aux CF), prunes it to `ctx`'s window and
     /// estimates.
     pub fn value(&self, ctx: &AggContext<'_>) -> Result<Value> {
         Ok(match self {
@@ -522,6 +813,14 @@ impl AggState {
                     .map_or(Value::Null, Value::Float)
             }
         })
+    }
+
+    /// Heap bytes the state holds beyond itself (a min/max deque's).
+    fn heap_bytes(&self) -> usize {
+        match self {
+            AggState::Max { deque } | AggState::Min { deque } => deque.heap_bytes(),
+            _ => 0,
+        }
     }
 
     /// Serialize into `buf`.
@@ -1131,7 +1430,7 @@ mod tests {
 
     #[test]
     fn a_read_leaves_a_sketch_clean_unless_its_prune_drops_a_pane() {
-        // A flush writes what changed. Each insert used to mark its sketch
+        // A write-back writes what changed. Each insert used to mark its sketch
         // dirty; a reply's read of an unchanged sketch must not.
         let db = test_db("sketch-dirty");
         let aux = db.create_cf("distinct-aux").unwrap();
@@ -1142,17 +1441,17 @@ mod tests {
         for i in 0..8i64 {
             d.insert(Some(&Value::Int(i)), &at(i * 10)).unwrap();
         }
-        scratch.flush(&db, aux).unwrap();
+        scratch.write_back(&db, aux).unwrap();
         let key = blob_key_for_tests(b"leaf0/card-1");
         let stored = || db.get(aux, &key).unwrap().expect("flushed");
         db.put(aux, &key, b"marker").unwrap();
         assert_eq!(d.value(&at(75)).unwrap(), Value::Int(8));
-        scratch.flush(&db, aux).unwrap();
+        scratch.write_back(&db, aux).unwrap();
         assert_eq!(stored(), b"marker", "a read that dropped no pane is not written");
         // The window's lower bound reaches 25: panes [0, 10) and [10, 20)
-        // die on this read, and the next flush writes the pruned sketch.
+        // die on this read, and the next write-back writes the pruned sketch.
         assert_eq!(d.value(&at(105)).unwrap(), Value::Int(6));
-        scratch.flush(&db, aux).unwrap();
+        scratch.write_back(&db, aux).unwrap();
         assert_ne!(stored(), b"marker");
     }
 
@@ -1175,7 +1474,7 @@ mod tests {
                 db.scan_prefix(aux, &[]).unwrap().is_empty(),
                 "no store traffic before flush"
             );
-            scratch.flush(&db, aux).unwrap();
+            scratch.write_back(&db, aux).unwrap();
             let blobs = db.scan_prefix(aux, &[]).unwrap();
             assert_eq!(blobs.len(), 1, "one blob per (leaf, entity)");
             let size = blobs[0].0.len() + blobs[0].1.len();
@@ -1215,7 +1514,7 @@ mod tests {
         let last = 199 * 1_500;
         let c = ctx(&db, aux, &scratch).windowed(last, last - W, W);
         assert_eq!(d.value(&c).unwrap(), Value::Int(20));
-        scratch.flush(&db, aux).unwrap();
+        scratch.write_back(&db, aux).unwrap();
         let blobs = db.scan_prefix(aux, &[]).unwrap();
         let size = blobs[0].0.len() + blobs[0].1.len();
         assert!(size < 1024, "{size} B");
@@ -1243,6 +1542,79 @@ mod tests {
             match d.evict(Some(&v), &c) {
                 Err(RailgunError::Corruption(m)) => assert_eq!(m, want),
                 other => panic!("evict over {len} B: {other:?}"),
+            }
+        }
+    }
+
+    /// The cache's books balance: `bytes` is the sum of its entries', each
+    /// counted as it stands, the index files every entry at its position,
+    /// and the accounted bytes exceed the budget by at most one entry.
+    fn check_books(scratch: &AggScratch) {
+        let cache = scratch.cache.borrow();
+        let largest = cache.entries.iter().map(|e| e.bytes).max().unwrap_or(0);
+        let (bytes, budget) = (cache.bytes, cache.budget);
+        assert!(bytes <= budget.saturating_add(largest), "{bytes} B > {budget} + {largest}");
+        assert_eq!(bytes, cache.entries.iter().map(|e| e.bytes).sum::<usize>());
+        assert_eq!(cache.index.len(), cache.entries.len());
+        for (at, e) in cache.entries.iter().enumerate() {
+            assert_eq!(cache.index[&e.hash] as usize, at);
+            assert_eq!(e.bytes, e.heap_bytes());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Whatever its budget, the state cache keeps within it but for one
+        /// entry, and what it writes back is what a cache that never
+        /// evicts writes: the same rows (a sum and a max per key) and the
+        /// same sketches (a distinct count under the same key bytes as the
+        /// row, which the cache keeps apart).
+        #[test]
+        fn the_state_cache_keeps_its_budget_and_writes_what_it_was_given(
+            budget in 0usize..12_000,
+            ops in proptest::collection::vec((0u8..24, proptest::prelude::any::<bool>(), -40i64..40), 1..160),
+        ) {
+            use proptest::prelude::*;
+            let dbs = [test_db("cache-budget-small"), test_db("cache-budget-all")];
+            let aux: Vec<_> = dbs.iter().map(|db| db.create_cf("aux").unwrap()).collect();
+            let scratches = [AggScratch::new(budget, Arc::default()), AggScratch::new(usize::MAX, Arc::default())];
+            let mut hints = [usize::MAX; 2];
+            for (card, sketch, x) in ops {
+                let key = format!("card-{card}");
+                let v = Value::Int(x);
+                let mut seen = Vec::new();
+                for (i, scratch) in scratches.iter().enumerate() {
+                    let ctx = AggContext::new(&dbs[i], aux[i], key.as_bytes(), scratch);
+                    let value = match sketch {
+                        true => {
+                            let mut d = AggState::new(AggFunc::ApproxCountDistinct { err_bp: 200 });
+                            d.insert(Some(&v), &ctx).unwrap();
+                            d.value(&ctx).unwrap()
+                        }
+                        false => scratch
+                            .with_row((&dbs[i], aux[i]), key.as_bytes(), &mut hints[i], true, |slots| {
+                                if slots.is_empty() {
+                                    slots.push((0, AggState::new(AggFunc::Sum)));
+                                    slots.push((1, AggState::new(AggFunc::Max)));
+                                }
+                                for (_, state) in slots.iter_mut() {
+                                    state.insert(Some(&v), &ctx)?;
+                                }
+                                slots[0].1.value(&ctx)
+                            })
+                            .unwrap(),
+                    };
+                    seen.push(value);
+                    check_books(scratch);
+                }
+                prop_assert_eq!(&seen[0], &seen[1]);
+            }
+            for (i, scratch) in scratches.iter().enumerate() {
+                scratch.write_back(&dbs[i], aux[i]).unwrap();
+            }
+            for cf in [Db::DEFAULT_CF, aux[0]] {
+                prop_assert_eq!(dbs[0].scan_prefix(cf, &[]).unwrap(), dbs[1].scan_prefix(cf, &[]).unwrap());
             }
         }
     }

@@ -282,6 +282,13 @@ impl PaneSketch for Hll {
         hll.regs = Regs::Sparse(pairs);
         Ok(hll)
     }
+
+    fn heap_bytes(&self) -> usize {
+        match &self.regs {
+            Regs::Sparse(v) => v.capacity() * 4,
+            Regs::Dense { packed, .. } => packed.capacity(),
+        }
+    }
 }
 
 #[cfg(test)]

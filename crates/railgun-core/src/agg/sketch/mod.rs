@@ -100,6 +100,8 @@ pub trait PaneSketch: Sized {
     fn merge_from(&mut self, other: &Self);
     fn encode(&self, buf: &mut Vec<u8>);
     fn decode(buf: &mut &[u8]) -> Result<Self>;
+    /// Heap bytes the sketch holds, about.
+    fn heap_bytes(&self) -> usize;
 }
 
 /// Ring of insert-only panes plus an incrementally-maintained merged
@@ -173,6 +175,11 @@ impl<S: PaneSketch> PaneRing<S> {
             merged.merge_from(pane);
         }
         self.merged = merged;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        let panes = self.panes.iter().map(|(_, s)| s.heap_bytes()).sum::<usize>();
+        self.panes.capacity() * std::mem::size_of::<(i64, S)>() + panes + self.merged.heap_bytes()
     }
 
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -354,6 +361,18 @@ impl SketchState {
             SketchState::TopKPanes(ring) => ring.prune(lower_ms),
             SketchState::QuantPanes(ring) => ring.prune(lower_ms),
             _ => false,
+        }
+    }
+
+    /// Heap bytes the sketch holds, about (what the state cache counts).
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            SketchState::Hll(s) => s.heap_bytes(),
+            SketchState::HllPanes(ring) => ring.heap_bytes(),
+            SketchState::TopK(s) => s.heap_bytes(),
+            SketchState::TopKPanes(ring) => ring.heap_bytes(),
+            SketchState::Quant(s) => s.heap_bytes(),
+            SketchState::QuantPanes(ring) => ring.heap_bytes(),
         }
     }
 

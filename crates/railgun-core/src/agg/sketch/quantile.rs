@@ -236,6 +236,11 @@ impl PaneSketch for QuantSketch {
             compactions,
         })
     }
+
+    fn heap_bytes(&self) -> usize {
+        let values = self.levels.iter().map(|l| l.capacity() * 8).sum::<usize>();
+        self.levels.capacity() * std::mem::size_of::<Vec<f64>>() + values
+    }
 }
 
 #[cfg(test)]

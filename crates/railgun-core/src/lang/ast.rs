@@ -58,6 +58,15 @@ impl AggFunc {
         }
     }
 
+    /// True for the approximate family, whose state is a sketch blob in
+    /// the aux CF; its row slot holds only its parameters.
+    pub fn is_sketch(self) -> bool {
+        matches!(
+            self,
+            AggFunc::ApproxCountDistinct { .. } | AggFunc::TopK { .. } | AggFunc::Percentile { .. }
+        )
+    }
+
     /// Validate parameter ranges (see type-level docs). The fluent
     /// builder encodes out-of-range inputs as sentinel values; this is
     /// where they are rejected with a proper error.

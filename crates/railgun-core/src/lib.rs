@@ -67,4 +67,4 @@ pub use lang::{
 pub use plan::{MetricHandle, MetricRef, Plan, PlanDiff};
 pub use rebalance::RailgunStrategy;
 pub use session::{EventBuilder, QueryHandle, Session, StreamEvent, StreamHandle};
-pub use task::{RestoreOutcome, TaskConfig, TaskProcessor, TaskStats};
+pub use task::{RestoreOutcome, StateCacheStats, TaskConfig, TaskProcessor, TaskStats};

@@ -75,7 +75,7 @@ use railgun_types::{
 };
 
 use crate::api::{AggregationResult, QueryId};
-use crate::task::TaskStats;
+use crate::task::{StateCacheStats, TaskStats};
 
 /// Escalate to backpressure once the oldest in-flight request exceeds
 /// this multiple of the strictest registered SLO budget (and the
@@ -99,6 +99,9 @@ pub struct SharedTaskStats {
     pub(crate) evictions: AtomicU64,
     pub(crate) state_reads: AtomicU64,
     pub(crate) state_writes: AtomicU64,
+    pub(crate) state_cache_hits: AtomicU64,
+    /// A gauge: what the state cache holds now.
+    pub(crate) state_cache_bytes: AtomicU64,
 }
 
 impl SharedTaskStats {
@@ -112,6 +115,14 @@ impl SharedTaskStats {
             evictions: self.evictions.load(Ordering::Relaxed),
             state_reads: self.state_reads.load(Ordering::Relaxed),
             state_writes: self.state_writes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Point-in-time copy of the state-cache counters.
+    pub fn state_cache(&self) -> StateCacheStats {
+        StateCacheStats {
+            state_cache_hits: self.state_cache_hits.load(Ordering::Relaxed),
+            state_cache_bytes: self.state_cache_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -139,23 +150,38 @@ impl TaskStatsRegistry {
         slots.push(Arc::downgrade(stats));
     }
 
+    /// Run `f` on every live registered task processor's counters.
+    fn each(&self, mut f: impl FnMut(&SharedTaskStats)) {
+        let mut slots = self.0.lock();
+        slots.retain(|w| w.strong_count() > 0);
+        slots.iter().filter_map(Weak::upgrade).for_each(|s| f(&s));
+    }
+
     /// Sum the counters of every live registered task processor.
     pub fn aggregate(&self) -> TaskStats {
         let mut total = TaskStats::default();
-        let mut slots = self.0.lock();
-        slots.retain(|w| w.strong_count() > 0);
-        for w in slots.iter() {
-            if let Some(stats) = w.upgrade() {
-                let s = stats.snapshot();
-                total.events_processed += s.events_processed;
-                total.duplicates += s.duplicates;
-                total.late_dropped += s.late_dropped;
-                total.inserts += s.inserts;
-                total.evictions += s.evictions;
-                total.state_reads += s.state_reads;
-                total.state_writes += s.state_writes;
-            }
-        }
+        self.each(|stats| {
+            let s = stats.snapshot();
+            total.events_processed += s.events_processed;
+            total.duplicates += s.duplicates;
+            total.late_dropped += s.late_dropped;
+            total.inserts += s.inserts;
+            total.evictions += s.evictions;
+            total.state_reads += s.state_reads;
+            total.state_writes += s.state_writes;
+        });
+        total
+    }
+
+    /// Sum the state-cache counters of every live registered task
+    /// processor.
+    pub fn aggregate_state_cache(&self) -> StateCacheStats {
+        let mut total = StateCacheStats::default();
+        self.each(|stats| {
+            let s = stats.state_cache();
+            total.state_cache_hits += s.state_cache_hits;
+            total.state_cache_bytes += s.state_cache_bytes;
+        });
         total
     }
 
@@ -536,6 +562,7 @@ impl EngineTelemetry {
                 autoscaler_shrinks: self.autoscaler_shrinks.get(),
             },
             tasks: self.tasks.aggregate(),
+            state_cache: self.tasks.aggregate_state_cache(),
             queries,
         }
     }
@@ -674,6 +701,8 @@ pub struct MetricsSnapshot {
     pub elastic: ElasticCounters,
     /// Aggregated counters over every live task processor (always on).
     pub tasks: TaskStats,
+    /// The state caches of every live task processor, summed (always on).
+    pub state_cache: StateCacheStats,
     /// Per-query ladders, in [`QueryId`] order.
     pub queries: Vec<QueryMetrics>,
 }

@@ -35,7 +35,7 @@ use railgun_types::{
     Counter, Event, RailgunError, Result, Schema, TimeDelta, Timestamp, Value,
 };
 
-use crate::agg::{decode_row, encode_slot, AggContext, AggScratch, AggState};
+use crate::agg::{decode_row, encode_slot, AggContext, AggScratch, AggState, STATE_CACHE_BYTES};
 use crate::api::{decode_reply, put_reply_header, put_reply_result, AggregationResult, QueryId};
 use crate::horizon::{AuxKeyFilter, StateHorizon, StateKeyFilter};
 use crate::keys::{id_prefix, set_prefix, state_key_into};
@@ -98,8 +98,21 @@ pub struct TaskStats {
     pub late_dropped: u64,
     pub inserts: u64,
     pub evictions: u64,
+    /// Store reads of the state cache's misses (a group row or a sketch
+    /// blob).
     pub state_reads: u64,
+    /// The state cache's write-backs: of an evicted dirty entry, or of
+    /// every dirty entry before a checkpoint or a dead-state reclaim.
     pub state_writes: u64,
+}
+
+/// A task's state cache ([`AggScratch`]): the lookups it answered from
+/// memory, and the bytes it holds as its budget counts them. Kept apart
+/// from [`TaskStats`], which the benchmark package builds field by field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StateCacheStats {
+    pub state_cache_hits: u64,
+    pub state_cache_bytes: u64,
 }
 
 struct WindowRuntime {
@@ -113,39 +126,6 @@ struct WindowRuntime {
     /// bound) so a late or rewritten event is inserted iff the tail will
     /// still yield it for eviction — keeping insert/evict exactly paired.
     tail_bound: Timestamp,
-}
-
-/// The most recent row read or written under one group-by node: its key
-/// and decoded slots. The read-modify-write of an event decodes into and
-/// encodes out of it (so the buffers are reused), and `write_results`
-/// answers from it when the row the event just wrote is the row it
-/// reports — which it is for the arriving event's own entity on every
-/// window without a delay. Every default-CF write of the event path goes
-/// through here, so a valid entry always equals the stored row, except
-/// that it may still carry the slot of a leaf unregistered since; slots
-/// are only ever looked up by live leaf id.
-#[derive(Default)]
-struct GroupRow {
-    key: Vec<u8>,
-    slots: Vec<(u32, AggState)>,
-    /// False until `key`/`slots` hold a complete row (and again while an
-    /// update is in flight, so an error cannot leave a torn entry).
-    valid: bool,
-}
-
-impl GroupRow {
-    /// Replace `slots` with the stored row under `key` (none = no slots).
-    fn load(&mut self, db: &Db, stats: &SharedTaskStats) -> Result<()> {
-        stats.state_reads.fetch_add(1, Ordering::Relaxed);
-        let slots = &mut self.slots;
-        match db.get_in(Db::DEFAULT_CF, &self.key, |raw| decode_row(raw, slots))? {
-            Some(decoded) => decoded,
-            None => {
-                slots.clear();
-                Ok(())
-            }
-        }
-    }
 }
 
 /// Computes all metrics of one (topic, partition).
@@ -174,20 +154,24 @@ pub struct TaskProcessor {
     /// schema-long, only the `read_set` slots ever written (the rest stay
     /// NULL), string buffers reused from event to event.
     fields: Vec<Value>,
-    encode_buf: Vec<u8>,
-    /// Scratch key: the current row key under a leaf prefix while a row
-    /// is updated (aux-CF key derivation), the key asked for while the
-    /// reply is collected.
+    /// Scratch keys: the row key of the group being updated or reported,
+    /// and the same key under a leaf prefix (aux-CF key derivation).
+    row_key: Vec<u8>,
     key_buf: Vec<u8>,
-    /// One entry per plan group node, index-aligned with `plan.groups`.
-    rows: Vec<GroupRow>,
+    /// Per plan group node (index-aligned with `plan.groups`), where in
+    /// the state cache its row was last found: the reply finds the row
+    /// the event just updated without hashing its key again.
+    row_hints: Vec<usize>,
+    /// Each live leaf's value for the reply being written, by leaf id.
+    values: Vec<Value>,
     /// Results per reply: one per registered metric (see
     /// [`TaskProcessor::plan_changed`]).
     reply_len: usize,
     /// Scratch reply [`TaskProcessor::process_event`] decodes.
     reply_buf: Vec<u8>,
-    /// Per-task scratch for aggregator aux keys plus the in-memory sketch
-    /// cache (flushed to the aux CF at checkpoints — see [`AggScratch`]).
+    /// Per-task scratch for aggregator aux keys, and the state cache that
+    /// holds decoded rows and sketches between checkpoints (see
+    /// [`AggScratch`]).
     agg_scratch: AggScratch,
     /// Shared expiry watermarks read by the store's compaction filters
     /// (see [`crate::horizon`]): expired tumbling buckets and the state
@@ -286,6 +270,7 @@ impl TaskProcessor {
         };
         let stats = Arc::new(SharedTaskStats::default());
         config.stats_registry.register(&stats);
+        let agg_scratch = AggScratch::new(STATE_CACHE_BYTES, Arc::clone(&stats));
         Ok(TaskProcessor {
             schema,
             plan: Plan::new(),
@@ -300,24 +285,28 @@ impl TaskProcessor {
             entering_buf: Vec::new(),
             read_set: Vec::new(),
             fields: Vec::new(),
-            encode_buf: Vec::with_capacity(64),
+            row_key: Vec::with_capacity(32),
             key_buf: Vec::with_capacity(32),
-            rows: Vec::new(),
+            row_hints: Vec::new(),
+            values: Vec::new(),
             reply_len: 0,
             reply_buf: Vec::new(),
-            agg_scratch: AggScratch::default(),
+            agg_scratch,
             horizon,
             meta_cf,
         })
     }
 
-    /// Reclaim the state behind the pending dead set: rewrite the rows
-    /// of live groups without their dead leaves' slots, flush the
-    /// memtables (filters only see SSTables), compact the filtered CFs
-    /// so dead groups' rows and dead leaves' aux keys vanish, then forget
-    /// the set. One that fails part-way keeps the set and runs again at
-    /// the next checkpoint.
+    /// Reclaim the state behind the pending dead set: write the state
+    /// cache back and empty it (so no cached row or sketch of a dead node
+    /// reaches the store later), rewrite the rows of live groups without
+    /// their dead leaves' slots, flush the memtables (filters only see
+    /// SSTables), compact the filtered CFs so dead groups' rows and dead
+    /// leaves' aux keys vanish, then forget the set. One that fails
+    /// part-way keeps the set and runs again at the next checkpoint.
     fn reclaim_dead_state(&self) -> Result<()> {
+        self.agg_scratch.write_back(&self.db, self.aux_cf)?;
+        self.agg_scratch.clear();
         let mut slots = Vec::new();
         let mut row = Vec::new();
         for (group, dead_leaves) in self.horizon.pending_strips() {
@@ -409,7 +398,7 @@ impl TaskProcessor {
                 tail_bound: lower,
             }));
         }
-        self.rows.resize_with(self.plan.groups.len(), GroupRow::default);
+        self.row_hints.resize(self.plan.groups.len(), usize::MAX);
         self.plan_changed();
         // Brand-new leaves attached to a *pre-existing* window get no
         // events from that window's (already advanced) head cursor, so
@@ -489,6 +478,7 @@ impl TaskProcessor {
         }
         set.sort_unstable();
         set.dedup();
+        self.values.resize(plan.leaves.len(), Value::Null);
         self.fields.clear();
         self.fields.resize(self.schema.len(), Value::Null);
     }
@@ -515,9 +505,9 @@ impl TaskProcessor {
         if !diff.dead_leaves.is_empty() {
             for &leaf in &diff.dead_leaves {
                 let gid = self.plan.leaves[leaf].group;
-                // Drop cached sketches first so a later scratch flush
-                // cannot resurrect blobs the compaction drops.
-                self.agg_scratch.drop_prefix(&id_prefix(leaf as u32));
+                // Drop cached sketches unwritten, so no write-back can
+                // resurrect blobs the compaction drops.
+                self.agg_scratch.drop_sketches(&id_prefix(leaf as u32));
                 self.horizon.add_dead_leaf(gid as u32, leaf as u32);
                 if self.plan.groups[gid].leaves.is_empty() {
                     self.horizon.add_dead_group(gid as u32);
@@ -722,13 +712,16 @@ impl TaskProcessor {
         Ok(())
     }
 
-    /// One read-modify-write of the row of (`gid`, the event's entity),
-    /// the event given as its timestamp and its projection (`fields`):
-    /// decode the row once, apply the insert/evict to every live leaf of
-    /// the group with id `>= first_leaf` (0 = all; a backfill passes its
-    /// first new leaf), write it back once. Slots of leaves no longer in
-    /// the group are dropped on the way; a live leaf the row does not
-    /// know yet starts from its empty state.
+    /// One update of the row of (`gid`, the event's entity), the event
+    /// given as its timestamp and its projection (`fields`): apply the
+    /// insert/evict to every live leaf of the group with id `>=
+    /// first_leaf` (0 = all; a backfill passes its first new leaf). The
+    /// row is updated in place in the state cache and marked dirty; the
+    /// store sees it when the cache evicts it or at the next checkpoint.
+    /// Slots of leaves no longer in the group are dropped on the way; a
+    /// live leaf the row does not know yet starts from its empty state.
+    /// A sketch leaf's slot holds only its parameters: its insert goes to
+    /// its sketch, after the row (an evict touches no sketch).
     fn update_group(
         &mut self,
         gid: GroupId,
@@ -744,25 +737,8 @@ impl TaskProcessor {
             WindowKind::Tumbling(ws) => Some(ts.align_down(ws)),
             _ => None,
         };
-        let row = &mut self.rows[gid];
-        row.valid = false;
         let entity = group.field_indexes.iter().map(|&i| &fields[i]);
-        state_key_into(&mut row.key, gid as u32, bucket, entity);
-        row.load(&self.db, &self.stats)?;
-        let slots = &mut row.slots;
-        // Line the slots up with the group's walk list.
-        for (i, &leaf) in group.leaves.iter().enumerate() {
-            match slots[i..].iter().position(|s| s.0 == leaf as u32) {
-                Some(at) => slots.swap(i, i + at),
-                None => {
-                    slots.push((leaf as u32, AggState::new(self.plan.leaves[leaf].func)));
-                    let last = slots.len() - 1;
-                    slots.swap(i, last);
-                }
-            }
-        }
-        slots.truncate(group.leaves.len());
-
+        state_key_into(&mut self.row_key, gid as u32, bucket, entity);
         // Sketch-backed leaves route inserts into time panes and expire
         // whole panes once the tail bound passes them.
         let sliding = match spec.kind {
@@ -775,81 +751,99 @@ impl TaskProcessor {
             )),
             _ => None,
         };
-        self.key_buf.clear();
-        self.key_buf.extend_from_slice(&row.key);
-        self.encode_buf.clear();
-        for (leaf, state) in slots.iter_mut() {
-            if *leaf as usize >= first_leaf {
-                let leaf_node = &self.plan.leaves[*leaf as usize];
-                set_prefix(&mut self.key_buf, *leaf);
-                let mut ctx =
-                    AggContext::new(&self.db, self.aux_cf, &self.key_buf, &self.agg_scratch);
-                if let Some((ws, lower)) = sliding {
-                    ctx = ctx.windowed(ts.as_millis(), lower, ws);
-                }
-                let field_value = leaf_node.field_index.map(|i| &fields[i]);
-                if insert {
-                    state.insert(field_value, &ctx)?;
-                } else {
-                    state.evict(field_value, &ctx)?;
+        let (leaves, key, scratch) = (&self.plan.leaves, &mut self.key_buf, &self.agg_scratch);
+        let (db, aux_cf) = (&self.db, self.aux_cf);
+        let apply = |leaf: u32, state: &mut AggState, key: &[u8]| {
+            let mut ctx = AggContext::new(db, aux_cf, key, scratch);
+            if let Some((ws, lower)) = sliding {
+                ctx = ctx.windowed(ts.as_millis(), lower, ws);
+            }
+            let field_value = leaves[leaf as usize].field_index.map(|i| &fields[i]);
+            match insert {
+                true => state.insert(field_value, &ctx),
+                false => state.evict(field_value, &ctx),
+            }
+        };
+        key.clear();
+        key.extend_from_slice(&self.row_key);
+        let hint = &mut self.row_hints[gid];
+        scratch.with_row((db, aux_cf), &self.row_key, hint, true, |slots| {
+            // Line the slots up with the group's walk list.
+            for (i, &leaf) in group.leaves.iter().enumerate() {
+                match slots[i..].iter().position(|s| s.0 == leaf as u32) {
+                    Some(at) => slots.swap(i, i + at),
+                    None => {
+                        slots.push((leaf as u32, AggState::new(leaves[leaf].func)));
+                        let last = slots.len() - 1;
+                        slots.swap(i, last);
+                    }
                 }
             }
-            encode_slot(&mut self.encode_buf, *leaf, state);
+            slots.truncate(group.leaves.len());
+            for (leaf, state) in slots.iter_mut() {
+                if *leaf as usize >= first_leaf && !leaves[*leaf as usize].func.is_sketch() {
+                    set_prefix(key, *leaf);
+                    apply(*leaf, state, key)?;
+                }
+            }
+            Ok(())
+        })?;
+        let sketches = group.leaves.iter().filter(|&&l| l >= first_leaf && leaves[l].func.is_sketch());
+        for &leaf in sketches.filter(|_| insert) {
+            set_prefix(key, leaf as u32);
+            apply(leaf as u32, &mut AggState::new(leaves[leaf].func), key)?;
         }
-        self.stats.state_writes.fetch_add(1, Ordering::Relaxed);
-        self.db.put(Db::DEFAULT_CF, &row.key, &self.encode_buf)?;
-        row.valid = true;
         Ok(())
     }
 
     /// Write one result per registered metric for the event's entities:
     /// every live leaf's value, read once and written under each
-    /// `(query, index)` key sharing it. A group's row is answered from what
-    /// this event just wrote when that is the row being reported, and read
-    /// once otherwise (the filter rejected the event, the window is
-    /// delayed, the event was late or a duplicate).
+    /// `(query, index)` key sharing it. Each group's row is found in the
+    /// state cache once — where the event's update just left it, when
+    /// that is the row being reported — and loaded on a miss (the filter
+    /// rejected the event, the window is delayed, the event was late or a
+    /// duplicate, or the row was evicted since).
     fn write_results(&mut self, event: &Event, t_eval: Timestamp, out: &mut Vec<u8>) -> Result<()> {
         event.project(&self.read_set, &mut self.fields);
         let fields = &self.fields;
+        let (leaves, values, scratch) = (&self.plan.leaves, &mut self.values, &self.agg_scratch);
+        let (db, aux_cf, key) = (&self.db, self.aux_cf, &mut self.key_buf);
+        let exact = AggContext::new(db, aux_cf, &[], scratch);
         for (gid, group) in self.plan.groups.iter().enumerate() {
             if group.leaves.is_empty() {
                 continue; // unregistered
             }
-            let spec = self.plan.windows[self.plan.filters[group.filter].window].spec;
-            let key = &mut self.key_buf;
+            let wid = self.plan.filters[group.filter].window;
+            let spec = self.plan.windows[wid].spec;
             let entity = group.field_indexes.iter().map(|&i| &fields[i]);
-            state_key_into(key, gid as u32, collect_bucket(spec, t_eval), entity);
-            let row = &mut self.rows[gid];
-            if row.valid && row.key == *key {
-                continue;
+            state_key_into(&mut self.row_key, gid as u32, collect_bucket(spec, t_eval), entity);
+            let hint = &mut self.row_hints[gid];
+            scratch.with_row((db, aux_cf), &self.row_key, hint, false, |slots| {
+                for &leaf in group.leaves.iter().filter(|&&l| !leaves[l].func.is_sketch()) {
+                    values[leaf] = match slots.iter().find(|s| s.0 == leaf as u32) {
+                        Some((_, state)) => state.value(&exact)?,
+                        None => AggState::new(leaves[leaf].func).value(&exact)?,
+                    };
+                }
+                Ok(())
+            })?;
+            key.clear();
+            key.extend_from_slice(&self.row_key);
+            for &leaf in group.leaves.iter().filter(|&&l| leaves[l].func.is_sketch()) {
+                set_prefix(key, leaf as u32);
+                let mut ctx = AggContext::new(db, aux_cf, key, scratch);
+                if let (WindowKind::Sliding(ws), Some(wr)) = (spec.kind, &self.windows[wid]) {
+                    let lower = wr.tail_bound.as_millis();
+                    ctx = ctx.windowed(t_eval.as_millis(), lower, ws.as_millis());
+                }
+                values[leaf] = AggState::new(leaves[leaf].func).value(&ctx)?;
             }
-            row.valid = false;
-            std::mem::swap(&mut row.key, key);
-            row.load(&self.db, &self.stats)?;
-            row.valid = true;
         }
-        for (leaf_idx, leaf) in self.plan.leaves.iter().enumerate() {
-            if !leaf.is_live() {
-                continue; // unregistered
-            }
-            let row = &self.rows[leaf.group];
-            self.key_buf.clear();
-            self.key_buf.extend_from_slice(&row.key);
-            set_prefix(&mut self.key_buf, leaf_idx as u32);
-            let mut ctx = AggContext::new(&self.db, self.aux_cf, &self.key_buf, &self.agg_scratch);
-            let kind = self.plan.windows[leaf.window].spec.kind;
-            if let (WindowKind::Sliding(ws), Some(wr)) = (kind, &self.windows[leaf.window]) {
-                let lower = wr.tail_bound.as_millis();
-                ctx = ctx.windowed(t_eval.as_millis(), lower, ws.as_millis());
-            }
-            let value = match row.slots.iter().find(|s| s.0 == leaf_idx as u32) {
-                Some((_, state)) => state.value(&ctx)?,
-                None => AggState::new(leaf.func).value(&ctx)?,
-            };
+        for (leaf, value) in leaves.iter().zip(values.iter()).filter(|(l, _)| l.is_live()) {
             let entity = &self.plan.groups[leaf.group].field_indexes;
             for r in &leaf.refs {
                 let entity = entity.iter().map(|&i| &fields[i]);
-                put_reply_result(out, r.query, r.index, &r.name, entity, &value);
+                put_reply_result(out, r.query, r.index, &r.name, entity, value);
             }
         }
         Ok(())
@@ -900,9 +894,12 @@ impl TaskProcessor {
 
     /// Checkpoint reservoir and state store together (§4.1.3) into `dir`:
     /// the whole task, hard links to its immutable files plus its open and
-    /// transition chunks. The reservoir half lands (and its directory is
-    /// fsynced) before the store half starts, so the store's completeness
-    /// marker, written last, vouches for the whole image.
+    /// transition chunks. The state cache writes every dirty row and sketch
+    /// back first — the only time the store sees a state the cache has not
+    /// evicted; one that fails stays dirty and fails the checkpoint. The
+    /// reservoir half lands (and its directory is fsynced) before the store
+    /// half starts, so the store's completeness marker, written last,
+    /// vouches for the whole image.
     pub fn checkpoint(&self, dir: &Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
         // Finish any pending dead-state reclaim first: the image must not
@@ -910,9 +907,9 @@ impl TaskProcessor {
         if self.horizon.has_dead() {
             self.reclaim_dead_state()?;
         }
-        // Sketch blobs live in an in-memory cache between checkpoints;
-        // flush them so the store image carries the current estimates.
-        self.agg_scratch.flush(&self.db, self.aux_cf)?;
+        // Rows and sketches live in the state cache between checkpoints;
+        // write the dirty ones back so the image carries the current state.
+        self.agg_scratch.write_back(&self.db, self.aux_cf)?;
         self.db
             .put(self.meta_cf, PLAN_KEY, self.plan.fingerprint().as_bytes())?;
         self.reservoir.checkpoint(&dir.join("reservoir"))?;
@@ -1017,6 +1014,11 @@ impl TaskProcessor {
     /// Statistics snapshot.
     pub fn stats(&self) -> TaskStats {
         self.stats.snapshot()
+    }
+
+    /// State-cache statistics snapshot.
+    pub fn state_cache_stats(&self) -> StateCacheStats {
+        self.stats.state_cache()
     }
 
     /// Reservoir statistics (memory accounting for §5.2).
@@ -1397,43 +1399,56 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let before = tp.stats();
+        let (before, hits) = (tp.stats(), tp.state_cache_stats().state_cache_hits);
         tp.process_event(&ev(1, 1_000, "A", "m", 5.0)).unwrap();
         let after = tp.stats();
-        // 3 leaves under 2 group nodes → 2 row writes (no expiry yet),
-        // each after one read; the reply is answered from those rows.
-        assert_eq!(after.state_writes - before.state_writes, 2);
+        // 3 leaves under 2 group nodes → 2 rows updated (no expiry yet),
+        // each missed once and read from the store; the reply finds both
+        // where the updates left them. Neither is written before the
+        // checkpoint writes both back.
         assert_eq!(after.state_reads - before.state_reads, 2);
+        assert_eq!(after.state_writes - before.state_writes, 0);
+        assert_eq!(tp.state_cache_stats().state_cache_hits - hits, 2);
+        tp.checkpoint(&temp_task_dir("statskeys-ckpt")).unwrap();
+        assert_eq!(tp.stats().state_writes - before.state_writes, 2);
     }
 
     #[test]
     fn hot_plan_costs_two_reads_and_two_writes_per_event() {
         // The benchmark's `hot_saturate` plan: one group of three leaves
         // per card on one sliding window. In steady state every arrival
-        // expires one older event: one row read-modify-write each, and
-        // the reply comes from the row just written.
-        let mut tp = proc("hot-plan-counts");
-        for q in [
-            "SELECT sum(amount), count(*) FROM payments GROUP BY cardId OVER sliding 5 min",
-            "SELECT avg(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
-        ] {
-            tp.register_query(&parse_query(q).unwrap()).unwrap();
+        // expires one older event of another card. With a one-entry state
+        // cache every update misses: one row read each, and one
+        // write-back of the row it evicts — what every update cost before
+        // rows were cached. The reply finds the row just updated. With the
+        // default cache all seven rows stay: no store traffic at all.
+        for (budget, reads, writes, hits) in [(0, 200, 200, 100), (STATE_CACHE_BYTES, 0, 0, 300)] {
+            let mut tp = proc("hot-plan-counts");
+            tp.agg_scratch = AggScratch::new(budget, Arc::clone(&tp.stats));
+            for q in [
+                "SELECT sum(amount), count(*) FROM payments GROUP BY cardId OVER sliding 5 min",
+                "SELECT avg(amount) FROM payments GROUP BY cardId OVER sliding 5 min",
+            ] {
+                tp.register_query(&parse_query(q).unwrap()).unwrap();
+            }
+            // One event per second: the window holds 300.
+            let mk = |i: u64| ev(i, 1_000 * i as i64, &format!("card-{}", i % 7), "m", 1.0);
+            for i in 0..400 {
+                tp.process_event(&mk(i)).unwrap();
+            }
+            let (before, cache) = (tp.stats(), tp.state_cache_stats());
+            for i in 400..500 {
+                let (r, _) = tp.process_event(&mk(i)).unwrap();
+                assert_eq!(r.len(), 3);
+            }
+            let after = tp.stats();
+            assert_eq!(after.inserts - before.inserts, 100);
+            assert_eq!(after.evictions - before.evictions, 100);
+            assert_eq!(after.state_reads - before.state_reads, reads, "budget {budget}");
+            assert_eq!(after.state_writes - before.state_writes, writes, "budget {budget}");
+            let hits_now = tp.state_cache_stats().state_cache_hits;
+            assert_eq!(hits_now - cache.state_cache_hits, hits, "budget {budget}");
         }
-        // One event per second: the window holds 300.
-        let mk = |i: u64| ev(i, 1_000 * i as i64, &format!("card-{}", i % 7), "m", 1.0);
-        for i in 0..400 {
-            tp.process_event(&mk(i)).unwrap();
-        }
-        let before = tp.stats();
-        for i in 400..500 {
-            let (r, _) = tp.process_event(&mk(i)).unwrap();
-            assert_eq!(r.len(), 3);
-        }
-        let after = tp.stats();
-        assert_eq!(after.inserts - before.inserts, 100);
-        assert_eq!(after.evictions - before.evictions, 100);
-        assert_eq!(after.state_reads - before.state_reads, 200);
-        assert_eq!(after.state_writes - before.state_writes, 200);
     }
 
     #[test]
@@ -1549,6 +1564,9 @@ mod tests {
             tp.process_event(&ev(i, 1_000 * i as i64, card, &format!("m{i}"), 2.0))
                 .unwrap();
         }
+        // The rows reach the store at a checkpoint.
+        assert!(slot_leaves(&tp, 0).is_empty());
+        tp.checkpoint(&temp_task_dir("unregister-slot-ckpt")).unwrap();
         assert_eq!(slot_leaves(&tp, 0), vec![vec![0, 1], vec![0, 1]]);
         assert!(!tp.db.scan_prefix(tp.aux_cf, &[]).unwrap().is_empty());
 
@@ -1570,10 +1588,12 @@ mod tests {
         .unwrap();
         let writes_before = tp.stats().state_writes;
         tp.register_query(&q_max).unwrap();
+        assert_eq!(tp.stats().state_writes, writes_before, "6 backfilled events, no write");
+        tp.checkpoint(&temp_task_dir("unregister-slot-ckpt2")).unwrap();
         assert_eq!(
             tp.stats().state_writes - writes_before,
-            6,
-            "one row write per backfilled event"
+            2,
+            "each row once, at the checkpoint"
         );
         assert_eq!(slot_leaves(&tp, 0), vec![vec![0, 2], vec![0, 2]]);
         let (r, _) = tp.process_event(&ev(100, 7_000, "A", "m", 5.0)).unwrap();
@@ -1814,9 +1834,28 @@ mod tests {
     }
 
     #[test]
+    fn a_row_slot_holding_a_sketch_for_an_exact_leaf_is_corruption() {
+        // Card A's row says leaf 0 (a sum) is a topK: its update must fail
+        // typed, not re-enter the state cache the row is held in.
+        let mut tp = proc("slot-kind-mismatch");
+        let q = parse_query("SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 5 min")
+            .unwrap();
+        tp.register_query(&q).unwrap();
+        let mut row = Vec::new();
+        encode_slot(&mut row, 0, &AggState::TopK { k: 3 });
+        let key = crate::keys::state_key(0, None, &[Value::from("A")]);
+        tp.db.put(Db::DEFAULT_CF, &key, &row).unwrap();
+        let err = tp.process_event(&ev(1, 1_000, "A", "m", 1.0)).unwrap_err();
+        assert!(matches!(err, RailgunError::Corruption(_)), "{err}");
+        // The row was dropped unwritten; card B is unaffected.
+        let (r, _) = tp.process_event(&ev(2, 2_000, "B", "m", 2.0)).unwrap();
+        assert_eq!(result_value(&r, "sum(amount)"), Value::Float(2.0));
+    }
+
+    #[test]
     fn expiry_alone_never_loads_a_sketch() {
         // Card A's sketches reach the store at a checkpoint; the restored
-        // task starts with an empty sketch cache, and the stored blobs are
+        // task starts with an empty state cache, and the stored blobs are
         // then spoiled. B's events slide the window past all of A's: the
         // evictions must not load A's sketches (they used to, to cache a
         // fresh estimate in A's row).
@@ -1886,6 +1925,201 @@ mod tests {
         // Rows used to cache the estimate, and this reply reported 1: the
         // value cached when A's event was evicted at 82 s, its pane live.
         assert_eq!(result_value(&r, "countDistinct"), Value::Int(0));
+    }
+
+    #[test]
+    fn an_image_after_unregistration_holds_no_dead_row_slot_or_blob() {
+        // Rows and sketches of the dead leaves are dirty in the state cache
+        // when their queries go (or, with a one-entry cache, some were
+        // written back already): the next image must hold none of them.
+        let q = |text| parse_query(text).unwrap();
+        for budget in [0, STATE_CACHE_BYTES] {
+            let mut tp = proc("no-resurrection");
+            tp.agg_scratch = AggScratch::new(budget, Arc::clone(&tp.stats));
+            let live = "SELECT sum(amount), countDistinct(merchantId) FROM payments \
+                        GROUP BY cardId OVER sliding 5 min";
+            tp.attach_query(QueryId(1), &q(live)).unwrap();
+            // Leaves inside the live group: a slot and two sketches.
+            let inside = q("SELECT max(amount), countDistinct(merchantId) approx 0.02, \
+                            topK(merchantId, 3) FROM payments GROUP BY cardId OVER sliding 5 min");
+            let inside = tp.attach_query(QueryId(2), &inside).unwrap();
+            // A group of its own, which dies whole.
+            let own = q("SELECT count(*), percentile(amount, 50) FROM payments \
+                         GROUP BY cardId OVER sliding 1 min");
+            let own = tp.attach_query(QueryId(3), &own).unwrap();
+            let card = |i: u64| ["A", "B", "C"][i as usize % 3];
+            for i in 0..40 {
+                let e = ev(i, 1_000 * i as i64, card(i), &format!("m{}", i % 5), i as f64);
+                tp.process_event(&e).unwrap();
+            }
+            let dead: Vec<u32> = inside.iter().chain(&own).map(|h| h.leaf as u32).collect();
+            let dead_group = tp.plan.leaves[own[0].leaf].group as u32;
+            assert!(tp.unregister_query(QueryId(2)).unwrap());
+            assert!(tp.unregister_query(QueryId(3)).unwrap());
+            for i in 40..50 {
+                tp.process_event(&ev(i, 1_000 * i as i64, card(i), "m9", 1.0)).unwrap();
+            }
+            let ckpt = temp_task_dir("no-resurrection-ckpt");
+            tp.checkpoint(&ckpt).unwrap();
+            let image = TaskProcessor::restore_from_checkpoint(
+                &ckpt,
+                &temp_task_dir("no-resurrection-image"),
+                "",
+                0,
+                schema(),
+                TaskConfig::default(),
+            )
+            .unwrap();
+            let rows = image.db.scan_prefix(Db::DEFAULT_CF, &[]).unwrap();
+            assert_eq!(rows.len(), 3, "budget {budget}: one live row per card");
+            let mut slots = Vec::new();
+            for (key, raw) in &rows {
+                assert!(!key.starts_with(&id_prefix(dead_group)), "budget {budget}");
+                decode_row(raw, &mut slots).unwrap();
+                assert!(slots.iter().all(|s| !dead.contains(&s.0)), "budget {budget}: {slots:?}");
+            }
+            let aux = image.db.scan_prefix(image.aux_cf, &[]).unwrap();
+            assert!(!aux.is_empty(), "the live exact countDistinct keeps its counters");
+            for (key, _) in &aux {
+                // Length-prefixed state key, its first four bytes the leaf.
+                let mut state_key = &key[..];
+                railgun_types::encode::get_uvarint(&mut state_key).unwrap();
+                let leaf = u32::from_be_bytes(state_key[..4].try_into().unwrap());
+                assert!(!dead.contains(&leaf), "budget {budget}: a blob of dead leaf {leaf}");
+            }
+        }
+    }
+
+    /// One step of a schedule [`a_one_entry_cache_answers_like_an_unbounded_one`]
+    /// drives through two tasks.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// An event `dt` ms after the last, stored `late` ms behind it.
+        Event { dt: i64, late: i64, card: u8, merchant: u8, amount: u8 },
+        /// An earlier event again.
+        Duplicate(usize),
+        Register(usize),
+        Unregister(usize),
+        /// Checkpoint both tasks and restore each from its image.
+        Checkpoint,
+    }
+
+    const SCHEDULE_QUERIES: [&str; 4] = [
+        "SELECT sum(amount), count(*), min(amount), max(amount) FROM payments \
+         GROUP BY cardId OVER sliding 10 sec",
+        "SELECT countDistinct(merchantId) approx 0.02, topK(merchantId, 3), \
+         percentile(amount, 90) FROM payments GROUP BY cardId OVER sliding 10 sec",
+        "SELECT countDistinct(merchantId), avg(amount) FROM payments WHERE amount > 20 \
+         GROUP BY cardId OVER sliding 5 sec delayed by 1 sec",
+        "SELECT count(*), last(amount), prev(amount) FROM payments \
+         GROUP BY merchantId OVER tumbling 4 sec",
+    ];
+
+    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let event = (0i64..1_500, 0i64..4, 0i64..3_000, 0u8..6, 0u8..8, 0u8..60)
+            .prop_map(|(dt, late, by, card, merchant, amount)| Step::Event {
+                dt,
+                late: if late == 0 { by } else { 0 },
+                card,
+                merchant,
+                amount,
+            });
+        prop_oneof![
+            12 => event,
+            2 => any::<usize>().prop_map(Step::Duplicate),
+            1 => (0usize..4).prop_map(Step::Register),
+            1 => (0usize..4).prop_map(Step::Unregister),
+            1 => Just(Step::Checkpoint),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// A task whose state cache holds one entry (every update a miss,
+        /// every miss a write-back) and one whose cache holds everything
+        /// (nothing written before a checkpoint) answer a schedule of late
+        /// and duplicate events, registrations, unregistrations,
+        /// re-registrations and checkpoint-and-restores byte for byte, and
+        /// each image, restored under the other's budget, answers like the
+        /// other.
+        #[test]
+        fn a_one_entry_cache_answers_like_an_unbounded_one(
+            steps in proptest::collection::vec(arb_step(), 1..120),
+        ) {
+            static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, Ordering::Relaxed);
+            let queries: Vec<Query> = SCHEDULE_QUERIES.iter().map(|q| parse_query(q).unwrap()).collect();
+            let budgets = [0, usize::MAX];
+            let dir = |what: &str| temp_task_dir(&format!("schedule-{case}-{what}"));
+            let mut tasks = budgets.map(|budget| {
+                let mut tp = TaskProcessor::open(&dir(&format!("{budget}")), "", 0, schema(), TaskConfig::default()).unwrap();
+                tp.agg_scratch = AggScratch::new(budget, Arc::clone(&tp.stats));
+                tp
+            });
+            let (mut order, mut log, mut now) = (Vec::<usize>::new(), Vec::<Event>::new(), 10_000i64);
+            let feed = |tasks: &mut [TaskProcessor; 2], log: &mut Vec<Event>, e: Event| {
+                let replies = tasks.each_mut().map(|tp| {
+                    let mut out = Vec::new();
+                    tp.process_event_into(&e, 7, "payments", &mut out).unwrap();
+                    out
+                });
+                assert_eq!(replies[0], replies[1], "{e:?}");
+                log.push(e);
+            };
+            for (n, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Event { dt, late, card, merchant, amount } => {
+                        now += dt;
+                        let e = ev(log.len() as u64, now - late, &format!("c{card}"), &format!("m{merchant}"), f64::from(amount));
+                        feed(&mut tasks, &mut log, e);
+                    }
+                    Step::Duplicate(i) if !log.is_empty() => {
+                        let e = log[i % log.len()].clone();
+                        feed(&mut tasks, &mut log, e);
+                    }
+                    Step::Duplicate(_) => {}
+                    Step::Register(q) => {
+                        for tp in &mut tasks {
+                            tp.attach_query(QueryId(q as u64 + 1), &queries[q]).unwrap();
+                        }
+                        if !order.contains(&q) {
+                            order.push(q);
+                        }
+                    }
+                    Step::Unregister(q) => {
+                        for tp in &mut tasks {
+                            tp.unregister_query(QueryId(q as u64 + 1)).unwrap();
+                        }
+                        order.retain(|&o| o != q);
+                    }
+                    Step::Checkpoint => {
+                        let attached: Vec<(QueryId, &Query)> =
+                            order.iter().map(|&q| (QueryId(q as u64 + 1), &queries[q])).collect();
+                        let images = [dir(&format!("ckpt-{n}-a")), dir(&format!("ckpt-{n}-b"))];
+                        for (tp, image) in tasks.iter().zip(&images) {
+                            tp.checkpoint(image).unwrap();
+                        }
+                        // Each image comes back under the other's budget.
+                        let restored = [1, 0].map(|i| {
+                            let (mut tp, outcome) = TaskProcessor::restore_or_replay(
+                                &images[i], &dir(&format!("restored-{n}-{i}")), schema(), TaskConfig::default(), &attached,
+                            ).unwrap();
+                            tp.agg_scratch = AggScratch::new(budgets[1 - i], Arc::clone(&tp.stats));
+                            if outcome == RestoreOutcome::FullReplay {
+                                for e in &log {
+                                    tp.process_event(e).unwrap();
+                                }
+                            }
+                            (tp, outcome)
+                        });
+                        assert_eq!(restored[0].1, restored[1].1);
+                        tasks = restored.map(|(tp, _)| tp);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

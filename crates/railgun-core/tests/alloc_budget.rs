@@ -5,7 +5,10 @@
 //! between `send_event` and the reply builds a whole row; a third stream
 //! under `wide_plan`'s card queries (a 23-result reply) has a budget of its
 //! own, the guard that neither the unit writing a reply nor the front-end
-//! reading it allocates per result. Own test binary because it installs a counting global
+//! reading it allocates per result; a fourth stream, of more cards than a
+//! task's state cache holds, keeps every row insert a cache miss (the
+//! victim written back, the row read into its buffers) and stays under
+//! the first budget. Own test binary because it installs a counting global
 //! allocator; the counter is per thread, so the reservoir's I/O thread and
 //! other tests do not disturb it.
 
@@ -66,7 +69,10 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Most allocations one closed-loop event may cost (send → unit pump →
 /// front-end pump → take), whatever its arity. The worst of 64 measured
-/// 14 (2 fields) and 14 (103 fields) once the front-end read replies
+/// 15 (2 fields), 14 (103 fields) and 17 (2 fields, every row insert a
+/// state-cache miss: the victim's write-back is a store put of a new key)
+/// once rows stayed decoded in the state cache; 14 and 14 once the
+/// front-end read replies
 /// without allocating per result and the unit read reply topics in place;
 /// 20 and 20 once tasks wrote replies straight into the unit's frame; 27
 /// and 27 before; 28 and 27 when events became rows; before that the
@@ -76,11 +82,14 @@ const EVENT_BUDGET: u64 = 17;
 
 /// The same for an event of the `cards` stream, whose 23-result reply
 /// costs the front-end what its values cost (a topK report) plus one
-/// entity, not a name and an entity per result; a min/max row decodes
-/// into the deques of the row before it. The worst of 64 measured 64
-/// then; 142 once tasks wrote replies straight into the unit's frame,
-/// 264 before.
-const WIDE_PLAN_BUDGET: u64 = 67;
+/// entity, not a name and an entity per result; a row that misses the
+/// state cache decodes into the buffers of the entry it replaces. The
+/// worst of 64 measured 31
+/// once rows and sketches stayed decoded in the task's state cache
+/// (neither decoded nor encoded, nor written to the store, per event); 64
+/// before, 142 once tasks wrote replies straight into the unit's frame,
+/// 264 before that.
+const WIDE_PLAN_BUDGET: u64 = 31;
 
 /// `wide_plan`'s card queries.
 const WIDE_PLAN: &[&str] = &[
@@ -117,9 +126,14 @@ fn wide_schema() -> Schema {
     schema
 }
 
-/// An event of `stream`: card and amount, then filler to the schema.
-fn event_values(schema: &Schema, seq: i64) -> Vec<Value> {
-    let mut values = vec![Value::from(format!("card-{}", seq % 7)), Value::from(1.0)];
+/// Cards of the miss-heavy stream: per task, several times the rows its
+/// state cache holds.
+const MANY_CARDS: i64 = 16_384;
+
+/// An event of `stream` (of `cards` cards): card and amount, then filler to
+/// the schema.
+fn event_values(schema: &Schema, cards: i64, seq: i64) -> Vec<Value> {
+    let mut values = vec![Value::from(format!("card-{}", seq % cards)), Value::from(1.0)];
     values.extend(schema.fields()[2..].iter().map(|f| match f.ty {
         FieldType::Str => Value::from(format!("v{}", seq % 50)),
         FieldType::Float => Value::from(seq as f64 * 0.25),
@@ -171,11 +185,12 @@ fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
     ])
     .unwrap();
     let streams = [
-        ("payments", narrow),
-        ("wide", wide_schema()),
-        ("cards", cards),
+        ("payments", narrow.clone(), 7),
+        ("wide", wide_schema(), 7),
+        ("cards", cards, 7),
+        ("many", narrow, MANY_CARDS),
     ];
-    for (stream, schema) in &streams {
+    for (stream, schema, _) in &streams {
         frontend
             .create_stream(&bus, stream, schema.clone(), &["cardId"], PARTITIONS, 1)
             .unwrap();
@@ -197,10 +212,11 @@ fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
     }
 
     let mut next_ts = 0i64;
-    let mut closed_loop_event =
-        |frontend: &mut FrontEnd, unit: &mut ProcessorUnit, (stream, schema): &(&str, Schema)| {
+    let mut closed_loop_event = |frontend: &mut FrontEnd,
+                                 unit: &mut ProcessorUnit,
+                                 (stream, schema, cards): &(&str, Schema, i64)| {
             next_ts += 1_000;
-            let values = event_values(schema, next_ts / 1_000);
+            let values = event_values(schema, *cards, next_ts / 1_000);
             allocations_in(|| {
                 let id = frontend
                     .send_event(stream, Timestamp::from_millis(next_ts), values)
@@ -211,12 +227,18 @@ fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
             })
             .0
         };
-    // Warm-up: scratch buffers, tables and all tasks reach steady state.
+    // Warm-up: scratch buffers, tables and all tasks reach steady state;
+    // the miss-heavy stream goes round its cards once, filling its tasks'
+    // state caches.
     for _ in 0..64 {
         for stream in &streams {
             closed_loop_event(&mut frontend, &mut unit, stream);
         }
     }
+    for _ in 0..MANY_CARDS {
+        closed_loop_event(&mut frontend, &mut unit, &streams[3]);
+    }
+    let misses = hub.task_registry().aggregate().state_reads;
 
     let (idle_unit, report) = allocations_in(|| unit.pump().unwrap());
     assert_eq!(report.active_events, 0);
@@ -246,6 +268,8 @@ fn idle_pumps_allocate_nothing_and_an_event_stays_in_budget() {
             stream.1.len()
         );
     }
+    let misses = hub.task_registry().aggregate().state_reads - misses;
+    assert!(misses >= 64, "the `many` events missed the state cache {misses} times");
     drop((frontend, unit));
     std::fs::remove_dir_all(&data).ok();
 }
