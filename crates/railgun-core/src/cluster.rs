@@ -23,7 +23,6 @@ use railgun_messaging::{BusClock, BusConfig, MessageBus};
 use railgun_types::{RailgunError, Result, Schema, TimeDelta, Timestamp, Value};
 
 use crate::api::QueryId;
-use crate::elastic::{Autoscaler, AutoscalerConfig, ScaleDecision};
 use crate::frontend::{BatchPolicy, ClientResponse, FrontEnd, RegisteredQuery};
 use crate::lang::Query;
 use crate::metrics::{EngineTelemetry, MetricsSnapshot};
@@ -70,10 +69,6 @@ pub struct ClusterConfig {
     /// (see the `metrics` module's cost contract). Snapshot with
     /// [`Cluster::metrics_snapshot`].
     pub telemetry: bool,
-    /// Autoscaler bounds and hysteresis (disabled by default). Drive the
-    /// controller with [`Cluster::autoscale_tick`] at a fixed cadence —
-    /// the cluster never spawns its own control thread.
-    pub autoscaler: AutoscalerConfig,
 }
 
 impl ClusterConfig {
@@ -112,14 +107,13 @@ impl Default for ClusterConfig {
             batch: BatchPolicy::default(),
             collect_timeout_ms: 10_000,
             telemetry: false,
-            autoscaler: AutoscalerConfig::default(),
         }
     }
 }
 
 /// Correlation handle for an asynchronous send: which node's front-end
 /// owns the request (by stable node **id**, so tickets survive other
-/// nodes being killed or decommissioned), and its id there. Request ids
+/// nodes being killed or drained), and its id there. Request ids
 /// are per-front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ticket {
@@ -138,8 +132,7 @@ pub struct Cluster {
     strategy: Arc<RailgunStrategy>,
     config: ClusterConfig,
     telemetry: Arc<EngineTelemetry>,
-    autoscaler: Autoscaler,
-    /// Ids of nodes that have left (killed, drained, decommissioned):
+    /// Ids of nodes that have left (killed or drained):
     /// collects against their tickets fail promptly with
     /// [`RailgunError::NodeLost`] instead of timing out.
     departed: Vec<u32>,
@@ -180,7 +173,6 @@ impl Cluster {
             nodes,
             strategy,
             telemetry,
-            autoscaler: Autoscaler::new(config.autoscaler.clone()),
             departed: Vec::new(),
             next_node_id: config.nodes,
             next_client_id: CLIENT_ID_BASE,
@@ -379,7 +371,7 @@ impl Cluster {
     }
 
     /// Resolve a ticket's owning node to its current index. A ticket
-    /// whose front-end left the cluster (killed, drained, decommissioned)
+    /// whose front-end left the cluster (killed or drained)
     /// fails promptly with [`RailgunError::NodeLost`] — the reply will
     /// never come, so making the caller wait out the collect timeout
     /// would only serialize the loss; one that never existed is an
@@ -497,28 +489,9 @@ impl Cluster {
         })
     }
 
-    /// Pump all nodes once, returning every completed-but-unclaimed client
-    /// response (legacy harness consumption; async callers use
-    /// [`Cluster::try_collect`] instead).
-    pub fn pump(&mut self) -> Result<Vec<ClientResponse>> {
-        let mut out = Vec::new();
-        for node in &mut self.nodes {
-            node.pump()?;
-            out.extend(node.frontend_mut().take_completed());
-        }
-        Ok(out)
-    }
-
     /// Advance the logical clock (heartbeat/failure detection).
     pub fn advance_time(&self, now_ms: u64) {
         self.bus.advance_to(now_ms);
-    }
-
-    /// Gracefully decommission a node (leaves consumer groups, triggers a
-    /// rebalance).
-    pub fn decommission_node(&mut self, idx: usize) -> Result<()> {
-        self.remove_node(idx)?.shutdown();
-        self.settle()
     }
 
     /// Take node `idx` out of the cluster, remembering its id as departed.
@@ -583,37 +556,11 @@ impl Cluster {
                 return Err(e);
             }
         };
-        self.remove_node(idx)?.shutdown();
+        self.remove_node(idx)?;
         self.strategy.clear_draining(node_id);
         self.settle()?;
         self.telemetry.drain_counter().incr();
         Ok(flushed)
-    }
-
-    /// Feed the autoscaler controller one telemetry observation and
-    /// execute its decision (add a node, or drain the newest one).
-    /// Returns the decision already carried out. Call at a fixed cadence
-    /// — the controller's streak and cooldown constants are denominated
-    /// in calls (see [`crate::elastic`]). A no-op unless
-    /// `ClusterConfig::autoscaler.enabled`.
-    pub fn autoscale_tick(&mut self) -> Result<ScaleDecision> {
-        let snap = self.telemetry.snapshot();
-        let decision = self.autoscaler.observe(&snap, self.nodes.len());
-        match decision {
-            ScaleDecision::Hold => {}
-            ScaleDecision::Add => {
-                self.add_node()?;
-                self.telemetry.autoscaler_add_counter().incr();
-            }
-            ScaleDecision::Shrink => {
-                // Drain the newest node: the older nodes hold the
-                // longest-lived state and the warmest caches.
-                let idx = self.nodes.len() - 1;
-                self.drain_node(idx)?;
-                self.telemetry.autoscaler_shrink_counter().incr();
-            }
-        }
-        Ok(decision)
     }
 
     /// Add a fresh node to the running cluster (elasticity). If the

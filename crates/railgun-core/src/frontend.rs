@@ -624,9 +624,8 @@ impl FrontEnd {
     /// Drain the reply topic, completing pending requests (steps 5-6).
     /// Also applies operational requests published by other front-ends.
     /// A request whose last reply arrived completes in place in the request
-    /// table — claim its response with [`FrontEnd::try_take`] or
-    /// [`FrontEnd::take_completed`]. Returns true if it published staged
-    /// sends or read an op or a reply.
+    /// table — claim its response with [`FrontEnd::try_take`]. Returns
+    /// true if it published staged sends or read an op or a reply.
     pub fn pump(&mut self) -> Result<bool> {
         // Anything still staged goes out now: a pump is the caller coming
         // back for replies, so holding the batch open any longer only
@@ -767,19 +766,6 @@ impl FrontEnd {
             self.in_flight -= 1;
         }
         dropped.is_some()
-    }
-
-    /// Drain every completed response (in request-id order, so the legacy
-    /// pump-harness consumption stays deterministic).
-    pub fn take_completed(&mut self) -> Vec<ClientResponse> {
-        let mut done: Vec<u64> = self
-            .requests
-            .iter()
-            .filter(|(_, r)| r.missing == 0)
-            .map(|(id, _)| *id)
-            .collect();
-        done.sort_unstable();
-        done.into_iter().filter_map(|id| self.try_take(id)).collect()
     }
 
     /// Schema of a known stream.

@@ -14,9 +14,6 @@
 //! * [`unit`](mod@unit) — processor units running Algorithm 1;
 //! * [`rebalance`] — the sticky, locality-aware assignment strategy
 //!   (Figure 7);
-//! * [`elastic`] — the telemetry-driven autoscaler controller of the
-//!   elastic membership subsystem (Figure 10; handover and drain live
-//!   in [`unit`](mod@unit) and [`cluster`]);
 //! * [`frontend`] — the front-end layer routing events to partitioner
 //!   topics and collecting replies (§3.1), with a pipelined request
 //!   table;
@@ -24,7 +21,12 @@
 //!   processor unit, parked on the bus wakeup path when idle (§3.2);
 //! * [`node`] / [`cluster`] — node assembly and an in-process cluster
 //!   harness used by examples, tests and benches, running either
-//!   deterministically pumped or threaded (`start`/`stop`);
+//!   deterministically pumped or threaded (`start`/`stop`). Elastic
+//!   membership (Figure 10) is three calls there: a node joins with
+//!   [`Cluster::add_node`], leaves planned with [`Cluster::drain_node`]
+//!   (final images, then the handover) or fails with
+//!   [`Cluster::kill_node`]; a task gained in the rebalance restores
+//!   its newest image in [`unit`](mod@unit) and replays only the tail;
 //! * [`api`] — client-facing types and wire encodings, including the
 //!   stable [`QueryId`]s that key reply aggregations;
 //! * [`metrics`] — the telemetry and SLO plane: in-engine stage latency
@@ -37,7 +39,6 @@
 pub mod agg;
 pub mod api;
 pub mod cluster;
-pub mod elastic;
 pub mod expr;
 pub mod frontend;
 pub mod horizon;
@@ -54,7 +55,6 @@ pub mod unit;
 
 pub use api::{find_keyed, AggregationResult, EventRequest, OpRequest, QueryId, Reply};
 pub use cluster::{Cluster, ClusterClient, ClusterConfig, Ticket};
-pub use elastic::{Autoscaler, AutoscalerConfig, ScaleDecision};
 pub use frontend::{BatchPolicy, ClientResponse};
 pub use metrics::{
     BatchingMetrics, ElasticCounters, EngineCounters, EngineTelemetry, MetricsSnapshot,

@@ -270,10 +270,6 @@ pub struct EngineTelemetry {
     handover_fallbacks: Counter,
     /// Scheduled drains that completed (always on).
     drains: Counter,
-    /// Autoscaler scale-up decisions executed (always on).
-    autoscaler_adds: Counter,
-    /// Autoscaler scale-down (drain) decisions executed (always on).
-    autoscaler_shrinks: Counter,
     /// Strictest registered SLO budget in µs (0 = none) — the overload
     /// policy's reference point, read on every `send_event`.
     strictest_slo_us: AtomicU64,
@@ -317,8 +313,6 @@ impl EngineTelemetry {
             tail_replayed: Counter::enabled(),
             handover_fallbacks: Counter::enabled(),
             drains: Counter::enabled(),
-            autoscaler_adds: Counter::enabled(),
-            autoscaler_shrinks: Counter::enabled(),
             strictest_slo_us: AtomicU64::new(0),
             per_query: Mutex::new(FastHashMap::default()),
             tasks: TaskStatsRegistry::new(),
@@ -406,16 +400,6 @@ impl EngineTelemetry {
     /// `Cluster::drain_node`).
     pub fn drain_counter(&self) -> Counter {
         self.drains.clone()
-    }
-
-    /// Counter of executed autoscaler scale-up decisions.
-    pub fn autoscaler_add_counter(&self) -> Counter {
-        self.autoscaler_adds.clone()
-    }
-
-    /// Counter of executed autoscaler scale-down decisions.
-    pub fn autoscaler_shrink_counter(&self) -> Counter {
-        self.autoscaler_shrinks.clone()
     }
 
     /// True iff front-ends should timestamp requests: stage telemetry is
@@ -558,8 +542,6 @@ impl EngineTelemetry {
                 tail_events_replayed: self.tail_replayed.get(),
                 handover_fallbacks: self.handover_fallbacks.get(),
                 drains_completed: self.drains.get(),
-                autoscaler_adds: self.autoscaler_adds.get(),
-                autoscaler_shrinks: self.autoscaler_shrinks.get(),
             },
             tasks: self.tasks.aggregate(),
             state_cache: self.tasks.aggregate_state_cache(),
@@ -633,8 +615,8 @@ pub struct RecoveryCounters {
 /// Elastic-membership counters (always on — every one of these events is
 /// a rebalance-scale occurrence, far off the hot path). Together they
 /// tell the Figure 10 story in numbers: how often state moved by image
-/// instead of replay, how short the replayed tails were, and what the
-/// autoscaler decided.
+/// instead of replay, how short the replayed tails were, and how many
+/// planned drains completed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElasticCounters {
     /// Rebalance-gained tasks restored from a checkpoint image (the fast
@@ -650,10 +632,6 @@ pub struct ElasticCounters {
     pub handover_fallbacks: u64,
     /// Scheduled drains that completed (`Cluster::drain_node`).
     pub drains_completed: u64,
-    /// Autoscaler scale-up decisions executed.
-    pub autoscaler_adds: u64,
-    /// Autoscaler scale-down (drain) decisions executed.
-    pub autoscaler_shrinks: u64,
 }
 
 /// Latency ladder and SLO standing of one registered query.
@@ -696,8 +674,8 @@ pub struct MetricsSnapshot {
     pub batching: BatchingMetrics,
     /// Crash-recovery counters: checkpoint fallbacks (always on).
     pub recovery: RecoveryCounters,
-    /// Elastic-membership counters: handovers, replayed tails, drains,
-    /// autoscaler decisions (always on).
+    /// Elastic-membership counters: handovers, replayed tails and drains
+    /// (always on).
     pub elastic: ElasticCounters,
     /// Aggregated counters over every live task processor (always on).
     pub tasks: TaskStats,
@@ -820,8 +798,6 @@ mod tests {
         t.tail_replayed_counter().add(42);
         t.handover_fallback_counter().incr();
         t.drain_counter().incr();
-        t.autoscaler_add_counter().add(2);
-        t.autoscaler_shrink_counter().incr();
         let snap = t.snapshot();
         assert_eq!(
             snap.elastic,
@@ -830,8 +806,6 @@ mod tests {
                 tail_events_replayed: 42,
                 handover_fallbacks: 1,
                 drains_completed: 1,
-                autoscaler_adds: 2,
-                autoscaler_shrinks: 1,
             }
         );
     }

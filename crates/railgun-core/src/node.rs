@@ -154,8 +154,7 @@ impl Node {
     /// check, so a dead worker surfaces here instead of as a timeout).
     ///
     /// Completed responses wait in the front-end's request table;
-    /// claim them by id with [`FrontEnd::try_take`] or drain them all
-    /// with [`FrontEnd::take_completed`].
+    /// claim them by id with [`FrontEnd::try_take`].
     ///
     /// Returns true if the round did any work: a unit reported a non-zero
     /// count, or the front-end published staged sends or read a message.
@@ -178,17 +177,6 @@ impl Node {
         match &self.backend {
             Backend::Pump(units) => units,
             Backend::Threaded(_) => &[],
-        }
-    }
-
-    /// Gracefully leave all consumer groups (decommission). Stops worker
-    /// threads first if the node is running threaded.
-    pub fn shutdown(&mut self) {
-        let _ = self.stop();
-        if let Backend::Pump(units) = &mut self.backend {
-            for unit in units {
-                unit.shutdown();
-            }
         }
     }
 

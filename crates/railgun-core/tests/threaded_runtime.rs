@@ -235,11 +235,11 @@ fn tickets_survive_node_removal() {
     // Warm the pipeline so both nodes know the stream.
     let (ts, values) = event_values("card-T", 0);
     cluster.send("payments", ts, values).unwrap();
-    // Outstanding request on node index 1 (id 1), then node 0 leaves.
+    // Outstanding request on node index 1 (id 1), then node 0 drains.
     let (ts, values) = event_values("card-T", 1);
     let ticket = cluster.send_async_via(1, "payments", ts, values).unwrap();
     assert_eq!(ticket.node, 1, "ticket carries the node id");
-    cluster.decommission_node(0).unwrap();
+    cluster.drain_node(0).unwrap();
     // Node id 1 now lives at index 0; the ticket must still resolve to it.
     let out = cluster.collect(ticket).unwrap();
     assert!(!out.aggregations.is_empty());

@@ -23,7 +23,6 @@ pub mod latency;
 pub mod queueing;
 
 pub use cluster::{max_sustainable_rate, run_cluster, ClusterRunSummary, ClusterSimConfig};
-pub use railgun_types::Histogram;
 pub use injector::{run_open_loop, InjectorConfig, RunSummary};
 pub use latency::{DiskModel, GcModel, KafkaHopModel, LogNormal};
 pub use queueing::FifoServer;

@@ -33,9 +33,9 @@ pub enum RailgunError {
     /// after collecting outstanding work (front-end backpressure, §3.1).
     Backpressure(String),
     /// The node that owned an in-flight request has left the cluster
-    /// (killed, drained, or decommissioned). The request will never be
-    /// answered by that front-end — resend through a surviving node
-    /// instead of waiting out a collect timeout.
+    /// (killed or drained). The request will never be answered by that
+    /// front-end — resend through a surviving node instead of waiting out
+    /// a collect timeout.
     NodeLost(String),
 }
 

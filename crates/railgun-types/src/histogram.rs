@@ -7,8 +7,7 @@
 //!
 //! Originally part of `railgun-sim`, the histogram moved here so the real
 //! engine's telemetry plane (see [`crate::metrics`]) and the simulated
-//! testbed share one percentile vocabulary. `railgun_sim::Histogram`
-//! remains as a compatibility re-export.
+//! testbed share one percentile vocabulary.
 
 /// A log-linear histogram over `u64` values (microseconds by convention).
 #[derive(Debug, Clone)]

@@ -2,10 +2,10 @@
 //!
 //! This crate defines the vocabulary every other Railgun crate speaks:
 //! [`Event`]s flowing through streams, the dynamically-typed [`Value`]s
-//! carried by their fields, [`Schema`]s describing field layout (with
-//! versioning for schema evolution, see `railgun-reservoir`'s schema
-//! registry), millisecond-resolution [`Timestamp`]s / [`TimeDelta`]s used by
-//! windows, and the common [`RailgunError`] type.
+//! carried by their fields, [`Schema`]s describing field layout (rows
+//! describe themselves, so stored chunks still decode after a schema
+//! evolves), millisecond-resolution [`Timestamp`]s / [`TimeDelta`]s used
+//! by windows, and the common [`RailgunError`] type.
 //!
 //! It also hosts the shared observability vocabulary: the log-bucketed
 //! [`Histogram`] (moved here from `railgun-sim`) and the near-zero-cost

@@ -131,14 +131,13 @@ proptest! {
     }
 }
 
-/// An empty stage is a no-op: pumping a freshly-built cluster flushes
-/// nothing, records nothing, and leaves the cluster fully usable.
+/// An empty stage is a no-op: settling (pumping every node without
+/// claiming replies) a freshly-built cluster flushes nothing, records
+/// nothing, and leaves the cluster fully usable.
 #[test]
 fn empty_stage_pump_is_a_noop() {
     let mut cluster = fresh_cluster("empty", BatchPolicy::default());
-    for _ in 0..3 {
-        cluster.pump().unwrap();
-    }
+    cluster.settle().unwrap();
     let snap = cluster.metrics_snapshot();
     assert_eq!(snap.batching.batch_size.count(), 0);
     assert_eq!(snap.batching.frontend_batched_events, 0);
