@@ -56,9 +56,10 @@ pub struct ClusterConfig {
     pub max_in_flight: usize,
     /// Front-end ingest coalescing policy: pipelined sends are staged and
     /// published as one batch per topic, bounded by
-    /// [`BatchPolicy::max_events`] / [`BatchPolicy::max_delay`].
-    /// Closed-loop (one-in-flight) traffic flushes per event regardless,
-    /// so it costs nothing there (see DESIGN.md § "Batched ingest").
+    /// [`BatchPolicy::max_events`] / [`BatchPolicy::max_delay`], or when
+    /// a collect has to wait. One-in-flight traffic flushes per event
+    /// regardless, so it costs nothing there (see DESIGN.md § "Batched
+    /// ingest").
     pub batch: BatchPolicy,
     /// Wall-clock deadline for blocking collects in threaded mode.
     pub collect_timeout_ms: u64,
@@ -396,18 +397,33 @@ impl Cluster {
             })
     }
 
-    /// Non-blocking collect: pump once and claim the response for `ticket`
-    /// if it has arrived.
+    /// Non-blocking collect: claim the response for `ticket` if it is
+    /// complete, and only otherwise pump once and try again. A call that
+    /// claims without pumping skips the worker health check, so a failed
+    /// worker surfaces at the next collect that has to wait.
     pub fn try_collect(&mut self, ticket: Ticket) -> Result<Option<ClientResponse>> {
         let idx = self.ticket_node(ticket)?;
-        if self.is_running() {
-            // Workers drive the units; only the owning front-end needs a
-            // pump (which also health-checks its node's workers).
-            self.nodes[idx].pump()?;
-        } else {
-            self.pump_round()?;
+        Ok(self.take_or_pump(idx, ticket.request_id)?.0)
+    }
+
+    /// [`FrontEnd::take_or_pump`] for node `idx`'s front-end, where the
+    /// pump is that node's when threaded (workers drive the units; its pump
+    /// health-checks them) and every node's in pump mode. The flag is true
+    /// if it claimed or the pump did work.
+    fn take_or_pump(
+        &mut self,
+        idx: usize,
+        request_id: u64,
+    ) -> Result<(Option<ClientResponse>, bool)> {
+        if let Some(done) = self.nodes[idx].frontend_mut().try_take(request_id) {
+            return Ok((Some(done), true));
         }
-        Ok(self.nodes[idx].frontend_mut().try_take(ticket.request_id))
+        let busy = if self.is_running() {
+            self.nodes[idx].pump()?
+        } else {
+            self.pump_round()?
+        };
+        Ok((self.nodes[idx].frontend_mut().try_take(request_id), busy))
     }
 
     /// Pump every node once (pump mode). True if any node did work.
@@ -429,10 +445,14 @@ impl Cluster {
             .unwrap_or(false)
     }
 
-    /// Blocking collect. In pump mode this pumps round after round while
-    /// the last one did any work (a replaying task can need thousands) and
-    /// fails at the first idle one; in threaded mode it parks on the bus
-    /// wakeup path until the reply arrives or `collect_timeout_ms` elapses.
+    /// Blocking collect. A response that is already complete is claimed
+    /// at once, without publishing the stage or polling the bus (see
+    /// [`FrontEnd::take_or_pump`]). Otherwise, in pump mode this pumps
+    /// round after round while the last one did any work (a replaying task
+    /// can need thousands) and fails at the first idle one; in threaded
+    /// mode it parks on the bus wakeup path until the reply arrives or
+    /// `collect_timeout_ms` elapses, health-checking the owning node's
+    /// workers each time it has to wait.
     pub fn collect(&mut self, ticket: Ticket) -> Result<ClientResponse> {
         let timeout = Duration::from_millis(self.config.collect_timeout_ms);
         let mut rounds = 0u64;
@@ -442,11 +462,13 @@ impl Cluster {
         } else {
             let idx = self.ticket_node(ticket)?;
             loop {
-                rounds += 1;
-                let busy = self.pump_round()?;
-                let reply = self.nodes[idx].frontend_mut().try_take(ticket.request_id);
-                if reply.is_some() || !busy {
+                let (reply, busy) = self.take_or_pump(idx, ticket.request_id)?;
+                if reply.is_some() {
                     break reply;
+                }
+                rounds += 1;
+                if !busy {
+                    break None;
                 }
             }
         };
@@ -640,19 +662,20 @@ impl ClusterClient {
         self.frontend.send_event(stream, ts, values)
     }
 
-    /// Non-blocking collect: drain replies and claim `request_id` if done.
+    /// Non-blocking collect: claim `request_id` if it is complete, and
+    /// only otherwise publish what is staged, drain the replies and try
+    /// again ([`FrontEnd::take_or_pump`]).
     pub fn try_collect(&mut self, request_id: u64) -> Result<Option<ClientResponse>> {
-        self.frontend.pump()?;
-        Ok(self.frontend.try_take(request_id))
+        self.frontend.take_or_pump(request_id)
     }
 
-    /// Blocking collect: park on the bus wakeup path until the response
-    /// arrives or the client's collect timeout elapses.
+    /// Blocking collect: claim the response if it is complete; otherwise
+    /// publish what is staged and park on the bus wakeup path until the
+    /// response arrives or the client's collect timeout elapses.
     pub fn collect(&mut self, request_id: u64) -> Result<ClientResponse> {
         let frontend = &mut self.frontend;
         let reply = wait_reply(&self.bus, self.collect_timeout, || {
-            frontend.pump()?;
-            Ok(frontend.try_take(request_id))
+            frontend.take_or_pump(request_id)
         })?;
         reply.ok_or_else(|| {
             self.cancel(request_id);

@@ -109,6 +109,10 @@ impl RegisteredQuery {
 /// `max_delay` old, every in-flight request is still staged (nothing is
 /// being processed downstream, so holding adds pure latency — this is
 /// what keeps closed-loop latency unregressed), or the front-end pumps.
+/// A collect pumps only when its response is not complete yet
+/// ([`FrontEnd::take_or_pump`]), so a closed loop deeper than one
+/// stages the sends behind a run of answered collects and publishes them
+/// as one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush once this many events are staged.
@@ -165,8 +169,8 @@ impl StreamMeta {
 /// allocations are reused.
 struct StagedTopic {
     topic: String,
-    /// `(partition, key, frame record index)` per staged event.
-    records: Vec<(u32, Vec<u8>, usize)>,
+    /// `(partition, frame record index)` per staged event.
+    records: Vec<(u32, usize)>,
 }
 
 /// One request's record in the front-end's table, from `send_event` to
@@ -231,6 +235,8 @@ pub struct FrontEnd {
     staged_since: Option<Instant>,
     /// Reusable scratch for building `send_batch` entries at flush.
     flush_entries: Vec<BatchEntry>,
+    /// Reusable scratch for an event's partitioner key.
+    key: Vec<u8>,
     /// Reusable poll scratch for the ops and reply consumers.
     scratch: Vec<Message>,
     /// Telemetry: events per flushed batch (always on, one sample per
@@ -291,6 +297,7 @@ impl FrontEnd {
             staged: Vec::new(),
             staged_since: None,
             flush_entries: Vec::new(),
+            key: Vec::new(),
             scratch: Vec::new(),
         })
     }
@@ -429,9 +436,10 @@ impl FrontEnd {
     /// Returns the request id.
     ///
     /// Staged records reach the bus in batches per the front-end's
-    /// [`BatchPolicy`]; with low in-flight pressure the batch degenerates
-    /// to a flush per event, so closed-loop requests see no added
-    /// latency.
+    /// [`BatchPolicy`], or at the next pump. With nothing else in flight
+    /// the event is flushed at once, so a one-deep closed loop sees no
+    /// added latency; a deeper one flushes when a collect first has to
+    /// wait ([`FrontEnd::take_or_pump`]).
     pub fn send_event(
         &mut self,
         stream: &str,
@@ -489,12 +497,13 @@ impl FrontEnd {
         self.frame.push_with(|buf| {
             encode_event_request_into(buf, request_id, &self.reply_topic, event_id, ts, &values)
         });
-        // Step 2 of Figure 3: one record per partitioner, keyed by the
-        // partitioner value so an entity always lands in one partition.
+        // Step 2 of Figure 3: one record per partitioner, partitioned by
+        // the partitioner value so an entity always lands in one
+        // partition. Nothing reads a record's key, so it goes out empty.
         for (t, &idx) in meta.topics.iter().zip(&meta.partitioner_indexes) {
-            let mut key = Vec::with_capacity(16);
-            put_value(&mut key, &values[idx]);
-            let partition = partition_for_key(&key, meta.partitions);
+            self.key.clear();
+            put_value(&mut self.key, &values[idx]);
+            let partition = partition_for_key(&self.key, meta.partitions);
             let slot = match self.staged.iter().position(|s| s.topic == *t) {
                 Some(i) => i,
                 None => {
@@ -505,7 +514,7 @@ impl FrontEnd {
                     self.staged.len() - 1
                 }
             };
-            self.staged[slot].records.push((partition, key, record));
+            self.staged[slot].records.push((partition, record));
         }
         let missing = meta.partitioners.len();
         let sent_at = self.telemetry.wants_request_timing().then(Instant::now);
@@ -589,9 +598,9 @@ impl FrontEnd {
                 continue;
             }
             self.flush_entries.extend(st.records.drain(..).map(
-                |(partition, key, record)| BatchEntry {
+                |(partition, record)| BatchEntry {
                     partition,
-                    key,
+                    key: Vec::new(),
                     payload: frame.slice(record),
                 },
             ));
@@ -621,11 +630,16 @@ impl FrontEnd {
         }
     }
 
-    /// Drain the reply topic, completing pending requests (steps 5-6).
-    /// Also applies operational requests published by other front-ends.
-    /// A request whose last reply arrived completes in place in the request
-    /// table — claim its response with [`FrontEnd::try_take`]. Returns
-    /// true if it published staged sends or read an op or a reply.
+    /// Publish everything staged, then drain the reply topic, completing
+    /// pending requests (steps 5-6). Also applies operational requests
+    /// published by other front-ends. A request whose last reply arrived
+    /// completes in place in the request table — claim its response with
+    /// [`FrontEnd::try_take`]. Returns true if it published staged sends or
+    /// read an op or a reply.
+    ///
+    /// The flush is unconditional: a pump does not know which request its
+    /// caller waits for. Collects that do know call
+    /// [`FrontEnd::take_or_pump`], which pumps only when it must wait.
     pub fn pump(&mut self) -> Result<bool> {
         // Anything still staged goes out now: a pump is the caller coming
         // back for replies, so holding the batch open any longer only
@@ -747,6 +761,20 @@ impl FrontEnd {
             }
             self.apply_remote_ops(&buf);
         }
+    }
+
+    /// Claim the response for `request_id` if it is complete; only if it
+    /// is not, [`FrontEnd::pump`] and try again — the step of every
+    /// collect. A closed loop thus claims the replies of a whole run
+    /// without a bus hop, and the sends it stages behind them go out as
+    /// one batch when a collect first has to wait (or earlier, by the
+    /// [`BatchPolicy`] of a later send).
+    pub fn take_or_pump(&mut self, request_id: u64) -> Result<Option<ClientResponse>> {
+        if let Some(done) = self.try_take(request_id) {
+            return Ok(Some(done));
+        }
+        self.pump()?;
+        Ok(self.try_take(request_id))
     }
 
     /// Claim the completed response for `request_id`, if it has arrived.

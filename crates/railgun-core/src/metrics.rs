@@ -356,7 +356,8 @@ impl EngineTelemetry {
     }
 
     /// The batch-size recorder: front-ends record the event count of
-    /// every flushed ingest batch (always on — one sample per batch).
+    /// every flushed ingest batch and units the length of every same-task
+    /// run (always on — one sample per batch or run).
     pub fn batch_size_recorder(&self) -> Recorder {
         self.batch_size.clone()
     }
@@ -554,8 +555,10 @@ impl EngineTelemetry {
 /// is recorded once per batch, never per event).
 #[derive(Debug, Clone, Default)]
 pub struct BatchingMetrics {
-    /// Events per flushed front-end ingest batch (a histogram over batch
-    /// sizes, not latencies — p50 of 1 means mostly closed-loop traffic).
+    /// Batch sizes, not latencies, from two sources in one histogram:
+    /// events per flushed front-end ingest batch, and events per same-task
+    /// run a processor unit processed. A p50 of 1 means batches of one on
+    /// at least one side; the two counters below tell the sides apart.
     pub batch_size: Histogram,
     /// Events front-ends published in batches of ≥ 2.
     pub frontend_batched_events: u64,

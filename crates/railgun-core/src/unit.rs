@@ -628,7 +628,7 @@ impl ProcessorUnit {
         let Some(slot) = self
             .slots
             .iter_mut()
-            .find(|s| s.tp.partition == head.partition && s.tp.topic == head.topic)
+            .find(|s| s.tp.partition == head.partition && *s.tp.topic == *head.topic)
         else {
             return Ok(0); // not ours (stale fetch across rebalance)
         };

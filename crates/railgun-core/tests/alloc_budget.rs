@@ -69,27 +69,32 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Most allocations one closed-loop event may cost (send → unit pump →
 /// front-end pump → take), whatever its arity. The worst of 64 measured
-/// 15 (2 fields), 14 (103 fields) and 17 (2 fields, every row insert a
-/// state-cache miss: the victim's write-back is a store put of a new key)
-/// once rows stayed decoded in the state cache; 14 and 14 once the
+/// 11 (2 fields), 10 (103 fields) and 13 (2 fields, every row insert a
+/// state-cache miss) once bus records carried a shared topic name and no
+/// key, and a cursor asked the I/O thread to prefetch only a written
+/// chunk (whether the next chunk was written yet decided whether the
+/// event sent a request, and the channel allocates a block every 31: the
+/// third stream read 17 or 18 by timing); 15, 14 and 17 once rows stayed
+/// decoded in the state cache (the victim's write-back is a store put of
+/// a new key); 14 and 14 once the
 /// front-end read replies
 /// without allocating per result and the unit read reply topics in place;
 /// 20 and 20 once tasks wrote replies straight into the unit's frame; 27
 /// and 27 before; 28 and 27 when events became rows; before that the
 /// 2-field stream made 39 (budget 48) and every further string field one
 /// more.
-const EVENT_BUDGET: u64 = 17;
+const EVENT_BUDGET: u64 = 13;
 
 /// The same for an event of the `cards` stream, whose 23-result reply
 /// costs the front-end what its values cost (a topK report) plus one
 /// entity, not a name and an entity per result; a row that misses the
 /// state cache decodes into the buffers of the entry it replaces. The
-/// worst of 64 measured 31
-/// once rows and sketches stayed decoded in the task's state cache
-/// (neither decoded nor encoded, nor written to the store, per event); 64
-/// before, 142 once tasks wrote replies straight into the unit's frame,
-/// 264 before that.
-const WIDE_PLAN_BUDGET: u64 = 31;
+/// worst of 64 measured 27 once bus records carried a shared topic name
+/// and no key; 31 once rows and sketches stayed decoded in the task's
+/// state cache (neither decoded nor encoded, nor written to the store,
+/// per event); 64 before, 142 once tasks wrote replies straight into the
+/// unit's frame, 264 before that.
+const WIDE_PLAN_BUDGET: u64 = 27;
 
 /// `wide_plan`'s card queries.
 const WIDE_PLAN: &[&str] = &[

@@ -9,6 +9,7 @@
 //! same (topic, partition) (§3.3).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use railgun_types::{RailgunError, Result};
@@ -41,7 +42,7 @@ pub struct Consumer {
     /// The assigned partitions in fetch order, each with the next offset
     /// to fetch: the one record `assign`, `seek`, a rebalance and every
     /// poll read and write.
-    assigned: Vec<(TopicPartition, u64)>,
+    assigned: Vec<Assigned>,
     /// Bus version observed by the last poll — the anchor
     /// [`Consumer::poll_blocking`] parks against so a produce between poll
     /// and park can never be missed.
@@ -150,8 +151,8 @@ impl Consumer {
 
     /// Reposition consumption of the assigned partition `tp` to `offset`.
     pub fn seek(&mut self, tp: &TopicPartition, offset: u64) {
-        if let Some((_, next)) = self.assigned.iter_mut().find(|(t, _)| t == tp) {
-            *next = offset;
+        if let Some(a) = self.assigned.iter_mut().find(|a| a.tp == *tp) {
+            a.next = offset;
         }
     }
 
@@ -213,26 +214,26 @@ impl Consumer {
             }
             // Fetch round-robin across assigned partitions.
             let mut remaining = max_records;
-            for (tp, next) in &mut self.assigned {
+            for a in &mut self.assigned {
                 if remaining == 0 {
                     break;
                 }
                 let Some(log) = inner
                     .topics
-                    .get(&tp.topic)
-                    .and_then(|t| t.partitions.get(tp.partition as usize))
+                    .get(&a.tp.topic)
+                    .and_then(|t| t.partitions.get(a.tp.partition as usize))
                 else {
                     continue;
                 };
-                let records = log.read_from(*next, remaining);
+                let records = log.read_from(a.next, remaining);
                 let Some(last) = records.last() else {
                     continue;
                 };
-                *next = last.offset + 1;
+                a.next = last.offset + 1;
                 remaining -= records.len();
                 out.extend(records.iter().map(|r| Message {
-                    topic: tp.topic.clone(),
-                    partition: tp.partition,
+                    topic: Arc::clone(&a.topic),
+                    partition: a.tp.partition,
                     offset: r.offset,
                     key: r.key.clone(),
                     payload: r.payload.clone(),
@@ -306,24 +307,34 @@ impl Consumer {
     }
 }
 
+/// One assigned partition.
+struct Assigned {
+    tp: TopicPartition,
+    /// The topic's name, shared by every message fetched from `tp`.
+    topic: Arc<str>,
+    /// The next offset to fetch.
+    next: u64,
+}
+
 /// Position of `tp` in an assignment table.
-fn position_in(assigned: &[(TopicPartition, u64)], tp: &TopicPartition) -> Option<u64> {
-    assigned.iter().find(|(t, _)| t == tp).map(|(_, next)| *next)
+fn position_in(assigned: &[Assigned], tp: &TopicPartition) -> Option<u64> {
+    assigned.iter().find(|a| a.tp == *tp).map(|a| a.next)
 }
 
 /// Replace an assignment table with `partitions` (in their order): a
 /// partition already assigned keeps its position, a new one starts at
 /// `start(tp)`.
 fn reassign(
-    assigned: &mut Vec<(TopicPartition, u64)>,
+    assigned: &mut Vec<Assigned>,
     partitions: Vec<TopicPartition>,
     start: impl Fn(&TopicPartition) -> u64,
 ) {
     *assigned = partitions
         .into_iter()
-        .map(|tp| {
-            let next = position_in(assigned, &tp).unwrap_or_else(|| start(&tp));
-            (tp, next)
+        .map(|tp| Assigned {
+            next: position_in(assigned, &tp).unwrap_or_else(|| start(&tp)),
+            topic: Arc::from(tp.topic.as_str()),
+            tp,
         })
         .collect();
 }

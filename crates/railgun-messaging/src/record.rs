@@ -1,6 +1,7 @@
 //! Wire-level record types.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -44,7 +45,9 @@ pub struct Record {
 /// A record as delivered to a consumer, with its provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
-    pub topic: String,
+    /// The topic's name, shared by every message the consumer fetches
+    /// from one assigned partition (a reference count, not a copy).
+    pub topic: Arc<str>,
     pub partition: u32,
     pub offset: u64,
     pub key: Vec<u8>,
@@ -54,7 +57,7 @@ pub struct Message {
 impl Message {
     /// The (topic, partition) this message came from.
     pub fn topic_partition(&self) -> TopicPartition {
-        TopicPartition::new(self.topic.clone(), self.partition)
+        TopicPartition::new(&*self.topic, self.partition)
     }
 }
 

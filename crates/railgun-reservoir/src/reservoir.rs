@@ -1102,8 +1102,16 @@ impl Cursor {
                         && pos.idx * 4 >= rows.len() * 3
                     {
                         pos.prefetch_sent = true;
+                        // Only a written chunk the cache lacks: the I/O
+                        // thread drops a request for one held as events,
+                        // and whether it is written yet is timing, which
+                        // made this send (and the channel's allocations)
+                        // timing too.
                         let next = ChunkId(pos.chunk + 1);
-                        if !inner.cache.contains(next) {
+                        let written = inner.chunks.get(mi + 1).map(|m| m.state);
+                        if matches!(written, Some(ChunkState::Durable(_)))
+                            && !inner.cache.contains(next)
+                        {
                             let _ = self.shared.io_tx.send(IoCmd::Prefetch(next));
                         }
                     }

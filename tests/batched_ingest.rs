@@ -7,12 +7,15 @@
 //! is pinned at the reservoir level in
 //! `railgun-reservoir/tests/batch_identity.rs`.)
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
+use railgun::engine::api::topic_name;
 use railgun::engine::{BatchPolicy, ClientResponse, Cluster, ClusterConfig};
+use railgun::messaging::TopicPartition;
 use railgun::types::{FieldType, Schema, Timestamp, Value};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -59,37 +62,75 @@ fn fresh_cluster(tag: &str, batch: BatchPolicy) -> Cluster {
     cluster
 }
 
-/// Drive one cluster over `events`, either pipelined (all `send_async`
-/// up front, so the front-end coalesces) or closed-loop (each event is a
-/// synchronous `send` — a batch of one by construction). Returns every
-/// reply in send order plus the processed-event count.
-fn run(tag: &str, events: &[Drawn], threaded: bool, pipelined: bool) -> (Vec<ClientResponse>, u64) {
+/// How a run sends its events and collects the replies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drive {
+    /// Every `send_async` up front, so the front-end coalesces.
+    Pipelined,
+    /// Each event collected before the next is sent, as by a synchronous
+    /// `send`: a batch of one by construction.
+    ClosedLoop,
+    /// A closed loop of this depth: once that many are out, collect the
+    /// oldest before sending the next.
+    Window(usize),
+}
+
+/// Drive `send` and `collect` on `client` over `n` requests as `how`
+/// says, returning every reply in send order. `after_first` runs once,
+/// right after the first collect returns.
+fn drive<C, T, R>(
+    client: &mut C,
+    n: usize,
+    how: Drive,
+    mut send: impl FnMut(&mut C, usize) -> T,
+    mut collect: impl FnMut(&mut C, T) -> R,
+    mut after_first: impl FnMut(&mut C),
+) -> Vec<R> {
+    let depth = match how {
+        Drive::Pipelined => n.max(1),
+        Drive::ClosedLoop => 1,
+        Drive::Window(depth) => depth,
+    };
+    let mut out = Vec::with_capacity(n);
+    let mut window = VecDeque::with_capacity(depth);
+    let mut collect_oldest = |client: &mut C, window: &mut VecDeque<T>, out: &mut Vec<R>| {
+        out.push(collect(client, window.pop_front().expect("one in flight")));
+        if out.len() == 1 {
+            after_first(client);
+        }
+    };
+    for i in 0..n {
+        window.push_back(send(client, i));
+        if window.len() == depth {
+            collect_oldest(client, &mut window, &mut out);
+        }
+    }
+    while !window.is_empty() {
+        collect_oldest(client, &mut window, &mut out);
+    }
+    out
+}
+
+/// Drive one cluster over `events` as `how` says. Returns every reply in
+/// send order plus the processed-event count.
+fn run(tag: &str, events: &[Drawn], threaded: bool, how: Drive) -> (Vec<ClientResponse>, u64) {
     let mut cluster = fresh_cluster(tag, BatchPolicy::default());
     if threaded {
         cluster.start().unwrap();
     }
-    let mut out = Vec::with_capacity(events.len());
-    if pipelined {
-        let mut tickets = Vec::with_capacity(events.len());
-        for (i, &(card, amount, late)) in events.iter().enumerate() {
-            tickets.push(
-                cluster
-                    .send_async("payments", ts(i, late), values(card, amount))
-                    .unwrap(),
-            );
-        }
-        for t in tickets {
-            out.push(cluster.collect(t).unwrap());
-        }
-    } else {
-        for (i, &(card, amount, late)) in events.iter().enumerate() {
-            out.push(
-                cluster
-                    .send("payments", ts(i, late), values(card, amount))
-                    .unwrap(),
-            );
-        }
-    }
+    let out = drive(
+        &mut cluster,
+        events.len(),
+        how,
+        |cluster, i| {
+            let (card, amount, late) = events[i];
+            cluster
+                .send_async("payments", ts(i, late), values(card, amount))
+                .unwrap()
+        },
+        |cluster, t| cluster.collect(t).unwrap(),
+        |_| {},
+    );
     if threaded {
         cluster.stop().unwrap();
     }
@@ -97,10 +138,14 @@ fn run(tag: &str, events: &[Drawn], threaded: bool, pipelined: bool) -> (Vec<Cli
 }
 
 fn assert_identical(events: &[Drawn], threaded: bool, tag: &str) {
-    let (pipelined, processed_p) = run(&format!("{tag}-pipe"), events, threaded, true);
-    let (closed_loop, processed_c) = run(&format!("{tag}-seq"), events, threaded, false);
-    prop_assert_eq!(pipelined, closed_loop);
+    let run = |name: &str, how| run(&format!("{tag}-{name}"), events, threaded, how);
+    let (pipelined, processed_p) = run("pipe", Drive::Pipelined);
+    let (closed_loop, processed_c) = run("seq", Drive::ClosedLoop);
+    let (windowed, processed_w) = run("win", Drive::Window(8));
+    prop_assert_eq!(&pipelined, &closed_loop);
+    prop_assert_eq!(&windowed, &closed_loop);
     prop_assert_eq!(processed_p, processed_c);
+    prop_assert_eq!(processed_w, processed_c);
     prop_assert_eq!(processed_p, events.len() as u64);
 }
 
@@ -111,8 +156,9 @@ fn arb_events(max: usize) -> impl Strategy<Value = Vec<Drawn>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Pump mode: pipelined (coalesced) ingest replies are identical to
-    /// closed-loop ingest over out-of-order, multi-entity streams.
+    /// Pump mode: pipelined (coalesced) ingest and a depth-8 windowed
+    /// closed loop reply identically to one-at-a-time closed-loop ingest
+    /// over out-of-order, multi-entity streams.
     #[test]
     fn pipelined_matches_closed_loop_pump_mode(events in arb_events(48)) {
         assert_identical(&events, false, "pump");
@@ -122,7 +168,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Threaded mode: same identity with the units on worker threads —
+    /// Threaded mode: same identities with the units on worker threads —
     /// per-partition log order is the send order, so replies must not
     /// depend on how the front-end or the workers happened to batch.
     #[test]
@@ -202,4 +248,111 @@ fn stale_stage_is_flushed_on_max_delay() {
         let out = cluster.collect(t).unwrap();
         assert!(!out.aggregations.is_empty());
     }
+}
+
+/// Front-end events published in batches of two or more so far.
+fn batched(cluster: &Cluster) -> u64 {
+    cluster.metrics_snapshot().batching.frontend_batched_events
+}
+
+/// Events on the bus so far: records of the stream's one event topic.
+fn published(cluster: &Cluster) -> u64 {
+    let topic = topic_name("payments", "cardId");
+    let bus = cluster.bus();
+    let partitions = bus.partition_count(&topic).unwrap();
+    let end = |p| bus.end_offset(&TopicPartition::new(topic.as_str(), p)).unwrap();
+    (0..partitions).map(end).sum()
+}
+
+/// A closed loop of depth 8 (collect the oldest, send the next) publishes
+/// its sends in batches once it is past its first collect, driven through
+/// `Cluster::collect` in pump mode. A collect whose response is already in
+/// claims it without flushing the stage, so the sends behind a run of such
+/// collects go out together when a collect first has to wait — in pump
+/// mode, seven at a time. It used to flush on every collect: past the
+/// first, every send went out alone.
+#[test]
+fn a_windowed_closed_loop_publishes_batches_in_pump_mode() {
+    let mut cluster = fresh_cluster("win-pump", BatchPolicy::default());
+    let (mut first, mut collected, mut largest) = (0, 0, 0);
+    let replies = drive(
+        &mut cluster,
+        64,
+        Drive::Window(8),
+        |c, i| {
+            c.send_async("payments", ts(i, 0), values((i % 5) as u8, 3))
+                .unwrap()
+        },
+        |c, t| {
+            let before = published(c);
+            let reply = c.collect(t).unwrap();
+            collected += 1;
+            if collected > 1 {
+                largest = largest.max(published(c) - before);
+            }
+            reply
+        },
+        |c| first = batched(c),
+    );
+    assert!(replies.iter().all(|r| !r.aggregations.is_empty()));
+    assert_eq!(published(&cluster), 64);
+    let since_first = batched(&cluster) - first;
+    assert!(since_first >= 7, "{since_first} events batched past the first collect");
+    assert!(largest >= 7, "the largest batch past the first collect was {largest}");
+}
+
+/// The same loop through a `ClusterClient` of a threaded cluster: its
+/// collect claims a reply that is already in, so the sends behind a run of
+/// replies read in one poll leave as one batch.
+#[test]
+fn a_windowed_closed_loop_publishes_batches_through_a_threaded_client() {
+    let mut cluster = fresh_cluster("win-thr", BatchPolicy::default());
+    cluster.start().unwrap();
+    let mut client = cluster.client().unwrap();
+    let mut first = 0;
+    let replies = drive(
+        &mut client,
+        256,
+        Drive::Window(8),
+        |c, i| {
+            c.send_async("payments", ts(i, 0), values((i % 5) as u8, 3))
+                .unwrap()
+        },
+        |c, id| c.collect(id).unwrap(),
+        |_| first = batched(&cluster),
+    );
+    assert!(replies.iter().all(|r| !r.aggregations.is_empty()));
+    let since_first = batched(&cluster) - first;
+    assert!(since_first > 0, "no event batched past the first collect");
+    cluster.stop().unwrap();
+}
+
+/// A collect that finds its response complete returns without publishing
+/// what is staged; the next collect that has to wait publishes it, and
+/// every ticket is answered (pump mode, so each step is deterministic).
+#[test]
+fn events_staged_behind_an_early_return_leave_with_the_next_wait() {
+    let mut cluster = fresh_cluster("early", BatchPolicy::default());
+    let send = |c: &mut Cluster, i: usize| {
+        c.send_async("payments", ts(i, 0), values((i % 5) as u8, 3))
+            .unwrap()
+    };
+    // `a` goes out alone (nothing else in flight); `b` and `c` stage
+    // behind it. Collecting `a` publishes them, collecting `b` answers
+    // both, so `c` waits complete and unclaimed.
+    let (a, b, c) = (send(&mut cluster, 0), send(&mut cluster, 1), send(&mut cluster, 2));
+    cluster.collect(a).unwrap();
+    cluster.collect(b).unwrap();
+    // `d` goes out at once (nothing else in flight), `e` stages.
+    let d = send(&mut cluster, 3);
+    let e = send(&mut cluster, 4);
+    let staged_at = published(&cluster);
+    // `c` is complete: claimed without a flush, `e` stays staged.
+    assert!(!cluster.collect(c).unwrap().aggregations.is_empty());
+    assert_eq!(published(&cluster), staged_at, "an early return published the stage");
+    // `d` is not: its collect waits, and publishes `e` on the way.
+    assert!(!cluster.collect(d).unwrap().aggregations.is_empty());
+    assert_eq!(published(&cluster), staged_at + 1);
+    assert!(!cluster.collect(e).unwrap().aggregations.is_empty());
+    assert_eq!(cluster.metrics_snapshot().tasks.events_processed, 5);
 }
