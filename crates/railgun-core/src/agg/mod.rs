@@ -39,7 +39,7 @@ use std::sync::Arc;
 use bytes::Buf;
 use railgun_store::{ColumnFamilyId, Db};
 use railgun_types::encode::{
-    get_ivarint, get_uvarint, get_value, put_ivarint, put_uvarint, put_value,
+    get_ivarint, get_uvarint, get_value, put_ivarint, put_str_value, put_uvarint, put_value,
 };
 use railgun_types::hash::{FastHashMap, FxHasher};
 use railgun_types::{RailgunError, Result, Value};
@@ -79,8 +79,11 @@ pub struct AggScratch {
     /// Reusable aux/blob key buffer (the exact path's per-event
     /// `aux_key` allocation removed).
     key_buf: RefCell<Vec<u8>>,
-    /// Reusable per-level cursors for quantile estimates.
+    /// Reusable per-level cursors for quantile estimates, and slot
+    /// positions for a topK ranking.
     rank_buf: RefCell<Vec<usize>>,
+    /// Reusable text of a topK report a reply copies.
+    text_buf: RefCell<String>,
     cache: RefCell<StateCache>,
 }
 
@@ -280,6 +283,7 @@ impl AggScratch {
         AggScratch {
             key_buf: RefCell::default(),
             rank_buf: RefCell::default(),
+            text_buf: RefCell::default(),
             cache: RefCell::new(cache),
         }
     }
@@ -798,12 +802,7 @@ impl AggState {
                 false,
                 |st, _| st.distinct_estimate(),
             )?),
-            AggState::TopK { k } => Value::Str(ctx.scratch.with_sketch(
-                ctx,
-                SketchKind::TopK { k: *k },
-                false,
-                |st, _| st.topk_report(),
-            )?),
+            AggState::TopK { k } => Value::Str(topk_text(*k, ctx, str::to_owned)?),
             AggState::Percentile { rank_bp } => {
                 let rank = f64::from(*rank_bp) / 10_000.0;
                 ctx.scratch
@@ -813,6 +812,16 @@ impl AggState {
                     .map_or(Value::Null, Value::Float)
             }
         })
+    }
+
+    /// Append the encoding of [`AggState::value`] to `buf`. A topK report
+    /// is rendered into the scratch's reused buffers, not a new `String`.
+    pub fn put_value(&self, ctx: &AggContext<'_>, buf: &mut Vec<u8>) -> Result<()> {
+        match self {
+            AggState::TopK { k } => topk_text(*k, ctx, |text| put_str_value(buf, text))?,
+            _ => put_value(buf, &self.value(ctx)?),
+        }
+        Ok(())
     }
 
     /// Heap bytes the state holds beyond itself (a min/max deque's).
@@ -967,6 +976,16 @@ impl AggState {
             }
         })
     }
+}
+
+/// Run `f` on the report of topK leaf `k`'s sketch, rendered into the
+/// scratch's reused buffers.
+fn topk_text<R>(k: u32, ctx: &AggContext<'_>, f: impl FnOnce(&str) -> R) -> Result<R> {
+    ctx.scratch.with_sketch(ctx, SketchKind::TopK { k }, false, |st, scratch| {
+        let mut text = scratch.text_buf.borrow_mut();
+        st.topk_render(&mut scratch.rank_buf.borrow_mut(), &mut text)?;
+        Ok(f(&text))
+    })
 }
 
 /// The sketch an `approx` distinct count with error `err_bp` runs.

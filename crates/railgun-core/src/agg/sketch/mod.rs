@@ -324,13 +324,15 @@ impl SketchState {
         Ok(())
     }
 
-    /// The current top-`k` report (topK modes; see [`TopKSketch::report`]).
-    pub fn topk_report(&self) -> Result<String> {
+    /// The current top-`k` report, into `out` (topK modes; see
+    /// [`TopKSketch::render`]).
+    pub fn topk_render(&self, order: &mut Vec<usize>, out: &mut String) -> Result<()> {
         match self {
-            SketchState::TopK(s) => Ok(s.report()),
-            SketchState::TopKPanes(ring) => Ok(ring.merged().report()),
-            _ => Err(kind_mismatch("topK")),
+            SketchState::TopK(s) => s.render(order, out),
+            SketchState::TopKPanes(ring) => ring.merged().render(order, out),
+            _ => return Err(kind_mismatch("topK")),
         }
+        Ok(())
     }
 
     /// Record a sample (percentile modes).

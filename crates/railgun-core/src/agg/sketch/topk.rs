@@ -83,35 +83,39 @@ impl TopKSketch {
         };
     }
 
-    /// The top `k` monitored slots, heaviest first; ties break by hash
-    /// (unique per slot), so the order is total and the report
-    /// deterministic. Only the top `k` are sorted.
-    fn ranked(&self) -> Vec<&Slot> {
-        let heavier = |a: &&Slot, b: &&Slot| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash));
-        let mut order: Vec<&Slot> = self.slots.iter().collect();
+    /// The positions of the top `k` slots into `order`, heaviest first,
+    /// ties by hash (unique per slot), by bounded insertion: a slot lighter
+    /// than the `k`-th so far costs one comparison, and no more is sorted.
+    fn rank_into(&self, order: &mut Vec<usize>) {
+        let rank = |i: usize| (std::cmp::Reverse(self.slots[i].count), self.slots[i].hash);
         let k = self.k as usize;
-        if order.len() > k {
-            order.select_nth_unstable_by(k, heavier);
-            order.truncate(k);
+        order.clear();
+        for i in 0..self.slots.len() {
+            let me = rank(i);
+            if order.len() == k && order.last().is_some_and(|&j| me > rank(j)) {
+                continue;
+            }
+            let at = order.partition_point(|&j| rank(j) < me);
+            order.truncate(k - 1);
+            order.insert(at, i);
         }
-        order.sort_unstable_by(heavier);
-        order
     }
 
-    /// What a `topK` metric reports: the top `k` as `value=count` pairs,
-    /// heaviest first, comma-separated.
-    pub fn report(&self) -> String {
+    /// What a `topK` metric reports, into `out` (cleared first): the top
+    /// `k` as `value=count` pairs, heaviest first, comma-separated, each
+    /// value as `Display` shows it but `null`. `order` is ranking scratch:
+    /// with both buffers reused, a report allocates nothing.
+    pub fn render(&self, order: &mut Vec<usize>, out: &mut String) {
         use std::fmt::Write;
-        let mut out = String::new();
-        for (i, s) in self.ranked().into_iter().enumerate() {
-            let sep = if i > 0 { "," } else { "" };
-            // (`Value`'s `Display`, but for a lower-case null.)
+        self.rank_into(order);
+        out.clear();
+        for (n, s) in order.iter().map(|&i| &self.slots[i]).enumerate() {
+            let sep = if n > 0 { "," } else { "" };
             let _ = match &s.value {
                 Value::Null => write!(out, "{sep}null={}", s.count),
                 v => write!(out, "{sep}{v}={}", s.count),
             };
         }
-        out
     }
 }
 
@@ -209,8 +213,15 @@ mod tests {
     impl TopKSketch {
         /// The top `k` monitored values with their counts, heaviest first.
         fn top(&self) -> Vec<(Value, i64)> {
-            let ranked = self.ranked().into_iter();
-            ranked.map(|s| (s.value.clone(), s.count)).collect()
+            let mut order = Vec::new();
+            self.rank_into(&mut order);
+            order.iter().map(|&i| (self.slots[i].value.clone(), self.slots[i].count)).collect()
+        }
+
+        fn report(&self) -> String {
+            let mut out = String::new();
+            self.render(&mut Vec::new(), &mut out);
+            out
         }
     }
 
@@ -230,6 +241,61 @@ mod tests {
         let mut parts: Vec<&str> = report.split(',').collect();
         parts.sort_unstable();
         assert_eq!(parts, ["-3=1", "2.5=1", "null=1", "s=1", "true=1"]);
+    }
+
+    /// The report by the definition: every slot sorted by (count desc,
+    /// hash asc), the first `k` rendered through `Value`'s `Display`.
+    fn reference_report(tk: &TopKSketch) -> String {
+        let mut slots: Vec<&Slot> = tk.slots.iter().collect();
+        slots.sort_by(|a, b| b.count.cmp(&a.count).then(a.hash.cmp(&b.hash)));
+        let pairs = slots.iter().take(tk.k as usize).map(|s| match &s.value {
+            Value::Null => format!("null={}", s.count),
+            v => format!("{v}={}", s.count),
+        });
+        pairs.collect::<Vec<_>>().join(",")
+    }
+
+    fn arb_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        (0u8..4, -300i64..300).prop_map(|(kind, n)| match kind {
+            0 => Value::Str(format!("m{n}")),
+            1 => Value::Int(n),
+            2 => Value::Float(n as f64 / 4.0),
+            _ => Value::Null,
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// For any slot set (counts often tied, every value kind) and any
+        /// `k` up to past the slot count, the render is the reference's,
+        /// also into buffers that just held a longer render.
+        #[test]
+        fn the_render_is_the_fully_sorted_reference(
+            slots in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), arb_value(), 1i64..5),
+                0..48,
+            ),
+            k in 1u32..56,
+        ) {
+            let mut slots: Vec<Slot> = slots
+                .into_iter()
+                .map(|(hash, value, count)| Slot { hash, value, count, err: 0 })
+                .collect();
+            slots.sort_by_key(|s| s.hash);
+            slots.dedup_by_key(|s| s.hash);
+            let mut tk = TopKSketch { k, cap: 64, slots };
+            let (mut order, mut out) = (Vec::new(), String::new());
+            tk.render(&mut order, &mut out);
+            proptest::prop_assert_eq!(&out, &reference_report(&tk));
+            // A longer render first, then the shorter into the same buffers.
+            let k = std::mem::replace(&mut tk.k, 56);
+            tk.render(&mut order, &mut out);
+            tk.k = k.min(1 + k / 4);
+            tk.render(&mut order, &mut out);
+            proptest::prop_assert_eq!(&out, &reference_report(&tk));
+        }
     }
 
     #[test]

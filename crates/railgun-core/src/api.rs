@@ -284,7 +284,8 @@ pub fn put_reply_header(
     put_uvarint(buf, results as u64);
 }
 
-/// Append one [`AggregationResult`] of a reply, from borrowed parts.
+/// Append one [`AggregationResult`] of a reply, from borrowed parts: its
+/// [`put_reply_head`], its [`put_reply_entity`], then its value.
 pub fn put_reply_result<'a>(
     buf: &mut Vec<u8>,
     query: QueryId,
@@ -293,14 +294,24 @@ pub fn put_reply_result<'a>(
     entity: impl ExactSizeIterator<Item = &'a Value>,
     value: &Value,
 ) {
+    put_reply_head(buf, query, index, name);
+    put_reply_entity(buf, entity);
+    put_value(buf, value);
+}
+
+/// Append the part of a result that names its metric.
+pub fn put_reply_head(buf: &mut Vec<u8>, query: QueryId, index: u32, name: &str) {
     put_uvarint(buf, query.0);
     put_uvarint(buf, u64::from(index));
     put_bytes(buf, name.as_bytes());
+}
+
+/// Append the part of a result that holds its entity.
+pub fn put_reply_entity<'a>(buf: &mut Vec<u8>, entity: impl ExactSizeIterator<Item = &'a Value>) {
     put_uvarint(buf, entity.len() as u64);
     for v in entity {
         put_value(buf, v);
     }
-    put_value(buf, value);
 }
 
 /// Decode a [`Reply`]: the one reply reader, with no registry to name

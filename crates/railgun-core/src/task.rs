@@ -36,7 +36,9 @@ use railgun_types::{
 };
 
 use crate::agg::{decode_row, encode_slot, AggContext, AggScratch, AggState, STATE_CACHE_BYTES};
-use crate::api::{decode_reply, put_reply_header, put_reply_result, AggregationResult, QueryId};
+use crate::api::{
+    decode_reply, put_reply_entity, put_reply_head, put_reply_header, AggregationResult, QueryId,
+};
 use crate::horizon::{AuxKeyFilter, StateHorizon, StateKeyFilter};
 use crate::keys::{id_prefix, set_prefix, state_key_into};
 use crate::lang::{Query, WindowKind, WindowSpec};
@@ -162,11 +164,16 @@ pub struct TaskProcessor {
     /// the state cache its row was last found: the reply finds the row
     /// the event just updated without hashing its key again.
     row_hints: Vec<usize>,
-    /// Each live leaf's value for the reply being written, by leaf id.
-    values: Vec<Value>,
-    /// Results per reply: one per registered metric (see
-    /// [`TaskProcessor::plan_changed`]).
-    reply_len: usize,
+    /// Each registered metric's result head ([`put_reply_head`]), encoded
+    /// per plan change in reply order (leaves by id, then refs); per
+    /// result, the leaf it reports and where its head ends.
+    head_bytes: Vec<u8>,
+    heads: Vec<(LeafId, usize)>,
+    /// Each live group's entity and each live leaf's value, encoded once
+    /// per reply, and their spans in `parts` by group and by leaf id.
+    parts: Vec<u8>,
+    entity_at: Vec<(usize, usize)>,
+    value_at: Vec<(usize, usize)>,
     /// Scratch reply [`TaskProcessor::process_event`] decodes.
     reply_buf: Vec<u8>,
     /// Per-task scratch for aggregator aux keys, and the state cache that
@@ -288,8 +295,11 @@ impl TaskProcessor {
             row_key: Vec::with_capacity(32),
             key_buf: Vec::with_capacity(32),
             row_hints: Vec::new(),
-            values: Vec::new(),
-            reply_len: 0,
+            head_bytes: Vec::new(),
+            heads: Vec::new(),
+            parts: Vec::new(),
+            entity_at: Vec::new(),
+            value_at: Vec::new(),
             reply_buf: Vec::new(),
             agg_scratch,
             horizon,
@@ -462,11 +472,20 @@ impl TaskProcessor {
     }
 
     /// The plan gained or lost nodes: recompute which schema positions it
-    /// reads and how many results a reply carries, and size the scratch
-    /// row to the schema.
+    /// reads and the head of every result a reply carries, and size the
+    /// scratch row to the schema.
     fn plan_changed(&mut self) {
         let plan = &self.plan;
-        self.reply_len = plan.leaves.iter().map(|l| l.refs.len()).sum();
+        self.head_bytes.clear();
+        self.heads.clear();
+        for (leaf, node) in plan.leaves.iter().enumerate() {
+            for r in &node.refs {
+                put_reply_head(&mut self.head_bytes, r.query, r.index, &r.name);
+                self.heads.push((leaf, self.head_bytes.len()));
+            }
+        }
+        self.entity_at.resize(plan.groups.len(), (0, 0));
+        self.value_at.resize(plan.leaves.len(), (0, 0));
         let set = &mut self.read_set;
         set.clear();
         for group in plan.groups.iter().filter(|g| !g.leaves.is_empty()) {
@@ -478,7 +497,6 @@ impl TaskProcessor {
         }
         set.sort_unstable();
         set.dedup();
-        self.values.resize(plan.leaves.len(), Value::Null);
         self.fields.clear();
         self.fields.resize(self.schema.len(), Value::Null);
     }
@@ -652,7 +670,7 @@ impl TaskProcessor {
         }
 
         // Phase 4: the reply, for this event's entities.
-        put_reply_header(out, request_id, source_topic, duplicate, self.reply_len);
+        put_reply_header(out, request_id, source_topic, duplicate, self.heads.len());
         self.write_results(event, t_eval, out)?;
 
         // Phase 5: periodic retention.
@@ -796,19 +814,22 @@ impl TaskProcessor {
         Ok(())
     }
 
-    /// Write one result per registered metric for the event's entities:
-    /// every live leaf's value, read once and written under each
-    /// `(query, index)` key sharing it. Each group's row is found in the
-    /// state cache once — where the event's update just left it, when
-    /// that is the row being reported — and loaded on a miss (the filter
-    /// rejected the event, the window is delayed, the event was late or a
-    /// duplicate, or the row was evicted since).
+    /// Write one result per registered metric for the event's entities,
+    /// each as copies of bytes encoded once: its head (per plan change),
+    /// its group's entity and its leaf's value (both per event, into
+    /// `parts`). Each group's row is found in the state cache once —
+    /// where the event's update just left it, when that is the row being
+    /// reported — and loaded on a miss (the filter rejected the event, the
+    /// window is delayed, the event was late or a duplicate, or the row
+    /// was evicted since).
     fn write_results(&mut self, event: &Event, t_eval: Timestamp, out: &mut Vec<u8>) -> Result<()> {
         event.project(&self.read_set, &mut self.fields);
         let fields = &self.fields;
-        let (leaves, values, scratch) = (&self.plan.leaves, &mut self.values, &self.agg_scratch);
+        let (leaves, parts, scratch) = (&self.plan.leaves, &mut self.parts, &self.agg_scratch);
         let (db, aux_cf, key) = (&self.db, self.aux_cf, &mut self.key_buf);
+        let value_at = &mut self.value_at;
         let exact = AggContext::new(db, aux_cf, &[], scratch);
+        parts.clear();
         for (gid, group) in self.plan.groups.iter().enumerate() {
             if group.leaves.is_empty() {
                 continue; // unregistered
@@ -816,14 +837,19 @@ impl TaskProcessor {
             let wid = self.plan.filters[group.filter].window;
             let spec = self.plan.windows[wid].spec;
             let entity = group.field_indexes.iter().map(|&i| &fields[i]);
+            let start = parts.len();
+            put_reply_entity(parts, entity.clone());
+            self.entity_at[gid] = (start, parts.len());
             state_key_into(&mut self.row_key, gid as u32, collect_bucket(spec, t_eval), entity);
             let hint = &mut self.row_hints[gid];
             scratch.with_row((db, aux_cf), &self.row_key, hint, false, |slots| {
                 for &leaf in group.leaves.iter().filter(|&&l| !leaves[l].func.is_sketch()) {
-                    values[leaf] = match slots.iter().find(|s| s.0 == leaf as u32) {
-                        Some((_, state)) => state.value(&exact)?,
-                        None => AggState::new(leaves[leaf].func).value(&exact)?,
-                    };
+                    let start = parts.len();
+                    match slots.iter().find(|s| s.0 == leaf as u32) {
+                        Some((_, state)) => state.put_value(&exact, parts)?,
+                        None => AggState::new(leaves[leaf].func).put_value(&exact, parts)?,
+                    }
+                    value_at[leaf] = (start, parts.len());
                 }
                 Ok(())
             })?;
@@ -836,15 +862,18 @@ impl TaskProcessor {
                     let lower = wr.tail_bound.as_millis();
                     ctx = ctx.windowed(t_eval.as_millis(), lower, ws.as_millis());
                 }
-                values[leaf] = AggState::new(leaves[leaf].func).value(&ctx)?;
+                let start = parts.len();
+                AggState::new(leaves[leaf].func).put_value(&ctx, parts)?;
+                value_at[leaf] = (start, parts.len());
             }
         }
-        for (leaf, value) in leaves.iter().zip(values.iter()).filter(|(l, _)| l.is_live()) {
-            let entity = &self.plan.groups[leaf.group].field_indexes;
-            for r in &leaf.refs {
-                let entity = entity.iter().map(|&i| &fields[i]);
-                put_reply_result(out, r.query, r.index, &r.name, entity, value);
-            }
+        let mut head_start = 0;
+        for &(leaf, head_end) in &self.heads {
+            let (entity, value) = (self.entity_at[leaves[leaf].group], value_at[leaf]);
+            out.extend_from_slice(&self.head_bytes[head_start..head_end]);
+            out.extend_from_slice(&parts[entity.0..entity.1]);
+            out.extend_from_slice(&parts[value.0..value.1]);
+            head_start = head_end;
         }
         Ok(())
     }

@@ -1,19 +1,20 @@
 //! What a task replies, end to end: the reply bytes a processor unit
-//! publishes are what `TaskProcessor::process_event` reports, and a state
-//! image written while rows still cached each sketch leaf's value answers
-//! as the engine that wrote it did.
+//! publishes are what `TaskProcessor::process_event` reports, every reply
+//! carries one result per registered metric as the plan changes under
+//! it, and a state image written while rows still cached each sketch
+//! leaf's value answers as the engine that wrote it did.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use railgun_core::api::{
-    encode_event_request, encode_reply, reply_topic_name, EventRequest, Reply,
+    decode_reply, encode_event_request, encode_reply, reply_topic_name, EventRequest, Reply,
 };
 use railgun_core::frontend::{BatchPolicy, FrontEnd};
 use railgun_core::unit::{ProcessorUnit, UnitConfig};
 use railgun_core::{
-    parse_query, EngineTelemetry, Query, QueryId, RailgunStrategy, RestoreOutcome, TaskConfig,
-    TaskProcessor,
+    parse_query, EngineTelemetry, MetricHandle, Query, QueryId, RailgunStrategy, RestoreOutcome,
+    TaskConfig, TaskProcessor,
 };
 use railgun_messaging::{Consumer, MessageBus, Producer, TopicPartition};
 use railgun_types::encode::crc32c;
@@ -143,6 +144,79 @@ fn the_unit_publishes_what_process_event_reports() {
         );
     }
     assert_eq!(duplicates, 1);
+}
+
+/// A metric two queries share: one leaf with two refs, a third from
+/// `WIDE`'s 1-minute sums.
+const SHARED: &str = "SELECT sum(amount) FROM payments GROUP BY cardId OVER sliding 1 min";
+
+/// A query registered mid-stream, on a group of its own.
+const LATER: &str =
+    "SELECT max(amount), last(cardId) FROM payments GROUP BY merchantId OVER sliding 30 sec";
+
+/// A registered metric, and the schema positions of its group-by fields.
+type Registered = (MetricHandle, Vec<usize>);
+
+/// Attach `text` as query `id` and add its metrics to `plan`.
+fn attach(task: &mut TaskProcessor, plan: &mut Vec<Registered>, id: u64, text: &str) {
+    let query = parse_query(text).unwrap();
+    let fields = ["cardId", "merchantId", "amount"];
+    let position = |f: &String| fields.iter().position(|g| g == f).unwrap();
+    let group_by: Vec<usize> = query.group_by.iter().map(position).collect();
+    let handles = task.attach_query(QueryId(id), &query).unwrap();
+    plan.extend(handles.into_iter().map(|h| (h, group_by.clone())));
+}
+
+/// Answer `wide_event(events)` and check each reply: exactly one result
+/// per metric of `plan` and no other, each entity the event's group-by
+/// values.
+fn answer_against(task: &mut TaskProcessor, plan: &[Registered], events: std::ops::Range<u64>) {
+    let mut want: Vec<_> = plan.iter().map(|(h, _)| (h.query, h.index, h.name.as_str())).collect();
+    want.sort_unstable();
+    let mut buf = Vec::new();
+    for i in events {
+        let event = wide_event(i);
+        buf.clear();
+        task.process_event_into(&event, i, TOPIC, &mut buf).unwrap();
+        let reply = decode_reply(&buf).unwrap();
+        let mut got: Vec<_> = reply.results.iter().map(|r| (r.query, r.index, &*r.name)).collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "event {i}");
+        for r in &reply.results {
+            let key = (r.query, r.index);
+            let (_, group_by) = plan.iter().find(|(h, _)| (h.query, h.index) == key).unwrap();
+            let entity: Vec<Value> = group_by.iter().map(|&f| event.values()[f].clone()).collect();
+            assert_eq!(*r.entity, *entity, "event {i}, {}", r.name);
+        }
+    }
+}
+
+/// Every reply carries each registered metric's `(query, index, name)`
+/// exactly once and nothing else, each with the event's group-by values
+/// as its entity, while queries sharing a leaf come and go: one of two
+/// sharing queries is unregistered, another query is registered, and the
+/// removed text comes back under a new id.
+#[test]
+fn reply_heads_follow_the_plan() {
+    let mut task =
+        TaskProcessor::open(&temp_dir("heads"), TOPIC, 0, schema(), TaskConfig::default()).unwrap();
+    let mut plan = Vec::new();
+    attach(&mut task, &mut plan, 1, SHARED);
+    attach(&mut task, &mut plan, 2, SHARED);
+    for (n, q) in WIDE.iter().enumerate() {
+        attach(&mut task, &mut plan, 10 + n as u64, q);
+    }
+    let shared = plan.iter().filter(|(h, _)| h.leaf == plan[0].0.leaf).count();
+    assert_eq!((plan.len(), shared), (25, 3), "SHARED's leaf has three refs");
+    answer_against(&mut task, &plan, 0..150);
+    assert!(task.unregister_query(QueryId(1)).unwrap());
+    plan.retain(|(h, _)| h.query != QueryId(1));
+    answer_against(&mut task, &plan, 150..300);
+    attach(&mut task, &mut plan, 3, LATER);
+    answer_against(&mut task, &plan, 300..450);
+    attach(&mut task, &mut plan, 4, SHARED);
+    assert_eq!(plan.len(), 27);
+    answer_against(&mut task, &plan, 450..600);
 }
 
 /// `PARENT_CHECKPOINT`'s plan: exact and sketch leaves over a sliding and

@@ -190,11 +190,14 @@ pub fn put_value(buf: &mut impl BufMut, v: &Value) {
             buf.put_u8(TAG_FLOAT);
             buf.put_f64_le(*f);
         }
-        Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            put_bytes(buf, s.as_bytes());
-        }
+        Value::Str(s) => put_str_value(buf, s),
     }
+}
+
+/// What [`put_value`] appends for a `Value::Str` holding `s`.
+pub fn put_str_value(buf: &mut impl BufMut, s: &str) {
+    buf.put_u8(TAG_STR);
+    put_bytes(buf, s.as_bytes());
 }
 
 /// Why walking an [`Event`]'s row cannot fail.
