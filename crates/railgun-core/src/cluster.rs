@@ -1,21 +1,26 @@
 //! In-process cluster harness.
 //!
-//! Assembles a whole Railgun deployment — message bus, nodes, processor
+//! Assembles a whole Railgun deployment — message bus, nodes of processor
 //! units, the shared sticky assignment strategy — behind a facade used by
 //! the examples, the integration tests, and the benchmark drivers.
 //!
+//! Every request goes through a [`ClusterClient`]: a front-end (§3.1)
+//! with its own reply topic over the shared bus. The cluster owns one,
+//! front-end id 0, behind its stream, query and send calls; each
+//! [`Cluster::client`] is another, for a client thread of its own.
+//!
 //! Two execution modes (DESIGN.md § "Execution modes"):
 //!
-//! * **pump** (default) — `send` pumps the cluster inline until the reply
-//!   for the event has been collected, mirroring the six steps of
+//! * **pump** (default) — a collect pumps every node's units and the
+//!   cluster's client until the reply is in, mirroring the six steps of
 //!   Figure 3 deterministically;
 //! * **threaded** — [`Cluster::start`] spawns one worker thread per
-//!   processor unit; clients then pipeline many requests with
-//!   [`Cluster::send_async`] / [`Cluster::try_collect`] (or per-thread
-//!   [`ClusterClient`]s) while the synchronous `send` keeps working as a
-//!   thin wrapper.
+//!   processor unit; a collect parks on the bus until the reply is in.
+//!
+//! Both run one collect loop; only its wait step differs.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,6 +33,7 @@ use crate::lang::Query;
 use crate::metrics::{EngineTelemetry, MetricsSnapshot};
 use crate::node::Node;
 use crate::rebalance::RailgunStrategy;
+use crate::runtime::health;
 use crate::task::TaskConfig;
 
 /// Cluster-wide configuration.
@@ -112,18 +118,9 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Correlation handle for an asynchronous send: which node's front-end
-/// owns the request (by stable node **id**, so tickets survive other
-/// nodes being killed or drained), and its id there. Request ids
-/// are per-front-end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ticket {
-    pub node: u32,
-    pub request_id: u64,
-}
-
-/// Client ids start here so their reply topics and event-id namespaces
-/// never collide with node front-ends (node ids are small and dense).
+/// Front-end ids of [`Cluster::client`]s start here; the cluster's own
+/// client is 0, which keeps every query id it assigns a one-byte uvarint
+/// on the wire.
 const CLIENT_ID_BASE: u32 = 1 << 20;
 
 /// An in-process Railgun cluster.
@@ -133,13 +130,11 @@ pub struct Cluster {
     strategy: Arc<RailgunStrategy>,
     config: ClusterConfig,
     telemetry: Arc<EngineTelemetry>,
-    /// Ids of nodes that have left (killed or drained):
-    /// collects against their tickets fail promptly with
-    /// [`RailgunError::NodeLost`] instead of timing out.
-    departed: Vec<u32>,
+    /// The cluster's own client (front-end id 0): every stream, query and
+    /// send call of the cluster goes through it.
+    client: ClusterClient,
     next_node_id: u32,
     next_client_id: u32,
-    rr_node: usize,
 }
 
 impl Cluster {
@@ -159,26 +154,22 @@ impl Cluster {
         config.task.store.flush_recorder = telemetry.store_flush_recorder();
         config.task.checkpoint_fallbacks = telemetry.checkpoint_fallback_counter();
         let strategy = Arc::new(RailgunStrategy::new(config.replication));
-        let mut nodes = Vec::with_capacity(config.nodes as usize);
-        for id in 0..config.nodes {
-            nodes.push(Node::new(
-                &bus,
-                id,
-                &config,
-                Arc::clone(&strategy),
-                Arc::clone(&telemetry),
-            )?);
-        }
+        // Built first: a front-end creates the ops and checkpoint topics
+        // every unit subscribes to.
+        let failed = Arc::new(AtomicBool::new(false));
+        let client = ClusterClient::connect(&bus, 0, &config, Arc::clone(&telemetry), failed)?;
+        let nodes = (0..config.nodes)
+            .map(|id| Node::new(&bus, id, &config, &strategy, &telemetry))
+            .collect::<Result<_>>()?;
         Ok(Cluster {
             bus,
             nodes,
             strategy,
             telemetry,
-            departed: Vec::new(),
+            client,
             next_node_id: config.nodes,
             next_client_id: CLIENT_ID_BASE,
             config,
-            rr_node: 0,
         })
     }
 
@@ -219,7 +210,7 @@ impl Cluster {
     ) -> Result<()> {
         let partitions = self.config.partitions;
         let replication = self.config.replication as u32;
-        self.nodes[0].frontend_mut().create_stream(
+        self.client.frontend.create_stream(
             &self.bus,
             stream,
             schema,
@@ -234,7 +225,7 @@ impl Cluster {
     /// the query's stable id — the key its aggregations carry in replies
     /// and the handle for [`Cluster::unregister_query`].
     pub fn register_query(&mut self, query_text: &str) -> Result<QueryId> {
-        let id = self.nodes[0].frontend_mut().register_query(query_text)?;
+        let id = self.client.register_query(query_text)?;
         self.settle()?;
         Ok(id)
     }
@@ -242,7 +233,7 @@ impl Cluster {
     /// Register a builder-constructed query (see
     /// [`crate::lang::QueryBuilder`]) and propagate it to every unit.
     pub fn register(&mut self, query: &Query) -> Result<QueryId> {
-        let id = self.nodes[0].frontend_mut().register_query_ast(query)?;
+        let id = self.client.register(query)?;
         self.settle()?;
         Ok(id)
     }
@@ -251,34 +242,35 @@ impl Cluster {
     /// replies and every task tears down its aggregator state and any
     /// window cursors nothing else shares.
     pub fn unregister_query(&mut self, id: QueryId) -> Result<()> {
-        self.nodes[0].frontend_mut().unregister_query(id)?;
+        self.client.unregister_query(id)?;
         self.settle()
     }
 
     /// Live query registrations, in id order.
     pub fn queries(&self) -> Vec<RegisteredQuery> {
-        self.nodes[0].frontend().queries()
+        self.client.queries()
     }
 
     /// Schema of a registered stream, if known.
     pub fn stream_schema(&self, stream: &str) -> Option<Schema> {
-        self.nodes[0].frontend().stream_schema(stream)
+        self.client.frontend.stream_schema(stream)
     }
 
     /// Remove a stream: broadcasts the deletion (units drop its task
     /// processors) and deletes its event topics.
     pub fn delete_stream(&mut self, stream: &str) -> Result<()> {
-        self.nodes[0].frontend_mut().delete_stream(&self.bus, stream)?;
+        self.client.frontend.delete_stream(&self.bus, stream)?;
         self.settle()
     }
 
-    /// Pump every node a few times so ops/rebalances propagate. In
-    /// threaded mode the units apply ops asynchronously on their worker
-    /// threads, so this only drives the front-ends (registrations are
-    /// picked up within the workers' wakeup latency).
+    /// Pump every node and the cluster's client a few times so
+    /// ops/rebalances propagate. In threaded mode the units apply ops
+    /// asynchronously on their worker threads, so this only drives the
+    /// client (registrations are picked up within the workers' wakeup
+    /// latency).
     pub fn settle(&mut self) -> Result<()> {
         for _ in 0..4 {
-            self.pump_round()?;
+            pump_round(&mut self.nodes, &mut self.client.frontend)?;
         }
         Ok(())
     }
@@ -288,13 +280,14 @@ impl Cluster {
     /// pump path remains available after [`Cluster::stop`].
     pub fn start(&mut self) -> Result<()> {
         for node in &mut self.nodes {
-            node.start()?;
+            node.start(&self.client.failed)?;
         }
         Ok(())
     }
 
     /// Stop the threaded runtime (if running) and return to pump mode with
-    /// all unit state intact. Idempotent; propagates worker panics/errors.
+    /// all unit state intact. Idempotent; propagates worker panics/errors,
+    /// after which the cluster is healthy again.
     pub fn stop(&mut self) -> Result<()> {
         let mut result = Ok(());
         for node in &mut self.nodes {
@@ -302,6 +295,7 @@ impl Cluster {
                 result = Err(e);
             }
         }
+        self.client.failed.store(false, Ordering::Release);
         result
     }
 
@@ -310,181 +304,69 @@ impl Cluster {
         self.nodes.iter().any(Node::is_running)
     }
 
-    /// Send one event through a front-end (round-robin across nodes) and
-    /// wait for its aggregations — a thin synchronous wrapper around
-    /// [`Cluster::send_async`] + [`Cluster::collect`].
+    /// Send one event and wait for its aggregations — a thin synchronous
+    /// wrapper around [`Cluster::send_async`] + [`Cluster::collect`].
     pub fn send(
         &mut self,
         stream: &str,
         ts: Timestamp,
         values: Vec<Value>,
     ) -> Result<ClientResponse> {
-        let ticket = self.send_async(stream, ts, values)?;
-        self.collect(ticket)
+        let id = self.send_async(stream, ts, values)?;
+        self.collect(id)
     }
 
-    /// Send through a specific node's front-end and wait for the reply.
-    pub fn send_via(
-        &mut self,
-        node_idx: usize,
-        stream: &str,
-        ts: Timestamp,
-        values: Vec<Value>,
-    ) -> Result<ClientResponse> {
-        let ticket = self.send_async_via(node_idx, stream, ts, values)?;
-        self.collect(ticket)
-    }
-
-    /// Fire-and-correlate: publish one event through a round-robin
-    /// front-end and return a [`Ticket`] immediately. Many requests can be
-    /// outstanding at once, bounded per front-end by
-    /// `ClusterConfig::max_in_flight` ([`RailgunError::Backpressure`]
-    /// when exceeded — collect and retry).
+    /// Fire-and-correlate: publish one event through the cluster's client
+    /// and return its request id immediately. Many requests can be
+    /// outstanding at once, bounded by `ClusterConfig::max_in_flight`
+    /// ([`RailgunError::Backpressure`] when exceeded — collect and retry).
     pub fn send_async(
         &mut self,
         stream: &str,
         ts: Timestamp,
         values: Vec<Value>,
-    ) -> Result<Ticket> {
-        let node_idx = self.rr_node % self.nodes.len();
-        self.rr_node += 1;
-        self.send_async_via(node_idx, stream, ts, values)
+    ) -> Result<u64> {
+        self.client.send_async(stream, ts, values)
     }
 
-    /// [`Cluster::send_async`] through a specific node's front-end.
-    pub fn send_async_via(
-        &mut self,
-        node_idx: usize,
-        stream: &str,
-        ts: Timestamp,
-        values: Vec<Value>,
-    ) -> Result<Ticket> {
-        if node_idx >= self.nodes.len() {
-            return Err(RailgunError::InvalidArgument(format!("no node {node_idx}")));
+    /// Non-blocking collect: claim the response for `request_id` if it is
+    /// complete, and only otherwise pump once (every node's units in pump
+    /// mode, and the cluster's client) and try again.
+    pub fn try_collect(&mut self, request_id: u64) -> Result<Option<ClientResponse>> {
+        let frontend = &mut self.client.frontend;
+        if let Some(done) = frontend.try_take(request_id) {
+            return Ok(Some(done));
         }
-        let request_id = self.nodes[node_idx]
-            .frontend_mut()
-            .send_event(stream, ts, values)?;
-        Ok(Ticket {
-            node: self.nodes[node_idx].id,
-            request_id,
-        })
-    }
-
-    /// Resolve a ticket's owning node to its current index. A ticket
-    /// whose front-end left the cluster (killed or drained)
-    /// fails promptly with [`RailgunError::NodeLost`] — the reply will
-    /// never come, so making the caller wait out the collect timeout
-    /// would only serialize the loss; one that never existed is an
-    /// [`RailgunError::InvalidArgument`].
-    fn ticket_node(&self, ticket: Ticket) -> Result<usize> {
-        self.nodes
-            .iter()
-            .position(|n| n.id == ticket.node)
-            .ok_or_else(|| {
-                if self.departed.contains(&ticket.node) {
-                    RailgunError::NodeLost(format!(
-                        "node {} left the cluster with request {} outstanding — \
-                         resend through a surviving node",
-                        ticket.node, ticket.request_id
-                    ))
-                } else {
-                    RailgunError::InvalidArgument(format!(
-                        "ticket for unknown node {}",
-                        ticket.node
-                    ))
-                }
-            })
-    }
-
-    /// Non-blocking collect: claim the response for `ticket` if it is
-    /// complete, and only otherwise pump once and try again. A call that
-    /// claims without pumping skips the worker health check, so a failed
-    /// worker surfaces at the next collect that has to wait.
-    pub fn try_collect(&mut self, ticket: Ticket) -> Result<Option<ClientResponse>> {
-        let idx = self.ticket_node(ticket)?;
-        Ok(self.take_or_pump(idx, ticket.request_id)?.0)
-    }
-
-    /// [`FrontEnd::take_or_pump`] for node `idx`'s front-end, where the
-    /// pump is that node's when threaded (workers drive the units; its pump
-    /// health-checks them) and every node's in pump mode. The flag is true
-    /// if it claimed or the pump did work.
-    fn take_or_pump(
-        &mut self,
-        idx: usize,
-        request_id: u64,
-    ) -> Result<(Option<ClientResponse>, bool)> {
-        if let Some(done) = self.nodes[idx].frontend_mut().try_take(request_id) {
-            return Ok((Some(done), true));
-        }
-        let busy = if self.is_running() {
-            self.nodes[idx].pump()?
-        } else {
-            self.pump_round()?
-        };
-        Ok((self.nodes[idx].frontend_mut().try_take(request_id), busy))
-    }
-
-    /// Pump every node once (pump mode). True if any node did work.
-    fn pump_round(&mut self) -> Result<bool> {
-        let mut busy = false;
-        for node in &mut self.nodes {
-            busy |= node.pump()?;
-        }
-        Ok(busy)
+        pump_round(&mut self.nodes, frontend)?;
+        Ok(frontend.try_take(request_id))
     }
 
     /// Abandon an outstanding request: frees its in-flight slot (and any
     /// already-completed response). Call after a collect timeout so
     /// repeated failures cannot wedge the front-end in permanent
     /// backpressure. Returns true if anything was dropped.
-    pub fn cancel(&mut self, ticket: Ticket) -> bool {
-        self.ticket_node(ticket)
-            .map(|idx| self.nodes[idx].frontend_mut().abandon(ticket.request_id))
-            .unwrap_or(false)
+    pub fn cancel(&mut self, request_id: u64) -> bool {
+        self.client.cancel(request_id)
     }
 
-    /// Blocking collect. A response that is already complete is claimed
-    /// at once, without publishing the stage or polling the bus (see
-    /// [`FrontEnd::take_or_pump`]). Otherwise, in pump mode this pumps
-    /// round after round while the last one did any work (a replaying task
-    /// can need thousands) and fails at the first idle one; in threaded
-    /// mode it parks on the bus wakeup path until the reply arrives or
-    /// `collect_timeout_ms` elapses, health-checking the owning node's
-    /// workers each time it has to wait.
-    pub fn collect(&mut self, ticket: Ticket) -> Result<ClientResponse> {
-        let timeout = Duration::from_millis(self.config.collect_timeout_ms);
-        let mut rounds = 0u64;
-        let reply = if self.is_running() {
-            let bus = self.bus.clone();
-            wait_reply(&bus, timeout, || self.try_collect(ticket))?
-        } else {
-            let idx = self.ticket_node(ticket)?;
-            loop {
-                let (reply, busy) = self.take_or_pump(idx, ticket.request_id)?;
-                if reply.is_some() {
-                    break reply;
-                }
-                rounds += 1;
-                if !busy {
-                    break None;
-                }
+    /// Blocking collect: the one collect loop of [`ClusterClient::collect`].
+    /// Threaded, it parks on the bus as a client's does. In pump mode its
+    /// wait step pumps every node and the cluster's client, round after
+    /// round while the last one did any work (a replaying task can need
+    /// thousands), and fails at the first idle one.
+    pub fn collect(&mut self, request_id: u64) -> Result<ClientResponse> {
+        if self.is_running() {
+            return self.client.collect(request_id);
+        }
+        let (nodes, mut rounds) = (&mut self.nodes, 0u64);
+        self.client.collect_with(request_id, |client, _| {
+            rounds += 1;
+            if pump_round(nodes, &mut client.frontend)? {
+                return Ok(());
             }
-        };
-        reply.ok_or_else(|| {
-            // Free the in-flight slot: a reply that never came must not
-            // count against the backpressure cap forever.
-            self.cancel(ticket);
-            let waited = if self.is_running() {
-                format!("within {timeout:?}")
-            } else {
-                format!("after {rounds} pump round(s), the last one idle")
-            };
-            RailgunError::Engine(format!(
-                "no reply for request {} on node {} {waited}",
-                ticket.request_id, ticket.node
-            ))
+            Err(RailgunError::Engine(format!(
+                "no reply for request {request_id} after {rounds} pump round(s), the last one idle"
+            )))
         })
     }
 
@@ -495,20 +377,8 @@ impl Cluster {
     pub fn client(&mut self) -> Result<ClusterClient> {
         let id = self.next_client_id;
         self.next_client_id += 1;
-        let mut frontend = FrontEnd::new(
-            &self.bus,
-            id,
-            self.config.max_in_flight,
-            self.config.batch,
-            Arc::clone(&self.telemetry),
-        )?;
-        // Learn every stream registered before this client existed.
-        frontend.sync_ops()?;
-        Ok(ClusterClient {
-            frontend,
-            bus: self.bus.clone(),
-            collect_timeout: Duration::from_millis(self.config.collect_timeout_ms),
-        })
+        let failed = Arc::clone(&self.client.failed);
+        ClusterClient::connect(&self.bus, id, &self.config, Arc::clone(&self.telemetry), failed)
     }
 
     /// Advance the logical clock (heartbeat/failure detection).
@@ -516,25 +386,17 @@ impl Cluster {
         self.bus.advance_to(now_ms);
     }
 
-    /// Take node `idx` out of the cluster, remembering its id as departed.
-    fn remove_node(&mut self, idx: usize) -> Result<Node> {
-        if idx >= self.nodes.len() {
-            return Err(RailgunError::InvalidArgument(format!("no node {idx}")));
-        }
-        let node = self.nodes.remove(idx);
-        self.departed.push(node.id);
-        Ok(node)
-    }
-
     /// Kill a node abruptly (no goodbye): its consumers simply stop
     /// heartbeating; the bus expels them after the session timeout. Worker
     /// threads (if the node was threaded) are joined first — stopping a
     /// worker never unsubscribes its consumers, so the failure detection
-    /// path is exercised identically in both modes. Tickets owned by the
-    /// killed front-end fail on their next collect with
-    /// [`RailgunError::NodeLost`].
+    /// path is exercised identically in both modes. A request outstanding
+    /// across the kill is answered once a survivor holds its partition.
     pub fn kill_node(&mut self, idx: usize) -> Result<()> {
-        let _ = self.remove_node(idx)?.stop();
+        if idx >= self.nodes.len() {
+            return Err(RailgunError::InvalidArgument(format!("no node {idx}")));
+        }
+        let _ = self.nodes.remove(idx).stop();
         Ok(())
     }
 
@@ -554,10 +416,9 @@ impl Cluster {
     ///    step 2 and replay only what arrived mid-drain;
     /// 4. remove the node and settle.
     ///
-    /// Returns the number of checkpoint images flushed in step 2.
-    /// Tickets still outstanding on the drained front-end fail with
-    /// [`RailgunError::NodeLost`] — under live ingest, collect before
-    /// draining the node you are sending through, or resend.
+    /// Returns the number of checkpoint images flushed in step 2. A
+    /// request outstanding across the drain is answered by the survivor
+    /// that takes its partition over.
     pub fn drain_node(&mut self, idx: usize) -> Result<usize> {
         if idx >= self.nodes.len() {
             return Err(RailgunError::InvalidArgument(format!("no node {idx}")));
@@ -578,7 +439,7 @@ impl Cluster {
                 return Err(e);
             }
         };
-        self.remove_node(idx)?;
+        self.nodes.remove(idx);
         self.strategy.clear_draining(node_id);
         self.settle()?;
         self.telemetry.drain_counter().incr();
@@ -590,15 +451,9 @@ impl Cluster {
     pub fn add_node(&mut self) -> Result<u32> {
         let id = self.next_node_id;
         self.next_node_id += 1;
-        let mut node = Node::new(
-            &self.bus,
-            id,
-            &self.config,
-            Arc::clone(&self.strategy),
-            Arc::clone(&self.telemetry),
-        )?;
+        let mut node = Node::new(&self.bus, id, &self.config, &self.strategy, &self.telemetry)?;
         if self.is_running() {
-            node.start()?;
+            node.start(&self.client.failed)?;
         }
         self.nodes.push(node);
         self.settle()?;
@@ -611,46 +466,53 @@ impl Cluster {
     }
 }
 
-/// Poll for a reply until it arrives or `timeout` elapses, parked on the
-/// bus wakeup path in between — the one blocking wait behind
-/// [`Cluster::collect`] (threaded mode) and [`ClusterClient::collect`].
-/// The bus version is sampled *before* each poll, so a reply published
-/// mid-poll re-polls at once instead of being slept through. `None` =
-/// timed out.
-fn wait_reply(
-    bus: &MessageBus,
-    timeout: Duration,
-    mut poll: impl FnMut() -> Result<Option<ClientResponse>>,
-) -> Result<Option<ClientResponse>> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        let seen = bus.version();
-        if let Some(reply) = poll()? {
-            return Ok(Some(reply));
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return Ok(None);
-        }
-        bus.wait_for_activity(seen, (deadline - now).min(Duration::from_millis(50)));
+/// Pump every node's units (pump mode; threaded, the workers do) and
+/// then `frontend` once. True if any of them did work.
+fn pump_round(nodes: &mut [Node], frontend: &mut FrontEnd) -> Result<bool> {
+    let mut busy = false;
+    for node in nodes {
+        busy |= node.pump()?;
     }
+    Ok(frontend.pump()? || busy)
 }
 
-/// An independent client of a (typically started) cluster: its own
-/// front-end, reply topic and request-id space over the shared bus.
+/// A client of a (typically started) cluster: its own front-end, reply
+/// topic and request-id space over the shared bus.
 ///
 /// Created with [`Cluster::client`]; `Send`, so each client thread owns
 /// one and drives many in-flight requests against the worker threads
 /// without touching the `Cluster` itself. Collection only pumps this
 /// client's own front-end, so against a *pump-mode* cluster someone else
-/// must still drive the processor units (the harness's `pump`/`settle`).
+/// must still drive the processor units (the harness's `settle`).
 pub struct ClusterClient {
     frontend: FrontEnd,
     bus: MessageBus,
     collect_timeout: Duration,
+    /// The cluster's worker-failure flag: raised by any worker that
+    /// fails, checked each time a collect has to wait.
+    failed: Arc<AtomicBool>,
 }
 
 impl ClusterClient {
+    /// Front-end `id` over `bus`, knowing every stream and query
+    /// registered before it.
+    fn connect(
+        bus: &MessageBus,
+        id: u32,
+        config: &ClusterConfig,
+        telemetry: Arc<EngineTelemetry>,
+        failed: Arc<AtomicBool>,
+    ) -> Result<Self> {
+        let mut frontend = FrontEnd::new(bus, id, config.max_in_flight, config.batch, telemetry)?;
+        frontend.sync_ops()?;
+        Ok(ClusterClient {
+            frontend,
+            bus: bus.clone(),
+            collect_timeout: Duration::from_millis(config.collect_timeout_ms),
+            failed,
+        })
+    }
+
     /// Publish one event; returns its request id immediately. Bounded by
     /// the front-end's in-flight cap ([`RailgunError::Backpressure`]).
     pub fn send_async(
@@ -671,19 +533,49 @@ impl ClusterClient {
 
     /// Blocking collect: claim the response if it is complete; otherwise
     /// publish what is staged and park on the bus wakeup path until the
-    /// response arrives or the client's collect timeout elapses.
+    /// response arrives, a worker of the cluster fails, or the client's
+    /// collect timeout elapses.
     pub fn collect(&mut self, request_id: u64) -> Result<ClientResponse> {
-        let frontend = &mut self.frontend;
-        let reply = wait_reply(&self.bus, self.collect_timeout, || {
-            frontend.take_or_pump(request_id)
-        })?;
-        reply.ok_or_else(|| {
-            self.cancel(request_id);
-            RailgunError::Engine(format!(
-                "client: no reply for request {request_id} within {:?}",
-                self.collect_timeout
-            ))
+        let deadline = Instant::now() + self.collect_timeout;
+        self.collect_with(request_id, |client, seen| {
+            health(&client.failed)?;
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(RailgunError::Engine(format!(
+                    "no reply for request {request_id} within {:?}",
+                    client.collect_timeout
+                )));
+            }
+            let wait = (deadline - now).min(Duration::from_millis(50));
+            client.bus.wait_for_activity(seen, wait);
+            Ok(())
         })
+    }
+
+    /// The one collect loop: claim the response if it is complete, else
+    /// publish what is staged and read the replies
+    /// ([`FrontEnd::take_or_pump`]), and if it is still not complete run
+    /// `wait` and go round again. `wait` gets the bus version sampled
+    /// before the pump, so a reply published mid-pump is not slept
+    /// through; its error ends the collect and frees the request's
+    /// in-flight slot.
+    fn collect_with(
+        &mut self,
+        request_id: u64,
+        mut wait: impl FnMut(&mut Self, u64) -> Result<()>,
+    ) -> Result<ClientResponse> {
+        loop {
+            let seen = self.bus.version();
+            if let Some(done) = self.frontend.take_or_pump(request_id)? {
+                return Ok(done);
+            }
+            if let Err(e) = wait(self, seen) {
+                // A reply that never came must not count against the
+                // backpressure cap forever.
+                self.cancel(request_id);
+                return Err(e);
+            }
+        }
     }
 
     /// Synchronous convenience: [`ClusterClient::send_async`] +

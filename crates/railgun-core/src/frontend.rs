@@ -136,8 +136,9 @@ struct StreamMeta {
     schema: Schema,
     partitioners: Vec<String>,
     partitioner_indexes: Vec<usize>,
-    /// Partitioner topic names, precomputed (one per partitioner).
-    topics: Vec<String>,
+    /// Partitioner topic names, precomputed (one per partitioner), shared
+    /// with every request in flight on the stream.
+    topics: Arc<[String]>,
     /// Partition count of every partitioner topic of the stream.
     partitions: u32,
 }
@@ -150,6 +151,11 @@ impl StreamMeta {
         partitioners: Vec<String>,
         partitions: u32,
     ) -> Result<Self> {
+        // A request marks the topics yet to answer it in a u64.
+        if partitioners.len() > 64 {
+            let why = format!("stream `{stream}` has over 64 partitioners");
+            return Err(RailgunError::InvalidArgument(why));
+        }
         let mut partitioner_indexes = Vec::with_capacity(partitioners.len());
         for p in &partitioners {
             partitioner_indexes.push(schema.require(p)?);
@@ -176,9 +182,13 @@ struct StagedTopic {
 /// One request's record in the front-end's table, from `send_event` to
 /// `try_take` / `abandon`.
 struct Request {
-    /// Topics yet to answer; at 0 the request is complete and `response`
-    /// awaits collection.
-    missing: usize,
+    /// A bit per topic of `topics` yet to answer; at 0 the request is
+    /// complete and `response` awaits collection. Only a topic's first
+    /// reply counts: a task replaying after a failover answers again.
+    missing: u64,
+    /// The topics the event was routed to, if more than one (a request
+    /// routed to one topic takes any reply as that topic's).
+    topics: Option<Arc<[String]>>,
     /// The response, assembled in place as replies arrive.
     response: ClientResponse,
     /// Send time, taken only when the telemetry plane wants request
@@ -187,9 +197,23 @@ struct Request {
     sent_at: Option<Instant>,
 }
 
-/// One node's front-end layer.
+impl Request {
+    /// The bit of `topic` if the event was routed to it and it has not
+    /// answered yet.
+    fn unanswered(&self, topic: &str) -> Option<u64> {
+        let i = match &self.topics {
+            Some(topics) => topics.iter().position(|t| t == topic)?,
+            None => 0,
+        };
+        Some(1 << i).filter(|bit| self.missing & bit != 0)
+    }
+}
+
+/// A front-end: one client's entry point, with its own reply topic and
+/// request-id space over the shared bus.
 pub struct FrontEnd {
-    node: u32,
+    /// Names the reply topic, and keys the query and event ids it assigns.
+    id: u32,
     /// This front-end's reply topic, named once.
     reply_topic: String,
     producer: Producer,
@@ -200,10 +224,10 @@ pub struct FrontEnd {
     /// results take their names from it.
     queries: FastHashMap<QueryId, RegisteredQuery>,
     /// Sequence of accepted events: the next request id and, under the
-    /// node id, the next event id.
+    /// front-end id, the next event id.
     next_seq: u64,
     /// Sequence for locally-assigned query ids
-    /// (`node << 32 | next_query_seq`).
+    /// (`id << 32 | next_query_seq`).
     next_query_seq: u32,
     /// The request table: every request sent and not yet claimed or
     /// abandoned, in flight or completed (bounded by `max_in_flight`).
@@ -247,18 +271,17 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// Create the front-end of node `node`, creating its reply topic.
-    /// `max_in_flight` bounds the request table; `batch`
-    /// sets the ingest coalescing policy; `telemetry` is the cluster's
-    /// shared recording hub.
+    /// Create front-end `id`, creating its reply topic. `max_in_flight`
+    /// bounds the request table; `batch` sets the ingest coalescing
+    /// policy; `telemetry` is the cluster's shared recording hub.
     pub fn new(
         bus: &MessageBus,
-        node: u32,
+        id: u32,
         max_in_flight: usize,
         batch: BatchPolicy,
         telemetry: Arc<EngineTelemetry>,
     ) -> Result<Self> {
-        let reply_topic = reply_topic_name(node);
+        let reply_topic = reply_topic_name(id);
         for topic in [reply_topic.as_str(), OPS_TOPIC, CHECKPOINT_TOPIC] {
             match bus.create_topic(topic, 1, 1) {
                 // Already there: the reply topic may survive a front-end
@@ -272,7 +295,7 @@ impl FrontEnd {
         let mut ops = Consumer::new(bus.clone());
         ops.assign(vec![TopicPartition::new(OPS_TOPIC, 0)]);
         Ok(FrontEnd {
-            node,
+            id,
             reply_topic,
             producer: Producer::new(bus.clone()),
             replies,
@@ -326,7 +349,7 @@ impl FrontEnd {
         }
         let partitioners: Vec<String> = partitioners.iter().map(|s| (*s).to_owned()).collect();
         let meta = StreamMeta::new(stream, schema.clone(), partitioners.clone(), partitions)?;
-        for topic in &meta.topics {
+        for topic in meta.topics.iter() {
             bus.create_topic(topic, partitions, replication)?;
         }
         self.publish_op(&OpRequest::CreateStream {
@@ -373,7 +396,7 @@ impl FrontEnd {
             meta.schema.require(f)?;
         }
         query_topic(&query, &meta.partitioners)?;
-        let id = QueryId((u64::from(self.node) << 32) | u64::from(self.next_query_seq));
+        let id = QueryId((u64::from(self.id) << 32) | u64::from(self.next_query_seq));
         self.next_query_seq += 1;
         self.publish_op(&OpRequest::RegisterQuery {
             id,
@@ -419,7 +442,7 @@ impl FrontEnd {
         self.publish_op(&OpRequest::DeleteStream {
             stream: stream.to_owned(),
         })?;
-        for topic in &meta.topics {
+        for topic in meta.topics.iter() {
             match bus.delete_topic(topic) {
                 // Already gone (another front-end deleted the stream too).
                 Ok(()) | Err(RailgunError::NotFound(_)) => {}
@@ -454,7 +477,7 @@ impl FrontEnd {
             self.telemetry.count_backpressure();
             return Err(RailgunError::Backpressure(format!(
                 "front-end {} has {} requests outstanding ({} in flight, {} uncollected; cap {}); collect before sending more",
-                self.node,
+                self.id,
                 outstanding,
                 self.in_flight,
                 outstanding - self.in_flight,
@@ -477,7 +500,7 @@ impl FrontEnd {
                         "front-end {} in SLO overload: oldest in-flight request is {} µs old \
                          (> {}× the strictest SLO budget of {} µs) with {} outstanding; \
                          collect or shed load",
-                        self.node, oldest_us, SLO_OVERLOAD_MULTIPLIER, strictest_us, outstanding
+                        self.id, oldest_us, SLO_OVERLOAD_MULTIPLIER, strictest_us, outstanding
                     )));
                 }
             }
@@ -489,7 +512,7 @@ impl FrontEnd {
         meta.schema.check_values(&values)?;
         let request_id = self.next_seq;
         self.next_seq += 1;
-        let event_id = EventId((u64::from(self.node) << 40) | request_id);
+        let event_id = EventId((u64::from(self.id) << 40) | request_id);
         // Encode once into the shared frame, the row written straight from
         // the caller's values; every topic's record is a zero-copy slice
         // of it after the flush.
@@ -516,7 +539,8 @@ impl FrontEnd {
             };
             self.staged[slot].records.push((partition, record));
         }
-        let missing = meta.partitioners.len();
+        let missing = u64::MAX >> (64 - meta.topics.len());
+        let topics = (meta.topics.len() > 1).then(|| Arc::clone(&meta.topics));
         let sent_at = self.telemetry.wants_request_timing().then(Instant::now);
         if let Some(now) = sent_at {
             // Pruning here keeps the deque bounded by the number of
@@ -529,6 +553,7 @@ impl FrontEnd {
             request_id,
             Request {
                 missing,
+                topics,
                 response: ClientResponse {
                     request_id,
                     aggregations: Vec::new(),
@@ -664,14 +689,15 @@ impl FrontEnd {
                 continue;
             };
             // Results go straight into the response; those for no awaiting
-            // request (abandoned, or past the expected count) are dropped.
+            // request (abandoned, or complete) or from a topic that has
+            // already answered it are dropped.
             let mut req = self
                 .requests
                 .get_mut(&head.request_id)
-                .filter(|r| r.missing > 0);
+                .and_then(|r| Some((r.unanswered(head.source_topic)?, r)));
             let mut dropped = Vec::new();
             let out = match &mut req {
-                Some(req) => &mut req.response.aggregations,
+                Some((_, req)) => &mut req.response.aggregations,
                 None => &mut dropped,
             };
             let queries = &self.queries;
@@ -681,8 +707,8 @@ impl FrontEnd {
                 self.telemetry.count_undecodable_reply();
                 continue;
             }
-            let Some(req) = req else { continue };
-            req.missing -= 1;
+            let Some((topic, req)) = req else { continue };
+            req.missing &= !topic;
             req.response.duplicate |= duplicate;
             if req.missing == 0 {
                 self.in_flight -= 1;
@@ -874,6 +900,65 @@ mod tests {
         let response = fe.try_take(id).expect("the last reply completes it");
         assert!(response.aggregations.is_empty());
         assert_eq!(hub.snapshot().counters.undecodable_replies, 3);
+    }
+
+    #[test]
+    fn a_topic_that_answers_twice_counts_once() {
+        // A task that replays after a failover publishes its replies again.
+        // Every reply used to count: topic A's second reply completed a
+        // two-topic request with A's results twice and none of B's.
+        let bus = MessageBus::with_defaults();
+        let hub = Arc::new(EngineTelemetry::new(false));
+        let mut fe = FrontEnd::new(&bus, 0, 8, BatchPolicy::default(), hub).unwrap();
+        let fields = [("cardId", FieldType::Str), ("merchantId", FieldType::Str)];
+        let schema = Schema::from_pairs(&fields).unwrap();
+        fe.create_stream(&bus, "payments", schema, &["cardId", "merchantId"], 1, 1)
+            .unwrap();
+        let values = vec![Value::from("c"), Value::from("m")];
+        let id = fe.send_event("payments", Timestamp::from_millis(1), values).unwrap();
+        let result = |entity: &str| AggregationResult {
+            query: QueryId(1),
+            index: 0,
+            name: "count(*)".into(),
+            entity: vec![Value::from(entity)].into(),
+            value: Value::Int(1),
+        };
+        let producer = Producer::new(bus.clone());
+        let publish = |partitioner, entity| {
+            let reply = crate::api::encode_reply(&crate::api::Reply {
+                request_id: id,
+                source_topic: topic_name("payments", partitioner),
+                duplicate: false,
+                results: vec![result(entity)],
+            });
+            producer
+                .send_to_partition(&reply_topic_name(0), 0, &[], reply)
+                .unwrap();
+        };
+        publish("cardId", "c");
+        publish("cardId", "c");
+        fe.pump().unwrap();
+        assert!(fe.try_take(id).is_none(), "merchantId has not answered");
+        publish("merchantId", "m");
+        fe.pump().unwrap();
+        let response = fe.try_take(id).expect("both topics answered");
+        assert_eq!(response.aggregations, vec![result("c"), result("m")]);
+    }
+
+    #[test]
+    fn a_stream_of_over_64_partitioners_is_refused() {
+        // A request marks the topics that answered it in a u64.
+        let bus = MessageBus::with_defaults();
+        let hub = Arc::new(EngineTelemetry::new(false));
+        let mut fe = FrontEnd::new(&bus, 0, 8, BatchPolicy::default(), hub).unwrap();
+        let names: Vec<String> = (0..65).map(|i| format!("f{i}")).collect();
+        let parts: Vec<&str> = names.iter().map(String::as_str).collect();
+        let fields: Vec<_> = parts.iter().map(|&n| (n, FieldType::Str)).collect();
+        let schema = Schema::from_pairs(&fields).unwrap();
+        let refused = fe.create_stream(&bus, "wide", schema.clone(), &parts, 1, 1);
+        assert!(matches!(refused, Err(RailgunError::InvalidArgument(_))), "{refused:?}");
+        fe.create_stream(&bus, "wide", schema, &parts[..64], 1, 1)
+            .unwrap();
     }
 
     #[test]

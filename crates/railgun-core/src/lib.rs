@@ -54,7 +54,7 @@ pub mod task;
 pub mod unit;
 
 pub use api::{find_keyed, AggregationResult, EventRequest, OpRequest, QueryId, Reply};
-pub use cluster::{Cluster, ClusterClient, ClusterConfig, Ticket};
+pub use cluster::{Cluster, ClusterClient, ClusterConfig};
 pub use frontend::{BatchPolicy, ClientResponse};
 pub use metrics::{
     BatchingMetrics, ElasticCounters, EngineCounters, EngineTelemetry, MetricsSnapshot,

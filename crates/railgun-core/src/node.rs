@@ -1,11 +1,13 @@
-//! A Railgun node: front-end + back-end processor units over the shared
-//! messaging layer (Figure 3).
+//! A Railgun node: the back-end processor units of Figure 3 over the
+//! shared messaging layer.
 //!
 //! All nodes are equal (§3: "to simplify development, all Railgun nodes
-//! are equal and composed by layers"): each has a front-end accepting
-//! client traffic and a back-end of processor units computing metrics.
+//! are equal and composed by layers"). The front-end layer is not part of
+//! a node here: a front-end is a bus client with a reply topic, and which
+//! node hosts it changes no byte a unit sees, so every request goes
+//! through a [`crate::cluster::ClusterClient`].
 //!
-//! The back-end runs in one of two execution modes (see DESIGN.md
+//! The units run in one of two execution modes (see DESIGN.md
 //! § "Execution modes"):
 //!
 //! * **pump** (default) — units are driven inline by [`Node::pump`],
@@ -15,13 +17,13 @@
 //!   [`Node::stop`] joins the threads and hands the units back, so the
 //!   node can return to pump mode with all task state intact.
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use railgun_messaging::MessageBus;
 use railgun_types::Result;
 
 use crate::cluster::ClusterConfig;
-use crate::frontend::FrontEnd;
 use crate::metrics::EngineTelemetry;
 use crate::rebalance::RailgunStrategy;
 use crate::runtime::Runtime;
@@ -38,7 +40,6 @@ enum Backend {
 /// One Railgun node.
 pub struct Node {
     pub id: u32,
-    frontend: FrontEnd,
     backend: Backend,
     bus: MessageBus,
 }
@@ -51,16 +52,9 @@ impl Node {
         bus: &MessageBus,
         id: u32,
         config: &ClusterConfig,
-        strategy: Arc<RailgunStrategy>,
-        telemetry: Arc<EngineTelemetry>,
+        strategy: &Arc<RailgunStrategy>,
+        telemetry: &EngineTelemetry,
     ) -> Result<Self> {
-        let frontend = FrontEnd::new(
-            bus,
-            id,
-            config.max_in_flight,
-            config.batch,
-            Arc::clone(&telemetry),
-        )?;
         let mut unit_vec = Vec::with_capacity(config.units_per_node as usize);
         for u in 0..config.units_per_node {
             unit_vec.push(ProcessorUnit::new(
@@ -80,12 +74,11 @@ impl Node {
                     tail_replayed: telemetry.tail_replayed_counter(),
                     handover_fallbacks: telemetry.handover_fallback_counter(),
                 },
-                Arc::clone(&strategy),
+                Arc::clone(strategy),
             )?);
         }
         Ok(Node {
             id,
-            frontend,
             backend: Backend::Pump(unit_vec),
             bus: bus.clone(),
         })
@@ -93,11 +86,12 @@ impl Node {
 
     /// Move every unit onto its own worker thread. Idempotent: a node that
     /// is already threaded stays untouched. If spawning fails, the node
-    /// keeps (the surviving) units in pump mode and reports the error.
-    pub fn start(&mut self) -> Result<()> {
+    /// keeps (the surviving) units in pump mode and reports the error. A
+    /// worker that fails raises `failed`.
+    pub fn start(&mut self, failed: &Arc<AtomicBool>) -> Result<()> {
         if let Backend::Pump(units) = &mut self.backend {
             let units = std::mem::take(units);
-            match Runtime::spawn(self.bus.clone(), units) {
+            match Runtime::spawn(self.bus.clone(), units, Arc::clone(failed)) {
                 Ok(runtime) => self.backend = Backend::Threaded(runtime),
                 Err((units, e)) => {
                     self.backend = Backend::Pump(units);
@@ -137,38 +131,17 @@ impl Node {
         }
     }
 
-    /// This node's front-end: the client entry point for stream and query
-    /// registration, sends and replies (see [`FrontEnd`]).
-    pub fn frontend(&self) -> &FrontEnd {
-        &self.frontend
-    }
-
-    /// Mutable access to this node's front-end.
-    pub fn frontend_mut(&mut self) -> &mut FrontEnd {
-        &mut self.frontend
-    }
-
-    /// Pump the front-end (reply collection) and — in pump mode — every
-    /// processor unit once. In threaded mode the units are pumped by their
-    /// worker threads, so only the front-end is driven (after a health
-    /// check, so a dead worker surfaces here instead of as a timeout).
-    ///
-    /// Completed responses wait in the front-end's request table;
-    /// claim them by id with [`FrontEnd::try_take`].
-    ///
-    /// Returns true if the round did any work: a unit reported a non-zero
-    /// count, or the front-end published staged sends or read a message.
+    /// Pump every processor unit once (pump mode). In threaded mode the
+    /// units are pumped by their worker threads and this does nothing.
+    /// Returns true if a unit reported a non-zero count.
     pub fn pump(&mut self) -> Result<bool> {
         let mut busy = false;
-        match &mut self.backend {
-            Backend::Pump(units) => {
-                for unit in units {
-                    busy |= unit.pump()? != PumpReport::default();
-                }
+        if let Backend::Pump(units) = &mut self.backend {
+            for unit in units {
+                busy |= unit.pump()? != PumpReport::default();
             }
-            Backend::Threaded(runtime) => runtime.health()?,
         }
-        Ok(self.frontend.pump()? || busy)
+        Ok(busy)
     }
 
     /// This node's processor units (diagnostics). Empty while threaded —

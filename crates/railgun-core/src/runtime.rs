@@ -18,9 +18,11 @@
 //!   return their unit, so the node can fall back to deterministic pump
 //!   mode (or restart) with all state intact;
 //! * **panic/error propagation** — a worker that panics or returns an
-//!   engine error raises the runtime's failure flag and wakes everyone;
-//!   [`Runtime::health`] surfaces it early (front-ends check it while
-//!   waiting for replies instead of timing out blind), and
+//!   engine error raises the failure flag it was spawned with (one flag
+//!   per cluster, shared by every node's runtime and every client) and
+//!   wakes everyone; [`Runtime::health`] surfaces it early (a collect
+//!   checks the flag each time it has to wait instead of timing out
+//!   blind), and
 //!   [`Runtime::stop`] reports the collected failure messages.
 
 use std::panic::AssertUnwindSafe;
@@ -63,12 +65,13 @@ impl Runtime {
     /// pump mode. Only the one unit whose thread failed is lost (the std
     /// spawn API drops its closure); its group membership lapses and its
     /// tasks reassign to the survivors — the same path as a unit crash.
+    /// A worker that fails raises `failed`.
     pub fn spawn(
         bus: MessageBus,
         units: Vec<ProcessorUnit>,
+        failed: Arc<AtomicBool>,
     ) -> std::result::Result<Runtime, (Vec<ProcessorUnit>, RailgunError)> {
         let stop = Arc::new(AtomicBool::new(false));
-        let failed = Arc::new(AtomicBool::new(false));
         let mut workers = Vec::with_capacity(units.len());
         let mut remaining = units.into_iter();
         while let Some(mut unit) = remaining.next() {
@@ -128,17 +131,10 @@ impl Runtime {
         })
     }
 
-    /// Cheap liveness probe: errors once any worker has panicked or bailed
-    /// with an engine error (callers waiting on replies use this to fail
-    /// fast instead of waiting out their timeout).
+    /// Cheap liveness probe: errors once any worker spawned with this
+    /// runtime's failure flag has panicked or bailed with an engine error.
     pub fn health(&self) -> Result<()> {
-        if self.failed.load(Ordering::Acquire) {
-            Err(RailgunError::Engine(
-                "a processor unit worker thread failed; stop() has the details".into(),
-            ))
-        } else {
-            Ok(())
-        }
+        health(&self.failed)
     }
 
     /// Raise the stop flag, wake every parked worker, join the threads and
@@ -183,6 +179,18 @@ impl Drop for Runtime {
         for worker in self.workers.drain(..) {
             let _ = worker.handle.join();
         }
+    }
+}
+
+/// Errors once `failed` is raised: a worker spawned with it has panicked
+/// or bailed with an engine error.
+pub(crate) fn health(failed: &AtomicBool) -> Result<()> {
+    if failed.load(Ordering::Acquire) {
+        Err(RailgunError::Engine(
+            "a processor unit worker thread failed; stop() has the details".into(),
+        ))
+    } else {
+        Ok(())
     }
 }
 

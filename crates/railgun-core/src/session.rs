@@ -129,8 +129,8 @@ impl Session {
 
     /// A handle for a stream registered earlier (possibly by another
     /// session or front-end), if this session's cluster knows it. The
-    /// node front-end keeps the authoritative stream map — the handle is
-    /// reconstructed from the cluster's first node.
+    /// handle is reconstructed from the stream map of the cluster's
+    /// client.
     pub fn stream(&self, name: &str) -> Result<StreamHandle> {
         self.cluster
             .stream_schema(name)

@@ -1,7 +1,7 @@
 //! Elastic membership end-to-end: checkpoint-based handover on
-//! scale-out, scheduled drain with zero loss under live ingest, prompt
-//! ticket failure when a node is lost, and a node failing abruptly — in
-//! both execution modes.
+//! scale-out, scheduled drain with zero loss under live ingest, requests
+//! outstanding across a kill or a drain answered after failover, and a
+//! node failing abruptly — in both execution modes.
 //!
 //! The zero-loss tests run a disturbed cluster in lockstep with an
 //! undisturbed twin fed the identical event stream and require every
@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use railgun_core::{ClientResponse, Cluster, ClusterConfig, Ticket};
+use railgun_core::{ClientResponse, Cluster, ClusterConfig};
 use railgun_types::{FieldType, RailgunError, Schema, Timestamp, Value};
 
 fn payments_schema() -> Schema {
@@ -51,26 +51,25 @@ fn booted(cfg: ClusterConfig) -> Cluster {
     cluster
 }
 
-fn send_card(cluster: &mut Cluster, via: usize, card: u64, ts: i64) -> ClientResponse {
+fn card_values(card: u64) -> Vec<Value> {
+    vec![
+        Value::from(format!("card-{card}")),
+        Value::from("m"),
+        Value::from(1.0),
+    ]
+}
+
+fn send_card(cluster: &mut Cluster, card: u64, ts: i64) -> ClientResponse {
     cluster
-        .send_via(
-            via,
-            "payments",
-            Timestamp::from_millis(ts),
-            vec![
-                Value::from(format!("card-{card}")),
-                Value::from("m"),
-                Value::from(1.0),
-            ],
-        )
+        .send("payments", Timestamp::from_millis(ts), card_values(card))
         .unwrap()
 }
 
-/// Feed both clusters the same event through node 0 and require the
-/// replies' aggregations to match byte for byte.
+/// Feed both clusters the same event and require the replies'
+/// aggregations to match byte for byte.
 fn lockstep(cluster: &mut Cluster, twin: &mut Cluster, card: u64, ts: i64, label: &str) {
-    let a = send_card(cluster, 0, card, ts);
-    let b = send_card(twin, 0, card, ts);
+    let a = send_card(cluster, card, ts);
+    let b = send_card(twin, card, ts);
     assert_eq!(
         a.aggregations, b.aggregations,
         "{label}: card {card} at t={ts} diverged from the undisturbed twin"
@@ -84,7 +83,7 @@ fn scale_out_restores_from_checkpoints_not_full_replay() {
     let mut cluster = booted(cfg);
     for round in 0..4 {
         for card in 0..8 {
-            send_card(&mut cluster, 0, card, round * 10_000 + card as i64 * 100);
+            send_card(&mut cluster, card, round * 10_000 + card as i64 * 100);
         }
     }
     let before = cluster.metrics_snapshot().elastic;
@@ -111,7 +110,7 @@ fn scale_out_restores_from_checkpoints_not_full_replay() {
     // Accuracy after the handover: every card has 4 events, a fifth send
     // must report 5.
     for card in 0..8 {
-        let r = send_card(&mut cluster, 0, card, 100_000 + card as i64);
+        let r = send_card(&mut cluster, card, 100_000 + card as i64);
         assert_eq!(
             r.aggregations[0].value,
             Value::Int(5),
@@ -179,7 +178,7 @@ fn corrupt_checkpoint_image_falls_back_to_full_replay() {
     let mut cluster = booted(cfg);
     for round in 0..4 {
         for card in 0..8 {
-            send_card(&mut cluster, 0, card, round * 10_000 + card as i64 * 100);
+            send_card(&mut cluster, card, round * 10_000 + card as i64 * 100);
         }
     }
     // Corrupt every published image (images live under data_root/ckpt/…;
@@ -198,7 +197,7 @@ fn corrupt_checkpoint_image_falls_back_to_full_replay() {
     // The degraded arm still converges: full replay rebuilds the exact
     // state, so the fifth send per card reports 5.
     for card in 0..8 {
-        let r = send_card(&mut cluster, 0, card, 100_000 + card as i64);
+        let r = send_card(&mut cluster, card, 100_000 + card as i64);
         assert_eq!(
             r.aggregations[0].value,
             Value::Int(5),
@@ -229,7 +228,7 @@ fn plan_changed(tag: &str, late_register: bool) -> Cluster {
     }
     for round in 0..2 {
         for card in 0..8 {
-            send_card(&mut cluster, 0, card, round * 10_000 + card as i64 * 100);
+            send_card(&mut cluster, card, round * 10_000 + card as i64 * 100);
         }
     }
     if late_register {
@@ -238,7 +237,7 @@ fn plan_changed(tag: &str, late_register: bool) -> Cluster {
         cluster.unregister_query(short).unwrap();
         for round in 2..4 {
             for card in 0..8 {
-                send_card(&mut cluster, 0, card, round * 10_000 + card as i64 * 100);
+                send_card(&mut cluster, card, round * 10_000 + card as i64 * 100);
             }
         }
     }
@@ -307,7 +306,7 @@ fn drain_under_live_ingest_matches_undisturbed_twin() {
     }
     // The survivors answer exact counts: every card has 4 events.
     for card in 0..32 {
-        let r = send_card(&mut cluster, 0, card, 200_000 + card as i64);
+        let r = send_card(&mut cluster, card, 200_000 + card as i64);
         assert_eq!(r.aggregations[0].value, Value::Int(5), "card {card} after drain");
     }
 
@@ -404,45 +403,47 @@ fn threaded_add_and_drain_converge_under_live_ingest() {
     assert_eq!(elastic.handover_fallbacks, 0, "got {elastic:?}");
 }
 
-#[test]
-fn killed_node_tickets_fail_promptly_with_node_lost() {
-    let mut cluster = booted(fresh_config("lost", 2, 1, 2));
-    let ticket = cluster
-        .send_async_via(
-            1,
-            "payments",
-            Timestamp::from_millis(1_000),
-            vec![Value::from("c"), Value::from("m"), Value::from(1.0)],
-        )
-        .unwrap();
-    cluster.kill_node(1).unwrap();
+/// The index of the node whose unit holds the only partition.
+fn owner(cluster: &Cluster) -> usize {
+    cluster
+        .nodes()
+        .iter()
+        .position(|n| !n.units()[0].active_tasks().is_empty())
+        .expect("a node holds the partition")
+}
 
-    // The reply can never arrive; the collect must fail immediately with
-    // a typed error instead of burning the full collect timeout.
-    let start = Instant::now();
-    let err = cluster.collect(ticket).unwrap_err();
-    assert!(
-        matches!(err, RailgunError::NodeLost(_)),
-        "expected NodeLost, got {err:?}"
-    );
-    assert!(
-        start.elapsed() < Duration::from_secs(2),
-        "NodeLost must be prompt, took {:?}",
-        start.elapsed()
-    );
-    assert!(matches!(
-        cluster.try_collect(ticket),
-        Err(RailgunError::NodeLost(_))
-    ));
-    // A ticket that never existed is a plain argument error, not a loss.
-    let bogus = Ticket {
-        node: 777,
-        request_id: 1,
+/// A request outstanding when its partition's owner is killed, and one
+/// outstanding when the next owner is drained, are both answered once a
+/// survivor holds the partition, and every event is counted once.
+#[test]
+fn requests_outstanding_across_kill_and_drain_are_answered_after_failover() {
+    let mut cfg = fresh_config("failover", 3, 1, 1);
+    cfg.session_timeout_ms = 1_000;
+    let mut cluster = booted(cfg);
+    for ts in 0..3 {
+        send_card(&mut cluster, 0, ts);
+    }
+    let send = |cluster: &mut Cluster, ts| {
+        cluster
+            .send_async("payments", Timestamp::from_millis(ts), card_values(0))
+            .unwrap()
     };
-    assert!(matches!(
-        cluster.collect(bogus),
-        Err(RailgunError::InvalidArgument(_))
-    ));
+    let killed = send(&mut cluster, 3);
+    cluster.kill_node(owner(&cluster)).unwrap();
+    for step in 1..=3 {
+        cluster.advance_time(step * 500);
+        cluster.settle().unwrap();
+    }
+    let r = cluster.collect(killed).unwrap();
+    assert_eq!(r.aggregations[0].value, Value::Int(4), "answered after the kill");
+
+    let drained = send(&mut cluster, 4);
+    cluster.drain_node(owner(&cluster)).unwrap();
+    let r = cluster.collect(drained).unwrap();
+    assert_eq!(r.aggregations[0].value, Value::Int(5), "answered after the drain");
+    assert_eq!(cluster.nodes().len(), 1);
+    let r = send_card(&mut cluster, 0, 5);
+    assert_eq!(r.aggregations[0].value, Value::Int(6), "each event counted once");
 }
 
 /// A task gained without a checkpoint replays its whole partition, at
@@ -455,7 +456,7 @@ fn pump_collect_waits_out_a_full_replay() {
     cfg.session_timeout_ms = 1_000;
     let mut cluster = booted(cfg);
     for ts in 0..PRELOAD {
-        send_card(&mut cluster, 0, 0, ts);
+        send_card(&mut cluster, 0, ts);
     }
     cluster.add_node().unwrap();
     // Node 0 fails without an image (checkpoints are off): once its
@@ -465,7 +466,7 @@ fn pump_collect_waits_out_a_full_replay() {
         cluster.advance_time(step * 500);
         cluster.settle().unwrap();
     }
-    let r = send_card(&mut cluster, 0, 0, PRELOAD);
+    let r = send_card(&mut cluster, 0, PRELOAD);
     assert_eq!(r.aggregations[0].value, Value::Int(PRELOAD + 1), "no acked event lost");
 }
 
@@ -480,7 +481,7 @@ fn pump_collect_drains_a_pipelined_burst_out_of_order() {
     let mut cfg = fresh_config("burst", 1, 4, 4);
     cfg.max_in_flight = BURST as usize;
     let mut cluster = booted(cfg);
-    let tickets: Vec<Ticket> = (0..BURST)
+    let ids: Vec<u64> = (0..BURST)
         .map(|ts| {
             let card = Value::from(format!("card-{}", ts % 64));
             cluster
@@ -492,11 +493,11 @@ fn pump_collect_drains_a_pipelined_burst_out_of_order() {
                 .unwrap()
         })
         .collect();
-    let last = cluster.collect(tickets[BURST as usize - 1]).unwrap();
+    let last = cluster.collect(ids[BURST as usize - 1]).unwrap();
     // card-31 was sent at t = 31, 95, …, 3 999.
     assert_eq!(last.aggregations[0].value, Value::Int(63));
-    for &t in &tickets[..BURST as usize - 1] {
-        cluster.collect(t).unwrap();
+    for &id in &ids[..BURST as usize - 1] {
+        cluster.collect(id).unwrap();
     }
 }
 
@@ -507,20 +508,10 @@ fn pump_collect_without_an_owner_fails_promptly() {
     let mut cluster = booted(fresh_config("orphan", 2, 1, 1));
     // The owner of the only partition dies; its consumer stays in the
     // group until a session timeout the manual clock never reaches.
-    let owner = cluster
-        .nodes()
-        .iter()
-        .position(|n| !n.units()[0].active_tasks().is_empty())
-        .unwrap();
-    cluster.kill_node(owner).unwrap();
+    cluster.kill_node(owner(&cluster)).unwrap();
     let start = Instant::now();
     let err = cluster
-        .send_via(
-            0,
-            "payments",
-            Timestamp::from_millis(1_000),
-            vec![Value::from("c"), Value::from("m"), Value::from(1.0)],
-        )
+        .send("payments", Timestamp::from_millis(1_000), card_values(0))
         .unwrap_err();
     assert!(
         matches!(&err, RailgunError::Engine(m) if m.contains("pump round")),
@@ -541,6 +532,6 @@ fn drain_refuses_the_last_node_and_bad_indices() {
         Err(RailgunError::InvalidArgument(_))
     ));
     // Still serving after the refusals.
-    let r = send_card(&mut cluster, 0, 0, 1_000);
+    let r = send_card(&mut cluster, 0, 1_000);
     assert_eq!(r.aggregations[0].value, Value::Int(1));
 }

@@ -3,7 +3,7 @@
 //! replies and task teardown, and front-end name validation.
 
 use railgun_core::lang::{field, hours, millis, mins, secs, Agg, Query, Window};
-use railgun_core::{parse_query, Cluster, ClusterConfig, Plan, QueryId};
+use railgun_core::{parse_query, Cluster, ClusterConfig, Plan, QueryId, Session};
 use railgun_messaging::TopicPartition;
 use railgun_types::{FieldType, Schema, Timestamp, Value};
 
@@ -378,4 +378,23 @@ fn create_stream_rejects_unsplittable_names() {
     cluster
         .create_stream("payments", payments_schema(), &["cardId"])
         .unwrap();
+}
+
+/// The cluster's own client is front-end 0, so the first query registered
+/// on a fresh cluster is `QueryId(1)` — through the cluster and through a
+/// session alike — and its id is one byte in every reply.
+#[test]
+fn the_first_query_of_a_fresh_cluster_is_query_one() {
+    let text = "SELECT count(*) FROM payments GROUP BY cardId OVER infinite";
+    let mut cluster = Cluster::new(fresh_config("first-id", 2, 1, 1)).unwrap();
+    cluster
+        .create_stream("payments", payments_schema(), &["cardId"])
+        .unwrap();
+    assert_eq!(cluster.register_query(text).unwrap(), QueryId(1));
+
+    let mut session = Session::new(fresh_config("first-id-session", 1, 1, 1)).unwrap();
+    session
+        .create_stream_with_schema("payments", payments_schema(), &["cardId"])
+        .unwrap();
+    assert_eq!(session.register_text(text).unwrap().id(), QueryId(1));
 }

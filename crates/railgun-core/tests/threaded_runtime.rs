@@ -227,21 +227,19 @@ fn backpressure_bounds_in_flight_requests() {
 
 #[test]
 fn tickets_survive_node_removal() {
-    // Tickets address nodes by stable id, not Vec index: removing another
-    // node must not redirect an outstanding ticket to the wrong front-end.
+    // A request id belongs to the cluster's client, not to a node:
+    // draining a node while a request is outstanding must not lose it.
     let mut cfg = fresh_config("ticketid", 1, 2);
     cfg.nodes = 2;
     let mut cluster = boot(cfg);
     // Warm the pipeline so both nodes know the stream.
     let (ts, values) = event_values("card-T", 0);
     cluster.send("payments", ts, values).unwrap();
-    // Outstanding request on node index 1 (id 1), then node 0 drains.
     let (ts, values) = event_values("card-T", 1);
-    let ticket = cluster.send_async_via(1, "payments", ts, values).unwrap();
-    assert_eq!(ticket.node, 1, "ticket carries the node id");
+    let id = cluster.send_async("payments", ts, values).unwrap();
     cluster.drain_node(0).unwrap();
-    // Node id 1 now lives at index 0; the ticket must still resolve to it.
-    let out = cluster.collect(ticket).unwrap();
+    assert_eq!(cluster.nodes().len(), 1);
+    let out = cluster.collect(id).unwrap();
     assert!(!out.aggregations.is_empty());
 }
 
@@ -300,29 +298,28 @@ fn threaded_cluster_with_auto_clock_serves_requests() {
     cluster.stop().unwrap();
 }
 
+/// A cluster whose one unit fails on its worker thread: its data_root is
+/// an unwritable path, so the first rebalance fails to create its task
+/// processors and the worker bails through the runtime's failure path.
+fn failing_cluster(tag: &str) -> Cluster {
+    let mut cfg = fresh_config(tag, 1, 1);
+    cfg.data_root = std::path::PathBuf::from("/proc/railgun-cannot-write-here");
+    Cluster::new(cfg).unwrap()
+}
+
 #[test]
 fn worker_failure_is_surfaced_and_propagated_on_stop() {
-    // Stage a deterministic worker failure: a unit whose data_root is an
-    // unwritable path fails when the first rebalance creates its task
-    // processors. The worker bails through the runtime's failure path, so
-    // health() must flip and stop() must report it instead of hanging.
-    let mut cfg = fresh_config("failprop", 1, 1);
-    cfg.data_root = std::path::PathBuf::from("/proc/railgun-cannot-write-here");
-    let mut cluster = Cluster::new(cfg).unwrap();
+    // health() must flip and stop() must report the failure instead of
+    // hanging.
+    let mut cluster = failing_cluster("failprop");
     // Start *before* the stream exists: the create-stream op then triggers
     // the rebalance on the worker thread, where task creation fails on the
     // unwritable root and the worker bails.
     cluster.start().unwrap();
-    // The worker may die while create_stream's internal settle() is still
-    // pumping (settle health-checks in threaded mode) — under load that
-    // race goes either way, and an Engine error here IS the failure
-    // surfacing, just earlier than the health() loop below.
-    if let Err(e) = cluster.create_stream("payments", payments_schema(), &["cardId"]) {
-        assert!(
-            e.to_string().contains("worker thread failed"),
-            "unexpected create_stream error: {e}"
-        );
-    }
+    // Nothing in create_stream waits on a worker, so it succeeds.
+    cluster
+        .create_stream("payments", payments_schema(), &["cardId"])
+        .unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let failed = loop {
         if cluster.nodes().iter().any(|n| n.health().is_err()) {
@@ -340,4 +337,28 @@ fn worker_failure_is_surfaced_and_propagated_on_stop() {
         msg.contains("unit error") || msg.contains("unit panicked"),
         "unexpected failure report: {msg}"
     );
+}
+
+#[test]
+fn a_client_collect_reports_a_failed_worker_promptly() {
+    // Only the cluster's own collect used to check worker health: a
+    // client waited out its 10 s collect timeout for a reply the dead
+    // worker would never send.
+    let mut cluster = failing_cluster("failclient");
+    cluster.start().unwrap();
+    cluster
+        .create_stream("payments", payments_schema(), &["cardId"])
+        .unwrap();
+    let mut client = cluster.client().unwrap();
+    let (ts, values) = event_values("card-F", 0);
+    let id = client.send_async("payments", ts, values).unwrap();
+    let start = std::time::Instant::now();
+    let err = client.collect(id).expect_err("no unit is left to answer");
+    assert!(err.to_string().contains("worker thread failed"), "{err}");
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(2),
+        "took {:?}",
+        start.elapsed()
+    );
+    assert!(cluster.stop().is_err(), "stop reports the failure");
 }

@@ -32,11 +32,6 @@ pub enum RailgunError {
     /// The caller exceeded a bounded in-flight capacity and must retry
     /// after collecting outstanding work (front-end backpressure, §3.1).
     Backpressure(String),
-    /// The node that owned an in-flight request has left the cluster
-    /// (killed or drained). The request will never be answered by that
-    /// front-end — resend through a surviving node instead of waiting out
-    /// a collect timeout.
-    NodeLost(String),
 }
 
 impl fmt::Display for RailgunError {
@@ -53,7 +48,6 @@ impl fmt::Display for RailgunError {
             RailgunError::NotFound(m) => write!(f, "not found: {m}"),
             RailgunError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
             RailgunError::Backpressure(m) => write!(f, "backpressure: {m}"),
-            RailgunError::NodeLost(m) => write!(f, "node lost: {m}"),
         }
     }
 }
