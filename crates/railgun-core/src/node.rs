@@ -123,14 +123,6 @@ impl Node {
         matches!(self.backend, Backend::Threaded(_))
     }
 
-    /// Errors once any worker thread has failed (threaded mode only).
-    pub fn health(&self) -> Result<()> {
-        match &self.backend {
-            Backend::Pump(_) => Ok(()),
-            Backend::Threaded(runtime) => runtime.health(),
-        }
-    }
-
     /// Pump every processor unit once (pump mode). In threaded mode the
     /// units are pumped by their worker threads and this does nothing.
     /// Returns true if a unit reported a non-zero count.

@@ -20,10 +20,9 @@
 //! * **panic/error propagation** — a worker that panics or returns an
 //!   engine error raises the failure flag it was spawned with (one flag
 //!   per cluster, shared by every node's runtime and every client) and
-//!   wakes everyone; [`Runtime::health`] surfaces it early (a collect
-//!   checks the flag each time it has to wait instead of timing out
-//!   blind), and
-//!   [`Runtime::stop`] reports the collected failure messages.
+//!   wakes everyone; a collect checks the flag each time it has to wait
+//!   instead of timing out blind, and [`Runtime::stop`] reports the
+//!   collected failure messages.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +50,6 @@ struct Worker {
 /// A running fleet of per-unit worker threads.
 pub struct Runtime {
     stop: Arc<AtomicBool>,
-    failed: Arc<AtomicBool>,
     bus: MessageBus,
     workers: Vec<Worker>,
 }
@@ -111,30 +109,14 @@ impl Runtime {
                 Err(e) => {
                     // Roll back the partial fleet, recovering its units
                     // plus the ones never offered to a thread.
-                    let partial = Runtime {
-                        stop,
-                        failed,
-                        bus,
-                        workers,
-                    };
+                    let partial = Runtime { stop, bus, workers };
                     let (mut recovered, _) = partial.stop();
                     recovered.extend(remaining);
                     return Err((recovered, RailgunError::Io(e)));
                 }
             }
         }
-        Ok(Runtime {
-            stop,
-            failed,
-            bus,
-            workers,
-        })
-    }
-
-    /// Cheap liveness probe: errors once any worker spawned with this
-    /// runtime's failure flag has panicked or bailed with an engine error.
-    pub fn health(&self) -> Result<()> {
-        health(&self.failed)
+        Ok(Runtime { stop, bus, workers })
     }
 
     /// Raise the stop flag, wake every parked worker, join the threads and

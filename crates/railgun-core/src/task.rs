@@ -583,7 +583,7 @@ impl TaskProcessor {
         self.stats.events_processed.fetch_add(1, Ordering::Relaxed);
 
         // Phase 1: advance every tail (expirations) BEFORE the append, so
-        // the reservoir's late-event fixups see the new bounds.
+        // an event stored below a tail's new bound is behind that tail.
         let nwindows = self.windows.len();
         self.expired_bufs.resize_with(nwindows, Vec::new);
         for wid in 0..nwindows {
@@ -639,11 +639,12 @@ impl TaskProcessor {
             }
             wr.head_bound = wr.head_bound.max(upper);
             // Direct insert of a late (or timestamp-rewritten) arrival that
-            // the head's fixup skipped (ts < head_bound_pre). The lower
-            // gate is the tail cursor's *monotonic* bound: an event at or
-            // above it will be yielded for eviction exactly once, so
-            // inserting it here keeps the streams paired; anything below it
-            // was skipped by the tail too and must not enter.
+            // the head skips: it was stored behind the head's bound
+            // (ts < head_bound_pre). The lower gate is the tail cursor's
+            // *monotonic* bound: an event at or above it will be yielded
+            // for eviction exactly once, so inserting it here keeps the
+            // streams paired; anything below it was skipped by the tail too
+            // and must not enter.
             let tail_gate = wr.tail_bound;
             if let Some(ts) = effective_ts {
                 if ts < head_bound_pre && ts >= tail_gate {

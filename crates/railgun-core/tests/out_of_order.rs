@@ -18,9 +18,13 @@ fn schema() -> Schema {
 }
 
 fn proc(tag: &str, hold_ms: i64, policy: LatePolicy) -> TaskProcessor {
+    proc_chunked(tag, 8, hold_ms, policy)
+}
+
+fn proc_chunked(tag: &str, chunk_events: usize, hold_ms: i64, policy: LatePolicy) -> TaskProcessor {
     let cfg = TaskConfig {
         reservoir: ReservoirConfig {
-            chunk_target_events: 8,
+            chunk_target_events: chunk_events,
             transition_hold: TimeDelta::from_millis(hold_ms),
             late_policy: policy,
             ..ReservoirConfig::default()
@@ -67,6 +71,38 @@ fn late_event_inside_window_is_counted_once() {
     // Conservation: total inserts == total evictions + live events.
     let (r, _) = tp.process_event(&ev(5, 500_000, 5.0)).unwrap();
     assert_eq!(count_of(&r), 1, "everything old expired exactly once");
+}
+
+/// The `count(*)` each event at `stamps` reads, on a task whose chunks
+/// close at 4 events.
+fn counts_over_4_event_chunks(tag: &str, hold_ms: i64, stamps: &[i64]) -> Vec<i64> {
+    let mut tp = proc_chunked(tag, 4, hold_ms, LatePolicy::Discard);
+    let mut counts = Vec::new();
+    for (id, &ts) in stamps.iter().enumerate() {
+        let (r, _) = tp.process_event(&ev(id as u64, ts, 1.0)).unwrap();
+        counts.push(count_of(&r));
+    }
+    counts
+}
+
+/// The window's head reads each event once when a same-millisecond event
+/// closes a chunk and the next opens one: the one it had already read is
+/// behind its bound, whichever chunk it is in.
+#[test]
+fn same_millisecond_events_across_a_chunk_boundary_are_counted_once() {
+    let counts = counts_over_4_event_chunks("tie", 0, &[10, 20, 30, 30, 30, 40, 200_000]);
+    assert_eq!(counts, [1, 2, 3, 4, 5, 6, 1]);
+}
+
+/// A late event that closes a chunk is counted once, and so is the
+/// same-millisecond event after it, with or without a transition hold.
+#[test]
+fn a_late_event_closing_a_chunk_is_counted_once() {
+    for hold_ms in [0, 60_000] {
+        let tag = format!("late-close-{hold_ms}");
+        let counts = counts_over_4_event_chunks(&tag, hold_ms, &[10, 20, 30, 15, 30, 40, 200_000]);
+        assert_eq!(counts, [1, 2, 3, 4, 5, 6, 1], "hold {hold_ms} ms");
+    }
 }
 
 #[test]

@@ -309,8 +309,8 @@ fn failing_cluster(tag: &str) -> Cluster {
 
 #[test]
 fn worker_failure_is_surfaced_and_propagated_on_stop() {
-    // health() must flip and stop() must report the failure instead of
-    // hanging.
+    // A collect must report the failure and stop() must propagate it
+    // instead of hanging.
     let mut cluster = failing_cluster("failprop");
     // Start *before* the stream exists: the create-stream op then triggers
     // the rebalance on the worker thread, where task creation fails on the
@@ -320,17 +320,10 @@ fn worker_failure_is_surfaced_and_propagated_on_stop() {
     cluster
         .create_stream("payments", payments_schema(), &["cardId"])
         .unwrap();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let failed = loop {
-        if cluster.nodes().iter().any(|n| n.health().is_err()) {
-            break true;
-        }
-        if std::time::Instant::now() > deadline {
-            break false;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    };
-    assert!(failed, "worker failure never surfaced via health()");
+    let (ts, values) = event_values("card-F", 0);
+    let id = cluster.send_async("payments", ts, values).unwrap();
+    let err = cluster.collect(id).expect_err("no unit is left to answer");
+    assert!(err.to_string().contains("worker thread failed"), "{err}");
     let err = cluster.stop().expect_err("stop must report the worker failure");
     let msg = err.to_string();
     assert!(

@@ -26,10 +26,8 @@
 //!   deltas into one body, then compressed), appends the frame to the
 //!   active segment file, records its location, drops the pending chunk
 //!   and caches the body it wrote plus a 32-byte index entry per event
-//!   (**durable**). That is the form a chunk read back from disk has, with
-//!   the events in the same positions, so a cursor part-way through the
-//!   pending chunk keeps its place. The cache holds only such chunks, and
-//!   may evict any of them.
+//!   (**durable**). That is the form a chunk read back from disk has.
+//!   The cache holds only such chunks, and may evict any of them.
 //!
 //! ## Durable at the checkpoint
 //!
@@ -58,20 +56,24 @@
 //!
 //! ## Cursor semantics
 //!
-//! A cursor yields events in timestamp order with a monotonic *bound*:
-//! `advance_upto(b)` yields every stored event with `ts < b` not yielded
-//! before. Late events that land *behind* a cursor's bound are skipped by
-//! that cursor (and the engine consistently excludes them from the window —
-//! both sides compare against the same bound). Cursors never cross a chunk
-//! that can still receive late events, so no event escapes expiry.
+//! A cursor's place is a chunk and a monotonic *bound*: advancing from
+//! bound `a` to `b` yields, chunk by chunk from its own, every stored
+//! event with `a <= ts < b`, in timestamp order. So an event stored
+//! *behind* a cursor's bound is skipped by that cursor (and the engine
+//! consistently excludes it from the window — both sides compare against
+//! the same bound), and an append never touches a cursor. A cursor leaves
+//! a chunk once every event in it is below its bound, unless the chunk is
+//! open: a late event routed to the chunk later is at or below its last
+//! timestamp, so behind the bound too, and no event escapes expiry.
 //!
 //! ## Cold loads
 //!
 //! A cursor that reaches a chunk neither in memory nor cached reads it
 //! with the lock held, caches it and holds it; [`Reservoir::cursor_at`]
-//! loads its starting chunk the same way. The lock has two users: the
-//! task owning the reservoir, whose appends and cursor advances all run
-//! on its unit's one thread (§3.2), and the I/O thread. The task never
+//! reads nothing, so a cursor's first advance loads its starting chunk
+//! like any other. The lock has two users: the task owning the
+//! reservoir, whose appends and cursor advances all run on its unit's
+//! one thread (§3.2), and the I/O thread. The task never
 //! waits on the I/O thread while holding the lock (a barrier waits on the
 //! channel without it), so a read under the lock delays only the I/O
 //! thread's bookkeeping. The other way round, the I/O thread's read-ahead
@@ -243,11 +245,14 @@ struct FileInfo {
     sealed: bool,
 }
 
+/// A cursor's place (module docs): the chunk it reads next, and its bound.
 #[derive(Debug, Clone)]
 struct CursorPos {
     chunk: u64,
-    idx: usize,
     bound: Timestamp,
+    /// Where the last drain ended: a guess at where `bound` falls in
+    /// `chunk`, checked before use, never fixed up (`drain_slice`).
+    hint: usize,
     /// The decoded chunk this cursor currently iterates — held by the
     /// iterator itself, as in the paper's Figure 5 ("each iterator only
     /// needs one chunk in-memory"). The cache provides read-ahead.
@@ -443,8 +448,8 @@ impl Reservoir {
     /// Append one event. See [`AppendOutcome`].
     ///
     /// The common case — an event at or past the open chunk's tail — is a
-    /// bounds-checked push plus O(1) metadata updates; only genuinely
-    /// out-of-order arrivals pay the binary-search insert.
+    /// push plus O(1) metadata updates; only out-of-order arrivals pay the
+    /// binary-search insert. No cursor is read or moved (module docs).
     ///
     /// When [`ReservoirConfig::append_recorder`] is enabled, the full
     /// append latency (lock wait included — that is what the task
@@ -461,8 +466,8 @@ impl Reservoir {
 
     /// Append a whole batch under **one** lock acquisition. Each event
     /// runs exactly the same per-event body as [`Reservoir::append`] —
-    /// dedup, late policy, routing, meta refresh, cursor fixups and
-    /// transition finalization are evaluated per event — so a batch leaves
+    /// dedup, late policy, routing, meta refresh and transition
+    /// finalization are evaluated per event — so a batch leaves
     /// byte-identical chunks to appending the same events one at a time
     /// (the invariant the batched-ingest proptests pin).
     ///
@@ -548,29 +553,8 @@ impl Reservoir {
                 });
             }
             let open = inner.open.as_mut().expect("just ensured");
-            let id = open.id;
-            let pos = insert_sorted(open, event);
-            let oi = (id.0 - inner.first_chunk_id) as usize;
-            if pos.appended {
-                // Fast path: tail push. The metadata refresh is O(1), and
-                // the cursor fixup loop is skipped entirely when no cursor
-                // is live (fixup is still required with cursors: one may
-                // sit on this chunk with a bound past the new event).
-                let meta = &mut inner.chunks[oi];
-                if pos.index == 0 {
-                    meta.first_ts = pos.ts;
-                }
-                meta.last_ts = pos.ts;
-                meta.count += 1;
-                if !inner.cursors.is_empty() {
-                    Self::fixup_cursors(inner, id, &pos);
-                }
-            } else {
-                // Out-of-order insert: recompute the meta from the events.
-                Self::fixup_cursors(inner, id, &pos);
-                let open = inner.open.as_ref().expect("just ensured");
-                Self::refresh_meta(&mut inner.chunks, inner.first_chunk_id, open);
-            }
+            insert_sorted(open, event);
+            refresh_meta(&mut inner.chunks, inner.first_chunk_id, open);
             self.maybe_close_open(inner);
         } else {
             // `transition` is non-empty here: with no transition chunks the
@@ -578,53 +562,21 @@ impl Reservoir {
             // was already handled by the late-event policy above.
             //
             // Route to the *oldest* transition chunk whose last event is at
-            // or after `ts`. Gap timestamps go to the *newer* neighbour;
-            // this guarantees that any insert landing behind a cursor has a
-            // timestamp below that cursor's bound (see the fixup in
-            // `fixup_cursors`), so cursors can safely move past drained
-            // transition chunks.
+            // or after `ts`. Gap timestamps go to the *newer* neighbour, so
+            // an insert never raises a chunk's last timestamp: a cursor that
+            // moved past the chunk has its bound above the event (module
+            // docs).
             let ti = inner
                 .transition
                 .iter()
                 .position(|t| t.events.last().is_some_and(|e| e.ts >= event.ts))
                 .unwrap_or(inner.transition.len() - 1);
-            let id = inner.transition[ti].id;
-            let pos = insert_sorted(&mut inner.transition[ti], event);
-            Self::fixup_cursors(inner, id, &pos);
-            Self::refresh_meta(&mut inner.chunks, inner.first_chunk_id, &inner.transition[ti]);
+            let chunk = &mut inner.transition[ti];
+            insert_sorted(chunk, event);
+            refresh_meta(&mut inner.chunks, inner.first_chunk_id, chunk);
         }
         self.finalize_ready_transitions(inner)?;
         Ok(outcome)
-    }
-
-    /// After inserting at sorted position `pos` in chunk `chunk`, cursors
-    /// whose bound already passed the event's position skip it (see module
-    /// docs for why this stays consistent with the engine's window bound).
-    ///
-    /// This includes a cursor parked *at the head* of a freshly created
-    /// open chunk: if its committed bound is already above the new event's
-    /// timestamp, the event counts as late relative to that cursor and is
-    /// skipped, even though nothing at that index was ever yielded. Callers
-    /// that want every event must therefore keep their bounds at or below
-    /// the ingest frontier while appends are in flight.
-    fn fixup_cursors(inner: &mut Inner, chunk: ChunkId, pos: &InsertPos) {
-        for cur in inner.cursors.values_mut() {
-            if cur.chunk == chunk.0 && pos.ts < cur.bound {
-                debug_assert!(pos.index <= cur.idx);
-                cur.idx += 1;
-            }
-        }
-    }
-
-    /// Recompute a mutable chunk's metadata from its events (after an
-    /// out-of-order insert).
-    fn refresh_meta(chunks: &mut VecDeque<ChunkMeta>, first_chunk_id: u64, chunk: &EventChunk) {
-        if let (Some(first), Some(last)) = (chunk.events.first(), chunk.events.last()) {
-            let meta = &mut chunks[(chunk.id.0 - first_chunk_id) as usize];
-            meta.first_ts = first.ts;
-            meta.last_ts = last.ts;
-            meta.count = chunk.events.len() as u32;
-        }
     }
 
     fn maybe_close_open(&self, inner: &mut Inner) {
@@ -723,69 +675,40 @@ impl Reservoir {
             .map_err(|_| RailgunError::Storage("reservoir io thread died".into()))?
     }
 
-    /// Create a cursor positioned at the first event with `ts >= from`, as
-    /// if it had advanced to bound `from`: an event appended later below
-    /// `from` is behind it (module docs). Past every stored event it waits
-    /// at the end of the open chunk, where the next arrival lands.
+    /// Create a cursor at bound `from`, as if it had advanced to it
+    /// (module docs), in the first chunk whose last event is at or past
+    /// `from`, or else in the open chunk, where the next arrival lands.
     ///
-    /// A cold starting chunk is loaded as a cursor advance loads one
-    /// (module docs). If that fails, the cursor waits at the head of the
-    /// chunk and [`Cursor::take_error`] says why.
+    /// No chunk is read: the first advance loads a cold starting chunk as
+    /// any advance does, and reports a failure through
+    /// [`Cursor::take_error`].
     pub fn cursor_at(&self, from: Timestamp) -> Cursor {
-        let mut guard = self.shared.inner.lock();
-        let inner = &mut *guard;
-        let mut pos = CursorPos {
-            chunk: inner.next_chunk_id,
-            idx: 0,
+        let mut inner = self.shared.inner.lock();
+        let chunk = inner
+            .chunks
+            .iter()
+            .find(|m| m.last_ts >= from || m.state == ChunkState::Open)
+            .map_or(inner.next_chunk_id, |m| m.id.0);
+        let id = inner.next_cursor_id;
+        inner.next_cursor_id += 1;
+        let pos = CursorPos {
+            chunk,
             bound: from,
+            hint: 0,
             held: None,
             prefetch_sent: false,
         };
-        let mut error = None;
-        // Find the first chunk whose last event is >= from.
-        let start = inner
-            .chunks
-            .iter()
-            .find(|m| m.count > 0 && m.last_ts >= from)
-            .map(|m| m.id);
-        if let Some(chunk_id) = start {
-            pos.chunk = chunk_id.0;
-            match Self::resident_seek(inner, chunk_id, from) {
-                Some(idx) => pos.idx = idx,
-                None => match load_cold(&self.shared.dir, inner, chunk_id) {
-                    Ok(decoded) => {
-                        pos.idx = decoded.rows.seek(0, from);
-                        pos.held = Some(decoded);
-                    }
-                    Err(e) => error = Some(e),
-                },
-            }
-        } else if let Some(open) = &inner.open {
-            pos.chunk = open.id.0;
-            pos.idx = open.events.len();
-        }
-        let id = inner.next_cursor_id;
-        inner.next_cursor_id += 1;
         inner.cursors.insert(id, pos);
         Cursor {
             shared: Arc::clone(&self.shared),
             id,
-            error: Mutex::new(error),
+            error: Mutex::new(None),
         }
     }
 
     /// Cursor positioned at the very beginning of the stored stream.
     pub fn cursor_at_start(&self) -> Cursor {
         self.cursor_at(Timestamp::MIN)
-    }
-
-    /// Seek index of the first event with `ts >= from` in `chunk`, if the
-    /// chunk is resident in memory (held as events, or cached).
-    fn resident_seek(inner: &mut Inner, chunk: ChunkId, from: Timestamp) -> Option<usize> {
-        match inner.events_of(chunk) {
-            Some(events) => Some(events.seek(0, from)),
-            None => inner.cache.get(chunk).map(|c| c.rows.seek(0, from)),
-        }
     }
 
     /// Drop durable chunks entirely below `before` (event time), deleting
@@ -922,40 +845,30 @@ impl Drop for Reservoir {
     }
 }
 
-struct InsertPos {
-    index: usize,
-    ts: Timestamp,
-    /// True when the event was pushed at the tail (the append fast path).
-    appended: bool,
-}
-
 /// Insert an event into a mutable chunk keeping timestamp order (equal
-/// timestamps keep arrival order). Returns the insert position.
-///
-/// In-order arrivals (`ts` at or past the current tail) take a plain push;
-/// only out-of-order events pay the binary search + memmove. Both paths
-/// produce the identical final ordering (pinned by a property test below).
-fn insert_sorted(chunk: &mut EventChunk, event: Event) -> InsertPos {
-    let ts = event.ts;
+/// timestamps keep arrival order). An in-order arrival (`ts` at or past
+/// the tail) is a plain push; only an out-of-order one pays the binary
+/// search and memmove. Both give the order of an insert at
+/// `partition_point(ts <= e.ts)` (pinned by a property test below).
+fn insert_sorted(chunk: &mut EventChunk, event: Event) {
     chunk.bytes += event.heap_size();
     match chunk.events.last() {
-        Some(last) if ts < last.ts => {
-            let idx = chunk.events.partition_point(|e| e.ts <= ts);
+        Some(last) if event.ts < last.ts => {
+            let idx = chunk.events.partition_point(|e| e.ts <= event.ts);
             chunk.events.insert(idx, event);
-            InsertPos {
-                index: idx,
-                ts,
-                appended: false,
-            }
         }
-        _ => {
-            chunk.events.push(event);
-            InsertPos {
-                index: chunk.events.len() - 1,
-                ts,
-                appended: true,
-            }
-        }
+        _ => chunk.events.push(event),
+    }
+}
+
+/// Set a mutable chunk's metadata from its events: O(1), since they are
+/// sorted.
+fn refresh_meta(chunks: &mut VecDeque<ChunkMeta>, first_chunk_id: u64, chunk: &EventChunk) {
+    if let (Some(first), Some(last)) = (chunk.events.first(), chunk.events.last()) {
+        let meta = &mut chunks[(chunk.id.0 - first_chunk_id) as usize];
+        meta.first_ts = first.ts;
+        meta.last_ts = last.ts;
+        meta.count = chunk.events.len() as u32;
     }
 }
 
@@ -1014,14 +927,15 @@ impl Cursor {
         self.error.lock().take()
     }
 
-    /// Yield every not-yet-yielded event with `ts < bound` into `out`,
-    /// advancing the cursor. Bounds are monotonic: a smaller-or-equal bound
-    /// than a previous call yields nothing.
+    /// Yield every stored event with `previous bound <= ts < bound` into
+    /// `out`, in timestamp order, and make `bound` the cursor's bound.
+    /// Bounds are monotonic: a smaller-or-equal bound than a previous call
+    /// yields nothing.
     ///
-    /// The whole advance runs under the reservoir lock. It batch-copies
-    /// from chunks in memory (open, transition, held or cached) with
-    /// `partition_point` and slice extends, and reads a cold chunk inline
-    /// (module docs).
+    /// The whole advance runs under the reservoir lock. Chunk by chunk
+    /// from the cursor's own, it finds the range by binary search (module
+    /// docs) and batch-copies it from chunks in memory (open, transition,
+    /// pending, held or cached), and reads a cold chunk inline.
     ///
     /// A cold load that fails ends the drain short of `bound`, and the
     /// bound stays where it was, so the next advance retries the read;
@@ -1047,9 +961,9 @@ impl Cursor {
         inner.cursors.insert(self.id, pos);
     }
 
-    /// The body of [`Cursor::advance_upto_into`]: copy events below
-    /// `bound` into `out`, advancing `pos` chunk by chunk and loading the
-    /// cold ones.
+    /// The body of [`Cursor::advance_upto_into`]: copy the events in
+    /// `pos.bound..bound` into `out`, moving `pos` chunk by chunk and
+    /// loading the cold ones. `pos.bound` is left to the caller.
     fn drain(
         &self,
         inner: &mut Inner,
@@ -1068,14 +982,13 @@ impl Cursor {
                         .events_of(chunk)
                         .expect("a chunk in no segment is held as events");
                     // A drained transition or pending chunk is safe to move
-                    // past: late events that land behind us are below our
-                    // bound by the routing invariant and get skipped via
-                    // `fixup_cursors`. The open chunk is never crossed.
-                    if !drain_slice(events, pos, bound, out) || state == ChunkState::Open {
+                    // past: a late event routed to it is behind the bound
+                    // (module docs). The open chunk is never crossed.
+                    pos.hint = drain_slice(events, pos.bound..bound, pos.hint, out);
+                    if pos.hint < events.len() || state == ChunkState::Open {
                         return Ok(());
                     }
                     pos.chunk += 1;
-                    pos.idx = 0;
                 }
                 ChunkState::Durable(_) => {
                     // Figure 5: the iterator holds its current chunk; the
@@ -1093,14 +1006,12 @@ impl Cursor {
                         }
                     };
                     let rows = &decoded.rows;
-                    let done = drain_slice(rows, pos, bound, out);
+                    let end = drain_slice(rows, pos.bound..bound, pos.hint, out);
+                    pos.hint = end;
                     // Eager read-ahead, issued just-in-time (when the
                     // iterator is most of the way through its chunk) so
                     // prefetched chunks are not evicted before use.
-                    if self.shared.cfg.prefetch
-                        && !pos.prefetch_sent
-                        && pos.idx * 4 >= rows.len() * 3
-                    {
+                    if self.shared.cfg.prefetch && !pos.prefetch_sent && end * 4 >= rows.len() * 3 {
                         pos.prefetch_sent = true;
                         // Only a written chunk the cache lacks: the I/O
                         // thread drops a request for one held as events,
@@ -1115,13 +1026,11 @@ impl Cursor {
                             let _ = self.shared.io_tx.send(IoCmd::Prefetch(next));
                         }
                     }
-                    if done {
-                        pos.chunk += 1;
-                        pos.idx = 0;
-                        pos.held = None;
-                    } else {
+                    if end < rows.len() {
                         return Ok(());
                     }
+                    pos.chunk += 1;
+                    pos.held = None;
                 }
             }
         }
@@ -1145,16 +1054,23 @@ impl Drop for Cursor {
 /// What a cursor reads from a chunk in memory, in timestamp order: the
 /// events of a chunk held as events, or the rows of a written one.
 trait EventRows {
-    fn len(&self) -> usize;
+    /// Timestamp of event `i`, if there is one.
+    fn ts(&self, i: usize) -> Option<Timestamp>;
     /// Index of the first event at or after `start` with `ts >= bound`.
     fn seek(&self, start: usize, bound: Timestamp) -> usize;
     /// Append (clones of) the events at `range` to `out`.
     fn copy_into(&self, range: Range<usize>, out: &mut Vec<Event>);
+    /// Whether `seek(0, bound)` is `i`, checked in O(1): the event before
+    /// `i` is below `bound`, and the one at `i` (if any) is not.
+    fn starts_at(&self, i: usize, bound: Timestamp) -> bool {
+        let below = |j| self.ts(j).is_some_and(|ts| ts < bound);
+        (i == 0 || below(i - 1)) && !below(i)
+    }
 }
 
 impl EventRows for [Event] {
-    fn len(&self) -> usize {
-        self.len()
+    fn ts(&self, i: usize) -> Option<Timestamp> {
+        self.get(i).map(|e| e.ts)
     }
 
     fn seek(&self, start: usize, bound: Timestamp) -> usize {
@@ -1167,8 +1083,8 @@ impl EventRows for [Event] {
 }
 
 impl EventRows for RowBlock {
-    fn len(&self) -> usize {
-        self.len()
+    fn ts(&self, i: usize) -> Option<Timestamp> {
+        self.ts(i)
     }
 
     fn seek(&self, start: usize, bound: Timestamp) -> usize {
@@ -1180,21 +1096,24 @@ impl EventRows for RowBlock {
     }
 }
 
-/// Batch-copy every event with `ts < bound` from the chunk's events
-/// `pos.idx..` into `out` (one binary search + one extend instead of a
-/// per-event compare-and-push loop). Returns true when the chunk is fully
-/// drained.
+/// Batch-copy the chunk's events with `ts` in `range` into `out` (binary
+/// searches and one extend, not a per-event loop), the first search saved
+/// when `range.start` falls at `hint`. Returns the index past the last one
+/// copied: the chunk's length once every event in it is below `range.end`.
 fn drain_slice(
     rows: &(impl EventRows + ?Sized),
-    pos: &mut CursorPos,
-    bound: Timestamp,
+    range: Range<Timestamp>,
+    hint: usize,
     out: &mut Vec<Event>,
-) -> bool {
-    let start = pos.idx.min(rows.len());
-    let end = rows.seek(start, bound);
+) -> usize {
+    let start = if rows.starts_at(hint, range.start) {
+        hint
+    } else {
+        rows.seek(0, range.start)
+    };
+    let end = rows.seek(start, range.end);
     rows.copy_into(start..end, out);
-    pos.idx = end;
-    end == rows.len()
+    end
 }
 
 fn io_loop(shared: Arc<Shared>, mut writer: SegmentWriter, rx: Receiver<IoCmd>) {
@@ -1353,7 +1272,7 @@ mod insert_path_tests {
     }
 
     #[test]
-    fn tail_ties_take_the_fast_path() {
+    fn ties_keep_arrival_order_and_a_late_event_goes_first() {
         let mut chunk = EventChunk {
             id: ChunkId(0),
             events: Vec::new(),
@@ -1362,10 +1281,9 @@ mod insert_path_tests {
         let e = |id: u64, ts: i64| {
             Event::new(EventId(id), Timestamp::from_millis(ts), vec![Value::Int(id as i64)])
         };
-        assert!(insert_sorted(&mut chunk, e(1, 10)).appended);
-        assert!(insert_sorted(&mut chunk, e(2, 10)).appended, "equal ts appends at tail");
-        assert!(!insert_sorted(&mut chunk, e(3, 5)).appended, "late event takes slow path");
-        assert!(insert_sorted(&mut chunk, e(4, 10)).appended);
+        for (id, ts) in [(1, 10), (2, 10), (3, 5), (4, 10)] {
+            insert_sorted(&mut chunk, e(id, ts));
+        }
         let ids: Vec<u64> = chunk.events.iter().map(|ev| ev.id.0).collect();
         assert_eq!(ids, vec![3, 1, 2, 4], "ties keep arrival order");
     }

@@ -360,8 +360,9 @@ fn an_image_whose_last_segment_ends_in_a_torn_frame_is_corruption() {
     }
 }
 
-/// A cursor created on a damaged cold chunk waits at its head with the
-/// error in its slot; an advance over the chunk reads it again.
+/// A cursor created on a damaged cold chunk reads nothing until it
+/// advances: the first advance reports the damage, and the next reads the
+/// chunk again.
 #[test]
 fn a_cursor_started_in_a_damaged_cold_chunk_reports_it_and_retries() {
     let dir = fresh("cursor-at-damaged");
@@ -383,6 +384,9 @@ fn a_cursor_started_in_a_damaged_cold_chunk_reports_it_and_retries() {
     raw[mid] ^= 0x40;
     std::fs::write(&segment, raw).unwrap();
     let c = res.cursor_at(Timestamp::from_millis(200));
+    assert!(c.take_error().is_none());
+    assert_eq!(res.stats().failed_loads, 0);
+    assert!(c.advance_upto(Timestamp::MAX).is_empty());
     match c.take_error() {
         Some(railgun_types::RailgunError::Corruption(what)) => {
             assert!(what.contains("seg-00000002.rail:0"), "{what}")

@@ -52,6 +52,11 @@ impl RowBlock {
         self.index.is_empty()
     }
 
+    /// Timestamp of event `i`, if there is one.
+    pub fn ts(&self, i: usize) -> Option<Timestamp> {
+        self.index.get(i).map(|e| e.ts)
+    }
+
     /// Event `i`, its row a slice of the body.
     #[inline]
     pub fn event(&self, i: usize) -> Event {
