@@ -8,10 +8,20 @@
 //! 2. per-processor load stays within the budget
 //!    `ceil(tasks × replication / processor units)`.
 //!
-//! Preference order (Figure 7): previous **active** processor → previous
-//! **replica** processor (least loaded) → **stale** processor (one that
-//! held the task in an earlier generation and still has data leftovers) →
-//! least-loaded processor. Replicas skip the first step.
+//! Preference order: previous **active** processor → previous **replica**
+//! processor (least loaded) → least-loaded processor. Replicas skip the
+//! first step. Who held a task comes from one record each: the previous
+//! active owner from the coordinator
+//! ([`MemberInfo::previous`](railgun_messaging::MemberInfo::previous)), the
+//! previous replica holders from this strategy's last replica plan,
+//! counting live members only.
+//!
+//! Figure 7 also prefers a **stale** processor — one that held the task in
+//! an earlier generation and keeps leftovers of its data — before the
+//! least-loaded one. This reproduction drops that step: a unit wipes a
+//! task's directory every time it gains the task and rebuilds it from a
+//! checkpoint image or a replay (`ProcessorUnit::open_task`), so leftovers
+//! save nothing and a stale processor is no warmer than any other.
 //!
 //! The strategy plugs into the messaging layer's consumer-group coordinator
 //! as an [`AssignmentStrategy`]; the replica plan it computes alongside the
@@ -52,20 +62,18 @@ impl ProcessorIdentity {
 
 #[derive(Default)]
 struct StrategyState {
-    prev_active: HashMap<TopicPartition, MemberId>,
-    prev_replicas: HashMap<TopicPartition, Vec<MemberId>>,
-    /// Tasks a member held in the past but lost: "data leftovers" (§4.2).
-    stale: HashMap<MemberId, HashSet<TopicPartition>>,
-    /// Replica plan of the current generation.
+    /// Replica plan of the current generation; the next generation reads
+    /// each task's previous replica holders from it.
     replica_plan: HashMap<MemberId, Vec<TopicPartition>>,
-    generation: u64,
-    /// Tasks moved to a processor without previous data (diagnostics —
-    /// the data-shuffle cost the strategy minimizes).
+    /// Tasks placed on a processor that held neither the active copy nor
+    /// a replica (diagnostics — the data-shuffle cost the strategy
+    /// minimizes).
     cold_assignments: u64,
 }
 
 /// The Figure 7 strategy. One instance is shared by every consumer of the
-/// active group; its internal memory provides previous/stale tracking.
+/// active group; it remembers the replica plan, which the coordinator
+/// does not know.
 pub struct RailgunStrategy {
     /// Total copies per task (1 = active only; the paper deploys 3).
     replication: usize,
@@ -108,20 +116,17 @@ impl RailgunStrategy {
             .unwrap_or_default()
     }
 
-    /// Generation counter of the last computed assignment.
-    pub fn generation(&self) -> u64 {
-        self.state.lock().generation
-    }
-
-    /// Number of assignments that landed on a processor with no previous
-    /// data for the task (each implies a data transfer / replay).
+    /// Number of assignments that landed on a processor holding neither
+    /// the active copy nor a replica of the task (each implies a data
+    /// transfer / replay).
     pub fn cold_assignments(&self) -> u64 {
         self.state.lock().cold_assignments
     }
 }
 
 struct PassCtx<'a> {
-    members: &'a [railgun_messaging::MemberInfo],
+    /// Every live member, in the coordinator's order.
+    ids: Vec<MemberId>,
     identities: &'a HashMap<MemberId, ProcessorIdentity>,
     /// Members allowed to take work this generation (excludes draining
     /// nodes' members unless *everyone* is draining).
@@ -133,11 +138,12 @@ struct PassCtx<'a> {
 }
 
 impl PassCtx<'_> {
+    fn load(&self, member: MemberId) -> usize {
+        self.loads.get(&member).copied().unwrap_or(0)
+    }
+
     fn can_take(&self, member: MemberId, task: &TopicPartition) -> bool {
-        if !self.eligible.contains(&member) {
-            return false;
-        }
-        if self.loads.get(&member).copied().unwrap_or(0) >= self.budget {
+        if !self.eligible.contains(&member) || self.load(member) >= self.budget {
             return false;
         }
         let Some(id) = self.identities.get(&member) else {
@@ -159,27 +165,19 @@ impl PassCtx<'_> {
         }
     }
 
-    /// Least-loaded member (by current load, ties by id) passing
-    /// `can_take`, optionally restricted to `candidates`.
-    fn least_loaded(
-        &self,
-        task: &TopicPartition,
-        candidates: Option<&[MemberId]>,
-    ) -> Option<MemberId> {
-        let pool: Vec<MemberId> = match candidates {
-            Some(c) => c.to_vec(),
-            None => self.members.iter().map(|m| m.id).collect(),
-        };
-        pool.into_iter()
+    /// Least-loaded member of `pool` (by current load, ties by id)
+    /// passing `can_take`.
+    fn least_loaded(&self, task: &TopicPartition, pool: &[MemberId]) -> Option<MemberId> {
+        pool.iter()
+            .copied()
             .filter(|m| self.can_take(*m, task))
-            .min_by_key(|m| (self.loads.get(m).copied().unwrap_or(0), *m))
+            .min_by_key(|m| (self.load(*m), *m))
     }
 }
 
 impl AssignmentStrategy for RailgunStrategy {
     fn assign(&self, ctx: &AssignmentContext) -> HashMap<MemberId, Vec<TopicPartition>> {
         let mut state = self.state.lock();
-        state.generation += 1;
         let mut active: HashMap<MemberId, Vec<TopicPartition>> =
             ctx.members.iter().map(|m| (m.id, Vec::new())).collect();
         if ctx.members.is_empty() {
@@ -191,7 +189,7 @@ impl AssignmentStrategy for RailgunStrategy {
             .iter()
             .filter_map(|m| ProcessorIdentity::decode(&m.metadata).map(|id| (m.id, id)))
             .collect();
-        let alive: HashSet<MemberId> = ctx.members.iter().map(|m| m.id).collect();
+        let ids: Vec<MemberId> = ctx.members.iter().map(|m| m.id).collect();
         // Draining nodes keep their members in the group (they still need
         // the bus to flush checkpoints) but take no new work. If every
         // member is draining, ignore the marks — someone has to serve.
@@ -207,7 +205,7 @@ impl AssignmentStrategy for RailgunStrategy {
             .map(|m| m.id)
             .collect();
         if eligible.is_empty() {
-            eligible = alive.clone();
+            eligible = ids.iter().copied().collect();
         }
         let replication = self.replication.min(
             identities
@@ -219,8 +217,23 @@ impl AssignmentStrategy for RailgunStrategy {
                 .max(1),
         );
         let budget = (ctx.partitions.len() * replication).div_ceil(eligible.len());
+        // Who held each task last generation: the active owner as the
+        // coordinator recorded it, the replica holders still alive.
+        let last_owner: HashMap<&TopicPartition, MemberId> = ctx
+            .members
+            .iter()
+            .flat_map(|m| m.previous.iter().map(move |t| (t, m.id)))
+            .collect();
+        let mut last_replicas: HashMap<&TopicPartition, Vec<MemberId>> = HashMap::new();
+        for (m, tasks) in state.replica_plan.iter().filter(|(m, _)| ids.contains(m)) {
+            for t in tasks {
+                last_replicas.entry(t).or_default().push(*m);
+            }
+        }
+        let last_replica_holders =
+            |task: &TopicPartition| last_replicas.get(task).map_or(&[][..], Vec::as_slice);
         let mut pass = PassCtx {
-            members: &ctx.members,
+            ids,
             identities: &identities,
             eligible: &eligible,
             budget,
@@ -230,38 +243,12 @@ impl AssignmentStrategy for RailgunStrategy {
 
         // --- Active pass (Figure 7, left) ---
         for task in &ctx.partitions {
-            let prev_active = state
-                .prev_active
+            let chosen = last_owner
                 .get(task)
                 .copied()
-                .filter(|m| alive.contains(m));
-            let chosen = prev_active
                 .filter(|m| pass.can_take(*m, task))
-                .or_else(|| {
-                    // Previous replicas, least loaded first.
-                    let prev_reps: Vec<MemberId> = state
-                        .prev_replicas
-                        .get(task)
-                        .map(|v| {
-                            v.iter()
-                                .copied()
-                                .filter(|m| alive.contains(m))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    pass.least_loaded(task, Some(&prev_reps))
-                })
-                .or_else(|| {
-                    // Stale processors.
-                    let stale: Vec<MemberId> = state
-                        .stale
-                        .iter()
-                        .filter(|(m, tasks)| alive.contains(*m) && tasks.contains(task))
-                        .map(|(m, _)| *m)
-                        .collect();
-                    pass.least_loaded(task, Some(&stale))
-                })
-                .or_else(|| pass.least_loaded(task, None));
+                .or_else(|| pass.least_loaded(task, last_replica_holders(task)))
+                .or_else(|| pass.least_loaded(task, &pass.ids));
             if let Some(m) = chosen {
                 pass.take(m, task);
                 active.get_mut(&m).expect("seeded").push(task.clone());
@@ -288,7 +275,7 @@ impl AssignmentStrategy for RailgunStrategy {
                     .iter()
                     .map(|m| m.id)
                     .filter(|m| eligible.contains(m))
-                    .min_by_key(|m| (pass.loads.get(m).copied().unwrap_or(0), *m))
+                    .min_by_key(|m| (pass.load(*m), *m))
                 {
                     pass.take(m, &task);
                     active.get_mut(&m).expect("seeded").push(task);
@@ -301,28 +288,9 @@ impl AssignmentStrategy for RailgunStrategy {
             ctx.members.iter().map(|m| (m.id, Vec::new())).collect();
         for task in &ctx.partitions {
             for _slot in 1..replication {
-                let prev_reps: Vec<MemberId> = state
-                    .prev_replicas
-                    .get(task)
-                    .map(|v| {
-                        v.iter()
-                            .copied()
-                            .filter(|m| alive.contains(m))
-                            .collect()
-                    })
-                    .unwrap_or_default();
                 let chosen = pass
-                    .least_loaded(task, Some(&prev_reps))
-                    .or_else(|| {
-                        let stale: Vec<MemberId> = state
-                            .stale
-                            .iter()
-                            .filter(|(m, tasks)| alive.contains(*m) && tasks.contains(task))
-                            .map(|(m, _)| *m)
-                            .collect();
-                        pass.least_loaded(task, Some(&stale))
-                    })
-                    .or_else(|| pass.least_loaded(task, None));
+                    .least_loaded(task, last_replica_holders(task))
+                    .or_else(|| pass.least_loaded(task, &pass.ids));
                 match chosen {
                     Some(m) => {
                         pass.take(m, task);
@@ -333,60 +301,15 @@ impl AssignmentStrategy for RailgunStrategy {
             }
         }
 
-        // --- Bookkeeping: stale sets, cold-assignment count, plans ---
-        let mut had_data: HashMap<MemberId, HashSet<TopicPartition>> = HashMap::new();
-        for (task, m) in &state.prev_active {
-            had_data.entry(*m).or_default().insert(task.clone());
-        }
-        for (task, ms) in &state.prev_replicas {
-            for m in ms {
-                had_data.entry(*m).or_default().insert(task.clone());
-            }
-        }
-        for (m, tasks) in &state.stale {
-            had_data.entry(*m).or_default().extend(tasks.iter().cloned());
-        }
-        let mut new_stale: HashMap<MemberId, HashSet<TopicPartition>> = HashMap::new();
-        let mut cold = 0u64;
-        for (m, tasks) in active.iter().chain(replicas.iter()) {
-            for task in tasks {
-                if !had_data.get(m).is_some_and(|h| h.contains(task)) {
-                    cold += 1;
-                }
-            }
-        }
-        for (m, had) in &had_data {
-            if !alive.contains(m) {
-                continue; // member gone; its leftovers go with it
-            }
-            let holds: HashSet<&TopicPartition> = active[m]
-                .iter()
-                .chain(replicas[m].iter())
-                .collect();
-            let lost: HashSet<TopicPartition> = had
-                .iter()
-                .filter(|t| !holds.contains(*t) && ctx.partitions.contains(*t))
-                .cloned()
-                .collect();
-            if !lost.is_empty() {
-                new_stale.insert(*m, lost);
-            }
-        }
-        state.cold_assignments += cold;
-        state.stale = new_stale;
-        state.prev_active = active
-            .iter()
-            .flat_map(|(m, ts)| ts.iter().map(move |t| (t.clone(), *m)))
-            .collect();
-        state.prev_replicas = {
-            let mut map: HashMap<TopicPartition, Vec<MemberId>> = HashMap::new();
-            for (m, ts) in &replicas {
-                for t in ts {
-                    map.entry(t.clone()).or_default().push(*m);
-                }
-            }
-            map
+        let held = |m: MemberId, task: &TopicPartition| {
+            last_owner.get(task) == Some(&m) || last_replica_holders(task).contains(&m)
         };
+        let cold = active
+            .iter()
+            .chain(&replicas)
+            .flat_map(|(m, tasks)| tasks.iter().filter(|t| !held(*m, t)))
+            .count();
+        state.cold_assignments += cold as u64;
         state.replica_plan = replicas;
         active
     }
@@ -418,6 +341,23 @@ mod tests {
             members,
             partitions: (0..parts).map(tp).collect(),
         }
+    }
+
+    /// The context of the generation after `last`, with each member's
+    /// `previous` fed as the coordinator does: its assignment in `last`.
+    fn next_ctx(
+        members: &[MemberInfo],
+        parts: u32,
+        last: &HashMap<MemberId, Vec<TopicPartition>>,
+    ) -> AssignmentContext {
+        let members = members
+            .iter()
+            .map(|m| MemberInfo {
+                previous: last.get(&m.id).cloned().unwrap_or_default(),
+                ..m.clone()
+            })
+            .collect();
+        ctx(members, parts)
     }
 
     fn owner_of(
@@ -466,7 +406,7 @@ mod tests {
         let s = RailgunStrategy::new(1);
         let members = vec![member(1, 0, 0), member(2, 1, 0)];
         let a1 = s.assign(&ctx(members.clone(), 6));
-        let a2 = s.assign(&ctx(members, 6));
+        let a2 = s.assign(&next_ctx(&members, 6, &a1));
         assert_eq!(a1, a2, "no change in cluster => identical assignment");
         assert_eq!(railgun_messaging::moved_partitions(&a1, &a2), 0);
     }
@@ -497,7 +437,7 @@ mod tests {
             .into_iter()
             .filter(|m| m.id != 1)
             .collect();
-        let a2 = s.assign(&ctx(survivors, 3));
+        let a2 = s.assign(&next_ctx(&survivors, 3, &a1));
         assert_eq!(
             owner_of(&a2, &task),
             replica_owner,
@@ -552,9 +492,10 @@ mod tests {
     fn member_join_moves_few_tasks() {
         let s = RailgunStrategy::new(1);
         let a1 = s.assign(&ctx(vec![member(1, 0, 0), member(2, 1, 0)], 8));
-        let a2 = s.assign(&ctx(
-            vec![member(1, 0, 0), member(2, 1, 0), member(3, 2, 0)],
+        let a2 = s.assign(&next_ctx(
+            &[member(1, 0, 0), member(2, 1, 0), member(3, 2, 0)],
             8,
+            &a1,
         ));
         // Budget becomes ceil(8/3)=3; at most 8 - 3 - 3 = 2 + leftover
         // moves; a non-sticky strategy could move up to 8.
@@ -564,22 +505,40 @@ mod tests {
     }
 
     #[test]
-    fn stale_member_preferred_on_rejoin() {
+    fn a_fresh_strategy_keeps_the_previous_owners_the_coordinator_reports() {
+        // The previous owners differ from the least-loaded order
+        // (0→1, 1→2, 2→3, 3→1, ...), and a new strategy has no memory of
+        // its own: only `previous` can put each task back where it was.
         let s = RailgunStrategy::new(1);
-        let m1 = member(1, 0, 0);
-        let m2 = member(2, 1, 0);
-        let m3 = member(3, 2, 0);
-        // Gen 1: all three members.
-        let a1 = s.assign(&ctx(vec![m1.clone(), m2.clone(), m3.clone()], 6));
-        let m3_tasks = a1[&3].clone();
-        assert!(!m3_tasks.is_empty());
-        // Gen 2: member 3 leaves; its tasks move (member 3 would become
-        // stale if it were still around — but it's gone, so no stale).
-        let _a2 = s.assign(&ctx(vec![m1.clone(), m2.clone()], 6));
-        // Gen 3: member 1's unit 2 appears on node 0 — it has no past.
-        // Meanwhile member 2 lost some tasks in gen2's rebalancing? Verify
-        // the cold-assignment counter moved (data had to shuffle).
-        assert!(s.cold_assignments() > 0);
+        let members = [member(1, 0, 0), member(2, 1, 0), member(3, 2, 0)];
+        let last: HashMap<MemberId, Vec<TopicPartition>> = HashMap::from([
+            (1, vec![tp(4), tp(5)]),
+            (2, vec![tp(0), tp(3)]),
+            (3, vec![tp(1), tp(2)]),
+        ]);
+        let a = s.assign(&next_ctx(&members, 6, &last));
+        assert_eq!(a, last, "every member keeps its previous tasks");
+        assert_eq!(s.cold_assignments(), 0, "no task landed on a cold member");
+    }
+
+    #[test]
+    fn a_task_back_on_an_earlier_owner_is_a_cold_placement() {
+        // Generation 1: members 1 and 2 split six tasks. Generation 2: a
+        // joiner takes one task of each. Generation 3: it leaves, and its
+        // two tasks go back to their first owners — which wiped them when
+        // they lost them, so both placements are cold.
+        let s = RailgunStrategy::new(1);
+        let (m1, m2, m3) = (member(1, 0, 0), member(2, 1, 0), member(3, 2, 0));
+        let a1 = s.assign(&ctx(vec![m1.clone(), m2.clone()], 6));
+        let a2 = s.assign(&next_ctx(&[m1.clone(), m2.clone(), m3], 6, &a1));
+        let joiner_tasks = a2[&3].clone();
+        assert_eq!(joiner_tasks.len(), 2);
+        let cold_before = s.cold_assignments();
+        let a3 = s.assign(&next_ctx(&[m1, m2], 6, &a2));
+        for task in &joiner_tasks {
+            assert_eq!(owner_of(&a3, task), owner_of(&a1, task), "{task} goes back");
+        }
+        assert_eq!(s.cold_assignments() - cold_before, 2);
     }
 
     #[test]

@@ -328,9 +328,8 @@ impl ProcessorUnit {
 
     /// Checkpoint every task with at least `min_events` processed since
     /// its last image: write the image, publish its (task, offset, path)
-    /// record to the checkpoint topic, commit the image-backed offset to
-    /// the group coordinator (introspection only — rebalances always seek
-    /// explicitly), and delete the task's images the new one supersedes.
+    /// record to the checkpoint topic — the one record of where the task
+    /// resumes — and delete the task's images the new one supersedes.
     /// Returns the number of images written.
     fn checkpoint_due(&mut self, min_events: u64) -> Result<usize> {
         let mut done = 0;
@@ -364,7 +363,6 @@ impl ProcessorUnit {
                 Ok(_) | Err(RailgunError::NotFound(_)) => {}
                 Err(e) => return Err(e),
             }
-            self.active.commit(tp, slot.next_offset)?;
             slot.since_checkpoint = 0;
             let dirs = self.checkpoint_dirs.entry(tp.clone()).or_default();
             dirs.push_back(dir);
@@ -814,16 +812,17 @@ mod tests {
     #[test]
     fn failed_checkpoint_bookkeeping_surfaces_from_pump() {
         // The in-memory bus cannot fail a publish other than with the
-        // tolerated `NotFound`, so the failure is injected one line
-        // further down: a unit that lost its group subscription cannot
-        // commit the image-backed offset. That used to be `.ok()`ed away.
-        let (_bus, _frontend, mut unit) = pumped_unit("unit-ckpt-commit-fails", 3);
-        unit.active.unsubscribe();
+        // tolerated `NotFound`, so the failure is injected where the image
+        // goes: a regular file stands where the unit's `ckpt/` directory
+        // would be created.
+        let (_bus, _frontend, mut unit) = pumped_unit("unit-ckpt-write-fails", 3);
+        std::fs::write(unit.cfg.data_dir.join("ckpt"), b"not a directory").unwrap();
         unit.cfg.checkpoint_every = 1;
         match unit.pump() {
-            Err(RailgunError::Messaging(msg)) => assert!(msg.contains("commit"), "{msg}"),
+            Err(RailgunError::Io(_)) => {}
             other => panic!("checkpoint failure must surface, got {other:?}"),
         }
+        assert!(unit.checkpoint_dirs.is_empty(), "no image recorded");
     }
 
     #[test]

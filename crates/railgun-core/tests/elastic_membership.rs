@@ -1,12 +1,14 @@
 //! Elastic membership end-to-end: checkpoint-based handover on
 //! scale-out, scheduled drain with zero loss under live ingest, requests
-//! outstanding across a kill or a drain answered after failover, and a
-//! node failing abruptly — in both execution modes.
+//! outstanding across a kill or a drain answered after failover, a node
+//! failing abruptly — in both execution modes — and a new stream that
+//! moves no task of an old one.
 //!
 //! The zero-loss tests run a disturbed cluster in lockstep with an
 //! undisturbed twin fed the identical event stream and require every
 //! reply's aggregations to be byte-identical.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -534,4 +536,35 @@ fn drain_refuses_the_last_node_and_bad_indices() {
     // Still serving after the refusals.
     let r = send_card(&mut cluster, 0, 1_000);
     assert_eq!(r.aggregations[0].value, Value::Int(1));
+}
+
+/// Which (node, unit) holds each active task, by task name.
+fn placement(cluster: &Cluster) -> BTreeMap<String, (usize, usize)> {
+    let mut out = BTreeMap::new();
+    for (n, node) in cluster.nodes().iter().enumerate() {
+        for (u, unit) in node.units().iter().enumerate() {
+            for tp in unit.active_tasks() {
+                assert!(out.insert(tp.to_string(), (n, u)).is_none(), "{tp} held twice");
+            }
+        }
+    }
+    out
+}
+
+/// Units subscribe again on every stream they learn of; the coordinator
+/// keeps each member's assignment across that, so the sticky strategy
+/// leaves every task of the first stream where it was.
+#[test]
+fn creating_a_stream_moves_no_task_of_another() {
+    let mut cluster = booted(fresh_config("new-stream", 2, 2, 8));
+    let before = placement(&cluster);
+    assert_eq!(before.len(), 8);
+    let schema = Schema::from_pairs(&[("cardId", FieldType::Str)]).unwrap();
+    cluster.create_stream("refunds", schema, &["cardId"]).unwrap();
+    cluster.settle().unwrap();
+    let after = placement(&cluster);
+    assert_eq!(after.len(), 16, "the new stream's tasks are placed too");
+    for (task, owner) in &before {
+        assert_eq!(after.get(task), Some(owner), "{task} moved");
+    }
 }

@@ -3,7 +3,10 @@
 //! Group-managed consumers (`subscribe`) participate in the coordinator's
 //! rebalance protocol: polling heartbeats, and the first poll after a new
 //! generation surfaces the new assignment so the engine can react (Railgun
-//! recovers/reassigns task processors at exactly that point, §4.2).
+//! recovers/reassigns task processors at exactly that point, §4.2). A
+//! newly assigned partition is read from offset 0 until the consumer
+//! seeks: the group keeps no committed offsets, a task's position lives
+//! in its checkpoint record.
 //! Manually-assigned consumers (`assign`) read whatever they are told —
 //! replica task consumers use this so several processors can follow the
 //! same (topic, partition) (§3.3).
@@ -77,7 +80,9 @@ impl Consumer {
     ///
     /// `metadata` travels to the group's assignment strategy (Railgun puts
     /// node/processor locality there). `strategy` is installed if the group
-    /// does not exist yet; later joiners inherit the group's strategy.
+    /// does not exist yet; later joiners inherit the group's strategy. A
+    /// member that subscribes again (to a new topic list) keeps its
+    /// assignment, which the strategy sees as the member's previous one.
     pub fn subscribe(
         &mut self,
         group: &str,
@@ -94,23 +99,22 @@ impl Consumer {
                 members: HashMap::new(),
                 strategy,
                 generation: 0,
-                committed: HashMap::new(),
                 needs_rebalance: false,
             });
-        g.members.insert(
-            self.id,
-            GroupMember {
-                info: MemberInfo {
-                    id: self.id,
-                    metadata,
-                    previous: Vec::new(),
-                },
-                last_heartbeat_ms: now,
-                topics: topics.iter().map(|s| (*s).to_owned()).collect(),
-                assignment: Vec::new(),
-                seen_generation: 0,
+        let m = g.members.entry(self.id).or_insert_with(|| GroupMember {
+            info: MemberInfo {
+                id: self.id,
+                metadata: Vec::new(),
+                previous: Vec::new(),
             },
-        );
+            last_heartbeat_ms: now,
+            topics: Vec::new(),
+            assignment: Vec::new(),
+            seen_generation: 0,
+        });
+        m.info.metadata = metadata;
+        m.last_heartbeat_ms = now;
+        m.topics = topics.iter().map(|s| (*s).to_owned()).collect();
         g.needs_rebalance = true;
         MessageBus::run_pending_rebalances(&mut inner);
         MessageBus::bump(&mut inner);
@@ -146,7 +150,7 @@ impl Consumer {
     /// at offset 0.
     pub fn assign(&mut self, partitions: Vec<TopicPartition>) {
         self.mode = Mode::Manual;
-        reassign(&mut self.assigned, partitions, |_| 0);
+        reassign(&mut self.assigned, partitions);
     }
 
     /// Reposition consumption of the assigned partition `tp` to `offset`.
@@ -205,10 +209,8 @@ impl Consumer {
                     m.seen_generation = generation;
                     let assignment = m.assignment.clone();
                     // Keep positions of retained partitions; new ones start
-                    // at the committed offset (or 0).
-                    reassign(&mut self.assigned, assignment.clone(), |tp| {
-                        g.committed.get(tp).copied().unwrap_or(0)
-                    });
+                    // at 0 until the owner seeks.
+                    reassign(&mut self.assigned, assignment.clone());
                     rebalanced = Some(assignment);
                 }
             }
@@ -274,37 +276,6 @@ impl Consumer {
             self.bus.wait_for_activity(self.last_poll_version, wait);
         }
     }
-
-    /// Commit a consumed offset (the *next* offset to read) for `tp`.
-    pub fn commit(&self, tp: &TopicPartition, offset: u64) -> Result<()> {
-        if let Mode::Group { name } = &self.mode {
-            let mut inner = self.bus.inner.lock();
-            let g = inner
-                .groups
-                .get_mut(name)
-                .ok_or_else(|| RailgunError::Messaging(format!("group `{name}` vanished")))?;
-            g.committed.insert(tp.clone(), offset);
-            Ok(())
-        } else {
-            Err(RailgunError::Messaging(
-                "commit requires a group subscription".into(),
-            ))
-        }
-    }
-
-    /// Explicit heartbeat without fetching.
-    pub fn heartbeat(&self) {
-        if let Mode::Group { name } = &self.mode {
-            let mut inner = self.bus.inner.lock();
-            MessageBus::refresh_clock_locked(&mut inner);
-            let now = inner.now_ms;
-            if let Some(g) = inner.groups.get_mut(name) {
-                if let Some(m) = g.members.get_mut(&self.id) {
-                    m.last_heartbeat_ms = now;
-                }
-            }
-        }
-    }
 }
 
 /// One assigned partition.
@@ -322,17 +293,12 @@ fn position_in(assigned: &[Assigned], tp: &TopicPartition) -> Option<u64> {
 }
 
 /// Replace an assignment table with `partitions` (in their order): a
-/// partition already assigned keeps its position, a new one starts at
-/// `start(tp)`.
-fn reassign(
-    assigned: &mut Vec<Assigned>,
-    partitions: Vec<TopicPartition>,
-    start: impl Fn(&TopicPartition) -> u64,
-) {
+/// partition already assigned keeps its position, a new one starts at 0.
+fn reassign(assigned: &mut Vec<Assigned>, partitions: Vec<TopicPartition>) {
     *assigned = partitions
         .into_iter()
         .map(|tp| Assigned {
-            next: position_in(assigned, &tp).unwrap_or_else(|| start(&tp)),
+            next: position_in(assigned, &tp).unwrap_or(0),
             topic: Arc::from(tp.topic.as_str()),
             tp,
         })
@@ -456,7 +422,7 @@ mod tests {
         c2.poll(1).unwrap();
         // c2 goes silent; c1 keeps heartbeating.
         bus.advance_to(600);
-        c1.heartbeat();
+        c1.poll(1).unwrap();
         bus.advance_to(1_400); // c2's last heartbeat (t=0) is now stale
         let r1 = c1.poll(10).unwrap();
         assert_eq!(
@@ -466,40 +432,6 @@ mod tests {
         );
         // The dead consumer's next poll errors (it was expelled).
         assert!(c2.poll(10).is_err());
-    }
-
-    #[test]
-    fn committed_offsets_resume_new_member() {
-        let (bus, p) = bus_with_topic(1);
-        let tp = TopicPartition::new("events", 0);
-        for i in 0..10u8 {
-            p.send("events", b"k", vec![i]).unwrap();
-        }
-        {
-            let mut c1 = Consumer::new(bus.clone());
-            c1.subscribe("g", &["events"], vec![], Arc::new(StickyStrategy))
-                .unwrap();
-            let r = c1.poll(100).unwrap();
-            assert_eq!(r.messages.len(), 10);
-            c1.commit(&tp, 7).unwrap();
-            c1.unsubscribe();
-        }
-        let mut c2 = Consumer::new(bus.clone());
-        c2.subscribe("g", &["events"], vec![], Arc::new(StickyStrategy))
-            .unwrap();
-        let r = c2.poll(100).unwrap();
-        // Resumes from committed offset 7, not 0 and not the end.
-        assert_eq!(r.messages.len(), 3);
-        assert_eq!(r.messages[0].offset, 7);
-        assert_eq!(bus.committed_offset("g", &tp), Some(7));
-    }
-
-    #[test]
-    fn commit_requires_group() {
-        let (bus, _) = bus_with_topic(1);
-        let mut c = Consumer::new(bus);
-        c.assign(vec![TopicPartition::new("events", 0)]);
-        assert!(c.commit(&TopicPartition::new("events", 0), 1).is_err());
     }
 
     #[test]
@@ -545,7 +477,10 @@ mod tests {
             p.send("events", &[i], vec![i]).unwrap();
         }
         let mut c = Consumer::new(bus.clone());
-        c.assign(bus.partitions_of(&["events".to_string()]));
+        c.assign(vec![
+            TopicPartition::new("events", 0),
+            TopicPartition::new("events", 1),
+        ]);
         let mut scratch = Vec::new();
         assert!(c.poll_into(4, &mut scratch).unwrap().is_none());
         assert_eq!(scratch.len(), 4);

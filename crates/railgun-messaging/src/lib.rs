@@ -9,8 +9,9 @@
 //!
 //! * **partitioned topics** over append-only, replayable logs ([`log`]);
 //! * **producers** with stable key-hash partitioning ([`producer`]);
-//! * **pull-based consumers** with per-consumer offsets, seek, and commit
-//!   ([`consumer`]);
+//! * **pull-based consumers** with per-consumer offsets and seek
+//!   ([`consumer`]) — a group commits no offsets: Railgun keeps a task's
+//!   position in its checkpoint record and seeks there after a rebalance;
 //! * **consumer groups** with heartbeats, session timeouts, generations and
 //!   pluggable assignment strategies ([`assignment`], [`bus`]) — the hook
 //!   Railgun's custom sticky strategy (in `railgun-core`) plugs into;
@@ -19,7 +20,7 @@
 //!
 //! Time is logical and driven by the harness ([`MessageBus::advance_to`])
 //! by default, which makes failure-detection tests and discrete-event
-//! simulations deterministic; the threaded runtime switches to
+//! simulations deterministic; the threaded runtime builds its bus with
 //! [`BusClock::Auto`] so heartbeats and session expiry follow wall time
 //! with no external driver. Consumers can also **block** instead of
 //! spinning: [`Consumer::poll_blocking`] parks on the bus's internal

@@ -11,6 +11,7 @@
 //! Run with: `cargo run --release --example cluster_failover`
 
 use railgun::engine::lang::{hours, Agg, Query, Window};
+use railgun::engine::unit::ACTIVE_GROUP;
 use railgun::engine::{Cluster, ClusterConfig};
 use railgun::types::{FieldType, Schema, Timestamp, Value};
 
@@ -43,7 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("3 nodes, 6 partitions, replication factor 2");
     println!("registered query {per_card} ({} known)", cluster.queries().len());
-    println!("strategy generation: {}", cluster.strategy().generation());
+    // The coordinator's generation of the active group: one per rebalance.
+    println!("strategy generation: {}", cluster.bus().group_generation(ACTIVE_GROUP));
 
     // Phase 1: traffic across 6 cards.
     for round in 0..3 {
@@ -66,8 +68,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "phase 2: node killed; coordinator expelled it (generation {}), tasks failed over",
-        cluster.strategy().generation()
+        cluster.bus().group_generation(ACTIVE_GROUP)
     );
+    // A cold assignment puts a task copy on a unit that held neither its
+    // active copy nor a replica: the unit restores or replays it.
     println!(
         "         cold assignments so far: {} (sticky strategy minimizes data shuffle)",
         cluster.strategy().cold_assignments()
@@ -94,7 +98,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 4: elasticity — add a node, rebalance is sticky.
     let id = cluster.add_node()?;
-    println!("phase 4: added node {id}; generation {}", cluster.strategy().generation());
+    println!(
+        "phase 4: added node {id}; generation {}",
+        cluster.bus().group_generation(ACTIVE_GROUP)
+    );
     let reply = cluster.send(
         "payments",
         Timestamp::from_millis(120_000),
