@@ -222,9 +222,8 @@ pub fn compact_schema() -> Schema {
 }
 
 /// The standard bench queries, constructed with the typed query builder
-/// (the builder compiles to the same plan as the equivalent text —
-/// pinned by `tests/query_lifecycle.rs` — so bench results are directly
-/// comparable across both front doors).
+/// (which writes Figure 4 text and parses it, so bench results are those
+/// of the equivalent hand-written statements).
 pub mod queries {
     use super::*;
 

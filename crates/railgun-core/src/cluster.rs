@@ -29,7 +29,6 @@ use railgun_types::{RailgunError, Result, Schema, TimeDelta, Timestamp, Value};
 
 use crate::api::QueryId;
 use crate::frontend::{BatchPolicy, ClientResponse, FrontEnd, RegisteredQuery};
-use crate::lang::Query;
 use crate::metrics::{EngineTelemetry, MetricsSnapshot};
 use crate::node::Node;
 use crate::rebalance::RailgunStrategy;
@@ -226,14 +225,6 @@ impl Cluster {
     /// and the handle for [`Cluster::unregister_query`].
     pub fn register_query(&mut self, query_text: &str) -> Result<QueryId> {
         let id = self.client.register_query(query_text)?;
-        self.settle()?;
-        Ok(id)
-    }
-
-    /// Register a builder-constructed query (see
-    /// [`crate::lang::QueryBuilder`]) and propagate it to every unit.
-    pub fn register(&mut self, query: &Query) -> Result<QueryId> {
-        let id = self.client.register(query)?;
         self.settle()?;
         Ok(id)
     }
@@ -607,13 +598,6 @@ impl ClusterClient {
     /// registrations converge within the workers' wakeup latency.
     pub fn register_query(&mut self, query_text: &str) -> Result<QueryId> {
         self.frontend.register_query(query_text)
-    }
-
-    /// Register a builder-constructed query through this client's
-    /// front-end. Propagation is asynchronous — see
-    /// [`ClusterClient::register_query`].
-    pub fn register(&mut self, query: &Query) -> Result<QueryId> {
-        self.frontend.register_query_ast(query)
     }
 
     /// Unregister a query by id. Propagation is asynchronous — see

@@ -367,25 +367,6 @@ impl FrontEnd {
     /// carry in replies, and the handle for unregistering it later.
     pub fn register_query(&mut self, query_text: &str) -> Result<QueryId> {
         let query = parse_query(query_text)?;
-        self.register_parsed(query, query_text.to_owned())
-    }
-
-    /// Register a builder-constructed query. The AST is rendered to its
-    /// textual form for the wire (every node parses it — the same path a
-    /// hand-written statement takes), which [`QueryBuilder`]'s build-time
-    /// validation guarantees is lossless.
-    ///
-    /// [`QueryBuilder`]: crate::lang::QueryBuilder
-    pub fn register_query_ast(&mut self, query: &Query) -> Result<QueryId> {
-        // Enforce the builder↔parser equivalence contract at the
-        // boundary: what the nodes will parse must be exactly what was
-        // built (a real check, not a debug assert — an AST that renders
-        // to different semantics must never reach the ops topic).
-        let text = query.check_text_roundtrip()?;
-        self.register_parsed(query.clone(), text)
-    }
-
-    fn register_parsed(&mut self, query: Query, text: String) -> Result<QueryId> {
         let meta = self
             .streams
             .get(&query.stream)
@@ -400,10 +381,10 @@ impl FrontEnd {
         self.next_query_seq += 1;
         self.publish_op(&OpRequest::RegisterQuery {
             id,
-            query_text: text.clone(),
+            query_text: query_text.to_owned(),
         })?;
         self.queries
-            .insert(id, RegisteredQuery::new(id, text, query));
+            .insert(id, RegisteredQuery::new(id, query_text.to_owned(), query));
         Ok(id)
     }
 

@@ -18,7 +18,7 @@ use crate::expr::{ArithOp, CmpOp, Expr};
 /// stays `Copy + Eq + Hash` (plan-leaf sharing keys on it): `err_bp` is
 /// the relative error × 10⁴ (`200` = 2%), `rank_bp` the percentile
 /// rank × 10² (`9900` = p99). Valid ranges are enforced when the query
-/// is planned or rendered to text: `err_bp ∈ 1..=5000`, `k ≥ 1`,
+/// is parsed or planned: `err_bp ∈ 1..=5000`, `k ≥ 1`,
 /// `rank_bp ∈ 1..=9999`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
@@ -67,9 +67,8 @@ impl AggFunc {
         )
     }
 
-    /// Validate parameter ranges (see type-level docs). The fluent
-    /// builder encodes out-of-range inputs as sentinel values; this is
-    /// where they are rejected with a proper error.
+    /// Validate parameter ranges (see type-level docs) of a query the
+    /// parser did not make.
     pub fn check_params(self) -> Result<()> {
         match self {
             AggFunc::ApproxCountDistinct { err_bp } if !(1..=5000).contains(&err_bp) => {
@@ -243,89 +242,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// Render this query back to its textual form (Figure 4 syntax).
-    ///
-    /// This is the bridge between the typed builder and the wire: a
-    /// builder-constructed query travels the ops topic as text and is
-    /// parsed by every node, exactly like a hand-written statement. The
-    /// contract `parse_query(q.to_text()) == q` is pinned by tests (see
-    /// DESIGN.md § "Client API").
-    ///
-    /// Errors with [`RailgunError::InvalidArgument`] for queries the
-    /// textual grammar cannot express: non-identifier field/stream names,
-    /// non-finite float literals, `i64::MIN`, or string literals
-    /// containing both quote characters.
-    pub fn to_text(&self) -> Result<String> {
-        let mut out = String::with_capacity(128);
-        out.push_str("SELECT ");
-        if self.select.is_empty() {
-            return Err(RailgunError::InvalidArgument(
-                "query selects no aggregations".into(),
-            ));
-        }
-        for (i, agg) in self.select.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            if let Some(f) = &agg.field {
-                check_ident(f)?;
-            }
-            agg.func.check_params()?;
-            out.push_str(&agg.display());
-        }
-        check_ident(&self.stream)?;
-        out.push_str(" FROM ");
-        out.push_str(&self.stream);
-        if let Some(filter) = &self.filter {
-            out.push_str(" WHERE ");
-            unparse_expr(filter, &mut out)?;
-        }
-        if !self.group_by.is_empty() {
-            out.push_str(" GROUP BY ");
-            for (i, f) in self.group_by.iter().enumerate() {
-                check_ident(f)?;
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(f);
-            }
-        }
-        out.push_str(" OVER ");
-        match self.window.kind {
-            WindowKind::Sliding(ws) => {
-                out.push_str("sliding ");
-                unparse_duration(ws, &mut out)?;
-            }
-            WindowKind::Tumbling(ws) => {
-                out.push_str("tumbling ");
-                unparse_duration(ws, &mut out)?;
-            }
-            WindowKind::Infinite => out.push_str("infinite"),
-        }
-        if self.window.delay.is_positive() {
-            out.push_str(" delayed by ");
-            unparse_duration(self.window.delay, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Render this query to text and re-parse it, erroring unless the
-    /// roundtrip reproduces `self` exactly. This is the release-mode
-    /// backstop for the builder↔parser equivalence contract: the wire
-    /// carries text, so a query whose textual form parses to anything
-    /// else must never reach the ops topic.
-    pub fn check_text_roundtrip(&self) -> Result<String> {
-        let text = self.to_text()?;
-        let reparsed = crate::lang::parse_query(&text)?;
-        if &reparsed != self {
-            return Err(RailgunError::InvalidArgument(format!(
-                "query does not survive its textual form `{text}`: \
-                 reparsed to a different statement"
-            )));
-        }
-        Ok(text)
-    }
-
     /// Display name of the `index`-th SELECT item as replies carry it,
     /// e.g. `sum(amount) over sliding 5min` — the single source of the
     /// reply-name format (plan metric refs and session handles both use
@@ -335,165 +251,6 @@ impl Query {
             .get(index)
             .map(|agg| format!("{} over {}", agg.display(), self.window.display()))
     }
-}
-
-/// True iff `name` lexes as a single identifier token.
-fn is_ident(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-}
-
-fn check_ident(name: &str) -> Result<()> {
-    if is_ident(name) {
-        Ok(())
-    } else {
-        Err(RailgunError::InvalidArgument(format!(
-            "`{name}` is not a valid identifier (must match [A-Za-z_][A-Za-z0-9_.]*)"
-        )))
-    }
-}
-
-/// Unparse a duration as raw milliseconds — always re-parseable,
-/// independent of how the display formatter would pick units.
-fn unparse_duration(d: TimeDelta, out: &mut String) -> Result<()> {
-    let ms = d.as_millis();
-    if ms <= 0 {
-        return Err(RailgunError::InvalidArgument(format!(
-            "window durations must be positive, got {ms} ms"
-        )));
-    }
-    use std::fmt::Write;
-    let _ = write!(out, "{ms} ms");
-    Ok(())
-}
-
-fn unparse_value(v: &railgun_types::Value, out: &mut String) -> Result<()> {
-    use railgun_types::Value;
-    use std::fmt::Write;
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => {
-            // `-n` is unparsed as a unary minus on the positive literal,
-            // which the lexer cannot represent for i64::MIN.
-            if *n == i64::MIN {
-                return Err(RailgunError::InvalidArgument(
-                    "i64::MIN literal is not expressible in query text".into(),
-                ));
-            }
-            let _ = write!(out, "{n}");
-        }
-        Value::Float(f) => {
-            if !f.is_finite() {
-                return Err(RailgunError::InvalidArgument(format!(
-                    "non-finite float literal {f} is not expressible in query text"
-                )));
-            }
-            if *f == f.trunc() {
-                // Keep the decimal point so it lexes back as a float.
-                let _ = write!(out, "{f:.1}");
-            } else {
-                let _ = write!(out, "{f}");
-            }
-        }
-        Value::Str(s) => {
-            let quote = if !s.contains('\'') {
-                '\''
-            } else if !s.contains('"') {
-                '"'
-            } else {
-                return Err(RailgunError::InvalidArgument(format!(
-                    "string literal {s:?} contains both quote characters"
-                )));
-            };
-            out.push(quote);
-            out.push_str(s);
-            out.push(quote);
-        }
-    }
-    Ok(())
-}
-
-/// Unparse a filter expression, fully parenthesized so precedence never
-/// has to be reconstructed.
-fn unparse_expr(e: &PExpr, out: &mut String) -> Result<()> {
-    use crate::expr::{ArithOp, CmpOp};
-    match e {
-        PExpr::Lit(v) => unparse_value(v, out)?,
-        PExpr::Field(name) => {
-            check_ident(name)?;
-            out.push_str(name);
-        }
-        PExpr::Cmp(op, a, b) => {
-            let sym = match op {
-                CmpOp::Eq => "=",
-                CmpOp::Ne => "!=",
-                CmpOp::Lt => "<",
-                CmpOp::Le => "<=",
-                CmpOp::Gt => ">",
-                CmpOp::Ge => ">=",
-            };
-            out.push('(');
-            unparse_expr(a, out)?;
-            out.push(' ');
-            out.push_str(sym);
-            out.push(' ');
-            unparse_expr(b, out)?;
-            out.push(')');
-        }
-        PExpr::Arith(op, a, b) => {
-            let sym = match op {
-                ArithOp::Add => "+",
-                ArithOp::Sub => "-",
-                ArithOp::Mul => "*",
-                ArithOp::Div => "/",
-            };
-            out.push('(');
-            unparse_expr(a, out)?;
-            out.push(' ');
-            out.push_str(sym);
-            out.push(' ');
-            unparse_expr(b, out)?;
-            out.push(')');
-        }
-        PExpr::And(a, b) => {
-            out.push('(');
-            unparse_expr(a, out)?;
-            out.push_str(" AND ");
-            unparse_expr(b, out)?;
-            out.push(')');
-        }
-        PExpr::Or(a, b) => {
-            out.push('(');
-            unparse_expr(a, out)?;
-            out.push_str(" OR ");
-            unparse_expr(b, out)?;
-            out.push(')');
-        }
-        PExpr::Not(a) => {
-            // Parenthesized as a unit: the parser's NOT binds looser than
-            // comparison, so a bare `NOT x = true` would reparse as
-            // `NOT (x = true)` when this node sits under a comparison.
-            out.push_str("(NOT ");
-            unparse_expr(a, out)?;
-            out.push(')');
-        }
-        PExpr::IsNull(a) => {
-            out.push('(');
-            unparse_expr(a, out)?;
-            out.push_str(" IS NULL)");
-        }
-        PExpr::IsNotNull(a) => {
-            out.push('(');
-            unparse_expr(a, out)?;
-            out.push_str(" IS NOT NULL)");
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
-//! Typed, programmatic construction of the Figure-4 query AST.
+//! Typed, programmatic construction of Figure-4 query text.
 //!
-//! The builder produces exactly the same [`Query`] values the text parser
-//! does, so both front doors compile to identical task plans — the
-//! equivalence contract pinned by `tests/query_lifecycle.rs` and
-//! documented in DESIGN.md § "Client API":
+//! The builder writes the statement a client would type, and
+//! [`QueryBuilder::build`] hands it to [`parse_query`]: the parser is the
+//! only code that makes a [`Query`], so both front doors compile to the
+//! same task plans (pinned by `tests/query_lifecycle.rs`):
 //!
 //! ```
 //! use railgun_core::lang::{mins, Agg, Query, Window};
@@ -24,7 +24,8 @@
 //! );
 //! ```
 //!
-//! Filters are built from [`field`] and [`lit`] with fluent combinators:
+//! Filters are built from [`field`] and [`lit`] with fluent combinators
+//! into fully parenthesized text:
 //!
 //! ```
 //! use railgun_core::lang::{field, mins, Agg, Query, Window};
@@ -38,11 +39,17 @@
 //!     .unwrap();
 //! assert!(q.filter.is_some());
 //! ```
+//!
+//! Outside input cannot write grammar: every name must lex as one
+//! identifier token, and a string literal is quoted with the quote
+//! character it does not contain (one holding both is refused).
+
+use std::fmt::Write;
 
 use railgun_types::{RailgunError, Result, TimeDelta, Value};
 
-use crate::expr::{ArithOp, CmpOp};
-use crate::lang::ast::{AggFunc, AggSpec, PExpr, Query, WindowSpec};
+use crate::lang::ast::{AggFunc, AggSpec, Query, WindowKind, WindowSpec};
+use crate::lang::parse_query;
 
 /// Window expressions, by their paper name. `Window::sliding(mins(5))`
 /// reads like Figure 4; the alias is the same type the AST stores.
@@ -171,7 +178,8 @@ impl Agg {
 
     /// `percentile(field, rank)` with `rank` in percent (e.g. `99.9`) —
     /// sketch-backed quantile estimate. Out-of-range or sub-basis-point
-    /// ranks are rejected at [`QueryBuilder::build`].
+    /// ranks are written as rank 0, which [`QueryBuilder::build`]'s
+    /// parse refuses.
     pub fn percentile(field: impl Into<String>, rank: f64) -> AggSpec {
         let bp = rank * 100.0;
         let rank_bp = if bp.is_finite() && bp.round() >= 1.0 && bp.round() <= 9999.0
@@ -179,7 +187,7 @@ impl Agg {
         {
             bp.round() as u32
         } else {
-            0 // sentinel: rejected by `AggFunc::check_params` at build
+            0 // sentinel: the parser refuses `percentile(f, 0)`
         };
         AggSpec {
             func: AggFunc::Percentile { rank_bp },
@@ -193,7 +201,8 @@ impl AggSpec {
     /// `countDistinct(field) approx err`, with `err` the relative error
     /// (e.g. `0.02` for 2%), valid in `(0, 0.5]` at basis-point
     /// granularity. Invalid errors — or `approx` on any other
-    /// aggregation — are rejected at [`QueryBuilder::build`].
+    /// aggregation — are written as `approx 0`, which
+    /// [`QueryBuilder::build`]'s parse refuses.
     pub fn approx(mut self, err: f64) -> AggSpec {
         let bp = err * 10_000.0;
         let err_bp = if bp.is_finite() && bp.round() >= 1.0 && bp.round() <= 5000.0
@@ -201,167 +210,177 @@ impl AggSpec {
         {
             bp.round() as u32
         } else {
-            0 // sentinel: rejected by `AggFunc::check_params` at build
+            0 // sentinel: the parser refuses `approx 0`
         };
-        // `approx` on anything but countDistinct renders to text the
-        // grammar rejects, so the build-time roundtrip catches it; the
-        // sentinel handles the valid-function/invalid-error case.
-        if self.func == AggFunc::CountDistinct {
-            self.func = AggFunc::ApproxCountDistinct { err_bp };
-        } else {
-            self.func = AggFunc::ApproxCountDistinct { err_bp: 0 };
-        }
+        self.func = AggFunc::ApproxCountDistinct {
+            err_bp: if self.func == AggFunc::CountDistinct { err_bp } else { 0 },
+        };
         self
     }
 }
 
+/// A filter expression under construction: its fully parenthesized
+/// text (so precedence never has to be reconstructed), or the first
+/// error met building it, reported at [`QueryBuilder::build`].
+#[derive(Debug, Clone)]
+pub struct Filter(std::result::Result<String, String>);
+
 /// A field reference in a filter expression: `field("amount").gt(100)`.
-pub fn field(name: impl Into<String>) -> PExpr {
-    PExpr::Field(name.into())
+pub fn field(name: impl Into<String>) -> Filter {
+    let name = name.into();
+    Filter(match name.to_ascii_lowercase().as_str() {
+        "true" | "false" | "null" => Err(format!("field `{name}` would read as a literal")),
+        _ => check_ident(&name).map(|_| name.clone()),
+    })
 }
 
 /// A literal in a filter expression. Usually implicit — comparison
-/// combinators accept `impl Into<PExpr>`, and `i64`/`f64`/`bool`/`&str`
+/// combinators accept `impl Into<Filter>`, and `i64`/`f64`/`bool`/`&str`
 /// all convert — but available for explicitness.
-pub fn lit(value: impl Into<Value>) -> PExpr {
-    PExpr::Lit(value.into())
+pub fn lit(value: impl Into<Value>) -> Filter {
+    Filter(match value.into() {
+        Value::Float(f) if !f.is_finite() => Err(format!("float literal {f} is not finite")),
+        // Keep the decimal point so it lexes back as a float.
+        Value::Float(f) if f.fract() == 0.0 => Ok(format!("{f:.1}")),
+        Value::Str(s) => match (s.contains('\''), s.contains('"')) {
+            (false, _) => Ok(format!("'{s}'")),
+            (true, false) => Ok(format!("\"{s}\"")),
+            (true, true) => Err(format!("string literal {s:?} contains both quote characters")),
+        },
+        Value::Float(f) => Ok(f.to_string()),
+        // The parser refuses `i64::MIN`, whose magnitude no literal holds.
+        Value::Int(n) => Ok(n.to_string()),
+        Value::Bool(b) => Ok(b.to_string()),
+        Value::Null => Ok("null".into()),
+    })
 }
 
-impl From<i64> for PExpr {
-    fn from(v: i64) -> Self {
-        PExpr::Lit(Value::Int(v))
-    }
+macro_rules! filter_from_literal {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Filter {
+            fn from(v: $t) -> Self {
+                lit(v)
+            }
+        }
+    )*};
 }
 
-impl From<i32> for PExpr {
+filter_from_literal!(i64, f64, bool, &str, String, Value);
+
+impl From<i32> for Filter {
     fn from(v: i32) -> Self {
-        PExpr::Lit(Value::Int(i64::from(v)))
+        lit(i64::from(v))
     }
 }
 
-impl From<f64> for PExpr {
-    fn from(v: f64) -> Self {
-        PExpr::Lit(Value::Float(v))
-    }
-}
-
-impl From<bool> for PExpr {
-    fn from(v: bool) -> Self {
-        PExpr::Lit(Value::Bool(v))
-    }
-}
-
-impl From<&str> for PExpr {
-    fn from(v: &str) -> Self {
-        PExpr::Lit(Value::Str(v.into()))
-    }
-}
-
-impl From<String> for PExpr {
-    fn from(v: String) -> Self {
-        PExpr::Lit(Value::Str(v))
-    }
-}
-
-impl From<Value> for PExpr {
-    fn from(v: Value) -> Self {
-        PExpr::Lit(v)
-    }
-}
-
-impl PExpr {
-    fn cmp(self, op: CmpOp, rhs: impl Into<PExpr>) -> PExpr {
-        PExpr::Cmp(op, Box::new(self), Box::new(rhs.into()))
+impl Filter {
+    fn binary(self, op: &str, rhs: impl Into<Filter>) -> Filter {
+        let rhs = rhs.into();
+        Filter(self.0.and_then(|a| rhs.0.map(|b| format!("({a} {op} {b})"))))
     }
 
-    fn arith(self, op: ArithOp, rhs: impl Into<PExpr>) -> PExpr {
-        PExpr::Arith(op, Box::new(self), Box::new(rhs.into()))
+    fn wrap(self, prefix: &str, suffix: &str) -> Filter {
+        Filter(self.0.map(|a| format!("({prefix}{a}{suffix})")))
     }
 
     /// `self = rhs` (named to avoid clashing with [`PartialEq::eq`]).
-    pub fn eq_to(self, rhs: impl Into<PExpr>) -> PExpr {
-        self.cmp(CmpOp::Eq, rhs)
+    pub fn eq_to(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary("=", rhs)
     }
 
     /// `self != rhs`.
-    pub fn ne_to(self, rhs: impl Into<PExpr>) -> PExpr {
-        self.cmp(CmpOp::Ne, rhs)
+    pub fn ne_to(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary("!=", rhs)
     }
 
     /// `self < rhs`.
-    pub fn lt(self, rhs: impl Into<PExpr>) -> PExpr {
-        self.cmp(CmpOp::Lt, rhs)
+    pub fn lt(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary("<", rhs)
     }
 
     /// `self <= rhs`.
-    pub fn le(self, rhs: impl Into<PExpr>) -> PExpr {
-        self.cmp(CmpOp::Le, rhs)
+    pub fn le(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary("<=", rhs)
     }
 
     /// `self > rhs`.
-    pub fn gt(self, rhs: impl Into<PExpr>) -> PExpr {
-        self.cmp(CmpOp::Gt, rhs)
+    pub fn gt(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary(">", rhs)
     }
 
     /// `self >= rhs`.
-    pub fn ge(self, rhs: impl Into<PExpr>) -> PExpr {
-        self.cmp(CmpOp::Ge, rhs)
+    pub fn ge(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary(">=", rhs)
     }
 
     /// `self AND rhs`.
-    pub fn and(self, rhs: impl Into<PExpr>) -> PExpr {
-        PExpr::And(Box::new(self), Box::new(rhs.into()))
+    pub fn and(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary("AND", rhs)
     }
 
     /// `self OR rhs`.
-    pub fn or(self, rhs: impl Into<PExpr>) -> PExpr {
-        PExpr::Or(Box::new(self), Box::new(rhs.into()))
+    pub fn or(self, rhs: impl Into<Filter>) -> Filter {
+        self.binary("OR", rhs)
     }
 
-    /// `NOT self`.
+    /// `NOT self`, parenthesized as a unit: the parser's NOT binds looser
+    /// than comparison.
     #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> PExpr {
-        PExpr::Not(Box::new(self))
+    pub fn not(self) -> Filter {
+        self.wrap("NOT ", "")
     }
 
     /// `self IS NULL`.
-    pub fn is_null(self) -> PExpr {
-        PExpr::IsNull(Box::new(self))
+    pub fn is_null(self) -> Filter {
+        self.wrap("", " IS NULL")
     }
 
     /// `self IS NOT NULL`.
-    pub fn is_not_null(self) -> PExpr {
-        PExpr::IsNotNull(Box::new(self))
+    pub fn is_not_null(self) -> Filter {
+        self.wrap("", " IS NOT NULL")
     }
 }
 
 /// Arithmetic on filter expressions uses the real operators:
 /// `field("amount") + field("fee")`, `field("retries") * 2`.
-impl<R: Into<PExpr>> std::ops::Add<R> for PExpr {
-    type Output = PExpr;
-    fn add(self, rhs: R) -> PExpr {
-        self.arith(ArithOp::Add, rhs)
+impl<R: Into<Filter>> std::ops::Add<R> for Filter {
+    type Output = Filter;
+    fn add(self, rhs: R) -> Filter {
+        self.binary("+", rhs)
     }
 }
 
-impl<R: Into<PExpr>> std::ops::Sub<R> for PExpr {
-    type Output = PExpr;
-    fn sub(self, rhs: R) -> PExpr {
-        self.arith(ArithOp::Sub, rhs)
+impl<R: Into<Filter>> std::ops::Sub<R> for Filter {
+    type Output = Filter;
+    fn sub(self, rhs: R) -> Filter {
+        self.binary("-", rhs)
     }
 }
 
-impl<R: Into<PExpr>> std::ops::Mul<R> for PExpr {
-    type Output = PExpr;
-    fn mul(self, rhs: R) -> PExpr {
-        self.arith(ArithOp::Mul, rhs)
+impl<R: Into<Filter>> std::ops::Mul<R> for Filter {
+    type Output = Filter;
+    fn mul(self, rhs: R) -> Filter {
+        self.binary("*", rhs)
     }
 }
 
-impl<R: Into<PExpr>> std::ops::Div<R> for PExpr {
-    type Output = PExpr;
-    fn div(self, rhs: R) -> PExpr {
-        self.arith(ArithOp::Div, rhs)
+impl<R: Into<Filter>> std::ops::Div<R> for Filter {
+    type Output = Filter;
+    fn div(self, rhs: R) -> Filter {
+        self.binary("/", rhs)
+    }
+}
+
+/// `name` itself if it lexes as one identifier token, else an error.
+fn check_ident(name: &str) -> std::result::Result<&str, String> {
+    let mut chars = name.chars();
+    let ident = matches!(chars.next(), Some(c) if c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.');
+    match ident {
+        true => Ok(name),
+        false => Err(format!(
+            "`{name}` is not a valid identifier (must match [A-Za-z_][A-Za-z0-9_.]*)"
+        )),
     }
 }
 
@@ -379,21 +398,18 @@ impl Query {
     }
 }
 
-/// Fluent builder for [`Query`] — see the [module docs](self) for the
-/// full shape. [`QueryBuilder::build`] validates that the statement is
-/// complete (a stream and a window) and expressible in the textual
-/// grammar, so a built query always survives [`Query::to_text`] →
-/// [`parse_query`](crate::lang::parse_query) unchanged.
+/// Fluent builder of Figure-4 query text — see the [module docs](self)
+/// for the full shape. [`QueryBuilder::text`] writes the statement and
+/// [`QueryBuilder::build`] parses it.
 #[derive(Debug, Clone)]
 pub struct QueryBuilder {
     select: Vec<AggSpec>,
     stream: Option<String>,
-    filter: Option<PExpr>,
+    filter: Option<Filter>,
     group_by: Vec<String>,
     window: Option<WindowSpec>,
-    /// Optional latency budget (SLO) — not part of the query semantics
-    /// (the produced [`Query`] AST is unchanged), consumed by
-    /// `Session::register` to arm per-query breach tracking.
+    /// Optional latency budget (SLO) — not part of the statement,
+    /// consumed by `Session::register` to arm per-query breach tracking.
     slo: Option<TimeDelta>,
 }
 
@@ -412,7 +428,7 @@ impl QueryBuilder {
 
     /// The filter predicate (`WHERE`). Calling it twice ANDs the
     /// predicates.
-    pub fn filter(mut self, predicate: PExpr) -> Self {
+    pub fn filter(mut self, predicate: Filter) -> Self {
         self.filter = Some(match self.filter.take() {
             Some(existing) => existing.and(predicate),
             None => predicate,
@@ -436,24 +452,18 @@ impl QueryBuilder {
         self
     }
 
-    /// Declare a latency budget (SLO) for this query: when registered
-    /// through `Session::register`, completions slower than `budget` are
-    /// counted as breaches in the cluster's
+    /// Declare a latency budget (SLO) for this query: when the builder is
+    /// registered through `Session::register`, completions slower than
+    /// `budget` are counted as breaches in the cluster's
     /// [`MetricsSnapshot`](crate::metrics::MetricsSnapshot), and the
     /// front-ends escalate `Backpressure` under overload (see the
     /// `metrics` module's documented policy).
     ///
-    /// The budget is *operational* metadata: it does not change the
-    /// query's semantics or its AST (builder↔parser equivalence is
-    /// untouched), so two registrations of the same statement with
-    /// different budgets compute identical metrics.
-    ///
-    /// Because the budget is not part of the [`Query`] AST, it only
-    /// takes effect when the **builder itself** is passed to
-    /// `Session::register` — calling [`QueryBuilder::build`] first
-    /// drops it (register the returned [`Query`] and call
-    /// `Cluster::set_query_slo` yourself if you need the two-step
-    /// form).
+    /// The budget is *operational* metadata: it is not part of the
+    /// statement [`QueryBuilder::text`] writes, so two registrations of
+    /// the same statement with different budgets compute identical
+    /// metrics. Registering the text yourself drops it; arm it then with
+    /// `Cluster::set_query_slo`.
     pub fn with_slo(mut self, budget: TimeDelta) -> Self {
         self.slo = Some(budget);
         self
@@ -464,40 +474,60 @@ impl QueryBuilder {
         self.slo
     }
 
-    /// Finalize into a [`Query`], validating completeness and textual
-    /// expressibility (the wire carries query text).
-    ///
-    /// Note: a latency budget declared with [`QueryBuilder::with_slo`]
-    /// is **not** carried by the returned [`Query`] (budgets are
-    /// operational metadata, not query semantics). Pass the builder
-    /// directly to `Session::register` for the SLO to be armed, or arm
-    /// it explicitly with `Cluster::set_query_slo`.
-    pub fn build(self) -> Result<Query> {
-        let stream = self.stream.ok_or_else(|| {
-            RailgunError::InvalidArgument("query builder: missing `.from(stream)`".into())
-        })?;
-        let window = self.window.ok_or_else(|| {
-            RailgunError::InvalidArgument("query builder: missing `.over(window)`".into())
-        })?;
-        let query = Query {
-            select: self.select,
-            stream,
-            filter: self.filter,
-            group_by: self.group_by,
-            window,
+    /// The Figure-4 statement this builder describes — what travels the
+    /// ops topic. Errors if `.from` or `.over` is missing, a name is not
+    /// one identifier token, or a filter literal cannot be written; what
+    /// the text says is the parser's to judge at [`QueryBuilder::build`].
+    pub fn text(&self) -> Result<String> {
+        let invalid = |msg: String| RailgunError::InvalidArgument(format!("query builder: {msg}"));
+        let stream = self.stream.as_deref().ok_or_else(|| invalid("missing `.from(stream)`".into()))?;
+        let window = self.window.ok_or_else(|| invalid("missing `.over(window)`".into()))?;
+        let mut out = String::from("SELECT ");
+        for (i, agg) in self.select.iter().enumerate() {
+            if let Some(f) = &agg.field {
+                check_ident(f).map_err(invalid)?;
+            }
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(out, "{sep}{}", agg.display());
+        }
+        let _ = write!(out, " FROM {}", check_ident(stream).map_err(invalid)?);
+        if let Some(Filter(filter)) = &self.filter {
+            let _ = write!(out, " WHERE {}", filter.as_deref().map_err(|e| invalid(e.clone()))?);
+        }
+        for (i, f) in self.group_by.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { " GROUP BY " };
+            let _ = write!(out, "{sep}{}", check_ident(f).map_err(invalid)?);
+        }
+        // Durations as raw milliseconds, and a delay whenever it is not
+        // zero: the parser refuses a duration that is not positive.
+        let _ = match window.kind {
+            WindowKind::Sliding(ws) => write!(out, " OVER sliding {} ms", ws.as_millis()),
+            WindowKind::Tumbling(ws) => write!(out, " OVER tumbling {} ms", ws.as_millis()),
+            WindowKind::Infinite => write!(out, " OVER infinite"),
         };
-        // The wire format is text: render AND re-parse at the build site,
-        // so anything the grammar cannot carry — or would reparse to a
-        // different AST — is rejected now instead of at registration.
-        query.check_text_roundtrip()?;
-        Ok(query)
+        if window.delay != TimeDelta::ZERO {
+            let _ = write!(out, " delayed by {} ms", window.delay.as_millis());
+        }
+        Ok(out)
+    }
+
+    /// Parse [`QueryBuilder::text`] into a [`Query`]: the parser judges
+    /// parameters and durations here exactly as it does a hand-written
+    /// statement.
+    ///
+    /// A latency budget declared with [`QueryBuilder::with_slo`] is not
+    /// part of the returned [`Query`]; pass the builder to
+    /// `Session::register` for the SLO to be armed.
+    pub fn build(&self) -> Result<Query> {
+        parse_query(&self.text()?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lang::parse_query;
+    use crate::expr::CmpOp;
+    use crate::lang::{parse_query, PExpr};
 
     #[test]
     fn builder_matches_parser_q1() {
@@ -539,58 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn to_text_roundtrips_builder_queries() {
-        let queries = [
-            Query::select(Agg::count())
-                .from("s")
-                .over(Window::infinite())
-                .build()
-                .unwrap(),
-            Query::select(Agg::avg("amount"))
-                .select(Agg::count_distinct("merchantId"))
-                .from("payments")
-                .filter(
-                    (field("amount") + field("fee"))
-                        .ge(10.5)
-                        .and(field("email").is_not_null()),
-                )
-                .group_by(["cardId", "merchantId"])
-                .over(Window::tumbling(hours(1)))
-                .build()
-                .unwrap(),
-            Query::select(Agg::max("x"))
-                .from("s")
-                .filter(field("flag").eq_to(true).or(field("note").is_null()))
-                .group_by(["k"])
-                .over(Window::sliding(millis(1500)).delayed_by(days(1)))
-                .build()
-                .unwrap(),
-            // NOT nested *under* a comparison: the unparse must
-            // parenthesize the NOT as a unit or this reparses as
-            // Not(Cmp(..)) instead of Cmp(Not(..), ..).
-            Query::select(Agg::count())
-                .from("s")
-                .filter(field("x").not().eq_to(true))
-                .group_by(["k"])
-                .over(Window::infinite())
-                .build()
-                .unwrap(),
-            Query::select(Agg::count())
-                .from("s")
-                .filter(field("a").is_null().not().and(field("b").gt(1).not().not()))
-                .group_by(["k"])
-                .over(Window::infinite())
-                .build()
-                .unwrap(),
-        ];
-        for q in queries {
-            let text = q.to_text().unwrap();
-            let reparsed = parse_query(&text).unwrap();
-            assert_eq!(reparsed, q, "roundtrip failed for: {text}");
-        }
-    }
-
-    #[test]
     fn builder_matches_parser_approx_family() {
         let built = Query::select(Agg::count_distinct("addr").approx(0.02))
             .select(Agg::top_k("merchant", 10))
@@ -607,96 +585,87 @@ mod tests {
         .unwrap();
         assert_eq!(built, parsed);
         // Plan identity is pinned byte-for-byte on the Debug rendering,
-        // same as the PR 4 contract for the exact family.
+        // as for the exact family.
         assert_eq!(format!("{built:?}"), format!("{parsed:?}"));
     }
 
-    #[test]
-    fn approx_family_roundtrips_through_text() {
-        for q in [
-            Query::select(Agg::count_distinct("x").approx(0.005))
-                .from("s")
-                .over(Window::infinite())
-                .build()
-                .unwrap(),
-            Query::select(Agg::top_k("x", 3))
-                .from("s")
-                .over(Window::tumbling(hours(1)))
-                .build()
-                .unwrap(),
-            Query::select(Agg::percentile("x", 50.0))
-                .from("s")
-                .group_by(["k"])
-                .over(Window::sliding(secs(30)))
-                .build()
-                .unwrap(),
-        ] {
-            let text = q.to_text().unwrap();
-            assert_eq!(parse_query(&text).unwrap(), q, "roundtrip failed: {text}");
+    fn of(agg: AggSpec) -> QueryBuilder {
+        Query::select(agg).from("s").over(Window::infinite())
+    }
+
+    fn assert_refused(refused: Vec<(&str, QueryBuilder)>) {
+        for (case, builder) in refused {
+            assert!(builder.build().is_err(), "{case}: {:?}", builder.text());
         }
     }
 
     #[test]
     fn invalid_approx_params_rejected_at_build() {
-        // Error out of range / sub-basis-point.
-        for err in [0.0, -0.1, 0.6, f64::NAN, 0.000_01] {
-            assert!(
-                Query::select(Agg::count_distinct("x").approx(err))
-                    .from("s")
-                    .over(Window::infinite())
-                    .build()
-                    .is_err(),
-                "approx({err}) should be rejected"
-            );
-        }
-        // approx on a non-countDistinct aggregation.
-        assert!(Query::select(Agg::sum("x").approx(0.02))
-            .from("s")
-            .over(Window::infinite())
-            .build()
-            .is_err());
-        // topK k = 0 and out-of-range percentile ranks.
-        assert!(Query::select(Agg::top_k("x", 0))
-            .from("s")
-            .over(Window::infinite())
-            .build()
-            .is_err());
-        for rank in [0.0, 100.0, -1.0, 99.999] {
-            assert!(
-                Query::select(Agg::percentile("x", rank))
-                    .from("s")
-                    .over(Window::infinite())
-                    .build()
-                    .is_err(),
-                "percentile({rank}) should be rejected"
-            );
-        }
+        assert_refused(vec![
+            ("approx 0", of(Agg::count_distinct("x").approx(0.0))),
+            ("approx -0.1", of(Agg::count_distinct("x").approx(-0.1))),
+            ("approx 0.6", of(Agg::count_distinct("x").approx(0.6))),
+            ("approx NaN", of(Agg::count_distinct("x").approx(f64::NAN))),
+            ("approx sub-bp", of(Agg::count_distinct("x").approx(0.000_01))),
+            ("approx on sum", of(Agg::sum("x").approx(0.02))),
+            ("percentile 0", of(Agg::percentile("x", 0.0))),
+            ("percentile -1", of(Agg::percentile("x", -1.0))),
+            ("percentile 100", of(Agg::percentile("x", 100.0))),
+            ("percentile sub-bp", of(Agg::percentile("x", 99.999))),
+            ("topK 0", of(Agg::top_k("x", 0))),
+        ]);
     }
 
     #[test]
     fn incomplete_builders_rejected() {
-        assert!(Query::select(Agg::count())
-            .over(Window::infinite())
-            .build()
-            .is_err());
-        assert!(Query::select(Agg::count()).from("s").build().is_err());
+        assert_refused(vec![
+            ("missing from", Query::select(Agg::count()).over(Window::infinite())),
+            ("missing over", Query::select(Agg::count()).from("s")),
+        ]);
     }
 
+    /// Every input the grammar cannot carry fails at `build()`, and
+    /// what the builder writes is never read as more grammar than it
+    /// built.
     #[test]
     fn inexpressible_queries_rejected_at_build() {
-        // A stream name the grammar cannot lex.
-        assert!(Query::select(Agg::count())
-            .from("has spaces")
-            .over(Window::infinite())
-            .build()
-            .is_err());
-        // A non-finite float literal.
-        assert!(Query::select(Agg::count())
-            .from("s")
-            .filter(field("x").gt(f64::NAN))
-            .over(Window::infinite())
-            .build()
-            .is_err());
+        let q = || of(Agg::count());
+        let refused: Vec<(&str, QueryBuilder)> = vec![
+            ("stream name", q().from("a b")),
+            ("filter field", q().filter(field("a OR b").gt(1))),
+            ("field read as a literal", q().filter(field("true").eq_to(true))),
+            ("group-by field", q().group_by(["x y"])),
+            ("aggregation field", of(Agg::sum("a) FROM t --"))),
+            ("NaN", q().filter(field("x").gt(f64::NAN))),
+            ("infinity", q().filter(field("x").lt(f64::INFINITY))),
+            ("i64::MIN", q().filter(field("x").gt(i64::MIN))),
+            ("both quotes", q().filter(field("x").eq_to("it's \"quoted\""))),
+            ("zero window", q().over(Window::sliding(millis(0)))),
+            ("negative window", q().over(Window::tumbling(secs(-1)))),
+            ("negative delay", q().over(Window::sliding(secs(1)).delayed_by(millis(-5)))),
+        ];
+        assert_refused(refused);
+
+        // A string holding one quote character is quoted with the other.
+        let built = q().filter(field("note").eq_to("a' OR note = 'b")).build().unwrap();
+        assert_eq!(
+            built.filter,
+            Some(PExpr::Cmp(
+                CmpOp::Eq,
+                Box::new(PExpr::Field("note".into())),
+                Box::new(PExpr::Lit(Value::Str("a' OR note = 'b".into()))),
+            ))
+        );
+        // A NOT under a comparison stays under it.
+        let built = q().filter(field("x").not().eq_to(true)).build().unwrap();
+        assert_eq!(
+            built.filter,
+            Some(PExpr::Cmp(
+                CmpOp::Eq,
+                Box::new(PExpr::Not(Box::new(PExpr::Field("x".into())))),
+                Box::new(PExpr::Lit(Value::Bool(true))),
+            ))
+        );
     }
 
     #[test]

@@ -11,5 +11,5 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{AggFunc, AggSpec, PExpr, Query, WindowKind, WindowSpec};
-pub use builder::{days, field, hours, lit, millis, mins, secs, Agg, QueryBuilder, Window};
+pub use builder::{days, field, hours, lit, millis, mins, secs, Agg, Filter, QueryBuilder, Window};
 pub use parser::parse_query;

@@ -66,7 +66,7 @@
 use std::sync::Arc;
 
 use railgun_types::{
-    FieldType, RailgunError, Result, Schema, TimeDelta, Timestamp, Value,
+    FieldType, RailgunError, Result, Schema, Timestamp, Value,
 };
 
 use crate::api::QueryId;
@@ -141,25 +141,19 @@ impl Session {
             .ok_or_else(|| RailgunError::NotFound(format!("stream `{name}`")))
     }
 
-    /// Register a builder-constructed query and return its handle.
-    ///
-    /// Accepts the builder directly (`.over(...)` without `.build()`) or
-    /// a finished [`Query`]. A latency budget declared with
-    /// [`QueryBuilder::with_slo`] is registered with the cluster's
+    /// Register a builder's statement ([`QueryBuilder::text`]) through
+    /// [`Session::register_text`], then arm the latency budget declared
+    /// with [`QueryBuilder::with_slo`], if any, in the cluster's
     /// telemetry plane — see [`Session::metrics`].
-    pub fn register(&mut self, query: impl IntoQuery) -> Result<QueryHandle> {
-        let slo = query.slo();
-        let query = query.into_query()?;
-        let id = self.cluster.register(&query)?;
-        if let Some(budget) = slo {
-            self.cluster.set_query_slo(id, budget);
+    pub fn register(&mut self, query: QueryBuilder) -> Result<QueryHandle> {
+        let handle = self.register_text(&query.text()?)?;
+        if let Some(budget) = query.slo() {
+            self.cluster.set_query_slo(handle.id, budget);
         }
-        Ok(QueryHandle { id, query })
+        Ok(handle)
     }
 
-    /// Register a textual query (Figure 4 syntax) and return its handle —
-    /// the same lifecycle as [`Session::register`], pinned equivalent by
-    /// the builder↔parser cross-checks.
+    /// Register a textual query (Figure 4 syntax) and return its handle.
     pub fn register_text(&mut self, query_text: &str) -> Result<QueryHandle> {
         let query = crate::lang::parse_query(query_text)?;
         let id = self.cluster.register_query(query_text)?;
@@ -239,42 +233,6 @@ impl Session {
     /// ```
     pub fn metrics(&self) -> MetricsSnapshot {
         self.cluster.metrics_snapshot()
-    }
-}
-
-/// Conversion into a finished [`Query`] — lets [`Session::register`]
-/// accept a [`QueryBuilder`] chain directly.
-pub trait IntoQuery {
-    /// Finalize into the query AST.
-    fn into_query(self) -> Result<Query>;
-
-    /// The latency budget riding along, if the source carries one
-    /// ([`QueryBuilder::with_slo`]). Budgets are operational metadata,
-    /// not query semantics, so plain [`Query`] values have none.
-    fn slo(&self) -> Option<TimeDelta> {
-        None
-    }
-}
-
-impl IntoQuery for Query {
-    fn into_query(self) -> Result<Query> {
-        Ok(self)
-    }
-}
-
-impl IntoQuery for &Query {
-    fn into_query(self) -> Result<Query> {
-        Ok(self.clone())
-    }
-}
-
-impl IntoQuery for QueryBuilder {
-    fn into_query(self) -> Result<Query> {
-        self.build()
-    }
-
-    fn slo(&self) -> Option<TimeDelta> {
-        QueryBuilder::slo(self)
     }
 }
 

@@ -346,7 +346,7 @@ impl TaskProcessor {
     }
 
     /// Register a query's metrics on this task under an anonymous id
-    /// derived from the query text (convenience for single-process and
+    /// derived from the query (convenience for single-process and
     /// test use; the cluster path assigns front-end ids and calls
     /// [`TaskProcessor::attach_query`]).
     pub fn register_query(&mut self, query: &Query) -> Result<Vec<MetricHandle>> {
@@ -354,10 +354,9 @@ impl TaskProcessor {
     }
 
     /// Attach a query's metrics to this task under `id` — the one way a
-    /// query reaches a live task's plan. New windows create head and tail
-    /// cursors, the head a window back, so the new metric fills from
-    /// events already in the reservoir (§6's future work, supported here
-    /// via the reservoir's random reads). Re-attaching the same id is
+    /// query reaches a live task's plan. Its new leaves fill from events
+    /// already in the reservoir (§6's future work, supported here via the
+    /// reservoir's random reads). Re-attaching the same id is
     /// idempotent. A restored task gets its queries back through
     /// [`TaskProcessor::restore_or_replay`] instead: its state already
     /// holds what a backfill would add again.
@@ -370,14 +369,13 @@ impl TaskProcessor {
     ///
     /// Either way a new window's cursors start where the image's source
     /// left them after its newest event `T`: the tail at the window's
-    /// lower bound for `T`, and on a re-attach the head at its upper
-    /// bound `T + 1ms − delay`, which the head bound records as already
-    /// flowed (this keeps the late-arrival direct-insert path and any
-    /// later backfill right). A backfill starts the head at the tail
-    /// instead, so the window's content flows in at the next event.
+    /// lower bound for `T`, and the head at its upper bound
+    /// `T + 1ms − delay`, which the head bound records as already flowed
+    /// (this keeps the late-arrival direct-insert path and any later
+    /// backfill right). A backfill then inserts the window's content
+    /// into the query's new leaves, whether their window is new or not.
     fn attach(&mut self, id: QueryId, query: &Query, backfill: bool) -> Result<Vec<MetricHandle>> {
         let pre_leaf_count = self.plan.leaves.len();
-        let pre_window_count = self.windows.len();
         let handles = self.plan.add_query(id, query, &self.schema)?;
         // Create runtimes for any window nodes added by this query.
         while self.windows.len() < self.plan.windows.len() {
@@ -392,11 +390,7 @@ impl TaskProcessor {
                 WindowKind::Sliding(ws) | WindowKind::Tumbling(ws) => upper.saturating_sub(ws),
                 WindowKind::Infinite => Timestamp::MIN,
             };
-            let (head_from, head_bound) = match backfill {
-                true => (lower, Timestamp::MIN),
-                false => (upper, upper),
-            };
-            let head = self.reservoir.cursor_at(head_from);
+            let head = self.reservoir.cursor_at(upper);
             let tail = match spec.kind {
                 WindowKind::Sliding(_) => Some(self.reservoir.cursor_at(lower)),
                 _ => None,
@@ -404,26 +398,21 @@ impl TaskProcessor {
             self.windows.push(Some(WindowRuntime {
                 head,
                 tail,
-                head_bound,
+                head_bound: upper,
                 tail_bound: lower,
             }));
         }
         self.row_hints.resize(self.plan.groups.len(), usize::MAX);
         self.plan_changed();
-        // Brand-new leaves attached to a *pre-existing* window get no
-        // events from that window's (already advanced) head cursor, so
-        // they must backfill the window's current content directly —
-        // otherwise a metric re-registered onto a shared window (or a new
-        // aggregation added to one) would silently start from zero. A
-        // query's leaves all hang off one group node; the ones it shares
-        // with earlier queries (`< pre_leaf_count`) are already live. On
-        // re-attach the leaf state arrived with the image; nothing to do.
-        if let Some(first) = handles.first().filter(|_| backfill) {
-            let leaf = &self.plan.leaves[first.leaf];
-            let (gid, wid) = (leaf.group, leaf.window);
-            if wid < pre_window_count && handles.iter().any(|h| h.leaf >= pre_leaf_count) {
-                self.backfill_group(gid, pre_leaf_count)?;
-            }
+        // Brand-new leaves get no events from their window's head cursor,
+        // which starts (or already is) past the window's content, so they
+        // backfill that content directly — otherwise a new metric would
+        // silently start from zero. A query's leaves all hang off one
+        // group node; the ones it shares with earlier queries
+        // (`< pre_leaf_count`) are already live. On re-attach the leaf
+        // state arrived with the image; nothing to do.
+        if let Some(new) = handles.iter().find(|h| backfill && h.leaf >= pre_leaf_count) {
+            self.backfill_group(self.plan.leaves[new.leaf].group, pre_leaf_count)?;
         }
         Ok(handles)
     }
@@ -441,8 +430,8 @@ impl TaskProcessor {
         };
         let upper = wr.head_bound;
         if upper == Timestamp::MIN {
-            // Nothing has flowed through the window yet: the head cursor
-            // still covers everything the leaves need to see.
+            // The reservoir was empty when the window opened and nothing
+            // has flowed through it since: there is no content to insert.
             return Ok(());
         }
         let spec = self.plan.windows[wid].spec;
@@ -1084,16 +1073,13 @@ fn collect_bucket(spec: WindowSpec, t_eval: Timestamp) -> Option<Timestamp> {
 }
 
 /// Stable anonymous id for direct (non-cluster) registrations: an FxHash
-/// of the query's textual form, with the high bit set so it can never
+/// of the query's `Debug` form, with the high bit set so it can never
 /// collide with front-end-assigned ids (front-end ids embed node ids,
 /// which stay far below 2^31).
 fn derived_query_id(query: &Query) -> QueryId {
     use std::hash::Hasher;
     let mut h = railgun_types::hash::FxHasher::default();
-    match query.to_text() {
-        Ok(text) => h.write(text.as_bytes()),
-        Err(_) => h.write(format!("{query:?}").as_bytes()),
-    }
+    h.write(format!("{query:?}").as_bytes());
     QueryId(h.finish() | (1 << 63))
 }
 
@@ -1801,6 +1787,35 @@ mod tests {
         tp.register_query(&q3).unwrap();
         let (r, _) = tp.process_event(&ev(100, 3_000, "A", "m", 1.0)).unwrap();
         assert_eq!(result_value(&r, "max(amount)"), Value::Float(2.5));
+    }
+
+    #[test]
+    fn a_query_that_opens_a_window_on_a_live_task_counts_only_the_window() {
+        // Events at 0..=10 s, then a 5 s window opens: at 13 s it holds
+        // the events at 9, 10 and 13 s. The ones at 5..=8 s expired before
+        // the next event; they were never inserted, so they must be
+        // neither evicted nor inserted.
+        let mut tp = proc("attach-opens-window");
+        for i in 0..=10u64 {
+            let (ts, amount) = (i as i64 * 1_000, 100.0 - i as f64);
+            tp.process_event(&ev(i, ts, "A", &format!("m{i}"), amount)).unwrap();
+        }
+        let q = parse_query(
+            "SELECT countDistinct(merchantId), max(amount), stdDev(amount), count(*) \
+             FROM payments GROUP BY cardId OVER sliding 5 sec",
+        )
+        .unwrap();
+        tp.register_query(&q).unwrap();
+        let (r, _) = tp.process_event(&ev(11, 13_000, "A", "m13", 1.0)).unwrap();
+        assert_eq!(result_value(&r, "countDistinct"), Value::Int(3));
+        assert_eq!(result_value(&r, "max"), Value::Float(91.0));
+        assert_eq!(result_value(&r, "count"), Value::Int(3));
+        let Value::Float(sd) = result_value(&r, "stdDev") else {
+            panic!("stdDev of three values is a float")
+        };
+        assert!((sd - 51.6753).abs() < 1e-3, "stdDev of 91, 90, 1: {sd}");
+        let (r, _) = tp.process_event(&ev(12, 13_500, "A", "m14", 1.0)).unwrap();
+        assert_eq!(result_value(&r, "countDistinct"), Value::Int(4));
     }
 
     #[test]

@@ -908,8 +908,8 @@ fn load_cold(dir: &Path, inner: &mut Inner, chunk: ChunkId) -> Result<Arc<Decode
 
 /// A monotonic reading position over a reservoir's event stream.
 ///
-/// Cursors are created by [`Reservoir::cursor_at`]; windows use one for
-/// their tail (expiring events) and, when delayed, one for their head.
+/// Cursors are created by [`Reservoir::cursor_at`]; every window has one
+/// for its head (entering events), a sliding one another for its tail.
 pub struct Cursor {
     shared: Arc<Shared>,
     id: u64,

@@ -33,13 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let schema = Schema::from_pairs(&[("cardId", FieldType::Str), ("amount", FieldType::Float)])?;
     cluster.create_stream("payments", schema, &["cardId"])?;
-    let per_card = cluster.register(
+    let per_card = cluster.register_query(
         &Query::select(Agg::count())
             .select(Agg::sum("amount"))
             .from("payments")
             .group_by(["cardId"])
             .over(Window::sliding(hours(1)))
-            .build()?,
+            .text()?,
     )?;
 
     println!("3 nodes, 6 partitions, replication factor 2");

@@ -28,9 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Railgun: real-time sliding window -------------------------------
     // This example deliberately stays on the *textual* query path (the
-    // other examples use the typed builder): both front doors compile to
-    // the same plan — the equivalence the test suite pins — and both get
-    // keyed replies addressed by the returned QueryId.
+    // other examples use the typed builder, which writes the same text):
+    // replies are keyed by the returned QueryId.
     let mut cluster = Cluster::new(ClusterConfig::single_node())?;
     let schema = Schema::from_pairs(&[("cardId", FieldType::Str), ("amount", FieldType::Float)])?;
     cluster.create_stream("payments", schema, &["cardId"])?;

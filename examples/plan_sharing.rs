@@ -61,36 +61,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .select(Agg::count())
             .from("payments")
             .group_by(["cardId"])
-            .over(Window::sliding(mins(5)))
-            .build()?,
+            .over(Window::sliding(mins(5))),
         Query::select(Agg::avg("amount"))
             .from("payments")
             .group_by(["merchantId"])
-            .over(Window::sliding(mins(5)))
-            .build()?,
+            .over(Window::sliding(mins(5))),
         // Same window + group-by with a filter: shares the window node,
         // forks at the filter stage.
         Query::select(Agg::count())
             .from("payments")
             .filter(field("amount").gt(500))
             .group_by(["cardId"])
-            .over(Window::sliding(mins(5)))
-            .build()?,
+            .over(Window::sliding(mins(5))),
         // A different window: its own root.
         Query::select(Agg::max("amount"))
             .from("payments")
             .group_by(["cardId"])
-            .over(Window::sliding(hours(1)))
-            .build()?,
+            .over(Window::sliding(hours(1))),
     ];
 
     let mut plan = Plan::new();
     let mut ids = Vec::new();
     for (i, q) in queries.iter().enumerate() {
         let id = QueryId(i as u64 + 1);
-        let handles = plan.add_query(id, q, &schema)?;
+        let handles = plan.add_query(id, &q.build()?, &schema)?;
         ids.push(id);
-        println!("registered [{id}]: {}", q.to_text()?);
+        println!("registered [{id}]: {}", q.text()?);
         for h in handles {
             println!("    -> leaf #{}: ({id}, {}) {}", h.leaf, h.index, h.name);
         }

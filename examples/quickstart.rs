@@ -30,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Q1 and Q2 of the paper (Example 1), built programmatically: per-card
     // sum/count and per-merchant average, both over true real-time sliding
-    // windows. The builder compiles to exactly the plan the text parser
-    // would produce (the equivalence is test-pinned).
+    // windows. The builder writes the Figure 4 statement, and the session
+    // registers that text as it would a hand-written one.
     let per_card = session.register(
         Query::select(Agg::sum("amount"))
             .select(Agg::count())

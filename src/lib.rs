@@ -85,10 +85,10 @@
 //! assert!(session.queries().is_empty());
 //! ```
 //!
-//! Textual queries ([`Session::register_text`], Figure 4 syntax) remain a
-//! first-class front door — the builder compiles to byte-identical plans
-//! (test-pinned) — and the positional `Cluster::send(stream, ts, values)`
-//! path still works as a thin shim under the typed facade.
+//! The builder writes Figure 4 text, and `Session::register` registers it
+//! through the one textual front door, [`Session::register_text`]. The
+//! positional `Cluster::send(stream, ts, values)` path still works as a
+//! thin shim under the typed facade.
 //!
 //! [`Session::register_text`]: engine::session::Session::register_text
 //!
