@@ -1098,6 +1098,7 @@ pub fn temp_task_dir(tag: &str) -> PathBuf {
 mod tests {
     use super::*;
     use crate::lang::parse_query;
+    use railgun_reservoir::Codec;
     use railgun_types::{EventId, FieldType};
 
     fn schema() -> Schema {
@@ -2164,6 +2165,115 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The codec is a choice of cost. One stream goes through a task that
+    /// compresses its chunks and one that stores them verbatim: rows of
+    /// 100 random floats, whose chunk bodies save under an eighth of their
+    /// first 4 KiB and go out as literal runs, between runs of rows that
+    /// carry only the three queried fields and compress well; late and
+    /// duplicate events; a window several chunks long over a 2-chunk
+    /// cache, so that tails read cold frames. Every reply is byte for byte
+    /// the same, and again after each task is restored mid-stream from the
+    /// other's image.
+    #[test]
+    fn answers_do_not_depend_on_the_codec() {
+        let names: Vec<String> = (0..97).map(|i| format!("x{i}")).collect();
+        let mut fields = vec![
+            ("cardId", FieldType::Str),
+            ("merchantId", FieldType::Str),
+            ("amount", FieldType::Float),
+        ];
+        fields.extend(names.iter().map(|n| (n.as_str(), FieldType::Float)));
+        let schema = Schema::from_pairs(&fields).unwrap();
+        let config = |codec| TaskConfig {
+            reservoir: ReservoirConfig {
+                chunk_target_events: 64,
+                cache_capacity_chunks: 2,
+                codec,
+                ..ReservoirConfig::default()
+            },
+            ..TaskConfig::default()
+        };
+        let queries = [
+            "SELECT sum(amount), count(*), countDistinct(merchantId), max(amount) \
+             FROM payments GROUP BY cardId OVER sliding 30 sec",
+            "SELECT sum(x7), min(x96), avg(x40) FROM payments GROUP BY merchantId \
+             OVER sliding 20 sec",
+        ]
+        .map(|q| parse_query(q).unwrap());
+        let attached: Vec<(QueryId, &Query)> =
+            queries.iter().enumerate().map(|(i, q)| (QueryId(i as u64 + 1), q)).collect();
+        let codecs = [Codec::RailZ, Codec::None];
+        let dir = |what: &str| temp_task_dir(&format!("codec-{what}"));
+        let mut tasks = codecs.map(|codec| {
+            let mut tp =
+                TaskProcessor::open(&dir(&format!("{codec:?}")), "", 0, schema.clone(), config(codec))
+                    .unwrap();
+            for (id, query) in &attached {
+                tp.attach_query(*id, query).unwrap();
+            }
+            tp
+        });
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut log: Vec<Event> = Vec::new();
+        for i in 0..2_000u64 {
+            if i == 1_000 {
+                let images = codecs.map(|codec| dir(&format!("image-{codec:?}")));
+                for (tp, image) in tasks.iter().zip(&images) {
+                    tp.checkpoint(image).unwrap();
+                }
+                // A frame names its codec: each image restores under the
+                // other's, and both kinds of frame then share a reservoir.
+                tasks = [1, 0].map(|from| {
+                    let codec = codecs[1 - from];
+                    let (tp, outcome) = TaskProcessor::restore_or_replay(
+                        &images[from],
+                        &dir(&format!("restored-{codec:?}")),
+                        schema.clone(),
+                        config(codec),
+                        &attached,
+                    )
+                    .unwrap();
+                    assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
+                    tp
+                });
+            }
+            let r = next();
+            let event = if r.is_multiple_of(17) && !log.is_empty() {
+                log[(r >> 8) as usize % log.len()].clone()
+            } else {
+                let late = if r.is_multiple_of(13) { (r >> 20) % 8_000 } else { 0 };
+                let wide = (i / 48).is_multiple_of(2);
+                let mut values = vec![
+                    Value::Str(format!("c{}", r % 7)),
+                    Value::Str(format!("m{}", (r >> 4) % 11)),
+                    Value::Float(((r >> 12) % 400) as f64 * 0.25),
+                ];
+                values.extend((0..97).map(|_| match wide {
+                    true => Value::Float((next() >> 11) as f64 / (1u64 << 53) as f64),
+                    false => Value::Null,
+                }));
+                Event::new(EventId(i), Timestamp::from_millis(100 * i as i64 - late as i64), values)
+            };
+            let replies = tasks.each_mut().map(|tp| {
+                let mut out = Vec::new();
+                tp.process_event_into(&event, i, "payments", &mut out).unwrap();
+                out
+            });
+            assert_eq!(replies[0], replies[1], "event {i}");
+            log.push(event);
+        }
+        for tp in &tasks {
+            let cache = tp.reservoir_stats().cache;
+            assert!(cache.misses + cache.prefetch_inserts > 0, "no tail read a cold frame");
         }
     }
 

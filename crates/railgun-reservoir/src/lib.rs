@@ -9,8 +9,9 @@
 //! * arrivals accumulate in a small in-memory **open chunk**, insert-sorted
 //!   by timestamp;
 //! * closed chunks are framed ([`mod@format`]: the events' encoded rows behind
-//!   id/timestamp deltas), **compressed** ([`compress`]) and appended
-//!   asynchronously to immutable **segment files** ([`segment`]);
+//!   id/timestamp deltas), **compressed** where that saves at least an
+//!   eighth ([`compress`]) and appended asynchronously to immutable
+//!   **segment files** ([`segment`]);
 //! * windows read through [`Cursor`]s that load chunks via a bounded
 //!   **cache** with eager read-ahead ([`cache`]) — in steady state the next
 //!   chunk is already resident when a window needs it, so disk never sits on

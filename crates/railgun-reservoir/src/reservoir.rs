@@ -5,7 +5,7 @@
 //! a very small in-memory part (the open chunk receiving arrivals, chunks in
 //! transition awaiting late events, chunks waiting for the I/O thread, and
 //! the bounded cache of written chunks) and a potentially huge on-disk part
-//! (append-only segment files of compressed chunks). Regardless of window
+//! (append-only segment files of chunk frames). Regardless of window
 //! size, only a tiny number of chunks is in memory — the property behind
 //! "windows of years are equivalent to windows of seconds" (§4.1.1,
 //! Figure 9a).
@@ -23,7 +23,8 @@
 //!   reservoir keeps holding it, with the open and transition chunks, and
 //!   cursors read it there;
 //! * the I/O thread frames the events (their rows copied behind id/ts
-//!   deltas into one body, then compressed), appends the frame to the
+//!   deltas into one body, then compressed where that pays:
+//!   [`crate::compress`]), appends the frame to the
 //!   active segment file, records its location, drops the pending chunk
 //!   and caches the body it wrote plus a 32-byte index entry per event
 //!   (**durable**). That is the form a chunk read back from disk has.
@@ -135,7 +136,10 @@ pub struct ReservoirConfig {
     pub transition_hold: TimeDelta,
     /// Policy for events older than the last finalized chunk.
     pub late_policy: LatePolicy,
-    /// Chunk compression codec.
+    /// Chunk compression codec. Under [`Codec::RailZ`] a body that saves
+    /// under an eighth of its first 4 KiB is written as literals past
+    /// that point ([`crate::compress`]); either codec gives the same
+    /// answers, only the bytes on disk and the CPU spent differ.
     pub codec: Codec,
     /// Eagerly load the next chunk when a cursor enters a new one.
     pub prefetch: bool,

@@ -748,3 +748,73 @@ fn concurrent_append_and_cold_drain() {
     ids.dedup();
     assert_eq!(ids.len() as u64, OLD + NEW, "no duplicates, no losses");
 }
+
+/// RailZ writes a chunk body that saves under an eighth of its first
+/// 4 KiB as a compressed prefix and one literal run, and any other body
+/// compressed to the end. One segment holding both kinds of frame
+/// reopens through the segment scan and reads back cold, every event
+/// once and in timestamp order, and an image whose open chunk is such a
+/// body restores it.
+#[test]
+fn a_segment_of_compressed_and_literal_tail_frames_recovers_and_restores() {
+    let names: Vec<String> = (0..32).map(|i| format!("x{i}")).collect();
+    let mut fields = vec![("cardId", FieldType::Str)];
+    fields.extend(names.iter().map(|n| (n.as_str(), FieldType::Float)));
+    let schema = Schema::from_pairs(&fields).unwrap();
+    let cfg = || ReservoirConfig {
+        chunk_target_events: 32,
+        chunk_target_bytes: 1 << 20,
+        file_target_bytes: 1 << 20,
+        cache_capacity_chunks: 2,
+        ..ReservoirConfig::default()
+    };
+    // Chunks alternate: 32 rows of random floats (about 9.6 KiB, the trial
+    // saves little), then 32 rows of one float repeated.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut event = |i: u64| {
+        let floats: Vec<Value> = (0..32)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let random = (state >> 11) as f64 / (1u64 << 53) as f64;
+                Value::Float(if (i / 32).is_multiple_of(2) { random } else { i as f64 })
+            })
+            .collect();
+        let mut values = vec![Value::Str(format!("card-{}", i % 5))];
+        values.extend(floats);
+        Event::new(EventId(i), Timestamp::from_millis(i as i64 * 10), values)
+    };
+    let (dir, image) = (fresh("mixed-frames"), fresh("mixed-frames-image"));
+    let source = Reservoir::open(&dir, schema.clone(), cfg()).unwrap();
+    // Eight chunks written, and 20 random rows (over 4 KiB) left open.
+    let events: Vec<Event> = (0..276).map(&mut event).collect();
+    for e in &events {
+        assert_eq!(source.append(e.clone()).unwrap(), AppendOutcome::Appended);
+    }
+    source.flush_io().unwrap();
+    source.checkpoint(&image).unwrap();
+    drop(source);
+
+    let (chunks, _) = railgun_reservoir::segment::scan_segments(&dir).unwrap();
+    assert_eq!(chunks.len(), 8);
+    assert!(chunks.iter().all(|c| c.location.file == chunks[0].location.file));
+    for (k, c) in chunks.iter().enumerate() {
+        let rows: usize = events[k * 32..k * 32 + 32].iter().map(|e| e.row().len()).sum();
+        let frame = c.location.len as usize;
+        if k.is_multiple_of(2) {
+            assert!(frame * 8 > rows * 7, "chunk {k}: {frame} B for {rows} B of rows");
+        } else {
+            assert!(frame * 4 < rows, "chunk {k}: {frame} B for {rows} B of rows");
+        }
+    }
+
+    let all = |r: &Reservoir| r.cursor_at_start().advance_upto(Timestamp::MAX);
+    let reopened = Reservoir::open(&dir, schema.clone(), cfg()).unwrap();
+    assert_eq!(all(&reopened), events[..256]);
+    assert!(reopened.stats().cache.misses > 0, "the cursor read cold frames");
+
+    let restored = Reservoir::open(&image, schema, cfg()).unwrap();
+    assert_eq!(restored.stats().open_events, 20);
+    assert_eq!(all(&restored), events);
+}
