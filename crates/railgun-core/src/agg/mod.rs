@@ -18,7 +18,8 @@
 //! * `avg` carries a count; `stdDev` the Welford triple \[50\];
 //! * `max`/`min` a monotonic deque \[30\] ([`deque`]);
 //! * `countDistinct` keeps per-value counts in a dedicated **column
-//!   family** of the state store;
+//!   family** of the state store, each insert or evict one locked
+//!   read-modify-write of its counter ([`Db::update_u64`]);
 //! * the approximate family (`countDistinct … approx`, `topK`,
 //!   `percentile`) keeps **one serialized sketch blob** per
 //!   (leaf, entity) in the same column family ([`sketch`]).
@@ -41,7 +42,7 @@ use railgun_store::{ColumnFamilyId, Db};
 use railgun_types::encode::{
     get_ivarint, get_uvarint, get_value, put_ivarint, put_str_value, put_uvarint, put_value,
 };
-use railgun_types::hash::{FastHashMap, FxHasher};
+use railgun_types::hash::{finalize, FastHashMap, FxHasher};
 use railgun_types::{RailgunError, Result, Value};
 
 use crate::lang::AggFunc;
@@ -156,12 +157,14 @@ struct StateCache {
 }
 
 /// The index hash of a row key or, with `sketch`, a leaf's state key (the
-/// two share a key space).
+/// two share a key space). Finalized, because the index files it by its
+/// low bits (see [`railgun_types::hash::KeyHasher`]); the finalizer is a
+/// bijection, so it makes no two keys share a hash.
 fn key_hash(key: &[u8], sketch: bool) -> u64 {
     let mut h = FxHasher::default();
     h.write_u8(sketch as u8);
     h.write(key);
-    h.finish()
+    finalize(h.finish())
 }
 
 impl StateCache {
@@ -633,11 +636,9 @@ impl AggState {
                 if let Some(v) = v.filter(|v| !v.is_null()) {
                     let mut key = ctx.scratch.key_buf.borrow_mut();
                     aux_key_into(&mut key, ctx.state_key, v);
-                    let n = read_u64(ctx.db, ctx.aux_cf, &key)?;
-                    if n == 0 {
+                    if update_counter(ctx, &key, |n| n + 1)? == 0 {
                         *distinct += 1;
                     }
-                    write_u64(ctx.db, ctx.aux_cf, &key, n + 1)?;
                 }
             }
             // Sketch inserts update the sketch and compute nothing: the
@@ -741,14 +742,10 @@ impl AggState {
                 if let Some(v) = v.filter(|v| !v.is_null()) {
                     let mut key = ctx.scratch.key_buf.borrow_mut();
                     aux_key_into(&mut key, ctx.state_key, v);
-                    let n = read_u64(ctx.db, ctx.aux_cf, &key)?;
-                    if n <= 1 {
-                        ctx.db.delete(ctx.aux_cf, &key)?;
-                        if n == 1 {
-                            *distinct -= 1;
-                        }
-                    } else {
-                        write_u64(ctx.db, ctx.aux_cf, &key, n - 1)?;
+                    // A count of 0 deletes the key (a tombstone even when
+                    // it was absent).
+                    if update_counter(ctx, &key, |n| n.saturating_sub(1))? == 1 {
+                        *distinct -= 1;
                     }
                 }
             }
@@ -1096,19 +1093,13 @@ pub(crate) fn blob_key_for_tests(state_key: &[u8]) -> Vec<u8> {
     key
 }
 
-/// An exact-`countDistinct` counter (0 when absent): exactly 8 bytes LE.
-fn read_u64(db: &Db, cf: ColumnFamilyId, key: &[u8]) -> Result<u64> {
-    match db.get_in(cf, key, |raw| <[u8; 8]>::try_from(raw).map_err(|_| raw.len()))? {
-        None => Ok(0),
-        Some(Ok(b)) => Ok(u64::from_le_bytes(b)),
-        Some(Err(len)) => Err(RailgunError::Corruption(format!(
-            "countDistinct counter of {len} bytes, expected 8"
-        ))),
-    }
-}
-
-fn write_u64(db: &Db, cf: ColumnFamilyId, key: &[u8], v: u64) -> Result<()> {
-    db.put(cf, key, &v.to_le_bytes())
+/// Set the exact-`countDistinct` counter at aux key `key` to `f(old)`
+/// in one store call ([`Db::update_u64`]; 0 deletes it) and return `old`.
+fn update_counter(ctx: &AggContext<'_>, key: &[u8], f: impl FnOnce(u64) -> u64) -> Result<u64> {
+    ctx.db.update_u64(ctx.aux_cf, key, f).map_err(|e| match e {
+        RailgunError::Corruption(m) => RailgunError::Corruption(format!("countDistinct {m}")),
+        e => e,
+    })
 }
 
 #[cfg(test)]

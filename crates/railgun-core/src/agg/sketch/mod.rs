@@ -47,17 +47,10 @@ pub const NPANES: i64 = 8;
 /// operation needs at most `NPANES + 1`).
 const MAX_PANES: usize = 64;
 
-/// splitmix64-style avalanche finalizer. FxHash is a fine bucket mixer
-/// but its low bits are not uniform enough for HLL register selection /
-/// rank extraction; one finalizer round fixes that.
-#[inline]
-pub fn finalize(mut z: u64) -> u64 {
-    z ^= z >> 30;
-    z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z ^= z >> 27;
-    z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// FxHash is a fine bucket mixer for integer keys but its low bits are
+/// not uniform enough for HLL register selection / rank extraction; one
+/// finalizer round fixes that.
+pub use railgun_types::hash::finalize;
 
 /// Deterministic 64-bit hash of a value, allocation-free. Type-tagged so
 /// `Int(1)` and `Float(1.0)` stay distinct, matching the exact

@@ -320,3 +320,101 @@ fn write_parent_checkpoint() {
     task.checkpoint(&out).unwrap();
     println!("answers after the checkpoint: {:?}", answers_after(&out));
 }
+
+/// Exact `countDistinct` leaves over three windows and two group-bys.
+const SPILLING_PLAN: &[&str] = &[
+    "SELECT countDistinct(merchantId), count(*) FROM payments GROUP BY cardId OVER sliding 1 min",
+    "SELECT countDistinct(merchantId) FROM payments GROUP BY cardId OVER sliding 10 sec",
+    "SELECT countDistinct(cardId) FROM payments GROUP BY merchantId OVER sliding 30 sec",
+];
+
+/// What the engine answered to `spilling_event(0..3_000)` while its
+/// memtable was a B-tree and each counter update was a read and a write:
+/// the CRC-32C and length of the replies' concatenated encodings.
+const SPILLING_ANSWERS: (u32, usize) = (4_064_532_901, 669_146);
+
+/// Event `i` of a stream 500 ms apart, 3 cards and 11 merchants, so each
+/// (card, merchant) counter counts several events of a window. Every
+/// 13th event is 2 s late; event 900 repeats event 850.
+fn spilling_event(i: u64) -> Event {
+    let i = if i == 900 { 850 } else { i };
+    let late = if i % 13 == 12 { 2_000 } else { 0 };
+    Event::new(
+        EventId(i),
+        Timestamp::from_millis(i as i64 * 500 - late),
+        vec![
+            Value::from(format!("card-{}", i % 3)),
+            Value::from(format!("m{}", (i * 7) % 11)),
+            Value::from((i % 50) as f64),
+        ],
+    )
+}
+
+/// A task whose counter column family flushes every 2 KiB and compacts
+/// every third table, so most counter updates read a table.
+fn spilling_config() -> TaskConfig {
+    let mut config = TaskConfig::default();
+    config.store.cf_options.push((
+        "distinct-aux".to_owned(),
+        railgun_store::CfOptions {
+            memtable_budget_bytes: 2 << 10,
+            compaction_trigger: 3,
+            ..railgun_store::CfOptions::default()
+        },
+    ));
+    config
+}
+
+/// Counters that live mostly in tables answer as they did when the store
+/// read and wrote each one separately, across a checkpoint and restore.
+#[test]
+fn distinct_counters_that_spill_to_tables_answer_as_before() {
+    let plan: Vec<(QueryId, Query)> = SPILLING_PLAN
+        .iter()
+        .enumerate()
+        .map(|(n, q)| (QueryId(n as u64 + 1), parse_query(q).unwrap()))
+        .collect();
+    let mut replies = Vec::new();
+    let mut answer = |task: &mut TaskProcessor, events: std::ops::Range<u64>| {
+        for i in events {
+            let (results, duplicate) = task.process_event(&spilling_event(i)).unwrap();
+            replies.extend(encode_reply(&Reply {
+                request_id: i,
+                source_topic: TOPIC.into(),
+                duplicate,
+                results,
+            }));
+        }
+    };
+    let mut task = TaskProcessor::open(
+        &temp_dir("spilling"),
+        TOPIC,
+        0,
+        schema(),
+        spilling_config(),
+    )
+    .unwrap();
+    for (id, q) in &plan {
+        task.attach_query(*id, q).unwrap();
+    }
+    answer(&mut task, 0..1_500);
+    let image = temp_dir("spilling-image");
+    task.checkpoint(&image).unwrap();
+    let stats = task.store_stats();
+    let aux = stats.per_cf.iter().find(|c| c.name == "distinct-aux").unwrap();
+    assert!(stats.flushes > 20 && stats.compactions > 5, "{stats:?}");
+    assert!(aux.sst_count > 0 && aux.sst_entries > 100, "{aux:?}");
+    drop(task);
+    let queries: Vec<(QueryId, &Query)> = plan.iter().map(|(id, q)| (*id, q)).collect();
+    let (mut task, outcome) = TaskProcessor::restore_or_replay(
+        &image,
+        &temp_dir("spilling-restored"),
+        schema(),
+        spilling_config(),
+        &queries,
+    )
+    .unwrap();
+    assert_eq!(outcome, RestoreOutcome::FromCheckpoint);
+    answer(&mut task, 1_500..3_000);
+    assert_eq!((crc32c(&replies), replies.len()), SPILLING_ANSWERS);
+}

@@ -75,7 +75,13 @@ impl BloomFilter {
 
     /// True if `key` *may* be present; false means definitely absent.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        let (h1, h2) = Self::probe_hashes(key);
+        self.may_contain_hashed(Self::probe_hashes(key))
+    }
+
+    /// [`BloomFilter::may_contain`] for a key whose
+    /// [`BloomFilter::probe_hashes`] are `(h1, h2)`, so a lookup that
+    /// visits several tables hashes its key once.
+    pub fn may_contain_hashed(&self, (h1, h2): (u64, u64)) -> bool {
         self.probes(h1, h2)
             .all(|bit| self.bits[(bit / 64) as usize] & (1u64 << (bit % 64)) != 0)
     }

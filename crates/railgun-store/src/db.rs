@@ -13,7 +13,7 @@
 //! explicit (`flush`, `compact`) so the engine can schedule it off the
 //! latency-critical path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -22,7 +22,8 @@ use parking_lot::Mutex;
 use railgun_types::encode::{crc32c, get_string, get_uvarint, put_bytes, put_uvarint};
 use railgun_types::{RailgunError, Recorder, Result};
 
-use crate::memtable::MemTable;
+use crate::bloom::BloomFilter;
+use crate::memtable::{counter, MemTable};
 use crate::merge::MergeIter;
 use crate::options::{CfOptions, FilterDecision};
 use crate::sstable::{KvRef, SstReader, SstWriter};
@@ -136,13 +137,38 @@ struct CfState {
     ssts: Vec<SstHandle>,
 }
 
+/// The newest table write of `key` in `ssts` (newest first), hashing the
+/// key once for every table's bloom.
+fn table_get<'a>(ssts: &'a [SstHandle], key: &[u8]) -> Option<Option<&'a [u8]>> {
+    if ssts.is_empty() {
+        return None;
+    }
+    let hashes = BloomFilter::probe_hashes(key);
+    ssts.iter().find_map(|h| h.reader.get_hashed(key, hashes))
+}
+
 struct Inner {
-    cfs: HashMap<ColumnFamilyId, CfState>,
-    next_cf_id: ColumnFamilyId,
+    /// Indexed by [`ColumnFamilyId`]: ids are handed out in order and no
+    /// column family is ever dropped.
+    cfs: Vec<CfState>,
     next_file_no: u64,
     flushes: u64,
     compactions: u64,
     filter_dropped: u64,
+}
+
+impl Inner {
+    fn cf(&self, cf: ColumnFamilyId) -> Result<&CfState> {
+        self.cfs.get(cf as usize).ok_or_else(|| no_such_cf(cf))
+    }
+
+    fn cf_mut(&mut self, cf: ColumnFamilyId) -> Result<&mut CfState> {
+        self.cfs.get_mut(cf as usize).ok_or_else(|| no_such_cf(cf))
+    }
+}
+
+fn no_such_cf(cf: ColumnFamilyId) -> RailgunError {
+    RailgunError::NotFound(format!("column family {cf}"))
 }
 
 /// An embedded LSM key-value store with column families.
@@ -185,25 +211,21 @@ impl Db {
             )));
         }
         let manifest_path = dir.join(MANIFEST);
-        let (cfs, next_cf_id, next_file_no) = if fs.exists(&manifest_path) {
+        let (cfs, next_file_no) = if fs.exists(&manifest_path) {
             Self::load_manifest(fs.as_ref(), dir, &manifest_path, &opts)?
         } else {
-            let mut cfs = HashMap::new();
-            cfs.insert(
-                Self::DEFAULT_CF,
-                CfState {
-                    name: "default".to_owned(),
-                    opts: opts.resolve_cf_opts("default"),
-                    mem: MemTable::new(),
-                    ssts: Vec::new(),
-                },
-            );
-            (cfs, 1, 1)
+            let default = CfState {
+                name: "default".to_owned(),
+                opts: opts.resolve_cf_opts("default"),
+                mem: MemTable::new(),
+                ssts: Vec::new(),
+            };
+            (vec![default], 1)
         };
         // Only an image's manifest says which tables are state: a table it
         // does not list is not part of any image this store wrote.
         let listed: HashSet<String> = cfs
-            .values()
+            .iter()
             .flat_map(|cf| cf.ssts.iter().map(|h| sst_file_name(h.file_no)))
             .collect();
         if let Some(name) = fs
@@ -221,7 +243,6 @@ impl Db {
             opts,
             inner: Mutex::new(Inner {
                 cfs,
-                next_cf_id,
                 next_file_no,
                 flushes: 0,
                 compactions: 0,
@@ -235,7 +256,7 @@ impl Db {
         dir: &Path,
         path: &Path,
         opts: &DbOptions,
-    ) -> Result<(HashMap<ColumnFamilyId, CfState>, ColumnFamilyId, u64)> {
+    ) -> Result<(Vec<CfState>, u64)> {
         let raw = fs.read(path)?;
         if raw.len() < 4 {
             return Err(RailgunError::Corruption("manifest too small".into()));
@@ -249,12 +270,16 @@ impl Db {
         if cur.remaining() < 8 || cur.get_u64_le() != MANIFEST_MAGIC {
             return Err(RailgunError::Corruption("bad manifest magic".into()));
         }
-        let next_cf_id = get_uvarint(&mut cur)? as u32;
+        let _next_cf_id = get_uvarint(&mut cur)?; // the CF count: ids are dense
         let next_file_no = get_uvarint(&mut cur)?;
-        let cf_count = get_uvarint(&mut cur)? as usize;
-        let mut cfs = HashMap::with_capacity(cf_count);
-        for _ in 0..cf_count {
-            let cf_id = get_uvarint(&mut cur)? as u32;
+        let cf_count = get_uvarint(&mut cur)?;
+        let mut cfs = Vec::new();
+        for id in 0..cf_count {
+            if get_uvarint(&mut cur)? != id {
+                return Err(RailgunError::Corruption(format!(
+                    "manifest lists column family {id} out of order"
+                )));
+            }
             let name = get_string(&mut cur)?;
             let sst_count = get_uvarint(&mut cur)? as usize;
             let mut ssts = Vec::with_capacity(sst_count);
@@ -263,18 +288,14 @@ impl Db {
                 let reader = SstReader::open(fs, &dir.join(sst_file_name(file_no)))?;
                 ssts.push(SstHandle { file_no, reader });
             }
-            let cf_opts = opts.resolve_cf_opts(&name);
-            cfs.insert(
-                cf_id,
-                CfState {
-                    name,
-                    opts: cf_opts,
-                    mem: MemTable::new(),
-                    ssts,
-                },
-            );
+            cfs.push(CfState {
+                opts: opts.resolve_cf_opts(&name),
+                name,
+                mem: MemTable::new(),
+                ssts,
+            });
         }
-        Ok((cfs, next_cf_id, next_file_no))
+        Ok((cfs, next_file_no))
     }
 
     /// The manifest of the tables `inner` holds now, in the format
@@ -282,14 +303,12 @@ impl Db {
     fn encode_manifest(inner: &Inner) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.put_u64_le(MANIFEST_MAGIC);
-        put_uvarint(&mut buf, u64::from(inner.next_cf_id));
+        // The next CF id, then the CFs in id order.
+        put_uvarint(&mut buf, inner.cfs.len() as u64);
         put_uvarint(&mut buf, inner.next_file_no);
-        let mut ids: Vec<_> = inner.cfs.keys().copied().collect();
-        ids.sort_unstable();
-        put_uvarint(&mut buf, ids.len() as u64);
-        for id in ids {
-            let cf = &inner.cfs[&id];
-            put_uvarint(&mut buf, u64::from(id));
+        put_uvarint(&mut buf, inner.cfs.len() as u64);
+        for (id, cf) in inner.cfs.iter().enumerate() {
+            put_uvarint(&mut buf, id as u64);
             put_bytes(&mut buf, cf.name.as_bytes());
             put_uvarint(&mut buf, cf.ssts.len() as u64);
             for h in &cf.ssts {
@@ -306,64 +325,86 @@ impl Db {
     /// Fails if the name is taken.
     pub fn create_cf(&self, name: &str) -> Result<ColumnFamilyId> {
         let mut inner = self.inner.lock();
-        if inner.cfs.values().any(|cf| cf.name == name) {
+        if inner.cfs.iter().any(|cf| cf.name == name) {
             return Err(RailgunError::InvalidArgument(format!(
                 "column family `{name}` already exists"
             )));
         }
-        let id = inner.next_cf_id;
-        inner.next_cf_id += 1;
-        inner.cfs.insert(
-            id,
-            CfState {
-                name: name.to_owned(),
-                opts: self.opts.resolve_cf_opts(name),
-                mem: MemTable::new(),
-                ssts: Vec::new(),
-            },
-        );
-        Ok(id)
+        inner.cfs.push(CfState {
+            name: name.to_owned(),
+            opts: self.opts.resolve_cf_opts(name),
+            mem: MemTable::new(),
+            ssts: Vec::new(),
+        });
+        Ok(inner.cfs.len() as ColumnFamilyId - 1)
     }
 
     /// Look up a column family id by name.
     pub fn cf_by_name(&self, name: &str) -> Option<ColumnFamilyId> {
-        self.inner
-            .lock()
-            .cfs
-            .iter()
-            .find(|(_, cf)| cf.name == name)
-            .map(|(id, _)| *id)
+        let inner = self.inner.lock();
+        let id = inner.cfs.iter().position(|cf| cf.name == name)?;
+        Some(id as ColumnFamilyId)
     }
 
     /// Write `key = value` in column family `cf`. Durable once a
     /// [`Db::checkpoint`] has written it into an image.
     pub fn put(&self, cf: ColumnFamilyId, key: &[u8], value: &[u8]) -> Result<()> {
-        self.write(cf, |mem| mem.put(key, value))
+        self.write(cf, |state| {
+            state.mem.put(key, value);
+            Ok(())
+        })
     }
 
     /// Delete `key` in column family `cf`. Durable once a
     /// [`Db::checkpoint`] has written it into an image.
     pub fn delete(&self, cf: ColumnFamilyId, key: &[u8]) -> Result<()> {
-        self.write(cf, |mem| mem.delete(key))
+        self.write(cf, |state| {
+            state.mem.delete(key);
+            Ok(())
+        })
     }
 
-    /// Apply one write to `cf`'s memtable and flush that memtable if the
-    /// write took it past its budget — the only one a write can grow.
-    fn write(&self, cf: ColumnFamilyId, apply: impl FnOnce(&mut MemTable)) -> Result<()> {
+    /// Read-modify-write of an 8-byte little-endian counter under one
+    /// lock: reads the counter at `key` (0 when absent), writes `f(old)`
+    /// (0 deletes the key) and returns `old`. When the memtable holds a
+    /// write of `key` this is one probe of its slot; otherwise the tables
+    /// are read once, with the key hashed once for all their blooms. A
+    /// value that is not exactly 8 bytes is [`RailgunError::Corruption`],
+    /// and nothing is written. Durable once a [`Db::checkpoint`] has
+    /// written it into an image.
+    pub fn update_u64(
+        &self,
+        cf: ColumnFamilyId,
+        key: &[u8],
+        f: impl FnOnce(u64) -> u64,
+    ) -> Result<u64> {
+        self.write(cf, |state| {
+            let ssts = &state.ssts;
+            state
+                .mem
+                .update_u64(key, || counter(table_get(ssts, key).flatten()), f)
+        })
+    }
+
+    /// Apply one write to `cf` and flush its memtable if the write took
+    /// it past its budget — the only one a write can grow.
+    fn write<T>(
+        &self,
+        cf: ColumnFamilyId,
+        apply: impl FnOnce(&mut CfState) -> Result<T>,
+    ) -> Result<T> {
         let mut inner = self.inner.lock();
-        let state = inner
-            .cfs
-            .get_mut(&cf)
-            .ok_or_else(|| RailgunError::NotFound(format!("column family {cf}")))?;
-        apply(&mut state.mem);
+        let state = inner.cf_mut(cf)?;
+        let out = apply(state)?;
         if state.mem.approx_bytes() <= state.opts.memtable_budget_bytes {
-            return Ok(());
+            return Ok(out);
         }
         let timer = self.opts.flush_recorder.start();
         let result = self.flush_cfs_locked(&mut inner, vec![cf]);
         self.opts.flush_recorder.finish(timer);
         result?;
-        self.maybe_compact_locked(&mut inner)
+        self.maybe_compact_locked(&mut inner)?;
+        Ok(out)
     }
 
     /// Read the current value of `key`, if live.
@@ -381,19 +422,12 @@ impl Db {
         f: impl FnOnce(&[u8]) -> T,
     ) -> Result<Option<T>> {
         let inner = self.inner.lock();
-        let state = inner
-            .cfs
-            .get(&cf)
-            .ok_or_else(|| RailgunError::NotFound(format!("column family {cf}")))?;
-        if let Some(entry) = state.mem.get(key) {
-            return Ok(entry.as_deref().map(f));
-        }
-        for h in &state.ssts {
-            if let Some(entry) = h.reader.get(key) {
-                return Ok(entry.map(f));
-            }
-        }
-        Ok(None)
+        let state = inner.cf(cf)?;
+        let entry = match state.mem.get(key) {
+            Some(entry) => entry.as_deref(),
+            None => table_get(&state.ssts, key).flatten(),
+        };
+        Ok(entry.map(f))
     }
 
     /// Scan all live keys in `[start, end)` (end `None` = unbounded),
@@ -404,14 +438,11 @@ impl Db {
         start: &[u8],
         end: Option<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let inner = self.inner.lock();
-        let state = inner
-            .cfs
-            .get(&cf)
-            .ok_or_else(|| RailgunError::NotFound(format!("column family {cf}")))?;
-        let mem = state.mem.range(start, end).map(|(k, e)| (k, e.as_deref()));
+        let mut inner = self.inner.lock();
+        let CfState { mem, ssts, .. } = inner.cf_mut(cf)?;
+        let mem = mem.range(start, end).map(|(k, e)| (k, e.as_deref()));
         let mut sources: Vec<Box<dyn Iterator<Item = KvRef<'_>> + '_>> = vec![Box::new(mem)];
-        for h in &state.ssts {
+        for h in ssts.iter() {
             sources.push(Box::new(h.reader.range(start, end)));
         }
         Ok(MergeIter::new(sources, true)
@@ -438,11 +469,8 @@ impl Db {
     }
 
     fn flush_locked(&self, inner: &mut Inner) -> Result<()> {
-        let cf_ids: Vec<ColumnFamilyId> = inner
-            .cfs
-            .iter()
-            .filter(|(_, cf)| !cf.mem.is_empty())
-            .map(|(id, _)| *id)
+        let cf_ids: Vec<ColumnFamilyId> = (0..inner.cfs.len() as ColumnFamilyId)
+            .filter(|&id| !inner.cfs[id as usize].mem.is_empty())
             .collect();
         if cf_ids.is_empty() {
             return Ok(());
@@ -459,7 +487,7 @@ impl Db {
             let file_no = inner.next_file_no;
             inner.next_file_no += 1;
             let path = self.dir.join(sst_file_name(file_no));
-            let cf = inner.cfs.get_mut(&id).expect("cf exists");
+            let cf = &mut inner.cfs[id as usize];
             let mut w = SstWriter::create(
                 fs.as_ref(),
                 &path,
@@ -478,11 +506,11 @@ impl Db {
     }
 
     fn maybe_compact_locked(&self, inner: &mut Inner) -> Result<()> {
-        let ids: Vec<ColumnFamilyId> = inner
-            .cfs
-            .iter()
-            .filter(|(_, cf)| cf.ssts.len() >= cf.opts.compaction_trigger)
-            .map(|(id, _)| *id)
+        let ids: Vec<ColumnFamilyId> = (0..inner.cfs.len() as ColumnFamilyId)
+            .filter(|&id| {
+                let cf = &inner.cfs[id as usize];
+                cf.ssts.len() >= cf.opts.compaction_trigger
+            })
             .collect();
         for id in ids {
             self.compact_cf_locked(inner, id)?;
@@ -497,26 +525,24 @@ impl Db {
     /// [`CompactionFilter`]: crate::CompactionFilter
     pub fn compact_cf(&self, cf: ColumnFamilyId) -> Result<()> {
         let mut inner = self.inner.lock();
-        if !inner.cfs.contains_key(&cf) {
-            return Err(RailgunError::NotFound(format!("column family {cf}")));
-        }
+        inner.cf(cf)?;
         self.compact_cf_locked(&mut inner, cf)
     }
 
     fn compact_cf_locked(&self, inner: &mut Inner, id: ColumnFamilyId) -> Result<()> {
-        let filter = inner.cfs.get(&id).expect("cf exists").opts.filter.clone();
+        let filter = inner.cfs[id as usize].opts.filter.clone();
         // A filterless compaction needs at least two inputs to do useful
         // work; with a filter installed, rewriting even a single table
         // reclaims dead entries on demand.
         let min_inputs = if filter.is_some() { 1 } else { 2 };
-        if inner.cfs[&id].ssts.len() < min_inputs {
+        if inner.cfs[id as usize].ssts.len() < min_inputs {
             return Ok(());
         }
         let file_no = inner.next_file_no;
         inner.next_file_no += 1;
         let path = self.dir.join(sst_file_name(file_no));
         let fs = Arc::clone(&self.opts.fs);
-        let cf = inner.cfs.get_mut(&id).expect("cf exists");
+        let cf = &mut inner.cfs[id as usize];
         let mut dropped = 0u64;
         {
             let sources: Vec<Box<dyn Iterator<Item = KvRef<'_>> + '_>> = cf
@@ -573,11 +599,10 @@ impl Db {
     pub fn checkpoint(&self, target: &Path) -> Result<()> {
         let mut inner = self.inner.lock();
         self.flush_locked(&mut inner)?;
-        let mut ids: Vec<ColumnFamilyId> = inner.cfs.keys().copied().collect();
-        ids.sort_unstable();
-        let tables: Vec<String> = ids
+        let tables: Vec<String> = inner
+            .cfs
             .iter()
-            .flat_map(|id| &inner.cfs[id].ssts)
+            .flat_map(|cf| &cf.ssts)
             .map(|h| sst_file_name(h.file_no))
             .collect();
         crate::checkpoint::create(
@@ -593,14 +618,13 @@ impl Db {
     /// sums of the per-CF breakdown, so they cannot drift from it.
     pub fn stats(&self) -> DbStats {
         let inner = self.inner.lock();
-        let mut ids: Vec<ColumnFamilyId> = inner.cfs.keys().copied().collect();
-        ids.sort_unstable();
-        let per_cf: Vec<CfStats> = ids
-            .into_iter()
-            .map(|id| {
-                let cf = &inner.cfs[&id];
+        let per_cf: Vec<CfStats> = inner
+            .cfs
+            .iter()
+            .enumerate()
+            .map(|(id, cf)| {
                 let mut c = CfStats {
-                    id,
+                    id: id as ColumnFamilyId,
                     name: cf.name.clone(),
                     memtable_bytes: cf.mem.approx_bytes(),
                     memtable_entries: cf.mem.len(),
@@ -942,6 +966,29 @@ mod tests {
         fs::write(image.join(WAL_FILE), b"").unwrap();
         let db = Db::open(&image, DbOptions::default()).unwrap();
         assert_eq!(db.get(Db::DEFAULT_CF, b"a").unwrap(), Some(b"1".to_vec()));
+    }
+
+    #[test]
+    fn open_refuses_a_manifest_whose_column_families_are_out_of_order() {
+        // Ids are handed out in order and never dropped, so every store
+        // lists them densely in id order; a manifest that does not is not
+        // one it wrote.
+        let image = fresh_dir("cforder");
+        fs::create_dir_all(&image).unwrap();
+        let mut buf = Vec::new();
+        buf.put_u64_le(MANIFEST_MAGIC);
+        for v in [2, 1, 2] {
+            put_uvarint(&mut buf, v); // next CF id, next file, CF count
+        }
+        for (id, name) in [(1, "aux"), (0, "default")] {
+            put_uvarint(&mut buf, id);
+            put_bytes(&mut buf, name.as_bytes());
+            put_uvarint(&mut buf, 0);
+        }
+        let crc = crc32c(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        fs::write(image.join(MANIFEST), &buf).unwrap();
+        assert_refused(&image, "column family 0 out of order");
     }
 
     fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {

@@ -4,7 +4,8 @@
 //! embedded RocksDB instance. This crate is a from-scratch substitute with
 //! the same shape: a log-structured merge store with
 //!
-//! * an in-memory **memtable** per column family ([`memtable`]) — and no
+//! * an in-memory, hash-indexed **memtable** per column family
+//!   ([`memtable`]; key order is built only for scans and flushes) — and no
 //!   write-ahead log or live manifest: the store is durable at a
 //!   checkpoint and nowhere else (recovery restores the checkpoint and
 //!   replays the input topic past it, as the paper does),

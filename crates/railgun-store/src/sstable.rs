@@ -240,8 +240,14 @@ fn take<'a>(rest: &mut &'a [u8], len: u64) -> Result<&'a [u8]> {
 /// (`uvarint klen, uvarint vtag, key, value`): split the next entry off
 /// the front of `rest`, borrowing key and value from the block's bytes.
 fn next_entry<'a>(rest: &mut &'a [u8]) -> Result<KvRef<'a>> {
-    let klen = get_uvarint(rest)?;
-    let vtag = get_uvarint(rest)?;
+    let (klen, vtag) = match **rest {
+        // Both lengths under 128: one byte each (the common case).
+        [k, v, ..] if k < 0x80 && v < 0x80 => {
+            *rest = &rest[2..];
+            (u64::from(k), u64::from(v))
+        }
+        _ => (get_uvarint(rest)?, get_uvarint(rest)?),
+    };
     let key = take(rest, klen)?;
     let value = match vtag.checked_sub(1) {
         Some(vlen) => Some(take(rest, vlen)?),
@@ -255,11 +261,20 @@ fn checked_entry<'a>(rest: &mut &'a [u8]) -> KvRef<'a> {
     next_entry(rest).expect("every block was decoded once in SstReader::from_bytes")
 }
 
+/// Every this-many-th entry of a block, its first included, is a restart:
+/// a point read binary-searches its block's restarts and then walks at
+/// most this many entries, not half the block.
+const RESTART_EVERY: usize = 16;
+
 /// Reader over one immutable SSTable, fully resident in memory.
 pub struct SstReader {
     data: Bytes,
-    /// (first_key, payload range in `data`) per data block.
-    index: Vec<(Vec<u8>, Range<usize>)>,
+    /// (first_key, payload range in `data`, index of its first restart in
+    /// `restarts`) per data block.
+    index: Vec<(Vec<u8>, Range<usize>, usize)>,
+    /// Offsets in `data` of every block's restarts, in order. The format
+    /// carries none: they are noted while the open checks every entry.
+    restarts: Vec<usize>,
     bloom: BloomFilter,
     entry_count: u64,
 }
@@ -294,6 +309,7 @@ impl SstReader {
         let mut cur = &data[crc_framed(&data[..footer_off], index_off, index_len, "index")?];
         let blocks = get_uvarint(&mut cur)?;
         let mut index = Vec::new();
+        let mut restarts = Vec::new();
         let mut decoded = 0u64;
         let mut last: Option<&[u8]> = None;
         for idx in 0..blocks {
@@ -307,8 +323,14 @@ impl SstReader {
                 len,
                 format_args!("block {idx}"),
             )?;
+            let first_restart = restarts.len();
             let mut rest = &data[block.clone()];
+            let mut n = 0;
             while !rest.is_empty() {
+                if n % RESTART_EVERY == 0 {
+                    restarts.push(block.end - rest.len());
+                }
+                n += 1;
                 let (key, _) = next_entry(&mut rest)?;
                 if last.is_some_and(|l| key <= l) {
                     return Err(corrupt(format!("sst block {idx} keys out of order")));
@@ -316,7 +338,7 @@ impl SstReader {
                 last = Some(key);
                 decoded += 1;
             }
-            index.push((first, block));
+            index.push((first, block, first_restart));
         }
         if decoded != entry_count {
             return Err(corrupt(format!(
@@ -326,6 +348,7 @@ impl SstReader {
         Ok(SstReader {
             data,
             index,
+            restarts,
             bloom,
             entry_count,
         })
@@ -343,24 +366,37 @@ impl SstReader {
 
     /// The entries of block `idx`, as they lie in the table.
     fn block(&self, idx: usize) -> Option<&[u8]> {
-        let (_, payload) = self.index.get(idx)?;
+        let (_, payload, _) = self.index.get(idx)?;
         Some(&self.data[payload.clone()])
     }
 
     /// The last block whose first key is `<= key`, if any.
     fn block_for(&self, key: &[u8]) -> Option<usize> {
         self.index
-            .partition_point(|(first, _)| first.as_slice() <= key)
+            .partition_point(|(first, _, _)| first.as_slice() <= key)
             .checked_sub(1)
     }
 
     /// Point lookup. `None` = key not in this table; `Some(None)` =
     /// tombstone; `Some(Some(v))` = live value, borrowed from the table.
     pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
-        if !self.bloom.may_contain(key) {
+        self.get_hashed(key, BloomFilter::probe_hashes(key))
+    }
+
+    /// [`SstReader::get`] for a key whose [`BloomFilter::probe_hashes`]
+    /// are `hashes`, computed once for every table a lookup visits.
+    pub fn get_hashed(&self, key: &[u8], hashes: (u64, u64)) -> Option<Option<&[u8]>> {
+        if !self.bloom.may_contain_hashed(hashes) {
             return None;
         }
-        let mut rest = self.block(self.block_for(key)?)?;
+        let idx = self.block_for(key)?;
+        let (_, payload, first) = &self.index[idx];
+        let end = self.index.get(idx + 1).map_or(self.restarts.len(), |b| b.2);
+        let restarts = &self.restarts[*first..end];
+        // The block's first restart is its first key, which is <= `key`.
+        let entry_at = |off: usize| checked_entry(&mut &self.data[off..payload.end]);
+        let at = restarts.partition_point(|&off| entry_at(off).0 <= key);
+        let mut rest = &self.data[restarts[at.checked_sub(1)?]..payload.end];
         while !rest.is_empty() {
             let (k, v) = checked_entry(&mut rest);
             if k >= key {

@@ -1,6 +1,7 @@
 //! Model-based schedule test for the store's capacity layer.
 //!
-//! Random put/delete/flush/compact/expire-horizon schedules run against
+//! Random put/delete/counter-update/range-scan/flush/compact/
+//! expire-horizon schedules run against
 //! both the real [`Db`] (with a watermark [`CompactionFilter`] on the
 //! default CF) and a two-level in-memory model: a `mem` map (the
 //! memtable) and a `disk` map (the merged view of all SSTables). `Flush`
@@ -28,6 +29,12 @@ const KEYS: u64 = 48;
 
 fn key_bytes(k: u64) -> Vec<u8> {
     format!("k{k:03}").into_bytes()
+}
+
+/// Counter keys: a class of their own, which the filter cannot parse
+/// and so keeps.
+fn counter_key(k: u64) -> Vec<u8> {
+    format!("c{k:03}").into_bytes()
 }
 
 fn value_bytes(k: u64, stamp: u64) -> Vec<u8> {
@@ -103,6 +110,18 @@ impl Model {
             .and_then(|e| e.as_deref())
     }
 
+    /// The counter at `key` (0 when absent) and what it becomes after
+    /// `f`: a write to the memtable, 0 as a tombstone.
+    fn update_u64(&mut self, key: &[u8], f: impl FnOnce(u64) -> u64) -> u64 {
+        let old = self
+            .get(key)
+            .map_or(0, |v| u64::from_le_bytes(v.try_into().unwrap()));
+        let new = f(old);
+        let entry = (new != 0).then(|| new.to_le_bytes().to_vec());
+        self.mem.insert(key.to_vec(), entry);
+        old
+    }
+
     fn live(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut merged = self.disk.clone();
         merged.extend(self.mem.clone());
@@ -138,6 +157,9 @@ fn check_equiv(db: &Db, model: &Model, ctx: &str) {
             "{ctx}: key {k} diverged from model (expirable={})",
             expirable(k)
         );
+        let key = counter_key(k);
+        let got = db.get(Db::DEFAULT_CF, &key).unwrap();
+        assert_eq!(got.as_deref(), model.get(&key), "{ctx}: counter {k} diverged");
     }
     let scanned = db.scan(Db::DEFAULT_CF, b"", None).unwrap();
     assert_eq!(scanned, model.live(), "{ctx}: full scan diverged from model");
@@ -146,8 +168,10 @@ fn check_equiv(db: &Db, model: &Model, ctx: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any schedule of puts/deletes/flushes/filtered compactions/horizon
-    /// advances leaves store and model identical — reads after
+    /// Any schedule of puts/deletes/counter updates/range scans/flushes/
+    /// filtered compactions/horizon advances leaves store and model
+    /// identical — each counter update returns the model's old count,
+    /// each range scan the model's live keys in that range, reads after
     /// compaction equal the model with the filter applied, and no live
     /// key is ever dropped.
     #[test]
@@ -175,15 +199,34 @@ proptest! {
                 imaged = model.disk.clone();
             }
             match sel {
-                0..=54 => {
+                0..=44 => {
                     stamp += 1;
                     let v = value_bytes(*k, stamp);
                     db.put(Db::DEFAULT_CF, &key_bytes(*k), &v).unwrap();
                     model.mem.insert(key_bytes(*k), Some(v));
                 }
-                55..=74 => {
+                45..=59 => {
                     db.delete(Db::DEFAULT_CF, &key_bytes(*k)).unwrap();
                     model.mem.insert(key_bytes(*k), None);
+                }
+                60..=69 => {
+                    // Counters of the first few keys climb; a third of
+                    // the updates step down, to 0 (a delete) and stay.
+                    let key = counter_key(*k % 8);
+                    let f = |n: u64| if lag % 3 == 0 { n.saturating_sub(1) } else { n + 1 };
+                    let old = db.update_u64(Db::DEFAULT_CF, &key, f).unwrap();
+                    prop_assert_eq!(old, model.update_u64(&key, f), "op {}", i);
+                }
+                70..=74 => {
+                    let (start, end) = (key_bytes(*k), key_bytes(k + lag));
+                    let end = (lag % 5 != 0).then_some(&end[..]);
+                    let got = db.scan(Db::DEFAULT_CF, &start, end).unwrap();
+                    let want: Vec<_> = model
+                        .live()
+                        .into_iter()
+                        .filter(|(key, _)| *key >= start && end.is_none_or(|e| &key[..] < e))
+                        .collect();
+                    prop_assert_eq!(got, want, "op {}", i);
                 }
                 75..=84 => {
                     db.flush().unwrap();

@@ -14,6 +14,9 @@ pub type FastHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<
 /// `HashSet` with the [`FxHasher`].
 pub type FastHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
+/// `HashMap` with the [`KeyHasher`], for byte-string keys.
+pub type KeyHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
 const SEED: u64 = 0x517c_c1b7_2722_0a95;
 
 /// FxHash: one rotate-xor-multiply per word of input.
@@ -75,6 +78,40 @@ impl Hasher for FxHasher {
     }
 }
 
+/// splitmix64-style avalanche finalizer: every input bit moves every
+/// output bit.
+#[inline]
+pub fn finalize(mut z: u64) -> u64 {
+    z ^= z >> 30;
+    z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z ^= z >> 27;
+    z = z.wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// [`FxHasher`] with a [`finalize`] round, for byte-string keys.
+///
+/// A hash table picks a bucket by a hash's low bits, and Fx's multiply
+/// carries a changed input bit only to the bits above it. Keys that differ
+/// only in the upper bytes of their last word — `…card-00012345`, whose
+/// last word holds the rank's last five digits — then share their low
+/// bits: 50 000 such keys fall into 50 buckets and probe through one
+/// another. The finalizer spreads every byte into the low bits.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(FxHasher);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.write(bytes);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        finalize(self.0.finish())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +137,32 @@ mod tests {
             low_bits.insert(h.finish() & 0x3ff);
         }
         assert!(low_bits.len() > 512, "got {} distinct buckets", low_bits.len());
+    }
+
+    #[test]
+    fn keys_that_differ_in_their_last_word_spread() {
+        // The engine's row keys: a group id, flags and `card-NNNNNNNN`.
+        let low_bits = |hash: fn(&[u8]) -> u64| {
+            let mut buckets = FastHashSet::default();
+            for rank in 0u32..4096 {
+                let mut key = vec![0, 0, 0, 0, 0, 1, 4, 13];
+                key.extend_from_slice(format!("card-{rank:08}").as_bytes());
+                buckets.insert(hash(&key) & 0xfff);
+            }
+            buckets.len()
+        };
+        let fx = low_bits(|k| {
+            let mut h = FxHasher::default();
+            h.write(k);
+            h.finish()
+        });
+        let mixed = low_bits(|k| {
+            let mut h = KeyHasher::default();
+            h.write(k);
+            h.finish()
+        });
+        assert!(fx <= 50, "Fx alone: {fx} of 4096 buckets");
+        assert!(mixed > 2048, "finalized: {mixed} of 4096 buckets");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod value;
 pub use block::{RowBlock, RowBlockReader, RowBlockWriter};
 pub use encode::{BatchFrame, BatchFrameBuilder};
 pub use error::{RailgunError, Result};
-pub use hash::{FastHashMap, FastHashSet};
+pub use hash::{FastHashMap, FastHashSet, KeyHashMap};
 pub use event::{Event, EventId};
 pub use histogram::Histogram;
 pub use metrics::{AtomicHistogram, Counter, LatencyLadder, Recorder};
